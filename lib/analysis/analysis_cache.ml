@@ -193,29 +193,33 @@ let marshal_decode (payload : string) : 'a option =
   | v -> Some v
   | exception _ -> None
 
-(* codec version 3: versions 1–2 were the hand-rolled pre-store
-   formats; bumping orphans them and the GC ages them out *)
+(* codec version 4: versions 1–2 were the hand-rolled pre-store
+   formats, and version 3 verdicts predate binding loop variables at
+   loop entry (a loop reusing an earlier loop's variable was misjudged);
+   bumping orphans them and the GC ages them out *)
 let verdict_kind : Verify.diagnostic list Store.kind =
-  Store.make_kind ~name:"verdict" ~version:"3" ~encode:marshal_encode
+  Store.make_kind ~name:"verdict" ~version:"4" ~encode:marshal_encode
     ~decode:marshal_decode
 
 (* one entry per kernel, not per (kernel, launch): the parametric
-   result is launch-independent *)
+   result is launch-independent; version 3 for the same loop-variable
+   fix as [verdict_kind] *)
 let pverdict_kind : Symverify.result Store.kind =
-  Store.make_kind ~name:"pverdict" ~version:"2" ~encode:marshal_encode
+  Store.make_kind ~name:"pverdict" ~version:"3" ~encode:marshal_encode
     ~decode:marshal_decode
 
 (* one process-wide handle on the default root, shared by every domain
-   (the store is domain-safe); lazy so tests that set GPCC_CACHE_DIR
-   before first use are honored *)
-let store_handle : Store.t Lazy.t = lazy (Store.open_root ())
+   (the store is domain-safe); opened on first use so tests that set
+   GPCC_CACHE_DIR before it are honored *)
+let store_handle : Store.t Gpcc_util.Once.t =
+  Gpcc_util.Once.make (fun () -> Store.open_root ())
 
 let verify (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     Verify.diagnostic list =
   timed @@ fun () ->
   let full = Pp.kernel_to_string ~launch k in
   find t t.verify (Digest.string full) (fun () ->
-      let store = Lazy.force store_handle in
+      let store = Gpcc_util.Once.get store_handle in
       match Store.find store verdict_kind ~key:full with
       | Some ds -> ds
       | None ->
@@ -226,7 +230,7 @@ let verify (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
 let symbolic_result (t : t) (k : Ast.kernel) : Symverify.result =
   let full = Pp.kernel_to_string k in
   find t t.symbolic (Digest.string full) (fun () ->
-      let store = Lazy.force store_handle in
+      let store = Gpcc_util.Once.get store_handle in
       match Store.find store pverdict_kind ~key:full with
       | Some r -> r
       | None ->
@@ -237,11 +241,11 @@ let symbolic_result (t : t) (k : Ast.kernel) : Symverify.result =
 (* escape hatch for A/B measurement and debugging: GPCC_SYMVERIFY=0
    forces every launch down the concrete path *)
 let symverify_enabled =
-  lazy (Sys.getenv_opt "GPCC_SYMVERIFY" <> Some "0")
+  Gpcc_util.Once.make (fun () -> Sys.getenv_opt "GPCC_SYMVERIFY" <> Some "0")
 
 let verify_sym (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     Verify.diagnostic list =
-  if not (Lazy.force symverify_enabled) then begin
+  if not (Gpcc_util.Once.get symverify_enabled) then begin
     Atomic.incr concrete_fallback_count;
     verify t ~launch k
   end

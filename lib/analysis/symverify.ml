@@ -483,9 +483,12 @@ type sval =
 
 (** A scalar binding recorded by the walk, mirroring {!Verify.binding}:
     the defining expression lowers in the binding-list suffix that was
-    live at the definition. *)
+    live at the definition; [SBloop d] is the variable of the enclosing
+    loop at depth [d] (outermost 0), bound at loop entry so lexical
+    order decides between it and any other binding of the name. *)
 type sbind =
   | SBexpr of Ast.expr
+  | SBloop of int
   | SBopaque
 
 (** One enclosing loop frame. [fr_value] is the loop variable's value
@@ -494,7 +497,6 @@ type sbind =
     variable across all iterations (mirroring {!Verify.renv_of_acc}:
     values stay within [init.lo .. limit.hi - 1]). *)
 type sframe = {
-  fr_var : string;
   fr_frozen : bool;
   fr_tdep : bool;  (** any loop bound is thread-dependent *)
   fr_value : sval;
@@ -569,6 +571,9 @@ let rec assoc_split name = function
   | (n, b) :: rest ->
       if String.equal n name then Some (b, rest) else assoc_split name rest
 
+(* the loop frame at depth [d] (outermost 0) of an innermost-first list *)
+let frame_at frames d = List.nth frames (List.length frames - 1 - d)
+
 (* ------------------------------------------------------------------ *)
 (* Lowering expressions to symbolic values                              *)
 (* ------------------------------------------------------------------ *)
@@ -625,7 +630,7 @@ let const_of (v : sval) : int option =
   | _ -> None
 
 (** Lower an integer expression under a binding list and loop frames.
-    Mirrors the operator semantics of {!Verify.eval_int} (mathematical
+    Mirrors the operator semantics of {!Verify.stage} (mathematical
     mod, truncating div, min/max calls, short-circuit booleans) so
     every value the concrete evaluator can compute is covered. *)
 let rec lower st ~(binds : (string * sbind) list) ~(frames : sframe list)
@@ -648,16 +653,14 @@ let rec lower st ~(binds : (string * sbind) list) ~(frames : sframe list)
       | Idy ->
           Aff (sf_add (sf_var ~coeff:(lp_dim Constraint.By) Sbidy) (sf_var Stidy)))
   | Var v -> (
-      match List.find_opt (fun f -> String.equal f.fr_var v) frames with
-      | Some f -> f.fr_value
+      match assoc_split v binds with
+      | Some (SBexpr e', rest) -> lower st ~binds:rest ~frames e'
+      | Some (SBloop d, _) -> (frame_at frames d).fr_value
+      | Some (SBopaque, _) -> Opq
       | None -> (
-          match assoc_split v binds with
-          | Some (SBexpr e', rest) -> lower st ~binds:rest ~frames e'
-          | Some (SBopaque, _) -> Opq
-          | None -> (
-              match List.assoc_opt v st.st_sizes with
-              | Some n -> Aff (sf_int n)
-              | None -> Opq)))
+          match List.assoc_opt v st.st_sizes with
+          | Some n -> Aff (sf_int n)
+          | None -> Opq))
   | Unop (Neg, a) -> (
       match lower st ~binds ~frames a with
       | Aff f -> Aff (sf_scale (-1) f)
@@ -812,7 +815,7 @@ let path_of env = String.concat "/" (List.rev env.s_path)
 (** Syntactic thread dependence, mirroring {!Verify.thread_dep}:
     opaque bindings count, loop variables count when the loop's bounds
     do (recorded per frame at loop entry). *)
-let rec sthread_dep (binds : (string * sbind) list) (frames : (string * bool) list)
+let rec sthread_dep (binds : (string * sbind) list) (frames : sframe list)
     (e : Ast.expr) : bool =
   match e with
   | Builtin (Idx | Idy | Tidx | Tidy) -> true
@@ -820,9 +823,9 @@ let rec sthread_dep (binds : (string * sbind) list) (frames : (string * bool) li
   | Var v -> (
       match assoc_split v binds with
       | Some (SBexpr e', rest) -> sthread_dep rest frames e'
+      | Some (SBloop d, _) -> (frame_at frames d).fr_tdep
       | Some (SBopaque, _) -> true
-      | None -> (
-          match List.assoc_opt v frames with Some d -> d | None -> false))
+      | None -> false)
   | Index _ | Vload _ -> true
   | Unop (_, a) | Field (a, _) -> sthread_dep binds frames a
   | Binop (_, a, b) -> sthread_dep binds frames a || sthread_dep binds frames b
@@ -848,8 +851,6 @@ and assigned_vars_stmt = function
   | If (_, t, f) -> assigned_vars t @ assigned_vars f
   | For l -> l.l_var :: assigned_vars l.l_body
   | Sync | Global_sync | Comment _ -> []
-
-let frame_tdeps frames = List.map (fun f -> (f.fr_var, f.fr_tdep)) frames
 
 let forget_svars env vars =
   { env with s_binds = List.map (fun v -> (v, SBopaque)) vars @ env.s_binds }
@@ -935,7 +936,7 @@ let make_frame st env (lp : Ast.loop) ~frozen ~tdep ~counter_id ~offset : sframe
                 (sf_var ~coeff:(lp_const c) svar)
                 (sf_int (offset * c))))
       in
-      { fr_var = lp.l_var; fr_frozen = frozen; fr_tdep = tdep; fr_value = value }
+      { fr_frozen = frozen; fr_tdep = tdep; fr_value = value }
   | _ ->
       let range =
         match (range_of st vi, range_of st vl) with
@@ -946,12 +947,7 @@ let make_frame st env (lp : Ast.loop) ~frozen ~tdep ~counter_id ~offset : sframe
       (match range with
       | Some r -> st.st_ranges <- (counter_id, r) :: st.st_ranges
       | None -> ());
-      {
-        fr_var = lp.l_var;
-        fr_frozen = frozen;
-        fr_tdep = tdep;
-        fr_value = Aff (sf_var svar);
-      }
+      { fr_frozen = frozen; fr_tdep = tdep; fr_value = Aff (sf_var svar) }
 
 let rec swalk_block st spaces env (b : Ast.block) : senv =
   List.fold_left (fun e s -> swalk_stmt st spaces e s) env b
@@ -1007,7 +1003,7 @@ and swalk_stmt st spaces env (s : Ast.stmt) : senv =
       env
   | If (cond, t, f) ->
       scollect_expr st env spaces cond;
-      let d = sthread_dep env.s_binds (frame_tdeps env.s_frames) cond in
+      let d = sthread_dep env.s_binds env.s_frames cond in
       let seg =
         Printf.sprintf "if(%s)" (truncate_str 28 (Pp.expr_to_string cond))
       in
@@ -1030,16 +1026,17 @@ and swalk_stmt st spaces env (s : Ast.stmt) : senv =
       scollect_expr st env spaces l_step;
       let frozen = block_has_sync l_body in
       let tdep =
-        let tds = frame_tdeps env.s_frames in
-        sthread_dep env.s_binds tds l_init
-        || sthread_dep env.s_binds tds l_limit
-        || sthread_dep env.s_binds tds l_step
+        sthread_dep env.s_binds env.s_frames l_init
+        || sthread_dep env.s_binds env.s_frames l_limit
+        || sthread_dep env.s_binds env.s_frames l_step
       in
       let counter_id = fresh_var st None in
+      let depth = List.length env.s_frames in
       let benv offset =
         let fr = make_frame st env lp ~frozen ~tdep ~counter_id ~offset in
         {
           env with
+          s_binds = (l_var, SBloop depth) :: env.s_binds;
           s_frames = fr :: env.s_frames;
           s_div_hard = env.s_div_hard || (tdep && not frozen);
           s_div_soft = env.s_div_soft || (tdep && frozen);

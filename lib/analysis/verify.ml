@@ -6,10 +6,12 @@
        snapshots every memory access with its guards, enclosing loops,
        scalar bindings and {!Affine} context, and reports barrier
        divergence on the way;
-    2. a {e concrete evaluator} for integer expressions under one
-       thread's coordinates plus loop-iteration bindings — this is what
-       lets the race check intersect per-thread access sets exactly,
-       including the mod/div index rotations the passes introduce;
+    2. a {e staged concrete evaluator}: each access's index, guard and
+       loop-bound expressions are resolved once per launch (binding
+       chains, sizes, launch dimensions) into closures over one thread's
+       coordinates and loop-iteration slots — this is what lets the race
+       check intersect per-thread access sets exactly, including the
+       mod/div index rotations the passes introduce;
     3. a {e strided-interval} range analysis (value range plus a
        congruence stride) with affine guard refinement, used to prove
        indices in-bounds;
@@ -80,25 +82,19 @@ let json_of_diagnostic d =
 let json_of_diagnostics ds =
   "[" ^ String.concat "," (List.map json_of_diagnostic ds) ^ "]"
 
-(* --- concrete integer evaluation under one thread --- *)
+(* --- staged concrete evaluation --- *)
 
 (** A scalar binding at some program point. [Bexpr] keeps the defining
     expression (evaluated in the environment suffix {e after} the
-    binding, so rebindings and self-references resolve lexically). *)
+    binding, so rebindings and self-references resolve lexically).
+    [Bloop d] is the variable of the enclosing loop at depth [d]
+    (outermost 0), bound at loop entry: an assignment in the body
+    shadows it, and it shadows the [Bunknown] an earlier loop over the
+    same name left behind. *)
 type binding =
   | Bexpr of Ast.expr
-  | Bval of int
+  | Bloop of int
   | Bunknown
-
-type cenv = {
-  c_launch : Ast.launch;
-  c_sizes : (string * int) list;
-  c_tidx : int;
-  c_tidy : int;
-  c_bidx : int;
-  c_bidy : int;
-  c_binds : (string * binding) list;  (** innermost (most recent) first *)
-}
 
 exception Unknown
 
@@ -107,62 +103,187 @@ let rec assoc_split name = function
   | (n, b) :: rest ->
       if String.equal n name then Some (b, rest) else assoc_split name rest
 
-let rec eval_int (env : cenv) (e : Ast.expr) : int =
-  match e with
-  | Int_lit n -> n
-  | Float_lit _ -> raise Unknown
-  | Builtin b -> (
-      let l = env.c_launch in
-      match b with
-      | Tidx -> env.c_tidx
-      | Tidy -> env.c_tidy
-      | Bidx -> env.c_bidx
-      | Bidy -> env.c_bidy
-      | Bdimx -> l.block_x
-      | Bdimy -> l.block_y
-      | Gdimx -> l.grid_x
-      | Gdimy -> l.grid_y
-      | Idx -> (env.c_bidx * l.block_x) + env.c_tidx
-      | Idy -> (env.c_bidy * l.block_y) + env.c_tidy)
-  | Var v -> (
-      match assoc_split v env.c_binds with
-      | Some (Bval n, _) -> n
-      | Some (Bexpr e', rest) -> eval_int { env with c_binds = rest } e'
-      | Some (Bunknown, _) -> raise Unknown
-      | None -> (
-          match List.assoc_opt v env.c_sizes with
-          | Some n -> n
-          | None -> raise Unknown))
-  | Unop (Neg, a) -> -eval_int env a
-  | Unop (Not, a) -> if eval_int env a = 0 then 1 else 0
-  | Binop (And, a, b) ->
-      if eval_int env a = 0 then 0 else if eval_int env b <> 0 then 1 else 0
-  | Binop (Or, a, b) ->
-      if eval_int env a <> 0 then 1 else if eval_int env b <> 0 then 1 else 0
-  | Binop (op, a, b) -> (
-      let x = eval_int env a and y = eval_int env b in
-      match op with
-      | Add -> x + y
-      | Sub -> x - y
-      | Mul -> x * y
-      | Div -> if y = 0 then raise Unknown else x / y
-      (* mathematical mod, matching the simulator *)
-      | Mod -> if y = 0 then raise Unknown else ((x mod y) + y) mod y
-      | Lt -> if x < y then 1 else 0
-      | Le -> if x <= y then 1 else 0
-      | Gt -> if x > y then 1 else 0
-      | Ge -> if x >= y then 1 else 0
-      | Eq -> if x = y then 1 else 0
-      | Ne -> if x <> y then 1 else 0
-      | And | Or -> assert false)
-  | Call ("min", [ a; b ]) -> min (eval_int env a) (eval_int env b)
-  | Call ("max", [ a; b ]) -> max (eval_int env a) (eval_int env b)
-  | Select (c, a, b) ->
-      if eval_int env c <> 0 then eval_int env a else eval_int env b
-  | Index _ | Vload _ | Field _ | Call _ -> raise Unknown
+(** The run-time inputs of staged code: one thread's block and lane
+    coordinates, and the values of its enclosing loop variables by
+    depth ([unset] where the enumeration has none). *)
+type lane_env = {
+  l_block_x : int;
+  mutable l_tidx : int;
+  mutable l_tidy : int;
+  mutable l_bidx : int;
+  mutable l_bidy : int;
+  l_slots : int array;
+}
 
-let eval_opt env e = try Some (eval_int env e) with Unknown -> None
-let eval_bool_opt env e = try Some (eval_int env e <> 0) with Unknown -> None
+let unset = min_int
+
+let lane_env (launch : Ast.launch) ~depth =
+  {
+    l_block_x = launch.block_x;
+    l_tidx = 0;
+    l_tidy = 0;
+    l_bidx = 0;
+    l_bidy = 0;
+    l_slots = Array.make depth unset;
+  }
+
+let set_block l (bidx, bidy) =
+  l.l_bidx <- bidx;
+  l.l_bidy <- bidy
+
+let set_lane l lane =
+  l.l_tidx <- lane mod l.l_block_x;
+  l.l_tidy <- lane / l.l_block_x
+
+(** An integer expression staged for one launch: every binding chain
+    and launch constant is resolved when staging, so evaluating it for
+    a lane only reads the lane's coordinates and loop slots. [Dyn]
+    raises [Unknown] where the value cannot be computed (division by
+    zero, an unset loop slot); [Never] is unknown for every lane. *)
+type code =
+  | Const of int
+  | Dyn of (lane_env -> int)
+  | Never
+
+let fn = function
+  | Const n -> fun _ -> n
+  | Dyn f -> f
+  | Never -> fun _ -> raise_notrace Unknown
+
+let run c l =
+  match c with
+  | Const n -> n
+  | Dyn f -> f l
+  | Never -> raise_notrace Unknown
+
+let run_opt c l = match run c l with v -> Some v | exception Unknown -> None
+
+(* a strict binary operator: both operands must evaluate *)
+let lift2 (op : int -> int -> int) a b =
+  match (a, b) with
+  | Never, _ | _, Never -> Never
+  | Const x, Const y -> (
+      match op x y with v -> Const v | exception Unknown -> Never)
+  | _ ->
+      let fa = fn a and fb = fn b in
+      Dyn (fun l -> op (fa l) (fb l))
+
+(* [+], [-] and [*] dominate index arithmetic: specialized so a constant
+   operand costs no closure call *)
+let add a b =
+  match (a, b) with
+  | Dyn f, Const y -> Dyn (fun l -> f l + y)
+  | Const x, Dyn g -> Dyn (fun l -> x + g l)
+  | Dyn f, Dyn g -> Dyn (fun l -> f l + g l)
+  | _ -> lift2 ( + ) a b
+
+let sub a b =
+  match (a, b) with
+  | Dyn f, Const y -> Dyn (fun l -> f l - y)
+  | Const x, Dyn g -> Dyn (fun l -> x - g l)
+  | Dyn f, Dyn g -> Dyn (fun l -> f l - g l)
+  | _ -> lift2 ( - ) a b
+
+let mul a b =
+  match (a, b) with
+  | Dyn f, Const y -> Dyn (fun l -> f l * y)
+  | Const x, Dyn g -> Dyn (fun l -> x * g l)
+  | Dyn f, Dyn g -> Dyn (fun l -> f l * g l)
+  | _ -> lift2 ( * ) a b
+
+let map_code (f : int -> int) = function
+  | Const n -> ( match f n with v -> Const v | exception Unknown -> Never)
+  | Dyn g -> Dyn (fun l -> f (g l))
+  | Never -> Never
+
+let truth = map_code (fun x -> if x <> 0 then 1 else 0)
+
+(** Stage [e] under [binds] for [launch]. [depth] is the number of loop
+    slots the code may read: the variable of a loop at depth [depth] or
+    deeper is unknown. *)
+let rec stage (launch : Ast.launch) sizes ~depth binds (e : Ast.expr) : code =
+  let stage' = stage launch sizes ~depth binds in
+  match e with
+  | Int_lit n -> Const n
+  | Float_lit _ -> Never
+  | Builtin b -> (
+      let bx = launch.block_x and by = launch.block_y in
+      match b with
+      | Tidx -> Dyn (fun l -> l.l_tidx)
+      | Tidy -> Dyn (fun l -> l.l_tidy)
+      | Bidx -> Dyn (fun l -> l.l_bidx)
+      | Bidy -> Dyn (fun l -> l.l_bidy)
+      | Bdimx -> Const bx
+      | Bdimy -> Const by
+      | Gdimx -> Const launch.grid_x
+      | Gdimy -> Const launch.grid_y
+      | Idx -> Dyn (fun l -> (l.l_bidx * bx) + l.l_tidx)
+      | Idy -> Dyn (fun l -> (l.l_bidy * by) + l.l_tidy))
+  | Var v -> (
+      match assoc_split v binds with
+      | Some (Bexpr e', rest) -> stage launch sizes ~depth rest e'
+      | Some (Bloop d, _) when d < depth ->
+          Dyn
+            (fun l ->
+              let x = l.l_slots.(d) in
+              if x = unset then raise_notrace Unknown else x)
+      | Some ((Bloop _ | Bunknown), _) -> Never
+      | None -> (
+          match List.assoc_opt v sizes with Some n -> Const n | None -> Never))
+  | Unop (Neg, a) -> map_code (fun x -> -x) (stage' a)
+  | Unop (Not, a) -> map_code (fun x -> if x = 0 then 1 else 0) (stage' a)
+  | Binop (And, a, b) -> (
+      match stage' a with
+      | Never -> Never
+      | Const 0 -> Const 0
+      | Const _ -> truth (stage' b)
+      | Dyn f ->
+          let g = fn (stage' b) in
+          Dyn (fun l -> if f l = 0 then 0 else if g l <> 0 then 1 else 0))
+  | Binop (Or, a, b) -> (
+      match stage' a with
+      | Never -> Never
+      | Const 0 -> truth (stage' b)
+      | Const _ -> Const 1
+      | Dyn f ->
+          let g = fn (stage' b) in
+          Dyn (fun l -> if f l <> 0 then 1 else if g l <> 0 then 1 else 0))
+  | Binop (op, a, b) -> (
+      let a = stage' a and b = stage' b in
+      let bit c = if c then 1 else 0 in
+      match op with
+      | Add -> add a b
+      | Sub -> sub a b
+      | Mul -> mul a b
+      | Div ->
+          lift2
+            (fun x y -> if y = 0 then raise_notrace Unknown else x / y)
+            a b
+      (* mathematical mod, matching the simulator *)
+      | Mod ->
+          lift2
+            (fun x y ->
+              if y = 0 then raise_notrace Unknown else ((x mod y) + y) mod y)
+            a b
+      | Lt -> lift2 (fun x y -> bit (x < y)) a b
+      | Le -> lift2 (fun x y -> bit (x <= y)) a b
+      | Gt -> lift2 (fun x y -> bit (x > y)) a b
+      | Ge -> lift2 (fun x y -> bit (x >= y)) a b
+      | Eq -> lift2 (fun x y -> bit (x = y)) a b
+      | Ne -> lift2 (fun x y -> bit (x <> y)) a b
+      | And | Or -> assert false)
+  | Call ("min", [ a; b ]) ->
+      lift2 (fun x y -> if x <= y then x else y) (stage' a) (stage' b)
+  | Call ("max", [ a; b ]) ->
+      lift2 (fun x y -> if x >= y then x else y) (stage' a) (stage' b)
+  | Select (c, a, b) -> (
+      match stage' c with
+      | Never -> Never
+      | Const n -> if n <> 0 then stage' a else stage' b
+      | Dyn f ->
+          let fa = fn (stage' a) and fb = fn (stage' b) in
+          Dyn (fun l -> if f l <> 0 then fa l else fb l))
+  | Index _ | Vload _ | Field _ | Call _ -> Never
 
 (* --- strided intervals: value range plus congruence stride --- *)
 
@@ -261,6 +382,22 @@ type guard = {
   g_binds : (string * binding) list;
 }
 
+(** An access's expressions staged for the launch: the bounds of its
+    loop frames (frame [d] reads slots [0 .. d-1]), its guards and its
+    index expressions (one per dimension, or the vector index). *)
+type frame_code = {
+  f_frame : frame;
+  f_init : code;
+  f_limit : code;
+  f_step : code;
+}
+
+type acc_code = {
+  c_frames : frame_code array;  (** outermost first *)
+  c_guards : code list;
+  c_idxs : code list;
+}
+
 type acc = {
   a_arr : string;
   a_space : [ `Shared | `Global ];
@@ -272,13 +409,81 @@ type acc = {
   a_binds : (string * binding) list;
   a_ctx : Affine.ctx;
   a_path : string;
+  a_code : acc_code Lazy.t;  (** staged once, on first enumeration *)
 }
+
+let stage_access launch sizes ~frames ~guards ~binds kind : acc_code =
+  let depth = List.length frames in
+  {
+    c_frames =
+      Array.of_list
+        (List.mapi
+           (fun d fr ->
+             let c = stage launch sizes ~depth:d fr.fr_binds in
+             {
+               f_frame = fr;
+               f_init = c fr.fr_init;
+               f_limit = c fr.fr_limit;
+               f_step = c fr.fr_step;
+             })
+           frames);
+    c_guards =
+      List.map (fun g -> stage launch sizes ~depth g.g_binds g.g_cond) guards;
+    c_idxs =
+      List.map (stage launch sizes ~depth binds)
+        (match kind with `Sc idxs -> idxs | `Vec (_, ie) -> [ ie ]);
+  }
 
 let acc_expr a =
   match a.a_kind with
   | `Sc idxs -> Pp.expr_to_string (Index (a.a_arr, idxs))
   | `Vec (w, ie) ->
       Pp.expr_to_string (Vload { v_arr = a.a_arr; v_width = w; v_index = ie })
+
+let sample_axis n cap =
+  if n <= cap then List.init n Fun.id
+  else List.sort_uniq compare (List.init cap (fun i -> i * (n - 1) / (cap - 1)))
+
+(** Can every thread of any one block be shown to run the loop the same
+    number of times? (Grid-strided loops like
+    [for (i = idx; i < len; i += nt)] may contain barriers.) Concretely
+    evaluates the trip count per (block, lane); large grids are sampled
+    per axis (corners plus a strided interior), so acceptance is
+    empirical beyond the cap — in keeping with the verifier's
+    lint-grade charter — while rejection (returning [false]) merely
+    defers to the conservative divergence flag. *)
+let uniform_trip_count (launch : Ast.launch) sizes binds (lp : Ast.loop) : bool
+    =
+  let lanes = launch.block_x * launch.block_y in
+  lanes <= 512
+  &&
+  let c = stage launch sizes ~depth:0 binds in
+  let init = c lp.l_init and limit = c lp.l_limit and step = c lp.l_step in
+  let l = lane_env launch ~depth:0 in
+  (* trip count of the current lane, -1 when it cannot be evaluated *)
+  let trip lane =
+    set_lane l lane;
+    match (run init l, run limit l, run step l) with
+    | v0, lim, step when step > 0 ->
+        if lim <= v0 then 0 else (lim - v0 + step - 1) / step
+    | _ -> -1
+    | exception Unknown -> -1
+  in
+  try
+    List.iter
+      (fun bidx ->
+        List.iter
+          (fun bidy ->
+            set_block l (bidx, bidy);
+            let t0 = trip 0 in
+            if t0 < 0 then raise Exit;
+            for lane = 1 to lanes - 1 do
+              if trip lane <> t0 then raise Exit
+            done)
+          (sample_axis launch.grid_y 64))
+      (sample_axis launch.grid_x 64);
+    true
+  with Exit -> false
 
 (* --- the walk: intervals, accesses, barrier divergence --- *)
 
@@ -294,17 +499,18 @@ type wenv = {
 
 type wstate = {
   ws_kernel : string;
+  ws_launch : Ast.launch;
+  ws_sizes : (string * int) list;
   mutable ws_interval : int;
   mutable ws_accs : acc list;
   mutable ws_diags : diagnostic list;
-  ws_uniform : (string * binding) list -> Ast.loop -> bool;
-      (** can every thread of any one block be shown to run this loop the
-          same number of times? (grid-strided loops like
-          [for (i = idx; i < len; i += nt)] may contain barriers) *)
 }
 
 let truncate_str n s = if String.length s <= n then s else String.sub s 0 n ^ "…"
 let path_of env = String.concat "/" (List.rev env.w_path)
+
+(* the loop frame at depth [d] (outermost 0) of an innermost-first list *)
+let frame_at frames d = List.nth frames (List.length frames - 1 - d)
 
 (** Does the expression's value depend on the thread position?
     Conservative: array loads count (data-dependent), loop variables
@@ -317,15 +523,13 @@ let rec thread_dep (binds : (string * binding) list) (frames : frame list)
   | Var v -> (
       match assoc_split v binds with
       | Some (Bexpr e', rest) -> thread_dep rest frames e'
-      | Some (Bval _, _) -> false
       | Some (Bunknown, _) -> true
-      | None -> (
-          match List.find_opt (fun f -> String.equal f.fr_var v) frames with
-          | Some f ->
-              thread_dep f.fr_binds frames f.fr_init
-              || thread_dep f.fr_binds frames f.fr_limit
-              || thread_dep f.fr_binds frames f.fr_step
-          | None -> false))
+      | Some (Bloop d, _) ->
+          let f = frame_at frames d in
+          thread_dep f.fr_binds frames f.fr_init
+          || thread_dep f.fr_binds frames f.fr_limit
+          || thread_dep f.fr_binds frames f.fr_step
+      | None -> false)
   | Index _ | Vload _ -> true
   | Unop (_, a) | Field (a, _) -> thread_dep binds frames a
   | Binop (_, a, b) -> thread_dep binds frames a || thread_dep binds frames b
@@ -373,6 +577,9 @@ let record_access st env spaces arr kind ~store =
   match List.assoc_opt arr spaces with
   | None -> ()
   | Some space ->
+      let frames = List.rev env.w_frames
+      and guards = env.w_guards
+      and binds = env.w_binds in
       st.ws_accs <-
         {
           a_arr = arr;
@@ -380,11 +587,15 @@ let record_access st env spaces arr kind ~store =
           a_kind = kind;
           a_store = store;
           a_interval = st.ws_interval;
-          a_frames = List.rev env.w_frames;
-          a_guards = env.w_guards;
-          a_binds = env.w_binds;
+          a_frames = frames;
+          a_guards = guards;
+          a_binds = binds;
           a_ctx = env.w_ctx;
           a_path = path_of env;
+          a_code =
+            lazy
+              (stage_access st.ws_launch st.ws_sizes ~frames ~guards ~binds
+                 kind);
         }
         :: st.ws_accs
 
@@ -502,7 +713,12 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
       (* lane-dependent bounds with a provably block-uniform trip count
          (the grid-strided idiom) execute any contained barrier in
          lockstep: not divergence *)
-      let tdep = tdep && not (frozen && st.ws_uniform env.w_binds lp) in
+      let tdep =
+        tdep
+        && not
+             (frozen
+             && uniform_trip_count st.ws_launch st.ws_sizes env.w_binds lp)
+      in
       let fr offset =
         {
           fr_var = l_var;
@@ -519,9 +735,11 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
         | Some c -> c
         | None -> env.w_ctx
       in
+      let depth = List.length env.w_frames in
       let benv offset =
         {
           env with
+          w_binds = (l_var, Bloop depth) :: env.w_binds;
           w_frames = fr offset :: env.w_frames;
           w_ctx = ctx';
           w_div = env.w_div || tdep;
@@ -544,216 +762,164 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
 let race_window = 6
 let witness_window = 8
 
-let mk_cenv (launch : Ast.launch) sizes ~bidx ~bidy ~lane base dyn =
-  {
-    c_launch = launch;
-    c_sizes = sizes;
-    c_tidx = lane mod launch.block_x;
-    c_tidy = lane / launch.block_x;
-    c_bidx = bidx;
-    c_bidy = bidy;
-    c_binds = base @ dyn;
-  }
-
-(** First [w] iteration values plus the last; [Some []] when the loop
-    does not execute for this thread, [None] when the bounds cannot be
-    evaluated. Returns the values paired with the evaluated limit. *)
-let frame_window (launch : Ast.launch) sizes ~bidx ~bidy ~lane ~dyn ~w
-    (fr : frame) :
-    (int list * int) option =
-  let env = mk_cenv launch sizes ~bidx ~bidy ~lane fr.fr_binds dyn in
-  match (eval_opt env fr.fr_init, eval_opt env fr.fr_step) with
-  | Some v0, Some step when step > 0 -> (
-      match eval_opt env fr.fr_limit with
-      | Some lim when lim > v0 ->
-          let trips = (lim - v0 + step - 1) / step in
-          let wn = min w trips in
-          let first = List.init wn (fun i -> v0 + (i * step)) in
-          let last = v0 + ((trips - 1) * step) in
-          Some ((if trips > wn then first @ [ last ] else first), lim)
-      | Some lim -> Some ([], lim)
-      | None -> None)
+(** The bounds [(init, step, limit)] of a staged loop frame for the lane
+    of [l], [None] when they cannot be evaluated or the step is not
+    positive. *)
+let frame_bounds (fc : frame_code) l =
+  match (run fc.f_init l, run fc.f_step l) with
+  | v0, st when st > 0 -> (
+      match run fc.f_limit l with
+      | lim -> Some (v0, st, lim)
+      | exception Unknown -> None)
   | _ -> None
+  | exception Unknown -> None
 
-let sample_axis n cap =
-  if n <= cap then List.init n Fun.id
-  else List.sort_uniq compare (List.init cap (fun i -> i * (n - 1) / (cap - 1)))
+(** Apply [f] to the first [w] iteration values of a loop plus the last
+    (none when the loop does not execute). *)
+let iter_window ~w (v0, step, lim) f =
+  if lim > v0 then begin
+    let trips = (lim - v0 + step - 1) / step in
+    let wn = min w trips in
+    for i = 0 to wn - 1 do
+      f (v0 + (i * step))
+    done;
+    if trips > wn then f (v0 + ((trips - 1) * step))
+  end
 
-(** Can every thread of any one block be shown to run the loop the same
-    number of times? Concretely evaluates the trip count per (block,
-    lane); large grids are sampled per axis (corners plus a strided
-    interior), so acceptance is empirical beyond the cap — in keeping
-    with the verifier's lint-grade charter — while rejection (returning
-    [false]) merely defers to the conservative divergence flag. *)
-let uniform_trip_count (launch : Ast.launch) sizes binds (lp : Ast.loop) : bool
-    =
-  let lanes = launch.block_x * launch.block_y in
-  lanes <= 512
-  &&
-  let trip ~bidx ~bidy lane =
-    let env = mk_cenv launch sizes ~bidx ~bidy ~lane binds [] in
-    match
-      (eval_opt env lp.l_init, eval_opt env lp.l_limit, eval_opt env lp.l_step)
-    with
-    | Some v0, Some lim, Some step when step > 0 ->
-        Some (if lim <= v0 then 0 else (lim - v0 + step - 1) / step)
-    | _ -> None
-  in
-  try
-    List.iter
-      (fun bidx ->
-        List.iter
-          (fun bidy ->
-            match trip ~bidx ~bidy 0 with
-            | None -> raise Exit
-            | Some t0 ->
-                for lane = 1 to lanes - 1 do
-                  if trip ~bidx ~bidy lane <> Some t0 then raise Exit
-                done)
-          (sample_axis launch.grid_y 64))
-      (sample_axis launch.grid_x 64);
-    true
-  with Exit -> false
-
-(** Run [f] on every concrete environment of [acc]'s free (non-frozen)
-    loop frames, with frozen frames pre-bound via [frozen]: a map from
-    loop variable to [(base, step, limit)] computed at lane 0; the
-    frame's [fr_offset] advances the base by one step, skipping
-    iterations past the limit. When the loop's bounds evaluate per lane
-    (grid-strided loops), the binding is rebased to this lane's own
-    init so lane-dependent uniform-trip loops are modeled faithfully.
-    Guards are checked; an unevaluable guard passes when [lenient]. *)
-let enum_access (launch : Ast.launch) sizes ~bidx ~bidy ~lane ~lenient ~w
-    ~(frozen : (string * (int * int * int)) list) (acc : acc)
-    (f : cenv -> unit) : unit =
-  let ok_frozen = ref true in
-  let frozen_dyn =
-    List.fold_left
-      (fun dyn fr ->
-        if not fr.fr_frozen then dyn
-        else
-          match List.assoc_opt fr.fr_var frozen with
-          | None ->
-              ok_frozen := false;
-              dyn
+(** Run [f] on every concrete instance of [acc] at the block and lane of
+    [l], with the instance's loop values in the slots of [l]. Guards are
+    checked; an unevaluable guard passes when [lenient]. With
+    [~frozen:(Some asn)] the frames whose body holds a barrier take the
+    block-shared iteration of [asn] (loop variable -> (base, step,
+    limit) computed at lane 0; the frame's [fr_offset] advances the base
+    by one step, skipping iterations past the limit; when the loop's
+    bounds evaluate per lane — grid-strided loops — the value is rebased
+    to this lane's own init, so lane-dependent uniform-trip loops are
+    modeled faithfully) and the other frames enumerate a window of [w]
+    iterations; with [~frozen:None] every frame enumerates. *)
+let enum_access l ~lane ~lenient ~w ~frozen (acc : acc) (f : unit -> unit) :
+    unit =
+  let c = Lazy.force acc.a_code in
+  let n = Array.length c.c_frames in
+  let rec go d =
+    if d = n then begin
+      let holds g =
+        match run g l with v -> v <> 0 | exception Unknown -> lenient
+      in
+      if List.for_all holds c.c_guards then f ()
+    end
+    else
+      let fc = c.c_frames.(d) in
+      let fr = fc.f_frame in
+      match frozen with
+      | Some asn when fr.fr_frozen -> (
+          match List.assoc_opt fr.fr_var asn with
+          | None -> ()
           | Some (base, step, lim) ->
-              let d = List.rev dyn in
-              let env0 =
-                mk_cenv launch sizes ~bidx ~bidy ~lane:0 fr.fr_binds d
-              in
-              let envl =
-                mk_cenv launch sizes ~bidx ~bidy ~lane fr.fr_binds d
-              in
+              set_lane l 0;
+              let i0 = run_opt fc.f_init l in
+              set_lane l lane;
               let v, vlim =
-                match
-                  ( eval_opt env0 fr.fr_init,
-                    eval_opt envl fr.fr_init,
-                    eval_opt envl fr.fr_limit )
-                with
+                match (i0, run_opt fc.f_init l, run_opt fc.f_limit l) with
                 | Some i0, Some il, Some ll ->
                     (base - i0 + il + (fr.fr_offset * step), ll)
                 | _ -> (base + (fr.fr_offset * step), lim)
               in
-              if v >= vlim then begin
-                ok_frozen := false;
-                dyn
-              end
-              else (fr.fr_var, Bval v) :: dyn)
-      [] acc.a_frames
-    |> List.rev
-  in
-  if !ok_frozen then begin
-    let free = List.filter (fun fr -> not fr.fr_frozen) acc.a_frames in
-    let rec go dyn = function
-      | [] ->
-          let guards_ok =
-            List.for_all
-              (fun g ->
-                let genv =
-                  mk_cenv launch sizes ~bidx ~bidy ~lane g.g_binds dyn
-                in
-                match eval_bool_opt genv g.g_cond with
-                | Some b -> b
-                | None -> lenient)
-              acc.a_guards
-          in
-          if guards_ok then
-            f (mk_cenv launch sizes ~bidx ~bidy ~lane acc.a_binds dyn)
-      | fr :: rest -> (
-          match frame_window launch sizes ~bidx ~bidy ~lane ~dyn ~w fr with
-          | Some (vs, _) ->
-              List.iter (fun v -> go ((fr.fr_var, Bval v) :: dyn) rest) vs
+              if v < vlim then begin
+                l.l_slots.(d) <- v;
+                go (d + 1)
+              end)
+      | _ -> (
+          match frame_bounds fc l with
+          | Some b ->
+              iter_window ~w b (fun v ->
+                  l.l_slots.(d) <- v;
+                  go (d + 1))
           | None -> ())
-    in
-    go frozen_dyn free
-  end
+  in
+  go 0
 
-(** Flattened element offsets touched by one access instance, or [None]
-    when an index cannot be evaluated. *)
-let acc_offsets (lay : Layout.t) (acc : acc) (env : cenv) : int list option =
+(** The flattened element offset of one instance of [acc] ([`Sc]), or
+    its vector index ([`Vec]), staged against the array's layout. *)
+let offset_code (lay : Layout.t) (acc : acc) : code =
+  let c = Lazy.force acc.a_code in
   match acc.a_kind with
-  | `Sc idxs ->
+  | `Sc _ ->
       let strides = Layout.strides lay in
-      if List.length idxs <> List.length strides then None
-      else begin
-        try
-          Some
-            [
-              List.fold_left2
-                (fun off e st -> off + (eval_int env e * st))
-                0 idxs strides;
-            ]
-        with Unknown -> None
-      end
-  | `Vec (w, ie) -> (
-      match eval_opt env ie with
-      | Some v -> Some (List.init w (fun q -> (v * w) + q))
-      | None -> None)
+      if List.length c.c_idxs <> List.length strides then Never
+      else
+        List.fold_left2
+          (fun off i st -> add off (mul i (Const st)))
+          (Const 0) c.c_idxs strides
+  | `Vec _ -> List.hd c.c_idxs
+
+(** Apply [f] to each element offset one instance touches, given the
+    value of its {!offset_code}. *)
+let iter_offsets (acc : acc) v f =
+  match acc.a_kind with
+  | `Sc _ -> f v
+  | `Vec (w, _) ->
+      for q = 0 to w - 1 do
+        f ((v * w) + q)
+      done
+
+let max_depth accs =
+  List.fold_left (fun m a -> max m (List.length a.a_frames)) 0 accs
 
 (* --- race detection per barrier interval --- *)
 
-(** Joint assignments of the frozen loop variables of an interval:
-    windows are computed with lane 0 of the sampled block; lanes of a
-    lane-dependent (uniform-trip) loop are rebased in {!enum_access}.
-    Each assignment maps variable -> (base, step, limit). *)
-let frozen_assignments (launch : Ast.launch) sizes ~bidx ~bidy
-    (group : acc list) :
+(** Joint assignments of the frozen loop variables of an interval,
+    computed at lane 0 of the block of [l]; lanes of a lane-dependent
+    (uniform-trip) loop are rebased in {!enum_access}. Each assignment
+    maps variable -> (base, step, limit). *)
+let frozen_assignments l (group : acc list) :
     (string * (int * int * int)) list list =
   let frames =
     List.fold_left
       (fun seen a ->
         List.fold_left
-          (fun seen fr ->
-            if
-              fr.fr_frozen && fr.fr_offset = 0
-              && not (List.exists (fun f -> String.equal f.fr_var fr.fr_var) seen)
-            then seen @ [ fr ]
+          (fun seen (d, fr) ->
+            let known (_, _, f) = String.equal f.fr_var fr.fr_var in
+            if fr.fr_frozen && fr.fr_offset = 0 && not (List.exists known seen)
+            then seen @ [ (a, d, fr) ]
             else seen)
-          seen a.a_frames)
+          seen
+          (List.mapi (fun d fr -> (d, fr)) a.a_frames))
       [] group
   in
+  set_lane l 0;
   List.fold_left
-    (fun asns fr ->
+    (fun asns (a, d, fr) ->
+      let c = Lazy.force a.a_code in
       List.concat_map
         (fun asn ->
-          let dyn = List.map (fun (v, (b, _, _)) -> (v, Bval b)) asn in
-          match
-            frame_window launch sizes ~bidx ~bidy ~lane:0 ~dyn ~w:race_window
-              fr
-          with
-          | Some (vs, lim) -> (
-              match eval_opt
-                      (mk_cenv launch sizes ~bidx ~bidy ~lane:0 fr.fr_binds dyn)
-                      fr.fr_step
-              with
-              | Some step ->
-                  List.map (fun v -> asn @ [ (fr.fr_var, (v, step, lim)) ]) vs
-              | None -> [ asn ])
+          (* the enclosing loops' slots, from this assignment *)
+          List.iteri
+            (fun j (outer : frame) ->
+              if j < d then
+                l.l_slots.(j) <-
+                  (match List.assoc_opt outer.fr_var asn with
+                  | Some (b, _, _) -> b
+                  | None -> unset))
+            a.a_frames;
+          match frame_bounds c.c_frames.(d) l with
+          | Some ((_, step, lim) as b) ->
+              let vs = ref [] in
+              iter_window ~w:race_window b (fun v -> vs := v :: !vs);
+              List.rev_map (fun v -> asn @ [ (fr.fr_var, (v, step, lim)) ]) !vs
           | None -> [ asn ])
         asns)
     [ [] ] frames
 
-let check_races st (launch : Ast.launch) sizes layouts ~max_lanes ~dedup_pairs
+(* element offset -> the (lane, path) of one access seen there *)
+module Offsets = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+let check_races st (launch : Ast.launch) layouts ~max_lanes ~dedup_pairs
     (group : acc list) : unit =
   let n = launch.block_x * launch.block_y in
   if n > 1 then begin
@@ -768,6 +934,7 @@ let check_races st (launch : Ast.launch) sizes layouts ~max_lanes ~dedup_pairs
       List.sort_uniq compare
         [ (0, 0); (launch.grid_x - 1, launch.grid_y - 1) ]
     in
+    let l = lane_env launch ~depth:(max_depth group) in
     Hashtbl.iter
       (fun arr accs ->
         let accs = List.rev accs in
@@ -796,74 +963,78 @@ let check_races st (launch : Ast.launch) sizes layouts ~max_lanes ~dedup_pairs
                        (if p2 = "" then "top level" else p2))
                 end
               in
+              (* instances whose offset no lane can evaluate touch nothing *)
+              let evaluable =
+                List.filter_map
+                  (fun a ->
+                    match offset_code lay a with
+                    | Never -> None
+                    | off -> Some (a, fn off))
+                  accs
+              in
+              let exception
+                Conflict of (int * bool * string * int * bool * string * int)
+              in
               let exception Found in
               try
                 List.iter
-                  (fun (bidx, bidy) ->
+                  (fun ((bidx, bidy) as block) ->
+                    set_block l block;
                     List.iter
                       (fun frozen ->
                         (* element -> one write and one read seen, if any *)
-                        let writes = Hashtbl.create 64
-                        and reads = Hashtbl.create 64 in
-                        let conflict = ref None in
-                        List.iter
-                          (fun acc ->
-                            for lane = 0 to lanes - 1 do
-                              enum_access launch sizes ~bidx ~bidy ~lane
-                                ~lenient:true ~w:race_window ~frozen acc
-                                (fun env ->
-                                  match acc_offsets lay acc env with
-                                  | None -> ()
-                                  | Some offs ->
-                                      List.iter
-                                        (fun off ->
-                                          if !conflict = None then begin
-                                            (match
-                                               Hashtbl.find_opt writes off
-                                             with
-                                            | Some (l2, p2) when l2 <> lane ->
-                                                conflict :=
-                                                  Some
-                                                    ( lane,
-                                                      acc.a_store,
-                                                      acc.a_path,
-                                                      l2,
-                                                      true,
-                                                      p2,
-                                                      off )
-                                            | _ -> ());
-                                            if acc.a_store then begin
-                                              (match
-                                                 Hashtbl.find_opt reads off
-                                               with
-                                              | Some (l2, p2) when l2 <> lane
-                                                ->
-                                                  conflict :=
-                                                    Some
-                                                      ( lane,
-                                                        true,
-                                                        acc.a_path,
-                                                        l2,
-                                                        false,
-                                                        p2,
-                                                        off )
-                                              | _ -> ());
-                                              Hashtbl.replace writes off
-                                                (lane, acc.a_path)
-                                            end
-                                            else
-                                              Hashtbl.replace reads off
-                                                (lane, acc.a_path)
-                                          end)
-                                        offs)
-                            done)
-                          accs;
-                        match !conflict with
-                        | Some (l1, s1, p1, l2, s2, p2, off) ->
+                        let writes = Offsets.create 64
+                        and reads = Offsets.create 64 in
+                        let touch lane (acc : acc) off =
+                          let foreign tbl =
+                            match Offsets.find_opt tbl off with
+                            | Some (l2, _) as seen when l2 <> lane -> seen
+                            | _ -> None
+                          in
+                          (* a store meeting both a foreign write and a
+                             foreign read reports the read *)
+                          (match
+                             ( (if acc.a_store then foreign reads else None),
+                               foreign writes )
+                           with
+                          | Some (l2, p2), _ ->
+                              raise
+                                (Conflict
+                                   (lane, true, acc.a_path, l2, false, p2, off))
+                          | None, Some (l2, p2) ->
+                              raise
+                                (Conflict
+                                   ( lane,
+                                     acc.a_store,
+                                     acc.a_path,
+                                     l2,
+                                     true,
+                                     p2,
+                                     off ))
+                          | None, None -> ());
+                          Offsets.replace
+                            (if acc.a_store then writes else reads)
+                            off (lane, acc.a_path)
+                        in
+                        match
+                          List.iter
+                            (fun (acc, off) ->
+                              for lane = 0 to lanes - 1 do
+                                set_lane l lane;
+                                enum_access l ~lane ~lenient:true
+                                  ~w:race_window ~frozen:(Some frozen) acc
+                                  (fun () ->
+                                    match off l with
+                                    | v -> iter_offsets acc v (touch lane acc)
+                                    | exception Unknown -> ())
+                              done)
+                            evaluable
+                        with
+                        | () -> ()
+                        | exception Conflict (l1, s1, p1, l2, s2, p2, off) ->
                             report l1 s1 p1 l2 s2 p2 ~bidx ~bidy off;
-                            raise Found
-                        | None -> ())
-                      (frozen_assignments launch sizes ~bidx ~bidy accs))
+                            raise Found)
+                      (frozen_assignments l accs))
                   blocks
               with Found -> ()))
       by_arr
@@ -875,7 +1046,7 @@ type renv = {
   r_launch : Ast.launch;
   r_sizes : (string * int) list;
   r_binds : (string * binding) list;
-  r_iters : (string * si) list;  (** loop var -> range of its value *)
+  r_iters : (int * si) list;  (** loop depth -> range of its variable *)
   r_trips : (string * si) list;  (** loop var -> range of [Affine.Iter] *)
   r_ctx : Affine.ctx;
   r_over : (Affine.var * (int option * int option)) list;
@@ -951,15 +1122,11 @@ and structural_range (env : renv) (e : Ast.expr) : si option =
       | Gdimx -> Some (si_const l.grid_x)
       | Gdimy -> Some (si_const l.grid_y))
   | Var v -> (
-      match List.assoc_opt v env.r_iters with
-      | Some s -> Some s
-      | None -> (
-          match assoc_split v env.r_binds with
-          | Some (Bval n, _) -> Some (si_const n)
-          | Some (Bexpr e', rest) ->
-              range_expr { env with r_binds = rest } e'
-          | Some (Bunknown, _) -> None
-          | None -> Option.map si_const (List.assoc_opt v env.r_sizes)))
+      match assoc_split v env.r_binds with
+      | Some (Bloop d, _) -> List.assoc_opt d env.r_iters
+      | Some (Bexpr e', rest) -> range_expr { env with r_binds = rest } e'
+      | Some (Bunknown, _) -> None
+      | None -> Option.map si_const (List.assoc_opt v env.r_sizes))
   | Unop (Neg, a) -> Option.map si_neg (range_expr env a)
   | Unop (Not, _) -> Some { lo = 0; hi = 1; st = 1 }
   | Binop (Add, a, b) ->
@@ -1061,9 +1228,9 @@ let renv_of_acc launch sizes (acc : acc) : renv =
       r_over = [];
     }
   in
-  let env =
+  let env, _ =
     List.fold_left
-      (fun env fr ->
+      (fun (env, d) fr ->
         let init = range_expr env fr.fr_init
         and limit = range_expr env fr.fr_limit
         and step = range_expr env fr.fr_step in
@@ -1075,15 +1242,16 @@ let renv_of_acc launch sizes (acc : acc) : renv =
               si_norm { lo = i.lo; hi = max i.lo hi_raw; st = stv }
             in
             let trips_hi = max 0 ((lim.hi - 1 - i.lo) / st.lo) in
-            {
-              env with
-              r_iters = (fr.fr_var, value) :: env.r_iters;
-              r_trips =
-                (fr.fr_var, si_norm { lo = 0; hi = trips_hi; st = 1 })
-                :: env.r_trips;
-            }
-        | _ -> env)
-      base acc.a_frames
+            ( {
+                env with
+                r_iters = (d, value) :: env.r_iters;
+                r_trips =
+                  (fr.fr_var, si_norm { lo = 0; hi = trips_hi; st = 1 })
+                  :: env.r_trips;
+              },
+              d + 1 )
+        | _ -> (env, d + 1))
+      (base, 0) acc.a_frames
   in
   let refine env =
     List.fold_left (fun e g -> refine_guard e g.g_cond) env acc.a_guards
@@ -1094,7 +1262,7 @@ let renv_of_acc launch sizes (acc : acc) : renv =
     sampled lanes and iteration windows with guards evaluated strictly
     (an unevaluable guard skips the instance, so a hit is a real
     executable state). Returns [(dim, value, bound, lane, block)]. *)
-let find_oob_witness (launch : Ast.launch) sizes lay (acc : acc) :
+let find_oob_witness (launch : Ast.launch) lay (acc : acc) :
     (int * int * int * int * (int * int)) option =
   let gx = launch.grid_x and gy = launch.grid_y in
   let blocks =
@@ -1119,55 +1287,53 @@ let find_oob_witness (launch : Ast.launch) sizes lay (acc : acc) :
            ])
       |> List.filter (fun l -> l >= 0 && l < n)
   in
-  let found = ref None in
   let bounds =
     match acc.a_kind with
     | `Sc _ -> lay.Layout.pitches
     | `Vec _ -> [ Layout.size_elems lay ]
   in
-  List.iter
-    (fun (bidx, bidy) ->
-      List.iter
-        (fun lane ->
-          if !found = None then
-            enum_access launch sizes ~bidx ~bidy ~lane ~lenient:false
-              ~w:witness_window ~frozen:[] acc (fun env ->
-                if !found = None then
-                  let idxs =
-                    match acc.a_kind with
-                    | `Sc idxs -> List.map (eval_opt env) idxs
-                    | `Vec (w, ie) ->
-                        [
-                          Option.map
-                            (fun v -> if v >= 0 then (v * w) + w - 1 else v * w)
-                            (eval_opt env ie);
-                        ]
-                  in
-                  List.iteri
-                    (fun dim (value, bound) ->
-                      match value with
-                      | Some v when (v < 0 || v >= bound) && !found = None ->
-                          found := Some (dim, v, bound, lane, (bidx, bidy))
-                      | _ -> ())
-                    (List.combine idxs bounds)))
-        lanes)
-    blocks;
-  !found
+  (* the last element each dimension's index touches *)
+  let idxs =
+    let c = Lazy.force acc.a_code in
+    match acc.a_kind with
+    | `Sc _ -> c.c_idxs
+    | `Vec (w, _) ->
+        [
+          map_code
+            (fun v -> if v >= 0 then (v * w) + w - 1 else v * w)
+            (List.hd c.c_idxs);
+        ]
+  in
+  let l = lane_env launch ~depth:(List.length acc.a_frames) in
+  let exception Witness of (int * int * int * int * (int * int)) in
+  try
+    List.iter
+      (fun ((bidx, bidy) as block) ->
+        set_block l block;
+        List.iter
+          (fun lane ->
+            set_lane l lane;
+            enum_access l ~lane ~lenient:false ~w:witness_window ~frozen:None
+              acc (fun () ->
+                List.iteri
+                  (fun dim (idx, bound) ->
+                    match run idx l with
+                    | v when v < 0 || v >= bound ->
+                        raise (Witness (dim, v, bound, lane, (bidx, bidy)))
+                    | _ -> ()
+                    | exception Unknown -> ())
+                  (List.combine idxs bounds)))
+          lanes)
+      blocks;
+    None
+  with Witness w -> Some w
 
 let check_bounds st (launch : Ast.launch) sizes layouts (acc : acc) : unit =
   match Layout.find layouts acc.a_arr with
   | None -> ()
   | Some lay ->
       (* the frozen wrap pass duplicates each access; bounds are
-         iteration-uniform, so treat every frame as free (offset 0) *)
-      let acc =
-        {
-          acc with
-          a_frames =
-            List.map (fun f -> { f with fr_frozen = false; fr_offset = 0 })
-              acc.a_frames;
-        }
-      in
+         iteration-uniform, so every frame enumerates freely *)
       let env = renv_of_acc launch sizes acc in
       let dims =
         match acc.a_kind with
@@ -1190,7 +1356,7 @@ let check_bounds st (launch : Ast.launch) sizes layouts (acc : acc) : unit =
         let rule_err =
           if acc.a_space = `Shared then rule_oob_shared else rule_oob_global
         in
-        match find_oob_witness launch sizes lay acc with
+        match find_oob_witness launch lay acc with
         | Some (_, v, bound, lane, (bx, by)) ->
             diag st ~rule:rule_err ~path:acc.a_path
               (Printf.sprintf
@@ -1212,7 +1378,7 @@ let check_bounds st (launch : Ast.launch) sizes layouts (acc : acc) : unit =
 
 (* --- bank conflicts on the first half-warp --- *)
 
-let check_bank st (launch : Ast.launch) sizes layouts (acc : acc) : unit =
+let check_bank st (launch : Ast.launch) layouts (acc : acc) : unit =
   if acc.a_space = `Shared then
     match Layout.find layouts acc.a_arr with
     | None -> ()
@@ -1221,25 +1387,28 @@ let check_bank st (launch : Ast.launch) sizes layouts (acc : acc) : unit =
         let hw = min 16 n in
         if hw > 1 then begin
           (* first iteration of every loop, lenient guards: lanes whose
-             guard fails do not participate in the request *)
-          let acc =
-            {
-              acc with
-              a_frames =
-                List.map
-                  (fun f -> { f with fr_frozen = false; fr_offset = 0 })
-                  acc.a_frames;
-            }
+             guard fails do not participate in the request; a lane's
+             address is its first evaluable instance's first element *)
+          let off = offset_code lay acc in
+          let first v =
+            match acc.a_kind with `Sc _ -> v | `Vec (w, _) -> v * w
           in
           let addrs = ref [] in
-          for lane = 0 to hw - 1 do
-            enum_access launch sizes ~bidx:0 ~bidy:0 ~lane ~lenient:true ~w:1
-              ~frozen:[] acc (fun env ->
-                match acc_offsets lay acc env with
-                | Some (off :: _) when not (List.mem_assoc lane !addrs) ->
-                    addrs := (lane, off) :: !addrs
-                | _ -> ())
-          done;
+          let l = lane_env launch ~depth:(List.length acc.a_frames) in
+          set_block l (0, 0);
+          (match off with
+          | Never -> ()
+          | _ ->
+              for lane = 0 to hw - 1 do
+                set_lane l lane;
+                enum_access l ~lane ~lenient:true ~w:1 ~frozen:None acc
+                  (fun () ->
+                    match run off l with
+                    | v when not (List.mem_assoc lane !addrs) ->
+                        addrs := (lane, first v) :: !addrs
+                    | _ -> ()
+                    | exception Unknown -> ())
+              done);
           let banks = Hashtbl.create 16 in
           List.iter
             (fun (_, off) ->
@@ -1309,10 +1478,11 @@ let check ?(max_lanes = 512) ~(launch : Ast.launch) (k : Ast.kernel) :
   let st =
     {
       ws_kernel = k.k_name;
+      ws_launch = launch;
+      ws_sizes = sizes;
       ws_interval = 0;
       ws_accs = [];
       ws_diags = [];
-      ws_uniform = (fun binds lp -> uniform_trip_count launch sizes binds lp);
     }
   in
   let env0 =
@@ -1351,7 +1521,7 @@ let check ?(max_lanes = 512) ~(launch : Ast.launch) (k : Ast.kernel) :
   Hashtbl.fold (fun i g acc -> (i, List.rev g) :: acc) intervals []
   |> List.sort compare
   |> List.iter (fun (_, group) ->
-         check_races st launch sizes layouts ~max_lanes ~dedup_pairs group);
+         check_races st launch layouts ~max_lanes ~dedup_pairs group);
   (* bounds and bank conflicts, once per distinct syntactic access (the
      frozen wrap pass records duplicates) *)
   let seen = Hashtbl.create 64 in
@@ -1361,7 +1531,7 @@ let check ?(max_lanes = 512) ~(launch : Ast.launch) (k : Ast.kernel) :
       if not (Hashtbl.mem seen key) then begin
         Hashtbl.replace seen key ();
         check_bounds st launch sizes layouts a;
-        check_bank st launch sizes layouts a
+        check_bank st launch layouts a
       end)
     accs;
   check_coalescing st launch k;

@@ -63,23 +63,26 @@ let replace_expr_in (from_e : Ast.expr) (to_e : Ast.expr) (e : Ast.expr) :
     e
 
 (** Light constant folding / algebraic cleanup so that emitted kernels read
-    like the paper's examples. *)
+    like the paper's examples. Idempotent: one rewrite can expose another
+    at the same node ([(i + -7) + 7] folds to [i + 0], then to [i]), so
+    each node is rewritten until no rule applies. *)
 let simplify_expr (e : Ast.expr) : Ast.expr =
-  Rewrite.map_expr
-    (function
-      | Binop (Add, Int_lit a, Int_lit b) -> Some (Int_lit (a + b))
-      | Binop (Sub, Int_lit a, Int_lit b) -> Some (Int_lit (a - b))
-      | Binop (Mul, Int_lit a, Int_lit b) -> Some (Int_lit (a * b))
-      | Binop (Add, e, Int_lit 0) | Binop (Add, Int_lit 0, e) -> Some e
-      | Binop (Sub, e, Int_lit 0) -> Some e
-      | Binop (Mul, e, Int_lit 1) | Binop (Mul, Int_lit 1, e) -> Some e
-      | Binop (Mul, _, Int_lit 0) | Binop (Mul, Int_lit 0, _) ->
-          Some (Int_lit 0)
-      | Binop (Add, Binop (Add, a, Int_lit b), Int_lit c) ->
-          Some (Binop (Add, a, Int_lit (b + c)))
-      | Binop (Sub, Binop (Add, a, b), b') when Ast.equal_expr b b' -> Some a
-      | _ -> None)
-    e
+  let rule : Ast.expr -> Ast.expr option = function
+    | Binop (Add, Int_lit a, Int_lit b) -> Some (Int_lit (a + b))
+    | Binop (Sub, Int_lit a, Int_lit b) -> Some (Int_lit (a - b))
+    | Binop (Mul, Int_lit a, Int_lit b) -> Some (Int_lit (a * b))
+    | Binop (Add, e, Int_lit 0) | Binop (Add, Int_lit 0, e) -> Some e
+    | Binop (Sub, e, Int_lit 0) -> Some e
+    | Binop (Mul, e, Int_lit 1) | Binop (Mul, Int_lit 1, e) -> Some e
+    | Binop (Mul, _, Int_lit 0) | Binop (Mul, Int_lit 0, _) -> Some (Int_lit 0)
+    | Binop (Add, Binop (Add, a, Int_lit b), Int_lit c) ->
+        Some (Binop (Add, a, Int_lit (b + c)))
+    | Binop (Sub, Binop (Add, a, b), b') when Ast.equal_expr b b' -> Some a
+    | _ -> None
+  in
+  (* every rule shrinks the node, so this terminates *)
+  let rec normalize e = match rule e with Some e' -> normalize e' | None -> e in
+  Rewrite.map_expr (fun e -> Some (normalize e)) e
 
 let simplify_block (b : Ast.block) : Ast.block =
   Rewrite.map_block_exprs (fun e -> Some (simplify_expr e)) b

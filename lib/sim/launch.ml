@@ -200,7 +200,7 @@ type bstate = Bref of Interp.bctx | Bcomp of Compile.rt | Bvec of Vector.vrt
    block-index order at each barrier, so results do not depend on the
    interleaving. *)
 
-let shared_pool = lazy (Pool.create ())
+let shared_pool = Gpcc_util.Once.make (fun () -> Pool.create ())
 
 let with_exec_pool ?jobs (f : Pool.t option -> 'a) : 'a =
   match jobs with
@@ -208,7 +208,7 @@ let with_exec_pool ?jobs (f : Pool.t option -> 'a) : 'a =
   | Some j -> Pool.with_pool ~jobs:j (fun p -> f (Some p))
   | None ->
       if Pool.default_jobs () <= 1 then f None
-      else f (Some (Lazy.force shared_pool))
+      else f (Some (Gpcc_util.Once.get shared_pool))
 
 (* --- cumulative simulator wall clock --- *)
 

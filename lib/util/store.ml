@@ -266,13 +266,15 @@ let tmp_seq = Atomic.make 0
 
 (* pid + sequence + random suffix: unique across concurrent processes
    (pid), within the process (sequence), and across pid reuse after a
-   crash (random) — no per-process counter file to coordinate *)
-let random_suffix = lazy (Random.State.make_self_init ())
+   crash (random) — no per-process counter file to coordinate. Each
+   domain draws from its own generator: a [Random.State.t] must not be
+   shared between domains. *)
+let random_suffix = Domain.DLS.new_key Random.State.make_self_init
 
 let fresh_tmp_path (path : string) : string =
   Printf.sprintf "%s.tmp.%d.%d.%06x" path (Unix.getpid ())
     (Atomic.fetch_and_add tmp_seq 1)
-    (Random.State.bits (Lazy.force random_suffix) land 0xFFFFFF)
+    (Random.State.bits (Domain.DLS.get random_suffix) land 0xFFFFFF)
 
 (* ------------------------------------------------------------------ *)
 (* Entry envelope                                                      *)

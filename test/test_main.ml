@@ -4,6 +4,7 @@ let () =
   (* the store's multi-process stress test re-execs this binary as its
      writer children; divert before the test harness takes over *)
   Test_store.maybe_run_child ();
+  Test_verify_golden.maybe_record ();
   Alcotest.run "gpcc"
     [
       Test_parser.suite;
@@ -13,6 +14,7 @@ let () =
       Test_analysis.suite;
       Test_verify.suite;
       Test_symverify.suite;
+      Test_verify_golden.suite;
       Test_sim.suite;
       Test_backend.suite;
       Test_passes.suite;

@@ -69,6 +69,16 @@ let law_simplify_idempotent =
       let s1 = Gpcc_passes.Pass_util.simplify_expr e in
       Ast.equal_expr s1 (Gpcc_passes.Pass_util.simplify_expr s1))
 
+let test_simplify_fixpoint () =
+  (* [idx + -7 + 7] folds to [idx + 0] at the same node, which must fold
+     on in the same call (found by [law_simplify_idempotent]) *)
+  let simp e = Pp.expr_to_string (Gpcc_passes.Pass_util.simplify_expr e) in
+  let e = Ast.Binop (Add, Binop (Add, Builtin Idx, Int_lit (-7)), Int_lit 7) in
+  Alcotest.(check string) "nested fold" "idx" (simp e);
+  Alcotest.(check string)
+    "under a product" "u * (tidx - idx)"
+    (simp (Binop (Mul, Var "u", Binop (Sub, Builtin Tidx, e))))
+
 let law_subst_builtin =
   QCheck.Test.make ~count:500
     ~name:"subst_builtin_expr = evaluation with rebound builtin" arb_int_expr
@@ -213,4 +223,5 @@ let suite =
       t "collect_accesses order" test_collect_accesses_order;
       t "declared_vars" test_declared_vars;
       QCheck_alcotest.to_alcotest law_map_stmts_id;
+      t "simplify_expr folds to a fixpoint" test_simplify_fixpoint;
     ] )

@@ -1,5 +1,6 @@
 (** The content-addressed artifact store: layout, recovery, root
-    resolution, eviction, and multi-process safety. *)
+    resolution, eviction, and multi-process safety; and the domain-safe
+    one-time initialization of the library's process-wide values. *)
 
 module Store = Gpcc_util.Store
 
@@ -331,9 +332,98 @@ let stress_child root seed : unit =
 
 let child_env_var = "GPCC_STORE_STRESS_CHILD"
 
+(* --- one-time initialization from racing domains --- *)
+
+(* Run [f d] on [n] domains released together: each spins until all
+   have arrived, so their first calls overlap. *)
+let race_domains n f =
+  let arrived = Atomic.make 0 in
+  let domains =
+    List.init n (fun d ->
+        Domain.spawn (fun () ->
+            Atomic.incr arrived;
+            while Atomic.get arrived < n do
+              Domain.cpu_relax ()
+            done;
+            f d))
+  in
+  List.map Domain.join domains
+
+let test_once_racing_domains () =
+  let calls = Atomic.make 0 in
+  let once =
+    Gpcc_util.Once.make (fun () ->
+        Atomic.incr calls;
+        (* hold the first computation open while the others arrive *)
+        Unix.sleepf 0.02;
+        ref 42)
+  in
+  let got = race_domains 4 (fun _ -> Gpcc_util.Once.get once) in
+  Alcotest.(check int) "computed once" 1 (Atomic.get calls);
+  Alcotest.(check bool)
+    "every domain got the same value" true
+    (List.for_all (fun v -> v == List.hd got) got);
+  Alcotest.(check int) "the value" 42 !(List.hd got)
+
+(* The library's own process-wide values (the simulator's shared domain
+   pool, the verdict store handle and the symbolic-tier switch, each
+   domain's tmp-name generator) are first used inside a fresh child
+   process, a re-exec of this executable with [once_child_arg], by
+   racing domains: a verification, a default-jobs simulation and a
+   store write each. Any exception fails the child. *)
+let once_child_arg = "once-race-child"
+
+let once_child root =
+  let k =
+    Util.parse_kernel
+      {|#pragma gpcc output b
+__kernel void once_race(float a[1024], float b[1024]) {
+  b[idx] = a[idx] + 1.0;
+}|}
+  in
+  let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
+  let s = Store.open_root ~root () in
+  let results =
+    race_domains 4 (fun d ->
+        match
+          ignore
+            (Gpcc_analysis.Analysis_cache.verify_sym
+               (Gpcc_analysis.Analysis_cache.domain ())
+               ~launch k);
+          ignore
+            (Gpcc_sim.Launch.run ~mode:Gpcc_sim.Launch.Full Util.cfg280 k launch
+               (Gpcc_sim.Devmem.of_kernel k));
+          Store.store s text_kind ~key:(Printf.sprintf "once-%d" d) "v"
+        with
+        | () -> true
+        | exception _ -> false)
+  in
+  Unix._exit (if List.for_all Fun.id results then 0 else 7)
+
+let test_once_library_values () =
+  let root = fresh_root () in
+  let env =
+    Array.append (Unix.environment ())
+      [| "GPCC_CACHE_DIR=" ^ root; "GPCC_JOBS=2" |]
+  in
+  let pid =
+    Unix.create_process_env Sys.executable_name
+      [| Sys.executable_name; once_child_arg; root |]
+      env Unix.stdin Unix.stdout Unix.stderr
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, Unix.WEXITED c -> Alcotest.failf "racing first use failed (exit %d)" c
+  | _ -> Alcotest.fail "child killed"
+
 (* called by the test entry point before Alcotest: in a child process
-   (env var "<seed>:<root>") run the stress loop and exit *)
+   (env var "<seed>:<root>") run the stress loop and exit; with
+   [once_child_arg] and a root as arguments, race the library's first
+   uses and exit *)
 let maybe_run_child () =
+  (match Sys.argv with
+  | [| _; arg; root |] when arg = once_child_arg -> once_child root
+  | _ -> ());
   match Sys.getenv_opt child_env_var with
   | None -> ()
   | Some spec -> (
@@ -439,4 +529,8 @@ let suite =
       Alcotest.test_case "multi-process stress (fork)" `Slow
         test_multiprocess_stress;
       Alcotest.test_case "multi-domain stress" `Slow test_domain_stress;
+      Alcotest.test_case "once: racing domains share one value" `Quick
+        test_once_racing_domains;
+      Alcotest.test_case "once: library values survive racing first use"
+        `Quick test_once_library_values;
     ] )

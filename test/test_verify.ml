@@ -120,6 +120,15 @@ __kernel void gsl(float a[64], float c[64], int n) {
   assert_rejected "__global_sync in a loop" V.rule_barrier_divergence
     (V.check ~launch k)
 
+let test_loop_reuse () =
+  List.iter
+    (fun (name, src, rules) ->
+      let _, _, ds = check_src src in
+      Alcotest.(check (list string))
+        name rules
+        (List.map (fun (d : V.diagnostic) -> d.rule) (V.errors ds)))
+    loop_reuse_cases
+
 (* --- positives: sound patterns must stay clean --- *)
 
 let staged_src =
@@ -342,6 +351,8 @@ let suite =
         test_wraparound_race;
       Alcotest.test_case "negative: global sync in loop" `Quick
         test_global_sync_in_loop;
+      Alcotest.test_case "loop variables bound at loop entry" `Quick
+        test_loop_reuse;
       Alcotest.test_case "staged pattern clean" `Quick test_staged_clean;
       Alcotest.test_case "uniform guarded sync ok" `Quick
         test_uniform_guarded_sync_ok;

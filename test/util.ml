@@ -88,3 +88,29 @@ let contains ~needle hay =
 let assert_contains msg hay needle =
   if not (contains ~needle hay) then
     Alcotest.failf "%s: expected to find %S in:\n%s" msg needle hay
+
+(** Kernels whose second loop reuses (or renames) the first loop's
+    variable, with the exact error rule ids both verifiers must report:
+    a loop variable is bound at loop entry, so a reused name sees the
+    second loop's iterations, not the value the first loop left behind. *)
+let loop_reuse_cases : (string * string * string list) list =
+  let src name first body =
+    Printf.sprintf
+      {|#pragma gpcc output b
+__kernel void %s(float a[256], float b[256]) {
+  __shared__ float s[256];
+  for (int %s = 0; %s < 2; %s++) { s[tidx] = a[idx]; }
+  __syncthreads();
+  for (int i = 0; i < 2; i++) { %s }
+  __syncthreads();
+  b[idx] = s[tidx];
+}|}
+      name first first first body
+  in
+  let race = "s[i] = a[idx];" and sync = "if (i < 1) { __syncthreads(); }" in
+  [
+    ("race_i", src "race_i" "i" race, [ "race-shared" ]);
+    ("race_j", src "race_j" "j" race, [ "race-shared" ]);
+    ("sync_i", src "sync_i" "i" sync, []);
+    ("sync_j", src "sync_j" "j" sync, []);
+  ]
