@@ -116,12 +116,61 @@ let timed (f : unit -> 'a) : 'a =
       ignore (Atomic.fetch_and_add verify_wall_us (max 0 us)))
     f
 
+(* --- printed states ------------------------------------------------ *)
+(* One compile asks for the key of the same state many times: the pass
+   applicability tests, the before/after metrics, both verifier tiers and
+   [preserve] each start from a kernel the pipeline already holds, and
+   merged kernels print to tens of kilobytes. A state's text and digest
+   are therefore computed once, in a small per-domain ring keyed by the
+   kernel's physical identity and the launch. The AST is immutable, so a
+   physically equal kernel always prints the same. *)
+
+type printed = { text : string; digest : string }
+
+type memo_entry = {
+  m_kernel : Ast.kernel;
+  m_launch : Ast.launch option;
+  m_printed : printed;
+}
+
+(* a pipeline step touches its input and output state, each with and
+   without a launch; eight entries cover a step with room to spare *)
+let memo_size = 8
+
+type memo = { entries : memo_entry option array; mutable next : int }
+
+let memo_instance : memo Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { entries = Array.make memo_size None; next = 0 })
+
+let printed ?launch (k : Ast.kernel) : printed =
+  let m = Domain.DLS.get memo_instance in
+  let rec find i =
+    if i = memo_size then None
+    else
+      match m.entries.(i) with
+      | Some e
+        when e.m_kernel == k && Option.equal Ast.equal_launch e.m_launch launch
+        ->
+          Some e.m_printed
+      | _ -> find (i + 1)
+  in
+  match find 0 with
+  | Some p -> p
+  | None ->
+      let text = Pp.kernel_to_string ?launch k in
+      let p = { text; digest = Digest.string text } in
+      m.entries.(m.next) <-
+        Some { m_kernel = k; m_launch = launch; m_printed = p };
+      m.next <- (m.next + 1) mod memo_size;
+      p
+
 (** Cache key of a kernel at a launch configuration. *)
 let key (k : Ast.kernel) (l : Ast.launch) : string =
-  Digest.string (Pp.kernel_to_string ~launch:l k)
+  (printed ~launch:l k).digest
 
 (** Launch-independent key (register/shared-memory estimation). *)
-let kernel_key (k : Ast.kernel) : string = Digest.string (Pp.kernel_to_string k)
+let kernel_key (k : Ast.kernel) : string = (printed k).digest
 
 (* Drop the least-recently-used entry of a slot (linear scan: slots are
    small and eviction only happens at capacity). *)
@@ -217,25 +266,25 @@ let store_handle : Store.t Gpcc_util.Once.t =
 let verify (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     Verify.diagnostic list =
   timed @@ fun () ->
-  let full = Pp.kernel_to_string ~launch k in
-  find t t.verify (Digest.string full) (fun () ->
+  let full = printed ~launch k in
+  find t t.verify full.digest (fun () ->
       let store = Gpcc_util.Once.get store_handle in
-      match Store.find store verdict_kind ~key:full with
+      match Store.find store verdict_kind ~key:full.text with
       | Some ds -> ds
       | None ->
           let ds = Verify.check ~launch k in
-          Store.store store verdict_kind ~key:full ds;
+          Store.store store verdict_kind ~key:full.text ds;
           ds)
 
 let symbolic_result (t : t) (k : Ast.kernel) : Symverify.result =
-  let full = Pp.kernel_to_string k in
-  find t t.symbolic (Digest.string full) (fun () ->
+  let full = printed k in
+  find t t.symbolic full.digest (fun () ->
       let store = Gpcc_util.Once.get store_handle in
-      match Store.find store pverdict_kind ~key:full with
+      match Store.find store pverdict_kind ~key:full.text with
       | Some r -> r
       | None ->
           let r = Symverify.check k in
-          Store.store store pverdict_kind ~key:full r;
+          Store.store store pverdict_kind ~key:full.text r;
           r)
 
 (* escape hatch for A/B measurement and debugging: GPCC_SYMVERIFY=0

@@ -57,10 +57,12 @@ val global_verify_wall_clock_s : unit -> float
 
 val key : Gpcc_ast.Ast.kernel -> Gpcc_ast.Ast.launch -> string
 (** Digest of the printed kernel at the launch — the cache key of the
-    launch-dependent slots. *)
+    launch-dependent slots. Each state is printed and hashed once: the
+    text and digest are memoized per domain for the last few (kernel,
+    launch) pairs, keyed by the kernel's physical identity. *)
 
 val kernel_key : Gpcc_ast.Ast.kernel -> string
-(** Launch-independent key ({!regcount}). *)
+(** Launch-independent key ({!regcount}), memoized like {!key}. *)
 
 val accesses :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->

@@ -262,13 +262,3 @@ let rec declared_vars (b : block) : (string * ty) list =
       | For l -> (l.l_var, Scalar Int) :: declared_vars l.l_body
       | Assign _ | Sync | Global_sync | Comment _ -> [])
     b
-
-(** A fresh name based on [base] avoiding every name in [used]. *)
-let fresh_name used base =
-  if not (List.mem base used) then base
-  else
-    let rec go i =
-      let cand = Printf.sprintf "%s_%d" base i in
-      if List.mem cand used then go (i + 1) else cand
-    in
-    go 0

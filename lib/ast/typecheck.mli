@@ -1,18 +1,13 @@
-(** Type and shape checker for kernels: declaration-before-use, array
-    ranks, operand types (with C-style int-to-float promotion), vector
-    fields, pragma validity, and structural rules such as
-    [__global_sync] only at top level. *)
+(** Type and shape checker for kernels: declaration-before-use, unique
+    parameter names, array ranks, operand types (with C-style
+    int-to-float promotion), vector fields, pragma validity, and
+    structural rules such as [__global_sync] only at top level. *)
 
 exception Type_error of string
-
-type env = (string * Ast.ty) list
 
 (** Signatures of the supported intrinsics ([sqrtf], [fmaxf],
     [make_float2], ...). *)
 val intrinsics : (string * (Ast.scalar list * Ast.scalar)) list
-
-(** Type of an expression under an environment; raises {!Type_error}. *)
-val type_of_expr : env -> Ast.expr -> Ast.scalar
 
 (** Check a whole kernel; raises {!Type_error} on the first violation. *)
 val check : Ast.kernel -> unit

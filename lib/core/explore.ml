@@ -143,8 +143,7 @@ let compile_all pool ~cfg configs naive :
       c_result = result;
       c_digest =
         Digest.to_hex
-          (Digest.string
-             (Pp.kernel_to_string ~launch:result.launch result.kernel));
+          (Gpcc_analysis.Analysis_cache.key result.kernel result.launch);
     }
   in
   let outcomes = List.combine configs (Pool.map_result pool compile configs) in

@@ -332,29 +332,36 @@ let block_merge_x (k : Ast.kernel) (launch : Ast.launch) (n : int) :
 (* Thread merge                                                           *)
 (* --------------------------------------------------------------------- *)
 
+(* Merged kernels copy every per-thread statement up to 32 times, so
+   every per-name question here is a hash lookup: a list scan would make
+   the pass quadratic in kernel size. *)
 type dep_env = {
   dir : direction;
-  mutable repl : string list;  (** replica-dependent variables / arrays *)
-  mutable names : (string * string array) list;
+  repl : (string, unit) Hashtbl.t;  (** replica-dependent variables / arrays *)
+  mutable order : string list;  (** [repl], most recently added first *)
+  names : (string, string array) Hashtbl.t;
       (** collision-free replica names for each replicated variable *)
 }
 
+let is_repl (env : dep_env) (v : string) : bool = Hashtbl.mem env.repl v
+
 let replica_name (env : dep_env) (v : string) (r : int) : string =
-  match List.assoc_opt v env.names with
+  match Hashtbl.find_opt env.names v with
   | Some arr -> arr.(r)
   | None -> Printf.sprintf "%s_%d" v r
 
+(* one walk: a position builtin of the merged direction, or a use of a
+   replicated variable or array *)
 let expr_dep (env : dep_env) (e : Ast.expr) : bool =
-  let b = match env.dir with X -> Ast.Idx | Y -> Ast.Idy in
-  Rewrite.expr_uses_builtin b e
-  || (env.dir = Y && Rewrite.expr_uses_builtin Ast.Bidy e)
-  || List.exists
-       (fun v ->
-         Rewrite.expr_uses_var v e
-         || Rewrite.exists_expr
-              (function Index (a, _) -> String.equal a v | _ -> false)
-              e)
-       env.repl
+  Rewrite.exists_expr
+    (function
+      | Builtin b -> (
+          match (env.dir, b) with
+          | X, Ast.Idx | Y, (Ast.Idy | Ast.Bidy) -> true
+          | _ -> false)
+      | Var v | Index (v, _) -> is_repl env v
+      | _ -> false)
+    e
 
 let lvalue_dep (env : dep_env) (lv : Ast.lvalue) : bool =
   let rec name = function
@@ -370,14 +377,14 @@ let lvalue_dep (env : dep_env) (lv : Ast.lvalue) : bool =
     | Lvec vl -> [ vl.v_index ]
     | Lfield _ -> []
   in
-  List.mem (name lv) env.repl || List.exists (expr_dep env) idx_exprs
+  is_repl env (name lv) || List.exists (expr_dep env) idx_exprs
 
 (** One fixpoint round: does this statement do replica-dependent work
     directly (not counting nested control-flow bodies)? *)
 let rec stmt_dep (env : dep_env) (s : Ast.stmt) : bool =
   match s with
   | Decl { d_name; d_init; _ } ->
-      List.mem d_name env.repl
+      is_repl env d_name
       || (match d_init with Some e -> expr_dep env e | None -> false)
   | Assign (lv, e) -> lvalue_dep env lv || expr_dep env e
   | If (c, t, f) ->
@@ -389,17 +396,23 @@ let rec stmt_dep (env : dep_env) (s : Ast.stmt) : bool =
 (** Mark every variable written by replica-dependent statements, to a
     fixpoint. Only kernel-local names (register scalars and shared arrays)
     replicate — global arrays are indexed per replica, never renamed. *)
-let compute_repl_vars (env : dep_env) (k : Ast.kernel) (body : Ast.block) :
-    unit =
-  let locals = List.map fst (Rewrite.declared_vars body) in
+let compute_repl_vars (env : dep_env) (body : Ast.block) : unit =
+  let names_of b =
+    let set = Hashtbl.create 64 in
+    List.iter
+      (fun (v, _) -> Hashtbl.replace set v ())
+      (Rewrite.declared_vars b);
+    set
+  in
+  let locals = names_of body in
   let changed = ref true in
   let add v =
-    if List.mem v locals && not (List.mem v env.repl) then begin
-      env.repl <- v :: env.repl;
+    if Hashtbl.mem locals v && not (is_repl env v) then begin
+      Hashtbl.replace env.repl v ();
+      env.order <- v :: env.order;
       changed := true
     end
   in
-  ignore k;
   let lv_name lv =
     let rec go = function
       | Lvar v | Lindex (v, _) -> v
@@ -414,13 +427,13 @@ let compute_repl_vars (env : dep_env) (k : Ast.kernel) (body : Ast.block) :
      declared inside the region are self-contained (each replica carries
      its own declaration) *)
   let mark_escaping (b : Ast.block) =
-    let inner = List.map fst (Rewrite.declared_vars b) in
+    let inner = names_of b in
     ignore
       (Rewrite.map_stmts
          (function
            | Assign (lv, _) as s ->
                let v = lv_name lv in
-               if not (List.mem v inner) then add v;
+               if not (Hashtbl.mem inner v) then add v;
                [ s ]
            | s -> [ s ])
          b)
@@ -458,9 +471,8 @@ let replica_expr (env : dep_env) ~(n : int) ~(old_bx : int) (r : int)
     (e : Ast.expr) : Ast.expr =
   let rename =
     Rewrite.map_expr (function
-      | Var v when List.mem v env.repl ->
-          Some (Var (replica_name env v r))
-      | Index (a, es) when List.mem a env.repl ->
+      | Var v when is_repl env v -> Some (Var (replica_name env v r))
+      | Index (a, es) when is_repl env a ->
           Some (Index (replica_name env a r, es))
       | _ -> None)
   in
@@ -484,14 +496,14 @@ let replica_expr (env : dep_env) ~(n : int) ~(old_bx : int) (r : int)
 let replica_lvalue (env : dep_env) ~n ~old_bx r (lv : Ast.lvalue) : Ast.lvalue
     =
   let rec go = function
-    | Lvar v when List.mem v env.repl -> Lvar (replica_name env v r)
+    | Lvar v when is_repl env v -> Lvar (replica_name env v r)
     | Lvar v -> Lvar v
     | Lindex (a, es) ->
-        let a' = if List.mem a env.repl then replica_name env a r else a in
+        let a' = if is_repl env a then replica_name env a r else a in
         Lindex (a', List.map (replica_expr env ~n ~old_bx r) es)
     | Lvec vl ->
         let a' =
-          if List.mem vl.v_arr env.repl then replica_name env vl.v_arr r
+          if is_repl env vl.v_arr then replica_name env vl.v_arr r
           else vl.v_arr
         in
         Lvec
@@ -564,28 +576,24 @@ let thread_merge (dir : direction) (k : Ast.kernel) (launch : Ast.launch)
           ]
         k launch
     else begin
-      let env = { dir; repl = []; names = [] } in
-      compute_repl_vars env k k.k_body;
-      let globals = Pass_util.global_arrays k in
-      let used = ref (Pass_util.used_names k) in
-      env.names <-
-        List.map
-          (fun v ->
-            let arr =
-              Array.init n (fun r ->
-                  let nm =
-                    Rewrite.fresh_name !used (Printf.sprintf "%s_%d" v r)
-                  in
-                  used := nm :: !used;
-                  nm)
-            in
-            (v, arr))
-          env.repl;
-      let fresh base =
-        let nm = Rewrite.fresh_name !used base in
-        used := nm :: !used;
-        nm
+      let env =
+        {
+          dir;
+          repl = Hashtbl.create 64;
+          order = [];
+          names = Hashtbl.create 64;
+        }
       in
+      compute_repl_vars env k.k_body;
+      let globals = Pass_util.global_arrays k in
+      let supply = Fresh.of_kernel k in
+      List.iter
+        (fun v ->
+          Hashtbl.replace env.names v
+            (Array.init n (fun r ->
+                 Fresh.name supply (Printf.sprintf "%s_%d" v r))))
+        env.order;
+      let fresh = Fresh.name supply in
       let old_bx = launch.block_x in
       let hoists = ref 0 in
       let replicas f = List.init n f in
@@ -595,7 +603,7 @@ let thread_merge (dir : direction) (k : Ast.kernel) (launch : Ast.launch)
         match s with
         | Comment _ | Sync | Global_sync -> [ s ]
         | Decl d ->
-            if List.mem d.d_name env.repl then
+            if is_repl env d.d_name then
               replicas (fun r ->
                   Decl
                     {
@@ -669,7 +677,7 @@ let thread_merge (dir : direction) (k : Ast.kernel) (launch : Ast.launch)
                   {
                     d with
                     d_name =
-                      (if List.mem d.d_name env.repl then
+                      (if is_repl env d.d_name then
                          replica_name env d.d_name r
                        else d.d_name);
                     d_init = Option.map (replica_expr env ~n ~old_bx r) d.d_init;
@@ -710,8 +718,8 @@ let thread_merge (dir : direction) (k : Ast.kernel) (launch : Ast.launch)
                register load(s)"
               n
               (match dir with X -> "X" | Y -> "Y")
-              (List.length env.repl)
-              (String.concat ", " (List.rev env.repl))
+              (List.length env.order)
+              (String.concat ", " (List.rev env.order))
               !hoists;
           ]
         { k with k_body = body }

@@ -62,11 +62,9 @@ let diagonal_remap (k : Ast.kernel) (launch : Ast.launch) : Pass_util.outcome
       ~notes:[ "diagonal reordering needs a square grid; skipped" ]
       k launch
   else begin
-    let nbx, nby =
-      match Pass_util.fresh_many k [ "bidx_d"; "bidy_d" ] with
-      | [ a; b ] -> (a, b)
-      | _ -> assert false
-    in
+    let names = Fresh.of_kernel k in
+    let nbx = Fresh.name names "bidx_d" in
+    let nby = Fresh.name names "bidy_d" in
     let body =
       k.k_body
       |> Rewrite.subst_builtin Ast.Idx
@@ -122,6 +120,7 @@ let offset_insertion (cfg : Gpcc_sim.Config.t) (k : Ast.kernel)
   let shared = Pass_util.shared_arrays k.k_body in
   let globals = Pass_util.global_arrays k in
   let offset_elems = cfg.partition_bytes / 4 in
+  let names = Fresh.of_kernel k in
   let rotated = ref [] in
   let skipped = ref [] in
   let rotate_loop (l : Ast.loop) : Ast.stmt =
@@ -130,7 +129,7 @@ let offset_insertion (cfg : Gpcc_sim.Config.t) (k : Ast.kernel)
       For l
     end
     else begin
-      let pc = Pass_util.fresh k (l.l_var ^ "_pc") in
+      let pc = Fresh.name names (l.l_var ^ "_pc") in
       let width = l.l_limit in
       let rot =
         Ast.decl_i pc

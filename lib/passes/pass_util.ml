@@ -30,24 +30,6 @@ let shared_arrays (b : Ast.block) : string list =
          | Ast.Array { space = Shared; _ } -> Some n
          | _ -> None)
 
-(** Every name already used in the kernel (params + declarations),
-    for fresh-name generation. *)
-let used_names (k : Ast.kernel) : string list =
-  List.map (fun (p : Ast.param) -> p.p_name) k.k_params
-  @ List.map fst (Rewrite.declared_vars k.k_body)
-
-let fresh (k : Ast.kernel) base = Rewrite.fresh_name (used_names k) base
-
-(** Fresh names [base0 ... base(n-1)]-style with a shared uniquifier. *)
-let fresh_many (k : Ast.kernel) bases =
-  let used = ref (used_names k) in
-  List.map
-    (fun b ->
-      let n = Rewrite.fresh_name !used b in
-      used := n :: !used;
-      n)
-    bases
-
 (** Replace syntactic occurrences of one expression by another, everywhere
     in a block (used to swap a staged global access for its shared copy). *)
 let replace_expr (from_e : Ast.expr) (to_e : Ast.expr) (b : Ast.block) :

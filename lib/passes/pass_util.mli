@@ -18,9 +18,6 @@ val changed :
 
 val global_arrays : Gpcc_ast.Ast.kernel -> string list
 val shared_arrays : Gpcc_ast.Ast.block -> string list
-val used_names : Gpcc_ast.Ast.kernel -> string list
-val fresh : Gpcc_ast.Ast.kernel -> string -> string
-val fresh_many : Gpcc_ast.Ast.kernel -> string list -> string list
 
 (** Replace syntactic occurrences of one expression by another. *)
 val replace_expr :

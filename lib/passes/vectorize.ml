@@ -84,7 +84,7 @@ let find_pair (ctx : Affine.ctx) (accesses : (string * Ast.expr) list) :
     may live in different adjacent statements of the same block. Returns
     the rewritten block and how many pairs were formed. [ctx] mirrors the
     walk in {!Coalesce_check.analyze_kernel} for loop handling. *)
-let rec vectorize_block (k : Ast.kernel) (counter : int ref)
+let rec vectorize_block (names : Fresh.t) (counter : int ref)
     (ctx : Affine.ctx) (globals : string list) (b : Ast.block) : Ast.block =
   (* first recurse into structured statements *)
   let b =
@@ -94,15 +94,22 @@ let rec vectorize_block (k : Ast.kernel) (counter : int ref)
         | If (c, t, f) ->
             If
               ( c,
-                vectorize_block k counter ctx globals t,
-                vectorize_block k counter ctx globals f )
+                vectorize_block names counter ctx globals t,
+                vectorize_block names counter ctx globals f )
         | For l -> (
             match Affine.enter_loop ctx l with
             | Some ctx' ->
                 For
-                  { l with l_body = vectorize_block k counter ctx' globals l.l_body }
+                  {
+                    l with
+                    l_body = vectorize_block names counter ctx' globals l.l_body;
+                  }
             | None ->
-                For { l with l_body = vectorize_block k counter ctx globals l.l_body })
+                For
+                  {
+                    l with
+                    l_body = vectorize_block names counter ctx globals l.l_body;
+                  })
         | s -> s)
       b
   in
@@ -112,8 +119,7 @@ let rec vectorize_block (k : Ast.kernel) (counter : int ref)
     match find_pair ctx all with
     | None -> b
     | Some (arr, ix1, ix2, v_index) ->
-        let name = Printf.sprintf "vec%d" !counter in
-        let name = Rewrite.fresh_name (Pass_util.used_names k) name in
+        let name = Fresh.name names (Printf.sprintf "vec%d" !counter) in
         incr counter;
         let decl =
           Decl
@@ -168,7 +174,9 @@ let apply (k : Ast.kernel) (launch : Ast.launch) : Pass_util.outcome =
   let ctx = Affine.ctx_of_launch ~sizes:k.k_sizes launch in
   let counter = ref 0 in
   let globals = Pass_util.global_arrays k in
-  let body = vectorize_block k counter ctx globals k.k_body in
+  let body =
+    vectorize_block (Fresh.of_kernel k) counter ctx globals k.k_body
+  in
   if !counter = 0 then
     Pass_util.unchanged ~notes:[ "no 2*e / 2*e+1 access pairs found" ] k launch
   else

@@ -4,7 +4,14 @@ let () =
   (* the store's multi-process stress test re-execs this binary as its
      writer children; divert before the test harness takes over *)
   Test_store.maybe_run_child ();
-  Test_verify_golden.maybe_record ();
+  (match Sys.argv with
+  | [| _; "record-verify-golden"; path |] ->
+      Test_verify_golden.record path;
+      exit 0
+  | [| _; "record-pipeline-golden"; path |] ->
+      Test_pipeline_golden.record path;
+      exit 0
+  | _ -> ());
   Alcotest.run "gpcc"
     [
       Test_parser.suite;
@@ -14,7 +21,11 @@ let () =
       Test_analysis.suite;
       Test_verify.suite;
       Test_symverify.suite;
-      Test_verify_golden.suite;
+      (* The suite name is no longer than the existing ones: Alcotest
+         sizes its name column to the longest suite name and truncates
+         test names to fit what is left, so a longer one would change
+         how every other test's name is printed. *)
+      ("golden", Test_verify_golden.cases @ Test_pipeline_golden.cases);
       Test_sim.suite;
       Test_backend.suite;
       Test_passes.suite;

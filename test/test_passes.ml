@@ -579,3 +579,60 @@ let suite =
         Alcotest.test_case "width bandwidth ordering" `Slow
           test_width_efficiency_ordering;
       ] )
+
+(* appended: compile time must grow with kernel size, not with its
+   square. Thread merge at degree 32 copies every per-thread statement 32
+   times; the merged kernel of a body with [n] independent declarations
+   is then type checked. A scan over a string-keyed list anywhere on
+   that path makes 4n cost about 16 times n. *)
+let decls_kernel n =
+  let buf = Buffer.create (64 * n) in
+  Buffer.add_string buf
+    "#pragma gpcc output b\n\
+     __kernel void scale(float a[1024], float b[1024]) {\n\
+    \  float s = 0.0;\n";
+  for i = 0 to n - 1 do
+    Printf.bprintf buf "  float v%d = a[idx] + %d.0;\n  s = s + v%d;\n" i i i
+  done;
+  Buffer.add_string buf "  b[idx] = s;\n}\n";
+  parse_kernel (Buffer.contents buf)
+
+(* CPU seconds of one thread merge x32 and type check of the result *)
+let merge_and_check_s k launch =
+  Gc.full_major ();
+  let t0 = Sys.time () in
+  let o = Merge.thread_merge Merge.X k launch 32 in
+  Typecheck.check o.kernel;
+  let t = Sys.time () -. t0 in
+  Alcotest.(check bool) "merged" true o.fired;
+  t
+
+let test_thread_merge_scaling () =
+  let n = 125 in
+  let small = decls_kernel n and large = decls_kernel (4 * n) in
+  let launch k = Option.get (Pass_util.initial_launch k) in
+  (* the sizes alternate so both see the same host conditions; CPU time
+     leaves out time the test spends descheduled *)
+  let t1 = ref infinity and t4 = ref infinity in
+  for _ = 1 to 3 do
+    t1 := Float.min !t1 (merge_and_check_s small (launch small));
+    t4 := Float.min !t4 (merge_and_check_s large (launch large))
+  done;
+  let t1 = !t1 and t4 = !t4 in
+  let msg =
+    Printf.sprintf
+      "thread merge x32 + type check: %d decls %.4f s, %d decls %.4f s \
+       (%.1fx, bound 8x)"
+      n t1 (4 * n) t4 (t4 /. t1)
+  in
+  print_endline msg;
+  if not (t4 < 8.0 *. t1) then Alcotest.fail msg
+
+let suite =
+  let name, cases = suite in
+  ( name,
+    cases
+    @ [
+        Alcotest.test_case "thread merge: linear in size" `Slow
+          test_thread_merge_scaling;
+      ] )

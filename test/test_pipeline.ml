@@ -226,6 +226,44 @@ __kernel void k%d(float a[64], float o[64], int n) {
   Alcotest.(check int)
     "cold entry was evicted" (misses_before + 1) (Cache.misses cache)
 
+(* --- state keys: the per-domain print memo answers like printing --- *)
+
+let test_state_keys_memo () =
+  let w = Registry.find_exn "mm" in
+  let k = Workload.parse w w.test_size in
+  let l1 = Option.get (Gpcc_passes.Pass_util.initial_launch k) in
+  let l2 = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
+  Alcotest.(check bool) "two launches" false (Gpcc_ast.Ast.equal_launch l1 l2);
+  let printed_digest ?launch k =
+    Digest.string (Gpcc_ast.Pp.kernel_to_string ?launch k)
+  in
+  (* the same kernel keyed at two launches in turn, with and without *)
+  let keys k =
+    [
+      Cache.key k l1; Cache.kernel_key k; Cache.key k l2; Cache.key k l1;
+      Cache.kernel_key k; Cache.key k l2;
+    ]
+  in
+  let expected k =
+    [
+      printed_digest ~launch:l1 k; printed_digest k;
+      printed_digest ~launch:l2 k; printed_digest ~launch:l1 k;
+      printed_digest k; printed_digest ~launch:l2 k;
+    ]
+  in
+  let digests = Alcotest.(list string) in
+  Alcotest.check digests "keys are digests of the printed state" (expected k)
+    (keys k);
+  let copy = { k with k_body = k.k_body } in
+  Alcotest.(check bool) "a distinct value" false (copy == k);
+  Alcotest.check digests "a structurally equal copy keys the same"
+    (expected k) (keys copy);
+  let renamed = { k with k_name = "renamed" } in
+  Alcotest.check digests "another kernel gets its own keys"
+    (expected renamed) (keys renamed);
+  Alcotest.check digests "a second domain gets the same keys" (expected k)
+    (Domain.join (Domain.spawn (fun () -> keys k)))
+
 (* --- verifier verdicts survive the on-disk round trip --- *)
 
 let test_verify_disk_round_trip () =
@@ -413,6 +451,8 @@ let suite =
         test_invalidation_declarations_sound;
       Alcotest.test_case "analysis cache: LRU keeps hot entries" `Quick
         test_lru_eviction_keeps_hot_entries;
+      Alcotest.test_case "analysis cache: keys match printing" `Quick
+        test_state_keys_memo;
       Alcotest.test_case "verifier verdicts: disk round trip" `Quick
         test_verify_disk_round_trip;
       Alcotest.test_case "verifier verdicts: corrupt files recovered" `Quick

@@ -153,9 +153,11 @@ let test_rename_var () =
   Alcotest.(check bool) "no stale name" false (contains ~needle:"= s;" txt)
 
 let test_fresh_name () =
-  let used = [ "x"; "x_0"; "x_1" ] in
-  Alcotest.(check string) "skips collisions" "x_2" (Rewrite.fresh_name used "x");
-  Alcotest.(check string) "free name unchanged" "y" (Rewrite.fresh_name used "y")
+  let names = Fresh.create [ "x"; "x_0"; "x_1" ] in
+  Alcotest.(check string) "skips collisions" "x_2" (Fresh.name names "x");
+  Alcotest.(check string) "free name unchanged" "y" (Fresh.name names "y");
+  Alcotest.(check string) "drawn names are reserved" "x_3"
+    (Fresh.name names "x")
 
 let test_collect_accesses_order () =
   let k =

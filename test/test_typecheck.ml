@@ -105,6 +105,18 @@ let test_generated_kernels_typecheck () =
       | Error m -> Alcotest.failf "%s optimized kernel ill-typed: %s" w.name m)
     Gpcc_workloads.Registry.all
 
+(* a map-based scope would silently merge the two bindings *)
+let test_rejects_duplicate_params () =
+  match
+    Typecheck.check
+      (Parser.kernel_of_string
+         "__kernel void dup(float a[256], float b[256], float a[256]) { \
+          b[idx] = a[idx]; }")
+  with
+  | () -> Alcotest.fail "accepted a duplicate parameter"
+  | exception Typecheck.Type_error m ->
+      Alcotest.(check string) "message" "duplicate parameter a" m
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "typecheck",
@@ -116,6 +128,7 @@ let suite =
       t "rejects structure errors" test_rejects_structure;
       t "rejects bad calls" test_rejects_calls;
       t "pragma validation" test_rejects_pragmas;
+      t "rejects duplicate parameters" test_rejects_duplicate_params;
       t "int/float promotion" test_int_float_promotion;
       Alcotest.test_case "optimized kernels typecheck" `Slow
         test_generated_kernels_typecheck;
