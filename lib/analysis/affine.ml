@@ -100,10 +100,16 @@ let mod_const a k =
 let eval (assignment : var -> int) a =
   List.fold_left (fun acc (v, c) -> acc + (c * assignment v)) a.const a.terms
 
+module Smap = Map.Make (String)
+
+type lets = t Smap.t
+
 (** Analysis context: the compile-time knowledge the paper's compiler has
     when it checks an access — the specialized input sizes, the current
     launch configuration, the enclosing loops, and affine-valued local
-    [int] lets. *)
+    [int] lets. The lets map each name to its current form, so a lookup
+    costs a logarithm of the live names however many reassignments a
+    merged kernel makes. *)
 type ctx = {
   sizes : (string * int) list;
   block_x : int;
@@ -111,7 +117,7 @@ type ctx = {
   grid_x : int;
   grid_y : int;
   loops : (string * loop_desc) list;  (** innermost first *)
-  lets : (string * t) list;
+  lets : lets;
 }
 
 and loop_desc = {
@@ -128,7 +134,7 @@ let ctx_of_launch ?(sizes = []) (l : Ast.launch) =
     grid_x = l.grid_x;
     grid_y = l.grid_y;
     loops = [];
-    lets = [];
+    lets = Smap.empty;
   }
 
 let rec of_expr (ctx : ctx) (e : Ast.expr) : t option =
@@ -155,7 +161,7 @@ let rec of_expr (ctx : ctx) (e : Ast.expr) : t option =
           match List.assoc_opt v ctx.sizes with
           | Some n -> Some (const n)
           | None -> (
-              match List.assoc_opt v ctx.lets with
+              match Smap.find_opt v ctx.lets with
               | Some form -> Some form
               | None -> Some (of_var (Param v)))))
   | Unop (Neg, a) ->
@@ -230,11 +236,17 @@ let enter_loop (ctx : ctx) (l : Ast.loop) : ctx option =
         }
   | _ -> None
 
-(** Record an affine-valued local [int] binding ([int t = idx * 2;]). *)
+(** Drop any let binding of the names: their values are no longer known
+    (reassigned in a branch or loop body, or to a non-affine value). *)
+let forget (ctx : ctx) names : ctx =
+  { ctx with lets = List.fold_left (fun m v -> Smap.remove v m) ctx.lets names }
+
+(** Record an affine-valued local [int] binding ([int t = idx * 2;]);
+    a non-affine value forgets the name. *)
 let enter_let (ctx : ctx) name (e : Ast.expr) : ctx =
   match of_expr ctx e with
-  | Some f -> { ctx with lets = (name, f) :: ctx.lets }
-  | None -> { ctx with lets = List.remove_assoc name ctx.lets }
+  | Some f -> { ctx with lets = Smap.add name f ctx.lets }
+  | None -> forget ctx [ name ]
 
 let to_string (a : t) =
   let rec var_name = function

@@ -57,17 +57,22 @@ val mod_const : t -> int -> int option
 
 val eval : (var -> int) -> t -> int
 
+(** The affine-valued local [int] bindings of a context, by name. *)
+type lets
+
 (** Analysis context: the compile-time knowledge the compiler has at an
     access site — specialized sizes, the launch configuration, enclosing
-    loops, and affine-valued local [int] bindings. *)
-type ctx = {
+    loops, and affine-valued local [int] bindings. Read-only outside this
+    module: contexts are built by {!ctx_of_launch} and extended by
+    {!enter_loop}, {!enter_let} and {!forget}. *)
+type ctx = private {
   sizes : (string * int) list;
   block_x : int;
   block_y : int;
   grid_x : int;
   grid_y : int;
   loops : (string * loop_desc) list;  (** innermost first *)
-  lets : (string * t) list;
+  lets : lets;
 }
 
 and loop_desc = {
@@ -94,5 +99,10 @@ val loop_trips : ctx -> Gpcc_ast.Ast.loop -> int option
 val enter_loop : ctx -> Gpcc_ast.Ast.loop -> ctx option
 
 (** Record an affine-valued local [int] binding ([int t = idx * 2;]);
-    a non-affine right-hand side clears any previous binding. *)
+    a non-affine right-hand side forgets the name, so no earlier binding
+    of it shows through. *)
 val enter_let : ctx -> string -> Gpcc_ast.Ast.expr -> ctx
+
+(** Forget every binding of the names: afterwards each reads as an
+    unbound [Param]. *)
+val forget : ctx -> string list -> ctx

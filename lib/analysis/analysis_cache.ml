@@ -242,17 +242,21 @@ let marshal_decode (payload : string) : 'a option =
   | v -> Some v
   | exception _ -> None
 
-(* codec version 4: versions 1–2 were the hand-rolled pre-store
-   formats, and version 3 verdicts predate binding loop variables at
-   loop entry (a loop reusing an earlier loop's variable was misjudged);
-   bumping orphans them and the GC ages them out *)
+(* codec version 5: versions 1–2 were the hand-rolled pre-store
+   formats, version 3 verdicts predate binding loop variables at loop
+   entry (a loop reusing an earlier loop's variable was misjudged), and
+   version 4 verdicts predate forgetting a local reassigned to a
+   non-affine value (an older affine binding showed through and could
+   hide an out-of-bounds access); bumping orphans them and the GC ages
+   them out *)
 let verdict_kind : Verify.diagnostic list Store.kind =
-  Store.make_kind ~name:"verdict" ~version:"4" ~encode:marshal_encode
+  Store.make_kind ~name:"verdict" ~version:"5" ~encode:marshal_encode
     ~decode:marshal_decode
 
 (* one entry per kernel, not per (kernel, launch): the parametric
    result is launch-independent; version 3 for the same loop-variable
-   fix as [verdict_kind] *)
+   fix as [verdict_kind] (the stale-let fix leaves it alone: the
+   symbolic tier does not use {!Affine}) *)
 let pverdict_kind : Symverify.result Store.kind =
   Store.make_kind ~name:"pverdict" ~version:"3" ~encode:marshal_encode
     ~decode:marshal_decode

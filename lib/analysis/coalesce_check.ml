@@ -238,15 +238,7 @@ let analyze_kernel ?(launch : Ast.launch option) (k : Ast.kernel) : access list
         go_e l.l_step;
         let safe_loops' = if safe then l.l_var :: safe_loops else safe_loops in
         let dirty = assigned_int_vars l.l_body in
-        let ctx_clean =
-          {
-            ctx with
-            Affine.lets =
-              List.filter
-                (fun (v, _) -> not (List.mem v dirty))
-                ctx.Affine.lets;
-          }
-        in
+        let ctx_clean = Affine.forget ctx dirty in
         (match Affine.enter_loop ctx_clean l with
         | Some ctx' ->
             on_block ctx' ~enclosing:(l.l_var :: enclosing) ~safe

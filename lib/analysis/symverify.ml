@@ -51,6 +51,16 @@ module Constraint = struct
   let dim_rank = function Bx -> 0 | By -> 1 | Gx -> 2 | Gy -> 3
   let compare_dim a b = compare (dim_rank a) (dim_rank b)
 
+  (* lexicographic over the sorted dimensions, shorter prefix first *)
+  let rec compare_mono (a : dim list) (b : dim list) =
+    match (a, b) with
+    | [], [] -> 0
+    | [], _ -> -1
+    | _, [] -> 1
+    | x :: a', y :: b' ->
+        let c = compare_dim x y in
+        if c <> 0 then c else compare_mono a' b'
+
   (** A monomial is a sorted product of launch dimensions; [[]] is 1. *)
   type mono = dim list
 
@@ -84,24 +94,28 @@ module Constraint = struct
 
   let holds (l : Ast.launch) (c : t) : bool = List.for_all (atom_holds l) c
 
+  (* [a] added to a normalized conjunction: kept sorted by (monomial,
+     direction), which is [compare] order once each key is unique, and
+     merged with the atom of its key if there is one *)
+  let rec insert (a : atom) (c : t) : t =
+    match c with
+    | [] -> [ a ]
+    | b :: rest ->
+        let o =
+          match compare_mono a.a_mono b.a_mono with
+          | 0 -> compare a.a_cmp b.a_cmp
+          | o -> o
+        in
+        if o < 0 then a :: c
+        else if o > 0 then b :: insert a rest
+        else
+          let a_k =
+            match a.a_cmp with `Le -> min a.a_k b.a_k | `Ge -> max a.a_k b.a_k
+          in
+          { b with a_k } :: rest
+
   (** Keep the strongest atom per (monomial, direction). *)
-  let normalize (c : t) : t =
-    let keyed = Hashtbl.create 8 in
-    List.iter
-      (fun a ->
-        let key = (a.a_mono, a.a_cmp) in
-        match Hashtbl.find_opt keyed key with
-        | Some k ->
-            let k' =
-              match a.a_cmp with `Le -> min k a.a_k | `Ge -> max k a.a_k
-            in
-            Hashtbl.replace keyed key k'
-        | None -> Hashtbl.replace keyed key a.a_k)
-      c;
-    Hashtbl.fold
-      (fun (a_mono, a_cmp) a_k acc -> { a_mono; a_cmp; a_k } :: acc)
-      keyed []
-    |> List.sort compare
+  let normalize (c : t) : t = List.fold_left (fun n a -> insert a n) [] c
 
   let conj (a : t) (b : t) : t = normalize (a @ b)
 
@@ -135,25 +149,29 @@ end
 (* Launch polynomials: integer polynomials over bx, by, gx, gy          *)
 (* ------------------------------------------------------------------ *)
 
-(** Sorted association list from monomial to nonzero coefficient; the
-    [[]] monomial carries the constant term. Launch dimensions are
-    always >= 1, which is what makes one-sided comparisons decidable:
-    a polynomial with nonnegative monomial coefficients is minimized at
-    the all-ones launch. *)
+(** Association list from monomial to nonzero coefficient, sorted by
+    [Constraint.compare_mono] with each monomial once; the [[]]
+    monomial carries the constant term. Every constructor below keeps
+    that canonical form, so equal polynomials are equal lists and a sum
+    is one merge. Launch dimensions are always >= 1, which is what
+    makes one-sided comparisons decidable: a polynomial with
+    nonnegative monomial coefficients is minimized at the all-ones
+    launch. *)
 type lpoly = (Constraint.mono * int) list
 
 let lp_const (n : int) : lpoly = if n = 0 then [] else [ ([], n) ]
 let lp_zero : lpoly = []
 let lp_dim (d : Constraint.dim) : lpoly = [ ([ d ], 1) ]
 
-let lp_add (a : lpoly) (b : lpoly) : lpoly =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (m, c) ->
-      Hashtbl.replace tbl m (c + Option.value ~default:0 (Hashtbl.find_opt tbl m)))
-    (a @ b);
-  Hashtbl.fold (fun m c acc -> if c = 0 then acc else (m, c) :: acc) tbl []
-  |> List.sort compare
+let rec lp_add (a : lpoly) (b : lpoly) : lpoly =
+  match (a, b) with
+  | [], p | p, [] -> p
+  | ((ma, ca) as ta) :: a', ((mb, cb) as tb) :: b' ->
+      let c = Constraint.compare_mono ma mb in
+      if c < 0 then ta :: lp_add a' b
+      else if c > 0 then tb :: lp_add a b'
+      else if ca + cb = 0 then lp_add a' b'
+      else (ma, ca + cb) :: lp_add a' b'
 
 let lp_scale (k : int) (a : lpoly) : lpoly =
   if k = 0 then [] else List.map (fun (m, c) -> (m, k * c)) a
@@ -264,8 +282,10 @@ let lp_le_when (p : lpoly) (q : lpoly) : Constraint.t option =
 (** How many launches over a reference grid of power-of-two
     configurations ([block_x*block_y <= 512], grid dims up to 64)
     satisfy [c] — used to pick, among independently sufficient
-    alternatives, the one that stays provable at the most launches. *)
-let coverage_tbl : (Constraint.t, int) Hashtbl.t = Hashtbl.create 64
+    alternatives, the one that stays provable at the most launches.
+    Memoized per domain: {!check} runs on {!Explore}'s worker domains. *)
+let coverage_tbl : (Constraint.t, int) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
 let coverage_count (c : Constraint.t) : int =
   let bpows = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512 ] in
@@ -292,11 +312,12 @@ let coverage_count (c : Constraint.t) : int =
     0 bpows
 
 let coverage (c : Constraint.t) : int =
-  match Hashtbl.find_opt coverage_tbl c with
+  let tbl = Domain.DLS.get coverage_tbl in
+  match Hashtbl.find_opt tbl c with
   | Some n -> n
   | None ->
       let n = coverage_count c in
-      if Hashtbl.length coverage_tbl < 4096 then Hashtbl.add coverage_tbl c n;
+      if Hashtbl.length tbl < 4096 then Hashtbl.add tbl c n;
       n
 
 (* ------------------------------------------------------------------ *)
@@ -411,11 +432,26 @@ let svar_shared = function
   | Sbidx | Sbidy | Sfrozen _ -> true
   | Stidx | Stidy | Sfree _ -> false
 
+(* thread coordinates, block coordinates, then loop counters by id *)
+let svar_rank = function
+  | Stidx -> 0
+  | Stidy -> 1
+  | Sbidx -> 2
+  | Sbidy -> 3
+  | Sfree _ -> 4
+  | Sfrozen _ -> 5
+
+let compare_svar a b =
+  match (a, b) with
+  | Sfree x, Sfree y | Sfrozen x, Sfrozen y -> Int.compare x y
+  | _ -> Int.compare (svar_rank a) (svar_rank b)
+
 (** Affine form [sc + sum coeff_i * var_i] with launch-polynomial
     coefficients. *)
 type sform = {
   sc : lpoly;
-  sterms : (svar * lpoly) list;  (** sorted by variable, coeffs <> [] *)
+  sterms : (svar * lpoly) list;
+      (** sorted by {!compare_svar}, each variable once, coeffs <> [] *)
 }
 
 let sf_const (p : lpoly) : sform = { sc = p; sterms = [] }
@@ -425,20 +461,19 @@ let sf_var ?(coeff = lp_const 1) v : sform =
   { sc = lp_zero; sterms = [ (v, coeff) ] }
 
 let sf_add (a : sform) (b : sform) : sform =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (v, c) ->
-      let c' =
-        lp_add c (Option.value ~default:lp_zero (Hashtbl.find_opt tbl v))
-      in
-      Hashtbl.replace tbl v c')
-    (a.sterms @ b.sterms);
-  {
-    sc = lp_add a.sc b.sc;
-    sterms =
-      Hashtbl.fold (fun v c acc -> if c = [] then acc else (v, c) :: acc) tbl []
-      |> List.sort compare;
-  }
+  let rec merge xs ys =
+    match (xs, ys) with
+    | [], l | l, [] -> l
+    | ((vx, cx) as tx) :: xs', ((vy, cy) as ty) :: ys' -> (
+        let c = compare_svar vx vy in
+        if c < 0 then tx :: merge xs' ys
+        else if c > 0 then ty :: merge xs ys'
+        else
+          match lp_add cx cy with
+          | [] -> merge xs' ys'
+          | cs -> (vx, cs) :: merge xs' ys')
+  in
+  { sc = lp_add a.sc b.sc; sterms = merge a.sterms b.sterms }
 
 let sf_scale (k : int) (a : sform) : sform =
   if k = 0 then sf_int 0
@@ -1205,7 +1240,7 @@ let guard_clamps st (acc : sacc) : clamp list =
    are pure affine forms over concretely-computable leaves, so the
    concrete race check evaluates (and enforces) them too -- its lenient
    treatment of unevaluable guards never applies here. *)
-let cap_of st (acc : sacc) (v : svar) : int option =
+let cap_of (clamps : clamp list) (v : svar) : int option =
   List.fold_left
     (fun best cl ->
       if cl.cl_kind <> `Hi then best
@@ -1221,15 +1256,7 @@ let cap_of st (acc : sacc) (v : svar) : int option =
                 Some (match best with Some b -> min b q | None -> q)
             | _ -> best)
         | _ -> best)
-    None (guard_clamps st acc)
-
-let caps_of st (a : sacc) (b : sacc) : int option * int option =
-  let cap v =
-    match (cap_of st a v, cap_of st b v) with
-    | Some ua, Some ub -> Some (max ua ub)
-    | _ -> None
-  in
-  (cap Stidx, cap Stidy)
+    None clamps
 
 (** Emit [dim <= k] unless a guard cap already bounds the coordinate
     delta below [k] at every launch. *)
@@ -1471,23 +1498,52 @@ let pinning_conds st (acc : sacc) : (Ast.expr * [ `Tx | `Ty ]) list =
       | _ -> None)
     acc.x_guards
 
+(** One access staged for the pairwise race phase of its (barrier
+    interval, array): what a pair proof needs of each side depends on
+    that side alone, so it is computed on first use and shared by every
+    pair the access is in, rather than re-lowered per pair. *)
+type staged = {
+  sx : sacc;
+  sx_off : off Lazy.t;
+  sx_pins : (Ast.expr * [ `Tx | `Ty ]) list Lazy.t;
+  sx_cap_x : int option Lazy.t;  (** {!cap_of} [Stidx] *)
+  sx_cap_y : int option Lazy.t;  (** {!cap_of} [Stidy] *)
+}
+
+let stage st lay (acc : sacc) : staged =
+  let clamps = lazy (guard_clamps st acc) in
+  {
+    sx = acc;
+    sx_off = lazy (offset_form st lay acc);
+    sx_pins = lazy (pinning_conds st acc);
+    sx_cap_x = lazy (cap_of (Lazy.force clamps) Stidx);
+    sx_cap_y = lazy (cap_of (Lazy.force clamps) Stidy);
+  }
+
 let race_rule space =
   if space = `Shared then Verify.rule_race_shared else Verify.rule_race_global
 
-let prove_aff st (a : sacc) (b : sacc) (fa : sform) (fb : sform) :
+let prove_aff st (sa : staged) (sb : staged) (fa : sform) (fb : sform) :
     [ `Ok of Constraint.t | `Fail of string ] =
   match pair_delta fa fb with
   | Error m -> `Fail m
   | Ok d -> (
-      let pins_a = pinning_conds st a and pins_b = pinning_conds st b in
+      let a = sa.sx and b = sb.sx in
+      let pins_a = Lazy.force sa.sx_pins and pins_b = Lazy.force sb.sx_pins in
       let pinned w =
         List.exists
           (fun (c, w') -> w' = w && List.exists (fun (c', w'') -> w'' = w && c' = c) pins_b)
           pins_a
       in
+      (* a coordinate delta is capped when both sides cap it *)
+      let cap ca cb =
+        match (Lazy.force ca, Lazy.force cb) with
+        | Some ua, Some ub -> Some (max ua ub)
+        | _ -> None
+      in
+      let caps = (cap sa.sx_cap_x sb.sx_cap_x, cap sa.sx_cap_y sb.sx_cap_y) in
       match
-        prove_delta ~caps:(caps_of st a b) ~pinned_tx:(pinned `Tx)
-          ~pinned_ty:(pinned `Ty) d
+        prove_delta ~caps ~pinned_tx:(pinned `Tx) ~pinned_ty:(pinned `Ty) d
       with
       | `Ok c -> `Ok c
       | `Fail m -> `Fail m
@@ -1507,9 +1563,10 @@ let prove_aff st (a : sacc) (b : sacc) (fa : sform) (fb : sform) :
                  a.x_arr);
           `Ok [ atom mono_threads `Le 1 ])
 
-let prove_pair st lay (a : sacc) (b : sacc) :
+let prove_pair st (sa : staged) (sb : staged) :
     [ `Ok of Constraint.t | `Fail of string ] =
-  match (offset_form st lay a, offset_form st lay b) with
+  let a = sa.sx and b = sb.sx in
+  match (Lazy.force sa.sx_off, Lazy.force sb.sx_off) with
   | Oskip, _ | _, Oskip -> `Ok []
   | Ofail m, _ | _, Ofail m -> `Fail m
   | Omod (fa, ca), Omod (fb, cb) ->
@@ -1538,10 +1595,10 @@ let prove_pair st lay (a : sacc) (b : sacc) :
       else `Fail "mismatched modular indices"
   | Omod _, _ | _, Omod _ -> `Fail "modular index paired with affine index"
   | Ovec (wa, fa), Ovec (wb, fb) ->
-      if wa = wb then prove_aff st a b fa fb
+      if wa = wb then prove_aff st sa sb fa fb
       else `Fail "mixed vector widths"
   | Ovec _, Oaff _ | Oaff _, Ovec _ -> `Fail "vector paired with scalar access"
-  | Oaff fa, Oaff fb -> prove_aff st a b fa fb
+  | Oaff fa, Oaff fb -> prove_aff st sa sb fa fb
 
 (* ------------------------------------------------------------------ *)
 (* Bounds proving                                                      *)
@@ -1798,15 +1855,18 @@ let check_exn (k : Ast.kernel) : result =
               match Layout.find layouts arr with
               | None -> ()
               | Some lay ->
-                  let arr_accs = Array.of_list accs_arr in
+                  let arr_accs =
+                    Array.of_list (List.map (stage st lay) accs_arr)
+                  in
                   let n = Array.length arr_accs in
                   let i = ref 0 in
                   while !i < n && not (unknown ()) do
                     let j = ref !i in
                     while !j < n && not (unknown ()) do
-                      let a = arr_accs.(!i) and b = arr_accs.(!j) in
+                      let sa = arr_accs.(!i) and sb = arr_accs.(!j) in
+                      let a = sa.sx and b = sb.sx in
                       (if a.x_store || b.x_store then
-                         match prove_pair st lay a b with
+                         match prove_pair st sa sb with
                          | `Ok c -> require c
                          | `Fail m ->
                              give_up st

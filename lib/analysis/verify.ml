@@ -558,15 +558,11 @@ and assigned_vars_stmt = function
   | For l -> l.l_var :: assigned_vars l.l_body
   | Sync | Global_sync | Comment _ -> []
 
-(* an rhs no affine analysis can see through, used to clear a ctx let *)
-let opaque_rhs = Ast.Float_lit 0.0
-
 let forget_vars env vars =
   {
     env with
     w_binds = List.map (fun v -> (v, Bunknown)) vars @ env.w_binds;
-    w_ctx =
-      List.fold_left (fun c v -> Affine.enter_let c v opaque_rhs) env.w_ctx vars;
+    w_ctx = Affine.forget env.w_ctx vars;
   }
 
 let diag st ?(severity = Error) ~rule ~path message =
@@ -637,7 +633,7 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
           {
             env with
             w_binds = (d_name, Bunknown) :: env.w_binds;
-            w_ctx = Affine.enter_let env.w_ctx d_name opaque_rhs;
+            w_ctx = Affine.forget env.w_ctx [ d_name ];
           })
   | Decl _ -> env (* shared arrays: layout table covers them *)
   | Assign (lv, e) -> (

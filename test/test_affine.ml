@@ -78,6 +78,24 @@ let test_lets () =
       Alcotest.(check int) "const" 1 f.Affine.const
   | None -> Alcotest.fail "let not inlined"
 
+(* a non-affine reassignment forgets the name: neither of the earlier
+   affine values shows through *)
+let test_stale_lets () =
+  let c =
+    List.fold_left
+      (fun c rhs -> Affine.enter_let c "t" (expr rhs))
+      (ctx ()) [ "idx"; "idx * 2"; "t * t" ]
+  in
+  Alcotest.(check (option string))
+    "t after a non-affine reassignment"
+    (Some (Affine.show (Affine.of_var (Affine.Param "t"))))
+    (Option.map Affine.show (Affine.of_expr c (expr "t")));
+  let c = Affine.forget (Affine.enter_let (ctx ()) "t" (expr "idx")) [ "t" ] in
+  Alcotest.(check (option string))
+    "t after forget"
+    (Some (Affine.show (Affine.of_var (Affine.Param "t"))))
+    (Option.map Affine.show (Affine.of_expr c (expr "t")))
+
 (* --- QCheck laws --- *)
 
 let gen_form : Affine.t QCheck.Gen.t =
@@ -221,6 +239,7 @@ let suite =
       t "opaque mod/div" test_mod_div_opaque;
       t "loop contexts" test_loops;
       t "let bindings" test_lets;
+      t "stale let bindings" test_stale_lets;
       QCheck_alcotest.to_alcotest law_add_comm;
       QCheck_alcotest.to_alcotest law_add_assoc;
       QCheck_alcotest.to_alcotest law_eval_homomorphic;

@@ -11,6 +11,9 @@ let () =
   | [| _; "record-pipeline-golden"; path |] ->
       Test_pipeline_golden.record path;
       exit 0
+  | [| _; "record-symverify-golden"; path |] ->
+      Test_symverify_golden.record path;
+      exit 0
   | _ -> ());
   Alcotest.run "gpcc"
     [
@@ -25,7 +28,9 @@ let () =
          sizes its name column to the longest suite name and truncates
          test names to fit what is left, so a longer one would change
          how every other test's name is printed. *)
-      ("golden", Test_verify_golden.cases @ Test_pipeline_golden.cases);
+      ( "golden",
+        Test_verify_golden.cases @ Test_pipeline_golden.cases
+        @ Test_symverify_golden.cases );
       Test_sim.suite;
       Test_backend.suite;
       Test_passes.suite;

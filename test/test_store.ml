@@ -370,8 +370,26 @@ let test_once_racing_domains () =
    domain's tmp-name generator) are first used inside a fresh child
    process, a re-exec of this executable with [once_child_arg], by
    racing domains: a verification, a default-jobs simulation and a
-   store write each. Any exception fails the child. *)
+   store write each. Then four domains race through the symbolic
+   verifier's memo tables on thread-merged kernels, and each must get
+   the results a serial run gets. Any exception or mismatch fails the
+   child. *)
 let once_child_arg = "once-race-child"
+
+(* thread-merged kernels from the pipeline with validation off, so no
+   proof runs before the race *)
+let merged_kernels () =
+  let pipeline =
+    Gpcc_core.Pipeline.default ~cfg:Util.cfg280 ~target_block_threads:256
+      ~merge_degree:8 ~verify:false ()
+  in
+  List.map
+    (fun name ->
+      let w = Gpcc_workloads.Registry.find_exn name in
+      (Gpcc_core.Pipeline.run ~pipeline
+         (Gpcc_workloads.Workload.parse w w.test_size))
+        .kernel)
+    [ "mm"; "conv"; "strsm"; "tmv"; "fft" ]
 
 let once_child root =
   let k =
@@ -398,7 +416,12 @@ __kernel void once_race(float a[1024], float b[1024]) {
         | () -> true
         | exception _ -> false)
   in
-  Unix._exit (if List.for_all Fun.id results then 0 else 7)
+  if not (List.for_all Fun.id results) then Unix._exit 7;
+  let kernels = merged_kernels () in
+  let check_all () = List.map Gpcc_analysis.Symverify.check kernels in
+  let raced = race_domains 4 (fun _ -> check_all ()) in
+  let serial = check_all () in
+  Unix._exit (if List.for_all (fun r -> r = serial) raced then 0 else 8)
 
 let test_once_library_values () =
   let root = fresh_root () in

@@ -120,6 +120,23 @@ __kernel void gsl(float a[64], float c[64], int n) {
   assert_rejected "__global_sync in a loop" V.rule_barrier_divergence
     (V.check ~launch k)
 
+(* a local reassigned to a non-affine value must not keep an earlier
+   affine binding: [t * t] reaches element 1156 of a 1024-element array *)
+let test_stale_let_overflow () =
+  let _, _, ds =
+    check_src
+      {|#pragma gpcc output b
+__kernel void stale(float a[1024], float b[1024]) {
+  int t = idx;
+  t = idx * 2;
+  t = t * t;
+  b[t] = a[idx];
+}|}
+  in
+  Alcotest.(check (list string))
+    "error rules" [ V.rule_oob_global ]
+    (List.map (fun (d : V.diagnostic) -> d.rule) (V.errors ds))
+
 let test_loop_reuse () =
   List.iter
     (fun (name, src, rules) ->
@@ -351,6 +368,8 @@ let suite =
         test_wraparound_race;
       Alcotest.test_case "negative: global sync in loop" `Quick
         test_global_sync_in_loop;
+      Alcotest.test_case "negative: stale let overflow" `Quick
+        test_stale_let_overflow;
       Alcotest.test_case "loop variables bound at loop entry" `Quick
         test_loop_reuse;
       Alcotest.test_case "staged pattern clean" `Quick test_staged_clean;
