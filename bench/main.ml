@@ -1,6 +1,5 @@
 (** Benchmark harness: regenerates every table and figure of the paper's
-    evaluation (Section 6) on the GPU simulator, plus Bechamel
-    micro-benchmarks of the compiler itself.
+    evaluation (Section 6) on the GPU simulator.
 
     Usage:
       dune exec bench/main.exe                 (all sections)
@@ -485,63 +484,6 @@ let fig16 () =
   note "paper: Opti_PC already beats CUBLAS; eliminating partition camping improves it further"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the compiler itself                     *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  section "Compiler micro-benchmarks (Bechamel, wall time of gpcc itself)";
-  let open Bechamel in
-  let open Toolkit in
-  let mm_src = (Registry.find_exn "mm").source 1024 in
-  let mv_src = (Registry.find_exn "mv").source 1024 in
-  let parse_test =
-    Test.make ~name:"parse+typecheck mm"
-      (Staged.stage (fun () ->
-           let k = Gpcc_ast.Parser.kernel_of_string mm_src in
-           Gpcc_ast.Typecheck.check k))
-  in
-  let analyze_test =
-    let k = Gpcc_ast.Parser.kernel_of_string mm_src in
-    let launch = Option.get (Gpcc_passes.Pass_util.initial_launch k) in
-    Test.make ~name:"coalescing analysis mm"
-      (Staged.stage (fun () ->
-           ignore (Gpcc_analysis.Coalesce_check.analyze_kernel ~launch k)))
-  in
-  let compile_test name src =
-    Test.make ~name:("full pipeline " ^ name)
-      (Staged.stage (fun () ->
-           ignore
-             (Gpcc_core.Pipeline.run (Gpcc_ast.Parser.kernel_of_string src))))
-  in
-  let tests =
-    [ parse_test; analyze_test; compile_test "mm" mm_src; compile_test "mv" mv_src ]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ())
-          Instance.[ monotonic_clock ]
-          test
-      in
-      Hashtbl.iter
-        (fun name raw ->
-          match
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              Instance.monotonic_clock raw
-          with
-          | ols -> (
-              match Analyze.OLS.estimates ols with
-              | Some [ est ] ->
-                  Printf.printf "  %-28s %12.1f us/run\n%!" name (est /. 1e3)
-              | _ -> Printf.printf "  %-28s (no estimate)\n" name)
-          | exception _ -> Printf.printf "  %-28s (analysis failed)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Section 7 case study: FFT                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1006,7 +948,7 @@ let sections =
     ("table1", table1); ("fig10", fig10); ("fig11", fig11); ("fig12", fig12);
     ("fig13", fig13); ("fig14", fig14); ("fig15", fig15); ("fig16", fig16);
     ("fig17_fft", fig17_fft); ("ablations", ablations); ("explore", explore);
-    ("interp", interp); ("amd_vectors", amd_vectors); ("bechamel", bechamel);
+    ("interp", interp); ("amd_vectors", amd_vectors);
   ]
 
 (** Write BENCH_<section>.json: rows recorded by the section, the wall

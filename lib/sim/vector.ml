@@ -14,18 +14,24 @@
     arrays of active lane ids — but the overwhelmingly common full-block
     mask is detected per node ([Array.length m = n]) and runs the dense
     unmasked loop. Expressions the analysis proves block-uniform use the
-    same scalar [U*] channel as {!Compile}.
+    same scalar [U*] channel as {!Compile}. No lane loop over float
+    planes calls a function value: float operators are plan-time
+    variants matched inside the loop, so on a compiler without flambda
+    the float operands stay unboxed (see the float-operator note).
 
     Memory accounting is the same half-warp math as
     {!Interp.account_global}, but full-mask accesses are digested a
     whole {e plane} at a time: one dense pass classifies the access as
     segmented-strided and resolves it against {!Coalescer.plane_cost} —
     a per-domain plane-granularity memo — fronted by a per-site
-    one-entry digest cache. Sites whose varying index is a tid plane
-    are {e stable}: the plane never changes inside a block and only
-    shifts uniformly across blocks, so uniform-loop iterations replay
-    the cached digest after an O(1) congruence check — the closed-form
-    loop credit — without walking any lane.
+    one-entry digest cache. An index that is lane-affine
+    ([ax * tidx + ay * tidy + u] with compile-time coefficients and a
+    block-uniform [u]) is planned once as a pattern plane that is the
+    same in every block plus a scalar (see the index-plan note). Such a
+    site is {e stable}: only its base moves, so a later execution
+    replays the cached digest at a congruent base — the closed-form
+    loop credit — fetches it from the plane memo by residue otherwise,
+    and walks no lane in either case.
 
     Bit-identity with the reference interpreter is preserved the same
     way {!Compile} preserves it: identical float operations on identical
@@ -82,15 +88,15 @@ type vrt = {
 let inst rt = Interp.inst rt.c
 let flops rt k = Interp.flops rt.c k
 
-(* typed wrappers so the bigarray/array primitives specialize to direct
-   unboxed loads and stores (a bare alias of the polymorphic external
-   eta-expands into the generic C call, which would dominate the hot
-   loops) *)
-let[@inline] fget (a : Devmem.fmem) (i : int) : float =
-  Bigarray.Array1.unsafe_get a i
-
-let[@inline] fset (a : Devmem.fmem) (i : int) (v : float) : unit =
-  Bigarray.Array1.unsafe_set a i v
+(* the bigarray/array primitives at monomorphic types, so they
+   specialize to direct unboxed loads and stores (a bare alias of the
+   polymorphic external eta-expands into the generic C call, which would
+   dominate the hot loops). The float pair are primitives, not inlined
+   wrappers: an inlined wrapper binds its float argument as a generic
+   value, which boxes any lane result that can be a boxed variable —
+   e.g. [Float.max x u] with a uniform [u] — once per lane. *)
+external fget : Devmem.fmem -> int -> float = "%caml_ba_unsafe_ref_1"
+external fset : Devmem.fmem -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 
 let[@inline] iget (a : int array) (i : int) : int = Array.unsafe_get a i
 
@@ -113,14 +119,16 @@ let[@inline] iset (a : int array) (i : int) (v : int) : unit =
    *offsets* from the first lane address are, so digests carry the
    layout and recording replays it against the current base.
 
-   Sites marked [stable] by the planner read their varying index from a
-   tid plane, whose contents never change inside a block and only shift
-   uniformly across blocks. Once such a site has a digest, a loop
-   iteration whose base moved by a multiple of the memo granularity
-   replays it after an O(1) congruence check — no lane walk at all.
-   That is the closed-form uniform-loop credit: the per-iteration cost
-   is computed once and re-applied per trip ([cf_credits] counts the
-   replays). Partial masks fall back to the per-group math. *)
+   Sites marked [stable] by the planner read a pattern plane, whose
+   contents are the same in every block, plus a uniform offset (see the
+   index-plan note). Once such a site has a digest, an execution whose
+   base moved by a multiple of the memo granularity replays it after an
+   O(1) congruence check — no lane walk at all. That is the closed-form
+   uniform-loop credit: the per-iteration cost is computed once and
+   re-applied per trip ([cf_credits] counts the replays). At any other
+   base a segmented shape is fetched from the plane memo by residue,
+   and an irregular one digests its groups again. Partial masks fall
+   back to the per-group math. *)
 
 let width_eff (cfg : Config.t) ~(elt_bytes : int) =
   if elt_bytes >= 16 then cfg.Config.bw_efficiency_16b
@@ -411,8 +419,8 @@ let digest_of_groups (rt : vrt) ~(elt_bytes : int) ~(a0 : int) :
   }
 
 (** Account one global access whose lane byte address is
-    [base + ip.(po + l) * scale]. [stable] marks sites whose varying
-    index is a tid plane (see the accounting note above). *)
+    [base + ip.(po + l) * scale]. [stable] marks sites whose plane is a
+    pattern plane (see the accounting note above). *)
 let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
     ~(stable : bool) (m : int array) ~(po : int) ~(base : int)
     ~(scale : int) ~(site : int) : unit =
@@ -529,7 +537,7 @@ let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
         replay_digest c ~is_store ~weff ~a0 dig
       end
       else if stable then begin
-        (* irregular but block-stable shape (e.g. a tid plane whose
+        (* irregular but block-stable shape (e.g. a pattern plane whose
            rows wrap inside a half warp): digest the actual groups
            once, replay while the base stays congruent *)
         let dig = digest_of_groups rt ~elt_bytes ~a0 in
@@ -669,8 +677,8 @@ let apply_shared_n (c : Interp.bctx) ~(groups : int) ~(extra : int) : unit =
     s.Stats.bank_extra <- s.Stats.bank_extra +. float_of_int extra
 
 (** Account one shared access whose lane word address is
-    [ip.(po + l) * scale + u]. [stable] marks sites whose varying index
-    is a tid plane: bank costs are invariant under any uniform word
+    [ip.(po + l) * scale + u]. [stable] marks sites whose plane is a
+    pattern plane: bank costs are invariant under any uniform word
     shift, so their cached plane totals hold on every call. *)
 let account_shared_plane (rt : vrt) ~(stable : bool) (m : int array)
     ~(po : int) ~(scale : int) ~(u : int) ~(site : int) : unit =
@@ -854,8 +862,11 @@ type cstate = {
   mutable shared_specs : (string * Layout.t * int * int) list;
       (** name, layout, padded length, slot *)
   mutable global_params : (string * int array) list;  (** slot order *)
-  mutable tid_planes : (Ast.builtin * int) list;
-      (** permanent planes for tidx/tidy/idx/idy, filled per block *)
+  mutable id_planes : (Ast.builtin * int) list;
+      (** permanent planes for idx/idy, filled per block *)
+  mutable patterns : ((int * int) * int) list;
+      (** permanent pattern planes by [(ax, ay)]; [tidx] and [tidy] are
+          [(1, 0)] and [(0, 1)] *)
   cn : int;  (** threads per block *)
   claunch : Ast.launch;
 }
@@ -972,6 +983,59 @@ let beval (o : bopnd) rt m : bool =
       fill rt m;
       false
 
+(* --- float operators ---
+
+   Chosen at plan time and matched inside the lane loops. Without
+   flambda, a function value called per lane boxes its float arguments
+   and its float result — a few words of minor heap per lane per trip —
+   while a match on a constant constructor keeps every operand
+   unboxed. So no lane loop over float planes calls a function value:
+   operators are these variants, and a plane-or-uniform operand is read
+   through a [let]-bound [if] (an unbound float [if] in argument
+   position boxes its plane arm). *)
+
+type fop = Fadd | Fsub | Fmul | Fdiv | Fmax | Fmin
+
+let fop_of_arith : Ast.binop -> fop = function
+  | Add -> Fadd
+  | Sub -> Fsub
+  | Mul -> Fmul
+  | _ -> Fdiv
+
+let[@inline] fapply (op : fop) (x : float) (y : float) : float =
+  match op with
+  | Fadd -> x +. y
+  | Fsub -> x -. y
+  | Fmul -> x *. y
+  | Fdiv -> x /. y
+  | Fmax -> Float.max x y
+  | Fmin -> Float.min x y
+
+type fcmp = Clt | Cle | Cgt | Cge | Ceq | Cne
+
+let[@inline] fcompare (op : fcmp) (x : float) (y : float) : bool =
+  match op with
+  | Clt -> x < y
+  | Cle -> x <= y
+  | Cgt -> x > y
+  | Cge -> x >= y
+  | Ceq -> x = y
+  | Cne -> x <> y
+
+type funop = Fsqrt | Fabs | Fexp | Flog | Fsin | Fcos
+
+let[@inline] funapply (op : funop) (x : float) : float =
+  match op with
+  | Fsqrt -> sqrt x
+  | Fabs -> Float.abs x
+  | Fexp -> exp x
+  | Flog -> log x
+  | Fsin -> sin x
+  | Fcos -> cos x
+
+(** Plane offset of a float operand, or [-1] for a uniform one. *)
+let fplane st = function FP (p, _) -> p * st.cn | FU _ -> -1
+
 (* --- loop builders ---
 
    Each builder mirrors one {!Compile} node shape, including the exact
@@ -979,16 +1043,14 @@ let beval (o : bopnd) rt m : bool =
    order is observable through the statistics. Dest planes may alias
    operand planes: every loop reads lane [l] before writing lane [l]. *)
 
-let mk_fbin st ~(flops_first : bool) (fop : float -> float -> float) (ca : ve)
-    (cb : ve) : ve =
+let mk_fbin st ~(flops_first : bool) (op : fop) (ca : ve) (cb : ve) : ve =
   let fa, owna = fopnd st ca in
   let fb, ownb = fopnd st cb in
   release st owna;
   release st ownb;
   let d = alloc_f st in
   let doff = d * st.cn in
-  let aoff = match fa with FP (p, _) -> p * st.cn | FU _ -> 0 in
-  let boff = match fb with FP (p, _) -> p * st.cn | FU _ -> 0 in
+  let aoff = fplane st fa and boff = fplane st fb in
   let fill rt m =
     inst rt;
     if flops_first then flops rt (Array.length m);
@@ -1001,29 +1063,35 @@ let mk_fbin st ~(flops_first : bool) (fop : float -> float -> float) (ca : ve)
     | FP _, FP _ ->
         if Array.length m = n then
           for l = 0 to n - 1 do
-            fset fp (doff + l) (fop (fget fp (aoff + l)) (fget fp (boff + l)))
+            fset fp (doff + l)
+              (fapply op (fget fp (aoff + l)) (fget fp (boff + l)))
           done
         else
           Array.iter
             (fun l ->
-              fset fp (doff + l) (fop (fget fp (aoff + l)) (fget fp (boff + l))))
+              fset fp (doff + l)
+                (fapply op (fget fp (aoff + l)) (fget fp (boff + l))))
             m
     | FP _, FU _ ->
         if Array.length m = n then
           for l = 0 to n - 1 do
-            fset fp (doff + l) (fop (fget fp (aoff + l)) bv)
+            fset fp (doff + l) (fapply op (fget fp (aoff + l)) bv)
           done
         else
-          Array.iter (fun l -> fset fp (doff + l) (fop (fget fp (aoff + l)) bv)) m
+          Array.iter
+            (fun l -> fset fp (doff + l) (fapply op (fget fp (aoff + l)) bv))
+            m
     | FU _, FP _ ->
         if Array.length m = n then
           for l = 0 to n - 1 do
-            fset fp (doff + l) (fop av (fget fp (boff + l)))
+            fset fp (doff + l) (fapply op av (fget fp (boff + l)))
           done
         else
-          Array.iter (fun l -> fset fp (doff + l) (fop av (fget fp (boff + l)))) m
+          Array.iter
+            (fun l -> fset fp (doff + l) (fapply op av (fget fp (boff + l))))
+            m
     | FU _, FU _ ->
-        let v = fop av bv in
+        let v = fapply op av bv in
         if Array.length m = n then
           for l = 0 to n - 1 do
             fset fp (doff + l) v
@@ -1082,8 +1150,9 @@ let mk_ibin st (iop : int -> int -> int) (ca : ve) (cb : ve) : ve =
   in
   (XI (d, fill), [ PI d ])
 
-(* readers for the rare-node generic loops; one closure call per lane,
-   like the reference's [fread]/[iread] *)
+(* int and bool readers for the rare-node generic loops; one closure
+   call per lane, like the reference's [iread] (immediate values, so
+   nothing boxes) *)
 
 let ird st (o : iopnd) : (vrt -> int -> int -> int) * int =
   match o with
@@ -1091,13 +1160,6 @@ let ird st (o : iopnd) : (vrt -> int -> int -> int) * int =
   | IP (p, _) ->
       let po = p * st.cn in
       ((fun rt _ l -> iget rt.ip (po + l)), po)
-
-let frd st (o : fopnd) : vrt -> float -> int -> float =
-  match o with
-  | FU _ -> fun _ v _ -> v
-  | FP (p, _) ->
-      let po = p * st.cn in
-      fun rt _ l -> fget rt.fp (po + l)
 
 let brd st (o : bopnd) : vrt -> bool -> int -> bool =
   match o with
@@ -1132,29 +1194,29 @@ let mk_icmp st (iop : int -> int -> bool) (ca : ve) (cb : ve) : ve =
   in
   (XB (d, fill), [ PI d ])
 
-let mk_fcmp st (fop : float -> float -> bool) (ca : ve) (cb : ve) : ve =
+let mk_fcmp st (op : fcmp) (ca : ve) (cb : ve) : ve =
   let fa, owna = fopnd st ca in
   let fb, ownb = fopnd st cb in
   release st owna;
   release st ownb;
   let d = alloc_i st in
   let doff = d * st.cn in
-  let ra = frd st fa and rb = frd st fb in
+  let aoff = fplane st fa and boff = fplane st fb in
   let fill rt m =
     inst rt;
     let av = feval fa rt m in
     let bv = feval fb rt m in
-    let n = rt.n in
-    let ip = rt.ip in
-    if Array.length m = n then
-      for l = 0 to n - 1 do
-        iset ip (doff + l) (if fop (ra rt av l) (rb rt bv l) then 1 else 0)
+    let ip = rt.ip and fp = rt.fp in
+    let[@inline] lane l =
+      let x = if aoff >= 0 then fget fp (aoff + l) else av in
+      let y = if boff >= 0 then fget fp (boff + l) else bv in
+      iset ip (doff + l) (if fcompare op x y then 1 else 0)
+    in
+    if Array.length m = rt.n then
+      for l = 0 to rt.n - 1 do
+        lane l
       done
-    else
-      Array.iter
-        (fun l ->
-          iset ip (doff + l) (if fop (ra rt av l) (rb rt bv l) then 1 else 0))
-        m
+    else Array.iter lane m
   in
   (XB (d, fill), [ PI d ])
 
@@ -1199,122 +1261,233 @@ let iu = function IU f -> f | IP _ -> assert false
 let fu = function FU f -> f | FP _ -> assert false
 let bu = function BU f -> f | BP _ -> assert false
 
-(* --- index steps for array accesses --- *)
+(* --- index plans for array accesses ---
+
+   An index dimension built only from the thread builtins, integer
+   literals, [#pragma gpcc dim] constants, uniform loop variables and
+   block-uniform builtins with [+], [-], unary [-] and multiplication by
+   a compile-time constant is {e lane-affine}: at plan time it lowers to
+   [ax * tidx + ay * tidy + u] with compile-time coefficients and a
+   block-uniform remainder [u] — the index shape the paper's Section 3.2
+   coalescing analysis classifies. Flattened over the dimensions with
+   their strides, such a site reads one {e pattern plane}
+   [ax * tidx + ay * tidy] plus a scalar: one gather pass, no scratch
+   plane, no combine pass. A pattern plane is the same in every block,
+   so it is filled once per block state and shared by every site with
+   the same coefficients.
+
+   The remainder is kept as a linear form, not as a closure per node:
+   its leaves read loop registers and block ids and have no effect, and
+   integer arithmetic is exact modulo the word size in any association.
+   What the reference can observe is one warp instruction per operator
+   node, and the form counts them. Any other dimension is compiled as an
+   expression: a uniform one joins the scalar part in index order (it
+   may account a nested load, and byte-cost accumulation is
+   order-sensitive), and a varying one is an opaque plane step whose
+   site combines its planes in a scratch plane. *)
+
+type lin = {
+  ax : int;  (** coefficient of [tidx] *)
+  ay : int;  (** coefficient of [tidy] *)
+  k : int;  (** compile-time constant *)
+  kbx : int;  (** coefficient of [bidx] *)
+  kby : int;  (** coefficient of [bidy] *)
+  regs : (int * int) list;  (** uniform loop registers, coefficients *)
+  ops : int;  (** operator nodes: one warp instruction each *)
+  thr : bool;
+      (** mentions a thread builtin, so the value is per lane even when
+          the coefficients cancel *)
+}
+
+let lin0 =
+  { ax = 0; ay = 0; k = 0; kbx = 0; kby = 0; regs = []; ops = 0; thr = false }
+
+(** [a + s * b] over [ops] more operator nodes. *)
+let lin_axpy ~(ops : int) (a : lin) (s : int) (b : lin) : lin =
+  {
+    ax = a.ax + (s * b.ax);
+    ay = a.ay + (s * b.ay);
+    k = a.k + (s * b.k);
+    kbx = a.kbx + (s * b.kbx);
+    kby = a.kby + (s * b.kby);
+    regs = a.regs @ List.map (fun (r, c) -> (r, s * c)) b.regs;
+    ops = a.ops + b.ops + ops;
+    thr = a.thr || b.thr;
+  }
+
+let lin_const (a : lin) =
+  a.ax = 0 && a.ay = 0 && a.kbx = 0 && a.kby = 0 && a.regs = []
+
+(** The lane-affine form of [e], or [None] when [e] leaves the fragment
+    (a varying loop variable, a declared [int] held in a plane, a
+    runtime-uniform multiplier, [/], [%], a load, ...). *)
+let rec lin_of st env (e : Ast.expr) : lin option =
+  let l = st.claunch in
+  match e with
+  | Int_lit k -> Some { lin0 with k }
+  | Builtin Tidx -> Some { lin0 with ax = 1; thr = true }
+  | Builtin Tidy -> Some { lin0 with ay = 1; thr = true }
+  | Builtin Idx -> Some { lin0 with ax = 1; kbx = l.block_x; thr = true }
+  | Builtin Idy -> Some { lin0 with ay = 1; kby = l.block_y; thr = true }
+  | Builtin Bidx -> Some { lin0 with kbx = 1 }
+  | Builtin Bidy -> Some { lin0 with kby = 1 }
+  | Builtin Bdimx -> Some { lin0 with k = l.block_x }
+  | Builtin Bdimy -> Some { lin0 with k = l.block_y }
+  | Builtin Gdimx -> Some { lin0 with k = l.grid_x }
+  | Builtin Gdimy -> Some { lin0 with k = l.grid_y }
+  | Var v -> (
+      match Smap.find_opt v env with
+      | Some (Bconst k) -> Some { lin0 with k }
+      | Some (Bloop_u r) -> Some { lin0 with regs = [ (r, 1) ] }
+      | _ -> None)
+  | Unop (Neg, a) -> Option.map (lin_axpy ~ops:1 lin0 (-1)) (lin_of st env a)
+  | Binop (((Add | Sub) as op), a, b) -> (
+      match (lin_of st env a, lin_of st env b) with
+      | Some a, Some b ->
+          Some (lin_axpy ~ops:1 a (if op = Sub then -1 else 1) b)
+      | _ -> None)
+  | Binop (Mul, a, b) -> (
+      match (lin_of st env a, lin_of st env b) with
+      | Some a, Some b when lin_const a ->
+          let r = lin_axpy ~ops:(a.ops + 1) lin0 a.k b in
+          Some { r with thr = r.thr || a.thr }
+      | Some a, Some b when lin_const b ->
+          let r = lin_axpy ~ops:(b.ops + 1) lin0 b.k a in
+          Some { r with thr = r.thr || b.thr }
+      | _ -> None)
+  | _ -> None
+
+(** The scalar part of a lane-affine index: its warp instructions, then
+    its value in the current block and loop iteration. *)
+let lin_run (a : lin) : vrt -> int array -> int =
+  let ops = a.ops and k = a.k and kbx = a.kbx and kby = a.kby in
+  let rr = Array.of_list (List.map fst a.regs) in
+  let rc = Array.of_list (List.map snd a.regs) in
+  fun rt _ ->
+    for _ = 1 to ops do
+      inst rt
+    done;
+    let u = ref (k + (kbx * rt.c.Interp.bidx) + (kby * rt.c.Interp.bidy)) in
+    for i = 0 to Array.length rr - 1 do
+      u := !u + (iget rc i * iget rt.uregs (iget rr i))
+    done;
+    !u
+
+(** The permanent int plane holding [ax * tidx + ay * tidy], shared by
+    every site with these coefficients; filled when a block state is
+    created (see {!fill_patterns}). *)
+let pattern_plane st ~(ax : int) ~(ay : int) : int =
+  match List.assoc_opt (ax, ay) st.patterns with
+  | Some p -> p
+  | None ->
+      (* never drawn from the free list, like the id planes *)
+      let p = st.ni in
+      st.ni <- p + 1;
+      st.patterns <- ((ax, ay), p) :: st.patterns;
+      p
 
 type ostep =
-  | OU of (vrt -> int array -> int) * int  (** uniform index, stride *)
-  | OV of int * fill * int  (** plane offset, fill, stride *)
+  | OU of (vrt -> int array -> int) * int  (** uniform dimension, stride *)
+  | OV of int * fill * int  (** opaque plane offset, fill, stride *)
 
-let all_uniform_steps = List.for_all (function OU _ -> true | OV _ -> false)
-
-let eval_usteps (steps : ostep list) rt m : int =
-  List.fold_left
-    (fun acc s ->
-      match s with
-      | OU (f, stride) -> acc + (f rt m * stride)
-      | OV _ -> assert false)
-    0 steps
-
-(** A compiled varying index: the element offset of lane [l] is
+(** A varying index: the element offset of lane [l] is
     [ip.(xp_po + l) * xp_scale + u], where [u] is returned by [xp_run],
-    which also brings the plane up to date. An index varying in exactly
-    one dimension — the dominant [a[idy][k]] / [a[k][idx]] shapes — runs
-    with no scratch plane and no combine pass: gathers and accounting
-    read the dimension's own plane through the stride. Multi-plane
-    indices combine into a scratch plane in index order. *)
+    which also brings the plane up to date. *)
 type xplan = {
   xp_po : int;
   xp_scale : int;
   xp_run : vrt -> int array -> int;
+  xp_stable : bool;
+      (** no opaque step: the plane never changes inside a block and is
+          the same in every block, so the site's lane-relative address
+          layout is fixed and only [u] moves (see {!account_plane}) *)
 }
 
-(** Plan [steps] (which must contain at least one varying step; callers
-    route all-uniform indices through {!eval_usteps}). Returns the
-    scratch planes the plan owns; the caller must allocate destination
-    planes before releasing them so gathers never read a reused plane.
-    Step evaluation stays in index order — a uniform step's closure may
-    account a nested uniform load, and byte-cost accumulation is
-    order-sensitive. *)
-let mk_xplan st (steps : ostep list) : xplan * plane list =
-  let a = Array.of_list steps in
-  let nov =
-    Array.fold_left
-      (fun k s -> match s with OV _ -> k + 1 | OU _ -> k)
-      0 a
+type index =
+  | Iuniform of (vrt -> int array -> int)  (** the one element offset *)
+  | Ilanes of xplan
+
+(** Plan an index from its lane-affine part [a] (the flattened sum of
+    the lane-affine dimensions) and the other dimensions' [steps], in
+    index order. With no opaque step the site is one uniform offset, or
+    reads its pattern plane when it mentions a thread builtin; one
+    opaque step and no thread term reads that plane through its stride;
+    anything else combines into a scratch plane. Returns the scratch
+    planes the plan owns: the caller must allocate destination planes
+    before releasing them, so gathers never read a reused plane. *)
+let mk_index st (a : lin) (steps : ostep list) : index * plane list =
+  let lr = lin_run a in
+  let steps = Array.of_list steps in
+  let run =
+    if Array.length steps = 0 then lr
+    else fun rt m ->
+      let u = ref (lr rt m) in
+      Array.iter
+        (function
+          | OU (f, stride) -> u := !u + (f rt m * stride)
+          | OV (_, fl, _) -> fl rt m)
+        steps;
+      !u
   in
-  let single =
-    if nov = 1 then
-      Array.fold_left
-        (fun acc s -> match s with OV (po, _, s') -> Some (po, s') | OU _ -> acc)
-        None a
-    else None
+  let planes =
+    List.filter_map
+      (function OV (po, _, stride) -> Some (po, stride) | OU _ -> None)
+      (Array.to_list steps)
   in
-  match single with
-  | Some (po, sc) ->
-      let run rt m =
-        let u = ref 0 in
-        Array.iter
-          (function
-            | OU (f, stride) -> u := !u + (f rt m * stride)
-            | OV (_, fl, _) -> fl rt m)
-          a;
-        !u
-      in
-      ({ xp_po = po; xp_scale = sc; xp_run = run }, [])
-  | None ->
+  match planes with
+  | [] when not a.thr -> (Iuniform run, [])
+  | [] ->
+      let p = pattern_plane st ~ax:a.ax ~ay:a.ay in
+      ( Ilanes
+          { xp_po = p * st.cn; xp_scale = 1; xp_run = run; xp_stable = true },
+        [] )
+  | [ (po, sc) ] when not a.thr ->
+      ( Ilanes { xp_po = po; xp_scale = sc; xp_run = run; xp_stable = false },
+        [] )
+  | _ ->
       let offs = alloc_i st in
       let ooff = offs * st.cn in
-      let run rt m =
+      let terms =
+        Array.of_list
+          (if a.thr then
+             planes @ [ (pattern_plane st ~ax:a.ax ~ay:a.ay * st.cn, 1) ]
+           else planes)
+      in
+      let combined rt m =
+        let u = run rt m in
+        (* combine only once every fill has run: the scratch plane was
+           allocated after the dimensions were compiled, so it may be a
+           temporary that a later dimension's fill still writes *)
         let n = rt.n in
         let ip = rt.ip in
-        let u = ref 0 in
-        let first = ref true in
-        Array.iter
-          (function
-            | OU (f, stride) -> u := !u + (f rt m * stride)
-            | OV (po, fl, stride) ->
-                fl rt m;
-                if !first then begin
-                  first := false;
-                  if Array.length m = n then
-                    for l = 0 to n - 1 do
-                      iset ip (ooff + l) (iget ip (po + l) * stride)
-                    done
-                  else
-                    Array.iter
-                      (fun l -> iset ip (ooff + l) (iget ip (po + l) * stride))
-                      m
-                end
-                else if Array.length m = n then
-                  for l = 0 to n - 1 do
-                    iset ip (ooff + l)
-                      (iget ip (ooff + l) + (iget ip (po + l) * stride))
-                  done
-                else
-                  Array.iter
-                    (fun l ->
-                      iset ip (ooff + l)
-                        (iget ip (ooff + l) + (iget ip (po + l) * stride)))
-                    m)
-          a;
-        !u
+        let po, stride = terms.(0) in
+        if Array.length m = n then begin
+          for l = 0 to n - 1 do
+            iset ip (ooff + l) (iget ip (po + l) * stride)
+          done;
+          for t = 1 to Array.length terms - 1 do
+            let po, stride = terms.(t) in
+            for l = 0 to n - 1 do
+              iset ip (ooff + l)
+                (iget ip (ooff + l) + (iget ip (po + l) * stride))
+            done
+          done
+        end
+        else
+          Array.iter
+            (fun l ->
+              let o = ref 0 in
+              for t = 0 to Array.length terms - 1 do
+                let po, stride = terms.(t) in
+                o := !o + (iget ip (po + l) * stride)
+              done;
+              iset ip (ooff + l) !o)
+            m;
+        u
       in
-      ({ xp_po = ooff; xp_scale = 1; xp_run = run }, [ PI offs ])
-
-(** A site is {e stable} when every varying plane its index reads is a
-    tid plane: the contents never change inside a block and only shift
-    uniformly across blocks (a sum of uniform shifts is uniform, so the
-    property survives the multi-plane scratch combine), which makes the
-    site's address layout rigid — the cached accounting digest survives
-    with an O(1) congruence check instead of a lane walk (the
-    closed-form uniform-loop credit). *)
-let stable_plane st (po : int) : bool =
-  List.exists (fun (_, p) -> p * st.cn = po) st.tid_planes
-
-let stable_site st (steps : ostep list) : bool =
-  List.for_all
-    (function OU _ -> true | OV (po, _, _) -> stable_plane st po)
-    steps
+      ( Ilanes
+          { xp_po = ooff; xp_scale = 1; xp_run = combined; xp_stable = false },
+        [ PI offs ] )
 
 (* --- expression compilation --- *)
 
@@ -1376,9 +1549,11 @@ let rec comp_e (st : cstate) (env : binding Smap.t) (e : Ast.expr) : ve =
 and comp_builtin st (b : Ast.builtin) : ve =
   let l = st.claunch in
   match b with
-  | Tidx | Tidy | Idx | Idy ->
+  | Tidx -> (XI (pattern_plane st ~ax:1 ~ay:0, nofill), [])
+  | Tidy -> (XI (pattern_plane st ~ax:0 ~ay:1, nofill), [])
+  | Idx | Idy ->
       let p =
-        match List.assoc_opt b st.tid_planes with
+        match List.assoc_opt b st.id_planes with
         | Some p -> p
         | None ->
             (* permanent plane, filled at block setup — never drawn from
@@ -1386,7 +1561,7 @@ and comp_builtin st (b : Ast.builtin) : ve =
                the first read) *)
             let p = st.ni in
             st.ni <- p + 1;
-            st.tid_planes <- st.tid_planes @ [ (b, p) ];
+            st.id_planes <- st.id_planes @ [ (b, p) ];
             p
       in
       (XI (p, nofill), [])
@@ -1537,13 +1712,7 @@ and comp_binop_c st op (ca : ve) (cb : ve) : ve =
           else mk_ibin st iop ca cb
       | (XF2 _ | XF4 _), _ | _, (XF2 _ | XF4 _) -> comp_vec_arith st op ca cb
       | _ ->
-          let fop =
-            match op with
-            | Add -> ( +. )
-            | Sub -> ( -. )
-            | Mul -> ( *. )
-            | _ -> ( /. )
-          in
+          let fop = fop_of_arith op in
           if bothu then begin
             let fa, owna = fopnd st ca in
             let fb, ownb = fopnd st cb in
@@ -1556,7 +1725,7 @@ and comp_binop_c st op (ca : ve) (cb : ve) : ve =
                   let x = fa rt m in
                   let y = fb rt m in
                   flops rt (Array.length m);
-                  fop x y),
+                  fapply fop x y),
               [] )
           end
           else mk_fbin st ~flops_first:false fop ca cb)
@@ -1582,12 +1751,12 @@ and comp_binop_c st op (ca : ve) (cb : ve) : ve =
           end
           else mk_ibin st emod ca cb
       | _ -> unsupported "%% on non-int values")
-  | Lt -> comp_cmp st ca cb ~iop:(fun x y -> x < y) ~fop:(fun x y -> x < y)
-  | Le -> comp_cmp st ca cb ~iop:(fun x y -> x <= y) ~fop:(fun x y -> x <= y)
-  | Gt -> comp_cmp st ca cb ~iop:(fun x y -> x > y) ~fop:(fun x y -> x > y)
-  | Ge -> comp_cmp st ca cb ~iop:(fun x y -> x >= y) ~fop:(fun x y -> x >= y)
-  | Eq -> comp_cmp st ca cb ~iop:(fun x y -> x = y) ~fop:(fun x y -> x = y)
-  | Ne -> comp_cmp st ca cb ~iop:(fun x y -> x <> y) ~fop:(fun x y -> x <> y)
+  | Lt -> comp_cmp st ca cb ~iop:(fun x y -> x < y) ~cop:Clt
+  | Le -> comp_cmp st ca cb ~iop:(fun x y -> x <= y) ~cop:Cle
+  | Gt -> comp_cmp st ca cb ~iop:(fun x y -> x > y) ~cop:Cgt
+  | Ge -> comp_cmp st ca cb ~iop:(fun x y -> x >= y) ~cop:Cge
+  | Eq -> comp_cmp st ca cb ~iop:(fun x y -> x = y) ~cop:Ceq
+  | Ne -> comp_cmp st ca cb ~iop:(fun x y -> x <> y) ~cop:Cne
   | And | Or ->
       let disj = op = Or in
       if bothu then begin
@@ -1606,20 +1775,20 @@ and comp_binop_c st op (ca : ve) (cb : ve) : ve =
       else mk_bbin st ~disj ca cb
 
 and comp_vec_arith st op ca cb : ve =
-  let fop =
-    match op with Add -> ( +. ) | Sub -> ( -. ) | Mul -> ( *. ) | _ -> ( /. )
-  in
+  let fop = fop_of_arith op in
   let comb2 rt m poff qoff doff =
     let n = rt.n in
     let fp = rt.fp in
     if Array.length m = n then
       for l = 0 to n - 1 do
-        fset fp (doff + l) (fop (fget fp (poff + l)) (fget fp (qoff + l)))
+        fset fp (doff + l)
+          (fapply fop (fget fp (poff + l)) (fget fp (qoff + l)))
       done
     else
       Array.iter
         (fun l ->
-          fset fp (doff + l) (fop (fget fp (poff + l)) (fget fp (qoff + l))))
+          fset fp (doff + l)
+            (fapply fop (fget fp (poff + l)) (fget fp (qoff + l))))
         m
   in
   match (ca, cb) with
@@ -1661,8 +1830,7 @@ and comp_vec_arith st op ca cb : ve =
       (XF4 ((dx, dy, dz, dw), fill), [ PF dx; PF dy; PF dz; PF dw ])
   | _ -> unsupported "mixed vector/scalar arithmetic"
 
-and comp_cmp st ca cb ~(iop : int -> int -> bool)
-    ~(fop : float -> float -> bool) : ve =
+and comp_cmp st ca cb ~(iop : int -> int -> bool) ~(cop : fcmp) : ve =
   match (fst ca, fst cb) with
   | UI fa, UI fb ->
       release st (snd ca);
@@ -1687,174 +1855,177 @@ and comp_cmp st ca cb ~(iop : int -> int -> bool)
               inst rt;
               let x = fa rt m in
               let y = fb rt m in
-              fop x y),
+              fcompare cop x y),
           [] )
       end
-      else mk_fcmp st fop ca cb
+      else mk_fcmp st cop ca cb
 
-and comp_offsets st env (strides : int array) (idxs : Ast.expr list) :
-    ostep list * plane list =
+(** Plan an array index: the lane-affine dimensions fold into one
+    linear form, the others compile as expressions in index order (see
+    the index-plan note). Also returns the planes the plan holds: the
+    caller allocates its destination before releasing them. *)
+and comp_index st env (strides : int array) (idxs : Ast.expr list) :
+    index * plane list =
   let owns = ref [] in
+  let lin = ref lin0 in
   let steps =
-    List.mapi
-      (fun d idx ->
-        let stride = strides.(d) in
-        match comp_e st env idx with
-        | UI f, own ->
-            owns := own @ !owns;
-            OU (f, stride)
-        | UB f, own ->
-            owns := own @ !owns;
-            OU ((fun rt m -> if f rt m then 1 else 0), stride)
-        | ((XI _ | XB _), _) as v -> (
-            let o, own = iopnd v in
-            owns := own @ !owns;
-            match o with
-            | IP (p, fl) -> OV (p * st.cn, fl, stride)
-            | IU _ -> assert false)
-        | (UF _ | XF _ | XF2 _ | XF4 _), _ -> unsupported "expected an int value")
-      idxs
+    List.filter_map Fun.id
+      (List.mapi
+         (fun d idx ->
+           let stride = strides.(d) in
+           match lin_of st env idx with
+           | Some a ->
+               lin := lin_axpy ~ops:0 !lin stride a;
+               None
+           | None -> (
+               match comp_e st env idx with
+               | UI f, own ->
+                   owns := own @ !owns;
+                   Some (OU (f, stride))
+               | UB f, own ->
+                   owns := own @ !owns;
+                   Some (OU ((fun rt m -> if f rt m then 1 else 0), stride))
+               | ((XI _ | XB _), _) as v -> (
+                   let o, own = iopnd v in
+                   owns := own @ !owns;
+                   match o with
+                   | IP (p, fl) -> Some (OV (p * st.cn, fl, stride))
+                   | IU _ -> assert false)
+               | (UF _ | XF _ | XF2 _ | XF4 _), _ ->
+                   unsupported "expected an int value"))
+         idxs)
   in
-  (steps, !owns)
+  let ix, tmp = mk_index st !lin steps in
+  (ix, tmp @ !owns)
 
 and comp_load st env arr idxs : ve =
   match Smap.find_opt arr env with
-  | Some (Bglobal (gslot, strides, name)) ->
+  | Some (Bglobal (gslot, strides, name)) -> (
       if List.length idxs <> Array.length strides then
         unsupported "rank mismatch accessing %s" arr;
-      let steps, owns = comp_offsets st env strides idxs in
-      if all_uniform_steps steps then begin
-        release st owns;
-        ( UF
-            (fun rt m ->
-              inst rt;
-              let g = rt.globals.(gslot) in
-              let data = g.Devmem.data in
-              let len = Bigarray.Array1.dim data in
-              let o = eval_usteps steps rt m in
-              if o < 0 || o >= len then
-                Interp.err "out-of-bounds load %s[%d] (size %d)" name o len;
-              let v = fget data o in
-              let addr = g.Devmem.base + (o * 4) in
-              account_const rt ~is_store:false ~elt_bytes:4 m ~addr;
-              v),
-          [] )
-      end
-      else begin
-        let xp, tmp = mk_xplan st steps in
-        (* dest allocated while the index planes are held: the gather
-           and accounting read them through the plan *)
-        let d = alloc_f st in
-        release st owns;
-        release st tmp;
-        let doff = d * st.cn in
-        let po = xp.xp_po and sc = xp.xp_scale in
-        let run = xp.xp_run in
-        let site = fresh_site st in
-        let stable = stable_site st steps in
-        let fill rt m =
-          inst rt;
-          let g = rt.globals.(gslot) in
-          let data = g.Devmem.data in
-          let len = Bigarray.Array1.dim data in
-          let u = run rt m in
-          let n = rt.n in
-          let ip = rt.ip and fp = rt.fp in
-          if Array.length m = n then
-            if sc = 1 then
-              for l = 0 to n - 1 do
-                let o = iget ip (po + l) + u in
+      match comp_index st env strides idxs with
+      | Iuniform off, owns ->
+          release st owns;
+          ( UF
+              (fun rt m ->
+                inst rt;
+                let g = rt.globals.(gslot) in
+                let data = g.Devmem.data in
+                let len = Bigarray.Array1.dim data in
+                let o = off rt m in
                 if o < 0 || o >= len then
                   Interp.err "out-of-bounds load %s[%d] (size %d)" name o len;
-                fset fp (doff + l) (fget data o)
-              done
+                let v = fget data o in
+                let addr = g.Devmem.base + (o * 4) in
+                account_const rt ~is_store:false ~elt_bytes:4 m ~addr;
+                v),
+            [] )
+      | Ilanes xp, owns ->
+          (* dest allocated while the index planes are held: the gather
+             and accounting read them through the plan *)
+          let d = alloc_f st in
+          release st owns;
+          let doff = d * st.cn in
+          let po = xp.xp_po and sc = xp.xp_scale and stable = xp.xp_stable in
+          let run = xp.xp_run in
+          let site = fresh_site st in
+          let fill rt m =
+            inst rt;
+            let g = rt.globals.(gslot) in
+            let data = g.Devmem.data in
+            let len = Bigarray.Array1.dim data in
+            let u = run rt m in
+            let n = rt.n in
+            let ip = rt.ip and fp = rt.fp in
+            if Array.length m = n then
+              if sc = 1 then
+                for l = 0 to n - 1 do
+                  let o = iget ip (po + l) + u in
+                  if o < 0 || o >= len then
+                    Interp.err "out-of-bounds load %s[%d] (size %d)" name o len;
+                  fset fp (doff + l) (fget data o)
+                done
+              else
+                for l = 0 to n - 1 do
+                  let o = (iget ip (po + l) * sc) + u in
+                  if o < 0 || o >= len then
+                    Interp.err "out-of-bounds load %s[%d] (size %d)" name o len;
+                  fset fp (doff + l) (fget data o)
+                done
             else
-              for l = 0 to n - 1 do
-                let o = (iget ip (po + l) * sc) + u in
-                if o < 0 || o >= len then
-                  Interp.err "out-of-bounds load %s[%d] (size %d)" name o len;
-                fset fp (doff + l) (fget data o)
-              done
-          else
-            Array.iter
-              (fun l ->
-                let o = (iget ip (po + l) * sc) + u in
-                if o < 0 || o >= len then
-                  Interp.err "out-of-bounds load %s[%d] (size %d)" name o len;
-                fset fp (doff + l) (fget data o))
-              m;
-          account_plane rt ~is_store:false ~elt_bytes:4 ~stable m ~po
-            ~base:(g.Devmem.base + (4 * u))
-            ~scale:(4 * sc) ~site
-        in
-        (XF (d, fill), [ PF d ])
-      end
-  | Some (Bshared (sslot, strides, len)) ->
+              Array.iter
+                (fun l ->
+                  let o = (iget ip (po + l) * sc) + u in
+                  if o < 0 || o >= len then
+                    Interp.err "out-of-bounds load %s[%d] (size %d)" name o len;
+                  fset fp (doff + l) (fget data o))
+                m;
+            account_plane rt ~is_store:false ~elt_bytes:4 ~stable m ~po
+              ~base:(g.Devmem.base + (4 * u))
+              ~scale:(4 * sc) ~site
+          in
+          (XF (d, fill), [ PF d ]))
+  | Some (Bshared (sslot, strides, len)) -> (
       if List.length idxs <> Array.length strides then
         unsupported "rank mismatch accessing shared %s" arr;
-      let steps, owns = comp_offsets st env strides idxs in
       let name = arr in
-      if all_uniform_steps steps then begin
-        release st owns;
-        ( UF
-            (fun rt m ->
-              inst rt;
-              let data = rt.shareds.(sslot) in
-              let o = eval_usteps steps rt m in
-              if o < 0 || o >= len then
-                Interp.err "out-of-bounds shared load %s[%d] (size %d)" name o
-                  len;
-              let v = fget data o in
-              account_shared_const rt m ~addr:o;
-              v),
-          [] )
-      end
-      else begin
-        let xp, tmp = mk_xplan st steps in
-        let d = alloc_f st in
-        release st owns;
-        release st tmp;
-        let doff = d * st.cn in
-        let po = xp.xp_po and sc = xp.xp_scale in
-        let run = xp.xp_run in
-        let site = fresh_site st in
-        let stable = stable_site st steps in
-        let fill rt m =
-          inst rt;
-          let data = rt.shareds.(sslot) in
-          let u = run rt m in
-          let n = rt.n in
-          let ip = rt.ip and fp = rt.fp in
-          if Array.length m = n then
-            if sc = 1 then
-              for l = 0 to n - 1 do
-                let o = iget ip (po + l) + u in
+      match comp_index st env strides idxs with
+      | Iuniform off, owns ->
+          release st owns;
+          ( UF
+              (fun rt m ->
+                inst rt;
+                let data = rt.shareds.(sslot) in
+                let o = off rt m in
                 if o < 0 || o >= len then
                   Interp.err "out-of-bounds shared load %s[%d] (size %d)" name
                     o len;
-                fset fp (doff + l) (fget data o)
-              done
+                let v = fget data o in
+                account_shared_const rt m ~addr:o;
+                v),
+            [] )
+      | Ilanes xp, owns ->
+          let d = alloc_f st in
+          release st owns;
+          let doff = d * st.cn in
+          let po = xp.xp_po and sc = xp.xp_scale and stable = xp.xp_stable in
+          let run = xp.xp_run in
+          let site = fresh_site st in
+          let fill rt m =
+            inst rt;
+            let data = rt.shareds.(sslot) in
+            let u = run rt m in
+            let n = rt.n in
+            let ip = rt.ip and fp = rt.fp in
+            if Array.length m = n then
+              if sc = 1 then
+                for l = 0 to n - 1 do
+                  let o = iget ip (po + l) + u in
+                  if o < 0 || o >= len then
+                    Interp.err "out-of-bounds shared load %s[%d] (size %d)"
+                      name o len;
+                  fset fp (doff + l) (fget data o)
+                done
+              else
+                for l = 0 to n - 1 do
+                  let o = (iget ip (po + l) * sc) + u in
+                  if o < 0 || o >= len then
+                    Interp.err "out-of-bounds shared load %s[%d] (size %d)"
+                      name o len;
+                  fset fp (doff + l) (fget data o)
+                done
             else
-              for l = 0 to n - 1 do
-                let o = (iget ip (po + l) * sc) + u in
-                if o < 0 || o >= len then
-                  Interp.err "out-of-bounds shared load %s[%d] (size %d)" name
-                    o len;
-                fset fp (doff + l) (fget data o)
-              done
-          else
-            Array.iter
-              (fun l ->
-                let o = (iget ip (po + l) * sc) + u in
-                if o < 0 || o >= len then
-                  Interp.err "out-of-bounds shared load %s[%d] (size %d)" name
-                    o len;
-                fset fp (doff + l) (fget data o))
-              m;
-          account_shared_plane rt ~stable m ~po ~scale:sc ~u ~site
-        in
-        (XF (d, fill), [ PF d ])
-      end
+              Array.iter
+                (fun l ->
+                  let o = (iget ip (po + l) * sc) + u in
+                  if o < 0 || o >= len then
+                    Interp.err "out-of-bounds shared load %s[%d] (size %d)"
+                      name o len;
+                  fset fp (doff + l) (fget data o))
+                m;
+            account_shared_plane rt ~stable m ~po ~scale:sc ~u ~site
+          in
+          (XF (d, fill), [ PF d ]))
   | Some _ -> unsupported "%s is not an array" arr
   | None -> unsupported "unbound variable %s" arr
 
@@ -1862,68 +2033,68 @@ and comp_vload st env arr width idx : ve =
   match Smap.find_opt arr env with
   | Some (Bglobal (gslot, _, name)) ->
       if width <> 2 && width <> 4 then unsupported "vector width %d" width;
-      let fidx, owni = iopnd (comp_e st env idx) in
-      (* dest planes allocated while the index plane is held: accounting
+      let ix, owni = comp_index st env [| 1 |] [ idx ] in
+      (* dest planes allocated while the index planes are held: accounting
          reads the index after the component loops write the planes *)
       let ds = Array.init width (fun _ -> alloc_f st) in
       release st owni;
-      let site = fresh_site st in
       let cn = st.cn in
       let doffs = Array.map (fun d -> d * cn) ds in
-      let ioff = match fidx with IP (p, _) -> p * cn | IU _ -> 0 in
-      let stable =
-        match fidx with IP _ -> stable_plane st ioff | IU _ -> false
-      in
-      let fill rt m =
-        inst rt;
-        let g = rt.globals.(gslot) in
-        let data = g.Devmem.data in
-        let len = Bigarray.Array1.dim data in
-        let n = rt.n in
-        let fp = rt.fp in
-        let iuv = ieval fidx rt m in
-        (match fidx with
-        | IU _ ->
-            let i0 = iuv * width in
-            for k = 0 to width - 1 do
-              let o = i0 + k in
-              if o < 0 || o >= len then
-                Interp.err "out-of-bounds vector load %s[%d] (size %d)" name o
-                  len;
-              let v = fget data o in
-              let doff = doffs.(k) in
-              if Array.length m = n then
-                for l = 0 to n - 1 do
-                  fset fp (doff + l) v
-                done
-              else Array.iter (fun l -> fset fp (doff + l) v) m
-            done;
-            account_const rt ~is_store:false ~elt_bytes:(4 * width) m
-              ~addr:(g.Devmem.base + (i0 * 4))
-        | IP _ ->
-            let ip = rt.ip in
-            for k = 0 to width - 1 do
-              let doff = doffs.(k) in
-              if Array.length m = n then
-                for l = 0 to n - 1 do
-                  let o = (iget ip (ioff + l) * width) + k in
+      let fill =
+        match ix with
+        | Iuniform off ->
+            fun rt m ->
+              inst rt;
+              let g = rt.globals.(gslot) in
+              let data = g.Devmem.data in
+              let len = Bigarray.Array1.dim data in
+              let fp = rt.fp in
+              let i0 = off rt m * width in
+              for k = 0 to width - 1 do
+                let o = i0 + k in
+                if o < 0 || o >= len then
+                  Interp.err "out-of-bounds vector load %s[%d] (size %d)" name
+                    o len;
+                let v = fget data o in
+                let doff = doffs.(k) in
+                if Array.length m = rt.n then
+                  for l = 0 to rt.n - 1 do
+                    fset fp (doff + l) v
+                  done
+                else Array.iter (fun l -> fset fp (doff + l) v) m
+              done;
+              account_const rt ~is_store:false ~elt_bytes:(4 * width) m
+                ~addr:(g.Devmem.base + (i0 * 4))
+        | Ilanes xp ->
+            let po = xp.xp_po and sc = xp.xp_scale and stable = xp.xp_stable in
+            let run = xp.xp_run in
+            let site = fresh_site st in
+            fun rt m ->
+              inst rt;
+              let g = rt.globals.(gslot) in
+              let data = g.Devmem.data in
+              let len = Bigarray.Array1.dim data in
+              let u = run rt m in
+              let ip = rt.ip and fp = rt.fp in
+              for k = 0 to width - 1 do
+                let doff = doffs.(k) in
+                let[@inline] lane l =
+                  let o = (((iget ip (po + l) * sc) + u) * width) + k in
                   if o < 0 || o >= len then
                     Interp.err "out-of-bounds vector load %s[%d] (size %d)"
                       name o len;
                   fset fp (doff + l) (fget data o)
-                done
-              else
-                Array.iter
-                  (fun l ->
-                    let o = (iget ip (ioff + l) * width) + k in
-                    if o < 0 || o >= len then
-                      Interp.err "out-of-bounds vector load %s[%d] (size %d)"
-                        name o len;
-                    fset fp (doff + l) (fget data o))
-                  m
-            done;
-            account_plane rt ~is_store:false ~elt_bytes:(4 * width) ~stable m
-              ~po:ioff ~base:g.Devmem.base ~scale:(4 * width) ~site)
+                in
+                if Array.length m = rt.n then
+                  for l = 0 to rt.n - 1 do
+                    lane l
+                  done
+                else Array.iter lane m
+              done;
+              account_plane rt ~is_store:false ~elt_bytes:(4 * width) ~stable
+                m ~po
+                ~base:(g.Devmem.base + (4 * width * u))
+                ~scale:(4 * width * sc) ~site
       in
       if width = 2 then
         (XF2 ((ds.(0), ds.(1)), fill), [ PF ds.(0); PF ds.(1) ])
@@ -1960,14 +2131,14 @@ and comp_call st env f args : ve =
                 (fun rt m ->
                   inst rt;
                   flops rt (Array.length m);
-                  g (fa rt m)),
+                  funapply g (fa rt m)),
               [] )
         | ((XI _ | XF _), _) as v ->
             let fa, own = fopnd st v in
             release st own;
             let d = alloc_f st in
             let doff = d * st.cn in
-            let poff = match fa with FP (p, _) -> p * st.cn | FU _ -> 0 in
+            let poff = fplane st fa in
             let fill rt m =
               inst rt;
               flops rt (Array.length m);
@@ -1976,10 +2147,13 @@ and comp_call st env f args : ve =
               let fp = rt.fp in
               if Array.length m = n then
                 for l = 0 to n - 1 do
-                  fset fp (doff + l) (g (fget fp (poff + l)))
+                  fset fp (doff + l) (funapply g (fget fp (poff + l)))
                 done
               else
-                Array.iter (fun l -> fset fp (doff + l) (g (fget fp (poff + l)))) m
+                Array.iter
+                  (fun l ->
+                    fset fp (doff + l) (funapply g (fget fp (poff + l))))
+                  m
             in
             (XF (d, fill), [ PF d ])
         | _ -> unsupported "expected a float value")
@@ -2002,21 +2176,21 @@ and comp_call st env f args : ve =
                 flops rt (Array.length m);
                 let x = fa rt m in
                 let y = fb rt m in
-                g x y),
+                fapply g x y),
             [] )
         end
         else mk_fbin st ~flops_first:true g ca cb
     | _ -> unsupported "%s expects two arguments" f
   in
   match f with
-  | "sqrtf" -> unary sqrt
-  | "fabsf" -> unary Float.abs
-  | "expf" -> unary exp
-  | "logf" -> unary log
-  | "sinf" -> unary sin
-  | "cosf" -> unary cos
-  | "fmaxf" -> binary_f Float.max
-  | "fminf" -> binary_f Float.min
+  | "sqrtf" -> unary Fsqrt
+  | "fabsf" -> unary Fabs
+  | "expf" -> unary Fexp
+  | "logf" -> unary Flog
+  | "sinf" -> unary Fsin
+  | "cosf" -> unary Fcos
+  | "fmaxf" -> binary_f Fmax
+  | "fminf" -> binary_f Fmin
   | "min" | "max" -> (
       match args with
       | [ a; b ] ->
@@ -2217,26 +2391,28 @@ and comp_select st env cond a b : ve =
         release st ownb;
         let d = alloc_f st in
         let doff = d * st.cn in
-        let rc = brd st fc in
-        let ra = frd st fa and rb = frd st fb in
+        let coff = match fc with BP (p, _) -> p * st.cn | BU _ -> -1 in
+        let aoff = fplane st fa and boff = fplane st fb in
         let fill rt m =
           inst rt;
           let cv = beval fc rt m in
           let av = feval fa rt m in
           let bv = feval fb rt m in
-          let n = rt.n in
-          let fp = rt.fp in
-          if Array.length m = n then
-            for l = 0 to n - 1 do
-              fset fp (doff + l)
-                (if rc rt cv l then ra rt av l else rb rt bv l)
+          let ip = rt.ip and fp = rt.fp in
+          let[@inline] lane l =
+            let c = if coff >= 0 then iget ip (coff + l) <> 0 else cv in
+            let v =
+              if c then if aoff >= 0 then fget fp (aoff + l) else av
+              else if boff >= 0 then fget fp (boff + l)
+              else bv
+            in
+            fset fp (doff + l) v
+          in
+          if Array.length m = rt.n then
+            for l = 0 to rt.n - 1 do
+              lane l
             done
-          else
-            Array.iter
-              (fun l ->
-                fset fp (doff + l)
-                  (if rc rt cv l then ra rt av l else rb rt bv l))
-              m
+          else Array.iter lane m
         in
         (XF (d, fill), [ PF d ])
       end
@@ -2247,6 +2423,31 @@ and comp_select st env cond a b : ve =
 (** Masked store into a declared variable's permanent plane(s), with the
     reference interpreter's promotion rules (int->float, bool->int,
     int->bool). *)
+(** Masked copy of a float operand into a plane — a broadcast of a
+    uniform or a plane-to-plane copy — after evaluating the operand. *)
+let store_float st (fo : fopnd) (dplane : int) : vstmt =
+  let doff = dplane * st.cn in
+  match fo with
+  | FU f ->
+      fun rt m ->
+        let v = f rt m in
+        let fp = rt.fp in
+        if Array.length m = rt.n then
+          for l = 0 to rt.n - 1 do
+            fset fp (doff + l) v
+          done
+        else Array.iter (fun l -> fset fp (doff + l) v) m
+  | FP (p, fl) ->
+      let soff = p * st.cn in
+      fun rt m ->
+        fl rt m;
+        let fp = rt.fp in
+        if Array.length m = rt.n then
+          for l = 0 to rt.n - 1 do
+            fset fp (doff + l) (fget fp (soff + l))
+          done
+        else Array.iter (fun l -> fset fp (doff + l) (fget fp (soff + l))) m
+
 let store_plane st (b : binding) (ve : ve) : vstmt =
   let cn = st.cn in
   match (b, fst ve) with
@@ -2267,17 +2468,7 @@ let store_plane st (b : binding) (ve : ve) : vstmt =
   | Bfloat d, (UI _ | UF _ | XI _ | XF _) ->
       let fo, own = fopnd st ve in
       release st own;
-      let r = frd st fo in
-      let doff = d * cn in
-      fun rt m ->
-        let v = feval fo rt m in
-        let n = rt.n in
-        let fp = rt.fp in
-        if Array.length m = n then
-          for l = 0 to n - 1 do
-            fset fp (doff + l) (r rt v l)
-          done
-        else Array.iter (fun l -> fset fp (doff + l) (r rt v l)) m
+      store_float st fo d
   | Bbool d, (UB _ | XB _ | UI _ | XI _) ->
       let bo, own = bopnd ve in
       release st own;
@@ -2592,7 +2783,7 @@ and comp_acc st env (v : string) (pv : int) (e : Ast.expr) : vstmt =
     | Ast.Binop (Ast.Add, rest, Ast.Var v') when v' = v -> (Ast.Add, rest, false)
     | _ -> unsupported "not an accumulation"
   in
-  let fop = match op with Ast.Sub -> ( -. ) | _ -> ( +. ) in
+  let fop = fop_of_arith op in
   (* [Ok (a, aoff, b, boff)]: fused multiply-accumulate operands.
      [Error ve]: plain accumulate of an already-compiled [rest]. *)
   let fused =
@@ -2643,7 +2834,7 @@ and comp_acc st env (v : string) (pv : int) (e : Ast.expr) : vstmt =
               if Array.length m = n then
                 for l = 0 to n - 1 do
                   fset fp (doff + l)
-                    (fop
+                    (fapply fop
                        (fget fp (doff + l))
                        (fget fp (aoff + l) *. fget fp (boff + l)))
                 done
@@ -2651,14 +2842,14 @@ and comp_acc st env (v : string) (pv : int) (e : Ast.expr) : vstmt =
                 Array.iter
                   (fun l ->
                     fset fp (doff + l)
-                      (fop
+                      (fapply fop
                          (fget fp (doff + l))
                          (fget fp (aoff + l) *. fget fp (boff + l))))
                   m
             else if Array.length m = n then
               for l = 0 to n - 1 do
                 fset fp (doff + l)
-                  (fop
+                  (fapply fop
                      (fget fp (aoff + l) *. fget fp (boff + l))
                      (fget fp (doff + l)))
               done
@@ -2666,7 +2857,7 @@ and comp_acc st env (v : string) (pv : int) (e : Ast.expr) : vstmt =
               Array.iter
                 (fun l ->
                   fset fp (doff + l)
-                    (fop
+                    (fapply fop
                        (fget fp (aoff + l) *. fget fp (boff + l))
                        (fget fp (doff + l))))
                 m
@@ -2679,24 +2870,28 @@ and comp_acc st env (v : string) (pv : int) (e : Ast.expr) : vstmt =
               if Array.length m = n then
                 for l = 0 to n - 1 do
                   fset fp (doff + l)
-                    (fop (fget fp (doff + l)) (fget fp (aoff + l) *. bv))
+                    (fapply fop (fget fp (doff + l)) (fget fp (aoff + l) *. bv))
                 done
               else
                 Array.iter
                   (fun l ->
                     fset fp (doff + l)
-                      (fop (fget fp (doff + l)) (fget fp (aoff + l) *. bv)))
+                      (fapply fop
+                         (fget fp (doff + l))
+                         (fget fp (aoff + l) *. bv)))
                   m
             else if Array.length m = n then
               for l = 0 to n - 1 do
                 fset fp (doff + l)
-                  (fop (fget fp (aoff + l) *. bv) (fget fp (doff + l)))
+                  (fapply fop (fget fp (aoff + l) *. bv) (fget fp (doff + l)))
               done
             else
               Array.iter
                 (fun l ->
                   fset fp (doff + l)
-                    (fop (fget fp (aoff + l) *. bv) (fget fp (doff + l))))
+                    (fapply fop
+                       (fget fp (aoff + l) *. bv)
+                       (fget fp (doff + l))))
                 m
       | FU _, FP _ ->
           fun rt m ->
@@ -2707,24 +2902,28 @@ and comp_acc st env (v : string) (pv : int) (e : Ast.expr) : vstmt =
               if Array.length m = n then
                 for l = 0 to n - 1 do
                   fset fp (doff + l)
-                    (fop (fget fp (doff + l)) (av *. fget fp (boff + l)))
+                    (fapply fop (fget fp (doff + l)) (av *. fget fp (boff + l)))
                 done
               else
                 Array.iter
                   (fun l ->
                     fset fp (doff + l)
-                      (fop (fget fp (doff + l)) (av *. fget fp (boff + l))))
+                      (fapply fop
+                         (fget fp (doff + l))
+                         (av *. fget fp (boff + l))))
                   m
             else if Array.length m = n then
               for l = 0 to n - 1 do
                 fset fp (doff + l)
-                  (fop (av *. fget fp (boff + l)) (fget fp (doff + l)))
+                  (fapply fop (av *. fget fp (boff + l)) (fget fp (doff + l)))
               done
             else
               Array.iter
                 (fun l ->
                   fset fp (doff + l)
-                    (fop (av *. fget fp (boff + l)) (fget fp (doff + l))))
+                    (fapply fop
+                       (av *. fget fp (boff + l))
+                       (fget fp (doff + l))))
                 m
       | FU _, FU _ ->
           (* excluded above: both-uniform products stay on the scalar
@@ -2761,24 +2960,26 @@ and comp_acc st env (v : string) (pv : int) (e : Ast.expr) : vstmt =
                   if k = n then
                     for l = 0 to n - 1 do
                       fset fp (doff + l)
-                        (fop (fget fp (doff + l)) (fget fp (aoff + l)))
+                        (fapply fop (fget fp (doff + l)) (fget fp (aoff + l)))
                     done
                   else
                     Array.iter
                       (fun l ->
                         fset fp (doff + l)
-                          (fop (fget fp (doff + l)) (fget fp (aoff + l))))
+                          (fapply fop
+                             (fget fp (doff + l))
+                             (fget fp (aoff + l))))
                       m
                 else if k = n then
                   for l = 0 to n - 1 do
                     fset fp (doff + l)
-                      (fop (fget fp (aoff + l)) (fget fp (doff + l)))
+                      (fapply fop (fget fp (aoff + l)) (fget fp (doff + l)))
                   done
                 else
                   Array.iter
                     (fun l ->
                       fset fp (doff + l)
-                        (fop (fget fp (aoff + l)) (fget fp (doff + l))))
+                        (fapply fop (fget fp (aoff + l)) (fget fp (doff + l))))
                     m
           | FU _ ->
               fun rt m ->
@@ -2792,19 +2993,21 @@ and comp_acc st env (v : string) (pv : int) (e : Ast.expr) : vstmt =
                 if sum_left then
                   if k = n then
                     for l = 0 to n - 1 do
-                      fset fp (doff + l) (fop (fget fp (doff + l)) av)
+                      fset fp (doff + l) (fapply fop (fget fp (doff + l)) av)
                     done
                   else
                     Array.iter
-                      (fun l -> fset fp (doff + l) (fop (fget fp (doff + l)) av))
+                      (fun l ->
+                        fset fp (doff + l) (fapply fop (fget fp (doff + l)) av))
                       m
                 else if k = n then
                   for l = 0 to n - 1 do
-                    fset fp (doff + l) (fop av (fget fp (doff + l)))
+                    fset fp (doff + l) (fapply fop av (fget fp (doff + l)))
                   done
                 else
                   Array.iter
-                    (fun l -> fset fp (doff + l) (fop av (fget fp (doff + l))))
+                    (fun l ->
+                      fset fp (doff + l) (fapply fop av (fget fp (doff + l))))
                     m))
 
 and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
@@ -2843,9 +3046,9 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
   | Lvec { v_arr; v_width; v_index } -> (
       match Smap.find_opt v_arr env with
       | Some (Bglobal (gslot, _, name)) -> (
-          let fidx, owni = iopnd (comp_e st env v_index) in
+          let ix, owni = comp_index st env [| 1 |] [ v_index ] in
           let src = comp_e st env e in
-          let comps =
+          let coffs, cfl =
             match (fst src, v_width) with
             | XF2 ((x, y), fl), 2 -> ([| x * st.cn; y * st.cn |], fl)
             | XF4 ((x, y, z, w), fl), 4 ->
@@ -2854,38 +3057,36 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
           in
           release st (snd src);
           release st owni;
-          let site = fresh_site st in
-          let coffs, cfl = comps in
-          match fidx with
-          | IU fi ->
+          let store_lane data len fp l i0 =
+            for q = 0 to v_width - 1 do
+              let o = i0 + q in
+              if o < 0 || o >= len then
+                Interp.err "out-of-bounds vector store %s[%d] (size %d)" name
+                  o len;
+              fset data o (fget fp (coffs.(q) + l))
+            done
+          in
+          match ix with
+          | Iuniform off ->
               fun rt m ->
                 inst rt;
-                let i0 = fi rt m in
+                let i0 = off rt m in
                 cfl rt m;
                 let g = rt.globals.(gslot) in
                 let data = g.Devmem.data in
                 let len = Bigarray.Array1.dim data in
                 let fp = rt.fp in
-                Array.iter
-                  (fun l ->
-                    let i0 = i0 * v_width in
-                    for q = 0 to v_width - 1 do
-                      let o = i0 + q in
-                      if o < 0 || o >= len then
-                        Interp.err
-                          "out-of-bounds vector store %s[%d] (size %d)" name o
-                          len;
-                      fset data o (fget fp (coffs.(q) + l))
-                    done)
-                  m;
+                Array.iter (fun l -> store_lane data len fp l (i0 * v_width)) m;
                 account_const rt ~is_store:true ~elt_bytes:(4 * v_width) m
                   ~addr:(g.Devmem.base + (i0 * v_width * 4))
-          | IP (p, fl) ->
-              let po = p * st.cn in
-              let stable = stable_plane st po in
+          | Ilanes xp ->
+              let po = xp.xp_po and sc = xp.xp_scale in
+              let stable = xp.xp_stable in
+              let run = xp.xp_run in
+              let site = fresh_site st in
               fun rt m ->
                 inst rt;
-                fl rt m;
+                let u = run rt m in
                 cfl rt m;
                 let g = rt.globals.(gslot) in
                 let data = g.Devmem.data in
@@ -2893,146 +3094,130 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
                 let fp = rt.fp and ip = rt.ip in
                 Array.iter
                   (fun l ->
-                    let i0 = iget ip (po + l) * v_width in
-                    for q = 0 to v_width - 1 do
-                      let o = i0 + q in
-                      if o < 0 || o >= len then
-                        Interp.err
-                          "out-of-bounds vector store %s[%d] (size %d)" name o
-                          len;
-                      fset data o (fget fp (coffs.(q) + l))
-                    done)
+                    store_lane data len fp l
+                      (((iget ip (po + l) * sc) + u) * v_width))
                   m;
                 account_plane rt ~is_store:true ~elt_bytes:(4 * v_width)
-                  ~stable m ~po ~base:g.Devmem.base ~scale:(4 * v_width) ~site)
+                  ~stable m ~po
+                  ~base:(g.Devmem.base + (4 * v_width * u))
+                  ~scale:(4 * v_width * sc) ~site)
       | _ -> unsupported "vector store to non-global array %s" v_arr)
   | Lindex (arr, idxs) -> (
       let src, owns_src = fopnd st (comp_e st env e) in
-      let rs = frd st src in
+      let soff = fplane st src in
       match Smap.find_opt arr env with
-      | Some (Bglobal (gslot, strides, name)) ->
+      | Some (Bglobal (gslot, strides, name)) -> (
           if List.length idxs <> Array.length strides then
             unsupported "rank mismatch accessing %s" arr;
-          let steps, owns_i = comp_offsets st env strides idxs in
-          if all_uniform_steps steps then begin
-            release st owns_i;
-            release st owns_src;
-            fun rt m ->
-              inst rt;
-              let sv = feval src rt m in
-              let g = rt.globals.(gslot) in
-              let data = g.Devmem.data in
-              let len = Bigarray.Array1.dim data in
-              let o = eval_usteps steps rt m in
-              if o < 0 || o >= len then
-                Interp.err "out-of-bounds store %s[%d] (size %d)" name o len;
-              Array.iter (fun l -> fset data o (rs rt sv l)) m;
-              let addr = g.Devmem.base + (o * 4) in
-              account_const rt ~is_store:true ~elt_bytes:4 m ~addr
-          end
-          else begin
-            let xp, tmp = mk_xplan st steps in
-            release st owns_i;
-            release st owns_src;
-            release st tmp;
-            let po = xp.xp_po and sc = xp.xp_scale in
-            let run = xp.xp_run in
-            let site = fresh_site st in
-            let stable = stable_site st steps in
-            fun rt m ->
-              inst rt;
-              let sv = feval src rt m in
-              let g = rt.globals.(gslot) in
-              let data = g.Devmem.data in
-              let len = Bigarray.Array1.dim data in
-              let u = run rt m in
-              let ip = rt.ip in
-              if Array.length m = rt.n then
-                for l = 0 to rt.n - 1 do
+          let ix, owns_i = comp_index st env strides idxs in
+          release st owns_i;
+          release st owns_src;
+          match ix with
+          | Iuniform off ->
+              fun rt m ->
+                inst rt;
+                let sv = feval src rt m in
+                let g = rt.globals.(gslot) in
+                let data = g.Devmem.data in
+                let len = Bigarray.Array1.dim data in
+                let o = off rt m in
+                if o < 0 || o >= len then
+                  Interp.err "out-of-bounds store %s[%d] (size %d)" name o len;
+                let fp = rt.fp in
+                Array.iter
+                  (fun l ->
+                    let v = if soff >= 0 then fget fp (soff + l) else sv in
+                    fset data o v)
+                  m;
+                let addr = g.Devmem.base + (o * 4) in
+                account_const rt ~is_store:true ~elt_bytes:4 m ~addr
+          | Ilanes xp ->
+              let po = xp.xp_po and sc = xp.xp_scale in
+              let stable = xp.xp_stable in
+              let run = xp.xp_run in
+              let site = fresh_site st in
+              fun rt m ->
+                inst rt;
+                let sv = feval src rt m in
+                let g = rt.globals.(gslot) in
+                let data = g.Devmem.data in
+                let len = Bigarray.Array1.dim data in
+                let u = run rt m in
+                let ip = rt.ip and fp = rt.fp in
+                let[@inline] lane l =
                   let o = (iget ip (po + l) * sc) + u in
                   if o < 0 || o >= len then
                     Interp.err "out-of-bounds store %s[%d] (size %d)" name o
                       len;
-                  fset data o (rs rt sv l)
-                done
-              else
-                Array.iter
-                  (fun l ->
-                    let o = (iget ip (po + l) * sc) + u in
-                    if o < 0 || o >= len then
-                      Interp.err "out-of-bounds store %s[%d] (size %d)" name o
-                        len;
-                    fset data o (rs rt sv l))
-                  m;
-              account_plane rt ~is_store:true ~elt_bytes:4 ~stable m ~po
-                ~base:(g.Devmem.base + (4 * u))
-                ~scale:(4 * sc) ~site
-          end
-      | Some (Bshared (sslot, strides, len)) ->
+                  let v = if soff >= 0 then fget fp (soff + l) else sv in
+                  fset data o v
+                in
+                if Array.length m = rt.n then
+                  for l = 0 to rt.n - 1 do
+                    lane l
+                  done
+                else Array.iter lane m;
+                account_plane rt ~is_store:true ~elt_bytes:4 ~stable m ~po
+                  ~base:(g.Devmem.base + (4 * u))
+                  ~scale:(4 * sc) ~site)
+      | Some (Bshared (sslot, strides, len)) -> (
           if List.length idxs <> Array.length strides then
             unsupported "rank mismatch accessing shared %s" arr;
-          let steps, owns_i = comp_offsets st env strides idxs in
           let name = arr in
-          if all_uniform_steps steps then begin
-            release st owns_i;
-            release st owns_src;
-            fun rt m ->
-              inst rt;
-              let sv = feval src rt m in
-              let data = rt.shareds.(sslot) in
-              let o = eval_usteps steps rt m in
-              if o < 0 || o >= len then
-                Interp.err "out-of-bounds shared store %s[%d] (size %d)" name
-                  o len;
-              Array.iter (fun l -> fset data o (rs rt sv l)) m;
-              account_shared_const rt m ~addr:o
-          end
-          else begin
-            let xp, tmp = mk_xplan st steps in
-            release st owns_i;
-            release st owns_src;
-            release st tmp;
-            let po = xp.xp_po and sc = xp.xp_scale in
-            let run = xp.xp_run in
-            let site = fresh_site st in
-            let stable = stable_site st steps in
-            fun rt m ->
-              inst rt;
-              let sv = feval src rt m in
-              let data = rt.shareds.(sslot) in
-              let u = run rt m in
-              let ip = rt.ip in
-              if Array.length m = rt.n then
-                for l = 0 to rt.n - 1 do
+          let ix, owns_i = comp_index st env strides idxs in
+          release st owns_i;
+          release st owns_src;
+          match ix with
+          | Iuniform off ->
+              fun rt m ->
+                inst rt;
+                let sv = feval src rt m in
+                let data = rt.shareds.(sslot) in
+                let o = off rt m in
+                if o < 0 || o >= len then
+                  Interp.err "out-of-bounds shared store %s[%d] (size %d)" name
+                    o len;
+                let fp = rt.fp in
+                Array.iter
+                  (fun l ->
+                    let v = if soff >= 0 then fget fp (soff + l) else sv in
+                    fset data o v)
+                  m;
+                account_shared_const rt m ~addr:o
+          | Ilanes xp ->
+              let po = xp.xp_po and sc = xp.xp_scale in
+              let stable = xp.xp_stable in
+              let run = xp.xp_run in
+              let site = fresh_site st in
+              fun rt m ->
+                inst rt;
+                let sv = feval src rt m in
+                let data = rt.shareds.(sslot) in
+                let u = run rt m in
+                let ip = rt.ip and fp = rt.fp in
+                let[@inline] lane l =
                   let o = (iget ip (po + l) * sc) + u in
                   if o < 0 || o >= len then
                     Interp.err "out-of-bounds shared store %s[%d] (size %d)"
                       name o len;
-                  fset data o (rs rt sv l)
-                done
-              else
-                Array.iter
-                  (fun l ->
-                    let o = (iget ip (po + l) * sc) + u in
-                    if o < 0 || o >= len then
-                      Interp.err "out-of-bounds shared store %s[%d] (size %d)"
-                        name o len;
-                    fset data o (rs rt sv l))
-                  m;
-              account_shared_plane rt ~stable m ~po ~scale:sc ~u ~site
-          end
+                  let v = if soff >= 0 then fget fp (soff + l) else sv in
+                  fset data o v
+                in
+                if Array.length m = rt.n then
+                  for l = 0 to rt.n - 1 do
+                    lane l
+                  done
+                else Array.iter lane m;
+                account_shared_plane rt ~stable m ~po ~scale:sc ~u ~site)
       | Some _ | None -> unsupported "%s is not an array" arr)
 
 and store_component st (src : ve) (dplane : int) : vstmt =
   let fo, own = fopnd st src in
   release st own;
-  let r = frd st fo in
-  let doff = dplane * st.cn in
+  let store = store_float st fo dplane in
   fun rt m ->
     inst rt;
-    let v = feval fo rt m in
-    let fp = rt.fp in
-    Array.iter (fun l -> fset fp (doff + l) (r rt v l)) m
+    store rt m
 
 and comp_block st env (b : Ast.block) : vstmt =
   snd (comp_block_env st env b)
@@ -3063,7 +3248,8 @@ type code = {
   co_globals : (string * int array) array;
       (** per global slot: parameter name and expected padded strides *)
   co_phases : vstmt array;
-  co_tid_planes : (Ast.builtin * int) list;
+  co_id_planes : (Ast.builtin * int) list;
+  co_patterns : ((int * int) * int) list;
   co_tidx : int array;
   co_tidy : int array;
   co_full_mask : int array;
@@ -3088,7 +3274,8 @@ let compile_uncached (k : Ast.kernel) (launch : Ast.launch) : code =
       nsites = 0;
       shared_specs = [];
       global_params = [];
-      tid_planes = [];
+      id_planes = [];
+      patterns = [];
       cn = n;
       claunch = launch;
     }
@@ -3141,7 +3328,8 @@ let compile_uncached (k : Ast.kernel) (launch : Ast.launch) : code =
     co_shared_lens = shared_lens;
     co_globals = Array.of_list st.global_params;
     co_phases = phases;
-    co_tid_planes = st.tid_planes;
+    co_id_planes = st.id_planes;
+    co_patterns = st.patterns;
     co_tidx = Array.init n (fun l -> l mod launch.block_x);
     co_tidy = Array.init n (fun l -> l / launch.block_x);
     co_full_mask = Array.init n Fun.id;
@@ -3217,7 +3405,19 @@ let prepare (code : code) (mem : Devmem.t) : prepared =
 let dummy_env : (string, Interp.entry) Hashtbl.t = Hashtbl.create 1
 let dummy_shadow : (string, Interp.shadow) Hashtbl.t = Hashtbl.create 1
 
-let init_tid_planes (code : code) (rt : vrt) ~(bidx : int) ~(bidy : int) :
+(** Fill the pattern planes, which are the same in every block and are
+    never written by kernel code, so a pooled block state keeps them. *)
+let fill_patterns (code : code) (rt : vrt) : unit =
+  let n = code.co_n and bx = code.co_launch.block_x in
+  List.iter
+    (fun ((ax, ay), pl) ->
+      let o = pl * n in
+      for l = 0 to n - 1 do
+        rt.ip.(o + l) <- (ax * (l mod bx)) + (ay * (l / bx))
+      done)
+    code.co_patterns
+
+let init_id_planes (code : code) (rt : vrt) ~(bidx : int) ~(bidy : int) :
     unit =
   let n = code.co_n in
   List.iter
@@ -3225,14 +3425,6 @@ let init_tid_planes (code : code) (rt : vrt) ~(bidx : int) ~(bidy : int) :
       let o = pl * n in
       let bx = code.co_launch.block_x in
       match b with
-      | Ast.Tidx ->
-          for l = 0 to n - 1 do
-            rt.ip.(o + l) <- l mod bx
-          done
-      | Ast.Tidy ->
-          for l = 0 to n - 1 do
-            rt.ip.(o + l) <- l / bx
-          done
       | Ast.Idx ->
           for l = 0 to n - 1 do
             rt.ip.(o + l) <- (bidx * bx) + (l mod bx)
@@ -3242,7 +3434,7 @@ let init_tid_planes (code : code) (rt : vrt) ~(bidx : int) ~(bidy : int) :
             rt.ip.(o + l) <- (bidy * code.co_launch.block_y) + (l / bx)
           done
       | _ -> assert false)
-    code.co_tid_planes
+    code.co_id_planes
 
 let fresh_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
     ~(record_tx : bool) ~(bidx : int) ~(bidy : int) : vrt =
@@ -3294,13 +3486,15 @@ let fresh_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
       cf_credits = 0;
     }
   in
-  init_tid_planes code rt ~bidx ~bidy;
+  fill_patterns code rt;
+  init_id_planes code rt ~bidx ~bidy;
   rt
 
 (** Re-initialize an existing block state for a new block of the {e same}
     prepared code, reusing every plane and scratch array. Shared arrays
-    are re-zeroed (fresh per block in the reference) and tid planes are
-    refilled; float/int planes carry stale lanes, which is sound because
+    are re-zeroed (fresh per block in the reference) and the idx/idy
+    planes are refilled; pattern planes keep their contents, and other
+    float/int planes carry stale lanes, which is sound because
     every declared scalar re-zeroes its planes at its [Decl] and every
     temporary is written before it is read. The per-site stride caches
     carry over — they are keyed by access pattern, not block id. *)
@@ -3330,7 +3524,7 @@ let remake_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
   Array.iter (fun sh -> Bigarray.Array1.fill sh 0.0) old.shareds;
   Array.fill old.uregs 0 (Array.length old.uregs) 0;
   let rt = { old with c; globals = p.p_globals; site_hits = 0; cf_credits = 0 } in
-  init_tid_planes code rt ~bidx ~bidy;
+  init_id_planes code rt ~bidx ~bidy;
   rt
 
 let pool_cap = 128

@@ -2,9 +2,10 @@
     simulator backends must be bit-identical to the tree-walking
     reference interpreter — output arrays, every {!Gpcc_sim.Stats}
     field, and the derived {!Gpcc_sim.Timing} estimate — on every
-    registry workload, naive and optimized, in Full and Sampled modes,
-    and on a seeded corpus of random fuzz kernels; parallel grid
-    execution must reproduce serial execution exactly. *)
+    registry workload, naive and optimized, in Full and Sampled modes
+    (the vector backend also on the CUBLAS and SDK comparators), and on
+    a seeded corpus of random fuzz kernels; parallel grid execution must
+    reproduce serial execution exactly. *)
 
 open Util
 module W = Gpcc_workloads.Workload
@@ -96,25 +97,51 @@ let test_compiled_matches_reference () =
         (kernels_of w n))
     Gpcc_workloads.Registry.all
 
+(** The comparators of Figures 13 and 15: the six CUBLAS kernels at the
+    size their correctness test uses, and the two SDK transposes. *)
+let comparators () =
+  List.map
+    (fun (c : Gpcc_workloads.Cublas_sim.comparator) ->
+      let w = Gpcc_workloads.Registry.find_exn c.c_for in
+      let n = max w.W.test_size 128 in
+      ( "cublas_" ^ c.c_for,
+        w,
+        n,
+        Gpcc_workloads.Cublas_sim.kernel c n,
+        c.c_launch n ))
+    Gpcc_workloads.Cublas_sim.all
+  @
+  let tp = Gpcc_workloads.Registry.find_exn "tp" in
+  let n = tp.W.test_size in
+  let kp, lp = Gpcc_workloads.Sdk_transpose.prev n in
+  let kn, ln = Gpcc_workloads.Sdk_transpose.new_ n in
+  [ ("sdk_prev", tp, n, kp, lp); ("sdk_new", tp, n, kn, ln) ]
+
 let test_vector_matches_reference () =
+  let versions =
+    List.concat_map
+      (fun (w : W.t) ->
+        let n = w.W.test_size in
+        List.map
+          (fun (label, k, launch) -> (label, w, n, k, launch))
+          (kernels_of w n))
+      Gpcc_workloads.Registry.all
+    @ comparators ()
+  in
   List.iter
-    (fun (w : W.t) ->
-      let n = w.W.test_size in
+    (fun (label, w, n, k, launch) ->
       List.iter
-        (fun (label, k, launch) ->
-          List.iter
-            (fun (mname, mode) ->
-              let fb0 = Gpcc_sim.Vector.fallback_count () in
-              let rr = exec ~backend:L.Reference ~jobs:1 ~mode w n k launch in
-              let rv = exec ~backend:L.Vector ~jobs:1 ~mode w n k launch in
-              Alcotest.(check int)
-                (label ^ "/" ^ mname ^ " vector without fallback")
-                fb0
-                (Gpcc_sim.Vector.fallback_count ());
-              bit_identical (label ^ "/" ^ mname ^ " vector") rr rv)
-            [ ("full", L.Full); ("sampled", L.Sampled 4) ])
-        (kernels_of w n))
-    Gpcc_workloads.Registry.all
+        (fun (mname, mode) ->
+          let fb0 = Gpcc_sim.Vector.fallback_count () in
+          let rr = exec ~backend:L.Reference ~jobs:1 ~mode w n k launch in
+          let rv = exec ~backend:L.Vector ~jobs:1 ~mode w n k launch in
+          Alcotest.(check int)
+            (label ^ "/" ^ mname ^ " vector without fallback")
+            fb0
+            (Gpcc_sim.Vector.fallback_count ());
+          bit_identical (label ^ "/" ^ mname ^ " vector") rr rv)
+        [ ("full", L.Full); ("sampled", L.Sampled 4) ])
+    versions
 
 (** Seeded random-kernel corpus: the vector backend must agree with the
     reference bit-for-bit on generated kernels too (reduction loops,
@@ -152,14 +179,14 @@ let test_vector_fuzz_corpus () =
     plane-granularity accounting resolves without per-half-warp work.
     Each must stay bit-identical to the reference, and the perf
     counters must show the fast paths actually firing — the plane memo
-    on strided planes, the closed-form credit on block-uniform loops. *)
+    on strided planes, the closed-form credit on block-uniform loops,
+    including sites whose index is lane-affine with a uniform loop
+    variable folded in. *)
 let test_vector_plane_accounting () =
-  let run_pair label src grid block =
+  let run_pair label src (grid_x, grid_y) (block_x, block_y) =
     let exec ~backend =
       let k = parse_kernel src in
-      let launch =
-        { Gpcc_ast.Ast.grid_x = grid; grid_y = 1; block_x = block; block_y = 1 }
-      in
+      let launch = { Gpcc_ast.Ast.grid_x; grid_y; block_x; block_y } in
       let mem = Gpcc_sim.Devmem.of_kernel k in
       let r = L.run ~mode:L.Full ~backend ~jobs:1 cfg280 k launch mem in
       (r, List.map (fun a -> (a, Gpcc_sim.Devmem.read mem a)) (global_arrays k))
@@ -179,7 +206,7 @@ let test_vector_plane_accounting () =
       {|__kernel void s(float a[512], float o[256]) {
   o[idx] = a[idx * 2];
 }|}
-      4 64
+      (4, 1) (64, 1)
   in
   Alcotest.(check bool)
     "strided: plane memo exercised" true
@@ -190,7 +217,7 @@ let test_vector_plane_accounting () =
       {|__kernel void f(float a[512], float o[256]) {
   o[idx] = a[idx + 3];
 }|}
-      4 64
+      (4, 1) (64, 1)
   in
   (* block-uniform loop over a stable tid-plane site: every iteration
      after the first replays the cached digest in closed form *)
@@ -203,11 +230,194 @@ __kernel void t(float a[64][64], float b[64], float c[64], int w) {
     sum += a[i][idx] * b[i];
   c[idx] = sum;
 }|}
-      1 64
+      (1, 1) (64, 1)
   in
   Alcotest.(check bool)
     "uniform loop: closed-form credits advance" true
-    L.(pc1.pc_closed_form > pc0.pc_closed_form)
+    L.(pc1.pc_closed_form > pc0.pc_closed_form);
+  (* a row walk: [idy + i] is lane-affine, so every trip after the
+     first of the run moves the base by a whole row, congruent modulo the
+     memo granularity, and replays the digest: 4 blocks x 32 trips - 1 *)
+  let pc0, pc1 =
+    run_pair "row walk credit"
+      {|#pragma gpcc dim w 32
+__kernel void r(float a[64][64], float c[32][32], int w) {
+  float sum = 0;
+  for (int i = 0; i < w; i++)
+    sum += a[idy + i][idx];
+  c[idy][idx] = sum;
+}|}
+      (2, 2) (16, 16)
+  in
+  let credits = L.(pc1.pc_closed_form - pc0.pc_closed_form) in
+  if credits < 127 then
+    Alcotest.failf "row walk: %d closed-form credits, want >= 127" credits;
+  (* a shared inner loop: the bank costs of [sh[tidx + (i + k)]] are
+     invariant under the uniform shift, so 31 of 32 trips are credits *)
+  let pc0, pc1 =
+    run_pair "shared inner loop credit"
+      {|__kernel void s(float a[64], float ws0[32], float o[32]) {
+  __shared__ float sh[64];
+  __shared__ float ws[32];
+  sh[tidx] = a[tidx];
+  sh[tidx + 32] = a[tidx + 32];
+  ws[tidx] = ws0[tidx];
+  __syncthreads();
+  float sum = 0;
+  for (int i = 0; i < 1; i++)
+    for (int k = 0; k < 32; k++)
+      sum += sh[tidx + (i + k)] * ws[k];
+  o[idx] = sum;
+}|}
+      (1, 1) (32, 1)
+  in
+  let credits = L.(pc1.pc_closed_form - pc0.pc_closed_form) in
+  if credits < 31 then
+    Alcotest.failf "shared inner loop: %d closed-form credits, want >= 31"
+      credits
+
+(** Lane-affine index shapes (coefficients that cancel, negative ones,
+    [#pragma gpcc dim] strides, a runtime multiplier and a varying loop
+    variable that keep the plane-combining plan, guarded and
+    out-of-bounds sites) and every float operator in plane/plane,
+    plane/uniform and uniform/plane shapes over nan, infinities and
+    signed zeros. Outputs are compared bit for bit (where [compare]
+    equates nans and signed zeros), and a reference runtime error must
+    be the vector backend's error too. *)
+let test_vector_affine_and_float_edges () =
+  let bits a = Array.map Int64.bits_of_float a in
+  let run_src label src (grid_x, grid_y) (block_x, block_y) inputs =
+    let k = parse_kernel src in
+    let launch = { Gpcc_ast.Ast.grid_x; grid_y; block_x; block_y } in
+    let exec ~backend =
+      let mem = Gpcc_sim.Devmem.of_kernel k in
+      List.iter (fun (n, d) -> Gpcc_sim.Devmem.write mem n d) inputs;
+      match L.run ~mode:L.Full ~backend ~jobs:1 cfg280 k launch mem with
+      | r ->
+          let read a = (a, Gpcc_sim.Devmem.read mem a) in
+          let arrays = List.map read (global_arrays k) in
+          Ok (r, arrays)
+      | exception Gpcc_sim.Interp.Runtime_error m -> Error m
+    in
+    let fb0 = Gpcc_sim.Vector.fallback_count () in
+    let rr = exec ~backend:L.Reference and rv = exec ~backend:L.Vector in
+    Alcotest.(check int)
+      (label ^ " vector without fallback")
+      fb0
+      (Gpcc_sim.Vector.fallback_count ());
+    match (rr, rv) with
+    | Ok a, Ok b ->
+        bit_identical label a b;
+        List.iter2
+          (fun (n, x) (_, y) ->
+            if bits x <> bits y then
+              Alcotest.failf "%s: array %s differs in its bits" label n)
+          (snd a) (snd b)
+    | Error a, Error b -> Alcotest.(check string) (label ^ " error") a b
+    | Error m, Ok _ ->
+        Alcotest.failf "%s: only the reference failed: %s" label m
+    | Ok _, Error m -> Alcotest.failf "%s: only vector failed: %s" label m
+  in
+  let ramp n = Array.init n (fun i -> float_of_int ((i * 37) mod 101) -. 50.) in
+  run_src "lane-affine shapes"
+    {|#pragma gpcc dim w 8
+__kernel void shapes(float a[256], float o[8][16], int w) {
+  __shared__ float s[64];
+  s[tidy * w + tidx] = a[idy * 16 + idx];
+  __syncthreads();
+  float acc = 0;
+  for (int j = 0; j < 4; j++) {
+    acc += a[63 - tidx + j];
+    acc += a[-idx + 63 + j * 2];
+    acc += a[idx - tidx + j];
+    acc += a[tidy * w + tidx + j];
+    acc += a[tidx * j];
+    acc += s[-tidy * 8 + 31 - tidx + j];
+  }
+  for (int t = tidx; t < 8; t++)
+    acc += s[tidx + t];
+  o[idy][idx] = acc;
+  o[idy][idx - tidx + (tidx - tidx)] = acc;
+}|}
+    (2, 2) (8, 4)
+    [ ("a", ramp 256) ];
+  (* two opaque dimensions: the scratch plane combining them must not be
+     a temporary of the second dimension's fill *)
+  run_src "multi-plane index"
+    {|__kernel void m(float a[64], float o[8][16]) {
+  o[tidy % 8][tidx % 8 + tidx % 1] = a[idx];
+}|}
+    (1, 1) (8, 4)
+    [ ("a", ramp 64) ];
+  run_src "lane-affine guarded store"
+    {|__kernel void g(float a[64], float o[4][64]) {
+  if (tidx < 8) o[tidy][idx * 2 + 1] = a[idx];
+  if (tidx < 8) o[tidy + 2][bidx * 16] = a[idx];
+}|}
+    (2, 1) (16, 2)
+    [ ("a", ramp 64) ];
+  run_src "lane-affine load out of bounds"
+    {|__kernel void oob(float a[64], float o[64]) {
+  o[idx] = a[idx + 1];
+}|}
+    (1, 1) (64, 1)
+    [ ("a", ramp 64) ];
+  run_src "lane-affine store out of bounds"
+    {|__kernel void oob(float a[64], float o[64]) {
+  if (tidx > 3) o[66 - tidx] = a[idx];
+}|}
+    (1, 1) (64, 1)
+    [ ("a", ramp 64) ];
+  let edges =
+    [| Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0; 1.0; -2.5;
+       3.0e38 |]
+  in
+  let a = Array.init 64 (fun i -> edges.(i mod 8)) in
+  let b = Array.init 64 (fun i -> edges.(i / 8 mod 8)) in
+  (* uniforms: a[0] nan, a[1] inf, a[3] -0.0, b[16] -inf, b[32] 0.0 *)
+  run_src "float operators on edge values"
+    {|__kernel void fe(float a[64], float b[64], float o[32][64]) {
+  float x = a[idx];
+  float y = b[idx];
+  o[0][idx] = x + y;
+  o[1][idx] = x + a[3];
+  o[2][idx] = b[32] + y;
+  o[3][idx] = x - y;
+  o[4][idx] = x - a[1];
+  o[5][idx] = b[16] - y;
+  o[6][idx] = x * y;
+  o[7][idx] = x * a[0];
+  o[8][idx] = b[32] * y;
+  o[9][idx] = x / y;
+  o[10][idx] = x / a[3];
+  o[11][idx] = b[32] / y;
+  o[12][idx] = fmaxf(x, y);
+  o[13][idx] = fmaxf(x, a[3]);
+  o[14][idx] = fmaxf(b[32], y);
+  o[15][idx] = fminf(x, y);
+  o[16][idx] = fminf(x, a[0]);
+  o[17][idx] = fminf(b[16], y);
+  o[18][idx] = x < y ? x : y;
+  o[19][idx] = x < a[3] ? a[1] : y;
+  o[20][idx] = b[32] < y ? x : b[16];
+  if (x < y) { o[21][idx] = x; } else { o[21][idx] = y; }
+  float s = 0;
+  s = x;
+  s += y;
+  s -= a[3];
+  s = s * 0.5;
+  s += x * y;
+  s -= a[1] * y;
+  o[22][idx] = s;
+  s = a[3];
+  o[23][idx] = s;
+  o[24][idx] = b[16];
+  o[25][idx] = -x;
+  o[26][idx] = sqrtf(x) + fabsf(y);
+  o[a[1] < 0.0 ? 28 : 27][idx] = x;
+}|}
+    (1, 1) (64, 1)
+    [ ("a", a); ("b", b) ]
 
 (** Wide-vectorized kernels (float2/float4 accesses, the AMD target's
     shape) exercise the vector backend's multi-component planes, which
@@ -357,6 +567,8 @@ let suite =
       s "vector == reference (bit-identical)" test_vector_matches_reference;
       s "vector == reference on fuzz corpus" test_vector_fuzz_corpus;
       q "plane accounting: strided/offset/loop" test_vector_plane_accounting;
+      q "vector == reference on affine/edges"
+        test_vector_affine_and_float_edges;
       q "vector == reference on float2/float4" test_vector_wide_vectors;
       q "GPCC_CHECK wins over vector selection" test_vector_check_run;
       s "parallel Full == serial Full" test_parallel_matches_serial;
