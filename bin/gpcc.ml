@@ -366,7 +366,8 @@ let lint_cmd =
   let module SV = Gpcc_analysis.Symverify in
   (* one lint unit: kernel name, variant label, launch, diagnostics,
      and (with --symbolic) the parametric verdict, its decision at this
-     launch, and whether it agrees with the concrete verdict *)
+     launch, why it is unknown there (empty when decided), and whether
+     it agrees with the concrete verdict *)
   let lint_kernel ~symbolic ~variant (k : Gpcc_ast.Ast.kernel)
       (launch : Gpcc_ast.Ast.launch) =
     let ds = V.check ~launch k in
@@ -374,11 +375,11 @@ let lint_cmd =
       if not symbolic then None
       else
         let r = SV.check k in
-        let decision, sym_errs =
+        let decision, sym_errs, reason =
           match SV.decide r launch with
-          | `Clean -> ("clean", [])
-          | `Errors es -> ("errors", es)
-          | `Unknown _ -> ("unknown", [])
+          | `Clean -> ("clean", [], "")
+          | `Errors es -> ("errors", es, "")
+          | `Unknown why -> ("unknown", [], why)
         in
         let conc_errs = V.errors ds in
         let agree =
@@ -395,7 +396,7 @@ let lint_cmd =
                    sym_errs
           | _ -> true (* unknown: the concrete fallback decides *)
         in
-        Some (SV.verdict_to_string r.verdict, decision, agree)
+        Some (SV.verdict_to_string r.verdict, decision, reason, agree)
     in
     (k.k_name, variant, launch, ds, sym)
   in
@@ -449,10 +450,12 @@ let lint_cmd =
       let sym_json =
         match sym with
         | None -> ""
-        | Some (verdict, decision, agree) ->
+        | Some (verdict, decision, reason, agree) ->
             Printf.sprintf
-              {|,"symbolic":{"verdict":"%s","decision":"%s","agree":%b}|}
-              (V.json_escape verdict) (V.json_escape decision) agree
+              {|,"symbolic":{"verdict":"%s","decision":"%s","reason":"%s",|}
+              (V.json_escape verdict) (V.json_escape decision)
+              (V.json_escape reason)
+            ^ Printf.sprintf {|"agree":%b}|} agree
       in
       Printf.sprintf
         {|{"kernel":"%s","variant":"%s","launch":"(%d,%d)x(%d,%d)","diagnostics":%s%s}|}
@@ -477,9 +480,10 @@ let lint_cmd =
                (List.length (V.warnings ds)));
         (match sym with
         | None -> ()
-        | Some (verdict, decision, agree) ->
-            Printf.printf "  symbolic: %s -> %s at this launch%s\n" verdict
+        | Some (verdict, decision, reason, agree) ->
+            Printf.printf "  symbolic: %s -> %s at this launch%s%s\n" verdict
               decision
+              (if reason = "" then "" else " (" ^ reason ^ ")")
               (if agree then "" else "  ** DISAGREES with concrete verdict"));
         List.iter (fun d -> Printf.printf "  %s\n" (V.to_string d)) ds)
       results;
@@ -504,7 +508,7 @@ let lint_cmd =
         let disagreements =
           List.filter
             (fun (_, _, _, _, sym) ->
-              match sym with Some (_, _, false) -> true | _ -> false)
+              match sym with Some (_, _, _, false) -> true | _ -> false)
             results
         in
         if nerr > 0 || disagreements <> [] then exit 1)

@@ -57,6 +57,7 @@ type t = {
   coalesce : bool slot;
   regcount : (int * int) slot;  (** (registers/thread, shared bytes/block) *)
   verify : Verify.diagnostic list slot;
+  lints : Verify.diagnostic list slot;  (** {!verify_sym}'s warnings *)
   symbolic : Symverify.result slot;  (** parametric verdicts, kernel-keyed *)
   capacity : int;  (** max entries per slot before LRU eviction *)
   mutable tick : int;
@@ -73,6 +74,7 @@ let create ?(capacity = default_capacity) () =
     coalesce = Hashtbl.create 64;
     regcount = Hashtbl.create 64;
     verify = Hashtbl.create 64;
+    lints = Hashtbl.create 64;
     symbolic = Hashtbl.create 64;
     capacity = max 1 capacity;
     tick = 0;
@@ -87,7 +89,8 @@ let misses t = t.misses
 let length t =
   Hashtbl.length t.affine + Hashtbl.length t.sharing
   + Hashtbl.length t.coalesce + Hashtbl.length t.regcount
-  + Hashtbl.length t.verify + Hashtbl.length t.symbolic
+  + Hashtbl.length t.verify + Hashtbl.length t.lints
+  + Hashtbl.length t.symbolic
 
 (* hit/miss totals across every domain's instance, for bench reporting *)
 let global_hit_count = Atomic.make 0
@@ -256,9 +259,11 @@ let verdict_kind : Verify.diagnostic list Store.kind =
 (* one entry per kernel, not per (kernel, launch): the parametric
    result is launch-independent; version 3 for the same loop-variable
    fix as [verdict_kind] (the stale-let fix leaves it alone: the
-   symbolic tier does not use {!Affine}) *)
+   symbolic tier does not use {!Affine}), version 4 for launch regions
+   as conjunctions of disjunctions of polynomial inequalities (a
+   version-3 blob would unmarshal into the wrong shape) *)
 let pverdict_kind : Symverify.result Store.kind =
-  Store.make_kind ~name:"pverdict" ~version:"3" ~encode:marshal_encode
+  Store.make_kind ~name:"pverdict" ~version:"4" ~encode:marshal_encode
     ~decode:marshal_decode
 
 (* one process-wide handle on the default root, shared by every domain
@@ -291,6 +296,25 @@ let symbolic_result (t : t) (k : Ast.kernel) : Symverify.result =
           Store.store store pverdict_kind ~key:full.text r;
           r)
 
+(* What the concrete verifier adds to a launch the symbolic tier proves
+   clean. The proof settles every error rule, so what is left is
+   [Verify]'s warnings: coalescing, unproven bounds and bank conflicts.
+   None of them depends on how many lanes the race search enumerates,
+   so one lane skips that search, and the [verify-incomplete] warning
+   this provokes is dropped. A block wider than the search's default
+   512 lanes, where a full check warns for real, is checked in full.
+   Lint results stay in memory: persisting them cost a cold compile
+   sweep more in store writes than it saved a warm one. *)
+let lints (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
+    Verify.diagnostic list =
+  if launch.block_x * launch.block_y > 512 then verify t ~launch k
+  else
+    timed @@ fun () ->
+    find t t.lints (key k launch) (fun () ->
+        Verify.check ~max_lanes:1 ~launch k
+        |> List.filter (fun (d : Verify.diagnostic) ->
+               d.rule <> Verify.rule_verify_incomplete))
+
 (* escape hatch for A/B measurement and debugging: GPCC_SYMVERIFY=0
    forces every launch down the concrete path *)
 let symverify_enabled =
@@ -307,7 +331,7 @@ let verify_sym (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
   match Symverify.decide r launch with
   | `Clean ->
       Atomic.incr sym_proof_count;
-      []
+      lints t ~launch k
   | `Errors _ | `Unknown _ ->
       (* certain violations fall back too: the concrete verifier
          reproduces them with its own paths/messages, keeping the

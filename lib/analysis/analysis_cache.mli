@@ -93,11 +93,12 @@ val symbolic_result : t -> Gpcc_ast.Ast.kernel -> Symverify.result
 val verify_sym :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
   Verify.diagnostic list
-(** Symbolic-first verification: returns [[]] when the parametric
-    verdict proves this launch clean, and otherwise falls back to
-    {!verify} (identical diagnostics to a non-symbolic run). The
-    symbolic tier is sound but incomplete, so the fallback keeps
-    precision intact. *)
+(** Symbolic-first verification, with the same diagnostics as {!verify}.
+    When the parametric verdict proves this launch clean, only the
+    concrete verifier's warnings are computed, without its race search
+    (memoized per domain, not persisted); otherwise this falls back to
+    {!verify}. The symbolic tier is sound but incomplete, so the
+    fallback keeps precision intact. *)
 
 val preserve :
   t ->

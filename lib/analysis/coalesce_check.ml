@@ -231,7 +231,7 @@ let analyze_kernel ?(launch : Ast.launch option) (k : Ast.kernel) : access list
         let safe' = safe && not (divergent_cond c) in
         on_block ctx ~enclosing ~safe:safe' ~safe_loops t;
         on_block ctx ~enclosing ~safe:safe' ~safe_loops f;
-        ctx
+        Affine.forget ctx (assigned_int_vars t @ assigned_int_vars f)
     | For l ->
         go_e l.l_init;
         go_e l.l_limit;
@@ -246,7 +246,7 @@ let analyze_kernel ?(launch : Ast.launch option) (k : Ast.kernel) : access list
         | None ->
             on_block ctx_clean ~enclosing:(l.l_var :: enclosing) ~safe
               ~safe_loops:safe_loops' l.l_body);
-        ctx
+        Affine.forget ctx_clean [ l.l_var ]
   in
   on_block ctx0 ~enclosing:[] ~safe:true ~safe_loops:[] k.k_body;
   List.rev !out

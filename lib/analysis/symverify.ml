@@ -6,15 +6,18 @@
     [(gx, gy)] kept as symbolic parameters. Race, bounds and
     barrier-uniformity obligations are discharged by affine disequality
     reasoning (equal-stride cancellation, gcd/residue arguments on loop
-    strides, modular lane arithmetic, guard-implied pinning) and by
-    interval reasoning over {e launch polynomials} — polynomials in the
-    four launch dimensions that bound every index expression.
+    strides, modular lane arithmetic, guard-implied pinning, digit
+    reasoning for [/] and [%] by a constant) and by interval reasoning
+    over {e launch polynomials} — polynomials in the four launch
+    dimensions, and in floors of such polynomials by constants, that
+    bound every index expression.
 
     The verdict is parametric:
     - [Proved]: no error diagnostic at {e any} launch configuration;
-    - [Proved_when c]: no error at launches satisfying the constraint
-      [c] (a conjunction of monomial bounds such as [bx <= 64] or
-      [gx*bx <= 4096]);
+    - [Proved_when c]: no error at launches satisfying the region [c], a
+      conjunction of obligations, each a disjunction of inequalities
+      [p <= k] over launch polynomials that {!decide} evaluates exactly
+      at the launch (e.g. [bx <= 64] or [16*bx*gx - 15*bx <= 2176]);
     - [Unknown]: the kernel uses a construct outside the symbolic
       fragment — callers fall back to the concrete {!Verify.check}, so
       soundness never regresses.
@@ -37,162 +40,77 @@
 open Gpcc_ast
 
 (* ------------------------------------------------------------------ *)
-(* Constraint language: conjunctions of monomial bounds                 *)
-(* ------------------------------------------------------------------ *)
-
-module Constraint = struct
-  type dim =
-    | Bx
-    | By
-    | Gx
-    | Gy
-
-  let dim_name = function Bx -> "bx" | By -> "by" | Gx -> "gx" | Gy -> "gy"
-  let dim_rank = function Bx -> 0 | By -> 1 | Gx -> 2 | Gy -> 3
-  let compare_dim a b = compare (dim_rank a) (dim_rank b)
-
-  (* lexicographic over the sorted dimensions, shorter prefix first *)
-  let rec compare_mono (a : dim list) (b : dim list) =
-    match (a, b) with
-    | [], [] -> 0
-    | [], _ -> -1
-    | _, [] -> 1
-    | x :: a', y :: b' ->
-        let c = compare_dim x y in
-        if c <> 0 then c else compare_mono a' b'
-
-  (** A monomial is a sorted product of launch dimensions; [[]] is 1. *)
-  type mono = dim list
-
-  type atom = {
-    a_mono : mono;
-    a_cmp : [ `Le | `Ge ];
-    a_k : int;
-  }
-
-  (** A conjunction of atoms. [[]] is the trivial constraint (true at
-      every launch). *)
-  type t = atom list
-
-  let tt : t = []
-
-  let mono_value (l : Ast.launch) (m : mono) : int =
-    List.fold_left
-      (fun acc d ->
-        acc
-        *
-        match d with
-        | Bx -> l.block_x
-        | By -> l.block_y
-        | Gx -> l.grid_x
-        | Gy -> l.grid_y)
-      1 m
-
-  let atom_holds (l : Ast.launch) (a : atom) : bool =
-    let v = mono_value l a.a_mono in
-    match a.a_cmp with `Le -> v <= a.a_k | `Ge -> v >= a.a_k
-
-  let holds (l : Ast.launch) (c : t) : bool = List.for_all (atom_holds l) c
-
-  (* [a] added to a normalized conjunction: kept sorted by (monomial,
-     direction), which is [compare] order once each key is unique, and
-     merged with the atom of its key if there is one *)
-  let rec insert (a : atom) (c : t) : t =
-    match c with
-    | [] -> [ a ]
-    | b :: rest ->
-        let o =
-          match compare_mono a.a_mono b.a_mono with
-          | 0 -> compare a.a_cmp b.a_cmp
-          | o -> o
-        in
-        if o < 0 then a :: c
-        else if o > 0 then b :: insert a rest
-        else
-          let a_k =
-            match a.a_cmp with `Le -> min a.a_k b.a_k | `Ge -> max a.a_k b.a_k
-          in
-          { b with a_k } :: rest
-
-  (** Keep the strongest atom per (monomial, direction). *)
-  let normalize (c : t) : t = List.fold_left (fun n a -> insert a n) [] c
-
-  let conj (a : t) (b : t) : t = normalize (a @ b)
-
-  let atom_to_string (a : atom) =
-    let m =
-      match a.a_mono with
-      | [] -> "1"
-      | m -> String.concat "*" (List.map dim_name m)
-    in
-    Printf.sprintf "%s %s %d" m
-      (match a.a_cmp with `Le -> "<=" | `Ge -> ">=")
-      a.a_k
-
-  let to_string = function
-    | [] -> "true"
-    | c -> String.concat " && " (List.map atom_to_string c)
-
-  (** An atom over the block-thread product [bx*by] alone, decidable
-      from the thread count without knowing the block shape. *)
-  let threads_atom (a : atom) : bool = a.a_mono = [ Bx; By ]
-
-  let holds_at_threads ~(threads : int) (c : t) : bool =
-    List.for_all
-      (fun a ->
-        threads_atom a
-        && match a.a_cmp with `Le -> threads <= a.a_k | `Ge -> threads >= a.a_k)
-      c
-end
-
-(* ------------------------------------------------------------------ *)
 (* Launch polynomials: integer polynomials over bx, by, gx, gy          *)
 (* ------------------------------------------------------------------ *)
 
-(** Association list from monomial to nonzero coefficient, sorted by
-    [Constraint.compare_mono] with each monomial once; the [[]]
-    monomial carries the constant term. Every constructor below keeps
-    that canonical form, so equal polynomials are equal lists and a sum
-    is one merge. Launch dimensions are always >= 1, which is what
-    makes one-sided comparisons decidable: a polynomial with
-    nonnegative monomial coefficients is minimized at the all-ones
-    launch. *)
-type lpoly = (Constraint.mono * int) list
+type dim =
+  | Bx
+  | By
+  | Gx
+  | Gy
+
+let dim_name = function Bx -> "bx" | By -> "by" | Gx -> "gx" | Gy -> "gy"
+
+(** A factor of a launch term: a launch dimension, or [Floor (p, c)],
+    the value [max(p, 0) / c] of a launch polynomial [p] by a constant
+    [c >= 2] — the range end of a quotient digit. A dimension is [>= 1]
+    at every launch, a floor [>= 0].
+
+    A launch polynomial is an association list from monomial (a sorted
+    factor list; [[]] is 1 and carries the constant term) to nonzero
+    coefficient, sorted by [compare] with each monomial once. Every
+    constructor below keeps that canonical form, so equal polynomials
+    are equal lists and a sum is one merge. *)
+type factor =
+  | Dim of dim
+  | Floor of lpoly * int
+
+and mono = factor list
+and lpoly = (mono * int) list
+
+let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
 let lp_const (n : int) : lpoly = if n = 0 then [] else [ ([], n) ]
 let lp_zero : lpoly = []
-let lp_dim (d : Constraint.dim) : lpoly = [ ([ d ], 1) ]
+let lp_dim (d : dim) : lpoly = [ ([ Dim d ], 1) ]
 
 let rec lp_add (a : lpoly) (b : lpoly) : lpoly =
   match (a, b) with
   | [], p | p, [] -> p
   | ((ma, ca) as ta) :: a', ((mb, cb) as tb) :: b' ->
-      let c = Constraint.compare_mono ma mb in
+      let c = compare ma mb in
       if c < 0 then ta :: lp_add a' b
       else if c > 0 then tb :: lp_add a b'
       else if ca + cb = 0 then lp_add a' b'
       else (ma, ca + cb) :: lp_add a' b'
 
 let lp_scale (k : int) (a : lpoly) : lpoly =
-  if k = 0 then [] else List.map (fun (m, c) -> (m, k * c)) a
+  if k = 0 then []
+  else if k = 1 then a
+  else List.map (fun (m, c) -> (m, k * c)) a
 
 let lp_sub a b = lp_add a (lp_scale (-1) b)
 
 let lp_mul (a : lpoly) (b : lpoly) : lpoly =
-  List.concat_map
-    (fun (ma, ca) ->
-      List.map
-        (fun (mb, cb) ->
-          (List.sort Constraint.compare_dim (ma @ mb), ca * cb))
-        b)
-    a
-  |> List.fold_left (fun acc t -> lp_add acc [ t ]) []
+  match (a, b) with
+  | [], _ | _, [] -> []
+  | [ ([], k) ], p | p, [ ([], k) ] -> lp_scale k p
+  | _ ->
+      List.concat_map
+        (fun (ma, ca) ->
+          List.map (fun (mb, cb) -> (List.sort compare (ma @ mb), ca * cb)) b)
+        a
+      |> List.fold_left (fun acc t -> lp_add acc [ t ]) []
 
 let lp_is_const (p : lpoly) : int option =
   match p with
   | [] -> Some 0
   | [ ([], c) ] -> Some c
   | _ -> None
+
+(** The constant term of a polynomial. *)
+let lp_const_part (p : lpoly) : int =
+  match p with ([], c) :: _ -> c | _ -> 0
 
 (** Exact division of every coefficient by a positive constant. *)
 let lp_div_exact (p : lpoly) (c : int) : lpoly option =
@@ -201,124 +119,245 @@ let lp_div_exact (p : lpoly) (c : int) : lpoly option =
     Some (List.map (fun (m, k) -> (m, k / c)) p)
   else None
 
+(* least value of a monomial over all launches *)
+let mono_min (m : mono) : int =
+  if List.for_all (function Dim _ -> true | Floor _ -> false) m then 1 else 0
+
 (** Is [p >= 0] at every launch? Sufficient condition: every monomial
-    coefficient nonnegative and the value at the all-ones launch
-    nonnegative (the polynomial is then monotone in every dimension). *)
+    coefficient nonnegative and the sum of each term at its least value
+    nonnegative. *)
 let lp_nonneg (p : lpoly) : bool =
   List.for_all (fun (m, c) -> m = [] || c >= 0) p
-  && List.fold_left (fun acc (_, c) -> acc + c) 0 p >= 0
+  && List.fold_left (fun acc (m, c) -> acc + (c * mono_min m)) 0 p >= 0
 
-(** Alternative conditions under which [p <= q] holds at every launch
-    satisfying them. Each element of the returned list is an
-    independently sufficient conjunction: [[]] inside the list means
-    provable outright. Beyond the single-monomial fragment, positive
-    monomials are credited with their minimum value (a monomial is
-    [>= 1] at every launch), and each launch dimension is tried pinned
-    to 1 (an atom [dim <= 1]) since a degenerate grid or block
-    dimension linearizes products. *)
-let lp_le_alts (p : lpoly) (q : lpoly) : Constraint.t list =
-  let solve d =
-    if lp_nonneg d then Some []
-    else
-      match List.filter (fun (m, _) -> m <> []) d with
-      | [ (m, c) ] ->
-          let k =
-            List.fold_left
-              (fun acc (m', c') -> if m' = [] then acc + c' else acc)
-              0 d
-          in
-          (* need k + c*v >= 0 for the monomial value v >= 1 *)
-          if c > 0 then
-            (* v >= ceil(-k/c) *)
-            let bound = (-k + c - 1) / c in
-            if bound <= 1 then Some []
-            else Some [ { Constraint.a_mono = m; a_cmp = `Ge; a_k = bound } ]
-          else
-            (* v <= floor(k/(-c)) *)
-            let bound = if k < 0 then -1 else k / -c in
-            if bound < 1 then None
-            else Some [ { Constraint.a_mono = m; a_cmp = `Le; a_k = bound } ]
-      | ms -> (
-          (* several monomials: credit each positive one with its
-             minimum value, leaving a single negative monomial to
-             bound *)
-          match List.partition (fun (_, c) -> c > 0) ms with
-          | pos, [ (m, c) ] ->
-              let k =
-                List.fold_left
-                  (fun acc (m', c') -> if m' = [] then acc + c' else acc)
-                  0 d
-                + List.fold_left (fun acc (_, c') -> acc + c') 0 pos
-              in
-              let bound = if k < 0 then -1 else k / -c in
-              if bound < 1 then None
-              else Some [ { Constraint.a_mono = m; a_cmp = `Le; a_k = bound } ]
-          | _ -> None)
-  in
-  let d = lp_sub q p in
-  let base = match solve d with Some c -> [ c ] | None -> [] in
-  let pinned =
-    List.filter_map
-      (fun dim ->
-        if not (List.exists (fun (m, _) -> List.mem dim m) d) then None
-        else
-          let d' =
-            List.fold_left
-              (fun acc (m, c) ->
-                lp_add acc [ (List.filter (fun x -> x <> dim) m, c) ])
-              [] d
-          in
-          match solve d' with
-          | Some c ->
-              Some ({ Constraint.a_mono = [ dim ]; a_cmp = `Le; a_k = 1 } :: c)
-          | None -> None)
-      [ Constraint.Gx; Constraint.Gy; Constraint.Bx; Constraint.By ]
-  in
-  base @ pinned
+(** [⌊p / c⌋] for [c > 0], exact wherever [p >= 0]: a constant folds,
+    an exact division or a [c*q - 1] shape divides through, anything
+    else becomes a [Floor] term. *)
+let lp_floor (p : lpoly) (c : int) : lpoly =
+  match lp_is_const p with
+  | Some v -> lp_const (if v <= 0 then 0 else v / c)
+  | None -> (
+      if c = 1 then p
+      else
+        match lp_div_exact p c with
+        | Some q -> q
+        | None -> (
+            match lp_div_exact (lp_add p (lp_const 1)) c with
+            | Some q -> lp_sub q (lp_const 1)
+            | None -> [ ([ Floor (p, c) ], 1) ]))
 
-let lp_le_when (p : lpoly) (q : lpoly) : Constraint.t option =
-  match lp_le_alts p q with [] -> None | c :: _ -> Some c
+let rec lp_eval (l : Ast.launch) (p : lpoly) : int =
+  List.fold_left (fun acc (m, c) -> acc + (c * mono_eval l m)) 0 p
 
-(** How many launches over a reference grid of power-of-two
-    configurations ([block_x*block_y <= 512], grid dims up to 64)
-    satisfy [c] — used to pick, among independently sufficient
-    alternatives, the one that stays provable at the most launches.
-    Memoized per domain: {!check} runs on {!Explore}'s worker domains. *)
-let coverage_tbl : (Constraint.t, int) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let coverage_count (c : Constraint.t) : int =
-  let bpows = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512 ] in
-  let gpows = [ 1; 2; 4; 8; 16; 32; 64 ] in
+and mono_eval (l : Ast.launch) (m : mono) : int =
   List.fold_left
-    (fun n block_x ->
-      List.fold_left
-        (fun n block_y ->
-          if block_x * block_y > 512 then n
-          else
-            List.fold_left
-              (fun n grid_x ->
-                List.fold_left
-                  (fun n grid_y ->
-                    if
-                      Constraint.holds
-                        { Ast.grid_x; grid_y; block_x; block_y }
-                        c
-                    then n + 1
-                    else n)
-                  n gpows)
-              n gpows)
-        n bpows)
-    0 bpows
+    (fun acc f ->
+      acc
+      *
+      match f with
+      | Dim Bx -> l.block_x
+      | Dim By -> l.block_y
+      | Dim Gx -> l.grid_x
+      | Dim Gy -> l.grid_y
+      | Floor (p, c) ->
+          let v = lp_eval l p in
+          if v <= 0 then 0 else v / c)
+    1 m
 
-let coverage (c : Constraint.t) : int =
-  let tbl = Domain.DLS.get coverage_tbl in
-  match Hashtbl.find_opt tbl c with
-  | Some n -> n
-  | None ->
-      let n = coverage_count c in
-      if Hashtbl.length tbl < 4096 then Hashtbl.add tbl c n;
-      n
+let rec lp_to_string (p : lpoly) : string =
+  match p with
+  | [] -> "0"
+  | _ ->
+      List.mapi
+        (fun i (m, c) ->
+          let body =
+            match (m, abs c) with
+            | [], a -> string_of_int a
+            | m, 1 -> mono_to_string m
+            | m, a -> Printf.sprintf "%d*%s" a (mono_to_string m)
+          in
+          if i = 0 then (if c < 0 then "-" else "") ^ body
+          else (if c < 0 then " - " else " + ") ^ body)
+        p
+      |> String.concat ""
+
+and mono_to_string (m : mono) : string =
+  String.concat "*"
+    (List.map
+       (function
+         | Dim d -> dim_name d
+         | Floor (p, c) -> Printf.sprintf "floor((%s)/%d)" (lp_to_string p) c)
+       m)
+
+(* ------------------------------------------------------------------ *)
+(* Regions: conjunctions of disjunctions of polynomial inequalities     *)
+(* ------------------------------------------------------------------ *)
+
+module Constraint = struct
+  (** [i_value <= i_limit] as derived, and canonically as
+      [i_poly <= i_bound]: the constant term moved to the bound and the
+      coefficients divided by their gcd. Regions compare and print the
+      canonical form; reasons quote the derived one. *)
+  type ineq = {
+    i_poly : lpoly;
+    i_bound : int;
+    i_value : lpoly;
+    i_limit : int;
+  }
+
+  (** A disjunction of inequalities, labelled with what it protects
+      (an access, or a race between accesses) for reasons. *)
+  type obligation = {
+    o_label : string;
+    o_disj : ineq list;
+  }
+
+  (** A conjunction of obligations. [[]] is the trivial constraint (true
+      at every launch). *)
+  type t = obligation list
+
+  let tt : t = []
+
+  let ineq_holds (l : Ast.launch) (i : ineq) = lp_eval l i.i_poly <= i.i_bound
+  let ob_holds l (o : obligation) = List.exists (ineq_holds l) o.o_disj
+  let holds (l : Ast.launch) (c : t) : bool = List.for_all (ob_holds l) c
+
+  let floor_div a b = if a >= 0 then a / b else -((-a + b - 1) / b)
+
+  (** [p <= k]. *)
+  let ineq (p : lpoly) (k : int) : ineq =
+    let c0 = lp_const_part p in
+    let lhs = lp_sub p (lp_const c0) in
+    let g = List.fold_left (fun g (_, c) -> gcd g c) 0 lhs in
+    let g = if g = 0 then 1 else g in
+    {
+      i_poly = List.map (fun (m, c) -> (m, c / g)) lhs;
+      i_bound = floor_div (k - c0) g;
+      i_value = p;
+      i_limit = k;
+    }
+
+  let key (o : obligation) = List.map (fun i -> (i.i_poly, i.i_bound)) o.o_disj
+
+  (** Some inequality of [disj] holds: [[]] when one holds at every
+      launch; inequalities that hold at none are dropped (unless all
+      do), and of several with one left-hand side the weakest is
+      kept. *)
+  let any ~label (disj : ineq list) : t =
+    let always i = lp_nonneg (lp_sub (lp_const i.i_bound) i.i_poly)
+    and never i = lp_nonneg (lp_sub i.i_poly (lp_const (i.i_bound + 1))) in
+    if List.exists always disj then []
+    else
+      let live =
+        match List.filter (fun i -> not (never i)) disj with
+        | [] -> disj
+        | l -> l
+      in
+      let weakest =
+        List.fold_left
+          (fun acc i ->
+            match List.partition (fun j -> j.i_poly = i.i_poly) acc with
+            | [ j ], rest -> (if j.i_bound >= i.i_bound then j else i) :: rest
+            | _ -> i :: acc)
+          [] live
+      in
+      let order a b = compare (a.i_poly, a.i_bound) (b.i_poly, b.i_bound) in
+      [ { o_label = label; o_disj = List.sort order weakest } ]
+
+  (** [p <= k] as a one-inequality obligation. *)
+  let le ?(label = "") (p : lpoly) (k : int) : t = any ~label [ ineq p k ]
+
+  (** [m <= k] and [m >= k] over one launch monomial. *)
+  let mono_le (m : mono) k : t = le [ (m, 1) ] k
+
+  let mono_ge (m : mono) k : t = le [ (m, -1) ] (-k)
+
+  let relabel label (c : t) : t =
+    List.map
+      (fun o -> if o.o_label = "" then { o with o_label = label } else o)
+      c
+
+  (* a one-inequality obligation [lhs <= k] implies [lhs <= k'] for
+     every [k' >= k]: keep the strongest per left-hand side, and drop
+     disjunctions one of whose inequalities such a bound implies *)
+  let normalize (c : t) : t =
+    let singles = Hashtbl.create 16 in
+    List.iter
+      (fun o ->
+        match o.o_disj with
+        | [ i ] -> (
+            match Hashtbl.find_opt singles i.i_poly with
+            | Some o' when (List.hd o'.o_disj).i_bound <= i.i_bound -> ()
+            | _ -> Hashtbl.replace singles i.i_poly o)
+        | _ -> ())
+      c;
+    let implied (i : ineq) =
+      match Hashtbl.find_opt singles i.i_poly with
+      | Some o -> (List.hd o.o_disj).i_bound <= i.i_bound
+      | None -> false
+    in
+    let multi =
+      List.filter
+        (fun o ->
+          List.compare_length_with o.o_disj 1 > 0
+          && not (List.exists implied o.o_disj))
+        c
+    in
+    Hashtbl.fold (fun _ o acc -> o :: acc) singles multi
+    |> List.sort_uniq (fun a b -> compare (key a) (key b))
+
+  let ineq_to_string (i : ineq) =
+    if List.for_all (fun (_, c) -> c < 0) i.i_poly then
+      Printf.sprintf "%s >= %d"
+        (lp_to_string (lp_scale (-1) i.i_poly))
+        (-i.i_bound)
+    else Printf.sprintf "%s <= %d" (lp_to_string i.i_poly) i.i_bound
+
+  let ob_to_string (o : obligation) =
+    match o.o_disj with
+    | [ i ] -> ineq_to_string i
+    | is -> "(" ^ String.concat " || " (List.map ineq_to_string is) ^ ")"
+
+  let to_string = function
+    | [] -> "true"
+    | c -> String.concat " && " (List.map ob_to_string c)
+
+  (** Why [l] misses [c]: the first failing obligation, with the value
+      its closest inequality takes at [l] against its bound. *)
+  let miss (l : Ast.launch) (c : t) : string option =
+    List.find_map
+      (fun o ->
+        if ob_holds l o then None
+        else
+          let excess i = lp_eval l i.i_poly - i.i_bound in
+          let i =
+            List.fold_left
+              (fun b i -> if excess i < excess b then i else b)
+              (List.hd o.o_disj) o.o_disj
+          in
+          let v = lp_eval l i.i_value in
+          Some
+            (match i.i_value with
+            | [ (m, 1) ] ->
+                Printf.sprintf "%s: %s = %d > %d" o.o_label (mono_to_string m)
+                  v i.i_limit
+            | [ (m, -1) ] ->
+                Printf.sprintf "%s: %s = %d < %d" o.o_label (mono_to_string m)
+                  (-v) (-i.i_limit)
+            | _ -> Printf.sprintf "%s: %d > %d" o.o_label v i.i_limit))
+      c
+
+  (** Decide [c] from the block-thread product alone: every obligation
+      must be one inequality over the [bx*by] monomial. *)
+  let holds_at_threads ~(threads : int) (c : t) : bool =
+    List.for_all
+      (fun o ->
+        match o.o_disj with
+        | [ { i_poly = [ ([ Dim Bx; Dim By ], k) ]; i_bound; _ } ] ->
+            k * threads <= i_bound
+        | _ -> false)
+      c
+end
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic ranges: [lo, hi] launch polynomials plus a stride           *)
@@ -334,8 +373,6 @@ type lrange = {
   rhi : lpoly;
   rst : int;
 }
-
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
 let lr_const n = { rlo = lp_const n; rhi = lp_const n; rst = 0 }
 
@@ -419,7 +456,9 @@ let lr_div (a : lrange) (c : int) : lrange option =
     thread-private; [Sbidx]/[Sbidy] and frozen loop counters are shared
     by every thread of the block (they cancel in two-thread
     differences); free loop counters and opaque values are
-    thread-private and occurrence-private. *)
+    thread-private and occurrence-private. [Squot (id, shared)] is the
+    quotient digit [e / c] of an affine [e >= 0] by a constant [c > 0]:
+    one variable per distinct [(e, c)], block-shared when [e] is. *)
 type svar =
   | Stidx
   | Stidy
@@ -427,12 +466,15 @@ type svar =
   | Sbidy
   | Sfree of int  (** free-loop iteration (value delta in ℤ for races) *)
   | Sfrozen of int  (** frozen-loop iteration counter, block-shared *)
+  | Squot of int * bool
 
 let svar_shared = function
   | Sbidx | Sbidy | Sfrozen _ -> true
+  | Squot (_, shared) -> shared
   | Stidx | Stidy | Sfree _ -> false
 
-(* thread coordinates, block coordinates, then loop counters by id *)
+(* thread coordinates, block coordinates, loop counters, then quotient
+   digits, each kind by id *)
 let svar_rank = function
   | Stidx -> 0
   | Stidy -> 1
@@ -440,10 +482,12 @@ let svar_rank = function
   | Sbidy -> 3
   | Sfree _ -> 4
   | Sfrozen _ -> 5
+  | Squot _ -> 6
 
 let compare_svar a b =
   match (a, b) with
-  | Sfree x, Sfree y | Sfrozen x, Sfrozen y -> Int.compare x y
+  | Sfree x, Sfree y | Sfrozen x, Sfrozen y | Squot (x, _), Squot (y, _) ->
+      Int.compare x y
   | _ -> Int.compare (svar_rank a) (svar_rank b)
 
 (** Affine form [sc + sum coeff_i * var_i] with launch-polynomial
@@ -477,6 +521,7 @@ let sf_add (a : sform) (b : sform) : sform =
 
 let sf_scale (k : int) (a : sform) : sform =
   if k = 0 then sf_int 0
+  else if k = 1 then a
   else
     {
       sc = lp_scale k a.sc;
@@ -503,7 +548,8 @@ let sf_is_const (a : sform) : lpoly option =
 (** Lowered value of an integer expression.
     - [Aff f]: exactly the affine form [f];
     - [Modv (f, c)]: exactly [f mod c] (mathematical mod, [c > 0]) —
-      kept unreduced for the modular-lane race rule;
+      kept unreduced for the modular-lane race rule, and read as the
+      digit form [f - c*(f / c)] wherever it meets arithmetic;
     - [Rng r]: unknown value within range [r] ([None] = unbounded),
       but one the concrete evaluator may still compute;
     - [Opq]: a value {!Verify}'s concrete evaluator can never compute
@@ -516,15 +562,24 @@ type sval =
   | Rng of lrange option
   | Opq
 
+module Smap = Map.Make (String)
+
 (** A scalar binding recorded by the walk, mirroring {!Verify.binding}:
-    the defining expression lowers in the binding-list suffix that was
-    live at the definition; [SBloop d] is the variable of the enclosing
-    loop at depth [d] (outermost 0), bound at loop entry so lexical
-    order decides between it and any other binding of the name. *)
+    the defining expression lowers under the bindings and loop frames
+    live at the definition, once, on first use ([sl_val]), and so does
+    its thread dependence ([sl_tdep]); [SBloop d] is the variable of the
+    enclosing loop at depth [d] (outermost 0), bound at loop entry so
+    lexical order decides between it and any other binding of the
+    name. *)
 type sbind =
-  | SBexpr of Ast.expr
+  | SBexpr of slet
   | SBloop of int
   | SBopaque
+
+and slet = {
+  sl_val : sval Lazy.t;
+  sl_tdep : bool Lazy.t;
+}
 
 (** One enclosing loop frame. [fr_value] is the loop variable's value
     for this pass (init + step * counter, plus one step on the
@@ -535,11 +590,18 @@ type sframe = {
   fr_frozen : bool;
   fr_tdep : bool;  (** any loop bound is thread-dependent *)
   fr_value : sval;
+  fr_clamp : clamp option;
+      (** [value <= hi(limit) - 1], when the body assigns neither the
+          loop variable nor any variable of the limit *)
 }
+
+(** [cl_form <= cl_poly] ([`Hi]) or [cl_form >= cl_poly] ([`Lo]) for
+    every access it is collected for. *)
+and clamp = { cl_form : sform; cl_kind : [ `Hi | `Lo ]; cl_poly : lpoly }
 
 type sguard = {
   sg_cond : Ast.expr;
-  sg_binds : (string * sbind) list;
+  sg_binds : sbind Smap.t;
   sg_frames : sframe list;
 }
 
@@ -551,12 +613,12 @@ type sacc = {
   x_interval : int;
   x_frames : sframe list;  (** innermost first *)
   x_guards : sguard list;
-  x_binds : (string * sbind) list;
+  x_vals : sval list Lazy.t;  (** the index expressions, lowered once *)
   x_path : string;
 }
 
 type senv = {
-  s_binds : (string * sbind) list;
+  s_binds : sbind Smap.t;
   s_frames : sframe list;  (** innermost first *)
   s_guards : sguard list;
   s_div_hard : bool;
@@ -587,24 +649,18 @@ type sstate = {
   mutable st_violations : violation list;
   mutable st_unknown : string option;  (** first reason the proof gave up *)
   mutable st_next_id : int;
-  mutable st_ranges : (int * lrange) list;  (** Sfree/Sfrozen/Sopaque ids *)
+  st_ranges : (int, lrange) Hashtbl.t;  (** loop counter and digit ids *)
+  st_quots : (sform * int, svar) Hashtbl.t;  (** [(e, c)] to its digit *)
+  st_quot_defs : (int, sform * int) Hashtbl.t;  (** digit id to [(e, c)] *)
 }
 
 let give_up st reason =
   if st.st_unknown = None then st.st_unknown <- Some reason
 
-let fresh_var st (range : lrange option) : int =
+let fresh_var st : int =
   let id = st.st_next_id in
   st.st_next_id <- id + 1;
-  (match range with
-  | Some r -> st.st_ranges <- (id, r) :: st.st_ranges
-  | None -> ());
   id
-
-let rec assoc_split name = function
-  | [] -> None
-  | (n, b) :: rest ->
-      if String.equal n name then Some (b, rest) else assoc_split name rest
 
 (* the loop frame at depth [d] (outermost 0) of an innermost-first list *)
 let frame_at frames d = List.nth frames (List.length frames - 1 - d)
@@ -620,11 +676,11 @@ let svar_range (st : sstate) (v : svar) : lrange option =
     Some { rlo = lp_zero; rhi = lp_sub (lp_dim d) (lp_const 1); rst = 1 }
   in
   match v with
-  | Stidx -> dim Constraint.Bx
-  | Stidy -> dim Constraint.By
-  | Sbidx -> dim Constraint.Gx
-  | Sbidy -> dim Constraint.Gy
-  | Sfree id | Sfrozen id -> List.assoc_opt id st.st_ranges
+  | Stidx -> dim Bx
+  | Stidy -> dim By
+  | Sbidx -> dim Gx
+  | Sbidy -> dim Gy
+  | Sfree id | Sfrozen id | Squot (id, _) -> Hashtbl.find_opt st.st_ranges id
 
 (** Over-approximating value range of a lowered value; [None] when no
     bound is derivable. *)
@@ -664,11 +720,49 @@ let const_of (v : sval) : int option =
   | Aff f -> ( match sf_is_const f with Some p -> lp_is_const p | None -> None)
   | _ -> None
 
-(** Lower an integer expression under a binding list and loop frames.
+(** The quotient [e / c] of an affine [e] that is provably [>= 0], for
+    a constant [c > 0], as an affine form: a constant folds, a launch
+    polynomial floors, anything else is the digit variable of [(e, c)]
+    (allocated on first sight, with range [[lo(e)/c, hi(e)/c]]). For
+    [e >= 0] truncating and floor division agree, and so do
+    mathematical and truncating remainder. *)
+let digit_quot st (e : sform) (c : int) : sform option =
+  match Hashtbl.find_opt st.st_quots (e, c) with
+  | Some q -> Some (sf_var q)
+  | None -> (
+      match range_of st (Aff e) with
+      | Some r when lp_nonneg r.rlo -> (
+          match sf_is_const e with
+          | Some p -> Some (sf_const (lp_floor p c))
+          | None ->
+              let id = fresh_var st in
+              let q =
+                Squot (id, List.for_all (fun (v, _) -> svar_shared v) e.sterms)
+              in
+              Hashtbl.replace st.st_ranges id
+                { rlo = lp_floor r.rlo c; rhi = lp_floor r.rhi c; rst = 1 };
+              Hashtbl.replace st.st_quots (e, c) q;
+              Hashtbl.replace st.st_quot_defs id (e, c);
+              Some (sf_var q))
+      | _ -> None)
+
+(** A lowered value as an exact affine form: [Modv (f, c)] reads as
+    [f - c*(f / c)] when [f >= 0] provably. *)
+let as_aff st (v : sval) : sform option =
+  match v with
+  | Aff f -> Some f
+  | Modv (f, c) -> (
+      match Option.bind (sf_is_const f) lp_is_const with
+      | Some n -> Some (sf_int (((n mod c) + c) mod c))
+      | None ->
+          Option.map (fun q -> sf_sub f (sf_scale c q)) (digit_quot st f c))
+  | Rng _ | Opq -> None
+
+(** Lower an integer expression under a binding map and loop frames.
     Mirrors the operator semantics of {!Verify.stage} (mathematical
     mod, truncating div, min/max calls, short-circuit booleans) so
     every value the concrete evaluator can compute is covered. *)
-let rec lower st ~(binds : (string * sbind) list) ~(frames : sframe list)
+let rec lower st ~(binds : sbind Smap.t) ~(frames : sframe list)
     (e : Ast.expr) : sval =
   match e with
   | Int_lit n -> Aff (sf_int n)
@@ -679,60 +773,56 @@ let rec lower st ~(binds : (string * sbind) list) ~(frames : sframe list)
       | Tidy -> Aff (sf_var Stidy)
       | Bidx -> Aff (sf_var Sbidx)
       | Bidy -> Aff (sf_var Sbidy)
-      | Bdimx -> Aff (sf_const (lp_dim Constraint.Bx))
-      | Bdimy -> Aff (sf_const (lp_dim Constraint.By))
-      | Gdimx -> Aff (sf_const (lp_dim Constraint.Gx))
-      | Gdimy -> Aff (sf_const (lp_dim Constraint.Gy))
-      | Idx ->
-          Aff (sf_add (sf_var ~coeff:(lp_dim Constraint.Bx) Sbidx) (sf_var Stidx))
-      | Idy ->
-          Aff (sf_add (sf_var ~coeff:(lp_dim Constraint.By) Sbidy) (sf_var Stidy)))
+      | Bdimx -> Aff (sf_const (lp_dim Bx))
+      | Bdimy -> Aff (sf_const (lp_dim By))
+      | Gdimx -> Aff (sf_const (lp_dim Gx))
+      | Gdimy -> Aff (sf_const (lp_dim Gy))
+      | Idx -> Aff (sf_add (sf_var ~coeff:(lp_dim Bx) Sbidx) (sf_var Stidx))
+      | Idy -> Aff (sf_add (sf_var ~coeff:(lp_dim By) Sbidy) (sf_var Stidy)))
   | Var v -> (
-      match assoc_split v binds with
-      | Some (SBexpr e', rest) -> lower st ~binds:rest ~frames e'
-      | Some (SBloop d, _) -> (frame_at frames d).fr_value
-      | Some (SBopaque, _) -> Opq
+      match Smap.find_opt v binds with
+      | Some (SBexpr l) -> Lazy.force l.sl_val
+      | Some (SBloop d) -> (frame_at frames d).fr_value
+      | Some SBopaque -> Opq
       | None -> (
           match List.assoc_opt v st.st_sizes with
           | Some n -> Aff (sf_int n)
           | None -> Opq))
   | Unop (Neg, a) -> (
       match lower st ~binds ~frames a with
-      | Aff f -> Aff (sf_scale (-1) f)
       | Opq -> Opq
       | v -> (
-          match range_of st v with
-          | Some r -> Rng (Some (lr_neg r))
-          | None -> Rng None))
+          match as_aff st v with
+          | Some f -> Aff (sf_scale (-1) f)
+          | None -> (
+              match range_of st v with
+              | Some r -> Rng (Some (lr_neg r))
+              | None -> Rng None)))
   | Unop (Not, a) -> (
       match lower st ~binds ~frames a with Opq -> Opq | _ -> Rng bit_range)
-  | Binop (Add, a, b) -> (
+  | Binop (((Add | Sub) as op), a, b) -> (
       match (lower st ~binds ~frames a, lower st ~binds ~frames b) with
       | Opq, _ | _, Opq -> Opq
-      | Aff fa, Aff fb -> Aff (sf_add fa fb)
       | va, vb -> (
-          match (range_of st va, range_of st vb) with
-          | Some ra, Some rb -> Rng (Some (lr_add ra rb))
-          | _ -> Rng None))
-  | Binop (Sub, a, b) -> (
-      match (lower st ~binds ~frames a, lower st ~binds ~frames b) with
-      | Opq, _ | _, Opq -> Opq
-      | Aff fa, Aff fb -> Aff (sf_sub fa fb)
-      | va, vb -> (
-          match (range_of st va, range_of st vb) with
-          | Some ra, Some rb -> Rng (Some (lr_sub ra rb))
-          | _ -> Rng None))
+          let sum, rsum =
+            if op = Add then (sf_add, lr_add) else (sf_sub, lr_sub)
+          in
+          match (as_aff st va, as_aff st vb) with
+          | Some fa, Some fb -> Aff (sum fa fb)
+          | _ -> (
+              match (range_of st va, range_of st vb) with
+              | Some ra, Some rb -> Rng (Some (rsum ra rb))
+              | _ -> Rng None)))
   | Binop (Mul, a, b) -> (
       let va = lower st ~binds ~frames a and vb = lower st ~binds ~frames b in
       match (va, vb) with
       | Opq, _ | _, Opq -> Opq
       | _ -> (
-          let const_poly v =
-            match v with Aff f -> sf_is_const f | _ -> None
-          in
-          match (const_poly va, const_poly vb, va, vb) with
-          | Some p, _, _, Aff fb -> Aff (sf_scale_poly p fb)
-          | _, Some p, Aff fa, _ -> Aff (sf_scale_poly p fa)
+          let fa = as_aff st va and fb = as_aff st vb in
+          let const_poly f = Option.bind f sf_is_const in
+          match (const_poly fa, const_poly fb, fa, fb) with
+          | Some p, _, _, Some g -> Aff (sf_scale_poly p g)
+          | _, Some p, Some g, _ -> Aff (sf_scale_poly p g)
           | _ -> (
               match (range_of st va, range_of st vb) with
               | Some ra, Some rb -> (
@@ -752,9 +842,12 @@ let rec lower st ~(binds : (string * sbind) list) ~(frames : sframe list)
       | va, vb -> (
           match const_of vb with
           | Some c when c > 0 -> (
-              match range_of st va with
-              | Some r -> Rng (lr_div r c)
-              | None -> Rng None)
+              match Option.bind (as_aff st va) (fun f -> digit_quot st f c) with
+              | Some q -> Aff q
+              | None -> (
+                  match range_of st va with
+                  | Some r -> Rng (lr_div r c)
+                  | None -> Rng None))
           | _ -> Rng None))
   | Binop (Mod, a, b) -> (
       match (lower st ~binds ~frames a, lower st ~binds ~frames b) with
@@ -762,9 +855,9 @@ let rec lower st ~(binds : (string * sbind) list) ~(frames : sframe list)
       | va, vb -> (
           match const_of vb with
           | Some c when c > 0 -> (
-              match va with
-              | Aff f -> Modv (f, c)
-              | _ -> (
+              match as_aff st va with
+              | Some f -> Modv (f, c)
+              | None -> (
                   match range_of st va with
                   | Some r -> Rng (Some (lr_mod r c))
                   | None ->
@@ -783,11 +876,11 @@ let rec lower st ~(binds : (string * sbind) list) ~(frames : sframe list)
   | Call ("min", [ a; b ]) -> (
       match (lower st ~binds ~frames a, lower st ~binds ~frames b) with
       | Opq, _ | _, Opq -> Opq
-      | _ -> min_range st ~binds ~frames a b)
+      | va, vb -> min_range st va vb)
   | Call ("max", [ a; b ]) -> (
       match (lower st ~binds ~frames a, lower st ~binds ~frames b) with
       | Opq, _ | _, Opq -> Opq
-      | _ -> max_range st ~binds ~frames a b)
+      | va, vb -> max_range st va vb)
   | Select (_, a, b) -> (
       (* condition first, then exactly one branch: an opaque branch may
          never be reached, so stay merely unknown rather than Opq *)
@@ -799,11 +892,8 @@ let rec lower st ~(binds : (string * sbind) list) ~(frames : sframe list)
       | _ -> Rng None)
   | Index _ | Vload _ | Field _ | Call _ -> Opq
 
-and min_range st ~binds ~frames a b =
-  match
-    ( range_of st (lower st ~binds ~frames a),
-      range_of st (lower st ~binds ~frames b) )
-  with
+and min_range st va vb =
+  match (range_of st va, range_of st vb) with
   | Some ra, Some rb ->
       (* min's upper bound: either side's hi that provably dominates *)
       let hi =
@@ -820,11 +910,8 @@ and min_range st ~binds ~frames a b =
       | _ -> Rng None)
   | _ -> Rng None
 
-and max_range st ~binds ~frames a b =
-  match
-    ( range_of st (lower st ~binds ~frames a),
-      range_of st (lower st ~binds ~frames b) )
-  with
+and max_range st va vb =
+  match (range_of st va, range_of st vb) with
   | Some ra, Some rb ->
       let hi =
         if lp_nonneg (lp_sub ra.rhi rb.rhi) then Some ra.rhi
@@ -850,16 +937,16 @@ let path_of env = String.concat "/" (List.rev env.s_path)
 (** Syntactic thread dependence, mirroring {!Verify.thread_dep}:
     opaque bindings count, loop variables count when the loop's bounds
     do (recorded per frame at loop entry). *)
-let rec sthread_dep (binds : (string * sbind) list) (frames : sframe list)
+let rec sthread_dep (binds : sbind Smap.t) (frames : sframe list)
     (e : Ast.expr) : bool =
   match e with
   | Builtin (Idx | Idy | Tidx | Tidy) -> true
   | Builtin _ | Int_lit _ | Float_lit _ -> false
   | Var v -> (
-      match assoc_split v binds with
-      | Some (SBexpr e', rest) -> sthread_dep rest frames e'
-      | Some (SBloop d, _) -> (frame_at frames d).fr_tdep
-      | Some (SBopaque, _) -> true
+      match Smap.find_opt v binds with
+      | Some (SBexpr l) -> Lazy.force l.sl_tdep
+      | Some (SBloop d) -> (frame_at frames d).fr_tdep
+      | Some SBopaque -> true
       | None -> false)
   | Index _ | Vload _ -> true
   | Unop (_, a) | Field (a, _) -> sthread_dep binds frames a
@@ -888,7 +975,23 @@ and assigned_vars_stmt = function
   | Sync | Global_sync | Comment _ -> []
 
 let forget_svars env vars =
-  { env with s_binds = List.map (fun v -> (v, SBopaque)) vars @ env.s_binds }
+  {
+    env with
+    s_binds =
+      List.fold_left (fun m v -> Smap.add v SBopaque m) env.s_binds vars;
+  }
+
+(* [name = e] under [env]: lowered and judged for thread dependence
+   once, when first read *)
+let bind_expr st env name (e : Ast.expr) =
+  let binds = env.s_binds and frames = env.s_frames in
+  let l =
+    {
+      sl_val = lazy (lower st ~binds ~frames e);
+      sl_tdep = lazy (sthread_dep binds frames e);
+    }
+  in
+  { env with s_binds = Smap.add name (SBexpr l) env.s_binds }
 
 let violate st ~v_when ~rule ~path message =
   st.st_violations <-
@@ -908,7 +1011,11 @@ let srecord_access st env spaces arr kind ~store =
           x_interval = st.st_interval;
           x_frames = env.s_frames;
           x_guards = env.s_guards;
-          x_binds = env.s_binds;
+          x_vals =
+            (let binds = env.s_binds and frames = env.s_frames in
+             lazy
+               (List.map (lower st ~binds ~frames)
+                  (match kind with `Sc idxs -> idxs | `Vec (_, ie) -> [ ie ])));
           x_path = path_of env;
         }
         :: st.st_accs
@@ -937,9 +1044,12 @@ let rec scollect_expr st env spaces (e : Ast.expr) : unit =
     step to a positive constant; the counter variable is block-shared
     for frozen loops and iteration-private otherwise. Its recorded
     range over-approximates the trip count (sound for proving: the
-    concrete walk never runs an iteration outside it). *)
-let make_frame st env (lp : Ast.loop) ~frozen ~tdep ~counter_id ~offset : sframe
-    =
+    concrete walk never runs an iteration outside it). With [~clamp]
+    (the body assigns neither the loop variable nor a variable of the
+    limit) the frame also records the loop condition as a clamp: every
+    iteration starts with [value <= hi(limit) - 1]. *)
+let make_frame st env (lp : Ast.loop) ~frozen ~tdep ~clamp ~counter_id ~offset
+    : sframe =
   let binds = env.s_binds and frames = env.s_frames in
   let vi = lower st ~binds ~frames lp.l_init in
   let vs = lower st ~binds ~frames lp.l_step in
@@ -950,28 +1060,26 @@ let make_frame st env (lp : Ast.loop) ~frozen ~tdep ~counter_id ~offset : sframe
       (match (range_of st vi, range_of st vl) with
       | Some ri, Some rl ->
           (* counter <= (lim_hi - 1 - init_lo) / c <= lim_hi - 1 - init_lo *)
-          let hi = lp_sub (lp_sub rl.rhi ri.rlo) (lp_const 1) in
-          let hi =
-            match lp_div_exact hi c with
-            | Some q -> q
-            | None -> (
-                (* truncating division of a constant span still bounds
-                   the trip count from above (c > 0) *)
-                match lp_is_const hi with
-                | Some h -> lp_const (h / c)
-                | None -> hi)
-          in
-          st.st_ranges <-
-            (counter_id, { rlo = lp_zero; rhi = hi; rst = 1 }) :: st.st_ranges
+          let hi = lp_floor (lp_sub (lp_sub rl.rhi ri.rlo) (lp_const 1)) c in
+          Hashtbl.replace st.st_ranges counter_id
+            { rlo = lp_zero; rhi = hi; rst = 1 }
       | _ -> ());
       let value =
-        Aff
-          (sf_add fi
-             (sf_add
-                (sf_var ~coeff:(lp_const c) svar)
-                (sf_int (offset * c))))
+        sf_add fi
+          (sf_add (sf_var ~coeff:(lp_const c) svar) (sf_int (offset * c)))
       in
-      { fr_frozen = frozen; fr_tdep = tdep; fr_value = value }
+      let fr_clamp =
+        match range_of st vl with
+        | Some rl when clamp ->
+            Some
+              {
+                cl_form = value;
+                cl_kind = `Hi;
+                cl_poly = lp_sub rl.rhi (lp_const 1);
+              }
+        | _ -> None
+      in
+      { fr_frozen = frozen; fr_tdep = tdep; fr_value = Aff value; fr_clamp }
   | _ ->
       let range =
         match (range_of st vi, range_of st vl) with
@@ -979,10 +1087,13 @@ let make_frame st env (lp : Ast.loop) ~frozen ~tdep ~counter_id ~offset : sframe
             Some { rlo = ri.rlo; rhi = lp_sub rl.rhi (lp_const 1); rst = 1 }
         | _ -> None
       in
-      (match range with
-      | Some r -> st.st_ranges <- (counter_id, r) :: st.st_ranges
-      | None -> ());
-      { fr_frozen = frozen; fr_tdep = tdep; fr_value = Aff (sf_var svar) }
+      Option.iter (Hashtbl.replace st.st_ranges counter_id) range;
+      {
+        fr_frozen = frozen;
+        fr_tdep = tdep;
+        fr_value = Aff (sf_var svar);
+        fr_clamp = None;
+      }
 
 let rec swalk_block st spaces env (b : Ast.block) : senv =
   List.fold_left (fun e s -> swalk_stmt st spaces e s) env b
@@ -994,13 +1105,13 @@ and swalk_stmt st spaces env (s : Ast.stmt) : senv =
       match d_init with
       | Some e ->
           scollect_expr st env spaces e;
-          { env with s_binds = (d_name, SBexpr e) :: env.s_binds }
-      | None -> { env with s_binds = (d_name, SBopaque) :: env.s_binds })
+          bind_expr st env d_name e
+      | None -> forget_svars env [ d_name ])
   | Decl _ -> env
   | Assign (lv, e) -> (
       scollect_expr st env spaces e;
       match lv with
-      | Lvar v -> { env with s_binds = (v, SBexpr e) :: env.s_binds }
+      | Lvar v -> bind_expr st env v e
       | Lfield (Lvar v, _) -> forget_svars env [ v ]
       | Lindex (arr, idxs) ->
           srecord_access st env spaces arr (`Sc idxs) ~store:true;
@@ -1065,13 +1176,22 @@ and swalk_stmt st spaces env (s : Ast.stmt) : senv =
         || sthread_dep env.s_binds env.s_frames l_limit
         || sthread_dep env.s_binds env.s_frames l_step
       in
-      let counter_id = fresh_var st None in
+      let counter_id = fresh_var st in
       let depth = List.length env.s_frames in
+      let assigned = assigned_vars l_body in
+      let clamp =
+        not
+          (List.exists
+             (fun v -> v = l_var || Rewrite.expr_uses_var v l_limit)
+             assigned)
+      in
       let benv offset =
-        let fr = make_frame st env lp ~frozen ~tdep ~counter_id ~offset in
+        let fr =
+          make_frame st env lp ~frozen ~tdep ~clamp ~counter_id ~offset
+        in
         {
           env with
-          s_binds = (l_var, SBloop depth) :: env.s_binds;
+          s_binds = Smap.add l_var (SBloop depth) env.s_binds;
           s_frames = fr :: env.s_frames;
           s_div_hard = env.s_div_hard || (tdep && not frozen);
           s_div_soft = env.s_div_soft || (tdep && frozen);
@@ -1084,16 +1204,15 @@ and swalk_stmt st spaces env (s : Ast.stmt) : senv =
         ignore (swalk_block st spaces (benv 1) l_body)
       end
       else ignore (swalk_block st spaces (benv 0) l_body);
-      forget_svars env (l_var :: assigned_vars l_body)
+      forget_svars env (l_var :: assigned)
 
 (* ------------------------------------------------------------------ *)
 (* Race proving: two-symbolic-thread disequality                        *)
 (* ------------------------------------------------------------------ *)
 
-let atom m cmp k = { Constraint.a_mono = m; a_cmp = cmp; a_k = k }
-let mono_bx = [ Constraint.Bx ]
-let mono_by = [ Constraint.By ]
-let mono_threads = [ Constraint.Bx; Constraint.By ]
+let mono_bx = [ Dim Bx ]
+let mono_by = [ Dim By ]
+let mono_threads = [ Dim Bx; Dim By ]
 
 let lp_provably_nonzero (p : lpoly) : bool =
   lp_nonneg (lp_sub p (lp_const 1)) || lp_nonneg (lp_sub (lp_const (-1)) p)
@@ -1104,7 +1223,8 @@ let lp_provably_nonzero (p : lpoly) : bool =
     needs proving). *)
 type off =
   | Oaff of sform
-  | Omod of sform * int
+  | Omod of sform * int * sform option
+      (** [f mod c], and its digit form when [f >= 0] provably *)
   | Ovec of int * sform
   | Oskip
   | Ofail of string
@@ -1115,28 +1235,35 @@ let offset_form st (lay : Layout.t) (acc : sacc) : off =
       let strides = Layout.strides lay in
       if List.length idxs <> List.length strides then Oskip
       else
-        let vs =
-          List.map (lower st ~binds:acc.x_binds ~frames:acc.x_frames) idxs
-        in
+        let vs = Lazy.force acc.x_vals in
         if List.exists (fun v -> v = Opq) vs then Oskip
         else (
           match (vs, strides) with
-          | [ Modv (f, c) ], [ 1 ] -> Omod (f, c)
+          | [ (Modv (f, c) as v) ], [ 1 ] -> Omod (f, c, as_aff st v)
           | _ -> (
               let rec go f vs ss =
                 match (vs, ss) with
                 | [], [] -> Some f
-                | Aff g :: vs', s :: ss' -> go (sf_add f (sf_scale s g)) vs' ss'
+                | v :: vs', s :: ss' -> (
+                    match as_aff st v with
+                    | Some g -> go (sf_add f (sf_scale s g)) vs' ss'
+                    | None -> None)
                 | _ -> None
               in
-              match go (sf_int 0) vs strides with
+              match
+                match (vs, strides) with
+                | [ v ], [ 1 ] -> as_aff st v
+                | _ -> go (sf_int 0) vs strides
+              with
               | Some f -> Oaff f
               | None -> Ofail "non-affine index"))
-  | `Vec (w, ie) -> (
-      match lower st ~binds:acc.x_binds ~frames:acc.x_frames ie with
-      | Opq -> Oskip
-      | Aff f -> Ovec (w, f)
-      | Modv _ | Rng _ -> Ofail "non-affine vector index")
+  | `Vec (w, _) -> (
+      match Lazy.force acc.x_vals with
+      | [] | _ :: _ :: _ | [ Opq ] -> Oskip
+      | [ v ] -> (
+          match as_aff st v with
+          | Some f -> Ovec (w, f)
+          | None -> Ofail "non-affine vector index"))
 
 (** Two-thread difference of a pair of affine offsets. Block-shared
     variables cancel when their coefficients agree; mismatched shared
@@ -1167,13 +1294,14 @@ let pair_delta (fa : sform) (fb : sform) : (delta, string) Stdlib.result =
         (fun zs v ->
           match v with
           | Stidx | Stidy -> zs
-          | Sbidx | Sbidy | Sfrozen _ -> (
+          | Sbidx | Sbidy | Sfrozen _ | Squot (_, true) -> (
               let d = lp_sub (coeff v fa) (coeff v fb) in
               if d = [] then zs
               else
                 match lp_is_const d with
                 | Some c -> c :: zs
                 | None -> raise (Bad "block-shared coefficient mismatch"))
+          | Squot (_, false) -> raise (Bad "thread-private digit")
           | Sfree _ ->
               List.fold_left
                 (fun zs c ->
@@ -1189,7 +1317,7 @@ let pair_delta (fa : sform) (fb : sform) : (delta, string) Stdlib.result =
     let dk = lp_sub fa.sc fb.sc in
     if
       cx_a = cx_b && cy_a = cy_b && cx_a <> []
-      && cy_a = lp_mul cx_a [ ([ Constraint.Bx ], 1) ]
+      && cy_a = lp_mul cx_a (lp_dim Bx)
     then Ok { d_lane = Some cx_a; d_dx = 0; d_dy = 0; d_zs = zs; d_dk = dk }
     else if cx_a <> cx_b then Error "thread-x stride mismatch"
     else if cy_a <> cy_b then Error "thread-y stride mismatch"
@@ -1199,8 +1327,6 @@ let pair_delta (fa : sform) (fb : sform) : (delta, string) Stdlib.result =
           Ok { d_lane = None; d_dx = dx; d_dy = dy; d_zs = zs; d_dk = dk }
       | _ -> Error "non-constant thread stride"
   with Bad m -> Error m
-
-type clamp = { cl_form : sform; cl_kind : [ `Hi | `Lo ]; cl_poly : lpoly }
 
 (** Range clamps implied by the access's guards. Sound regardless of
     concrete evaluability: the out-of-bounds {e error} requires a
@@ -1260,15 +1386,15 @@ let cap_of (clamps : clamp list) (v : svar) : int option =
 
 (** Emit [dim <= k] unless a guard cap already bounds the coordinate
     delta below [k] at every launch. *)
-let dim_atom ~(caps : int option * int option) (dim : Constraint.mono)
+let dim_atom ~(caps : int option * int option) (dim : mono)
     (k : int) : Constraint.t =
   let cx, cy = caps in
   let capped u = match u with Some u -> u < k | None -> false in
   if (dim = mono_bx && capped cx) || (dim = mono_by && capped cy) then []
-  else [ atom dim `Le k ]
+  else Constraint.mono_le dim k
 
 (** Prove [c*u + dk <> 0] for [u] in [[-(dim-1), dim-1]], [u <> 0]. *)
-let one_d ~caps ~(dim : Constraint.mono) (c : int) (dk : lpoly) :
+let one_d ~caps ~(dim : mono) (c : int) (dk : lpoly) :
     [ `Ok of Constraint.t | `Fail of string ] =
   if c = 0 then
     match lp_is_const dk with
@@ -1284,17 +1410,21 @@ let one_d ~caps ~(dim : Constraint.mono) (c : int) (dk : lpoly) :
         else
           let t0 = abs (k / c) in
           if t0 = 0 then `Ok [] else `Ok (dim_atom ~caps dim t0)
-    | None -> (
-        (* |dk| must dominate |c|*(dim-1) *)
+    | None ->
+        (* |dk| must dominate |c|*(dim-1): [bound - dk <= 0] or
+           [bound + dk <= 0], decided exactly at the launch *)
         let bound =
           lp_add (lp_scale (abs c) (lp_sub [ (dim, 1) ] (lp_const 1))) (lp_const 1)
         in
-        match lp_le_when bound dk with
-        | Some cs -> `Ok cs
-        | None -> (
-            match lp_le_when bound (lp_scale (-1) dk) with
-            | Some cs -> `Ok cs
-            | None -> `Fail "non-constant offset across thread stride"))
+        let above = lp_sub dk bound and below = lp_add dk bound in
+        if lp_nonneg above || lp_nonneg (lp_scale (-1) below) then `Ok []
+        else
+          `Ok
+            (Constraint.any ~label:""
+               [
+                 Constraint.ineq (lp_scale (-1) above) 0;
+                 Constraint.ineq below 0;
+               ])
 
 let rec prove_delta ~caps ~pinned_tx ~pinned_ty (d : delta) :
     [ `Ok of Constraint.t | `Collide | `Fail of string ] =
@@ -1342,7 +1472,8 @@ let rec prove_delta ~caps ~pinned_tx ~pinned_ty (d : delta) :
               | Some cl -> (
                   match lp_is_const cl with
                   | Some c when c <> 0 ->
-                      `Ok [ atom mono_threads `Le ((budget / abs c) + 1) ]
+                      `Ok
+                        (Constraint.mono_le mono_threads ((budget / abs c) + 1))
                   | Some _ -> `Ok []
                   | None -> `Fail "non-constant lane stride in loop residue")
               | None -> (
@@ -1395,7 +1526,8 @@ let rec prove_delta ~caps ~pinned_tx ~pinned_ty (d : delta) :
               if k mod c <> 0 then `Ok []
               else
                 let t0 = abs (k / c) in
-                if t0 = 0 then `Ok [] else `Ok [ atom mono_threads `Le t0 ]
+                if t0 = 0 then `Ok []
+                else `Ok (Constraint.mono_le mono_threads t0)
           | _ -> `Fail "non-constant lane offset")
     | None -> (
         let dx = d.d_dx and dy = d.d_dy and dk = d.d_dk in
@@ -1442,7 +1574,7 @@ let rec prove_delta ~caps ~pinned_tx ~pinned_ty (d : delta) :
                     let dom ~dim_small small big =
                       let num = abs big - abs k - 1 in
                       if num < 0 then None
-                      else Some (atom dim_small `Le ((num / abs small) + 1))
+                      else Some (dim_small, (num / abs small) + 1)
                     in
                     let attempt ~dim_small small big =
                       match dom ~dim_small small big with
@@ -1458,12 +1590,11 @@ let rec prove_delta ~caps ~pinned_tx ~pinned_ty (d : delta) :
                        ( attempt ~dim_small:mono_bx dx dy,
                          attempt ~dim_small:mono_by dy dx )
                      with
-                    | Some (a1, c1), Some (a2, c2) ->
-                        if a2.Constraint.a_k > a1.Constraint.a_k then
-                          `Ok (dim_atom ~caps a2.a_mono a2.a_k @ c2)
-                        else `Ok (dim_atom ~caps a1.a_mono a1.a_k @ c1)
-                    | Some (a, c), None | None, Some (a, c) ->
-                        `Ok (dim_atom ~caps a.Constraint.a_mono a.a_k @ c)
+                    | Some ((m1, k1), c1), Some ((m2, k2), c2) ->
+                        if k2 > k1 then `Ok (dim_atom ~caps m2 k2 @ c2)
+                        else `Ok (dim_atom ~caps m1 k1 @ c1)
+                    | Some ((m, k), c), None | None, Some ((m, k), c) ->
+                        `Ok (dim_atom ~caps m k @ c)
                     | None, None -> `Fail "no dominant stride")))
 
 (* ------------------------------------------------------------------ *)
@@ -1498,6 +1629,61 @@ let pinning_conds st (acc : sacc) : (Ast.expr * [ `Tx | `Ty ]) list =
       | _ -> None)
     acc.x_guards
 
+let thread_coord = function Stidx | Stidy -> true | _ -> false
+let private_quot = function Squot (_, false) -> true | _ -> false
+
+(** An offset around its one thread-private digit [q = e / c]:
+    [f = alpha*e + beta*q + rest], where [rest] holds no thread
+    coordinate and no other private digit. Writing [e = c*q + r] with
+    [0 <= r < c], [f = (alpha*c + beta)*q + alpha*r + rest]. *)
+type digit = {
+  dg_e : sform;
+  dg_c : int;
+  dg_alpha : int;
+  dg_beta : int;
+  dg_rest : sform;
+}
+
+let digit_of st (f : sform) : (digit option, string) Stdlib.result =
+  match List.filter (fun (v, _) -> private_quot v) f.sterms with
+  | [] -> Ok None
+  | [ ((Squot (id, _) as q), cq) ] -> (
+      let e, c = Hashtbl.find st.st_quot_defs id in
+      let coeff v = Option.value ~default:[] (List.assoc_opt v f.sterms) in
+      (* alpha scales e's thread coordinates onto f's *)
+      let alpha =
+        List.find_map
+          (fun (v, ce) ->
+            if not (thread_coord v) then None
+            else
+              match (lp_is_const ce, lp_is_const (coeff v)) with
+              | Some k, Some kf when k <> 0 && kf mod k = 0 -> Some (kf / k)
+              | _ -> None)
+          e.sterms
+      in
+      match (alpha, lp_is_const cq) with
+      | Some alpha, Some beta ->
+          let rest =
+            sf_sub (sf_sub f (sf_scale alpha e)) (sf_scale beta (sf_var q))
+          in
+          if
+            List.exists
+              (fun (v, _) -> thread_coord v || private_quot v)
+              rest.sterms
+          then Error "digit index with extra thread terms"
+          else
+            Ok
+              (Some
+                 {
+                   dg_e = e;
+                   dg_c = c;
+                   dg_alpha = alpha;
+                   dg_beta = beta;
+                   dg_rest = rest;
+                 })
+      | _ -> Error "digit of a non-thread value")
+  | _ -> Error "several thread-private digits"
+
 (** One access staged for the pairwise race phase of its (barrier
     interval, array): what a pair proof needs of each side depends on
     that side alone, so it is computed on first use and shared by every
@@ -1508,13 +1694,21 @@ type staged = {
   sx_pins : (Ast.expr * [ `Tx | `Ty ]) list Lazy.t;
   sx_cap_x : int option Lazy.t;  (** {!cap_of} [Stidx] *)
   sx_cap_y : int option Lazy.t;  (** {!cap_of} [Stidy] *)
+  sx_digit : (digit option, string) Stdlib.result Lazy.t;
+      (** {!digit_of} the offset's affine form *)
 }
 
 let stage st lay (acc : sacc) : staged =
   let clamps = lazy (guard_clamps st acc) in
+  let off = lazy (offset_form st lay acc) in
   {
     sx = acc;
-    sx_off = lazy (offset_form st lay acc);
+    sx_off = off;
+    sx_digit =
+      lazy
+        (match Lazy.force off with
+        | Oaff f | Ovec (_, f) | Omod (_, _, Some f) -> digit_of st f
+        | Omod (_, _, None) | Oskip | Ofail _ -> Ok None);
     sx_pins = lazy (pinning_conds st acc);
     sx_cap_x = lazy (cap_of (Lazy.force clamps) Stidx);
     sx_cap_y = lazy (cap_of (Lazy.force clamps) Stidy);
@@ -1523,104 +1717,397 @@ let stage st lay (acc : sacc) : staged =
 let race_rule space =
   if space = `Shared then Verify.rule_race_shared else Verify.rule_race_global
 
-let prove_aff st (sa : staged) (sb : staged) (fa : sform) (fb : sform) :
-    [ `Ok of Constraint.t | `Fail of string ] =
-  match pair_delta fa fb with
-  | Error m -> `Fail m
-  | Ok d -> (
-      let a = sa.sx and b = sb.sx in
-      let pins_a = Lazy.force sa.sx_pins and pins_b = Lazy.force sb.sx_pins in
-      let pinned w =
-        List.exists
-          (fun (c, w') -> w' = w && List.exists (fun (c', w'') -> w'' = w && c' = c) pins_b)
-          pins_a
-      in
-      (* a coordinate delta is capped when both sides cap it *)
-      let cap ca cb =
-        match (Lazy.force ca, Lazy.force cb) with
-        | Some ua, Some ub -> Some (max ua ub)
-        | _ -> None
-      in
-      let caps = (cap sa.sx_cap_x sb.sx_cap_x, cap sa.sx_cap_y sb.sx_cap_y) in
-      match
-        prove_delta ~caps ~pinned_tx:(pinned `Tx) ~pinned_ty:(pinned `Ty) d
-      with
-      | `Ok c -> `Ok c
-      | `Fail m -> `Fail m
-      | `Collide ->
-          (* every pair of distinct threads lands on one element *)
-          if
-            (a.x_store || b.x_store)
-            && a.x_guards = [] && b.x_guards = []
-            && a.x_frames = [] && b.x_frames = []
-          then
-            violate st
-              ~v_when:[ atom mono_threads `Ge 2 ]
-              ~rule:(race_rule a.x_space) ~path:a.x_path
-              (Printf.sprintf
-                 "every pair of distinct threads touches the same element of \
-                  %s in one barrier interval"
-                 a.x_arr);
-          `Ok [ atom mono_threads `Le 1 ])
+(** [rest_a - rest_b] as loop and shared terms plus a constant: the gcd
+    [g] of their coefficients, a bound on their magnitude ([None]:
+    unbounded) and the constant. Block-shared terms cancel on equal
+    coefficients; free-loop counters with constant ranges are bounded. *)
+let rest_delta st (ra : sform) (rb : sform) :
+    (int * int option * int, string) Stdlib.result =
+  let coeff v g = Option.value ~default:[] (List.assoc_opt v g.sterms) in
+  let vars =
+    List.sort_uniq compare_svar
+      (List.map fst ra.sterms @ List.map fst rb.sterms)
+  in
+  let const p =
+    match lp_is_const p with
+    | Some k -> k
+    | None -> raise (Bad "non-constant loop stride")
+  in
+  try
+    let g, mag =
+      List.fold_left
+        (fun (g, mag) v ->
+          let ca = coeff v ra and cb = coeff v rb in
+          match v with
+          | Sfree _ ->
+              let ka = const ca and kb = const cb in
+              let span =
+                match svar_range st v with
+                | Some r -> (
+                    match (lp_is_const r.rlo, lp_is_const r.rhi) with
+                    | Some lo, Some hi -> Some (lo, hi)
+                    | _ -> None)
+                | None -> None
+              in
+              let mag =
+                match (span, mag) with
+                | Some (lo, hi), Some m ->
+                    if ka = kb then Some (m + (abs ka * (hi - lo)))
+                    else Some (m + ((abs ka + abs kb) * max (abs lo) (abs hi)))
+                | _ -> None
+              in
+              (gcd (gcd g ka) kb, mag)
+          | _ ->
+              let d = lp_sub ca cb in
+              if d = [] then (g, mag) else (gcd g (const d), None))
+        (0, Some 0) vars
+    in
+    match lp_is_const (lp_sub ra.sc rb.sc) with
+    | Some k -> Ok (g, mag, k)
+    | None -> Error "non-constant digit offset"
+  with Bad m -> Error m
 
-let prove_pair st (sa : staged) (sb : staged) :
-    [ `Ok of Constraint.t | `Fail of string ] =
+(* at most this many dividend differences are proved per pair, and at
+   most this many (quotient, remainder) cells are scanned for them *)
+let max_digit_cands = 64
+let max_digit_scan = 100_000
+
+(** The dividend differences [c*dq + dr] at which two offsets over
+    digits of one shape can collide: the solutions of
+    [aq*dq + alpha*dr + loops + dk = 0] with [|dr| <= c - 1], where the
+    loop terms are multiples of [g] (none when [g = 0]) of magnitude at
+    most [mag] ([None]: unbounded). *)
+let digit_collisions ~c ~alpha ~aq ~g ~mag ~dk :
+    (int list, string) Stdlib.result =
+  let w = c - 1 in
+  (* can loop terms make up [x]? *)
+  let absorbs x =
+    if g = 0 then x = 0
+    else x mod g = 0 && match mag with Some m -> abs x <= m | None -> true
+  in
+  let rec exists_dr p dr = dr <= w && (p dr || exists_dr p (dr + 1)) in
+  if aq = 0 then
+    (* the quotient difference is free *)
+    if exists_dr (fun dr -> absorbs ((alpha * dr) + dk)) (-w) then
+      Error "quotient digit unconstrained"
+    else Ok []
+  else
+    match mag with
+    | None ->
+        (* unbounded loop terms: only the congruence modulo gcd(aq, g)
+           can refute a remainder difference *)
+        let h = gcd aq g in
+        if exists_dr (fun dr -> ((alpha * dr) + dk) mod h = 0) (-w) then
+          Error "unbounded loop delta across digits"
+        else Ok []
+    | Some m ->
+        let qmax = ((abs alpha * w) + m + abs dk) / abs aq in
+        (* remainders scanned per quotient: one when [alpha*dr] alone
+           must cancel, the whole window otherwise *)
+        let per_dq = if alpha <> 0 && g = 0 then 1 else (2 * w) + 1 in
+        if ((2 * qmax) + 1) * per_dq > max_digit_scan then
+          Error "digit window too wide"
+        else
+          let cands = ref [] in
+          let add dq dr =
+            let d = (c * dq) + dr in
+            if not (List.mem d !cands) then cands := d :: !cands
+          in
+          for dq = -qmax to qmax do
+            let base = (aq * dq) + dk in
+            if alpha = 0 then begin
+              if absorbs base then
+                for dr = -w to w do
+                  add dq dr
+                done
+            end
+            else if g = 0 then begin
+              if base mod alpha = 0 && abs (base / alpha) <= w then
+                add dq (-(base / alpha))
+            end
+            else
+              (* [|base + alpha*dr| <= m] bounds the scan *)
+              let lo = ((-m - base) / abs alpha) - 1
+              and hi = ((m - base) / abs alpha) + 1 in
+              let lo, hi = if alpha > 0 then (lo, hi) else (-hi, -lo) in
+              for dr = max (-w) lo to min w hi do
+                if absorbs (base + (alpha * dr)) then add dq dr
+              done
+          done;
+          if List.compare_length_with !cands max_digit_cands > 0 then
+            Error "too many digit collisions"
+          else Ok (List.sort compare !cands)
+
+(** Two offsets over digits of the same shape collide only at the
+    dividend differences {!digit_collisions} finds; the pair is
+    race-free where the two threads' dividends never differ by any of
+    those, which is the ordinary thread-delta proof on [e]'s form.
+    Mostly the only difference is 0: distinct threads must have
+    distinct dividends. The result is a function of the members'
+    constant shifts (see {!pair_prover}). *)
+let prove_digits st ~caps ~pinned_tx ~pinned_ty (da : digit) (db : digit) :
+    int * int -> [ `Ok of Constraint.t | `Fail of string ] =
+  if
+    da.dg_c <> db.dg_c || da.dg_alpha <> db.dg_alpha
+    || da.dg_beta <> db.dg_beta
+  then fun _ -> `Fail "mismatched digit maps"
+  else
+    match (rest_delta st da.dg_rest db.dg_rest, pair_delta da.dg_e db.dg_e) with
+    | Error m, _ | _, Error m -> fun _ -> `Fail m
+    | Ok (g, mag, dk0), Ok ed -> (
+        let c = da.dg_c and alpha = da.dg_alpha in
+        let aq = (alpha * c) + da.dg_beta in
+        fun (sf, se) ->
+          let dk = dk0 + sf - (alpha * se) in
+          match digit_collisions ~c ~alpha ~aq ~g ~mag ~dk with
+          | Error m -> `Fail m
+          | Ok ds ->
+              List.fold_left
+                (fun acc d ->
+                  match acc with
+                  | `Fail _ -> acc
+                  | `Ok cs -> (
+                      match
+                        prove_delta ~caps ~pinned_tx ~pinned_ty
+                          { ed with d_dk = lp_add ed.d_dk (lp_const (se - d)) }
+                      with
+                      | `Ok c -> `Ok (c @ cs)
+                      | `Collide -> `Fail "digits collide"
+                      | `Fail m -> `Fail m))
+                (`Ok []) ds)
+
+let aff_prover st (sa : staged) (sb : staged) (fa : sform) (fb : sform) :
+    int * int -> [ `Ok of Constraint.t | `Fail of string ] =
   let a = sa.sx and b = sb.sx in
+  let pins_a = Lazy.force sa.sx_pins and pins_b = Lazy.force sb.sx_pins in
+  let pinned w =
+    List.exists
+      (fun (c, w') ->
+        w' = w && List.exists (fun (c', w'') -> w'' = w && c' = c) pins_b)
+      pins_a
+  in
+  (* a coordinate delta is capped when both sides cap it *)
+  let cap ca cb =
+    match (Lazy.force ca, Lazy.force cb) with
+    | Some ua, Some ub -> Some (max ua ub)
+    | _ -> None
+  in
+  let caps = (cap sa.sx_cap_x sb.sx_cap_x, cap sa.sx_cap_y sb.sx_cap_y) in
+  let pinned_tx = pinned `Tx and pinned_ty = pinned `Ty in
+  match (Lazy.force sa.sx_digit, Lazy.force sb.sx_digit) with
+  | Error m, _ | _, Error m -> fun _ -> `Fail m
+  | Ok (Some da), Ok (Some db) ->
+      prove_digits st ~caps ~pinned_tx ~pinned_ty da db
+  | Ok (Some _), Ok None | Ok None, Ok (Some _) ->
+      fun _ -> `Fail "digit index paired with affine index"
+  | Ok None, Ok None -> (
+      match pair_delta fa fb with
+      | Error m -> fun _ -> `Fail m
+      | Ok d0 -> fun (sf, _) -> (
+          let d =
+            if sf = 0 then d0
+            else { d0 with d_dk = lp_add d0.d_dk (lp_const sf) }
+          in
+          match prove_delta ~caps ~pinned_tx ~pinned_ty d with
+          | `Ok c -> `Ok c
+          | `Fail m -> `Fail m
+          | `Collide ->
+              (* every pair of distinct threads lands on one element *)
+              if
+                (a.x_store || b.x_store)
+                && a.x_guards = [] && b.x_guards = []
+                && a.x_frames = [] && b.x_frames = []
+              then
+                violate st
+                  ~v_when:(Constraint.mono_ge mono_threads 2)
+                  ~rule:(race_rule a.x_space) ~path:a.x_path
+                  (Printf.sprintf
+                     "every pair of distinct threads touches the same element \
+                      of %s in one barrier interval"
+                     a.x_arr);
+              `Ok (Constraint.mono_le mono_threads 1)))
+
+(** The race proof of two staged accesses, as a function of the
+    difference [(sf, se)] between the constant shifts of two members of
+    their groups (see {!template}): [sf] moves the first offset's
+    constant, [se] its digit's dividend. Everything else about the pair
+    is computed once. *)
+let pair_prover st (sa : staged) (sb : staged) :
+    int * int -> [ `Ok of Constraint.t | `Fail of string ] =
+  let a = sa.sx and b = sb.sx in
+  let digits fa fb =
+    match (fa, fb) with
+    | Some fa, Some fb -> aff_prover st sa sb fa fb
+    | _ -> fun _ -> `Fail "modular index paired with affine index"
+  in
   match (Lazy.force sa.sx_off, Lazy.force sb.sx_off) with
-  | Oskip, _ | _, Oskip -> `Ok []
-  | Ofail m, _ | _, Ofail m -> `Fail m
-  | Omod (fa, ca), Omod (fb, cb) ->
-      if ca = cb && fa = fb then
+  | Oskip, _ | _, Oskip -> fun _ -> `Ok []
+  | Ofail m, _ | _, Ofail m -> fun _ -> `Fail m
+  | Omod (fa, ca, da), Omod (fb, cb, db) ->
+      if
+        ca = cb && fa = fb
+        && List.filter (fun (v, _) -> not (svar_shared v)) fa.sterms
+           = [ (Stidx, lp_const 1); (Stidy, lp_dim Bx) ]
+      then fun _ -> begin
+        (* [lane mod ca]: injective over the block iff bx*by <= ca *)
         if
-          List.filter (fun (v, _) -> not (svar_shared v)) fa.sterms
-          = [ (Stidx, lp_const 1); (Stidy, [ ([ Constraint.Bx ], 1) ]) ]
-        then begin
-          (* [lane mod ca]: injective over the block iff bx*by <= ca *)
-          if
-            (a.x_store || b.x_store)
-            && ca + 1 <= 512
-            && a.x_guards = [] && b.x_guards = []
-            && a.x_frames = [] && b.x_frames = []
-          then
-            violate st
-              ~v_when:[ atom mono_threads `Ge (ca + 1) ]
-              ~rule:(race_rule a.x_space) ~path:a.x_path
-              (Printf.sprintf
-                 "lanes %d apart collide on %s through the mod-%d store \
-                  whenever bx*by >= %d"
-                 ca a.x_arr ca (ca + 1));
-          `Ok [ atom mono_threads `Le ca ]
-        end
-        else `Fail "modular index is not a lane bijection"
-      else `Fail "mismatched modular indices"
-  | Omod _, _ | _, Omod _ -> `Fail "modular index paired with affine index"
+          (a.x_store || b.x_store)
+          && ca + 1 <= 512
+          && a.x_guards = [] && b.x_guards = []
+          && a.x_frames = [] && b.x_frames = []
+        then
+          violate st
+            ~v_when:(Constraint.mono_ge mono_threads (ca + 1))
+            ~rule:(race_rule a.x_space) ~path:a.x_path
+            (Printf.sprintf
+               "lanes %d apart collide on %s through the mod-%d store \
+                whenever bx*by >= %d"
+               ca a.x_arr ca (ca + 1));
+        `Ok (Constraint.mono_le mono_threads ca)
+      end
+      else digits da db
+  | Omod (_, _, da), Oaff fb -> digits da (Some fb)
+  | Oaff fa, Omod (_, _, db) -> digits (Some fa) db
+  | Omod _, Ovec _ | Ovec _, Omod _ ->
+      fun _ -> `Fail "vector paired with scalar access"
   | Ovec (wa, fa), Ovec (wb, fb) ->
-      if wa = wb then prove_aff st sa sb fa fb
-      else `Fail "mixed vector widths"
-  | Ovec _, Oaff _ | Oaff _, Ovec _ -> `Fail "vector paired with scalar access"
-  | Oaff fa, Oaff fb -> prove_aff st sa sb fa fb
+      if wa = wb then aff_prover st sa sb fa fb
+      else fun _ -> `Fail "mixed vector widths"
+  | Ovec _, Oaff _ | Oaff _, Ovec _ ->
+      fun _ -> `Fail "vector paired with scalar access"
+  | Oaff fa, Oaff fb -> aff_prover st sa sb fa fb
+
+(** An affine form up to constants: [f] with its constant term taken
+    out, and, for its one thread-private digit [q = e / c], [q] renamed
+    and [e]'s constant taken out; the constants come apart, with [q]'s
+    coefficient. [None] with several private digits. *)
+let form_template st (f : sform) =
+  let strip (g : sform) =
+    { g with sc = lp_sub g.sc (lp_const (lp_const_part g.sc)) }
+  in
+  match List.filter (fun (v, _) -> private_quot v) f.sterms with
+  | [] -> Some ((strip f, None), (lp_const_part f.sc, 0), lp_zero)
+  | [ ((Squot (id, _) as q), cq) ] ->
+      let e, c = Hashtbl.find st.st_quot_defs id in
+      let f' =
+        {
+          (strip f) with
+          sterms =
+            List.map
+              (fun (v, x) -> if v = q then (Squot (-1, false), x) else (v, x))
+              f.sterms;
+        }
+      in
+      Some
+        ( (f', Some (strip e, c)),
+          (lp_const_part f.sc, lp_const_part e.sc),
+          cq )
+  | _ -> None
+
+(** The grouping key and constants of a staged access: thread merge
+    writes one statement out once per replica, and replicas differ only
+    in the constant of their offset and of its digit's dividend. A pair
+    proof depends on the two accesses' templates and the differences of
+    their constants alone, so the race phase proves each difference
+    once per pair of templates. *)
+let template st (sa : staged) =
+  let of_form kind f =
+    Option.map (fun (t, consts, _) -> ((kind, t), consts)) (form_template st f)
+  in
+  match Lazy.force sa.sx_off with
+  | Oaff f -> of_form 0 f
+  | Ovec (w, f) -> of_form w f
+  | Omod _ | Oskip | Ofail _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Bounds proving                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** Prove one access in bounds for every launch (up to emitted atoms).
-    Opaque index dimensions are skipped: the concrete witness hunt
-    cannot evaluate them, so no error can arise from them. *)
+let acc_key (a : sacc) =
+  match a.x_kind with
+  | `Sc idxs -> Pp.expr_to_string (Ast.Index (a.x_arr, idxs))
+  | `Vec (w, ie) ->
+      Pp.expr_to_string (Vload { v_arr = a.x_arr; v_width = w; v_index = ie })
+
+(* each index dimension of an access: its expression and lowered
+   value, the extent it must stay below, and the scale and offset of the
+   elements touched *)
+let bound_dims (lay : Layout.t) (acc : sacc) =
+  let vs = Lazy.force acc.x_vals in
+  match acc.x_kind with
+  | `Sc idxs ->
+      if List.length idxs <> List.length lay.Layout.pitches then []
+      else
+        List.map2
+          (fun (e, v) p -> (e, v, p, 1, 0))
+          (List.combine idxs vs) lay.Layout.pitches
+  | `Vec (w, ie) -> [ (ie, List.hd vs, Layout.size_elems lay, w, w - 1) ]
+
+(** The range of [e mod c] for [e >= 0]: the residues [0 .. c - 1]
+    congruent to [lo(e)] modulo the stride [e] keeps (e.g.
+    [(i + 64*bidx) %% 128] with [i] stepping by 16 takes only multiples
+    of 16). *)
+let rem_range st (e : sform) (c : int) : lrange =
+  match range_of st (Aff e) with
+  | Some { rlo; rst; _ } when lp_is_const rlo <> None ->
+      let lo = Option.get (lp_is_const rlo) and g = gcd rst c in
+      let lo = ((lo mod g) + g) mod g in
+      {
+        rlo = lp_const lo;
+        rhi = lp_const (lo + ((c - 1 - lo) / g * g));
+        rst = g;
+      }
+  | _ -> { rlo = lp_zero; rhi = lp_const (c - 1); rst = 1 }
+
+(** Ranges of [f] with its digits read as remainders: a digit [q] of
+    [e / c] whose coefficient is [-alpha*c] contributes
+    [alpha*(e - c*q)], which lies in {!rem_range}. One range per such
+    digit, and one with all of them when there are several. *)
+let remainder_ranges ?refine st (f : sform) : lrange list =
+  let rems =
+    List.filter_map
+      (fun (v, cq) ->
+        match (v, lp_is_const cq) with
+        | Squot (id, _), Some beta ->
+            let e, c = Hashtbl.find st.st_quot_defs id in
+            if beta mod c <> 0 then None
+            else
+              let alpha = -beta / c in
+              Some
+                ( sf_scale alpha (sf_sub e (sf_scale c (sf_var v))),
+                  lr_scale alpha (rem_range st e c) )
+        | _ -> None)
+      f.sterms
+  in
+  let read_as subs =
+    let rest = List.fold_left (fun g (r, _) -> sf_sub g r) f subs in
+    Option.map
+      (fun r -> List.fold_left (fun acc (_, rr) -> lr_add acc rr) r subs)
+      (range_of ?refine st (Aff rest))
+  in
+  List.filter_map (fun sub -> read_as [ sub ]) rems
+  @
+  if List.compare_length_with rems 1 > 0 then Option.to_list (read_as rems)
+  else []
+
+(** Prove one access in bounds for every launch, up to one obligation
+    per index dimension: the disjunction, over every upper-bound
+    candidate, of [candidate <= extent - 1], which {!decide} evaluates
+    at the launch. Opaque index dimensions are skipped: the concrete
+    witness hunt cannot evaluate them, so no error can arise from
+    them. *)
 let prove_bounds st layouts (acc : sacc) : (Constraint.t, string) Stdlib.result
     =
   match Layout.find layouts acc.x_arr with
   | None -> Ok []
   | Some lay -> (
-      let dims =
-        match acc.x_kind with
-        | `Sc idxs ->
-            if List.length idxs <> List.length lay.Layout.pitches then []
-            else List.map2 (fun e p -> (e, p, 1, 0)) idxs lay.Layout.pitches
-        | `Vec (w, ie) -> [ (ie, Layout.size_elems lay, w, w - 1) ]
+      let dims = bound_dims lay acc in
+      let clamps =
+        lazy
+          (guard_clamps st acc
+          @ List.filter_map (fun fr -> fr.fr_clamp) acc.x_frames)
       in
-      let clamps = lazy (guard_clamps st acc) in
-      (* a guard whose lowered form is affine in a single symbolic
+      (* a clamp whose lowered form is affine in a single symbolic
          variable with constant coefficient refines that variable's
          range for this access: e.g. a tile-prefetch guard
          [i + 16 < n] caps the loop counter of [i], which then bounds
@@ -1668,71 +2155,79 @@ let prove_bounds st layouts (acc : sacc) : (Constraint.t, string) Stdlib.result
              []
              (Lazy.force clamps))
       in
-      let candidates v kind =
-        let pick r = match kind with `Hi -> r.rhi | `Lo -> r.rlo in
-        let base =
-          match range_of st v with Some r -> [ pick r ] | None -> []
-        in
-        let base =
-          base
+      (* every bound we can derive, as (lower, upper) candidates: the
+         value's range, the clamp-refined range, each clamp plus the
+         range of what the index adds to the clamped form, and each
+         digit read as remainder: with [beta = -alpha*c],
+         [f = alpha*(e - c*q) + rest] and [e - c*q] lies in
+         [[0, c - 1]] *)
+      let candidates v =
+        let ranges =
+          Option.to_list (range_of st v)
           @
           match Lazy.force refinements with
           | [] -> []
-          | refine -> (
-              match range_of ~refine st v with
-              | Some r -> [ pick r ]
-              | None -> [])
+          | refine -> Option.to_list (range_of ~refine st v)
         in
-        match v with
-        | Aff f ->
-            base
-            @ List.filter_map
-                (fun cl ->
-                  if cl.cl_kind <> kind then None
-                  else
+        let ranges, clamped =
+          match as_aff st v with
+          | None -> (ranges, [])
+          | Some f ->
+              ( ranges
+                @ remainder_ranges ~refine:(Lazy.force refinements) st f,
+                List.filter_map
+                  (fun cl ->
                     let d = sf_sub f cl.cl_form in
-                    if d.sterms = [] then Some (lp_add cl.cl_poly d.sc)
-                    else None)
-                (Lazy.force clamps)
-        | _ -> base
+                    let bound =
+                      if d.sterms = [] then Some (lp_add cl.cl_poly d.sc)
+                      else
+                        Option.map
+                          (fun r ->
+                            lp_add cl.cl_poly
+                              (match cl.cl_kind with
+                              | `Hi -> r.rhi
+                              | `Lo -> r.rlo))
+                          (range_of st (Aff d))
+                    in
+                    Option.map (fun b -> (cl.cl_kind, b)) bound)
+                  (Lazy.force clamps) )
+        in
+        let side kind pick =
+          List.map pick ranges
+          @ List.filter_map
+              (fun (k, b) -> if k = kind then Some b else None)
+              clamped
+        in
+        (side `Lo (fun r -> r.rlo), side `Hi (fun r -> r.rhi))
       in
-      let check_dim (e, bound, scale, offs) =
-        match lower st ~binds:acc.x_binds ~frames:acc.x_frames e with
+      let check_dim (e, v, bound, scale, offs) =
+        match v with
         | Opq -> Ok []
         | v ->
-            let lo_ok = List.exists lp_nonneg (candidates v `Lo) in
-            if not lo_ok then
+            let los, his = candidates v in
+            if not (List.exists lp_nonneg los) then
               Error
                 (Printf.sprintf "cannot prove %s >= 0 in %s"
                    (Pp.expr_to_string e) acc.x_arr)
             else
-              (* among independently sufficient alternatives prefer the
-                 one provable at the most launches: a guard-refined
-                 constant bound (empty conjunction) beats any launch
-                 atom, and [gx <= 1 && bx <= 16] beats [bx*gx <= 4] *)
-              let hi =
-                List.concat_map
-                  (fun h ->
-                    lp_le_alts
-                      (lp_add (lp_scale scale h) (lp_const offs))
-                      (lp_const (bound - 1)))
-                  (candidates v `Hi)
-                |> List.sort_uniq compare
-                |> function
-                | [] -> None
-                | [ c ] -> Some c
-                | alts ->
-                    Some
-                      (List.map (fun c -> (coverage c, c)) alts
-                      |> List.sort (fun (na, _) (nb, _) -> compare nb na)
-                      |> List.hd |> snd)
+              let his =
+                List.map
+                  (fun h -> lp_add (lp_scale scale h) (lp_const offs))
+                  his
               in
-              (match hi with
-              | Some cs -> Ok cs
-              | None ->
-                  Error
-                    (Printf.sprintf "cannot prove %s < %d in %s"
-                       (Pp.expr_to_string e) bound acc.x_arr))
+              if his = [] then
+                Error
+                  (Printf.sprintf "cannot prove %s < %d in %s"
+                     (Pp.expr_to_string e) bound acc.x_arr)
+              else if
+                List.exists
+                  (fun h -> lp_nonneg (lp_sub (lp_const (bound - 1)) h))
+                  his
+              then Ok []
+              else
+                Ok
+                  (Constraint.any ~label:(acc_key acc)
+                     (List.map (fun h -> Constraint.ineq h (bound - 1)) his))
       in
       List.fold_left
         (fun acc_r d ->
@@ -1740,6 +2235,82 @@ let prove_bounds st layouts (acc : sacc) : (Constraint.t, string) Stdlib.result
           | Ok c1, Ok c2 -> Ok (c1 @ c2)
           | (Error _ as e), _ | _, (Error _ as e) -> e)
         (Ok []) dims)
+
+(** The group under [key] of the accesses written at [a]'s place (the
+    same guards and loop frames, physically), made by [fresh] on first
+    sight. *)
+let group_at buckets key (a : sacc) ~(fresh : unit -> 'g) : 'g =
+  let groups = Option.value ~default:[] (Hashtbl.find_opt buckets key) in
+  match
+    List.find_opt
+      (fun ((b : sacc), _) ->
+        b.x_guards == a.x_guards && b.x_frames == a.x_frames)
+      groups
+  with
+  | Some (_, g) -> g
+  | None ->
+      let g = fresh () in
+      Hashtbl.replace buckets key ((a, g) :: groups);
+      g
+
+(** Accesses whose index dimensions are equal up to constants, under
+    the same guards and loop frames, have every bound candidate
+    monotone in those constants when no private digit has a negative
+    coefficient: the least member's lower bounds and the greatest
+    member's upper bounds imply everyone's. [None]: the access is
+    checked on its own. *)
+let bounds_template st layouts (acc : sacc) =
+  match Layout.find layouts acc.x_arr with
+  | None -> None
+  | Some lay ->
+      let rec go = function
+        | [] -> Some ([], [])
+        | (_, v, _, _, _) :: rest -> (
+            match Option.bind (as_aff st v) (form_template st) with
+            | Some (t, (kf, ke), cq) when lp_nonneg cq -> (
+                match go rest with
+                | Some (ts, ks) -> Some (t :: ts, kf :: ke :: ks)
+                | None -> None)
+            | _ -> None)
+      in
+      let kind = match acc.x_kind with `Sc _ -> 0 | `Vec (w, _) -> w in
+      Option.map
+        (fun (ts, ks) -> ((acc.x_arr, kind, ts), ks))
+        (go (bound_dims lay acc))
+
+(** Which of [accs] the bounds phase must check: per group of
+    {!bounds_template}, the member least in every constant and the one
+    greatest in every constant when both exist, else every member. *)
+let bounds_to_check st layouts (accs : sacc array) : bool array =
+  let check = Array.make (Array.length accs) true in
+  let buckets = Hashtbl.create 16 in
+  Array.iteri
+    (fun i a ->
+      match bounds_template st layouts a with
+      | None -> ()
+      | Some (key, ks) ->
+          let members = group_at buckets key a ~fresh:(fun () -> ref []) in
+          members := (i, ks) :: !members)
+    accs;
+  Hashtbl.iter
+    (fun _ groups ->
+      List.iter
+        (fun (_, members) ->
+          match !members with
+          | [] | [ _ ] -> ()
+          | (_, k0) :: _ as ms ->
+              let fold f =
+                List.fold_left (fun acc (_, ks) -> List.map2 f acc ks) k0 ms
+              in
+              let lo = fold min and hi = fold max in
+              let find v = List.find_opt (fun (_, ks) -> ks = v) ms in
+              (match (find lo, find hi) with
+              | Some (ilo, _), Some (ihi, _) ->
+                  List.iter (fun (i, _) -> check.(i) <- i = ilo || i = ihi) ms
+              | _ -> ()))
+        groups)
+    buckets;
+  check
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -1775,11 +2346,24 @@ let spaces_of (k : Ast.kernel) : (string * [ `Shared | `Global ]) list =
   in
   from_params @ from_decls
 
-let acc_key (a : sacc) =
-  match a.x_kind with
-  | `Sc idxs -> Pp.expr_to_string (Ast.Index (a.x_arr, idxs))
-  | `Vec (w, ie) ->
-      Pp.expr_to_string (Vload { v_arr = a.x_arr; v_width = w; v_index = ie })
+(** Call [f k1 k2] once per distinct difference [k1 - k2] of the
+    constants of two groups' members ([(constants, index)] arrays);
+    within one group ([~same]) once per unordered pair, since a race
+    between two accesses is one between them in either order. *)
+let each_difference ~same (c1 : ((int * int) * int) array)
+    (c2 : ((int * int) * int) array) (f : int * int -> int * int -> unit) =
+  let seen = Hashtbl.create 64 in
+  Array.iteri
+    (fun i (((a, b) as k1), _) ->
+      Array.iteri
+        (fun j (((c, d) as k2), _) ->
+          let diff = (a - c, b - d) in
+          if ((not same) || i <= j) && not (Hashtbl.mem seen diff) then begin
+            Hashtbl.replace seen diff ();
+            f k1 k2
+          end)
+        c2)
+    c1
 
 let check_exn (k : Ast.kernel) : result =
   let st =
@@ -1791,14 +2375,16 @@ let check_exn (k : Ast.kernel) : result =
       st_violations = [];
       st_unknown = None;
       st_next_id = 0;
-      st_ranges = [];
+      st_ranges = Hashtbl.create 64;
+      st_quots = Hashtbl.create 64;
+      st_quot_defs = Hashtbl.create 64;
     }
   in
   let layouts = Layout.of_kernel k in
   let spaces = spaces_of k in
   let env0 =
     {
-      s_binds = [];
+      s_binds = Smap.empty;
       s_frames = [];
       s_guards = [];
       s_div_hard = false;
@@ -1809,26 +2395,32 @@ let check_exn (k : Ast.kernel) : result =
   in
   ignore (swalk_block st spaces env0 k.k_body);
   let accs = List.rev st.st_accs in
-  let atoms = ref Constraint.tt in
-  let require c = atoms := Constraint.conj !atoms c in
+  let region = ref Constraint.tt in
+  let require c = region := List.rev_append c !region in
   let unknown () = st.st_unknown <> None in
-  (* bounds first, once per distinct syntactic access: the phase is
-     linear and its failures are common on transformed kernels, so
+  (* bounds first, once per distinct syntactic access (and only the
+     extreme members of a replica group, {!bounds_to_check}): the phase
+     is linear and its failures are common on transformed kernels, so
      bailing here skips the quadratic race phase when the verdict is
      already doomed to Unknown (the concrete fallback re-checks
      everything anyway) *)
   let seen = Hashtbl.create 64 in
-  List.iter
-    (fun a ->
-      if not (unknown ()) then
+  let distinct =
+    List.filter
+      (fun a ->
         let key = (a.x_path, a.x_arr, a.x_store, acc_key a) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          match prove_bounds st layouts a with
-          | Ok c -> require c
-          | Error m -> give_up st m
-        end)
-    accs;
+        (not (Hashtbl.mem seen key)) && (Hashtbl.replace seen key (); true))
+      accs
+    |> Array.of_list
+  in
+  let check = bounds_to_check st layouts distinct in
+  Array.iteri
+    (fun i a ->
+      if check.(i) && not (unknown ()) then
+        match prove_bounds st layouts a with
+        | Ok c -> require c
+        | Error m -> give_up st m)
+    distinct;
   (* races, interval by interval, array by array *)
   if not (unknown ()) then begin
     let intervals = Hashtbl.create 8 in
@@ -1858,25 +2450,61 @@ let check_exn (k : Ast.kernel) : result =
                   let arr_accs =
                     Array.of_list (List.map (stage st lay) accs_arr)
                   in
-                  let n = Array.length arr_accs in
-                  let i = ref 0 in
-                  while !i < n && not (unknown ()) do
-                    let j = ref !i in
-                    while !j < n && not (unknown ()) do
-                      let sa = arr_accs.(!i) and sb = arr_accs.(!j) in
-                      let a = sa.sx and b = sb.sx in
-                      (if a.x_store || b.x_store then
-                         match prove_pair st sa sb with
-                         | `Ok c -> require c
-                         | `Fail m ->
-                             give_up st
-                               (Printf.sprintf "%s: %s (%s)" arr m
-                                  (if a.x_path = "" then "top level"
-                                   else a.x_path)));
-                      incr j
-                    done;
-                    incr i
-                  done)
+                  (* group by template: same store flag, path, guards
+                     and frames, offsets equal up to constants; each
+                     group keeps one access per distinct constant *)
+                  let buckets = Hashtbl.create 16 and groups = ref [] in
+                  let new_group (a : sacc) () =
+                    let g = (a.x_store, ref []) in
+                    groups := g :: !groups;
+                    g
+                  in
+                  Array.iteri
+                    (fun i sa ->
+                      let a = sa.sx in
+                      let (_, cs), consts =
+                        match template st sa with
+                        | None -> (new_group a (), (0, 0))
+                        | Some (tpl, consts) ->
+                            ( group_at buckets (a.x_store, a.x_path, tpl) a
+                                ~fresh:(new_group a),
+                              consts )
+                      in
+                      if not (List.mem_assoc consts !cs) then
+                        cs := (consts, i) :: !cs)
+                    arr_accs;
+                  let gs =
+                    Array.of_list
+                      (List.rev_map
+                         (fun (store, cs) ->
+                           (store, Array.of_list (List.rev !cs)))
+                         !groups)
+                  in
+                  Array.iteri
+                    (fun gi (store_i, ci) ->
+                      for gj = gi to Array.length gs - 1 do
+                        let store_j, cj = gs.(gj) in
+                        if (store_i || store_j) && not (unknown ()) then begin
+                          let k1, r1 = ci.(0) and k2, r2 = cj.(0) in
+                          let sa = arr_accs.(r1) in
+                          let prove = pair_prover st sa arr_accs.(r2) in
+                          each_difference ~same:(gi = gj) ci cj
+                            (fun (kf1, ke1) (kf2, ke2) ->
+                              if not (unknown ()) then (
+                                let sf = kf1 - fst k1 - (kf2 - fst k2)
+                                and se = ke1 - snd k1 - (ke2 - snd k2) in
+                                match prove (sf, se) with
+                                | `Ok c ->
+                                    require
+                                      (Constraint.relabel ("race on " ^ arr) c)
+                                | `Fail m ->
+                                    give_up st
+                                      (Printf.sprintf "%s: %s (%s)" arr m
+                                         (if sa.sx.x_path = "" then "top level"
+                                          else sa.sx.x_path))))
+                        end
+                      done)
+                    gs)
           by_arr)
       intervals
   end;
@@ -1884,7 +2512,7 @@ let check_exn (k : Ast.kernel) : result =
     match st.st_unknown with
     | Some r -> Unknown r
     | None -> (
-        match Constraint.normalize !atoms with
+        match Constraint.normalize !region with
         | [] -> Proved
         | c -> Proved_when c)
   in
@@ -1923,11 +2551,10 @@ let decide (r : result) (launch : Ast.launch) :
   else
     match r.verdict with
     | Proved -> `Clean
-    | Proved_when c when Constraint.holds launch c -> `Clean
-    | Proved_when c ->
-        `Unknown
-          (Printf.sprintf "launch outside the proved region (%s)"
-             (Constraint.to_string c))
+    | Proved_when c -> (
+        match Constraint.miss launch c with
+        | None -> `Clean
+        | Some why -> `Unknown ("launch outside the proved region: " ^ why))
     | Unknown m -> `Unknown m
 
 (** A violation decidable from the block-thread product alone, e.g. for

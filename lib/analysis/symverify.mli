@@ -19,31 +19,26 @@
     callers can exclude entire launch families without compiling
     them. *)
 
-(** Conjunctions of linear inequalities over the launch dimensions. *)
+(** Launch regions: conjunctions of obligations, each a disjunction of
+    inequalities [p <= k] over launch polynomials — polynomials in the
+    launch dimensions [bx, by, gx, gy] and in floors of such polynomials
+    by constants — evaluated exactly at a concrete launch. *)
 module Constraint : sig
-  type dim = Bx | By | Gx | Gy
+  type t
 
-  (** A monomial is a sorted product of launch dimensions; [[]] is 1. *)
-  type mono = dim list
-
-  type atom = { a_mono : mono; a_cmp : [ `Le | `Ge ]; a_k : int }
-
-  (** A conjunction of atoms. [[]] is the trivial constraint. *)
-  type t = atom list
-
+  (** The trivial constraint, true at every launch. *)
   val tt : t
+
   val holds : Gpcc_ast.Ast.launch -> t -> bool
 
-  (** Keep only the strongest atom per (monomial, direction). *)
-  val normalize : t -> t
-
-  val conj : t -> t -> t
-
-  (** [holds_at_threads ~threads c] decides [c] when every atom is
-      over the [bx*by] monomial, substituting [threads]; [false] when
-      any atom mentions another monomial. *)
+  (** [holds_at_threads ~threads c] decides [c] when every obligation
+      is one inequality over the [bx*by] monomial, substituting
+      [threads]; [false] when any mentions another term. *)
   val holds_at_threads : threads:int -> t -> bool
 
+  (** Each obligation once, as [lhs <= k] (or [lhs >= k] when every
+      coefficient is negative), joined by [&&]; a disjunction is
+      parenthesized and joined by [||]. *)
   val to_string : t -> string
 end
 
@@ -72,7 +67,9 @@ val check : Gpcc_ast.Ast.kernel -> result
 (** Decide a concrete launch against a parametric result. [`Errors]
     carries error-severity diagnostics for violations that provably
     fire at this launch; [`Unknown] means the caller must run the
-    concrete verifier. *)
+    concrete verifier, and says why: the proof's reason for giving up,
+    or the region obligation the launch misses with its value there
+    (e.g. [img\[inv + 7 + j\]\[inv_0 + t\]: 255 > 159]). *)
 val decide :
   result ->
   Gpcc_ast.Ast.launch ->

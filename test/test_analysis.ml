@@ -114,6 +114,36 @@ __kernel void f(float b[256], float c[128], int w) {
   in
   Alcotest.(check bool) "aligned steps coalesce" true (is_coalesced (verdict src 0))
 
+(* A local reassigned inside an [if] or a loop body is unknown after the
+   construct: neither the pre-branch nor the pre-loop affine value of [t]
+   may show through and pass [b[t]] as coalesced. *)
+let test_stale_after_control_flow () =
+  List.iter
+    (fun (what, body) ->
+      let src =
+        Printf.sprintf
+          {|#pragma gpcc output b
+__kernel void f(float a[1024], float b[1024]) {
+  int t = idx;
+  %s
+  b[t] = a[idx];
+}|}
+          body
+      in
+      let a = access_of src 0 in
+      Alcotest.(check string)
+        (what ^ ": b[t] keeps no stale form") "t"
+        (match a.Coalesce_check.flat with
+        | Some f -> Affine.to_string f
+        | None -> "?");
+      match a.verdict with
+      | Coalesce_check.Noncoalesced Coalesce_check.Uniform -> ()
+      | v -> Alcotest.failf "%s: b[t]: %s" what (Coalesce_check.show_verdict v))
+    [
+      ("if", "if (tidx < 8) { t = idx * 3; }");
+      ("for", "for (int i = 0; i < 4; i += 1) { t = t * 2; }");
+    ]
+
 let test_index_classification () =
   let k = mk_kernel mm_like in
   let ctx = Affine.ctx_of_launch ~sizes:k.k_sizes launch in
@@ -285,6 +315,7 @@ let suite =
       t "strided by 2" test_strided_2;
       t "unresolved index skipped" test_unresolved_index;
       t "aligned loop steps" test_loop_step_alignment;
+      t "locals reassigned under control flow" test_stale_after_control_flow;
       t "index classification" test_index_classification;
       t "divergence tracking" test_divergence_tracking;
       t "safe loops under guards" test_safe_loops;

@@ -1,10 +1,13 @@
 (** Tests for the two-symbolic-thread verifier: differential agreement
     with the concrete {!Gpcc_analysis.Verify} tier over the registry
     kernels and a sampled launch grid, exact rule ids on negative
-    kernels, a seeded property test over randomized affine kernels, the
-    [Proved_when] constraint pruning Explore candidates, the parametric
-    verdict's on-disk round trip, and the [verify-incomplete] warning
-    when the concrete race check truncates its lane enumeration. *)
+    kernels, digit reasoning for [/] and [%] by constants (proved shapes
+    and colliding ones), a seeded property test over randomized affine
+    kernels, the [Proved_when] constraint pruning Explore candidates, the
+    parametric verdict's on-disk round trip, the [verify-incomplete]
+    warning when the concrete race check truncates its lane
+    enumeration, and the concrete warnings that symbolic-first
+    verification keeps on the launches it proves. *)
 
 open Gpcc_ast
 open Util
@@ -160,6 +163,114 @@ let test_negative_kernels () =
           then
             Alcotest.failf "%s: concrete fallback missed rule %s" name rule)
     negative_cases
+
+(* --- [/] and [%] by a constant, read as digits --- *)
+
+(* One Stockham stage of the registry fft (a radix-2 butterfly per
+   thread, [ns] = 4), its mv-style tile transpose, and its thread-merged
+   output: all proved at their launch without the concrete tier. *)
+let digit_positives =
+  [
+    ( "fft stage",
+      {|#pragma gpcc dim __threads_x 32
+#pragma gpcc output b
+__kernel void stage(float a[128], float b[128]) {
+  int ns = 4;
+  int k = idx % ns;
+  int j = idx / ns;
+  float ur = a[2 * idx];
+  float ui = a[2 * idx + 1];
+  float xr = a[2 * (idx + 32)];
+  float xi = a[2 * (idx + 32) + 1];
+  int o = 2 * j * ns + k;
+  b[2 * o] = ur + xr;
+  b[2 * o + 1] = ui + xi;
+  b[2 * (o + ns)] = ur - xr;
+  b[2 * (o + ns) + 1] = ui - xi;
+}|},
+      { Ast.grid_x = 2; grid_y = 1; block_x = 16; block_y = 1 } );
+    ( "mv tile",
+      {|#pragma gpcc dim w 64
+#pragma gpcc output c
+__kernel void tile(float a[64][64], float c[64], int w) {
+  __shared__ float shared[4][16][17];
+  for (int l = 0; l < 16; l++) {
+    shared[tidx / 16][l][tidx % 16] = a[idx - tidx % 16 + l][tidx % 16];
+  }
+  __syncthreads();
+  c[idx] = shared[tidx / 16][tidx % 16][0];
+}|},
+      { Ast.grid_x = 1; grid_y = 1; block_x = 64; block_y = 1 } );
+  ]
+
+(* Digits must not hide a collision: two threads share [idx / 2], and
+   [tidx / 4 + tidx % 4] repeats over 16 lanes. *)
+let digit_negatives =
+  [
+    ( "halved index",
+      V.rule_race_global,
+      {|#pragma gpcc dim n 64
+#pragma gpcc output c
+__kernel void half(float a[64], float c[32], int n) {
+  c[idx / 2] = a[idx];
+}|},
+      { Ast.grid_x = 4; grid_y = 1; block_x = 16; block_y = 1 } );
+    ( "digit sum",
+      V.rule_race_shared,
+      {|#pragma gpcc dim n 16
+#pragma gpcc output c
+__kernel void dsum(float a[16], float c[16], int n) {
+  __shared__ float s[16];
+  s[tidx / 4 + tidx % 4] = a[idx];
+  __syncthreads();
+  c[idx] = s[tidx];
+}|},
+      { Ast.grid_x = 1; grid_y = 1; block_x = 16; block_y = 1 } );
+  ]
+
+let test_digit_shapes () =
+  List.iter
+    (fun (name, src, launch) ->
+      let k = parse_kernel src in
+      let res = SV.check k in
+      (match SV.decide res launch with
+      | `Clean -> ()
+      | `Errors _ -> Alcotest.failf "%s: symbolic errors on a clean kernel" name
+      | `Unknown why -> Alcotest.failf "%s: not proved (%s)" name why);
+      List.iter (check_agreement name k res) (launch_grid launch))
+    digit_positives;
+  List.iter
+    (fun (name, rule, src, launch) ->
+      let k = parse_kernel src in
+      let res = SV.check k in
+      if SV.decide res launch = `Clean then
+        Alcotest.failf "%s: symbolic proved a colliding index clean" name;
+      if
+        not
+          (List.exists
+             (fun (d : V.diagnostic) -> d.rule = rule)
+             (V.errors (V.check ~launch k)))
+      then Alcotest.failf "%s: concrete tier misses %s" name rule;
+      List.iter (check_agreement name k res) (launch_grid launch))
+    digit_negatives;
+  (* the registry fft, naive and thread-merged, needs no fallback *)
+  let w = Registry.find_exn "fft" in
+  let k = Workload.parse w 256 in
+  List.iter
+    (fun degree ->
+      let r =
+        Gpcc_core.Pipeline.run
+          ~pipeline:
+            (Gpcc_core.Pipeline.default ~cfg:Util.cfg280
+               ~target_block_threads:64 ~merge_degree:degree ~verify:false ())
+          k
+      in
+      let res = SV.check r.kernel in
+      match SV.decide res r.launch with
+      | `Clean -> ()
+      | `Errors _ | `Unknown _ ->
+          Alcotest.failf "fft x%d: symbolic tier falls back" degree)
+    [ 1; 4 ]
 
 (* A reused loop variable is the second loop's, on the symbolic side
    too: the race survives (proved or through the concrete fallback) and
@@ -378,6 +489,70 @@ __kernel void wide(float a[64], float c[64], int n) {
           (fun (d : V.diagnostic) -> d.rule = V.rule_verify_incomplete)
           ds))
 
+(* --- symbolic-first verification reports the concrete diagnostics --- *)
+
+(* A launch the symbolic tier proves clean still gets the concrete
+   verifier's warnings from [Analysis_cache.verify_sym], since the
+   pipeline records them per step. Every warning rule is exercised:
+   merged mv (unproven bounds, uncoalesced), merged rd and fft
+   (uncoalesced), a column-major shared tile (bank conflicts) and a block
+   wider than the race search enumerates. *)
+let test_verify_sym_reports_warnings () =
+  let targets = ref [] in
+  let add name k l = targets := (name, k, l) :: !targets in
+  List.iter
+    (fun (name, size, target, degree) ->
+      let k = Workload.parse (Registry.find_exn name) size in
+      List.iter
+        (fun (s : Gpcc_core.Pipeline.step) ->
+          if s.fired then
+            add (name ^ " " ^ s.step_name) s.kernel_after s.launch_after)
+        (compile ~target ~degree ~verify:false k).steps)
+    [ ("mv", 64, 32, 1); ("rd", 16384, 256, 1); ("fft", 2048, 64, 8) ];
+  add "column tile"
+    (parse_kernel
+       {|#pragma gpcc dim n 256
+#pragma gpcc output c
+__kernel void bank(float a[256][16], float c[256][16], int n) {
+  __shared__ float s[16][16];
+  s[tidx][tidy] = a[idy][idx];
+  __syncthreads();
+  c[idy][idx] = s[tidx][tidy];
+}|})
+    { Ast.grid_x = 1; grid_y = 16; block_x = 16; block_y = 16 };
+  add "wide block"
+    (parse_kernel
+       {|#pragma gpcc dim n 1024
+#pragma gpcc output c
+__kernel void copy(float a[1024], float c[1024], int n) {
+  c[idx] = a[idx];
+}|})
+    { Ast.grid_x = 1; grid_y = 1; block_x = 1024; block_y = 1 };
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun (name, k, launch) ->
+      if SV.decide (SV.check k) launch = `Clean then begin
+        let conc = V.check ~launch k in
+        List.iter
+          (fun (d : V.diagnostic) -> Hashtbl.replace seen d.rule ())
+          conc;
+        let sym = Cache.verify_sym (Cache.create ()) ~launch k in
+        if sym <> conc then
+          Alcotest.failf "%s: verify_sym reports %s, Verify.check %s" name
+            (V.json_of_diagnostics sym) (V.json_of_diagnostics conc)
+      end)
+    (List.rev !targets);
+  List.iter
+    (fun rule ->
+      if not (Hashtbl.mem seen rule) then
+        Alcotest.failf "no symbolically proved target reports %s" rule)
+    [
+      V.rule_noncoalesced;
+      V.rule_oob_unproven;
+      V.rule_bank_conflict;
+      V.rule_verify_incomplete;
+    ]
+
 let suite =
   ( "symverify",
     [
@@ -387,6 +562,8 @@ let suite =
         test_loop_reuse;
       Alcotest.test_case "negative kernels keep rule ids" `Quick
         test_negative_kernels;
+      Alcotest.test_case "digit maps for / and % by constants" `Quick
+        test_digit_shapes;
       Alcotest.test_case "random affine agreement" `Slow
         test_random_affine_agreement;
       Alcotest.test_case "Proved_when prunes explore configs" `Quick
@@ -397,4 +574,6 @@ let suite =
         `Quick test_pverdict_disk_corruption;
       Alcotest.test_case "verify-incomplete warning" `Quick
         test_verify_incomplete_warning;
+      Alcotest.test_case "proved launches keep concrete warnings" `Quick
+        test_verify_sym_reports_warnings;
     ] )
