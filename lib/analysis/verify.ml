@@ -86,13 +86,15 @@ let json_of_diagnostics ds =
 
 (** A scalar binding at some program point. [Bexpr] keeps the defining
     expression (evaluated in the environment suffix {e after} the
-    binding, so rebindings and self-references resolve lexically).
+    binding, so rebindings and self-references resolve lexically) and
+    the affine context of its definition point, which lowers it: a
+    later reassignment must not change what it meant.
     [Bloop d] is the variable of the enclosing loop at depth [d]
     (outermost 0), bound at loop entry: an assignment in the body
     shadows it, and it shadows the [Bunknown] an earlier loop over the
     same name left behind. *)
 type binding =
-  | Bexpr of Ast.expr
+  | Bexpr of Ast.expr * Affine.ctx
   | Bloop of int
   | Bunknown
 
@@ -221,7 +223,7 @@ let rec stage (launch : Ast.launch) sizes ~depth binds (e : Ast.expr) : code =
       | Idy -> Dyn (fun l -> (l.l_bidy * by) + l.l_tidy))
   | Var v -> (
       match assoc_split v binds with
-      | Some (Bexpr e', rest) -> stage launch sizes ~depth rest e'
+      | Some (Bexpr (e', _), rest) -> stage launch sizes ~depth rest e'
       | Some (Bloop d, _) when d < depth ->
           Dyn
             (fun l ->
@@ -380,6 +382,7 @@ type frame = {
 type guard = {
   g_cond : Ast.expr;  (** must evaluate true for the access to run *)
   g_binds : (string * binding) list;
+  g_ctx : Affine.ctx;  (** the affine context the condition is lowered in *)
 }
 
 (** An access's expressions staged for the launch: the bounds of its
@@ -522,7 +525,7 @@ let rec thread_dep (binds : (string * binding) list) (frames : frame list)
   | Builtin _ | Int_lit _ | Float_lit _ -> false
   | Var v -> (
       match assoc_split v binds with
-      | Some (Bexpr e', rest) -> thread_dep rest frames e'
+      | Some (Bexpr (e', _), rest) -> thread_dep rest frames e'
       | Some (Bunknown, _) -> true
       | Some (Bloop d, _) ->
           let f = frame_at frames d in
@@ -626,7 +629,7 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
           collect_expr st env spaces e;
           {
             env with
-            w_binds = (d_name, Bexpr e) :: env.w_binds;
+            w_binds = (d_name, Bexpr (e, env.w_ctx)) :: env.w_binds;
             w_ctx = Affine.enter_let env.w_ctx d_name e;
           }
       | None ->
@@ -642,7 +645,7 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
       | Lvar v ->
           {
             env with
-            w_binds = (v, Bexpr e) :: env.w_binds;
+            w_binds = (v, Bexpr (e, env.w_ctx)) :: env.w_binds;
             w_ctx = Affine.enter_let env.w_ctx v e;
           }
       | Lfield (Lvar v, _) -> forget_vars env [ v ]
@@ -688,7 +691,9 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
       let branch cond' =
         {
           env with
-          w_guards = { g_cond = cond'; g_binds = env.w_binds } :: env.w_guards;
+          w_guards =
+            { g_cond = cond'; g_binds = env.w_binds; g_ctx = env.w_ctx }
+            :: env.w_guards;
           w_div = env.w_div || d;
           w_path = seg :: env.w_path;
         }
@@ -917,9 +922,9 @@ end)
 
 let check_races st (launch : Ast.launch) layouts ~max_lanes ~dedup_pairs
     (group : acc list) : unit =
-  let n = launch.block_x * launch.block_y in
-  if n > 1 then begin
-    let lanes = min n max_lanes in
+  let lanes = min (launch.block_x * launch.block_y) max_lanes in
+  (* a conflict needs two distinct lanes: a one-lane lint has none *)
+  if lanes > 1 then begin
     let by_arr = Hashtbl.create 8 in
     List.iter
       (fun a ->
@@ -1120,7 +1125,8 @@ and structural_range (env : renv) (e : Ast.expr) : si option =
   | Var v -> (
       match assoc_split v env.r_binds with
       | Some (Bloop d, _) -> List.assoc_opt d env.r_iters
-      | Some (Bexpr e', rest) -> range_expr { env with r_binds = rest } e'
+      | Some (Bexpr (e', ctx), rest) ->
+          range_expr { env with r_binds = rest; r_ctx = ctx } e'
       | Some (Bunknown, _) -> None
       | None -> Option.map si_const (List.assoc_opt v env.r_sizes))
   | Unop (Neg, a) -> Option.map si_neg (range_expr env a)
@@ -1165,9 +1171,10 @@ and structural_range (env : renv) (e : Ast.expr) : si option =
       Some (si_hull x y)
   | Index _ | Vload _ | Field _ | Call _ -> None
 
-(** Refine per-variable bounds from one guard condition: a constraint
-    whose affine difference has a single variable pins that variable. *)
-let rec refine_guard (env : renv) (cond : Ast.expr) : renv =
+(** Refine per-variable bounds from one guard condition, lowered in the
+    guard's context [ctx]: a constraint whose affine difference has a
+    single variable pins that variable. *)
+let rec refine_guard (env : renv) ctx (cond : Ast.expr) : renv =
   let add_le f bound env =
     (* constraint: f <= bound *)
     match f.Affine.terms with
@@ -1190,13 +1197,13 @@ let rec refine_guard (env : renv) (cond : Ast.expr) : renv =
     | _ -> env
   in
   match cond with
-  | Binop (And, a, b) -> refine_guard (refine_guard env a) b
-  | Unop (Not, Binop (Lt, a, b)) -> refine_guard env (Binop (Ge, a, b))
-  | Unop (Not, Binop (Le, a, b)) -> refine_guard env (Binop (Gt, a, b))
-  | Unop (Not, Binop (Gt, a, b)) -> refine_guard env (Binop (Le, a, b))
-  | Unop (Not, Binop (Ge, a, b)) -> refine_guard env (Binop (Lt, a, b))
+  | Binop (And, a, b) -> refine_guard (refine_guard env ctx a) ctx b
+  | Unop (Not, Binop (Lt, a, b)) -> refine_guard env ctx (Binop (Ge, a, b))
+  | Unop (Not, Binop (Le, a, b)) -> refine_guard env ctx (Binop (Gt, a, b))
+  | Unop (Not, Binop (Gt, a, b)) -> refine_guard env ctx (Binop (Le, a, b))
+  | Unop (Not, Binop (Ge, a, b)) -> refine_guard env ctx (Binop (Lt, a, b))
   | Binop (((Lt | Le | Gt | Ge | Eq) as op), a, b) -> (
-      match (Affine.of_expr env.r_ctx a, Affine.of_expr env.r_ctx b) with
+      match (Affine.of_expr ctx a, Affine.of_expr ctx b) with
       | Some fa, Some fb -> (
           let d = Affine.sub fa fb in
           match op with
@@ -1250,7 +1257,7 @@ let renv_of_acc launch sizes (acc : acc) : renv =
       (base, 0) acc.a_frames
   in
   let refine env =
-    List.fold_left (fun e g -> refine_guard e g.g_cond) env acc.a_guards
+    List.fold_left (fun e g -> refine_guard e g.g_ctx g.g_cond) env acc.a_guards
   in
   refine (refine env)
 

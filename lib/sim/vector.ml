@@ -13,8 +13,12 @@
     Divergence is handled exactly like the other backends — masks are
     arrays of active lane ids — but the overwhelmingly common full-block
     mask is detected per node ([Array.length m = n]) and runs the dense
-    unmasked loop. Expressions the analysis proves block-uniform use the
-    same scalar [U*] channel as {!Compile}. No lane loop over float
+    unmasked loop, and a guard whose lanes all agree hands its incoming
+    mask to the taken branch, so only a split guard builds masks.
+    Expressions the analysis proves block-uniform use the same scalar
+    [U*] channel as {!Compile}; besides {!Compile}'s cases, these are the
+    thread builtins along a block dimension of 1 and [int] locals whose
+    uniform initializer is their only write. No lane loop over float
     planes calls a function value: float operators are plan-time
     variants matched inside the loop, so on a compiler without flambda
     the float operands stay unboxed (see the float-operator note).
@@ -55,7 +59,8 @@ type vrt = {
   ip : int array;  (** int planes; bool planes hold 0/1 *)
   shareds : Devmem.fmem array;  (** shared arrays, one per name *)
   globals : Devmem.arr array;  (** resolved global parameters *)
-  uregs : int array;  (** uniform int registers (loop variables) *)
+  uregs : int array;
+      (** uniform int registers (uniform loop variables and locals) *)
   hw_addrs : int array;  (** 16-slot scratch for half-warp addresses *)
   pl_addrs : int array;  (** [n]-slot scratch for whole-plane addresses *)
   site_a0 : int array;
@@ -839,6 +844,7 @@ type ve = vexpr * plane list
     the result lives in a variable's permanent plane or a scalar). *)
 
 module Smap = Map.Make (String)
+module Sset = Set.Make (String)
 
 type binding =
   | Bint of int
@@ -846,7 +852,9 @@ type binding =
   | Bbool of int
   | Bf2 of int * int
   | Bf4 of int * int * int * int
-  | Bloop_u of int  (** uniform loop variable: register index *)
+  | Bureg of int
+      (** uniform int register: a uniform loop variable, or an [int]
+          local whose uniform initializer is its only write *)
   | Bloop_v of int  (** varying loop variable: int plane *)
   | Bshared of int * int array * int  (** slot, strides, padded length *)
   | Bglobal of int * int array * string  (** slot, expected strides, name *)
@@ -867,8 +875,12 @@ type cstate = {
   mutable patterns : ((int * int) * int) list;
       (** permanent pattern planes by [(ax, ay)]; [tidx] and [tidy] are
           [(1, 0)] and [(0, 1)] *)
+  mutable varying_guards : int;  (** [if]s whose condition is a plane *)
   cn : int;  (** threads per block *)
   claunch : Ast.launch;
+  assigned : Sset.t;
+      (** names some [Assign] in the kernel writes: a loop variable or
+          [int] local outside this set keeps the value it was bound to *)
 }
 
 let alloc_f st =
@@ -1264,8 +1276,9 @@ let bu = function BU f -> f | BP _ -> assert false
 (* --- index plans for array accesses ---
 
    An index dimension built only from the thread builtins, integer
-   literals, [#pragma gpcc dim] constants, uniform loop variables and
-   block-uniform builtins with [+], [-], unary [-] and multiplication by
+   literals, [#pragma gpcc dim] constants, uniform registers (uniform
+   loop variables and once-assigned [int] locals) and block-uniform
+   builtins with [+], [-], unary [-] and multiplication by
    a compile-time constant is {e lane-affine}: at plan time it lowers to
    [ax * tidx + ay * tidy + u] with compile-time coefficients and a
    block-uniform remainder [u] — the index shape the paper's Section 3.2
@@ -1277,7 +1290,7 @@ let bu = function BU f -> f | BP _ -> assert false
    the same coefficients.
 
    The remainder is kept as a linear form, not as a closure per node:
-   its leaves read loop registers and block ids and have no effect, and
+   its leaves read uniform registers and block ids and have no effect, and
    integer arithmetic is exact modulo the word size in any association.
    What the reference can observe is one warp instruction per operator
    node, and the form counts them. Any other dimension is compiled as an
@@ -1325,6 +1338,12 @@ let rec lin_of st env (e : Ast.expr) : lin option =
   let l = st.claunch in
   match e with
   | Int_lit k -> Some { lin0 with k }
+  (* along a block dimension of 1 the thread index is 0 and the global
+     index is the block index: both are uniform *)
+  | Builtin Tidx when l.block_x = 1 -> Some lin0
+  | Builtin Tidy when l.block_y = 1 -> Some lin0
+  | Builtin Idx when l.block_x = 1 -> Some { lin0 with kbx = 1 }
+  | Builtin Idy when l.block_y = 1 -> Some { lin0 with kby = 1 }
   | Builtin Tidx -> Some { lin0 with ax = 1; thr = true }
   | Builtin Tidy -> Some { lin0 with ay = 1; thr = true }
   | Builtin Idx -> Some { lin0 with ax = 1; kbx = l.block_x; thr = true }
@@ -1338,7 +1357,7 @@ let rec lin_of st env (e : Ast.expr) : lin option =
   | Var v -> (
       match Smap.find_opt v env with
       | Some (Bconst k) -> Some { lin0 with k }
-      | Some (Bloop_u r) -> Some { lin0 with regs = [ (r, 1) ] }
+      | Some (Bureg r) -> Some { lin0 with regs = [ (r, 1) ] }
       | _ -> None)
   | Unop (Neg, a) -> Option.map (lin_axpy ~ops:1 lin0 (-1)) (lin_of st env a)
   | Binop (((Add | Sub) as op), a, b) -> (
@@ -1500,7 +1519,7 @@ let rec comp_e (st : cstate) (env : binding Smap.t) (e : Ast.expr) : ve =
       match Smap.find_opt v env with
       | None -> unsupported "unbound variable %s" v
       | Some (Bconst k) -> (UI (fun _ _ -> k), [])
-      | Some (Bloop_u r) -> (UI (fun rt _ -> rt.uregs.(r)), [])
+      | Some (Bureg r) -> (UI (fun rt _ -> rt.uregs.(r)), [])
       | Some (Bloop_v p) -> (XI (p, nofill), [])
       | Some (Bint p) -> (XI (p, nofill), [])
       | Some (Bfloat p) -> (XF (p, nofill), [])
@@ -1549,6 +1568,11 @@ let rec comp_e (st : cstate) (env : binding Smap.t) (e : Ast.expr) : ve =
 and comp_builtin st (b : Ast.builtin) : ve =
   let l = st.claunch in
   match b with
+  (* a block dimension of 1: see {!lin_of} *)
+  | Tidx when l.block_x = 1 -> (UI (fun _ _ -> 0), [])
+  | Tidy when l.block_y = 1 -> (UI (fun _ _ -> 0), [])
+  | Idx when l.block_x = 1 -> (UI (fun rt _ -> rt.c.Interp.bidx), [])
+  | Idy when l.block_y = 1 -> (UI (fun rt _ -> rt.c.Interp.bidy), [])
   | Tidx -> (XI (pattern_plane st ~ax:1 ~ay:0, nofill), [])
   | Tidy -> (XI (pattern_plane st ~ax:0 ~ay:1, nofill), [])
   | Idx | Idy ->
@@ -2535,15 +2559,16 @@ let shared_slot st name (a : Ast.array_ty) : int * Layout.t * int =
       st.shared_specs <- st.shared_specs @ [ (name, lay, len, slot) ];
       (slot, lay, len)
 
-let assigns_var name (b : Ast.block) : bool =
-  let rec stmt = function
-    | Ast.Assign (Lvar v, _) -> v = name
-    | Ast.Assign (_, _) -> false
-    | Ast.If (_, t, f) -> block t || block f
-    | Ast.For l -> block l.l_body
-    | Ast.Decl _ | Ast.Sync | Ast.Global_sync | Ast.Comment _ -> false
-  and block b = List.exists stmt b in
-  block b
+(** The names the [Assign]s in [b] write. *)
+let assigned_names (b : Ast.block) : Sset.t =
+  let rec stmt acc = function
+    | Ast.Assign (Lvar v, _) -> Sset.add v acc
+    | Ast.If (_, t, f) -> block (block acc t) f
+    | Ast.For l -> block acc l.l_body
+    | Ast.Assign _ | Ast.Decl _ | Ast.Sync | Ast.Global_sync | Ast.Comment _ ->
+        acc
+  and block acc b = List.fold_left stmt acc b in
+  block Sset.empty b
 
 (** Zero every lane of the planes backing one declared scalar — the
     analogue of the reference's fresh per-execution value arrays. *)
@@ -2595,17 +2620,30 @@ let rec comp_stmt st env (s : Ast.stmt) : binding Smap.t * vstmt option =
         | Ast.Float4 -> Bf4 (alloc_f st, alloc_f st, alloc_f st, alloc_f st)
       in
       let zero = fresh_planes st b in
-      let stm =
-        match d_init with
-        | None -> fun rt _ -> zero rt
-        | Some e ->
-            let store = store_plane st b (comp_e st env e) in
-            fun rt m ->
-              zero rt;
-              inst rt;
-              store rt m
-      in
-      (Smap.add d_name b env, Some stm)
+      let ce = Option.map (comp_e st env) d_init in
+      (match (b, ce) with
+      | Bint p, Some (((UI _ | UB _), _) as ce)
+        when not (Sset.mem d_name st.assigned) ->
+          (* every lane that can read it holds the initializer's value:
+             a uniform register, like a uniform loop variable *)
+          release st [ PI p ];
+          let f, own = iopnd ce in
+          release st own;
+          let f = iu f and r = fresh_ureg st in
+          ( Smap.add d_name (Bureg r) env,
+            Some
+              (fun rt m ->
+                inst rt;
+                rt.uregs.(r) <- f rt m) )
+      | _, None -> (Smap.add d_name b env, Some (fun rt _ -> zero rt))
+      | _, Some ce ->
+          let store = store_plane st b ce in
+          ( Smap.add d_name b env,
+            Some
+              (fun rt m ->
+                zero rt;
+                inst rt;
+                store rt m) ))
   | Decl { d_name; d_ty = Array ({ space = Shared; _ } as a); _ } ->
       let slot, lay, len = shared_slot st d_name a in
       let strides = Array.of_list (Layout.strides lay) in
@@ -2628,52 +2666,66 @@ let rec comp_stmt st env (s : Ast.stmt) : binding Smap.t * vstmt option =
                 inst rt;
                 if fc rt m then tstm rt m else fstm rt m) )
       | XB _ | XI _ ->
+          st.varying_guards <- st.varying_guards + 1;
           let fc, ownc = bopnd cc in
           release st ownc;
-          let rc = brd st fc in
+          let co, fl =
+            match fc with BP (p, fl) -> (p * st.cn, fl) | BU _ -> assert false
+          in
           let tstm = comp_block st env t in
           let fstm = comp_block st env f in
           ( env,
             Some
               (fun rt m ->
                 inst rt;
-                let cv = beval fc rt m in
-                let nt = ref 0 in
-                Array.iter (fun l -> if rc rt cv l then incr nt) m;
-                let nt = !nt in
+                fl rt m;
+                let ip = rt.ip in
                 let nm = Array.length m in
-                let tm = Array.make nt 0 and fm = Array.make (nm - nt) 0 in
-                let ti = ref 0 and fi = ref 0 in
-                Array.iter
-                  (fun l ->
-                    if rc rt cv l then begin
-                      tm.(!ti) <- l;
-                      incr ti
-                    end
-                    else begin
-                      fm.(!fi) <- l;
-                      incr fi
-                    end)
-                  m;
-                if nt > 0 && nm - nt > 0 then begin
+                let nt = ref 0 in
+                if nm = rt.n then
+                  for l = 0 to nm - 1 do
+                    if iget ip (co + l) <> 0 then incr nt
+                  done
+                else
+                  Array.iter (fun l -> if iget ip (co + l) <> 0 then incr nt) m;
+                let nt = !nt in
+                (* a unanimous outcome hands the incoming mask on *)
+                if nt = nm then tstm rt m
+                else if nt = 0 then fstm rt m
+                else begin
+                  let tm = Array.make nt 0 and fm = Array.make (nm - nt) 0 in
+                  let ti = ref 0 and fi = ref 0 in
+                  Array.iter
+                    (fun l ->
+                      if iget ip (co + l) <> 0 then begin
+                        tm.(!ti) <- l;
+                        incr ti
+                      end
+                      else begin
+                        fm.(!fi) <- l;
+                        incr fi
+                      end)
+                    m;
                   let s = rt.c.Interp.stats in
                   s.Stats.divergent_branches <-
-                    s.Stats.divergent_branches +. 1.
-                end;
-                if nt > 0 then tstm rt tm;
-                if nm - nt > 0 then fstm rt fm) )
+                    s.Stats.divergent_branches +. 1.;
+                  tstm rt tm;
+                  fstm rt fm
+                end) )
       | UF _ | XF _ | XF2 _ | XF4 _ -> unsupported "expected a boolean value")
   | For { l_var; l_init; l_limit; l_step; l_body } -> (
       let init_ce = comp_e st env l_init in
       let init_uniform =
         match fst init_ce with UI _ | UB _ -> true | _ -> false
       in
-      let uniform_candidate = init_uniform && not (assigns_var l_var l_body) in
+      let uniform_candidate =
+        init_uniform && not (Sset.mem l_var st.assigned)
+      in
       let uniform_compiled =
         if not uniform_candidate then None
         else begin
           let r = fresh_ureg st in
-          let env_u = Smap.add l_var (Bloop_u r) env in
+          let env_u = Smap.add l_var (Bureg r) env in
           match (comp_e st env_u l_limit, comp_e st env_u l_step) with
           | (((UI _ | UB _), _) as lim_ce), (((UI _ | UB _), _) as step_ce) ->
               let finit, owni = iopnd init_ce in
@@ -3031,7 +3083,7 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
           fun rt m ->
             inst rt;
             store rt m
-      | Some (Bloop_u _) -> unsupported "assignment to uniform loop variable"
+      | Some (Bureg _) -> unsupported "assignment to uniform register %s" v
       | Some _ | None -> unsupported "assignment to non-scalar %s" v)
   | Lfield (Lvar v, fcomp) -> (
       match (comp_e st env e, Smap.find_opt v env, fcomp) with
@@ -3256,6 +3308,9 @@ type code = {
   co_n : int;
   co_warps : float;
   co_launch : Ast.launch;
+  co_varying_guards : int;
+      (** [if]s whose condition is a plane: the only guards that
+          evaluate lane by lane *)
   co_pool : vrt list ref;
       (** retired block states, reused across runs to skip plane
           allocation (see {!retire}); guarded by [co_pool_mu] *)
@@ -3278,6 +3333,8 @@ let compile_uncached (k : Ast.kernel) (launch : Ast.launch) : code =
       patterns = [];
       cn = n;
       claunch = launch;
+      varying_guards = 0;
+      assigned = assigned_names k.k_body;
     }
   in
   let layouts = Layout.of_kernel k in
@@ -3336,6 +3393,7 @@ let compile_uncached (k : Ast.kernel) (launch : Ast.launch) : code =
     co_n = n;
     co_warps = float_of_int ((n + 31) / 32);
     co_launch = launch;
+    co_varying_guards = st.varying_guards;
     co_pool = ref [];
     co_pool_mu = Mutex.create ();
   }

@@ -276,49 +276,51 @@ __kernel void r(float a[64][64], float c[32][32], int w) {
     Alcotest.failf "shared inner loop: %d closed-form credits, want >= 31"
       credits
 
+(** Run [src] Full on the reference and vector backends and require the
+    same bits: outputs (where [compare] equates nans and signed zeros,
+    so the raw bits are compared too), every statistic and the timing;
+    a reference runtime error must be the vector backend's error too. *)
+let run_src label src (grid_x, grid_y) (block_x, block_y) inputs =
+  let bits a = Array.map Int64.bits_of_float a in
+  let k = parse_kernel src in
+  let launch = { Gpcc_ast.Ast.grid_x; grid_y; block_x; block_y } in
+  let exec ~backend =
+    let mem = Gpcc_sim.Devmem.of_kernel k in
+    List.iter (fun (n, d) -> Gpcc_sim.Devmem.write mem n d) inputs;
+    match L.run ~mode:L.Full ~backend ~jobs:1 cfg280 k launch mem with
+    | r ->
+        let read a = (a, Gpcc_sim.Devmem.read mem a) in
+        let arrays = List.map read (global_arrays k) in
+        Ok (r, arrays)
+    | exception Gpcc_sim.Interp.Runtime_error m -> Error m
+  in
+  let fb0 = Gpcc_sim.Vector.fallback_count () in
+  let rr = exec ~backend:L.Reference and rv = exec ~backend:L.Vector in
+  Alcotest.(check int)
+    (label ^ " vector without fallback")
+    fb0
+    (Gpcc_sim.Vector.fallback_count ());
+  match (rr, rv) with
+  | Ok a, Ok b ->
+      bit_identical label a b;
+      List.iter2
+        (fun (n, x) (_, y) ->
+          if bits x <> bits y then
+            Alcotest.failf "%s: array %s differs in its bits" label n)
+        (snd a) (snd b)
+  | Error a, Error b -> Alcotest.(check string) (label ^ " error") a b
+  | Error m, Ok _ -> Alcotest.failf "%s: only the reference failed: %s" label m
+  | Ok _, Error m -> Alcotest.failf "%s: only vector failed: %s" label m
+
+let ramp n = Array.init n (fun i -> float_of_int ((i * 37) mod 101) -. 50.)
+
 (** Lane-affine index shapes (coefficients that cancel, negative ones,
     [#pragma gpcc dim] strides, a runtime multiplier and a varying loop
     variable that keep the plane-combining plan, guarded and
     out-of-bounds sites) and every float operator in plane/plane,
     plane/uniform and uniform/plane shapes over nan, infinities and
-    signed zeros. Outputs are compared bit for bit (where [compare]
-    equates nans and signed zeros), and a reference runtime error must
-    be the vector backend's error too. *)
+    signed zeros. *)
 let test_vector_affine_and_float_edges () =
-  let bits a = Array.map Int64.bits_of_float a in
-  let run_src label src (grid_x, grid_y) (block_x, block_y) inputs =
-    let k = parse_kernel src in
-    let launch = { Gpcc_ast.Ast.grid_x; grid_y; block_x; block_y } in
-    let exec ~backend =
-      let mem = Gpcc_sim.Devmem.of_kernel k in
-      List.iter (fun (n, d) -> Gpcc_sim.Devmem.write mem n d) inputs;
-      match L.run ~mode:L.Full ~backend ~jobs:1 cfg280 k launch mem with
-      | r ->
-          let read a = (a, Gpcc_sim.Devmem.read mem a) in
-          let arrays = List.map read (global_arrays k) in
-          Ok (r, arrays)
-      | exception Gpcc_sim.Interp.Runtime_error m -> Error m
-    in
-    let fb0 = Gpcc_sim.Vector.fallback_count () in
-    let rr = exec ~backend:L.Reference and rv = exec ~backend:L.Vector in
-    Alcotest.(check int)
-      (label ^ " vector without fallback")
-      fb0
-      (Gpcc_sim.Vector.fallback_count ());
-    match (rr, rv) with
-    | Ok a, Ok b ->
-        bit_identical label a b;
-        List.iter2
-          (fun (n, x) (_, y) ->
-            if bits x <> bits y then
-              Alcotest.failf "%s: array %s differs in its bits" label n)
-          (snd a) (snd b)
-    | Error a, Error b -> Alcotest.(check string) (label ^ " error") a b
-    | Error m, Ok _ ->
-        Alcotest.failf "%s: only the reference failed: %s" label m
-    | Ok _, Error m -> Alcotest.failf "%s: only vector failed: %s" label m
-  in
-  let ramp n = Array.init n (fun i -> float_of_int ((i * 37) mod 101) -. 50.) in
   run_src "lane-affine shapes"
     {|#pragma gpcc dim w 8
 __kernel void shapes(float a[256], float o[8][16], int w) {
@@ -418,6 +420,124 @@ __kernel void shapes(float a[256], float o[8][16], int w) {
 }|}
     (1, 1) (64, 1)
     [ ("a", a); ("b", b) ]
+
+(** The vector plan's count of guards it evaluates lane by lane. *)
+let varying_guards label (k : Gpcc_ast.Ast.kernel) launch =
+  match Gpcc_sim.Vector.compile k launch with
+  | Ok code -> code.Gpcc_sim.Vector.co_varying_guards
+  | Error m -> Alcotest.failf "%s: vector plan refused: %s" label m
+
+(** Uniformity the plan derives from the launch and the kernel text: a
+    block dimension of 1 makes [tidx]/[tidy] the constant 0 and
+    [idx]/[idy] the block index, and an [int] local whose uniform
+    initializer is its only write is a uniform register wherever it is
+    declared. Guards over such values stay scalar. A guard that still
+    varies by lane hands its mask on when its lanes agree and divides
+    it when they split. *)
+let test_vector_uniform_guards () =
+  let unit_dims =
+    {|__kernel void u(float a[4096], float o[64][64]) {
+  __shared__ float s[64];
+  s[tidx + tidy] = a[idy * 64 + idx];
+  __syncthreads();
+  float acc = s[tidy * 2 + tidx];
+  if (tidx < 1) acc += s[tidy + 1];
+  if (tidy < 16) {
+    acc += a[idx * 64 + idy];
+    if (idx < 1) acc += 2.0;
+  }
+  if (idx < 40) acc += a[idy + idx * 2];
+  if (idy > 40) { acc += 1.0; } else { acc -= a[idx + tidy]; }
+  for (int i = tidx; i < 4; i++) acc += a[i + idy + tidy];
+  o[idy][idx] = acc;
+}|}
+  in
+  List.iter
+    (fun (bx, by) ->
+      run_src
+        (Printf.sprintf "unit dims (%d,%d)" bx by)
+        unit_dims (2, 2) (bx, by)
+        [ ("a", ramp 4096) ])
+    [ (32, 1); (1, 32) ];
+  (* along the unit dimension only the other index's guards vary *)
+  let k = parse_kernel unit_dims in
+  let launch block_x block_y =
+    { Gpcc_ast.Ast.grid_x = 2; grid_y = 2; block_x; block_y }
+  in
+  Alcotest.(check int) "(32,1) lane-varying guards" 3
+    (varying_guards "unit dims" k (launch 32 1));
+  Alcotest.(check int) "(1,32) lane-varying guards" 2
+    (varying_guards "unit dims" k (launch 1 32));
+  (* [base], [d] (under a divergent branch), [off] (in a loop) and [g]
+     (from a uniform load) are uniform registers; [t] is reassigned and
+     [row] varies, so both stay planes *)
+  let locals =
+    {|__kernel void loc(float a[4096], float o[4][64]) {
+  float acc = 0;
+  int base = bidx * 32;
+  int row = idy;
+  int t = bidy;
+  t = t + 1;
+  int g = a[bidy * 2] > 0.0 ? 3 : 1;
+  if (tidx < 7) {
+    int d = base + 2;
+    acc += a[d * 16 + tidx];
+    if (d > 2) acc += 1.0;
+  }
+  for (int i = 0; i < 4; i++) {
+    int off = i * 8 + base;
+    acc += a[off + tidx + row * 8];
+    if (tidx < off - base) acc += 0.5;
+    if (off > 9) acc += 0.25;
+  }
+  if (t < 2) acc += a[t * 64 + tidx];
+  if (row < g) acc -= 1.0;
+  if (g > 2) acc += 3.0;
+  o[idy][idx] = acc + g;
+}|}
+  in
+  run_src "uniform int locals" locals (2, 2) (32, 2) [ ("a", ramp 4096) ];
+  Alcotest.(check int) "uniform locals: lane-varying guards" 4
+    (varying_guards "uniform int locals" (parse_kernel locals) (launch 32 2));
+  (* lane-affine against uniform, each comparison and side order: as
+     [i] runs, every guard goes from unanimous to split and back, and
+     the last one does so under a partial mask *)
+  let sweep =
+    {|__kernel void sw(float a[4096], float o[64][64]) {
+  float acc = 0;
+  for (int i = 0; i < 40; i++) {
+    if (i < idy) acc += a[i * 64 + idx];
+    if (tidx + 3 <= i) acc += 1.0;
+    if (idx - i > 5) { acc -= 0.5; } else { acc += 0.25; }
+    if (2 * tidy - tidx >= i - 20) acc *= 0.5;
+    if (tidx < 8) {
+      if (i < idy) acc += 2.0;
+    }
+  }
+  o[idy][idx] = acc;
+}|}
+  in
+  run_src "guard sweep" sweep (2, 2) (16, 16) [ ("a", ramp 4096) ];
+  Alcotest.(check int) "guard sweep: lane-varying guards" 6
+    (varying_guards "guard sweep" (parse_kernel sweep) (launch 16 16))
+
+(** strsm's thread-merged guards [if (i + k < inv + q)] read
+    [int inv = idy * 32]; at the recorded configuration (grid (4,4),
+    block (32,1)) [idy] is the block index, so every copy is a scalar
+    guard and only [tidx < 16] varies by lane. *)
+let test_vector_strsm_guards () =
+  let w = Gpcc_workloads.Registry.find_exn "strsm" in
+  let n = 128 in
+  let r = compile ~target:32 ~degree:32 (W.parse w n) in
+  Alcotest.(check (list int))
+    "strsm-opt launch" [ 4; 4; 32; 1 ]
+    Gpcc_ast.Ast.
+      [ r.launch.grid_x; r.launch.grid_y; r.launch.block_x; r.launch.block_y ];
+  Alcotest.(check int) "strsm-opt lane-varying guards" 1
+    (varying_guards "strsm-opt" r.kernel r.launch);
+  bit_identical "strsm-opt (32,32)"
+    (exec ~backend:L.Reference ~jobs:1 ~mode:L.Full w n r.kernel r.launch)
+    (exec ~backend:L.Vector ~jobs:1 ~mode:L.Full w n r.kernel r.launch)
 
 (** Wide-vectorized kernels (float2/float4 accesses, the AMD target's
     shape) exercise the vector backend's multi-component planes, which
@@ -570,6 +690,8 @@ let suite =
       q "vector == reference on affine/edges"
         test_vector_affine_and_float_edges;
       q "vector == reference on float2/float4" test_vector_wide_vectors;
+      q "vector == reference on uniform guards" test_vector_uniform_guards;
+      q "vector strsm-opt: one lane-varying guard" test_vector_strsm_guards;
       q "GPCC_CHECK wins over vector selection" test_vector_check_run;
       s "parallel Full == serial Full" test_parallel_matches_serial;
       s "reference parallel == serial" test_parallel_reference_matches_serial;

@@ -137,6 +137,36 @@ __kernel void stale(float a[1024], float b[1024]) {
     "error rules" [ V.rule_oob_global ]
     (List.map (fun (d : V.diagnostic) -> d.rule) (V.errors ds))
 
+(* a let and a guard are ranged in the affine context of their own
+   program point: reassigning [a] after [b = a], or [c] inside [c < 4],
+   must not change what [b] or the guard meant *)
+let test_context_skew_overflow () =
+  List.iter
+    (fun (name, src) ->
+      let _, _, ds = check_src src in
+      Alcotest.(check (list string))
+        (name ^ " error rules") [ V.rule_oob_global ]
+        (List.map (fun (d : V.diagnostic) -> d.rule) (V.errors ds)))
+    [
+      ( "let",
+        {|#pragma gpcc output out
+__kernel void let_skew(float x[16], float out[16]) {
+  int a = tidx * 4;
+  int b = a;
+  a = 0;
+  out[tidx] = x[b];
+}|} );
+      ( "guard",
+        {|#pragma gpcc output out
+__kernel void guard_skew(float x[16], float out[16]) {
+  int c = tidx;
+  if (c < 4) {
+    c = tidx * 8;
+    out[tidx] = x[c];
+  }
+}|} );
+    ]
+
 let test_loop_reuse () =
   List.iter
     (fun (name, src, rules) ->
@@ -370,6 +400,8 @@ let suite =
         test_global_sync_in_loop;
       Alcotest.test_case "negative: stale let overflow" `Quick
         test_stale_let_overflow;
+      Alcotest.test_case "negative: let/guard context skew" `Quick
+        test_context_skew_overflow;
       Alcotest.test_case "loop variables bound at loop entry" `Quick
         test_loop_reuse;
       Alcotest.test_case "staged pattern clean" `Quick test_staged_clean;
