@@ -640,23 +640,21 @@ let ablations () =
   note "each row isolates one mechanism: bank-conflict padding, the hardware coalescing rule, prefetch double-buffering, and the Section-4 empirical search"
 
 (* ------------------------------------------------------------------ *)
-(* Simulator-backend microbenchmark: vector vs compiled vs reference   *)
+(* Simulator-backend microbenchmark: vector vs reference               *)
 (* ------------------------------------------------------------------ *)
 
 (** Blocks simulated per second, per workload, for the warp-vectorized
-    plane backend vs the closure-compiled backend vs the tree-walking
-    reference interpreter. Naive kernels at [test_size] (plus the fixed
-    SDK-transpose and CUBLAS comparator artifacts), full grid, serial
-    execution in every backend so the measurement isolates the
-    interpreter itself, compile caches warm.
+    plane backend vs the tree-walking reference interpreter. Naive
+    kernels at [test_size] (plus the fixed SDK-transpose and CUBLAS
+    comparator artifacts), full grid, serial execution in both backends
+    so the measurement isolates the interpreter itself, plan caches
+    warm.
 
     [GPCC_BENCH_REPS=N] switches from the wall-clock budget to exactly
-    [N] timed repetitions per backend — fixed work, so two columns of
-    one run are comparable as a ratio in CI. *)
+    [N] timed repetitions per backend — fixed work, so the two columns
+    of one run are comparable as a ratio in CI. *)
 let interp () =
-  section
-    "Interpreter backends: blocks/s, vector vs compiled vs reference (naive, \
-     serial)";
+  section "Interpreter backends: blocks/s, vector vs reference (naive, serial)";
   let module L = Gpcc_sim.Launch in
   let fixed_reps =
     match Sys.getenv_opt "GPCC_BENCH_REPS" with
@@ -664,8 +662,8 @@ let interp () =
         match int_of_string_opt s with Some r when r >= 1 -> Some r | _ -> None)
     | None -> None
   in
-  Printf.printf "  %-16s %8s | %11s %11s %11s %9s %9s\n" "workload" "blocks"
-    "vector" "compiled" "reference" "vec/comp" "comp/ref";
+  Printf.printf "  %-16s %8s | %11s %11s %9s\n" "workload" "blocks" "vector"
+    "reference" "vec/ref";
   let bench label (k : Gpcc_ast.Ast.kernel) (launch : Gpcc_ast.Ast.launch)
       (inputs : (string * float array) list) =
     let nblocks = Gpcc_ast.Ast.total_blocks launch in
@@ -678,9 +676,8 @@ let interp () =
         inputs;
       ignore (L.run ~mode:L.Full ~backend ~jobs:1 gtx280 k launch mem)
     in
-    (* warm every backend (and the plan/compile caches) before timing *)
+    (* warm both backends (and the plan cache) before timing *)
     run L.Vector;
-    run L.Compiled;
     run L.Reference;
     let blocks_per_s backend =
       match fixed_reps with
@@ -701,23 +698,19 @@ let interp () =
           float_of_int (!reps * nblocks) /. (Unix.gettimeofday () -. t0)
     in
     let bv = blocks_per_s L.Vector in
-    let bc = blocks_per_s L.Compiled in
     let br = blocks_per_s L.Reference in
-    let speedup = bc /. Float.max 1e-9 br in
-    let vec_over_comp = bv /. Float.max 1e-9 bc in
+    let vec_over_ref = bv /. Float.max 1e-9 br in
     Record.add
       [
         ("workload", Json_out.Str label);
         ("backend", Json_out.Str (L.backend_name (L.backend_of_env ())));
         ("blocks", Json_out.Int nblocks);
         ("blocks_per_s_vector", Json_out.Float bv);
-        ("blocks_per_s_compiled", Json_out.Float bc);
         ("blocks_per_s_reference", Json_out.Float br);
-        ("vector_over_compiled", Json_out.Float vec_over_comp);
-        ("speedup", Json_out.Float speedup);
+        ("vector_over_reference", Json_out.Float vec_over_ref);
       ];
-    Printf.printf "  %-16s %8d | %11.0f %11.0f %11.0f %8.2fx %8.2fx\n%!" label
-      nblocks bv bc br vec_over_comp speedup
+    Printf.printf "  %-16s %8d | %11.0f %11.0f %8.2fx\n%!" label nblocks bv br
+      vec_over_ref
   in
   List.iter
     (fun (w : Workload.t) ->

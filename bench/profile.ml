@@ -1,7 +1,7 @@
 (* Single-workload profiling driver for backend work: run one workload's
    naive kernel repeatedly on one backend, serially, so `perf` / OCaml's
    own profilers see a steady hot loop without the bench harness around
-   it. Usage: profile.exe <workload> <vector|compiled|ref> <reps> *)
+   it. Usage: profile.exe <workload> <vector|ref> <reps> *)
 module W = Gpcc_workloads.Workload
 
 let () =
@@ -9,7 +9,6 @@ let () =
   let backend =
     match Sys.argv.(2) with
     | "vector" -> Gpcc_sim.Launch.Vector
-    | "compiled" -> Gpcc_sim.Launch.Compiled
     | _ -> Gpcc_sim.Launch.Reference
   in
   let reps = int_of_string Sys.argv.(3) in

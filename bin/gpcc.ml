@@ -56,12 +56,10 @@ let jobs_arg =
 let backend_conv =
   let parse s =
     match s with
-    | "vector" | "vec" | "compiled" | "compile" | "ref" | "reference" -> Ok s
+    | "vector" | "vec" | "ref" | "reference" -> Ok s
     | _ ->
         Error
-          (`Msg
-            (Printf.sprintf "unknown backend %S (vector, compiled, or reference)"
-               s))
+          (`Msg (Printf.sprintf "unknown backend %S (vector or reference)" s))
   in
   Arg.conv (parse, Format.pp_print_string)
 
@@ -72,10 +70,9 @@ let backend_arg =
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Simulator backend: $(b,vector) (default; executes a half-warp \
-           at a time over flat per-register planes), $(b,compiled) \
-           (per-thread OCaml closures), or $(b,reference) (tree-walking \
-           interpreter). Equivalent to setting \\$(b,GPCC_BACKEND); all \
-           backends are bit-identical.")
+           at a time over flat per-register planes) or $(b,reference) \
+           (tree-walking interpreter). Equivalent to setting \
+           \\$(b,GPCC_BACKEND); the two backends are bit-identical.")
 
 (** The simulator reads the backend from the environment at each run, so
     the flag just seeds it for this process. *)
@@ -770,15 +767,10 @@ let () =
       `S Manpage.s_environment;
       `P "$(b,GPCC_BACKEND) — simulator backend: $(b,vector) (default) \
           executes a half-warp at a time over flat per-register planes; \
-          $(b,compiled) stages each kernel into per-thread OCaml closures \
-          once per launch; $(b,ref) selects the tree-walking reference \
-          interpreter. All three are bit-identical; kernels outside a \
-          backend's subset fall back per run (vector, then compiled, then \
-          reference). The $(b,--backend) flag on $(b,explore) and \
-          $(b,bench) sets this for one invocation.";
-      `P "$(b,GPCC_INTERP) — legacy spelling: $(b,ref) selects the \
-          reference interpreter, any other value the compiled backend; \
-          consulted only when $(b,GPCC_BACKEND) is unset.";
+          $(b,ref) selects the tree-walking reference interpreter. The two \
+          are bit-identical; a kernel outside the vector backend's subset \
+          falls back to the reference per run. The $(b,--backend) flag on \
+          $(b,explore) and $(b,bench) sets this for one invocation.";
       `P "$(b,GPCC_JOBS) — worker domains for the design-space sweep and \
           parallel grid execution (default: recommended domain count).";
       `P "$(b,GPCC_CHECK) — enable the dynamic race checker (forces the \

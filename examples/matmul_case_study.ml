@@ -55,14 +55,10 @@ let () =
   (* Step 5: the full pipeline end-to-end, and the empirical check that it
      computes the same matrix as the naive kernel *)
   let cfg = Gpcc_sim.Config.gtx280 in
-  let opts =
-    {
-      (Gpcc_core.Compiler.default_options ~cfg ()) with
-      target_block_threads = 128;
-      merge_degree = 8;
-    }
+  let pipeline =
+    Gpcc_core.Pipeline.default ~cfg ~target_block_threads:128 ~merge_degree:8 ()
   in
-  let r = Gpcc_core.Compiler.run ~opts naive in
+  let r = Gpcc_core.Pipeline.run ~pipeline naive in
   Gpcc_workloads.Workload.check cfg w n r.kernel r.launch;
   print_endline "\nfull pipeline output verified against the CPU reference.";
 

@@ -24,17 +24,14 @@ let () =
   (* 2. run the optimizing pipeline (vectorization, coalescing,
      thread/thread-block merge, prefetching, partition-camping
      elimination) for a GTX 280 *)
-  let opts =
-    {
-      (Gpcc_core.Compiler.default_options ~cfg:Gpcc_sim.Config.gtx280 ()) with
-      target_block_threads = 128;
-      merge_degree = 8;
-    }
+  let pipeline =
+    Gpcc_core.Pipeline.default ~cfg:Gpcc_sim.Config.gtx280
+      ~target_block_threads:128 ~merge_degree:8 ()
   in
-  let r = Gpcc_core.Compiler.run ~opts naive in
+  let r = Gpcc_core.Pipeline.run ~pipeline naive in
 
   print_endline "\n=== what the compiler did ===";
-  print_string (Gpcc_core.Compiler.report r);
+  print_string (Gpcc_core.Pipeline.report r);
 
   print_endline "\n=== output: optimized kernel + launch configuration ===";
   print_string (Gpcc_ast.Pp.kernel_to_string ~launch:r.launch r.kernel);

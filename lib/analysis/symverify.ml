@@ -981,6 +981,20 @@ let forget_svars env vars =
       List.fold_left (fun m v -> Smap.add v SBopaque m) env.s_binds vars;
   }
 
+(* Inside a loop, a name the body assigns holds, on later trips, a value
+   the program computed but the walk does not know: an unbounded,
+   thread-dependent [Rng], not [Opq], so an access through it makes the
+   verdict unknown instead of being skipped as one the concrete checks
+   cannot see. *)
+let carried =
+  SBexpr { sl_val = Lazy.from_val (Rng None); sl_tdep = Lazy.from_val true }
+
+let carry_svars env vars =
+  {
+    env with
+    s_binds = List.fold_left (fun m v -> Smap.add v carried m) env.s_binds vars;
+  }
+
 (* [name = e] under [env]: lowered and judged for thread dependence
    once, when first read *)
 let bind_expr st env name (e : Ast.expr) =
@@ -1048,10 +1062,10 @@ let rec scollect_expr st env spaces (e : Ast.expr) : unit =
     (the body assigns neither the loop variable nor a variable of the
     limit) the frame also records the loop condition as a clamp: every
     iteration starts with [value <= hi(limit) - 1]. *)
-let make_frame st env (lp : Ast.loop) ~frozen ~tdep ~clamp ~counter_id ~offset
-    : sframe =
+let make_frame st ~entry env (lp : Ast.loop) ~frozen ~tdep ~clamp ~counter_id
+    ~offset : sframe =
   let binds = env.s_binds and frames = env.s_frames in
-  let vi = lower st ~binds ~frames lp.l_init in
+  let vi = lower st ~binds:entry.s_binds ~frames lp.l_init in
   let vs = lower st ~binds ~frames lp.l_step in
   let vl = lower st ~binds ~frames lp.l_limit in
   let svar = if frozen then Sfrozen counter_id else Sfree counter_id in
@@ -1167,18 +1181,22 @@ and swalk_stmt st spaces env (s : Ast.stmt) : senv =
       ignore (swalk_block st spaces (branch (Unop (Not, cond))) f);
       forget_svars env (assigned_vars t @ assigned_vars f)
   | For ({ l_var; l_init; l_limit; l_step; l_body } as lp) ->
+      (* the init runs once, with the entry bindings; the limit, the
+         step and the body run again on later trips, which read the
+         names the body assigns at values the walk does not know *)
+      let assigned = assigned_vars l_body in
+      let trip = carry_svars env assigned in
       scollect_expr st env spaces l_init;
-      scollect_expr st env spaces l_limit;
-      scollect_expr st env spaces l_step;
+      scollect_expr st trip spaces l_limit;
+      scollect_expr st trip spaces l_step;
       let frozen = block_has_sync l_body in
       let tdep =
         sthread_dep env.s_binds env.s_frames l_init
-        || sthread_dep env.s_binds env.s_frames l_limit
-        || sthread_dep env.s_binds env.s_frames l_step
+        || sthread_dep trip.s_binds env.s_frames l_limit
+        || sthread_dep trip.s_binds env.s_frames l_step
       in
       let counter_id = fresh_var st in
       let depth = List.length env.s_frames in
-      let assigned = assigned_vars l_body in
       let clamp =
         not
           (List.exists
@@ -1187,11 +1205,12 @@ and swalk_stmt st spaces env (s : Ast.stmt) : senv =
       in
       let benv offset =
         let fr =
-          make_frame st env lp ~frozen ~tdep ~clamp ~counter_id ~offset
+          make_frame st ~entry:env trip lp ~frozen ~tdep ~clamp ~counter_id
+            ~offset
         in
         {
           env with
-          s_binds = Smap.add l_var (SBloop depth) env.s_binds;
+          s_binds = Smap.add l_var (SBloop depth) trip.s_binds;
           s_frames = fr :: env.s_frames;
           s_div_hard = env.s_div_hard || (tdep && not frozen);
           s_div_soft = env.s_div_soft || (tdep && frozen);

@@ -376,7 +376,14 @@ type frame = {
   fr_step : Ast.expr;
   fr_frozen : bool;  (** the loop body contains a barrier *)
   fr_offset : int;  (** 0, or 1 for the wrap-around symbolic pass *)
-  fr_binds : (string * binding) list;  (** scalar env at loop entry *)
+  fr_binds : (string * binding) list;
+      (** scalar env at loop entry, where the init runs once *)
+  fr_ctx : Affine.ctx;  (** the affine context at loop entry *)
+  fr_trip_binds : (string * binding) list;
+      (** [fr_binds] with the names the body assigns forgotten: every
+          trip evaluates the limit and step again, and after the first
+          one those names hold values the walk does not know *)
+  fr_trip_ctx : Affine.ctx;  (** [fr_ctx], forgotten likewise *)
 }
 
 type guard = {
@@ -422,10 +429,10 @@ let stage_access launch sizes ~frames ~guards ~binds kind : acc_code =
       Array.of_list
         (List.mapi
            (fun d fr ->
-             let c = stage launch sizes ~depth:d fr.fr_binds in
+             let c = stage launch sizes ~depth:d fr.fr_trip_binds in
              {
                f_frame = fr;
-               f_init = c fr.fr_init;
+               f_init = stage launch sizes ~depth:d fr.fr_binds fr.fr_init;
                f_limit = c fr.fr_limit;
                f_step = c fr.fr_step;
              })
@@ -455,13 +462,15 @@ let sample_axis n cap =
     empirical beyond the cap — in keeping with the verifier's
     lint-grade charter — while rejection (returning [false]) merely
     defers to the conservative divergence flag. *)
-let uniform_trip_count (launch : Ast.launch) sizes binds (lp : Ast.loop) : bool
-    =
+let uniform_trip_count (launch : Ast.launch) sizes ~init_binds binds
+    (lp : Ast.loop) : bool =
   let lanes = launch.block_x * launch.block_y in
   lanes <= 512
   &&
   let c = stage launch sizes ~depth:0 binds in
-  let init = c lp.l_init and limit = c lp.l_limit and step = c lp.l_step in
+  let init = stage launch sizes ~depth:0 init_binds lp.l_init
+  and limit = c lp.l_limit
+  and step = c lp.l_step in
   let l = lane_env launch ~depth:0 in
   (* trip count of the current lane, -1 when it cannot be evaluated *)
   let trip lane =
@@ -530,8 +539,8 @@ let rec thread_dep (binds : (string * binding) list) (frames : frame list)
       | Some (Bloop d, _) ->
           let f = frame_at frames d in
           thread_dep f.fr_binds frames f.fr_init
-          || thread_dep f.fr_binds frames f.fr_limit
-          || thread_dep f.fr_binds frames f.fr_step
+          || thread_dep f.fr_trip_binds frames f.fr_limit
+          || thread_dep f.fr_trip_binds frames f.fr_step
       | None -> false)
   | Index _ | Vload _ -> true
   | Unop (_, a) | Field (a, _) -> thread_dep binds frames a
@@ -702,14 +711,18 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
       ignore (walk_block st spaces (branch (Unop (Not, cond))) f);
       forget_vars env (assigned_vars t @ assigned_vars f)
   | For ({ l_var; l_init; l_limit; l_step; l_body } as lp) ->
+      (* the init runs once, with the entry bindings; the limit, the
+         step and the body run again on later trips, which read the
+         names the body assigns at values the walk does not know *)
+      let trip = forget_vars env (assigned_vars l_body) in
       collect_expr st env spaces l_init;
-      collect_expr st env spaces l_limit;
-      collect_expr st env spaces l_step;
+      collect_expr st trip spaces l_limit;
+      collect_expr st trip spaces l_step;
       let frozen = block_has_sync l_body in
       let tdep =
         thread_dep env.w_binds env.w_frames l_init
-        || thread_dep env.w_binds env.w_frames l_limit
-        || thread_dep env.w_binds env.w_frames l_step
+        || thread_dep trip.w_binds env.w_frames l_limit
+        || thread_dep trip.w_binds env.w_frames l_step
       in
       (* lane-dependent bounds with a provably block-uniform trip count
          (the grid-strided idiom) execute any contained barrier in
@@ -718,7 +731,8 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
         tdep
         && not
              (frozen
-             && uniform_trip_count st.ws_launch st.ws_sizes env.w_binds lp)
+             && uniform_trip_count st.ws_launch st.ws_sizes
+                  ~init_binds:env.w_binds trip.w_binds lp)
       in
       let fr offset =
         {
@@ -729,18 +743,21 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
           fr_frozen = frozen;
           fr_offset = offset;
           fr_binds = env.w_binds;
+          fr_ctx = env.w_ctx;
+          fr_trip_binds = trip.w_binds;
+          fr_trip_ctx = trip.w_ctx;
         }
       in
       let ctx' =
-        match Affine.enter_loop env.w_ctx lp with
+        match Affine.enter_loop trip.w_ctx lp with
         | Some c -> c
-        | None -> env.w_ctx
+        | None -> trip.w_ctx
       in
       let depth = List.length env.w_frames in
       let benv offset =
         {
           env with
-          w_binds = (l_var, Bloop depth) :: env.w_binds;
+          w_binds = (l_var, Bloop depth) :: trip.w_binds;
           w_frames = fr offset :: env.w_frames;
           w_ctx = ctx';
           w_div = env.w_div || tdep;
@@ -1234,9 +1251,14 @@ let renv_of_acc launch sizes (acc : acc) : renv =
   let env, _ =
     List.fold_left
       (fun (env, d) fr ->
-        let init = range_expr env fr.fr_init
-        and limit = range_expr env fr.fr_limit
-        and step = range_expr env fr.fr_step in
+        (* each bound in the frame's own bindings, not the access's: a
+           name the body reassigns before the access does not move the
+           loop's range *)
+        let at r_binds r_ctx = { env with r_binds; r_ctx } in
+        let init = range_expr (at fr.fr_binds fr.fr_ctx) fr.fr_init
+        and trip = at fr.fr_trip_binds fr.fr_trip_ctx in
+        let limit = range_expr trip fr.fr_limit
+        and step = range_expr trip fr.fr_step in
         match (init, limit, step) with
         | Some i, Some lim, Some st when st.lo = st.hi && st.lo > 0 ->
             let stv = max 1 (gcd i.st st.lo) in

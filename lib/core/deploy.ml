@@ -97,7 +97,7 @@ let build_cached ?store ~(prefix : string)
       b
 
 (** The version selected for a GPU (by config name). *)
-let pick (b : bundle) (gpu_name : string) : Compiler.result =
+let pick (b : bundle) (gpu_name : string) : Pipeline.result =
   match
     List.find_opt
       (fun e -> String.equal e.gpu.Gpcc_sim.Config.name gpu_name)

@@ -54,6 +54,6 @@ val load :
 
 (** The version selected for a GPU (by config name); raises
     {!No_version}. *)
-val pick : bundle -> string -> Compiler.result
+val pick : bundle -> string -> Pipeline.result
 
 val describe : bundle -> string

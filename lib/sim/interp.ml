@@ -19,6 +19,16 @@ exception Runtime_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 
+(** Split a kernel body at top-level [__global_sync] barriers: the
+    phases every backend runs grid-wide in order. *)
+let phases_of_body (body : Ast.block) : Ast.block list =
+  let rec go cur acc = function
+    | [] -> List.rev (List.rev cur :: acc)
+    | Ast.Global_sync :: rest -> go [] (List.rev cur :: acc) rest
+    | s :: rest -> go (s :: cur) acc rest
+  in
+  go [] [] body
+
 type vals =
   | VI of int array
   | VF of float array

@@ -30,7 +30,7 @@ type result = {
 
 (** Split the kernel body at top-level [__global_sync] barriers
     (both backends agree on the same phase structure). *)
-let phases_of_body = Compile.phases_of_body
+let phases_of_body = Interp.phases_of_body
 
 (** Static memory-level-parallelism estimate: the largest number of global
     load sites inside one innermost loop body (independent loads from one
@@ -163,33 +163,22 @@ let block_coords (launch : Ast.launch) (linear : int) =
 
 type backend =
   | Reference  (** tree-walking {!Interp}; supports GPCC_CHECK *)
-  | Compiled  (** closure-compiled {!Compile}; falls back to reference *)
   | Vector
-      (** warp-vectorized {!Vector} on flat planes; falls back to
-          compiled, then reference *)
+      (** warp-vectorized {!Vector} on flat planes; falls back to the
+          reference *)
 
-let backend_name = function
-  | Reference -> "reference"
-  | Compiled -> "compiled"
-  | Vector -> "vector"
+let backend_name = function Reference -> "reference" | Vector -> "vector"
 
 (** Backend selected by the environment: [GPCC_BACKEND] is
-    [vector]/[vec], [compiled], or [ref]/[reference]; the older
-    [GPCC_INTERP=ref] spelling still forces the reference backend.
-    Unset (or unrecognized) selects the vector backend. *)
+    [vector]/[vec] or [ref]/[reference]. Unset (or unrecognized) selects
+    the vector backend. *)
 let backend_of_env () =
   match Sys.getenv_opt "GPCC_BACKEND" with
-  | Some ("vector" | "vec") -> Vector
-  | Some ("compiled" | "compile") -> Compiled
   | Some ("ref" | "reference") -> Reference
-  | _ -> (
-      match Sys.getenv_opt "GPCC_INTERP" with
-      | Some ("ref" | "reference") -> Reference
-      | Some _ -> Compiled
-      | None -> Vector)
+  | _ -> Vector
 
-(** Per-block execution state of any backend. *)
-type bstate = Bref of Interp.bctx | Bcomp of Compile.rt | Bvec of Vector.vrt
+(** Per-block execution state of either backend. *)
+type bstate = Bref of Interp.bctx | Bvec of Vector.vrt
 
 (* --- execution pool ---
 
@@ -313,12 +302,11 @@ let run ?(mode = Full) ?(streams = 12) ?backend ?jobs ?block_budget
     else match backend with Some b -> b | None -> backend_of_env ()
   in
   let jobs = if check then Some 1 else jobs in
-  (* fallback chain: vector -> compiled -> reference; each backend
-     notes its own fallback so the counters attribute unsupported
-     shapes to the backend that rejected them *)
+  (* fallback chain: vector -> reference; a kernel shape the vector
+     backend rejects is counted in {!Vector.fallback_count} *)
   let vprep =
     match backend with
-    | Reference | Compiled -> None
+    | Reference -> None
     | Vector -> (
         match Vector.compile k launch with
         | Ok code -> (
@@ -330,27 +318,12 @@ let run ?(mode = Full) ?(streams = 12) ?backend ?jobs ?block_budget
             Vector.note_fallback ();
             None)
   in
-  let prep =
-    if backend = Reference || vprep <> None then None
-    else
-      match Compile.compile k launch with
-      | Ok code -> (
-          try Some (Compile.prepare code mem)
-          with Compile.Unsupported _ ->
-            Compile.note_fallback ();
-            None)
-      | Error _ ->
-          Compile.note_fallback ();
-          None
-  in
   let phases_arr = Array.of_list phases in
   let nph = Array.length phases_arr in
   let make_block ~record_tx lstats ~bidx ~bidy =
-    match (vprep, prep) with
-    | Some p, _ -> Bvec (Vector.make_block p cfg lstats ~record_tx ~bidx ~bidy)
-    | None, Some p ->
-        Bcomp (Compile.make_block p cfg lstats ~record_tx ~bidx ~bidy)
-    | None, None ->
+    match vprep with
+    | Some p -> Bvec (Vector.make_block p cfg lstats ~record_tx ~bidx ~bidy)
+    | None ->
         Bref
           (Interp.make_bctx ~record_tx ~check cfg lstats k launch mem ~bidx
              ~bidy)
@@ -358,14 +331,12 @@ let run ?(mode = Full) ?(streams = 12) ?backend ?jobs ?block_budget
   let exec_phase b p =
     match b with
     | Bvec rt -> Vector.run_phase (Option.get vprep) rt p
-    | Bcomp rt -> Compile.run_phase (Option.get prep) rt p
     | Bref c -> Interp.run_block c phases_arr.(p)
   in
   let tx_stream b =
     let l =
       match b with
       | Bvec rt -> rt.Vector.c.Interp.txparts
-      | Bcomp rt -> rt.Compile.c.Interp.txparts
       | Bref c -> c.Interp.txparts
     in
     Array.of_list (List.rev l)

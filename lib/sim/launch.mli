@@ -24,20 +24,17 @@ type result = {
 val phases_of_body : Gpcc_ast.Ast.block -> Gpcc_ast.Ast.block list
 
 (** Simulator backend: the warp-vectorized backend ({!Vector}) is the
-    default; it and the closure-compiled backend ({!Compile}) are
-    bit-identical to the tree-walking reference interpreter. Kernels a
-    backend cannot compile fall back per run (vector -> compiled ->
-    reference). *)
+    default and is bit-identical to the tree-walking reference
+    interpreter ({!Interp}). A kernel the vector backend cannot plan
+    falls back to the reference per run. *)
 type backend =
   | Reference
-  | Compiled
   | Vector
 
 val backend_name : backend -> string
 
-(** Backend selected by [GPCC_BACKEND] ([vector]/[vec], [compiled], or
-    [ref]/[reference]); the older [GPCC_INTERP=ref] spelling still
-    forces the reference backend. Default is [Vector]. *)
+(** Backend selected by [GPCC_BACKEND] ([vector]/[vec] or
+    [ref]/[reference]). Default is [Vector]. *)
 val backend_of_env : unit -> backend
 
 (** Cumulative wall-clock seconds spent inside {!run} since program

@@ -1,27 +1,37 @@
 (** Warp-vectorized simulator backend on flat Bigarray storage.
 
-    The compiled backend ({!Compile}) stages the AST into closures but
-    still allocates a fresh per-lane array for every expression node on
-    every execution and walks lanes through [Array.iter] closures. This
-    backend keeps the staging but replaces the value representation with
-    a structure-of-arrays register file: one {e plane} (a contiguous
-    [n]-lane row of a flat {!Devmem.fmem} / [int array]) per live value,
-    assigned at plan time by a free-list allocator, so steady-state
-    execution allocates nothing and the hot loops are dense
-    [for]-ranges over [Bigarray.Array1] storage.
+    The reference interpreter ({!Interp}) re-dispatches on the AST,
+    resolves every variable through a [Hashtbl] per statement per block
+    and allocates a fresh per-lane array for every expression node. This
+    backend stages that work once per (kernel, launch) pair:
 
-    Divergence is handled exactly like the other backends — masks are
-    arrays of active lane ids — but the overwhelmingly common full-block
-    mask is detected per node ([Array.length m = n]) and runs the dense
+    - every variable resolves to a fixed slot per declaration site — a
+      plane, a uniform register, a shared or global array index, or a
+      compile-time constant for a [#pragma gpcc dim]-bound parameter —
+      which is sound because the type checker enforces strict lexical
+      scoping with no shadowing;
+    - every statement and expression node becomes an OCaml closure over
+      a per-block runtime record;
+    - values live in a structure-of-arrays register file: one {e plane}
+      (a contiguous [n]-lane row of a flat {!Devmem.fmem} / [int array])
+      per live value, assigned at plan time by a free-list allocator, so
+      steady-state execution allocates nothing and the hot loops are
+      dense [for]-ranges over [Bigarray.Array1] storage.
+
+    Divergence is handled exactly like the reference — masks are arrays
+    of active lane ids — but the overwhelmingly common full-block mask
+    is detected per node ([Array.length m = n]) and runs the dense
     unmasked loop, and a guard whose lanes all agree hands its incoming
     mask to the taken branch, so only a split guard builds masks.
-    Expressions the analysis proves block-uniform use the same scalar
-    [U*] channel as {!Compile}; besides {!Compile}'s cases, these are the
-    thread builtins along a block dimension of 1 and [int] locals whose
-    uniform initializer is their only write. No lane loop over float
-    planes calls a function value: float operators are plan-time
-    variants matched inside the loop, so on a compiler without flambda
-    the float operands stay unboxed (see the float-operator note).
+    Expressions the analysis proves block-uniform evaluate on a scalar
+    [U*] channel fused into the lane loops instead of filling planes:
+    literals, [#pragma gpcc dim]-bound int parameters, block-level
+    builtins, loop variables with uniform bounds, the thread builtins
+    along a block dimension of 1, and [int] locals whose uniform
+    initializer is their only write. No lane loop over float planes
+    calls a function value: float operators are plan-time variants
+    matched inside the loop, so on a compiler without flambda the float
+    operands stay unboxed (see the float-operator note).
 
     Memory accounting is the same half-warp math as
     {!Interp.account_global}, but full-mask accesses are digested a
@@ -37,11 +47,16 @@
     loop credit — fetches it from the plane memo by residue otherwise,
     and walks no lane in either case.
 
-    Bit-identity with the reference interpreter is preserved the same
-    way {!Compile} preserves it: identical float operations on identical
-    values in identical order, identical exact-integer statistic sums,
-    and the one inexact accumulator ([cost_bytes]) fed per half-warp in
-    ascending order with the same per-half-warp byte counts. *)
+    Bit-identity with the reference interpreter is preserved by
+    identical float operations on identical values in identical order
+    (left to right, matching the sequenced reference), identical
+    exact-integer statistic sums, and the one inexact accumulator
+    ([cost_bytes]) fed per half-warp in ascending order with the same
+    per-half-warp byte counts.
+
+    A kernel using an unsupported or ill-typed shape fails planning with
+    {!Unsupported}; the caller ({!Launch}) falls back to the reference
+    backend, which reproduces the interpreter's runtime errors. *)
 
 open Gpcc_ast
 open Gpcc_analysis
@@ -799,8 +814,10 @@ let account_shared_const (rt : vrt) (m : int array) ~(addr : int) : unit =
 
 (* --- compiled expressions ---
 
-   [U*] closures are the uniform scalar channel, identical in shape to
-   {!Compile}. [X*] values name a destination plane plus a [fill] that
+   [U*] closures are the uniform scalar channel: one scalar shared by
+   every active lane. They receive the active mask because statistics
+   (flop counts, memory accounting) are per active lane. [X*] values
+   name a destination plane plus a [fill] that
    computes it over the active mask; a node's fill runs its operand
    fills first (evaluation order is source order, as in the reference)
    and then one dense or masked loop into its own plane. *)
@@ -834,8 +851,8 @@ let nofill : fill = fun _ _ -> ()
    before writing lane [l]. Compilation order equals evaluation order,
    so a released plane is only ever reused by code that runs after its
    last read. Declared variables and loop counters get permanent planes
-   (never released); scoping is strict (no shadowing), as in
-   {!Compile}. *)
+   (never released); scoping is strict (no shadowing), as the type
+   checker enforces. *)
 
 type plane = PF of int | PI of int
 
@@ -1050,8 +1067,9 @@ let fplane st = function FP (p, _) -> p * st.cn | FU _ -> -1
 
 (* --- loop builders ---
 
-   Each builder mirrors one {!Compile} node shape, including the exact
-   order of [inst]/[flops]/operand evaluation around the loop — that
+   Each builder mirrors the reference interpreter's evaluation of one
+   node shape, including the exact order of [inst]/[flops]/operand
+   evaluation around the loop — that
    order is observable through the statistics. Dest planes may alias
    operand planes: every loop reads lane [l] before writing lane [l]. *)
 
@@ -3370,7 +3388,7 @@ let compile_uncached (k : Ast.kernel) (launch : Ast.launch) : code =
           let env', stm = comp_block_env st env phase in
           go env' (stm :: acc) rest
     in
-    Array.of_list (go env [] (Compile.phases_of_body k.k_body))
+    Array.of_list (go env [] (Interp.phases_of_body k.k_body))
   in
   let shared_lens =
     let a = Array.make (List.length st.shared_specs) 0 in

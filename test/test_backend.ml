@@ -1,11 +1,10 @@
-(** Backend equivalence: the closure-compiled and warp-vectorized
-    simulator backends must be bit-identical to the tree-walking
-    reference interpreter — output arrays, every {!Gpcc_sim.Stats}
-    field, and the derived {!Gpcc_sim.Timing} estimate — on every
-    registry workload, naive and optimized, in Full and Sampled modes
-    (the vector backend also on the CUBLAS and SDK comparators), and on
-    a seeded corpus of random fuzz kernels; parallel grid execution must
-    reproduce serial execution exactly. *)
+(** Backend equivalence: the warp-vectorized simulator backend must be
+    bit-identical to the tree-walking reference interpreter — output
+    arrays, every {!Gpcc_sim.Stats} field, and the derived
+    {!Gpcc_sim.Timing} estimate — on every registry workload, naive and
+    optimized, in Full and Sampled modes, on the CUBLAS and SDK
+    comparators, and on a seeded corpus of random fuzz kernels; parallel
+    grid execution must reproduce serial execution exactly. *)
 
 open Util
 module W = Gpcc_workloads.Workload
@@ -76,26 +75,6 @@ let kernels_of (w : W.t) n =
   let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
   let r = compile k in
   [ (w.W.name ^ "/naive", k, launch); (w.W.name ^ "/opt", r.kernel, r.launch) ]
-
-let test_compiled_matches_reference () =
-  List.iter
-    (fun (w : W.t) ->
-      let n = w.W.test_size in
-      List.iter
-        (fun (label, k, launch) ->
-          List.iter
-            (fun (mname, mode) ->
-              let fb0 = Gpcc_sim.Compile.fallback_count () in
-              let rr = exec ~backend:L.Reference ~jobs:1 ~mode w n k launch in
-              let rc = exec ~backend:L.Compiled ~jobs:1 ~mode w n k launch in
-              Alcotest.(check int)
-                (label ^ "/" ^ mname ^ " compiled without fallback")
-                fb0
-                (Gpcc_sim.Compile.fallback_count ());
-              bit_identical (label ^ "/" ^ mname) rr rc)
-            [ ("full", L.Full); ("sampled", L.Sampled 4) ])
-        (kernels_of w n))
-    Gpcc_workloads.Registry.all
 
 (** The comparators of Figures 13 and 15: the six CUBLAS kernels at the
     size their correctness test uses, and the two SDK transposes. *)
@@ -588,21 +567,26 @@ let test_vector_check_run () =
   in
   bit_identical "sdk_transpose GPCC_CHECK" plain checked
 
-let test_parallel_matches_serial () =
+(** The default backend's parallel path reuses one block state per
+    chunk of blocks ({!Gpcc_sim.Vector.remake_block} /
+    {!Gpcc_sim.Vector.retire}); it must reproduce the serial run
+    exactly, without falling back. *)
+let test_parallel_matches_serial mode () =
   List.iter
     (fun (w : W.t) ->
       let n = w.W.test_size in
       List.iter
         (fun (label, k, launch) ->
-          let serial =
-            exec ~backend:L.Compiled ~jobs:1 ~mode:L.Full w n k launch
-          in
-          let par =
-            exec ~backend:L.Compiled ~jobs:4 ~mode:L.Full w n k launch
-          in
+          let fb0 = Gpcc_sim.Vector.fallback_count () in
+          let serial = exec ~backend:L.Vector ~jobs:1 ~mode w n k launch in
+          let par = exec ~backend:L.Vector ~jobs:4 ~mode w n k launch in
+          Alcotest.(check int)
+            (label ^ " vector without fallback")
+            fb0
+            (Gpcc_sim.Vector.fallback_count ());
           bit_identical (label ^ " parallel==serial") serial par)
         (kernels_of w n))
-    Gpcc_workloads.Registry.all
+    (Gpcc_workloads.Registry.all @ Gpcc_workloads.Registry.extras)
 
 let test_parallel_reference_matches_serial () =
   (* the parallel grid executor is backend-independent *)
@@ -619,14 +603,11 @@ let test_parallel_reference_matches_serial () =
 
 let test_backend_of_env () =
   let bset v = Unix.putenv "GPCC_BACKEND" v in
-  let iset v = Unix.putenv "GPCC_INTERP" v in
   let got () = L.backend_name (L.backend_of_env ()) in
-  (* the unset-everything default is [vector]; [putenv] cannot unset, so
-     only observable when the process environment left both unset *)
-  if
-    Sys.getenv_opt "GPCC_BACKEND" = None
-    && Sys.getenv_opt "GPCC_INTERP" = None
-  then Alcotest.(check string) "default" "vector" (got ());
+  (* the unset default is [vector]; [putenv] cannot unset, so only
+     observable when the process environment left it unset *)
+  if Sys.getenv_opt "GPCC_BACKEND" = None then
+    Alcotest.(check string) "default" "vector" (got ());
   List.iter
     (fun (v, want) ->
       bset v;
@@ -634,29 +615,17 @@ let test_backend_of_env () =
     [
       ("vector", "vector");
       ("vec", "vector");
-      ("compiled", "compiled");
-      ("compile", "compiled");
       ("ref", "reference");
       ("reference", "reference");
-    ];
-  (* the legacy GPCC_INTERP spelling still applies when GPCC_BACKEND is
-     unset or unrecognized *)
-  bset "";
-  List.iter
-    (fun (v, want) ->
-      iset v;
-      Alcotest.(check string) ("GPCC_INTERP=" ^ v) want (got ()))
-    [
-      ("ref", "reference");
-      ("reference", "reference");
-      ("compiled", "compiled");
-      ("", "compiled");
+      (* unrecognized values select the default *)
+      ("", "vector");
+      ("closures", "vector");
     ];
   (* leave the suite on the default backend *)
   bset "vector"
 
 let test_unsupported_falls_back () =
-  (* a float scalar parameter is outside the compiled subset: the run
+  (* a float scalar parameter is outside the vector subset: the run
      must fall back to the reference interpreter and still fail with the
      reference's runtime error *)
   let k =
@@ -669,21 +638,20 @@ let test_unsupported_falls_back () =
     { Gpcc_ast.Ast.grid_x = 1; grid_y = 1; block_x = 64; block_y = 1 }
   in
   let mem = Gpcc_sim.Devmem.of_kernel k in
-  let fb0 = Gpcc_sim.Compile.fallback_count () in
-  (match L.run ~backend:L.Compiled ~jobs:1 cfg280 k launch mem with
+  let fb0 = Gpcc_sim.Vector.fallback_count () in
+  (match L.run ~backend:L.Vector ~jobs:1 cfg280 k launch mem with
   | _ -> Alcotest.fail "expected a runtime error"
   | exception Gpcc_sim.Interp.Runtime_error m ->
       assert_contains "reference error surfaces" m
         "unsupported scalar parameter type");
   Alcotest.(check bool) "fallback recorded" true
-    (Gpcc_sim.Compile.fallback_count () > fb0)
+    (Gpcc_sim.Vector.fallback_count () > fb0)
 
 let suite =
   let q n f = Alcotest.test_case n `Quick f in
   let s n f = Alcotest.test_case n `Slow f in
   ( "backend",
     [
-      s "compiled == reference (bit-identical)" test_compiled_matches_reference;
       s "vector == reference (bit-identical)" test_vector_matches_reference;
       s "vector == reference on fuzz corpus" test_vector_fuzz_corpus;
       q "plane accounting: strided/offset/loop" test_vector_plane_accounting;
@@ -693,8 +661,10 @@ let suite =
       q "vector == reference on uniform guards" test_vector_uniform_guards;
       q "vector strsm-opt: one lane-varying guard" test_vector_strsm_guards;
       q "GPCC_CHECK wins over vector selection" test_vector_check_run;
-      s "parallel Full == serial Full" test_parallel_matches_serial;
+      s "parallel Full == serial Full" (test_parallel_matches_serial L.Full);
+      s "parallel Sampled == serial Sampled"
+        (test_parallel_matches_serial (L.Sampled 4));
       s "reference parallel == serial" test_parallel_reference_matches_serial;
-      q "GPCC_BACKEND/GPCC_INTERP selection" test_backend_of_env;
+      q "GPCC_BACKEND selection" test_backend_of_env;
       q "unsupported kernels fall back" test_unsupported_falls_back;
     ] )

@@ -36,7 +36,7 @@ let test_report_readable () =
   let w = Gpcc_workloads.Registry.find_exn "mm" in
   let k = Gpcc_workloads.Workload.parse w 128 in
   let r = compile ~target:128 ~degree:8 k in
-  let report = Gpcc_core.Compiler.report r in
+  let report = Gpcc_core.Pipeline.report r in
   assert_contains "mentions coalescing" report "memory coalescing";
   assert_contains "mentions merge" report "merge";
   assert_contains "mentions launch" report "launch:"
@@ -68,7 +68,7 @@ let test_staged_prefixes () =
   let w = Gpcc_workloads.Registry.find_exn "mm" in
   let k = Gpcc_workloads.Workload.parse w 128 in
   let stages =
-    Gpcc_core.Compiler.staged ~target_block_threads:128 ~merge_degree:4 k
+    Gpcc_core.Pipeline.staged ~target_block_threads:128 ~merge_degree:4 k
   in
   Alcotest.(check int) "six stages" 6 (List.length stages);
   let labels = List.map (fun (l, _, _) -> l) stages in
@@ -112,8 +112,8 @@ let test_compile_error_on_missing_domain () =
   let k =
     parse_kernel "__kernel void f(float a[16]) { float x = a[0]; x = x + 1; }"
   in
-  match Gpcc_core.Compiler.run k with
-  | exception Gpcc_core.Compiler.Compile_error _ -> ()
+  match Gpcc_core.Pipeline.run k with
+  | exception Gpcc_core.Pipeline.Compile_error _ -> ()
   | _ -> Alcotest.fail "missing output/domain accepted"
 
 let test_optimized_traffic_drops () =

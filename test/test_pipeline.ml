@@ -1,10 +1,9 @@
 (** The pass-manager layer: declarative pipelines, the cached analysis
-    manager, per-pass remarks, and the deprecated options facade.
+    manager and per-pass remarks.
 
-    - bit-identity: the declarative driver and the legacy boolean-options
-      facade produce byte-identical optimized kernels and launches for
-      every registry workload, and repeated (analysis-cache-warm) runs
-      change nothing;
+    - bit-identity: repeated (analysis-cache-warm) runs of the driver
+      produce byte-identical optimized kernels and launches for every
+      registry workload;
     - staged: the single-instrumented-run Figure-12 prefixes equal the
       old per-prefix recompiles;
     - a property test that every registered pass declares its analysis
@@ -24,7 +23,7 @@ let printed (k : Gpcc_ast.Ast.kernel) (l : Gpcc_ast.Ast.launch) =
   ^ Printf.sprintf "launch (%d,%d)x(%d,%d)\n" l.grid_x l.grid_y l.block_x
       l.block_y
 
-(* --- bit-identity: Pipeline.run == the options facade, cold == warm --- *)
+(* --- bit-identity: cold == warm --- *)
 
 let test_bit_identity () =
   List.iter
@@ -37,22 +36,6 @@ let test_bit_identity () =
               ~merge_degree:degree ()
           in
           let r = Pipeline.run ~pipeline k in
-          let via_options =
-            let opts =
-              {
-                ((Gpcc_core.Compiler.default_options ~cfg:cfg280 ())
-                 [@alert "-deprecated"])
-                with
-                target_block_threads = target;
-                merge_degree = degree;
-              }
-            in
-            Gpcc_core.Compiler.run ~opts k
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s (%d,%d): options facade" w.name target degree)
-            (printed r.kernel r.launch)
-            (printed via_options.kernel via_options.launch);
           (* a second, analysis-cache-warm run is byte-identical *)
           let r2 = Pipeline.run ~pipeline k in
           Alcotest.(check string)
@@ -417,34 +400,11 @@ let test_pipeline_surgery () =
     (assert_contains "describe" descr)
     [ "merge"; "3.5"; "invalidates" ]
 
-(* --- the deprecated facade still routes through the pass manager --- *)
-
-let test_options_facade_mapping () =
-  let opts =
-    ((Gpcc_core.Compiler.default_options ()) [@alert "-deprecated"])
-  in
-  Alcotest.(check (list string))
-    "all-on options denote the full pipeline"
-    (Pipeline.enabled_names (Pipeline.default ()))
-    (Pipeline.enabled_names (Gpcc_core.Compiler.pipeline_of_options opts));
-  Alcotest.(check (list string))
-    "enable_merge gates merge and the hoisting cleanup"
-    [ "vectorize-wide"; "vectorize"; "coalesce"; "partition-camping";
-      "prefetch" ]
-    (Pipeline.enabled_names
-       (Gpcc_core.Compiler.pipeline_of_options { opts with enable_merge = false }));
-  Alcotest.(check (list string))
-    "enable_vectorize gates both Section-3.1 passes"
-    [ "coalesce"; "merge"; "licm"; "partition-camping"; "prefetch" ]
-    (Pipeline.enabled_names
-       (Gpcc_core.Compiler.pipeline_of_options
-          { opts with enable_vectorize = false }))
-
 let suite =
   ( "pipeline",
     [
-      Alcotest.test_case "bit-identity: driver == options facade, cold == warm"
-        `Slow test_bit_identity;
+      Alcotest.test_case "bit-identity: cold == warm rerun" `Slow
+        test_bit_identity;
       Alcotest.test_case "staged == per-prefix recompiles (mm, tp)" `Quick
         test_staged_matches_prefix_recompiles;
       Alcotest.test_case "pass invalidation declarations are sound" `Quick
@@ -461,6 +421,4 @@ let suite =
         test_remarks_structure;
       Alcotest.test_case "pipeline surgery: disable / with_passes / describe"
         `Quick test_pipeline_surgery;
-      Alcotest.test_case "options facade maps onto the pass manager" `Quick
-        test_options_facade_mapping;
     ] )

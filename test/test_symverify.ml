@@ -296,6 +296,27 @@ let test_loop_reuse () =
           (SV.excludes_threads res ~threads:(Ast.threads_per_block launch)))
     loop_reuse_cases
 
+(* A local the loop body reassigns lowers to an unknown value for the
+   body and the limit, so no case is proved clean at its launch or any
+   launch of the sampled grid; the concrete tier still agrees wherever
+   a launch is decided. *)
+let test_loop_carried_locals () =
+  List.iter
+    (fun (name, src, _) ->
+      let k = parse_kernel src in
+      let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
+      let res = SV.check k in
+      List.iter
+        (fun l ->
+          (match SV.decide res l with
+          | `Clean ->
+              Alcotest.failf "%s: symbolic proved a loop-carried read clean"
+                name
+          | `Errors _ | `Unknown _ -> ());
+          check_agreement name k res l)
+        (launch_grid launch))
+    loop_carried_cases
+
 (* --- property test: randomized affine kernels, seeded --- *)
 
 let test_random_affine_agreement () =
@@ -558,6 +579,8 @@ let suite =
     [
       Alcotest.test_case "registry differential gate" `Slow
         test_registry_differential;
+      Alcotest.test_case "loop-carried locals stay unproved" `Quick
+        test_loop_carried_locals;
       Alcotest.test_case "loop variables bound at loop entry" `Quick
         test_loop_reuse;
       Alcotest.test_case "negative kernels keep rule ids" `Quick

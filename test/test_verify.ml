@@ -167,6 +167,25 @@ __kernel void guard_skew(float x[16], float out[16]) {
 }|} );
     ]
 
+(* a local the loop body reassigns is unknown on the trips after the
+   first, in the body and in the limit: no access may be proved in
+   bounds from the value the local has at loop entry or at the access *)
+let test_loop_carried_locals () =
+  List.iter
+    (fun (name, src, access) ->
+      let _, _, ds = check_src src in
+      if
+        not
+          (List.exists
+             (fun (d : V.diagnostic) ->
+               (d.rule = V.rule_oob_unproven || d.rule = V.rule_oob_global)
+               && contains ~needle:access d.message)
+             ds)
+      then
+        Alcotest.failf "%s: no bounds diagnostic on %s, got [%s]" name access
+          (String.concat "; " (List.map V.to_string ds)))
+    loop_carried_cases
+
 let test_loop_reuse () =
   List.iter
     (fun (name, src, rules) ->
@@ -262,7 +281,7 @@ let test_workloads_clean () =
       | None -> ());
       (* default pipeline runs with translation validation on: reaching
          here at all means every pass was accepted *)
-      let r = Gpcc_core.Compiler.run k in
+      let r = Gpcc_core.Pipeline.run k in
       let ds = V.check ~launch:r.launch r.kernel in
       if not (V.is_clean ds) then
         Alcotest.failf "%s optimized: %s" w.name
@@ -285,21 +304,21 @@ let test_cublas_clean () =
 
 let test_compile_rejects_racy_input () =
   let k = parse_kernel racy_src in
-  match Gpcc_core.Compiler.run k with
+  match Gpcc_core.Pipeline.run k with
   | _ -> Alcotest.fail "racy kernel compiled without a verifier error"
-  | exception (Gpcc_core.Compiler.Compile_error _ as e) ->
+  | exception (Gpcc_core.Pipeline.Compile_error _ as e) ->
       Alcotest.(check bool)
         "classified as verifier rejection" true
-        (Gpcc_core.Compiler.verifier_rejected e)
+        (Gpcc_core.Pipeline.verifier_rejected e)
 
 let test_verifier_rejected_classifier () =
   Alcotest.(check bool)
     "other compile errors are not verifier rejections" false
-    (Gpcc_core.Compiler.verifier_rejected
-       (Gpcc_core.Compiler.Compile_error "cannot derive the thread domain"));
+    (Gpcc_core.Pipeline.verifier_rejected
+       (Gpcc_core.Pipeline.Compile_error "cannot derive the thread domain"));
   Alcotest.(check bool)
     "non-compile exceptions are not verifier rejections" false
-    (Gpcc_core.Compiler.verifier_rejected Not_found)
+    (Gpcc_core.Pipeline.verifier_rejected Not_found)
 
 let test_step_diagnostics_recorded () =
   let w = Gpcc_workloads.Registry.find_exn "mm" in
@@ -308,7 +327,7 @@ let test_step_diagnostics_recorded () =
   Alcotest.(check bool)
     "no error diagnostics on any step" true
     (List.for_all
-       (fun (s : Gpcc_core.Compiler.step) -> V.errors s.diagnostics = [])
+       (fun (s : Gpcc_core.Pipeline.step) -> V.errors s.diagnostics = [])
        r.steps);
   (* disabling verification yields empty diagnostics *)
   let r' =
@@ -318,7 +337,7 @@ let test_step_diagnostics_recorded () =
   in
   Alcotest.(check int)
     "verify:false records no diagnostics" 0
-    (List.length (Gpcc_core.Compiler.diagnostics r'))
+    (List.length (Gpcc_core.Pipeline.diagnostics r'))
 
 let test_explore_classifies_verify_failures () =
   (* a racy input fails every configuration at the verify stage *)
@@ -382,7 +401,7 @@ let test_dynamic_clean_workloads () =
           (match Gpcc_passes.Pass_util.naive_launch k with
           | Some launch -> Gpcc_workloads.Workload.check cfg280 w n k launch
           | None -> ());
-          let r = Gpcc_core.Compiler.run k in
+          let r = Gpcc_core.Pipeline.run k in
           Gpcc_workloads.Workload.check cfg280 w n r.kernel r.launch)
         (Gpcc_workloads.Registry.all @ Gpcc_workloads.Registry.extras))
 
@@ -404,6 +423,8 @@ let suite =
         test_context_skew_overflow;
       Alcotest.test_case "loop variables bound at loop entry" `Quick
         test_loop_reuse;
+      Alcotest.test_case "negative: loop-carried locals" `Quick
+        test_loop_carried_locals;
       Alcotest.test_case "staged pattern clean" `Quick test_staged_clean;
       Alcotest.test_case "uniform guarded sync ok" `Quick
         test_uniform_guarded_sync_ok;

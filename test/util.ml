@@ -114,3 +114,44 @@ __kernel void %s(float a[256], float b[256]) {
     ("sync_i", src "sync_i" "i" sync, []);
     ("sync_j", src "sync_j" "j" sync, []);
   ]
+
+(** Kernels whose loop body reassigns a local that an index or the loop
+    limit reads, with the access that later trips take out of bounds:
+    [a] walks past [x[63]] from the second trip on, the limit reads
+    [c = 100] on every trip after the first, and a limit the body sets
+    back before the next trip must not be ranged at the value it holds
+    at the access. *)
+let loop_carried_cases : (string * string * string) list =
+  [
+    ( "carried_index",
+      {|#pragma gpcc output out
+__kernel void carried_index(float x[64], float out[16]) {
+  int a = tidx;
+  for (int i = 0; i < 8; i++) {
+    out[tidx] = x[a];
+    a = a + 16;
+  }
+}|},
+      "x[a]" );
+    ( "carried_limit",
+      {|#pragma gpcc output out
+__kernel void carried_limit(float x[16], float out[16]) {
+  int c = 4;
+  for (int i = 0; i < c; i++) {
+    out[tidx] = x[i];
+    c = 100;
+  }
+}|},
+      "x[i]" );
+    ( "carried_rebound",
+      {|#pragma gpcc output out
+__kernel void carried_rebound(float x[16], float out[16]) {
+  int c = 100;
+  for (int i = 0; i < c; i++) {
+    c = 4;
+    out[tidx] = x[i];
+    c = 100;
+  }
+}|},
+      "x[i]" );
+  ]
