@@ -11,6 +11,13 @@
     launch-dependent analyses), so any change to the kernel text
     invalidates implicitly.
 
+    Verification is symbolic first: one record per kernel text holds
+    the launch-parametric proof ({!Symverify}) and, for each launch it
+    proves clean, the concrete verifier's remaining warnings (its
+    lints). The record persists in the artifact store with the lints of
+    the launch it was first computed at, so a warm process serves a
+    proved launch from one store read.
+
     Passes additionally *declare* which analyses a fired transform
     invalidates (see {!Gpcc_passes.Pass}); for the analyses a pass
     preserves, {!preserve} carries the cached result forward from the
@@ -47,6 +54,14 @@ let kind_name = function
   | Regcount -> "regcount"
   | Verify -> "verify"
 
+(* One verification record per kernel text: the launch-parametric
+   proof, and the concrete verifier's lints at each launch it proves
+   clean, as {!verify_sym} consults them *)
+type proof = {
+  result : Symverify.result;
+  mutable lints : (Ast.launch * Verify.diagnostic list) list;
+}
+
 type 'a cell = { v : 'a; mutable tick : int }
 
 type 'a slot = (string, 'a cell) Hashtbl.t
@@ -57,12 +72,12 @@ type t = {
   coalesce : bool slot;
   regcount : (int * int) slot;  (** (registers/thread, shared bytes/block) *)
   verify : Verify.diagnostic list slot;
-  lints : Verify.diagnostic list slot;  (** {!verify_sym}'s warnings *)
-  symbolic : Symverify.result slot;  (** parametric verdicts, kernel-keyed *)
+  symbolic : proof slot;  (** verification records, kernel-keyed *)
   capacity : int;  (** max entries per slot before LRU eviction *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
+  mutable lint_runs : int;
 }
 
 let default_capacity = 512
@@ -74,23 +89,23 @@ let create ?(capacity = default_capacity) () =
     coalesce = Hashtbl.create 64;
     regcount = Hashtbl.create 64;
     verify = Hashtbl.create 64;
-    lints = Hashtbl.create 64;
     symbolic = Hashtbl.create 64;
     capacity = max 1 capacity;
     tick = 0;
     hits = 0;
     misses = 0;
+    lint_runs = 0;
   }
 
 let capacity t = t.capacity
 let hits t = t.hits
 let misses t = t.misses
+let lint_runs t = t.lint_runs
 
 let length t =
   Hashtbl.length t.affine + Hashtbl.length t.sharing
   + Hashtbl.length t.coalesce + Hashtbl.length t.regcount
-  + Hashtbl.length t.verify + Hashtbl.length t.lints
-  + Hashtbl.length t.symbolic
+  + Hashtbl.length t.verify + Hashtbl.length t.symbolic
 
 (* hit/miss totals across every domain's instance, for bench reporting *)
 let global_hit_count = Atomic.make 0
@@ -123,57 +138,112 @@ let timed (f : unit -> 'a) : 'a =
 (* One compile asks for the key of the same state many times: the pass
    applicability tests, the before/after metrics, both verifier tiers and
    [preserve] each start from a kernel the pipeline already holds, and
-   merged kernels print to tens of kilobytes. A state's text and digest
-   are therefore computed once, in a small per-domain ring keyed by the
-   kernel's physical identity and the launch. The AST is immutable, so a
-   physically equal kernel always prints the same. *)
+   merged kernels print to tens of kilobytes. A state is therefore printed
+   once: a small per-domain ring keyed by the kernel's physical identity
+   keeps its text, and the text at a launch is that text with the launch
+   comment spliced in ({!Pp.with_launch}), byte for byte what printing
+   with the launch gives. Digests outlive the ring: a per-domain weak
+   table keeps them, but not the texts, for every state still alive, so a
+   state keyed again after the ring moved on (the funnel measures
+   candidates long after compiling them) is not printed again. The AST is
+   immutable, so a physically equal kernel always prints the same. *)
 
-type printed = { text : string; digest : string }
-
-type memo_entry = {
-  m_kernel : Ast.kernel;
-  m_launch : Ast.launch option;
-  m_printed : printed;
+type digests = {
+  mutable bare : string option;
+  mutable at : (Ast.launch * string) list;  (** per launch keyed *)
 }
 
-(* a pipeline step touches its input and output state, each with and
-   without a launch; eight entries cover a step with room to spare *)
-let memo_size = 8
+type ring_entry = {
+  r_kernel : Ast.kernel;
+  r_text : string;
+  r_digests : digests;
+}
 
-type memo = { entries : memo_entry option array; mutable next : int }
+(* a pipeline step touches its input and output state; eight entries
+   cover a step with room to spare *)
+let ring_size = 8
 
-let memo_instance : memo Domain.DLS.key =
+(* keyed by physical identity; the structural hash agrees with it *)
+module Live = Ephemeron.K1.Make (struct
+  type t = Ast.kernel
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+type states = {
+  ring : ring_entry option array;
+  mutable next : int;
+  live : digests Live.t;
+}
+
+let states_instance : states Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { entries = Array.make memo_size None; next = 0 })
+      { ring = Array.make ring_size None; next = 0; live = Live.create 64 })
 
-let printed ?launch (k : Ast.kernel) : printed =
-  let m = Domain.DLS.get memo_instance in
-  let rec find i =
-    if i = memo_size then None
+let ring_find (s : states) (k : Ast.kernel) : ring_entry option =
+  let rec go i =
+    if i = ring_size then None
     else
-      match m.entries.(i) with
-      | Some e
-        when e.m_kernel == k && Option.equal Ast.equal_launch e.m_launch launch
-        ->
-          Some e.m_printed
-      | _ -> find (i + 1)
+      match s.ring.(i) with
+      | Some e when e.r_kernel == k -> Some e
+      | _ -> go (i + 1)
   in
-  match find 0 with
-  | Some p -> p
+  go 0
+
+(* the ring entry of [k], printing [k] when no entry holds it *)
+let entry (s : states) (k : Ast.kernel) : ring_entry =
+  match ring_find s k with
+  | Some e -> e
   | None ->
-      let text = Pp.kernel_to_string ?launch k in
-      let p = { text; digest = Digest.string text } in
-      m.entries.(m.next) <-
-        Some { m_kernel = k; m_launch = launch; m_printed = p };
-      m.next <- (m.next + 1) mod memo_size;
-      p
+      let r_digests =
+        match Live.find_opt s.live k with
+        | Some d -> d
+        | None ->
+            let d = { bare = None; at = [] } in
+            Live.replace s.live k d;
+            d
+      in
+      let e = { r_kernel = k; r_text = Pp.kernel_to_string k; r_digests } in
+      s.ring.(s.next) <- Some e;
+      s.next <- (s.next + 1) mod ring_size;
+      e
+
+let printed ?launch (k : Ast.kernel) : string =
+  let text = (entry (Domain.DLS.get states_instance) k).r_text in
+  match launch with None -> text | Some l -> Pp.with_launch k text l
+
+let digest ?launch (k : Ast.kernel) : string =
+  let s = Domain.DLS.get states_instance in
+  let d =
+    match ring_find s k with
+    | Some e -> e.r_digests
+    | None -> (
+        match Live.find_opt s.live k with
+        | Some d -> d
+        | None -> (entry s k).r_digests)
+  in
+  match launch with
+  | None -> (
+      match d.bare with
+      | Some h -> h
+      | None ->
+          let h = Digest.string (entry s k).r_text in
+          d.bare <- Some h;
+          h)
+  | Some l -> (
+      match List.find_opt (fun (l', _) -> Ast.equal_launch l' l) d.at with
+      | Some (_, h) -> h
+      | None ->
+          let h = Digest.string (Pp.with_launch k (entry s k).r_text l) in
+          d.at <- (l, h) :: d.at;
+          h)
 
 (** Cache key of a kernel at a launch configuration. *)
-let key (k : Ast.kernel) (l : Ast.launch) : string =
-  (printed ~launch:l k).digest
+let key (k : Ast.kernel) (l : Ast.launch) : string = digest ~launch:l k
 
 (** Launch-independent key (register/shared-memory estimation). *)
-let kernel_key (k : Ast.kernel) : string = (printed k).digest
+let kernel_key (k : Ast.kernel) : string = digest k
 
 (* Drop the least-recently-used entry of a slot (linear scan: slots are
    small and eviction only happens at capacity). *)
@@ -245,25 +315,28 @@ let marshal_decode (payload : string) : 'a option =
   | v -> Some v
   | exception _ -> None
 
-(* codec version 5: versions 1–2 were the hand-rolled pre-store
+(* codec version 6: versions 1–2 were the hand-rolled pre-store
    formats, version 3 verdicts predate binding loop variables at loop
-   entry (a loop reusing an earlier loop's variable was misjudged), and
+   entry (a loop reusing an earlier loop's variable was misjudged),
    version 4 verdicts predate forgetting a local reassigned to a
    non-affine value (an older affine binding showed through and could
-   hide an out-of-bounds access); bumping orphans them and the GC ages
-   them out *)
+   hide an out-of-bounds access), and version 5 verdicts checked bounds
+   once per access text, so a second access through a reassigned local
+   went unchecked; bumping orphans them and the GC ages them out *)
 let verdict_kind : Verify.diagnostic list Store.kind =
-  Store.make_kind ~name:"verdict" ~version:"5" ~encode:marshal_encode
+  Store.make_kind ~name:"verdict" ~version:"6" ~encode:marshal_encode
     ~decode:marshal_decode
 
-(* one entry per kernel, not per (kernel, launch): the parametric
+(* one entry per kernel text, not per (kernel, launch): the parametric
    result is launch-independent; version 3 for the same loop-variable
    fix as [verdict_kind] (the stale-let fix leaves it alone: the
    symbolic tier does not use {!Affine}), version 4 for launch regions
-   as conjunctions of disjunctions of polynomial inequalities (a
-   version-3 blob would unmarshal into the wrong shape) *)
-let pverdict_kind : Symverify.result Store.kind =
-  Store.make_kind ~name:"pverdict" ~version:"4" ~encode:marshal_encode
+   as conjunctions of disjunctions of polynomial inequalities, version 5
+   for the record that carries the first proved launch's lints, and for
+   bounds checked once per access and binding, not per access text (a
+   blob of an older version would unmarshal into the wrong shape) *)
+let pverdict_kind : proof Store.kind =
+  Store.make_kind ~name:"pverdict" ~version:"5" ~encode:marshal_encode
     ~decode:marshal_decode
 
 (* one process-wide handle on the default root, shared by every domain
@@ -275,26 +348,15 @@ let store_handle : Store.t Gpcc_util.Once.t =
 let verify (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     Verify.diagnostic list =
   timed @@ fun () ->
-  let full = printed ~launch k in
-  find t t.verify full.digest (fun () ->
-      let store = Gpcc_util.Once.get store_handle in
-      match Store.find store verdict_kind ~key:full.text with
+  find t t.verify (key k launch) (fun () ->
+      let store = Gpcc_util.Once.get store_handle
+      and text = printed ~launch k in
+      match Store.find store verdict_kind ~key:text with
       | Some ds -> ds
       | None ->
           let ds = Verify.check ~launch k in
-          Store.store store verdict_kind ~key:full.text ds;
+          Store.store store verdict_kind ~key:text ds;
           ds)
-
-let symbolic_result (t : t) (k : Ast.kernel) : Symverify.result =
-  let full = printed k in
-  find t t.symbolic full.digest (fun () ->
-      let store = Gpcc_util.Once.get store_handle in
-      match Store.find store pverdict_kind ~key:full.text with
-      | Some r -> r
-      | None ->
-          let r = Symverify.check k in
-          Store.store store pverdict_kind ~key:full.text r;
-          r)
 
 (* What the concrete verifier adds to a launch the symbolic tier proves
    clean. The proof settles every error rule, so what is left is
@@ -302,18 +364,59 @@ let symbolic_result (t : t) (k : Ast.kernel) : Symverify.result =
    None of them depends on how many lanes the race search enumerates,
    so one lane skips that search, and the [verify-incomplete] warning
    this provokes is dropped. A block wider than the search's default
-   512 lanes, where a full check warns for real, is checked in full.
-   Lint results stay in memory: persisting them cost a cold compile
-   sweep more in store writes than it saved a warm one. *)
-let lints (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
+   512 lanes, where a full check warns for real, is checked in full
+   ({!verify}) and kept out of the record. *)
+let lintable (l : Ast.launch) = l.block_x * l.block_y <= 512
+
+let lint (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     Verify.diagnostic list =
-  if launch.block_x * launch.block_y > 512 then verify t ~launch k
+  t.lint_runs <- t.lint_runs + 1;
+  Verify.check ~max_lanes:1 ~launch k
+  |> List.filter (fun (d : Verify.diagnostic) ->
+         d.rule <> Verify.rule_verify_incomplete)
+
+(* The record of a kernel text, from memory, the store, or computed. A
+   record computed for a launch it proves clean carries that launch's
+   lints into its one store write, so a warm process is served both by
+   one read; lints of later launches stay in memory, where another
+   write would cost a cold sweep more than it saves a warm one. *)
+let proof ?launch (t : t) (k : Ast.kernel) : proof =
+  find t t.symbolic (kernel_key k) (fun () ->
+      let store = Gpcc_util.Once.get store_handle and text = printed k in
+      match Store.find store pverdict_kind ~key:text with
+      | Some p -> p
+      | None ->
+          let result = Symverify.check k in
+          let lints =
+            match launch with
+            | Some launch when lintable launch -> (
+                match Symverify.decide result launch with
+                | `Clean -> [ (launch, lint t ~launch k) ]
+                | `Errors _ | `Unknown _ -> [])
+            | _ -> []
+          in
+          let p = { result; lints } in
+          Store.store store pverdict_kind ~key:text p;
+          p)
+
+let symbolic_result (t : t) (k : Ast.kernel) : Symverify.result =
+  (proof t k).result
+
+let record_lints (t : t) (k : Ast.kernel) :
+    (Ast.launch * Verify.diagnostic list) list =
+  (proof t k).lints
+
+let lints (t : t) (p : proof) ~(launch : Ast.launch) (k : Ast.kernel) :
+    Verify.diagnostic list =
+  if not (lintable launch) then verify t ~launch k
   else
-    timed @@ fun () ->
-    find t t.lints (key k launch) (fun () ->
-        Verify.check ~max_lanes:1 ~launch k
-        |> List.filter (fun (d : Verify.diagnostic) ->
-               d.rule <> Verify.rule_verify_incomplete))
+    match List.find_opt (fun (l, _) -> Ast.equal_launch l launch) p.lints with
+    | Some (_, ds) -> ds
+    | None ->
+        timed @@ fun () ->
+        let ds = lint t ~launch k in
+        p.lints <- (launch, ds) :: p.lints;
+        ds
 
 (* escape hatch for A/B measurement and debugging: GPCC_SYMVERIFY=0
    forces every launch down the concrete path *)
@@ -327,17 +430,17 @@ let verify_sym (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     verify t ~launch k
   end
   else
-    let r = timed (fun () -> symbolic_result t k) in
-  match Symverify.decide r launch with
-  | `Clean ->
-      Atomic.incr sym_proof_count;
-      lints t ~launch k
-  | `Errors _ | `Unknown _ ->
-      (* certain violations fall back too: the concrete verifier
-         reproduces them with its own paths/messages, keeping the
-         diagnostics byte-identical to a non-symbolic run *)
-      Atomic.incr concrete_fallback_count;
-      verify t ~launch k
+    let p = timed (fun () -> proof ~launch t k) in
+    match Symverify.decide p.result launch with
+    | `Clean ->
+        Atomic.incr sym_proof_count;
+        lints t p ~launch k
+    | `Errors _ | `Unknown _ ->
+        (* certain violations fall back too: the concrete verifier
+           reproduces them with its own paths/messages, keeping the
+           diagnostics byte-identical to a non-symbolic run *)
+        Atomic.incr concrete_fallback_count;
+        verify t ~launch k
 
 (* Copy one slot's cached value from the old key to the new key (no
    hit/miss accounting: this is bookkeeping, not a lookup). *)

@@ -9,6 +9,11 @@
     declare an analysis {e preserved} carry its result forward to the
     transformed kernel with {!preserve}.
 
+    Verification keeps one record per kernel text: the launch-parametric
+    proof plus the concrete lints of each launch it proved clean
+    ({!verify_sym}); the record, with its first launch's lints, and the
+    concrete verdicts persist in the artifact store.
+
     When a slot reaches capacity the least-recently-used entry is
     evicted, so hot entries survive long design-space explorations. *)
 
@@ -38,6 +43,10 @@ val length : t -> int
 val hits : t -> int
 val misses : t -> int
 
+val lint_runs : t -> int
+(** One-lane concrete lint runs this instance made for launches proved
+    clean: those whose lints neither memory nor the store held. *)
+
 val global_hits : unit -> int
 (** Hits aggregated across every instance of every domain. *)
 
@@ -55,14 +64,20 @@ val global_verify_wall_clock_s : unit -> float
 (** Total wall-clock seconds spent inside {!verify} and {!verify_sym},
     across every domain. *)
 
+val printed : ?launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel -> string
+(** {!Gpcc_ast.Pp.kernel_to_string}, byte for byte. A state is printed
+    once: the text of the last few kernels is kept per domain, keyed by
+    physical identity, and the launch comment is spliced into it. *)
+
 val key : Gpcc_ast.Ast.kernel -> Gpcc_ast.Ast.launch -> string
 (** Digest of the printed kernel at the launch — the cache key of the
-    launch-dependent slots. Each state is printed and hashed once: the
-    text and digest are memoized per domain for the last few (kernel,
-    launch) pairs, keyed by the kernel's physical identity. *)
+    launch-dependent slots. Digests are kept per domain for every live
+    kernel, keyed by physical identity, so a state is hashed once and
+    not printed again while it lives. *)
 
 val kernel_key : Gpcc_ast.Ast.kernel -> string
-(** Launch-independent key ({!regcount}), memoized like {!key}. *)
+(** Launch-independent key ({!regcount}, {!symbolic_result}), memoized
+    like {!key}. *)
 
 val accesses :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
@@ -86,19 +101,31 @@ val verify :
 (** Verifier diagnostics ([Verify] slot). *)
 
 val symbolic_result : t -> Gpcc_ast.Ast.kernel -> Symverify.result
-(** The launch-parametric symbolic verdict for a kernel — one
-    digest-keyed entry per kernel text, persisted on disk as a
-    [.pverdict] entry next to the concrete [.verdict] files. *)
+(** The launch-parametric symbolic verdict for a kernel, from its
+    verification record: one digest-keyed entry per kernel text,
+    persisted on disk as a [.pverdict] entry next to the concrete
+    [.verdict] files. *)
+
+val record_lints :
+  t ->
+  Gpcc_ast.Ast.kernel ->
+  (Gpcc_ast.Ast.launch * Verify.diagnostic list) list
+(** The lints the kernel's verification record holds, by launch, most
+    recent first: the launch its proof was first computed at, when
+    proved clean (stored with the proof), and launches linted since in
+    this instance (memory only). *)
 
 val verify_sym :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
   Verify.diagnostic list
 (** Symbolic-first verification, with the same diagnostics as {!verify}.
     When the parametric verdict proves this launch clean, only the
-    concrete verifier's warnings are computed, without its race search
-    (memoized per domain, not persisted); otherwise this falls back to
-    {!verify}. The symbolic tier is sound but incomplete, so the
-    fallback keeps precision intact. *)
+    concrete verifier's warnings are computed, without its race search,
+    and kept in the text's verification record; otherwise this falls
+    back to {!verify}. The first launch a text's proof is computed at
+    is linted before the record's one store write, so a warm process
+    reads proof and lints together. The symbolic tier is sound but
+    incomplete, so the fallback keeps precision intact. *)
 
 val preserve :
   t ->

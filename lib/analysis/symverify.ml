@@ -579,6 +579,7 @@ type sbind =
 and slet = {
   sl_val : sval Lazy.t;
   sl_tdep : bool Lazy.t;
+  sl_reads : int Lazy.t;  (** the definition's identity ({!Reads}) *)
 }
 
 (** One enclosing loop frame. [fr_value] is the loop variable's value
@@ -593,6 +594,7 @@ type sframe = {
   fr_clamp : clamp option;
       (** [value <= hi(limit) - 1], when the body assigns neither the
           loop variable nor any variable of the limit *)
+  fr_reads : int Lazy.t;  (** the header's identity ({!Reads}) *)
 }
 
 (** [cl_form <= cl_poly] ([`Hi]) or [cl_form >= cl_poly] ([`Lo]) for
@@ -603,6 +605,7 @@ type sguard = {
   sg_cond : Ast.expr;
   sg_binds : sbind Smap.t;
   sg_frames : sframe list;
+  sg_reads : int Lazy.t;  (** the condition's identity ({!Reads}) *)
 }
 
 type sacc = {
@@ -614,6 +617,8 @@ type sacc = {
   x_frames : sframe list;  (** innermost first *)
   x_guards : sguard list;
   x_vals : sval list Lazy.t;  (** the index expressions, lowered once *)
+  x_reads : int list Lazy.t;
+      (** identities of the index's names, then of its guards *)
   x_path : string;
 }
 
@@ -652,6 +657,7 @@ type sstate = {
   st_ranges : (int, lrange) Hashtbl.t;  (** loop counter and digit ids *)
   st_quots : (sform * int, svar) Hashtbl.t;  (** [(e, c)] to its digit *)
   st_quot_defs : (int, sform * int) Hashtbl.t;  (** digit id to [(e, c)] *)
+  st_reads : Reads.t;
 }
 
 let give_up st reason =
@@ -987,7 +993,23 @@ let forget_svars env vars =
    verdict unknown instead of being skipped as one the concrete checks
    cannot see. *)
 let carried =
-  SBexpr { sl_val = Lazy.from_val (Rng None); sl_tdep = Lazy.from_val true }
+  SBexpr
+    {
+      sl_val = Lazy.from_val (Rng None);
+      sl_tdep = Lazy.from_val true;
+      sl_reads = Lazy.from_val Reads.carried;
+    }
+
+(* the identities of the names [e] reads under [binds] *)
+let name_reads binds frames (e : Ast.expr) : int list =
+  Reads.names
+    (fun v ->
+      match Smap.find_opt v binds with
+      | Some (SBexpr l) -> Lazy.force l.sl_reads
+      | Some (SBloop d) -> Lazy.force (frame_at frames d).fr_reads
+      | Some SBopaque -> Reads.unknown
+      | None -> Reads.unbound)
+    e
 
 let carry_svars env vars =
   {
@@ -1003,6 +1025,7 @@ let bind_expr st env name (e : Ast.expr) =
     {
       sl_val = lazy (lower st ~binds ~frames e);
       sl_tdep = lazy (sthread_dep binds frames e);
+      sl_reads = lazy (Reads.define st.st_reads e (name_reads binds frames e));
     }
   in
   { env with s_binds = Smap.add name (SBexpr l) env.s_binds }
@@ -1030,6 +1053,14 @@ let srecord_access st env spaces arr kind ~store =
              lazy
                (List.map (lower st ~binds ~frames)
                   (match kind with `Sc idxs -> idxs | `Vec (_, ie) -> [ ie ])));
+          x_reads =
+            (let binds = env.s_binds
+             and frames = env.s_frames
+             and guards = env.s_guards in
+             lazy
+               (List.concat_map (name_reads binds frames)
+                  (match kind with `Sc idxs -> idxs | `Vec (_, ie) -> [ ie ])
+               @ List.map (fun g -> Lazy.force g.sg_reads) guards));
           x_path = path_of env;
         }
         :: st.st_accs
@@ -1069,6 +1100,14 @@ let make_frame st ~entry env (lp : Ast.loop) ~frozen ~tdep ~clamp ~counter_id
   let vs = lower st ~binds ~frames lp.l_step in
   let vl = lower st ~binds ~frames lp.l_limit in
   let svar = if frozen then Sfrozen counter_id else Sfree counter_id in
+  let fr_reads =
+    lazy
+      (Reads.define st.st_reads
+         (Call ("for", [ lp.l_init; lp.l_limit; lp.l_step ]))
+         (name_reads entry.s_binds frames lp.l_init
+         @ name_reads binds frames lp.l_limit
+         @ name_reads binds frames lp.l_step))
+  in
   match (vi, const_of vs) with
   | Aff fi, Some c when c > 0 ->
       (match (range_of st vi, range_of st vl) with
@@ -1093,7 +1132,13 @@ let make_frame st ~entry env (lp : Ast.loop) ~frozen ~tdep ~clamp ~counter_id
               }
         | _ -> None
       in
-      { fr_frozen = frozen; fr_tdep = tdep; fr_value = Aff value; fr_clamp }
+      {
+        fr_frozen = frozen;
+        fr_tdep = tdep;
+        fr_value = Aff value;
+        fr_clamp;
+        fr_reads;
+      }
   | _ ->
       let range =
         match (range_of st vi, range_of st vl) with
@@ -1107,6 +1152,7 @@ let make_frame st ~entry env (lp : Ast.loop) ~frozen ~tdep ~clamp ~counter_id
         fr_tdep = tdep;
         fr_value = Aff (sf_var svar);
         fr_clamp = None;
+        fr_reads;
       }
 
 let rec swalk_block st spaces env (b : Ast.block) : senv =
@@ -1171,7 +1217,16 @@ and swalk_stmt st spaces env (s : Ast.stmt) : senv =
         {
           env with
           s_guards =
-            { sg_cond = cond'; sg_binds = env.s_binds; sg_frames = env.s_frames }
+            {
+              sg_cond = cond';
+              sg_binds = env.s_binds;
+              sg_frames = env.s_frames;
+              sg_reads =
+                (let binds = env.s_binds and frames = env.s_frames in
+                 lazy
+                   (Reads.define st.st_reads cond'
+                      (name_reads binds frames cond')));
+            }
             :: env.s_guards;
           s_div_hard = env.s_div_hard || d;
           s_path = seg :: env.s_path;
@@ -2397,6 +2452,7 @@ let check_exn (k : Ast.kernel) : result =
       st_ranges = Hashtbl.create 64;
       st_quots = Hashtbl.create 64;
       st_quot_defs = Hashtbl.create 64;
+      st_reads = Reads.create ();
     }
   in
   let layouts = Layout.of_kernel k in
@@ -2417,18 +2473,17 @@ let check_exn (k : Ast.kernel) : result =
   let region = ref Constraint.tt in
   let require c = region := List.rev_append c !region in
   let unknown () = st.st_unknown <> None in
-  (* bounds first, once per distinct syntactic access (and only the
-     extreme members of a replica group, {!bounds_to_check}): the phase
-     is linear and its failures are common on transformed kernels, so
-     bailing here skips the quadratic race phase when the verdict is
-     already doomed to Unknown (the concrete fallback re-checks
-     everything anyway) *)
-  let seen = Hashtbl.create 64 in
+  (* bounds first, once per distinct access, binding and guard
+     ({!Reads}; and only the extreme members of a replica group,
+     {!bounds_to_check}): the phase is linear and its failures are common
+     on transformed kernels, so bailing here skips the quadratic race
+     phase when the verdict is already doomed to Unknown (the concrete
+     fallback re-checks everything anyway) *)
   let distinct =
     List.filter
       (fun a ->
-        let key = (a.x_path, a.x_arr, a.x_store, acc_key a) in
-        (not (Hashtbl.mem seen key)) && (Hashtbl.replace seen key (); true))
+        Reads.first st.st_reads ~path:a.x_path ~arr:a.x_arr ~store:a.x_store
+          a.x_kind a.x_reads)
       accs
     |> Array.of_list
   in

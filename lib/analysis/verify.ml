@@ -84,6 +84,14 @@ let json_of_diagnostics ds =
 
 (* --- staged concrete evaluation --- *)
 
+(** Values of [s] lie in [[s.lo, s.hi]] and are all congruent to [s.lo]
+    modulo [s.st]; a singleton ([lo = hi]) has [st = 0], meaning every
+    stride divides it (so [gcd] combines it for free), otherwise
+    [st >= 1] and [hi ≡ lo (mod st)]. The stride is what lets a guard
+    like [i + 16 < w] on a step-16 loop round down to the last
+    actually-reachable iterate. *)
+type si = { lo : int; hi : int; st : int }
+
 (** A scalar binding at some program point. [Bexpr] keeps the defining
     expression (evaluated in the environment suffix {e after} the
     binding, so rebindings and self-references resolve lexically) and
@@ -94,9 +102,19 @@ let json_of_diagnostics ds =
     shadows it, and it shadows the [Bunknown] an earlier loop over the
     same name left behind. *)
 type binding =
-  | Bexpr of Ast.expr * Affine.ctx
+  | Bexpr of blet
   | Bloop of int
   | Bunknown
+
+and blet = {
+  b_expr : Ast.expr;
+  b_ctx : Affine.ctx;
+  b_reads : int Lazy.t;  (** the definition's identity ({!Reads}) *)
+  mutable b_range : si option option;
+      (** the definition's range, once an access that adds no loop or
+          guard bounds asked for it: one walk serves one launch, and
+          nothing else varies *)
+}
 
 exception Unknown
 
@@ -223,7 +241,7 @@ let rec stage (launch : Ast.launch) sizes ~depth binds (e : Ast.expr) : code =
       | Idy -> Dyn (fun l -> (l.l_bidy * by) + l.l_tidy))
   | Var v -> (
       match assoc_split v binds with
-      | Some (Bexpr (e', _), rest) -> stage launch sizes ~depth rest e'
+      | Some (Bexpr b, rest) -> stage launch sizes ~depth rest b.b_expr
       | Some (Bloop d, _) when d < depth ->
           Dyn
             (fun l ->
@@ -288,14 +306,6 @@ let rec stage (launch : Ast.launch) sizes ~depth binds (e : Ast.expr) : code =
   | Index _ | Vload _ | Field _ | Call _ -> Never
 
 (* --- strided intervals: value range plus congruence stride --- *)
-
-(** Values of [s] lie in [[s.lo, s.hi]] and are all congruent to [s.lo]
-    modulo [s.st]; a singleton ([lo = hi]) has [st = 0], meaning every
-    stride divides it (so [gcd] combines it for free), otherwise
-    [st >= 1] and [hi ≡ lo (mod st)]. The stride is what lets a guard
-    like [i + 16 < w] on a step-16 loop round down to the last
-    actually-reachable iterate. *)
-type si = { lo : int; hi : int; st : int }
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 let si_const n = { lo = n; hi = n; st = 0 }
@@ -384,12 +394,14 @@ type frame = {
           trip evaluates the limit and step again, and after the first
           one those names hold values the walk does not know *)
   fr_trip_ctx : Affine.ctx;  (** [fr_ctx], forgotten likewise *)
+  fr_reads : int Lazy.t;  (** the header's identity ({!Reads}) *)
 }
 
 type guard = {
   g_cond : Ast.expr;  (** must evaluate true for the access to run *)
   g_binds : (string * binding) list;
   g_ctx : Affine.ctx;  (** the affine context the condition is lowered in *)
+  g_reads : int Lazy.t;  (** the condition's identity ({!Reads}) *)
 }
 
 (** An access's expressions staged for the launch: the bounds of its
@@ -419,6 +431,8 @@ type acc = {
   a_binds : (string * binding) list;
   a_ctx : Affine.ctx;
   a_path : string;
+  a_reads : int list Lazy.t;
+      (** identities of the index's names, then of its guards *)
   a_code : acc_code Lazy.t;  (** staged once, on first enumeration *)
 }
 
@@ -516,6 +530,7 @@ type wstate = {
   mutable ws_interval : int;
   mutable ws_accs : acc list;
   mutable ws_diags : diagnostic list;
+  ws_reads : Reads.t;
 }
 
 let truncate_str n s = if String.length s <= n then s else String.sub s 0 n ^ "…"
@@ -534,7 +549,7 @@ let rec thread_dep (binds : (string * binding) list) (frames : frame list)
   | Builtin _ | Int_lit _ | Float_lit _ -> false
   | Var v -> (
       match assoc_split v binds with
-      | Some (Bexpr (e', _), rest) -> thread_dep rest frames e'
+      | Some (Bexpr b, rest) -> thread_dep rest frames b.b_expr
       | Some (Bunknown, _) -> true
       | Some (Bloop d, _) ->
           let f = frame_at frames d in
@@ -577,6 +592,30 @@ let forget_vars env vars =
     w_ctx = Affine.forget env.w_ctx vars;
   }
 
+(* the identities of the names [e] reads under [binds] *)
+let name_reads frames binds (e : Ast.expr) : int list =
+  Reads.names
+    (fun v ->
+      match assoc_split v binds with
+      | Some (Bexpr b, _) -> Lazy.force b.b_reads
+      | Some (Bloop d, _) -> Lazy.force (frame_at frames d).fr_reads
+      | Some (Bunknown, _) -> Reads.unknown
+      | None -> Reads.unbound)
+    e
+
+let bind st env name (e : Ast.expr) =
+  let b_reads =
+    let frames = env.w_frames and binds = env.w_binds in
+    lazy (Reads.define st.ws_reads e (name_reads frames binds e))
+  in
+  {
+    env with
+    w_binds =
+      (name, Bexpr { b_expr = e; b_ctx = env.w_ctx; b_reads; b_range = None })
+      :: env.w_binds;
+    w_ctx = Affine.enter_let env.w_ctx name e;
+  }
+
 let diag st ?(severity = Error) ~rule ~path message =
   st.ws_diags <-
     { severity; rule; kernel = st.ws_kernel; path; message } :: st.ws_diags
@@ -600,6 +639,12 @@ let record_access st env spaces arr kind ~store =
           a_binds = binds;
           a_ctx = env.w_ctx;
           a_path = path_of env;
+          a_reads =
+            lazy
+              (List.concat_map
+                 (name_reads env.w_frames binds)
+                 (match kind with `Sc idxs -> idxs | `Vec (_, ie) -> [ ie ])
+              @ List.map (fun g -> Lazy.force g.g_reads) guards);
           a_code =
             lazy
               (stage_access st.ws_launch st.ws_sizes ~frames ~guards ~binds
@@ -636,11 +681,7 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
       match d_init with
       | Some e ->
           collect_expr st env spaces e;
-          {
-            env with
-            w_binds = (d_name, Bexpr (e, env.w_ctx)) :: env.w_binds;
-            w_ctx = Affine.enter_let env.w_ctx d_name e;
-          }
+          bind st env d_name e
       | None ->
           {
             env with
@@ -651,12 +692,7 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
   | Assign (lv, e) -> (
       collect_expr st env spaces e;
       match lv with
-      | Lvar v ->
-          {
-            env with
-            w_binds = (v, Bexpr (e, env.w_ctx)) :: env.w_binds;
-            w_ctx = Affine.enter_let env.w_ctx v e;
-          }
+      | Lvar v -> bind st env v e
       | Lfield (Lvar v, _) -> forget_vars env [ v ]
       | Lindex (arr, idxs) ->
           record_access st env spaces arr (`Sc idxs) ~store:true;
@@ -698,10 +734,19 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
         Printf.sprintf "if(%s)" (truncate_str 28 (Pp.expr_to_string cond))
       in
       let branch cond' =
+        let g_reads =
+          let frames = env.w_frames and binds = env.w_binds in
+          lazy (Reads.define st.ws_reads cond' (name_reads frames binds cond'))
+        in
         {
           env with
           w_guards =
-            { g_cond = cond'; g_binds = env.w_binds; g_ctx = env.w_ctx }
+            {
+              g_cond = cond';
+              g_binds = env.w_binds;
+              g_ctx = env.w_ctx;
+              g_reads;
+            }
             :: env.w_guards;
           w_div = env.w_div || d;
           w_path = seg :: env.w_path;
@@ -734,6 +779,14 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
              && uniform_trip_count st.ws_launch st.ws_sizes
                   ~init_binds:env.w_binds trip.w_binds lp)
       in
+      let fr_reads =
+        lazy
+          (Reads.define st.ws_reads
+             (Call ("for", [ l_init; l_limit; l_step ]))
+             (name_reads env.w_frames env.w_binds l_init
+             @ name_reads env.w_frames trip.w_binds l_limit
+             @ name_reads env.w_frames trip.w_binds l_step))
+      in
       let fr offset =
         {
           fr_var = l_var;
@@ -746,6 +799,7 @@ and walk_stmt st spaces env (s : Ast.stmt) : wenv =
           fr_ctx = env.w_ctx;
           fr_trip_binds = trip.w_binds;
           fr_trip_ctx = trip.w_ctx;
+          fr_reads;
         }
       in
       let ctx' =
@@ -1105,16 +1159,17 @@ let si_of_affine (env : renv) (f : Affine.t) : si option =
     (Some (si_const f.const))
     f.terms
 
+let affine_range (env : renv) (e : Ast.expr) : si option =
+  Option.bind (Affine.of_expr env.r_ctx e) (si_of_affine env)
+
 let rec range_expr (env : renv) (e : Ast.expr) : si option =
-  let affine =
-    match Affine.of_expr env.r_ctx e with
-    | Some f -> si_of_affine env f
-    | None -> None
-  in
-  (* the affine form is exact on correlations (e.g. [idx - tidx]) but
-     decomposes a loop variable as init + step·iter, losing the limit
-     clamp; the structural walk has the clamp but no correlations — so
-     intersect the two *)
+  narrow_range env (affine_range env e) e
+
+(* the affine form is exact on correlations (e.g. [idx - tidx]) but
+   decomposes a loop variable as init + step·iter, losing the limit
+   clamp; the structural walk has the clamp but no correlations — so
+   intersect the two *)
+and narrow_range (env : renv) (affine : si option) (e : Ast.expr) : si option =
   match (affine, structural_range env e) with
   | Some a, Some s ->
       Some (Option.value (si_clamp a ~lo:s.lo ~hi:s.hi) ~default:a)
@@ -1142,8 +1197,21 @@ and structural_range (env : renv) (e : Ast.expr) : si option =
   | Var v -> (
       match assoc_split v env.r_binds with
       | Some (Bloop d, _) -> List.assoc_opt d env.r_iters
-      | Some (Bexpr (e', ctx), rest) ->
-          range_expr { env with r_binds = rest; r_ctx = ctx } e'
+      | Some (Bexpr b, rest) -> (
+          let range () =
+            range_expr { env with r_binds = rest; r_ctx = b.b_ctx } b.b_expr
+          in
+          (* without loop or guard bounds of the access, the range is the
+             binding's own *)
+          if env.r_iters <> [] || env.r_trips <> [] || env.r_over <> [] then
+            range ()
+          else
+            match b.b_range with
+            | Some r -> r
+            | None ->
+                let r = range () in
+                b.b_range <- Some r;
+                r)
       | Some (Bunknown, _) -> None
       | None -> Option.map si_const (List.assoc_opt v env.r_sizes))
   | Unop (Neg, a) -> Option.map si_neg (range_expr env a)
@@ -1369,12 +1437,19 @@ let check_bounds st (launch : Ast.launch) sizes layouts (acc : acc) : unit =
             (* element range of the vector access against the flat size *)
             [ (Binop (Mul, ie, Int_lit w), Layout.size_elems lay - (w - 1)) ]
       in
+      let fits bound = function
+        | Some s -> s.lo >= 0 && s.hi < bound
+        | None -> false
+      in
+      (* narrowing keeps an affine range that fits inside it *)
       let unproven =
         List.filter_map
           (fun (e, bound) ->
-            match range_expr env e with
-            | Some s when s.lo >= 0 && s.hi < bound -> None
-            | r -> Some (e, bound, r))
+            let affine = affine_range env e in
+            if fits bound affine then None
+            else
+              let r = narrow_range env affine e in
+              if fits bound r then None else Some (e, bound, r))
           dims
       in
       if unproven <> [] then begin
@@ -1508,6 +1583,7 @@ let check ?(max_lanes = 512) ~(launch : Ast.launch) (k : Ast.kernel) :
       ws_interval = 0;
       ws_accs = [];
       ws_diags = [];
+      ws_reads = Reads.create ();
     }
   in
   let env0 =
@@ -1547,14 +1623,14 @@ let check ?(max_lanes = 512) ~(launch : Ast.launch) (k : Ast.kernel) :
   |> List.sort compare
   |> List.iter (fun (_, group) ->
          check_races st launch layouts ~max_lanes ~dedup_pairs group);
-  (* bounds and bank conflicts, once per distinct syntactic access (the
-     frozen wrap pass records duplicates) *)
-  let seen = Hashtbl.create 64 in
+  (* bounds and bank conflicts, once per distinct access, binding and
+     guard ({!Reads}: the frozen wrap pass records duplicates) *)
   List.iter
     (fun a ->
-      let key = (a.a_path, a.a_arr, a.a_store, acc_expr a) in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.replace seen key ();
+      if
+        Reads.first st.ws_reads ~path:a.a_path ~arr:a.a_arr ~store:a.a_store
+          a.a_kind a.a_reads
+      then begin
         check_bounds st launch sizes layouts a;
         check_bank st launch layouts a
       end)

@@ -235,6 +235,10 @@ let param_to_string p =
       scalar_to_string elt ^ " " ^ p.p_name
       ^ String.concat "" (List.map (fun d -> Printf.sprintf "[%d]" d) dims)
 
+let launch_comment (l : launch) =
+  Printf.sprintf "/* launch: grid (%d, %d), block (%d, %d) */\n" l.grid_x
+    l.grid_y l.block_x l.block_y
+
 let kernel_to_string ?(launch : launch option) (k : kernel) =
   let buf = Buffer.create 1024 in
   List.iter
@@ -244,12 +248,7 @@ let kernel_to_string ?(launch : launch option) (k : kernel) =
   if k.k_output <> [] then
     Buffer.add_string buf
       ("#pragma gpcc output " ^ String.concat " " k.k_output ^ "\n");
-  (match launch with
-  | Some l ->
-      Buffer.add_string buf
-        (Printf.sprintf "/* launch: grid (%d, %d), block (%d, %d) */\n"
-           l.grid_x l.grid_y l.block_x l.block_y)
-  | None -> ());
+  Option.iter (fun l -> Buffer.add_string buf (launch_comment l)) launch;
   Buffer.add_string buf ("__kernel void " ^ k.k_name ^ "(");
   List.iteri
     (fun i p ->
@@ -260,6 +259,23 @@ let kernel_to_string ?(launch : launch option) (k : kernel) =
   block buf 2 k.k_body;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
+
+(* the launch comment follows the pragma lines: one per size binding,
+   and one for the outputs *)
+let with_launch (k : kernel) text (l : launch) =
+  let rec after_lines pos n =
+    if n = 0 then pos
+    else after_lines (String.index_from text pos '\n' + 1) (n - 1)
+  in
+  let at =
+    after_lines 0 (List.length k.k_sizes + if k.k_output <> [] then 1 else 0)
+  in
+  String.concat ""
+    [
+      String.sub text 0 at;
+      launch_comment l;
+      String.sub text at (String.length text - at);
+    ]
 
 let stmt_to_string s =
   let buf = Buffer.create 128 in

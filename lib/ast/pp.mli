@@ -14,5 +14,10 @@ val block_to_string : Ast.block -> string
     comment the compiler reports alongside the optimized code. *)
 val kernel_to_string : ?launch:Ast.launch -> Ast.kernel -> string
 
+(** [with_launch k (kernel_to_string k) l] is [kernel_to_string ~launch:l k]:
+    the launch comment spliced into the printed kernel, which is not
+    printed again. *)
+val with_launch : Ast.kernel -> string -> Ast.launch -> string
+
 (** Non-blank source lines — regenerates Table 1's LOC column. *)
 val loc_count : string -> int

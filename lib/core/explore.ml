@@ -432,15 +432,13 @@ let search_funnel ?(cfg = Gpcc_sim.Config.gtx280)
 (** Deduplicate candidates that compiled to the same kernel (different
     knobs can coincide), keeping the first. *)
 let distinct (cands : candidate list) : candidate list =
-  let seen = ref [] in
+  let seen = Hashtbl.create 16 in
   List.filter
     (fun c ->
-      let key = Pp.kernel_to_string ~launch:c.result.launch c.result.kernel in
-      if List.mem key !seen then false
-      else begin
-        seen := key :: !seen;
-        true
-      end)
+      let key =
+        Gpcc_analysis.Analysis_cache.key c.result.kernel c.result.launch
+      in
+      (not (Hashtbl.mem seen key)) && (Hashtbl.replace seen key (); true))
     cands
 
 let best (cands : candidate list) : candidate option =

@@ -247,6 +247,96 @@ let test_state_keys_memo () =
   Alcotest.check digests "a second domain gets the same keys" (expected k)
     (Domain.join (Domain.spawn (fun () -> keys k)))
 
+(* the launch comment spliced into the one print of a state is what
+   printing with the launch gives, whichever pragma lines precede it *)
+let test_printed_splices_launch () =
+  let launch =
+    { Gpcc_ast.Ast.grid_x = 4; grid_y = 2; block_x = 16; block_y = 8 }
+  in
+  let body =
+    "__kernel void k(float a[64], float b[64], int n, int m) {\n\
+    \  b[idx] = a[idx];\n\
+     }"
+  in
+  List.iter
+    (fun (name, pragmas) ->
+      let k = parse_kernel (pragmas ^ body) in
+      Alcotest.(check string)
+        (name ^ ", at a launch")
+        (Gpcc_ast.Pp.kernel_to_string ~launch k)
+        (Cache.printed ~launch k);
+      Alcotest.(check string)
+        (name ^ ", bare")
+        (Gpcc_ast.Pp.kernel_to_string k)
+        (Cache.printed k))
+    [
+      ("no pragmas", "");
+      ("sizes only", "#pragma gpcc dim n 64\n#pragma gpcc dim m 8\n");
+      ("outputs only", "#pragma gpcc output a b\n");
+      ("both", "#pragma gpcc dim n 64\n#pragma gpcc output b\n");
+    ]
+
+(* --- a warm store serves proved launches from verification records --- *)
+
+(* A compile in a fresh domain (a fresh per-domain analysis cache) on the
+   store another domain's compile filled reports every step's
+   diagnostics byte for byte, and runs the one-lane lint only for the
+   launches no stored record carries. *)
+let test_warm_records_serve_lints () =
+  let w = Registry.find_exn "conv" in
+  let naive = Workload.parse w w.test_size in
+  let pipeline =
+    Pipeline.default ~cfg:cfg280 ~target_block_threads:128 ~merge_degree:4 ()
+  in
+  let compile () =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let r = Pipeline.run ~pipeline naive in
+           (r, Cache.lint_runs (Cache.domain ()))))
+  in
+  let transcript (r : Pipeline.result) =
+    List.map
+      (fun (s : Pipeline.step) ->
+        s.step_name ^ " "
+        ^ Gpcc_analysis.Verify.json_of_diagnostics s.diagnostics)
+      r.steps
+  in
+  let first, _ = compile () in
+  let warm, warm_lints = compile () in
+  Alcotest.(check (list string))
+    "every step's diagnostics" (transcript first) (transcript warm);
+  (* the validated states: the input at its launch and each fired step *)
+  let states =
+    (naive, Option.get (Gpcc_passes.Pass_util.initial_launch naive))
+    :: List.filter_map
+         (fun (s : Pipeline.step) ->
+           if s.fired then Some (s.kernel_after, s.launch_after) else None)
+         warm.steps
+  in
+  let store = Cache.create () in
+  let proved =
+    List.filter
+      (fun (k, (l : Gpcc_ast.Ast.launch)) ->
+        l.block_x * l.block_y <= 512
+        && Gpcc_analysis.Symverify.decide (Cache.symbolic_result store k) l
+           = `Clean)
+      states
+    |> List.sort_uniq (fun (k, l) (k', l') ->
+           compare (Cache.key k l) (Cache.key k' l'))
+  in
+  let served, linted =
+    List.partition
+      (fun (k, l) ->
+        List.exists
+          (fun (l', _) -> Gpcc_ast.Ast.equal_launch l l')
+          (Cache.record_lints store k))
+      proved
+  in
+  Alcotest.(check bool) "some launches are served" true (served <> []);
+  Alcotest.(check int)
+    "lints run only where no record carries them" (List.length linted)
+    warm_lints
+
 (* --- verifier verdicts survive the on-disk round trip --- *)
 
 let test_verify_disk_round_trip () =
@@ -413,6 +503,10 @@ let suite =
         test_lru_eviction_keeps_hot_entries;
       Alcotest.test_case "analysis cache: keys match printing" `Quick
         test_state_keys_memo;
+      Alcotest.test_case "analysis cache: launch spliced into print" `Quick
+        test_printed_splices_launch;
+      Alcotest.test_case "verification records serve a warm compile" `Quick
+        test_warm_records_serve_lints;
       Alcotest.test_case "verifier verdicts: disk round trip" `Quick
         test_verify_disk_round_trip;
       Alcotest.test_case "verifier verdicts: corrupt files recovered" `Quick

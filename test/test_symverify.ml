@@ -317,6 +317,27 @@ let test_loop_carried_locals () =
         (launch_grid launch))
     loop_carried_cases
 
+(* A second read through a rebound name is bounded on its own, so
+   neither kernel is proved clean at any launch of the sampled grid,
+   and the concrete tier reports the overflow wherever a launch is
+   decided. *)
+let test_rebound_names () =
+  List.iter
+    (fun (name, src, _) ->
+      let k = parse_kernel src in
+      let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
+      let res = SV.check k in
+      List.iter
+        (fun l ->
+          (match SV.decide res l with
+          | `Clean ->
+              Alcotest.failf "%s: symbolic proved an out-of-bounds read clean"
+                name
+          | `Errors _ | `Unknown _ -> ());
+          check_agreement name k res l)
+        (launch_grid launch))
+    rebound_cases
+
 (* --- property test: randomized affine kernels, seeded --- *)
 
 let test_random_affine_agreement () =
@@ -414,12 +435,10 @@ let test_pverdict_disk_round_trip () =
     "first instance matches Symverify.check" true (r1 = fresh);
   Alcotest.(check bool) "disk round trip is lossless" true (r2 = fresh)
 
-let test_pverdict_disk_corruption () =
-  let w = Registry.find_exn "vv" in
-  let k = Workload.parse w w.test_size in
-  let fresh = SV.check k in
-  (* pverdicts live in the sharded artifact store, keyed by the full
-     kernel text; find this kernel's entry by its stored key *)
+(* pverdicts live in the sharded artifact store, keyed by the full
+   kernel text: find a kernel's entries, of every codec version, by
+   their stored key *)
+let pverdict_entries (k : Ast.kernel) =
   let root = Gpcc_util.Store.default_root () in
   let full = Pp.kernel_to_string k in
   let read_file p =
@@ -428,24 +447,21 @@ let test_pverdict_disk_corruption () =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let contains ~needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec scan i =
-      i + n <= h && (String.equal (String.sub hay i n) needle || scan (i + 1))
-    in
-    scan 0
-  in
-  let entries () =
-    Sys.readdir root |> Array.to_list
-    |> List.concat_map (fun shard ->
-           let d = Filename.concat root shard in
-           if Sys.is_directory d then
-             Sys.readdir d |> Array.to_list
-             |> List.filter (fun f -> Filename.extension f = ".pverdict")
-             |> List.map (Filename.concat d)
-           else [])
-    |> List.filter (fun p -> contains ~needle:full (read_file p))
-  in
+  Sys.readdir root |> Array.to_list
+  |> List.concat_map (fun shard ->
+         let d = Filename.concat root shard in
+         if Sys.is_directory d then
+           Sys.readdir d |> Array.to_list
+           |> List.filter (fun f -> Filename.extension f = ".pverdict")
+           |> List.map (Filename.concat d)
+         else [])
+  |> List.filter (fun p -> contains ~needle:full (read_file p))
+
+let test_pverdict_disk_corruption () =
+  let w = Registry.find_exn "vv" in
+  let k = Workload.parse w w.test_size in
+  let fresh = SV.check k in
+  let entries () = pverdict_entries k in
   (* a store used before a codec-version bump still holds this key's
      orphaned older entries: drop them all so the baseline writes the
      one live entry *)
@@ -478,6 +494,73 @@ let test_pverdict_disk_corruption () =
       ("wrong header", "not-a-verdict\ngarbage");
       ("truncated payload", "gpcc-symverify-v1\n\000\000");
     ]
+
+(* A text's verification record is written once, when its proof is
+   first computed; computed at a launch it proves clean, it carries that
+   launch's lints, and a fresh instance reads them back with the proof.
+   A later launch is linted in memory only. *)
+let test_pverdict_carries_lints () =
+  let k =
+    parse_kernel
+      {|#pragma gpcc output out
+__kernel void record_lints(float x[2048], float out[1024]) {
+  out[idx] = x[2 * idx];
+}|}
+  in
+  let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
+  let later = { launch with Ast.grid_x = launch.grid_x / 2 } in
+  List.iter Sys.remove (pverdict_entries k);
+  let ds = Cache.verify_sym (Cache.create ()) ~launch k in
+  Alcotest.(check bool)
+    "proved clean" true
+    (SV.decide (SV.check k) launch = `Clean);
+  Alcotest.(check bool) "the lints warn" true (V.warnings ds <> []);
+  let c = Cache.create () in
+  Alcotest.(check bool)
+    "the record reads back with the first launch's lints" true
+    (Cache.record_lints c k = [ (launch, ds) ]);
+  Alcotest.(check bool) "and the proof" true
+    (Cache.symbolic_result c k = SV.check k);
+  ignore (Cache.verify_sym c ~launch:later k);
+  Alcotest.(check int) "a later launch is linted" 1 (Cache.lint_runs c);
+  Alcotest.(check bool)
+    "in memory only" true
+    (Cache.record_lints (Cache.create ()) k = [ (launch, ds) ])
+
+(* A record of an older codec version is another store entry: it is
+   never decoded as the current shape, and the record is computed
+   again. *)
+let test_pverdict_old_version_ignored () =
+  let k =
+    parse_kernel
+      {|#pragma gpcc output out
+__kernel void old_record(float x[1024], float out[1024]) {
+  out[idx] = x[idx] + 1.0;
+}|}
+  in
+  let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
+  List.iter Sys.remove (pverdict_entries k);
+  let v4 : SV.result Gpcc_util.Store.kind =
+    Gpcc_util.Store.make_kind ~name:"pverdict" ~version:"4"
+      ~encode:(fun r -> Marshal.to_string r [])
+      ~decode:(fun s -> Some (Marshal.from_string s 0))
+  in
+  let store = Gpcc_util.Store.open_root () in
+  let full = Pp.kernel_to_string k in
+  Gpcc_util.Store.store store v4 ~key:full (SV.check k);
+  Alcotest.(check int) "one version-4 entry" 1
+    (List.length (pverdict_entries k));
+  let c = Cache.create () in
+  let ds = Cache.verify_sym c ~launch k in
+  Alcotest.(check bool) "proof recomputed" true
+    (Cache.symbolic_result c k = SV.check k);
+  Alcotest.(check int) "its lints computed" 1 (Cache.lint_runs c);
+  Alcotest.(check bool)
+    "a current record written beside it" true
+    (List.length (pverdict_entries k) = 2
+    && Cache.record_lints (Cache.create ()) k = [ (launch, ds) ]);
+  Alcotest.(check bool) "the old entry left as it was" true
+    (Gpcc_util.Store.find store v4 ~key:full = Some (SV.check k))
 
 (* --- the concrete tier flags its own truncated race check --- *)
 
@@ -583,6 +666,8 @@ let suite =
         test_loop_carried_locals;
       Alcotest.test_case "loop variables bound at loop entry" `Quick
         test_loop_reuse;
+      Alcotest.test_case "rebound names stay unproved" `Quick
+        test_rebound_names;
       Alcotest.test_case "negative kernels keep rule ids" `Quick
         test_negative_kernels;
       Alcotest.test_case "digit maps for / and % by constants" `Quick
@@ -595,6 +680,10 @@ let suite =
         test_pverdict_disk_round_trip;
       Alcotest.test_case "parametric verdicts: corrupt files recovered"
         `Quick test_pverdict_disk_corruption;
+      Alcotest.test_case "verification records carry first lints" `Quick
+        test_pverdict_carries_lints;
+      Alcotest.test_case "verification records: old codec ignored" `Quick
+        test_pverdict_old_version_ignored;
       Alcotest.test_case "verify-incomplete warning" `Quick
         test_verify_incomplete_warning;
       Alcotest.test_case "proved launches keep concrete warnings" `Quick

@@ -186,6 +186,23 @@ let test_loop_carried_locals () =
           (String.concat "; " (List.map V.to_string ds)))
     loop_carried_cases
 
+(* the second read of [x] through a rebound name is checked on its own:
+   one index text does not mean one value *)
+let test_rebound_names () =
+  List.iter
+    (fun (name, src, message) ->
+      let _, _, ds = check_src src in
+      if
+        not
+          (List.exists
+             (fun (d : V.diagnostic) ->
+               d.rule = V.rule_oob_global && contains ~needle:message d.message)
+             (V.errors ds))
+      then
+        Alcotest.failf "%s: expected %S, got [%s]" name message
+          (String.concat "; " (List.map V.to_string ds)))
+    rebound_cases
+
 let test_loop_reuse () =
   List.iter
     (fun (name, src, rules) ->
@@ -423,6 +440,7 @@ let suite =
         test_context_skew_overflow;
       Alcotest.test_case "loop variables bound at loop entry" `Quick
         test_loop_reuse;
+      Alcotest.test_case "negative: rebound names" `Quick test_rebound_names;
       Alcotest.test_case "negative: loop-carried locals" `Quick
         test_loop_carried_locals;
       Alcotest.test_case "staged pattern clean" `Quick test_staged_clean;

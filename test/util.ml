@@ -155,3 +155,43 @@ __kernel void carried_rebound(float x[16], float out[16]) {
 }|},
       "x[i]" );
   ]
+
+(** Kernels that read one array twice through the same index text, the
+    second time out of bounds, with the message of the error both
+    verifiers must not miss: a local reassigned between the reads, one
+    loop variable name in two sibling loops, and two guards whose text
+    differs only past the 28 characters a diagnostic path keeps. *)
+let rebound_cases : (string * string * string) list =
+  [
+    ( "reassigned_local",
+      {|#pragma gpcc output out
+__kernel void reassigned_local(float x[64], float out[64]) {
+  int b = tidx;
+  out[tidx] = x[b];
+  b = tidx + 100;
+  out[tidx] = x[b];
+}|},
+      "x[b] indexes element 100 of x" );
+    ( "sibling_loops",
+      {|#pragma gpcc output out
+__kernel void sibling_loops(float x[64], float out[64]) {
+  for (int i = 0; i < 4; i++) {
+    out[tidx] = x[i];
+  }
+  for (int i = 0; i < 100; i++) {
+    out[tidx] = x[i];
+  }
+}|},
+      "x[i] indexes element 99 of x" );
+    ( "long_guards",
+      {|#pragma gpcc output out
+__kernel void long_guards(float x[64], float out[64]) {
+  if (tidx < 1000000000 && tidx + 0 < 4) {
+    out[tidx] = x[tidx + 60];
+  }
+  if (tidx < 1000000000 && tidx + 0 < 64) {
+    out[tidx] = x[tidx + 60];
+  }
+}|},
+      "x[tidx + 60] indexes element 64 of x" );
+  ]
