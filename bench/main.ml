@@ -901,7 +901,10 @@ let explore () =
             ("halving_rungs", Json_out.Int stats.f_rungs);
             ("partial_runs", Json_out.Int stats.f_partial_runs);
             ("fully_measured", Json_out.Int stats.f_measured);
-            ("spearman", Json_out.Float stats.f_spearman);
+            ( "spearman",
+              if stats.f_spearman_n < 3 then Json_out.Null
+              else Json_out.Float stats.f_spearman );
+            ("spearman_n", Json_out.Int stats.f_spearman_n);
             ("exhaustive_wall_s", Json_out.Float ex_s);
             ("funnel_cold_wall_s", Json_out.Float cold_s);
             ("funnel_warm_wall_s", Json_out.Float warm_s);
@@ -912,9 +915,11 @@ let explore () =
             ("winner_match", Json_out.Bool matched);
           ];
         Printf.printf
-          "  %-14s | %9.2f %9.2f %9.2f | %4d %4d %5d %4d | %8.2f | %s\n%!"
+          "  %-14s | %9.2f %9.2f %9.2f | %4d %4d %5d %4d | %8s | %s\n%!"
           w.name ex_s cold_s warm_s stats.f_configs stats.f_distinct
-          stats.f_pruned stats.f_measured stats.f_spearman
+          stats.f_pruned stats.f_measured
+          (if stats.f_spearman_n < 3 then "n/a"
+           else Printf.sprintf "%.2f" stats.f_spearman)
           (if matched then Printf.sprintf "yes (%d,%d)" ft fd
            else Printf.sprintf "NO (%d,%d) vs (%d,%d)" ft fd et ed)
       with e ->

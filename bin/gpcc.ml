@@ -273,9 +273,11 @@ let explore_cmd =
             Printf.eprintf
               "funnel: %d configs, %d distinct, %d pruned by the model, %d \
                halving rungs (%d partial runs), %d fully measured, spearman \
-               %.2f\n"
+               %s\n"
               stats.f_configs stats.f_distinct stats.f_pruned stats.f_rungs
-              stats.f_partial_runs stats.f_measured stats.f_spearman;
+              stats.f_partial_runs stats.f_measured
+              (if stats.f_spearman_n < 3 then "n/a"
+               else Printf.sprintf "%.2f" stats.f_spearman);
             (cands, failures)
           end
         in

@@ -399,8 +399,8 @@ let proof ?launch (t : t) (k : Ast.kernel) : proof =
           Store.store store pverdict_kind ~key:text p;
           p)
 
-let symbolic_result (t : t) (k : Ast.kernel) : Symverify.result =
-  (proof t k).result
+let symbolic_result ?launch (t : t) (k : Ast.kernel) : Symverify.result =
+  (proof ?launch t k).result
 
 let record_lints (t : t) (k : Ast.kernel) :
     (Ast.launch * Verify.diagnostic list) list =

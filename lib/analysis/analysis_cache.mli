@@ -100,11 +100,14 @@ val verify :
   Verify.diagnostic list
 (** Verifier diagnostics ([Verify] slot). *)
 
-val symbolic_result : t -> Gpcc_ast.Ast.kernel -> Symverify.result
+val symbolic_result :
+  ?launch:Gpcc_ast.Ast.launch -> t -> Gpcc_ast.Ast.kernel -> Symverify.result
 (** The launch-parametric symbolic verdict for a kernel, from its
     verification record: one digest-keyed entry per kernel text,
     persisted on disk as a [.pverdict] entry next to the concrete
-    [.verdict] files. *)
+    [.verdict] files. When this call computes the record and [launch]
+    is proved clean, the record is stored with that launch's lints, as
+    {!verify_sym} stores it. *)
 
 val record_lints :
   t ->

@@ -69,6 +69,7 @@ type funnel = {
   f_spearman : float;
       (** Spearman rank correlation of prediction vs the best empirical
           score, over the stage-1 survivors *)
+  f_spearman_n : int;  (** pairs the correlation ranks *)
 }
 
 (* phase-1 outcome for one (target, degree) configuration *)
@@ -104,9 +105,12 @@ let compile_all pool ~cfg configs naive :
   (* symbolic pre-filter: one launch-parametric proof covers the whole
      grid, and a violation that provably fires at every launch with a
      config's block-thread product excludes that config before any
-     compilation (the pipeline's verifier would reject it anyway) *)
+     compilation (the pipeline's verifier would reject it anyway). The
+     proof is asked for at the launch {!Pipeline.run} validates the
+     input at, so the naive text's stored record carries its lints *)
   let sym =
     Gpcc_analysis.Analysis_cache.symbolic_result
+      ?launch:(Gpcc_passes.Pass_util.initial_launch naive)
       (Gpcc_analysis.Analysis_cache.domain ())
       naive
   in
@@ -408,12 +412,11 @@ let search_funnel ?(cfg = Gpcc_sim.Config.gtx280)
               fail c `Measure e;
               set c Float.neg_infinity `Measured)
         finalist_reps final_outcomes;
-      let spearman =
-        Cost_model.spearman
-          (List.filter_map
-             (fun (c, p) ->
-               Option.map (fun m -> (p, m)) (Hashtbl.find_opt empirical c.c_digest))
-             survivors)
+      let ranked =
+        List.filter_map
+          (fun (c, p) ->
+            Option.map (fun m -> (p, m)) (Hashtbl.find_opt empirical c.c_digest))
+          survivors
       in
       let stats =
         {
@@ -424,7 +427,8 @@ let search_funnel ?(cfg = Gpcc_sim.Config.gtx280)
           f_rungs = !n_rungs;
           f_partial_runs = !n_partial;
           f_measured = List.length finalists;
-          f_spearman = spearman;
+          f_spearman = Cost_model.spearman ranked;
+          f_spearman_n = List.length ranked;
         }
       in
       (candidates_of compiled score_tbl, List.rev !failures, stats))

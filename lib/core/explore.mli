@@ -83,6 +83,9 @@ type funnel = {
   f_spearman : float;
       (** Spearman rank correlation of prediction vs best empirical
           score over the stage-1 survivors; 0 when undefined *)
+  f_spearman_n : int;
+      (** pairs the correlation ranks; below 3 it is [±1] or 0 by
+          construction and says nothing about the model *)
 }
 
 (** Compile every configuration (in parallel on [jobs] domains, default

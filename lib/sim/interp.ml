@@ -54,9 +54,11 @@ type bctx = {
   bidy : int;
   env : (string, entry) Hashtbl.t;
   record_tx : bool;
-  mutable txparts : int list;
-      (** partitions of issued transactions, most recent first, when
-          [record_tx]; consumed by the partition-camping model *)
+  mutable txparts : int array;
+      (** partitions of issued transactions in issue order, when
+          [record_tx]: the first [txn] slots, grown on demand; consumed
+          by the partition-camping model *)
+  mutable txn : int;
   check : bool;  (** dynamic race detection (GPCC_CHECK=1) *)
   mutable epoch : int;  (** barrier-interval counter for [check] *)
   shadow : (string, shadow) Hashtbl.t;
@@ -70,6 +72,24 @@ let inst (c : bctx) = c.stats.warp_insts <- c.stats.warp_insts +. c.warps
 
 let flops (c : bctx) k =
   c.stats.flops <- c.stats.flops +. float_of_int k
+
+(** Append the memory partition of a transaction at [tx_addr] to the
+    block's stream. The stream is a flat buffer because one stream block
+    of a large grid records tens of thousands of transactions, and that
+    many heap cells would outlive minor collections. *)
+let record_part (c : bctx) (tx_addr : int) : unit =
+  let p = tx_addr / c.cfg.Config.partition_bytes mod c.cfg.Config.num_partitions in
+  let n = c.txn in
+  if n = Array.length c.txparts then begin
+    let grown = Array.make (max 256 (2 * n)) 0 in
+    Array.blit c.txparts 0 grown 0 n;
+    c.txparts <- grown
+  end;
+  Array.unsafe_set c.txparts n p;
+  c.txn <- n + 1
+
+(** The block's partition stream so far, in issue order. *)
+let tx_stream (c : bctx) : int array = Array.sub c.txparts 0 c.txn
 
 
 (* --- dynamic race detection (GPCC_CHECK=1) ---
@@ -200,14 +220,7 @@ let account_global_slow (c : bctx) ~(is_store : bool) ~(elt_bytes : int)
       in
       c.stats.cost_bytes <- c.stats.cost_bytes +. (bytes /. width_eff);
       if c.record_tx then
-        List.iter
-          (fun t ->
-            let p =
-              t.Coalescer.tx_addr / c.cfg.Config.partition_bytes
-              mod c.cfg.Config.num_partitions
-            in
-            c.txparts <- p :: c.txparts)
-          txs;
+        List.iter (fun t -> record_part c t.Coalescer.tx_addr) txs;
       if is_store then begin
         c.stats.gst_tx <- c.stats.gst_tx +. ntx;
         c.stats.gst_bytes <- c.stats.gst_bytes +. bytes;
@@ -262,13 +275,7 @@ let account_global (c : bctx) ~(is_store : bool) ~(elt_bytes : int)
           addrs.(t) <- byte_addr mask.(!i + t)
         done;
         let emit tx_addr tx_bytes =
-          if c.record_tx then begin
-            let p =
-              tx_addr / cfg.Config.partition_bytes
-              mod cfg.Config.num_partitions
-            in
-            c.txparts <- p :: c.txparts
-          end;
+          if c.record_tx then record_part c tx_addr;
           tx_bytes
         in
         let ntx = ref 0 and bytes = ref 0 in
@@ -947,7 +954,8 @@ let make_bctx ?(record_tx = false) ?check (cfg : Config.t) (stats : Stats.t)
     bidy;
     env;
     record_tx;
-    txparts = [];
+    txparts = [||];
+    txn = 0;
     check;
     epoch = 1;
     shadow = Hashtbl.create 4;

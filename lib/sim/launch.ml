@@ -333,13 +333,9 @@ let run ?(mode = Full) ?(streams = 12) ?backend ?jobs ?block_budget
     | Bvec rt -> Vector.run_phase (Option.get vprep) rt p
     | Bref c -> Interp.run_block c phases_arr.(p)
   in
-  let tx_stream b =
-    let l =
-      match b with
-      | Bvec rt -> rt.Vector.c.Interp.txparts
-      | Bref c -> c.Interp.txparts
-    in
-    Array.of_list (List.rev l)
+  let tx_stream = function
+    | Bvec rt -> Interp.tx_stream rt.Vector.c
+    | Bref c -> Interp.tx_stream c
   in
   let per_block, streams, sampled =
     match mode with

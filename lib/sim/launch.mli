@@ -61,7 +61,10 @@ val perf_counters : unit -> perf_counters
 val mlp_estimate : Gpcc_ast.Ast.kernel -> float
 
 (** Partition efficiency of a set of aligned per-block transaction
-    streams: mean over time of (distinct partitions hit) / (ideal). *)
+    streams: mean over time of (distinct partitions hit) / (ideal). A
+    stream is one block's partition ids in issue order, copied out of
+    the flat buffer both backends record into
+    ({!Interp.record_part}, {!Interp.tx_stream}). *)
 val partition_efficiency : Config.t -> int array list -> float
 
 (** Run a kernel. Every [int] parameter must be bound via [k_sizes] and

@@ -44,8 +44,16 @@
     same in every block plus a scalar (see the index-plan note). Such a
     site is {e stable}: only its base moves, so a later execution
     replays the cached digest at a congruent base — the closed-form
-    loop credit — fetches it from the plane memo by residue otherwise,
-    and walks no lane in either case.
+    loop credit — finds it in the site's residue table (indexed by the
+    base modulo the memo granularity) otherwise, and walks no lane in
+    either case. A block-uniform site keeps its half-warp cost per
+    residue the same way.
+
+    An innermost uniform loop whose body only reads memory and updates
+    float registers runs {e lane-outer}: a trip pass does every trip's
+    accounting and bounds checks without touching a lane, and a values
+    pass then runs each lane through all the trips (see the lane-outer
+    note).
 
     Bit-identity with the reference interpreter is preserved by
     identical float operations on identical values in identical order
@@ -68,7 +76,7 @@ let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 (* --- per-block runtime state --- *)
 
 type vrt = {
-  c : Interp.bctx;  (** stats, config, launch, tids, txparts *)
+  c : Interp.bctx;  (** stats, config, launch, tids, partition stream *)
   n : int;  (** threads per block (= [c.n], cached for the loops) *)
   fp : Devmem.fmem;  (** float planes, [nf] rows of [n] lanes *)
   ip : int array;  (** int planes; bool planes hold 0/1 *)
@@ -89,6 +97,14 @@ type vrt = {
   site_dig : Coalescer.plane_digest array;
       (** per site: cached plane digest (totals + relative tx layout,
           so partition-recording runs replay it too) *)
+  site_tab : Coalescer.plane_digest array array;
+      (** per stable global site: its plane digests by base residue
+          [a0 mod g] ([[||]] until first used, {!Coalescer.empty_digest}
+          = residue not seen yet) *)
+  site_ctab : int array array;
+      (** per block-uniform global site: full half-warp group
+          [(transactions, bytes)] by address residue, [2g] slots
+          ([[||]] until first used, [-1] = residue not seen yet) *)
   site_sh_d : int array;
       (** per shared site: word stride of the cached plane totals
           ([min_int] = invalid, [max_int] = irregular stable shape) *)
@@ -100,6 +116,13 @@ type vrt = {
   seg_s : int array;  (** 16-slot segment-formation scratch *)
   seg_lo : int array;
   seg_hi : int array;
+  mutable lo_ibuf : int array;
+      (** lane-outer trip buffer: per trip, a row of site offsets and
+          statement flags (see the lane-outer note); grown on demand *)
+  mutable lo_fbuf : Devmem.fmem;  (** per trip, the uniform leaves' values *)
+  mutable lo_bnd : int array;
+      (** per lane-affine site of the running lane-outer loop: least and
+          greatest pattern value over the active mask *)
   mutable site_hits : int;  (** digest-cache hits, flushed per phase *)
   mutable cf_credits : int;
       (** closed-form loop replays, flushed per phase *)
@@ -146,9 +169,11 @@ let[@inline] iset (a : int array) (i : int) (v : int) : unit =
    O(1) congruence check — no lane walk at all. That is the closed-form
    uniform-loop credit: the per-iteration cost is computed once and
    re-applied per trip ([cf_credits] counts the replays). At any other
-   base a segmented shape is fetched from the plane memo by residue,
-   and an irregular one digests its groups again. Partial masks fall
-   back to the per-group math. *)
+   base the digest is a function of the base residue alone, so the
+   site's residue table serves it; a residue seen for the first time is
+   fetched from the plane memo (segmented shapes) or digested group by
+   group (irregular ones) and filed there. Partial masks fall back to
+   the per-group math. *)
 
 let width_eff (cfg : Config.t) ~(elt_bytes : int) =
   if elt_bytes >= 16 then cfg.Config.bw_efficiency_16b
@@ -209,12 +234,6 @@ let apply_hw_n (c : Interp.bctx) ~(is_store : bool) ~(weff : float)
       done
   end
 
-(** Record one transaction's memory partition into the block's stream. *)
-let[@inline] record_part (c : Interp.bctx) (tx_addr : int) : unit =
-  let cfg = c.Interp.cfg in
-  let p = tx_addr / cfg.Config.partition_bytes mod cfg.Config.num_partitions in
-  c.Interp.txparts <- p :: c.Interp.txparts
-
 (** Form and record the transactions of one gathered half warp, written
     into [rt.tx_buf] as [addr; bytes] pairs (recording needs the
     absolute addresses, so the shift-invariant
@@ -233,7 +252,7 @@ let record_group (rt : vrt) ~(elt_bytes : int) (addrs : int array) (cnt : int)
     buf.((2 * !ntx) + 1) <- b;
     incr ntx;
     bytes := !bytes + b;
-    record_part c a
+    Interp.record_part c a
   in
   let seg_bytes = 16 * elt_bytes in
   (match cfg.Config.coalesce_rules with
@@ -302,7 +321,7 @@ let masked_group (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
   let emit a b =
     incr ntx;
     bytes := !bytes + b;
-    if record then record_part c a
+    if record then Interp.record_part c a
   in
   let seg_bytes = 16 * elt_bytes in
   (match cfg.Config.coalesce_rules with
@@ -369,7 +388,7 @@ let replay_digest (c : Interp.bctx) ~(is_store : bool) ~(weff : float)
     let nn = Array.length lay in
     let q = ref 0 in
     while !q < nn do
-      record_part c (a0 + lay.(!q));
+      Interp.record_part c (a0 + lay.(!q));
       q := !q + 2
     done
   end;
@@ -438,6 +457,22 @@ let digest_of_groups (rt : vrt) ~(elt_bytes : int) ~(a0 : int) :
     pd_bytes = !tot_bytes;
   }
 
+(** [a mod g] in [0, g). *)
+let[@inline] residue (a : int) (g : int) : int =
+  let r = a mod g in
+  if r < 0 then r + g else r
+
+(** A site's residue table, [tabs.(site)], allocated on first use. *)
+let site_table (tabs : 'a array array) (site : int) (len : int) (empty : 'a) :
+    'a array =
+  let tab = tabs.(site) in
+  if Array.length tab > 0 then tab
+  else begin
+    let tab = Array.make len empty in
+    tabs.(site) <- tab;
+    tab
+  end
+
 (** Account one global access whose lane byte address is
     [base + ip.(po + l) * scale]. [stable] marks sites whose plane is a
     pattern plane (see the accounting note above). *)
@@ -474,36 +509,53 @@ let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
     let g = memo_granularity ~min_tx ~elt_bytes in
     let n = rt.n in
     let fast =
-      stable && rt.site_a0.(site) <> min_int
+      stable
       && begin
            let a0 = base + (iget ip po * scale) in
-           if (a0 - rt.site_a0.(site)) mod g = 0 then begin
+           if
+             rt.site_a0.(site) <> min_int
+             && (a0 - rt.site_a0.(site)) mod g = 0
+           then begin
              (* closed-form credit: same digest at a congruent base *)
              rt.site_a0.(site) <- a0;
              replay_digest c ~is_store ~weff ~a0 rt.site_dig.(site);
              rt.cf_credits <- rt.cf_credits + 1;
              true
            end
-           else if rt.site_d.(site) <> min_int && rt.site_d.(site) <> max_int
-           then begin
-             (* the plane only ever shifts uniformly, so the cached
-                segmented shape holds at the new residue: fetch that
-                digest from the plane memo without walking any lane *)
-             let rel0 =
-               let r = a0 mod g in
-               if r < 0 then r + g else r
-             in
+           else begin
+             (* the plane only ever shifts uniformly, so its digest is a
+                function of the base residue: look it up in the site's
+                residue table, or fetch a segmented shape's digest from
+                the plane memo, without walking any lane *)
+             let rel0 = residue a0 g in
+             let tab = rt.site_tab.(site) in
              let dig =
-               Coalescer.plane_cost rules ~min_tx ~elt_bytes ~n ~rel0
-                 ~d:rt.site_d.(site) ~dd:rt.site_dd.(site)
+               if Array.length tab > 0 && tab.(rel0) != Coalescer.empty_digest
+               then begin
+                 rt.site_hits <- rt.site_hits + 1;
+                 tab.(rel0)
+               end
+               else if
+                 rt.site_d.(site) <> min_int && rt.site_d.(site) <> max_int
+               then begin
+                 let dig =
+                   Coalescer.plane_cost rules ~min_tx ~elt_bytes ~n ~rel0
+                     ~d:rt.site_d.(site) ~dd:rt.site_dd.(site)
+                 in
+                 (site_table rt.site_tab site g Coalescer.empty_digest).(rel0) <- dig;
+                 dig
+               end
+               else Coalescer.empty_digest
              in
-             rt.site_rel0.(site) <- rel0;
-             rt.site_a0.(site) <- a0;
-             rt.site_dig.(site) <- dig;
-             replay_digest c ~is_store ~weff ~a0 dig;
-             true
+             dig != Coalescer.empty_digest
+             && begin
+                  rt.site_rel0.(site) <- rel0;
+                  rt.site_a0.(site) <- a0;
+                  rt.site_dig.(site) <- dig;
+                  replay_digest c ~is_store ~weff ~a0 dig;
+                  true
+                end
            end
-           else false
          end
     in
     if not fast then begin
@@ -528,10 +580,7 @@ let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
         end
       done;
       if !seg_ok then begin
-        let rel0 =
-          let r = a0 mod g in
-          if r < 0 then r + g else r
-        in
+        let rel0 = residue a0 g in
         let dig =
           if
             rt.site_d.(site) = !d
@@ -553,15 +602,18 @@ let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
             dig
           end
         in
+        if stable then (site_table rt.site_tab site g Coalescer.empty_digest).(rel0) <- dig;
         rt.site_a0.(site) <- a0;
         replay_digest c ~is_store ~weff ~a0 dig
       end
       else if stable then begin
         (* irregular but block-stable shape (e.g. a pattern plane whose
            rows wrap inside a half warp): digest the actual groups
-           once, replay while the base stays congruent *)
+           once per residue *)
         let dig = digest_of_groups rt ~elt_bytes ~a0 in
-        rt.site_rel0.(site) <- 0;
+        let rel0 = residue a0 g in
+        (site_table rt.site_tab site g Coalescer.empty_digest).(rel0) <- dig;
+        rt.site_rel0.(site) <- rel0;
         rt.site_d.(site) <- max_int;
         rt.site_dd.(site) <- 0;
         rt.site_dig.(site) <- dig;
@@ -592,7 +644,7 @@ let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
 (** Account one global access where every active lane touches [addr]
     (block-uniform index). *)
 let account_const (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
-    (m : int array) ~(addr : int) : unit =
+    (m : int array) ~(addr : int) ~(site : int) : unit =
   let c = rt.c in
   if Array.length m <> rt.n then begin
     let nm = Array.length m in
@@ -627,17 +679,26 @@ let account_const (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
         apply_hw c ~is_store ~weff ntx bytes;
         for _ = 2 to nfull do
           for q = 0 to ntx - 1 do
-            record_part c rt.tx_buf.(2 * q)
+            Interp.record_part c rt.tx_buf.(2 * q)
           done;
           apply_hw c ~is_store ~weff ntx bytes
         done
       end
       else begin
-        let ntx, bytes =
-          Coalescer.request_cost rules ~min_tx ~elt_bytes ~lane0:0 ~cnt:16
-            rt.hw_addrs
-        in
-        apply_hw_n c ~is_store ~weff ~reps:nfull ntx bytes
+        (* a full group's cost depends only on the address residue *)
+        let g = memo_granularity ~min_tx ~elt_bytes in
+        let r = residue addr g in
+        let tab = site_table rt.site_ctab site (2 * g) (-1) in
+        if tab.(2 * r) < 0 then begin
+          let ntx, bytes =
+            Coalescer.request_cost rules ~min_tx ~elt_bytes ~lane0:0 ~cnt:16
+              rt.hw_addrs
+          in
+          tab.(2 * r) <- ntx;
+          tab.((2 * r) + 1) <- bytes
+        end
+        else rt.site_hits <- rt.site_hits + 1;
+        apply_hw_n c ~is_store ~weff ~reps:nfull tab.(2 * r) tab.((2 * r) + 1)
       end;
     if tail > 0 then
       if record then begin
@@ -893,6 +954,7 @@ type cstate = {
       (** permanent pattern planes by [(ax, ay)]; [tidx] and [tidy] are
           [(1, 0)] and [(0, 1)] *)
   mutable varying_guards : int;  (** [if]s whose condition is a plane *)
+  mutable lane_outer : int;  (** loops planned to run lane-outer *)
   cn : int;  (** threads per block *)
   claunch : Ast.launch;
   assigned : Sset.t;
@@ -1526,6 +1588,37 @@ let mk_index st (a : lin) (steps : ostep list) : index * plane list =
           { xp_po = ooff; xp_scale = 1; xp_run = combined; xp_stable = false },
         [ PI offs ] )
 
+(** A block-uniform global load: one element, read by every active
+    lane. Allocates the access's site for the residue table. *)
+let uniform_gload st (gslot : int) (name : string)
+    (off : vrt -> int array -> int) : vrt -> int array -> float =
+  let site = fresh_site st in
+  fun rt m ->
+    inst rt;
+    let g = rt.globals.(gslot) in
+    let data = g.Devmem.data in
+    let len = Bigarray.Array1.dim data in
+    let o = off rt m in
+    if o < 0 || o >= len then
+      Interp.err "out-of-bounds load %s[%d] (size %d)" name o len;
+    let v = fget data o in
+    let addr = g.Devmem.base + (o * 4) in
+    account_const rt ~is_store:false ~elt_bytes:4 m ~addr ~site;
+    v
+
+(** A block-uniform shared load: a free broadcast per half warp. *)
+let uniform_sload (sslot : int) (name : string) (len : int)
+    (off : vrt -> int array -> int) : vrt -> int array -> float =
+ fun rt m ->
+  inst rt;
+  let data = rt.shareds.(sslot) in
+  let o = off rt m in
+  if o < 0 || o >= len then
+    Interp.err "out-of-bounds shared load %s[%d] (size %d)" name o len;
+  let v = fget data o in
+  account_shared_const rt m ~addr:o;
+  v
+
 (* --- expression compilation --- *)
 
 let rec comp_e (st : cstate) (env : binding Smap.t) (e : Ast.expr) : ve =
@@ -1948,20 +2041,7 @@ and comp_load st env arr idxs : ve =
       match comp_index st env strides idxs with
       | Iuniform off, owns ->
           release st owns;
-          ( UF
-              (fun rt m ->
-                inst rt;
-                let g = rt.globals.(gslot) in
-                let data = g.Devmem.data in
-                let len = Bigarray.Array1.dim data in
-                let o = off rt m in
-                if o < 0 || o >= len then
-                  Interp.err "out-of-bounds load %s[%d] (size %d)" name o len;
-                let v = fget data o in
-                let addr = g.Devmem.base + (o * 4) in
-                account_const rt ~is_store:false ~elt_bytes:4 m ~addr;
-                v),
-            [] )
+          (UF (uniform_gload st gslot name off), [])
       | Ilanes xp, owns ->
           (* dest allocated while the index planes are held: the gather
              and accounting read them through the plan *)
@@ -2014,18 +2094,7 @@ and comp_load st env arr idxs : ve =
       match comp_index st env strides idxs with
       | Iuniform off, owns ->
           release st owns;
-          ( UF
-              (fun rt m ->
-                inst rt;
-                let data = rt.shareds.(sslot) in
-                let o = off rt m in
-                if o < 0 || o >= len then
-                  Interp.err "out-of-bounds shared load %s[%d] (size %d)" name
-                    o len;
-                let v = fget data o in
-                account_shared_const rt m ~addr:o;
-                v),
-            [] )
+          (UF (uniform_sload sslot name len off), [])
       | Ilanes xp, owns ->
           let d = alloc_f st in
           release st owns;
@@ -2085,6 +2154,7 @@ and comp_vload st env arr width idx : ve =
       let fill =
         match ix with
         | Iuniform off ->
+            let site = fresh_site st in
             fun rt m ->
               inst rt;
               let g = rt.globals.(gslot) in
@@ -2107,6 +2177,7 @@ and comp_vload st env arr width idx : ve =
               done;
               account_const rt ~is_store:false ~elt_bytes:(4 * width) m
                 ~addr:(g.Devmem.base + (i0 * 4))
+                ~site
         | Ilanes xp ->
             let po = xp.xp_po and sc = xp.xp_scale and stable = xp.xp_stable in
             let run = xp.xp_run in
@@ -2613,6 +2684,728 @@ let fresh_planes st (b : binding) : vrt -> unit =
       fplanes;
     Array.iter (fun o -> Array.fill rt.ip o n 0) iplanes
 
+(* --- lane-outer register-only loops ---
+
+   An innermost uniform loop whose body only reads memory and updates
+   float registers runs in two passes instead of trip by trip. The trip
+   pass runs the loop control and, for each trip in source order, every
+   statistic, transaction record, bounds check and uniform closure of
+   the body without touching a lane; it saves the trip's lane-affine
+   site offsets, uniform values and statement outcomes in a row of the
+   block state's trip buffer. The values pass then replays the rows for
+   each active lane in one tight loop per statement.
+
+   Bit-identity: memory is read-only inside such a loop (no store, no
+   barrier), so a lane's leaf at trip [t] reads the value the gather
+   would have read, and each accumulator gets the same float operation
+   on the same operands in the same order. Statements whose
+   accumulators are distinct and read by no statement are independent
+   and replay one at a time; otherwise every lane replays trip by trip,
+   statement by statement. Runtime errors keep their order because the
+   trip pass raises exactly where the trip-by-trip plan would: uniform
+   closures run in place, and a site's exact bounds test (its pattern
+   plane's least and greatest value over the mask) falls back to the
+   gather's own lane scan and message. *)
+
+exception Not_lane_outer
+
+(** Where a leaf's value lives: lane [l] at trip [t] reads
+    [arr.{base + lo_ibuf.(t * ki + lf_col)}], where [arr] is selected by
+    [lf_src] and [base] is [ip.(lf_po + l)] (when [lf_po >= 0]) plus
+    [lf_k] plus [l] (when [lf_lane]). *)
+type lsrc = Lglobal of int | Lshared of int | Lbuf | Lplane
+
+type lleaf = {
+  lf_src : lsrc;
+  lf_po : int;  (** pattern plane offset, or [-1] *)
+  lf_k : int;
+  lf_lane : bool;
+  lf_col : int;
+}
+
+(* fixed trip-buffer columns: a zero, the trip's float-row offset, and a
+   one (the flag of an unguarded statement) *)
+let lo_zero_col = 0
+let lo_frow_col = 1
+let lo_one_col = 2
+
+(** [acc + p], [acc - p] and [p + acc]: the three accumulation shapes
+    {!comp_acc} fuses, with the operand order of each. *)
+type lop = Ladd_left | Lsub_left | Ladd_right
+
+type lstmt = {
+  ls_acc : int;  (** accumulator plane offset *)
+  ls_op : lop;
+  ls_x : lleaf;
+  ls_y : lleaf option;  (** the second factor of a product *)
+  ls_flag : int;  (** int column holding 1 on trips that ran it *)
+}
+
+(** Trip-pass work of one body piece, given the trip's int and float
+    row offsets. *)
+type titem = vrt -> int array -> int -> int -> unit
+
+type lplan = {
+  lp_ki : int;  (** int columns per trip *)
+  lp_kf : int;  (** float columns per trip *)
+  lp_site_po : int array;  (** per lane-affine site: pattern plane offset *)
+  lp_site_min : int array;  (** full-mask least pattern value *)
+  lp_site_max : int array;
+  lp_flags : int array;  (** guarded statements' flag columns *)
+  lp_items : titem array;
+  lp_stmts : lstmt array;
+  lp_indep : bool;  (** no two statements share an accumulator or read one *)
+}
+
+let lo_arr (rt : vrt) (src : lsrc) : Devmem.fmem =
+  match src with
+  | Lglobal g -> rt.globals.(g).Devmem.data
+  | Lshared s -> rt.shareds.(s)
+  | Lbuf -> rt.lo_fbuf
+  | Lplane -> rt.fp
+
+let[@inline] lo_base (ip : int array) (x : lleaf) (l : int) : int =
+  (if x.lf_po >= 0 then iget ip (x.lf_po + l) else 0)
+  + x.lf_k
+  + if x.lf_lane then l else 0
+
+(** Make room for trip [t]'s rows. *)
+let lo_reserve (rt : vrt) ~(ki : int) ~(kf : int) (t : int) : unit =
+  let ni = (t + 1) * ki in
+  let ib = rt.lo_ibuf in
+  if Array.length ib < ni then begin
+    let a = Array.make (max ni (2 * Array.length ib)) 0 in
+    Array.blit ib 0 a 0 (Array.length ib);
+    rt.lo_ibuf <- a
+  end;
+  let nf = (t + 1) * kf in
+  let fb = rt.lo_fbuf in
+  let df = Bigarray.Array1.dim fb in
+  if df < nf then begin
+    let b = Devmem.falloc (max nf (2 * df)) in
+    Bigarray.Array1.blit fb (Bigarray.Array1.sub b 0 df);
+    rt.lo_fbuf <- b
+  end
+
+(** Each site's least and greatest pattern value over the mask: plan
+    constants on the full mask. *)
+let lo_bounds (p : lplan) (rt : vrt) (m : int array) : unit =
+  let ns = Array.length p.lp_site_po in
+  if Array.length rt.lo_bnd < 2 * ns then rt.lo_bnd <- Array.make (2 * ns) 0;
+  let bnd = rt.lo_bnd in
+  for j = 0 to ns - 1 do
+    if Array.length m = rt.n then begin
+      bnd.(2 * j) <- p.lp_site_min.(j);
+      bnd.((2 * j) + 1) <- p.lp_site_max.(j)
+    end
+    else begin
+      let po = p.lp_site_po.(j) in
+      let lo = ref 0 and hi = ref 0 in
+      Array.iteri
+        (fun i l ->
+          let v = iget rt.ip (po + l) in
+          if i = 0 || v < !lo then lo := v;
+          if i = 0 || v > !hi then hi := v)
+        m;
+      bnd.(2 * j) <- !lo;
+      bnd.((2 * j) + 1) <- !hi
+    end
+  done
+
+(* The values pass's inner loops: one lane and one statement over every
+   trip, the accumulator held in a local. Trip [t]'s row starts at
+   [t * ki]; a trip whose flag column reads 0 did not run the
+   statement. *)
+
+let lo_prod (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
+    (ki : int) (nt : int) (flag : int) (xa : Devmem.fmem) (xb : int)
+    (xc : int) (ya : Devmem.fmem) (yb : int) (yc : int) : unit =
+  let acc = ref (fget fp a) in
+  (match op with
+  | Ladd_left ->
+      for t = 0 to nt - 1 do
+        let row = t * ki in
+        if iget ib (row + flag) <> 0 then
+          acc :=
+            !acc
+            +. fget xa (xb + iget ib (row + xc))
+               *. fget ya (yb + iget ib (row + yc))
+      done
+  | Lsub_left ->
+      for t = 0 to nt - 1 do
+        let row = t * ki in
+        if iget ib (row + flag) <> 0 then
+          acc :=
+            !acc
+            -. fget xa (xb + iget ib (row + xc))
+               *. fget ya (yb + iget ib (row + yc))
+      done
+  | Ladd_right ->
+      for t = 0 to nt - 1 do
+        let row = t * ki in
+        if iget ib (row + flag) <> 0 then
+          acc :=
+            fget xa (xb + iget ib (row + xc))
+            *. fget ya (yb + iget ib (row + yc))
+            +. !acc
+      done);
+  fset fp a !acc
+
+(** {!lo_prod} for four consecutive lanes, whose bases are
+    [x0..x3] and [y0..y3]: four independent accumulator chains share
+    each trip's row reads, so an add's latency no longer bounds the
+    loop. *)
+let lo_prod4 (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
+    (ki : int) (nt : int) (flag : int) (xa : Devmem.fmem) (xc : int)
+    (x0 : int) (x1 : int) (x2 : int) (x3 : int) (ya : Devmem.fmem) (yc : int)
+    (y0 : int) (y1 : int) (y2 : int) (y3 : int) : unit =
+  let a0 = ref (fget fp a) and a1 = ref (fget fp (a + 1)) in
+  let a2 = ref (fget fp (a + 2)) and a3 = ref (fget fp (a + 3)) in
+  (match op with
+  | Ladd_left ->
+      for t = 0 to nt - 1 do
+        let row = t * ki in
+        if iget ib (row + flag) <> 0 then begin
+          let xo = iget ib (row + xc) and yo = iget ib (row + yc) in
+          a0 := !a0 +. fget xa (x0 + xo) *. fget ya (y0 + yo);
+          a1 := !a1 +. fget xa (x1 + xo) *. fget ya (y1 + yo);
+          a2 := !a2 +. fget xa (x2 + xo) *. fget ya (y2 + yo);
+          a3 := !a3 +. fget xa (x3 + xo) *. fget ya (y3 + yo)
+        end
+      done
+  | Lsub_left ->
+      for t = 0 to nt - 1 do
+        let row = t * ki in
+        if iget ib (row + flag) <> 0 then begin
+          let xo = iget ib (row + xc) and yo = iget ib (row + yc) in
+          a0 := !a0 -. fget xa (x0 + xo) *. fget ya (y0 + yo);
+          a1 := !a1 -. fget xa (x1 + xo) *. fget ya (y1 + yo);
+          a2 := !a2 -. fget xa (x2 + xo) *. fget ya (y2 + yo);
+          a3 := !a3 -. fget xa (x3 + xo) *. fget ya (y3 + yo)
+        end
+      done
+  | Ladd_right ->
+      for t = 0 to nt - 1 do
+        let row = t * ki in
+        if iget ib (row + flag) <> 0 then begin
+          let xo = iget ib (row + xc) and yo = iget ib (row + yc) in
+          a0 := fget xa (x0 + xo) *. fget ya (y0 + yo) +. !a0;
+          a1 := fget xa (x1 + xo) *. fget ya (y1 + yo) +. !a1;
+          a2 := fget xa (x2 + xo) *. fget ya (y2 + yo) +. !a2;
+          a3 := fget xa (x3 + xo) *. fget ya (y3 + yo) +. !a3
+        end
+      done);
+  fset fp a !a0;
+  fset fp (a + 1) !a1;
+  fset fp (a + 2) !a2;
+  fset fp (a + 3) !a3
+
+let lo_leaf (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
+    (ki : int) (nt : int) (flag : int) (xa : Devmem.fmem) (xb : int)
+    (xc : int) : unit =
+  let acc = ref (fget fp a) in
+  (match op with
+  | Ladd_left ->
+      for t = 0 to nt - 1 do
+        let row = t * ki in
+        if iget ib (row + flag) <> 0 then
+          acc := !acc +. fget xa (xb + iget ib (row + xc))
+      done
+  | Lsub_left ->
+      for t = 0 to nt - 1 do
+        let row = t * ki in
+        if iget ib (row + flag) <> 0 then
+          acc := !acc -. fget xa (xb + iget ib (row + xc))
+      done
+  | Ladd_right ->
+      for t = 0 to nt - 1 do
+        let row = t * ki in
+        if iget ib (row + flag) <> 0 then begin
+          (* bound first: a load in first position would be folded into
+             the add as its memory operand, with the accumulator as the
+             destination, and x86 keeps the destination's nan payload
+             where the reference keeps the first operand's *)
+          let x = fget xa (xb + iget ib (row + xc)) in
+          acc := x +. !acc
+        end
+      done);
+  fset fp a !acc
+
+(** Replay [nt] trips for every active lane. Independent statements run
+    one at a time, each lane in one tight loop; dependent ones run trip
+    by trip so that a statement sees the accumulators as trip-by-trip
+    execution left them. *)
+let lo_values (p : lplan) (rt : vrt) (m : int array) (nt : int) : unit =
+  let ib = rt.lo_ibuf and ki = p.lp_ki and fp = rt.fp and ip = rt.ip in
+  let full = Array.length m = rt.n in
+  let stmts = p.lp_stmts in
+  if p.lp_indep then
+    Array.iter
+      (fun s ->
+        let x = s.ls_x in
+        let xa = lo_arr rt x.lf_src in
+        match s.ls_y with
+        | None ->
+            let lane l =
+              lo_leaf s.ls_op fp (s.ls_acc + l) ib ki nt s.ls_flag xa
+                (lo_base ip x l) x.lf_col
+            in
+            if full then
+              for l = 0 to rt.n - 1 do
+                lane l
+              done
+            else Array.iter lane m
+        | Some y ->
+            let ya = lo_arr rt y.lf_src in
+            let lane l =
+              lo_prod s.ls_op fp (s.ls_acc + l) ib ki nt s.ls_flag xa
+                (lo_base ip x l) x.lf_col ya (lo_base ip y l) y.lf_col
+            in
+            if full then begin
+              let quads = rt.n / 4 in
+              for q = 0 to quads - 1 do
+                let l = 4 * q in
+                lo_prod4 s.ls_op fp (s.ls_acc + l) ib ki nt s.ls_flag xa
+                  x.lf_col (lo_base ip x l)
+                  (lo_base ip x (l + 1))
+                  (lo_base ip x (l + 2))
+                  (lo_base ip x (l + 3))
+                  ya y.lf_col (lo_base ip y l)
+                  (lo_base ip y (l + 1))
+                  (lo_base ip y (l + 2))
+                  (lo_base ip y (l + 3))
+              done;
+              for l = 4 * quads to rt.n - 1 do
+                lane l
+              done
+            end
+            else Array.iter lane m)
+      stmts
+  else
+    Array.iter
+      (fun l ->
+        for t = 0 to nt - 1 do
+          let row = t * ki in
+          for q = 0 to Array.length stmts - 1 do
+            let s = stmts.(q) in
+            if iget ib (row + s.ls_flag) <> 0 then begin
+              let x = s.ls_x in
+              let xv =
+                fget (lo_arr rt x.lf_src) (lo_base ip x l + iget ib (row + x.lf_col))
+              in
+              let v =
+                match s.ls_y with
+                | None -> xv
+                | Some y ->
+                    xv
+                    *. fget (lo_arr rt y.lf_src)
+                         (lo_base ip y l + iget ib (row + y.lf_col))
+              in
+              let a = s.ls_acc + l in
+              let acc = fget fp a in
+              fset fp a
+                (match s.ls_op with
+                | Ladd_left -> acc +. v
+                | Lsub_left -> acc -. v
+                | Ladd_right -> v +. acc)
+            end
+          done
+        done)
+      m
+
+(** Run a planned loop: the uniform loop control of {!comp_stmt}, the
+    trip pass, then the values pass. *)
+let lo_run (p : lplan) ~(r : int) ~(finit : vrt -> int array -> int)
+    ~(flim : vrt -> int array -> int) ~(fstep : vrt -> int array -> int) :
+    vstmt =
+  let ki = p.lp_ki and kf = p.lp_kf in
+  let items = p.lp_items and flags = p.lp_flags in
+  fun rt m ->
+    inst rt;
+    rt.uregs.(r) <- finit rt m;
+    lo_bounds p rt m;
+    let nt = ref 0 in
+    let go = ref true in
+    while !go do
+      let lim = flim rt m in
+      go := rt.uregs.(r) < lim;
+      inst rt;
+      if !go then begin
+        let t = !nt in
+        lo_reserve rt ~ki ~kf t;
+        let irow = t * ki and frow = t * kf in
+        let ib = rt.lo_ibuf in
+        iset ib (irow + lo_zero_col) 0;
+        iset ib (irow + lo_frow_col) frow;
+        iset ib (irow + lo_one_col) 1;
+        for q = 0 to Array.length flags - 1 do
+          iset ib (irow + flags.(q)) 0
+        done;
+        for q = 0 to Array.length items - 1 do
+          items.(q) rt m irow frow
+        done;
+        nt := t + 1;
+        rt.uregs.(r) <- rt.uregs.(r) + fstep rt m;
+        inst rt
+      end
+    done;
+    lo_values p rt m !nt
+
+(* --- lane-outer planning --- *)
+
+(** Plan-time state of one candidate loop. *)
+type lpst = {
+  mutable p_ki : int;
+  mutable p_kf : int;
+  mutable p_sites : (int * int * int) list;  (** po, min, max; newest first *)
+  mutable p_flags : int list;
+  mutable p_stmts : lstmt list;  (** newest first *)
+  mutable p_reads_acc : bool;
+  p_accs : Sset.t;  (** names the body assigns *)
+}
+
+(** A leaf as classified at plan time: a uniform value still on the
+    scalar channel (float or int, as {!comp_e} typed it), or a value
+    source with its trip work. *)
+type lclass =
+  | Cuf of (vrt -> int array -> float)
+  | Cui of (vrt -> int array -> int)
+  | Cleaf of lleaf * titem option
+
+let lo_col (ps : lpst) : int =
+  let c = ps.p_ki in
+  ps.p_ki <- c + 1;
+  c
+
+(** Register a lane-affine site: its offset column and bounds slot. *)
+let lo_site st (ps : lpst) (po : int) : int * int =
+  let ax, ay =
+    fst (List.find (fun (_, p) -> p * st.cn = po) st.patterns)
+  in
+  let l = st.claunch in
+  let lo a d = if a < 0 then a * (d - 1) else 0 in
+  let hi a d = if a > 0 then a * (d - 1) else 0 in
+  let j = List.length ps.p_sites in
+  ps.p_sites <-
+    ( po,
+      lo ax l.block_x + lo ay l.block_y,
+      hi ax l.block_x + hi ay l.block_y )
+    :: ps.p_sites;
+  (j, lo_col ps)
+
+(** The exact bounds test of site [j] at offset [u]; on failure, the
+    gather's own lane scan and message for the first bad lane. *)
+let lo_check (rt : vrt) (m : int array) ~(j : int) ~(po : int) ~(u : int)
+    ~(len : int) ~(shared : bool) (name : string) : unit =
+  let bnd = rt.lo_bnd in
+  if u + bnd.(2 * j) < 0 || u + bnd.((2 * j) + 1) >= len then
+    Array.iter
+      (fun l ->
+        let o = iget rt.ip (po + l) + u in
+        if o < 0 || o >= len then
+          if shared then
+            Interp.err "out-of-bounds shared load %s[%d] (size %d)" name o len
+          else Interp.err "out-of-bounds load %s[%d] (size %d)" name o len)
+      m
+
+let lo_uniform st env (e : Ast.expr) : lclass =
+  match comp_e st env e with
+  | UF f, own ->
+      release st own;
+      Cuf f
+  | UI f, own ->
+      release st own;
+      Cui f
+  | _ -> raise Not_lane_outer
+
+(** Classify a leaf: a stable lane-affine load, a float local (a
+    temporary resolves to its own leaf), or a block-uniform value. *)
+let lo_class st env (ps : lpst) (temps : lleaf Smap.t) (e : Ast.expr) :
+    lclass =
+  match e with
+  | Var v when Smap.mem v temps -> Cleaf (Smap.find v temps, None)
+  | Var v -> (
+      match Smap.find_opt v env with
+      | Some (Bfloat p) ->
+          if Sset.mem v ps.p_accs then ps.p_reads_acc <- true;
+          Cleaf
+            ( {
+                lf_src = Lplane;
+                lf_po = -1;
+                lf_k = p * st.cn;
+                lf_lane = true;
+                lf_col = lo_zero_col;
+              },
+              None )
+      | _ -> lo_uniform st env e)
+  | Index (arr, idxs) -> (
+      let site src po col work =
+        Cleaf
+          ( { lf_src = src; lf_po = po; lf_k = 0; lf_lane = false; lf_col = col },
+            Some work )
+      in
+      match Smap.find_opt arr env with
+      | Some (Bglobal (gslot, strides, name))
+        when List.length idxs = Array.length strides -> (
+          match comp_index st env strides idxs with
+          | Iuniform off, owns ->
+              release st owns;
+              Cuf (uniform_gload st gslot name off)
+          | Ilanes { xp_po = po; xp_run = run; xp_stable = true; _ }, owns ->
+              release st owns;
+              let sid = fresh_site st in
+              let j, col = lo_site st ps po in
+              site (Lglobal gslot) po col (fun rt m irow _ ->
+                  inst rt;
+                  let g = rt.globals.(gslot) in
+                  let len = Bigarray.Array1.dim g.Devmem.data in
+                  let u = run rt m in
+                  lo_check rt m ~j ~po ~u ~len ~shared:false name;
+                  account_plane rt ~is_store:false ~elt_bytes:4 ~stable:true m
+                    ~po ~base:(g.Devmem.base + (4 * u)) ~scale:4 ~site:sid;
+                  iset rt.lo_ibuf (irow + col) u)
+          | Ilanes _, _ -> raise Not_lane_outer)
+      | Some (Bshared (sslot, strides, len))
+        when List.length idxs = Array.length strides -> (
+          match comp_index st env strides idxs with
+          | Iuniform off, owns ->
+              release st owns;
+              Cuf (uniform_sload sslot arr len off)
+          | Ilanes { xp_po = po; xp_run = run; xp_stable = true; _ }, owns ->
+              release st owns;
+              let sid = fresh_site st in
+              let j, col = lo_site st ps po in
+              site (Lshared sslot) po col (fun rt m irow _ ->
+                  inst rt;
+                  let u = run rt m in
+                  lo_check rt m ~j ~po ~u ~len ~shared:true arr;
+                  account_shared_plane rt ~stable:true m ~po ~scale:1 ~u
+                    ~site:sid;
+                  iset rt.lo_ibuf (irow + col) u)
+          | Ilanes _, _ -> raise Not_lane_outer)
+      | _ -> raise Not_lane_outer)
+  | _ -> lo_uniform st env e
+
+let lo_nowork : titem = fun _ _ _ _ -> ()
+
+(** A classified leaf as a float value source; a uniform one gets a
+    float column that its closure fills each trip. *)
+let lo_float_leaf (ps : lpst) (c : lclass) : lleaf * titem =
+  let buffered (f : vrt -> int array -> float) =
+    let slot = ps.p_kf in
+    ps.p_kf <- slot + 1;
+    ( {
+        lf_src = Lbuf;
+        lf_po = -1;
+        lf_k = slot;
+        lf_lane = false;
+        lf_col = lo_frow_col;
+      },
+      fun rt m _ frow -> fset rt.lo_fbuf (frow + slot) (f rt m) )
+  in
+  match c with
+  | Cleaf (lf, w) -> (lf, Option.value w ~default:lo_nowork)
+  | Cuf f -> buffered f
+  | Cui f -> buffered (fun rt m -> float_of_int (f rt m))
+
+(** Plan one accumulation [v = v +/- rest] or [v = rest + v] under the
+    statistics of {!comp_acc}: a product of two leaves that are not
+    both uniform is fused (three instructions, both leaves, two flop
+    counts); anything else is one leaf (two instructions, the leaf, one
+    flop count), a uniform product being that leaf. *)
+let lo_acc st env (ps : lpst) temps ~(guarded : bool) (pv : int) (op : lop)
+    (rest : Ast.expr) : titem =
+  let flag =
+    if guarded then begin
+      let c = lo_col ps in
+      ps.p_flags <- c :: ps.p_flags;
+      c
+    end
+    else lo_one_col
+  in
+  let add x y =
+    ps.p_stmts <-
+      { ls_acc = pv * st.cn; ls_op = op; ls_x = x; ls_y = y; ls_flag = flag }
+      :: ps.p_stmts
+  in
+  let mark rt irow = if guarded then iset rt.lo_ibuf (irow + flag) 1 in
+  let single c =
+    let x, wx = lo_float_leaf ps c in
+    add x None;
+    fun rt m irow frow ->
+      inst rt;
+      inst rt;
+      wx rt m irow frow;
+      flops rt (Array.length m);
+      mark rt irow
+  in
+  let fl = function
+    | Cui f -> fun rt m -> float_of_int (f rt m)
+    | Cuf f -> f
+    | Cleaf _ -> assert false
+  in
+  match rest with
+  | Ast.Binop (Ast.Mul, e1, e2) -> (
+      let c1 = lo_class st env ps temps e1 in
+      let c2 = lo_class st env ps temps e2 in
+      match (c1, c2) with
+      | Cui a, Cui b ->
+          single
+            (Cui
+               (fun rt m ->
+                 inst rt;
+                 let x = a rt m in
+                 let y = b rt m in
+                 x * y))
+      | (Cuf _ | Cui _), (Cuf _ | Cui _) ->
+          let a = fl c1 and b = fl c2 in
+          single
+            (Cuf
+               (fun rt m ->
+                 inst rt;
+                 let x = a rt m in
+                 let y = b rt m in
+                 flops rt (Array.length m);
+                 x *. y))
+      | _ ->
+          let x, wx = lo_float_leaf ps c1 in
+          let y, wy = lo_float_leaf ps c2 in
+          add x (Some y);
+          fun rt m irow frow ->
+            inst rt;
+            inst rt;
+            inst rt;
+            wx rt m irow frow;
+            wy rt m irow frow;
+            let k = Array.length m in
+            flops rt k;
+            flops rt k;
+            mark rt irow)
+  | _ -> single (lo_class st env ps temps rest)
+
+(** Plan a loop body's statements in order; [temps] maps the float
+    temporaries in scope to their leaves. *)
+let rec lo_block st env (ps : lpst) temps ~(guarded : bool) (b : Ast.block) :
+    titem list =
+  let _, rev =
+    List.fold_left
+      (fun (temps, acc) (s : Ast.stmt) ->
+        match s with
+        | Comment _ -> (temps, acc)
+        | Decl { d_name; d_ty = Scalar Float; d_init = Some e }
+          when not (Sset.mem d_name st.assigned) ->
+            (match e with
+            | Var v when Sset.mem v ps.p_accs -> raise Not_lane_outer
+            | _ -> ());
+            let lf, w = lo_float_leaf ps (lo_class st env ps temps e) in
+            let item rt m irow frow =
+              inst rt;
+              w rt m irow frow
+            in
+            (Smap.add d_name lf temps, item :: acc)
+        | Assign (Lvar v, e) -> (
+            let shape =
+              match e with
+              | Binop (((Add | Sub) as op), Var v', rest) when v' = v ->
+                  Some ((if op = Add then Ladd_left else Lsub_left), rest)
+              | Binop (Add, rest, Var v') when v' = v -> Some (Ladd_right, rest)
+              | _ -> None
+            in
+            match (Smap.find_opt v env, shape) with
+            | Some (Bfloat pv), Some (op, rest) when not (Smap.mem v temps) ->
+                (temps, lo_acc st env ps temps ~guarded pv op rest :: acc)
+            | _ -> raise Not_lane_outer)
+        | If (cond, t, f) -> (
+            let cc = comp_e st env cond in
+            match fst cc with
+            | UB _ | UI _ ->
+                let fc, ownc = bopnd cc in
+                release st ownc;
+                let fc = bu fc in
+                let ti = Array.of_list (lo_block st env ps temps ~guarded:true t) in
+                let fi = Array.of_list (lo_block st env ps temps ~guarded:true f) in
+                let item rt m irow frow =
+                  inst rt;
+                  let br = if fc rt m then ti else fi in
+                  for q = 0 to Array.length br - 1 do
+                    br.(q) rt m irow frow
+                  done
+                in
+                (temps, item :: acc)
+            | _ -> raise Not_lane_outer)
+        | _ -> raise Not_lane_outer)
+      (temps, []) b
+  in
+  List.rev rev
+
+let rec has_loop (b : Ast.block) : bool =
+  List.exists
+    (function
+      | Ast.For _ -> true
+      | Ast.If (_, t, f) -> has_loop t || has_loop f
+      | _ -> false)
+    b
+
+(** Plan [body] of a uniform loop to run lane-outer, or [None] (with
+    the plan state untouched) when it does not qualify. *)
+let lo_plan st env (body : Ast.block) : lplan option =
+  if has_loop body then None
+  else begin
+    let saved = { st with nf = st.nf } in
+    let restore () =
+      st.nf <- saved.nf;
+      st.ni <- saved.ni;
+      st.free_f <- saved.free_f;
+      st.free_i <- saved.free_i;
+      st.nuregs <- saved.nuregs;
+      st.nsites <- saved.nsites;
+      st.shared_specs <- saved.shared_specs;
+      st.global_params <- saved.global_params;
+      st.id_planes <- saved.id_planes;
+      st.patterns <- saved.patterns;
+      st.varying_guards <- saved.varying_guards;
+      st.lane_outer <- saved.lane_outer
+    in
+    let ps =
+      {
+        p_ki = lo_one_col + 1;
+        p_kf = 0;
+        p_sites = [];
+        p_flags = [];
+        p_stmts = [];
+        p_reads_acc = false;
+        p_accs = assigned_names body;
+      }
+    in
+    match lo_block st env ps Smap.empty ~guarded:false body with
+    | items when ps.p_stmts <> [] ->
+        let stmts = Array.of_list (List.rev ps.p_stmts) in
+        let accs = List.map (fun s -> s.ls_acc) ps.p_stmts in
+        let shared_acc =
+          List.length (List.sort_uniq compare accs) <> List.length accs
+        in
+        let sites = Array.of_list (List.rev ps.p_sites) in
+        st.lane_outer <- st.lane_outer + 1;
+        Some
+          {
+            lp_ki = ps.p_ki;
+            lp_kf = ps.p_kf;
+            lp_site_po = Array.map (fun (po, _, _) -> po) sites;
+            lp_site_min = Array.map (fun (_, lo, _) -> lo) sites;
+            lp_site_max = Array.map (fun (_, _, hi) -> hi) sites;
+            lp_flags = Array.of_list ps.p_flags;
+            lp_items = Array.of_list items;
+            lp_stmts = stmts;
+            lp_indep = not (ps.p_reads_acc || shared_acc);
+          }
+    | _ ->
+        restore ();
+        None
+    | exception (Not_lane_outer | Unsupported _) ->
+        restore ();
+        None
+  end
+
 let rec comp_stmt st env (s : Ast.stmt) : binding Smap.t * vstmt option =
   match s with
   | Comment _ -> (env, None)
@@ -2753,23 +3546,26 @@ let rec comp_stmt st env (s : Ast.stmt) : binding Smap.t * vstmt option =
               release st ownl;
               release st owns;
               let finit = iu finit and flim = iu flim and fstep = iu fstep in
-              let body = comp_block st env_u l_body in
-              Some
-                (fun rt m ->
-                  inst rt;
-                  rt.uregs.(r) <- finit rt m;
-                  let rec loop () =
-                    let lim = flim rt m in
-                    let go = rt.uregs.(r) < lim in
-                    inst rt;
-                    if go then begin
-                      body rt m;
-                      rt.uregs.(r) <- rt.uregs.(r) + fstep rt m;
+              (match lo_plan st env_u l_body with
+              | Some p -> Some (lo_run p ~r ~finit ~flim ~fstep)
+              | None ->
+                  let body = comp_block st env_u l_body in
+                  Some
+                    (fun rt m ->
                       inst rt;
-                      loop ()
-                    end
-                  in
-                  loop ())
+                      rt.uregs.(r) <- finit rt m;
+                      let rec loop () =
+                        let lim = flim rt m in
+                        let go = rt.uregs.(r) < lim in
+                        inst rt;
+                        if go then begin
+                          body rt m;
+                          rt.uregs.(r) <- rt.uregs.(r) + fstep rt m;
+                          inst rt;
+                          loop ()
+                        end
+                      in
+                      loop ()))
           | _ -> None
         end
       in
@@ -3138,6 +3934,7 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
           in
           match ix with
           | Iuniform off ->
+              let site = fresh_site st in
               fun rt m ->
                 inst rt;
                 let i0 = off rt m in
@@ -3149,6 +3946,7 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
                 Array.iter (fun l -> store_lane data len fp l (i0 * v_width)) m;
                 account_const rt ~is_store:true ~elt_bytes:(4 * v_width) m
                   ~addr:(g.Devmem.base + (i0 * v_width * 4))
+                  ~site
           | Ilanes xp ->
               let po = xp.xp_po and sc = xp.xp_scale in
               let stable = xp.xp_stable in
@@ -3184,6 +3982,7 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
           release st owns_src;
           match ix with
           | Iuniform off ->
+              let site = fresh_site st in
               fun rt m ->
                 inst rt;
                 let sv = feval src rt m in
@@ -3200,7 +3999,7 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
                     fset data o v)
                   m;
                 let addr = g.Devmem.base + (o * 4) in
-                account_const rt ~is_store:true ~elt_bytes:4 m ~addr
+                account_const rt ~is_store:true ~elt_bytes:4 m ~addr ~site
           | Ilanes xp ->
               let po = xp.xp_po and sc = xp.xp_scale in
               let stable = xp.xp_stable in
@@ -3329,6 +4128,9 @@ type code = {
   co_varying_guards : int;
       (** [if]s whose condition is a plane: the only guards that
           evaluate lane by lane *)
+  co_lane_outer : int;
+      (** register-only inner loops that run in a trip pass and a
+          values pass (see the lane-outer note) *)
   co_pool : vrt list ref;
       (** retired block states, reused across runs to skip plane
           allocation (see {!retire}); guarded by [co_pool_mu] *)
@@ -3352,6 +4154,7 @@ let compile_uncached (k : Ast.kernel) (launch : Ast.launch) : code =
       cn = n;
       claunch = launch;
       varying_guards = 0;
+      lane_outer = 0;
       assigned = assigned_names k.k_body;
     }
   in
@@ -3412,6 +4215,7 @@ let compile_uncached (k : Ast.kernel) (launch : Ast.launch) : code =
     co_warps = float_of_int ((n + 31) / 32);
     co_launch = launch;
     co_varying_guards = st.varying_guards;
+    co_lane_outer = st.lane_outer;
     co_pool = ref [];
     co_pool_mu = Mutex.create ();
   }
@@ -3529,7 +4333,8 @@ let fresh_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
       bidy;
       env = dummy_env;
       record_tx;
-      txparts = [];
+      txparts = [||];
+      txn = 0;
       check = false;
       epoch = 1;
       shadow = dummy_shadow;
@@ -3551,10 +4356,15 @@ let fresh_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
       site_d = Array.make (max 1 code.co_nsites) min_int;
       site_dd = Array.make (max 1 code.co_nsites) 0;
       site_dig = Array.make (max 1 code.co_nsites) Coalescer.empty_digest;
+      site_tab = Array.make (max 1 code.co_nsites) [||];
+      site_ctab = Array.make (max 1 code.co_nsites) [||];
       site_sh_d = Array.make (max 1 code.co_nsites) min_int;
       site_sh_extra = Array.make (max 1 code.co_nsites) 0;
       sh_counts = Array.make (max 1 cfg.Config.shared_banks) 0;
       tx_buf = Array.make 32 0;
+      lo_ibuf = [||];
+      lo_fbuf = Devmem.falloc 1;
+      lo_bnd = [||];
       seg_s = Array.make 16 0;
       seg_lo = Array.make 16 0;
       seg_hi = Array.make 16 0;
@@ -3591,7 +4401,8 @@ let remake_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
       bidy;
       env = dummy_env;
       record_tx;
-      txparts = [];
+      txparts = old.c.Interp.txparts;
+      txn = 0;
       check = false;
       epoch = 1;
       shadow = dummy_shadow;
@@ -3639,6 +4450,8 @@ let make_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
       if old.c.Interp.cfg != cfg && old.c.Interp.cfg <> cfg then begin
         Array.fill old.site_a0 0 (Array.length old.site_a0) min_int;
         Array.fill old.site_d 0 (Array.length old.site_d) min_int;
+        Array.fill old.site_tab 0 (Array.length old.site_tab) [||];
+        Array.fill old.site_ctab 0 (Array.length old.site_ctab) [||];
         Array.fill old.site_sh_d 0 (Array.length old.site_sh_d) min_int
       end;
       remake_block p cfg stats ~record_tx ~bidx ~bidy old

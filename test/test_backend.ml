@@ -125,15 +125,25 @@ let test_vector_matches_reference () =
 (** Seeded random-kernel corpus: the vector backend must agree with the
     reference bit-for-bit on generated kernels too (reduction loops,
     guards, stencils — shapes the registry does not cover), both naive
-    and after the optimization pipeline. *)
+    and after the optimization pipeline, in Full mode and in the
+    Sampled mode the funnel measures with (partition streams and their
+    efficiency included). *)
 let test_vector_fuzz_corpus () =
-  let exec_kernel ~backend k launch =
+  let exec_kernel ~backend ~mode k launch =
     let mem = Gpcc_sim.Devmem.of_kernel k in
     List.iter
       (fun (name, d) -> Gpcc_sim.Devmem.write mem name d)
       Test_fuzz.inputs;
-    let r = L.run ~mode:L.Full ~backend ~jobs:1 cfg280 k launch mem in
+    let r = L.run ~mode ~backend ~jobs:1 cfg280 k launch mem in
     (r, List.map (fun a -> (a, Gpcc_sim.Devmem.read mem a)) (global_arrays k))
+  in
+  let both label k launch =
+    List.iter
+      (fun (mname, mode) ->
+        bit_identical (label ^ "/" ^ mname)
+          (exec_kernel ~backend:L.Reference ~mode k launch)
+          (exec_kernel ~backend:L.Vector ~mode k launch))
+      [ ("full", L.Full); ("sampled", L.Sampled 4) ]
   in
   for i = 0 to 19 do
     let rand = Random.State.make [| 0x5eed; i |] in
@@ -142,15 +152,11 @@ let test_vector_fuzz_corpus () =
     let k = parse_kernel src in
     let launch = Option.get (Gpcc_passes.Pass_util.initial_launch k) in
     let label = Printf.sprintf "fuzz[%d]" i in
-    let rr = exec_kernel ~backend:L.Reference k launch in
-    let rv = exec_kernel ~backend:L.Vector k launch in
-    bit_identical label rr rv;
+    both label k launch;
     if i < 6 then begin
       (* a few optimized variants: tiled/merged/unrolled shapes *)
       let r = compile ~verify:false k in
-      let ro = exec_kernel ~backend:L.Reference r.kernel r.launch in
-      let vo = exec_kernel ~backend:L.Vector r.kernel r.launch in
-      bit_identical (label ^ "/opt") ro vo
+      both (label ^ "/opt") r.kernel r.launch
     end
   done
 
@@ -400,11 +406,15 @@ __kernel void shapes(float a[256], float o[8][16], int w) {
     (1, 1) (64, 1)
     [ ("a", a); ("b", b) ]
 
-(** The vector plan's count of guards it evaluates lane by lane. *)
-let varying_guards label (k : Gpcc_ast.Ast.kernel) launch =
+(** The vector plan of [k] at [launch]. *)
+let plan label (k : Gpcc_ast.Ast.kernel) launch =
   match Gpcc_sim.Vector.compile k launch with
-  | Ok code -> code.Gpcc_sim.Vector.co_varying_guards
+  | Ok code -> code
   | Error m -> Alcotest.failf "%s: vector plan refused: %s" label m
+
+(** The plan's count of guards it evaluates lane by lane. *)
+let varying_guards label k launch =
+  (plan label k launch).Gpcc_sim.Vector.co_varying_guards
 
 (** Uniformity the plan derives from the launch and the kernel text: a
     block dimension of 1 makes [tidx]/[tidy] the constant 0 and
@@ -517,6 +527,308 @@ let test_vector_strsm_guards () =
   bit_identical "strsm-opt (32,32)"
     (exec ~backend:L.Reference ~jobs:1 ~mode:L.Full w n r.kernel r.launch)
     (exec ~backend:L.Vector ~jobs:1 ~mode:L.Full w n r.kernel r.launch)
+
+(** The plan's count of loops that run lane-outer. *)
+let lane_outer label k launch =
+  (plan label k launch).Gpcc_sim.Vector.co_lane_outer
+
+(** Register-only inner loops run in a trip pass and a lane-outer values
+    pass; outputs, statistics and runtime errors must stay those of the
+    reference. [src] must plan [want] such loops at [block]. *)
+let lane_outer_src ~want label src grid block inputs =
+  let bx, by = block and gx, gy = grid in
+  let launch =
+    { Gpcc_ast.Ast.grid_x = gx; grid_y = gy; block_x = bx; block_y = by }
+  in
+  Alcotest.(check int)
+    (label ^ ": lane-outer loops")
+    want
+    (lane_outer label (parse_kernel src) launch);
+  run_src label src grid block inputs
+
+(** Every leaf kind (global and shared lane-affine sites, uniform loads,
+    an [int] uniform, a loop-invariant local, temporaries) in every
+    accumulation shape, under guards and partial masks, with edge
+    values and every runtime error at a middle trip; bodies whose
+    statements share or read accumulators; near-misses that must keep
+    the trip-by-trip plan. Then the plan count at the recorded
+    configurations. *)
+let test_vector_lane_outer () =
+  let a = ramp 4096 in
+  lane_outer_src ~want:1 "leaf kinds and shapes"
+    {|#pragma gpcc dim w 8
+__kernel void lo(float a[64][64], float s0[64], float o[32][64], int w) {
+  __shared__ float sh[96];
+  sh[tidy * 32 + tidx] = s0[tidx] + tidy;
+  if (tidy < 1) sh[tidx + 64] = s0[tidx + 32];
+  __syncthreads();
+  float inv = a[idy][idx];
+  float c0 = 0; float c1 = 1; float c2 = 0; float c3 = 0; float c4 = 0;
+  float c5 = 0; float c6 = 0; float c7 = 0; float c8 = 0; float c9 = 0;
+  float c10 = 0; float c11 = 0;
+  for (int i = 0; i < w; i++) {
+    c0 += a[i][idx] * a[idy][i];
+    c1 -= a[i + 1][idx] * s0[i];
+    c2 = a[idy][idx + i] * inv + c2;
+    c3 += sh[tidx + i];
+    c4 += i * sh[i];
+    c5 += i * 3;
+    c6 -= s0[i + w];
+    c7 = inv + c7;
+    c8 += i;
+    c9 += 2 * a[i][idx];
+    c10 += sh[tidx + i] * sh[tidy * 32 + i];
+    float t = a[i + 2][idx - tidx + tidy];
+    float u = s0[2 * i] * 0.5;
+    c11 = t * u + c11;
+  }
+  o[idy][idx] = c0; o[2 + idy][idx] = c1; o[4 + idy][idx] = c2;
+  o[6 + idy][idx] = c3; o[8 + idy][idx] = c4; o[10 + idy][idx] = c5;
+  o[12 + idy][idx] = c6; o[14 + idy][idx] = c7; o[16 + idy][idx] = c8;
+  o[18 + idy][idx] = c9; o[20 + idy][idx] = c10; o[22 + idy][idx] = c11;
+}|}
+    (2, 1) (32, 2)
+    [ ("a", a); ("s0", ramp 64) ];
+  (* the mm-opt and strsm-opt shape: a temporary shared by sixteen
+     statements, half under block-uniform guards (one with an else);
+     the loop that stages [ls] stores, so it stays trip by trip *)
+  let staged =
+    {|#pragma gpcc dim w 32
+__kernel void st(float l[64][64], float b[64][64], float x[64][64], int w) {
+  __shared__ float ls[16][32];
+  float s0 = 0; float s1 = 0; float s2 = 0; float s3 = 0;
+  float s4 = 0; float s5 = 0; float s6 = 0; float s7 = 0;
+  float s8 = 0; float s9 = 0; float s10 = 0; float s11 = 0;
+  float s12 = 0; float s13 = 0; float s14 = 0; float s15 = 0;
+  int inv = idy * 16;
+  for (int i = 0; i < w; i += 16) {
+    for (int q = 0; q < 16; q++)
+      ls[q][tidx] = l[inv + q][i + tidx];
+    __syncthreads();
+    for (int k = 0; k < 16; k++) {
+      float r = b[i + k][idx];
+      if (i + k < inv + 0) { s0 += ls[0][k] * r; }
+      if (i + k < inv + 1) { s1 += ls[1][k] * r; }
+      if (i + k < inv + 2) { s2 += ls[2][k] * r; }
+      if (i + k < inv + 3) { s3 += ls[3][k] * r; } else { s4 -= ls[4][k] * r; }
+      if (i + k < inv + 5) {
+        s5 += ls[5][k] * r;
+        if (k > 7) s6 = ls[6][k] * r + s6;
+      }
+      s7 += ls[7][k] * r;
+      s8 += ls[8][k] * r;
+      s9 -= ls[9][k] * r;
+      s10 += ls[10][k] * r;
+      s11 = ls[11][k] * r + s11;
+      s12 += ls[12][k] * r;
+      s13 += ls[13][k] * r;
+      s14 += ls[14][k] * r;
+      s15 += r;
+    }
+    __syncthreads();
+  }
+  x[inv + 0][idx] = s0; x[inv + 1][idx] = s1; x[inv + 2][idx] = s2;
+  x[inv + 3][idx] = s3; x[inv + 4][idx] = s4; x[inv + 5][idx] = s5;
+  x[inv + 6][idx] = s6; x[inv + 7][idx] = s7; x[inv + 8][idx] = s8;
+  x[inv + 9][idx] = s9; x[inv + 10][idx] = s10; x[inv + 11][idx] = s11;
+  x[inv + 12][idx] = s12; x[inv + 13][idx] = s13; x[inv + 14][idx] = s14;
+  x[inv + 15][idx] = s15;
+}|}
+  in
+  lane_outer_src ~want:1 "sixteen statements, shared temporary, guards"
+    staged (2, 4) (32, 1)
+    [ ("l", ramp 4096); ("b", Array.map (fun v -> v /. 7.) a) ];
+  (* partial masks: a contiguous and a scattered one; under [tidx < 8]
+     the site [a1[tidx * 7 + i]] stays in bounds although the full
+     mask would leave the array *)
+  lane_outer_src ~want:3 "partial masks"
+    {|__kernel void pm(float a[64][64], float a1[64], float o[64]) {
+  float acc = 0;
+  float acc2 = 0;
+  if (tidx < 20) {
+    for (int i = 0; i < 16; i++) {
+      acc += a[i][idx] * a[i + 16][idx + 1];
+      acc2 += a[i][idx];
+    }
+  }
+  if (tidx % 3 == 1) {
+    for (int i = 0; i < 8; i++) acc -= a[idx][i] * a1[i];
+  }
+  if (tidx < 8) {
+    for (int i = 0; i < 8; i++) acc2 += a1[tidx * 7 + i];
+  }
+  o[idx] = acc + acc2;
+}|}
+    (2, 1) (32, 1)
+    [ ("a", a); ("a1", ramp 64) ];
+  (* statements that read or share accumulators replay trip by trip *)
+  lane_outer_src ~want:1 "dependent statements"
+    {|__kernel void dep(float a[64][64], float b[64], float o[4][64]) {
+  float p = 0; float q = 1; float r = 0.5;
+  for (int i = 0; i < 12; i++) {
+    q += p * a[i][idx];
+    p += a[i + 1][idx];
+    p -= b[i] * r;
+    r += r * 0.25;
+    q = p + q;
+  }
+  o[0][idx] = p; o[1][idx] = q; o[2][idx] = r;
+}|}
+    (2, 1) (32, 1)
+    [ ("a", a); ("b", ramp 64) ];
+  let edges =
+    [| Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0; 1.0; -2.5;
+       3.0e38 |]
+  in
+  (* [w] adds a fresh nan ([inf * 0]) to a held one: the sum must keep
+     the first operand's payload, as the reference does *)
+  lane_outer_src ~want:1 "edge values"
+    {|__kernel void fe(float a[64][64], float b[64], float o[4][64]) {
+  float s = -0.0; float t = 0; float u = 3.0e38; float w = 0;
+  for (int i = 0; i < 16; i++) {
+    s += a[i][idx] * b[i];
+    t -= a[i][idx + 1] * a[i + 1][idx];
+    u = a[i][idx] * b[i + 8] + u;
+    w = b[i] * 0.0 + w;
+  }
+  o[0][idx] = s; o[1][idx] = t; o[2][idx] = u; o[3][idx] = w;
+}|}
+    (2, 1) (32, 1)
+    [
+      ("a", Array.init 4096 (fun i -> edges.((i * 5 + (i / 64)) mod 8)));
+      ("b", Array.init 64 (fun i -> edges.((i * 3) mod 8)));
+    ];
+  (* runtime errors at a middle trip, each with the reference's text *)
+  let errs =
+    [
+      ( "global site out of range",
+        "acc += a[i * 8 + idx] * 2.0;",
+        "out-of-bounds load a[64] (size 64)" );
+      ( "shared site out of range",
+        "acc += sh[tidx + i];",
+        "out-of-bounds shared load sh[40] (size 40)" );
+      ( "uniform leaf out of range",
+        "acc += a[idx] * b[i * 10];",
+        "out-of-bounds load b[70] (size 64)" );
+      ( "two bad sites in one trip",
+        "acc += a[i * 8 + idx] * c[i * 8 + idx];",
+        "out-of-bounds load a[64] (size 64)" );
+      ( "bad sites in two statements",
+        "acc += b[idx]; acc2 -= c[idx + i * 4] * d[idx + i * 4];",
+        "out-of-bounds load d[48] (size 48)" );
+      ( "negative index",
+        "acc += a[idx - i * 4];",
+        "out-of-bounds load a[-4] (size 64)" );
+      ( "division by zero",
+        "acc += a[idx] * b[8 / (4 - i)];",
+        "division by zero" );
+      ( "division by zero in a site",
+        "acc += a2[8 / (4 - i)][idx];",
+        "division by zero" );
+    ]
+  in
+  List.iter
+    (fun (label, stmt, msg) ->
+      let src =
+        Printf.sprintf
+          {|__kernel void e(float a[64], float b[64], float c[64], float d[48], float a2[16][64], float o[64]) {
+  __shared__ float sh[40];
+  sh[tidx] = b[tidx];
+  if (tidx < 8) sh[tidx + 32] = b[tidx + 32];
+  __syncthreads();
+  float acc = 0;
+  float acc2 = 0;
+  for (int i = 0; i < 16; i++) {
+    %s
+  }
+  o[idx] = acc + acc2;
+}|}
+          stmt
+      in
+      let k = parse_kernel src in
+      let launch =
+        { Gpcc_ast.Ast.grid_x = 1; grid_y = 1; block_x = 32; block_y = 1 }
+      in
+      (match
+         L.run ~mode:L.Full ~backend:L.Reference ~jobs:1 cfg280 k launch
+           (Gpcc_sim.Devmem.of_kernel k)
+       with
+      | _ -> Alcotest.failf "%s: the reference did not fail" label
+      | exception Gpcc_sim.Interp.Runtime_error m ->
+          Alcotest.(check string) (label ^ ": reference error") msg m);
+      lane_outer_src ~want:1 label src (1, 1) (32, 1)
+        [
+          ("a", ramp 64);
+          ("b", ramp 64);
+          ("c", ramp 64);
+          ("d", ramp 48);
+          ("a2", ramp 1024);
+        ])
+    errs;
+  (* near-misses keep the trip-by-trip plan and its results *)
+  lane_outer_src ~want:0 "store in the body"
+    {|__kernel void ns(float a[64][64], float o[64][64]) {
+  float acc = 0;
+  for (int i = 0; i < 8; i++) {
+    acc += a[i][idx];
+    o[i][idx] = acc;
+  }
+}|}
+    (2, 1) (32, 1)
+    [ ("a", a) ];
+  lane_outer_src ~want:0 "lane-varying guard in the body"
+    {|__kernel void ng(float a[64][64], float o[64]) {
+  float acc = 0;
+  for (int i = 0; i < 8; i++) {
+    if (tidx < i * 4) acc += a[i][idx];
+  }
+  o[idx] = acc;
+}|}
+    (2, 1) (32, 1)
+    [ ("a", a) ];
+  lane_outer_src ~want:0 "temporary read from an accumulator"
+    {|__kernel void nt(float a[64][64], float o[64]) {
+  float acc = 0;
+  float acc2 = 0;
+  for (int i = 0; i < 8; i++) {
+    acc += a[i][idx];
+    float t = acc;
+    acc2 += t;
+  }
+  o[idx] = acc + acc2;
+}|}
+    (2, 1) (32, 1)
+    [ ("a", a) ];
+  (* the recorded configurations of perfbench's winners *)
+  let at name n target degree =
+    let w = Gpcc_workloads.Registry.find_exn name in
+    let k = W.parse w n in
+    let r = compile ~target ~degree k in
+    ( (name ^ "/naive", k, Option.get (Gpcc_passes.Pass_util.naive_launch k)),
+      (name ^ "/opt", r.kernel, r.launch) )
+  in
+  let cublas name n =
+    let c = Option.get (Gpcc_workloads.Cublas_sim.find name) in
+    ("cublas_" ^ name, Gpcc_workloads.Cublas_sim.kernel c n, c.c_launch n)
+  in
+  let pin want (label, k, launch) =
+    let got = lane_outer label k launch in
+    if (want > 0 && got < want) || (want = 0 && got <> 0) then
+      Alcotest.failf "%s: %d lane-outer loops, want %s" label got
+        (if want = 0 then "0" else Printf.sprintf ">= %d" want)
+  in
+  let both ?(naive = 1) ?(opt = 1) (n, o) =
+    pin naive n;
+    pin opt o
+  in
+  both (at "conv" 128 32 16);
+  both (at "mm" 128 32 16);
+  both (at "tmv" 128 16 1);
+  both (at "mv" 128 16 1);
+  both (at "rd" 131072 128 1);
+  both ~naive:0 (at "strsm" 128 32 32);
+  pin 1 (cublas "mm" 128);
+  pin 0 (cublas "strsm" 128)
 
 (** Wide-vectorized kernels (float2/float4 accesses, the AMD target's
     shape) exercise the vector backend's multi-component planes, which
@@ -660,6 +972,7 @@ let suite =
       q "vector == reference on float2/float4" test_vector_wide_vectors;
       q "vector == reference on uniform guards" test_vector_uniform_guards;
       q "vector strsm-opt: one lane-varying guard" test_vector_strsm_guards;
+      q "vector == reference on lane-outer loops" test_vector_lane_outer;
       q "GPCC_CHECK wins over vector selection" test_vector_check_run;
       s "parallel Full == serial Full" (test_parallel_matches_serial L.Full);
       s "parallel Sampled == serial Sampled"

@@ -337,6 +337,79 @@ let test_warm_records_serve_lints () =
     "lints run only where no record carries them" (List.length linted)
     warm_lints
 
+(* The default store's entries of kind [ext] whose key contains
+   [needle] (an entry holds its full key). *)
+let store_entries ~(ext : string) (needle : string) : string list =
+  let root = Gpcc_util.Store.default_root () in
+  let read_file p =
+    let ic = open_in_bin p in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let contains hay =
+    let n = String.length needle and h = String.length hay in
+    let rec scan i =
+      i + n <= h && (String.equal (String.sub hay i n) needle || scan (i + 1))
+    in
+    scan 0
+  in
+  (if Sys.file_exists root then Sys.readdir root else [||])
+  |> Array.to_list
+  |> List.concat_map (fun shard ->
+         let d = Filename.concat root shard in
+         if Sys.is_directory d then
+           Sys.readdir d |> Array.to_list
+           (* [check_suffix ".verdict"] would also match ".pverdict" *)
+           |> List.filter (fun f -> Filename.extension f = ext)
+           |> List.map (Filename.concat d)
+         else [])
+  |> List.filter (fun p -> contains (read_file p))
+
+(* --- an explored naive text's record carries its lints --- *)
+
+(* Explore asks for the naive text's proof before compiling anything. It
+   asks at the launch the pipeline validates the input at, so the record
+   it stores carries that launch's lints, and a warm explore in a fresh
+   domain (a fresh analysis cache, like a fresh process) does not lint
+   the naive text again: its lint count is that of an explore whose
+   naive lint was already served. *)
+let test_explore_naive_record_lints () =
+  let w = Registry.find_exn "mv" in
+  let naive = Workload.parse w w.test_size in
+  let launch = Option.get (Gpcc_passes.Pass_util.initial_launch naive) in
+  (* cold for this text: drop its stored record *)
+  List.iter Sys.remove
+    (store_entries ~ext:".pverdict" (Gpcc_ast.Pp.kernel_to_string naive));
+  let fresh_domain f =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let v = f () in
+           (v, Cache.lint_runs (Cache.domain ()))))
+  in
+  let explore () =
+    ignore
+      (Gpcc_core.Explore.search ~cfg:cfg280 ~block_targets:[ 64; 128 ]
+         ~merge_degrees:[ 1; 4 ] ~jobs:1 naive ~measure:(fun _ _ -> 1.0))
+  in
+  let (), _ = fresh_domain explore in
+  let (), warm = fresh_domain explore in
+  let served, after =
+    fresh_domain (fun () ->
+        ignore (Cache.verify_sym (Cache.domain ()) ~launch naive);
+        let served = Cache.lint_runs (Cache.domain ()) in
+        explore ();
+        served)
+  in
+  Alcotest.(check bool)
+    "the naive text is proved at its launch" true
+    (Gpcc_analysis.Symverify.decide
+       (Cache.symbolic_result (Cache.create ()) naive)
+       launch
+    = `Clean);
+  Alcotest.(check int) "its lints come from the stored record" 0 served;
+  Alcotest.(check int) "the warm explore lints other texts only" after warm
+
 (* --- verifier verdicts survive the on-disk round trip --- *)
 
 let test_verify_disk_round_trip () =
@@ -362,36 +435,8 @@ let test_verify_disk_corruption () =
   (* verdicts now live in the sharded artifact store; locate this
      kernel's entry by its stored key (the full kernel text) rather
      than re-deriving the digest scheme *)
-  let root = Gpcc_util.Store.default_root () in
   let full = Gpcc_ast.Pp.kernel_to_string ~launch k in
-  let read_file p =
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let contains ~needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec scan i =
-      i + n <= h && (String.equal (String.sub hay i n) needle || scan (i + 1))
-    in
-    scan 0
-  in
-  let verdict_files () =
-    Sys.readdir root |> Array.to_list
-    |> List.concat_map (fun shard ->
-           let d = Filename.concat root shard in
-           if Sys.is_directory d then
-             Sys.readdir d |> Array.to_list
-                (* note: [check_suffix ".verdict"] would also match
-                   the parametric ".pverdict" entries *)
-             |> List.filter (fun f -> Filename.extension f = ".verdict")
-             |> List.map (Filename.concat d)
-           else [])
-  in
-  let entries () =
-    List.filter (fun p -> contains ~needle:full (read_file p)) (verdict_files ())
-  in
+  let entries () = store_entries ~ext:".verdict" full in
   (* a store used before a codec-version bump still holds this key's
      orphaned older entries: drop them all so the baseline writes the
      one live entry *)
@@ -507,6 +552,8 @@ let suite =
         test_printed_splices_launch;
       Alcotest.test_case "verification records serve a warm compile" `Quick
         test_warm_records_serve_lints;
+      Alcotest.test_case "explored naive records carry their lints" `Quick
+        test_explore_naive_record_lints;
       Alcotest.test_case "verifier verdicts: disk round trip" `Quick
         test_verify_disk_round_trip;
       Alcotest.test_case "verifier verdicts: corrupt files recovered" `Quick
