@@ -97,6 +97,8 @@ let mod_const a k =
     Some (((a.const mod k) + k) mod k)
   else None
 
+let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+
 let eval (assignment : var -> int) a =
   List.fold_left (fun acc (v, c) -> acc + (c * assignment v)) a.const a.terms
 

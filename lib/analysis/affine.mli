@@ -55,6 +55,9 @@ val div_exact : t -> int -> t option
     divisible by [k]). *)
 val mod_const : t -> int -> int option
 
+(** The nonnegative greatest common divisor ([gcd 0 0 = 0]). *)
+val gcd : int -> int -> int
+
 val eval : (var -> int) -> t -> int
 
 (** The affine-valued local [int] bindings of a context, by name. *)

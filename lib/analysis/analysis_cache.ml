@@ -257,6 +257,13 @@ let evict_lru (slot : 'a slot) =
     slot;
   match !victim with Some (key, _) -> Hashtbl.remove slot key | None -> ()
 
+(* Enter a value without a lookup (no hit/miss accounting). *)
+let put (t : t) (slot : 'a slot) (key : string) (v : 'a) : unit =
+  t.tick <- t.tick + 1;
+  if (not (Hashtbl.mem slot key)) && Hashtbl.length slot >= t.capacity then
+    evict_lru slot;
+  Hashtbl.replace slot key { v; tick = t.tick }
+
 let find (t : t) (slot : 'a slot) (key : string) (compute : unit -> 'a) : 'a =
   t.tick <- t.tick + 1;
   match Hashtbl.find_opt slot key with
@@ -284,7 +291,8 @@ let coalesced (t : t) ~(launch : Ast.launch) (k : Ast.kernel) : bool =
 
 let sharing (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     Sharing.array_sharing list =
-  find t t.sharing (key k launch) (fun () -> Sharing.analyze ~launch k)
+  find t t.sharing (key k launch) (fun () ->
+      Sharing.of_accesses k (accesses t ~launch k))
 
 let regcount (t : t) (k : Ast.kernel) : int * int =
   find t t.regcount (kernel_key k) (fun () ->
@@ -345,6 +353,15 @@ let pverdict_kind : proof Store.kind =
 let store_handle : Store.t Gpcc_util.Once.t =
   Gpcc_util.Once.make (fun () -> Store.open_root ())
 
+(* The verifier walks the kernel at the launch, as the access table
+   does: the table it reads off that walk fills the [Affine] slot, so a
+   pass that asks for the table of a state just validated finds it. *)
+let checked (t : t) ?max_lanes ~(launch : Ast.launch) (k : Ast.kernel) :
+    Verify.diagnostic list =
+  let ds, table = Verify.check_with_accesses ?max_lanes ~launch k in
+  put t t.affine (key k launch) table;
+  ds
+
 let verify (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     Verify.diagnostic list =
   timed @@ fun () ->
@@ -354,7 +371,7 @@ let verify (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
       match Store.find store verdict_kind ~key:text with
       | Some ds -> ds
       | None ->
-          let ds = Verify.check ~launch k in
+          let ds = checked t ~launch k in
           Store.store store verdict_kind ~key:text ds;
           ds)
 
@@ -371,7 +388,7 @@ let lintable (l : Ast.launch) = l.block_x * l.block_y <= 512
 let lint (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     Verify.diagnostic list =
   t.lint_runs <- t.lint_runs + 1;
-  Verify.check ~max_lanes:1 ~launch k
+  checked t ~max_lanes:1 ~launch k
   |> List.filter (fun (d : Verify.diagnostic) ->
          d.rule <> Verify.rule_verify_incomplete)
 
@@ -447,15 +464,9 @@ let verify_sym (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
 let carry (t : t) (slot : 'a slot) ~(from_key : string) ~(to_key : string) :
     unit =
   if not (String.equal from_key to_key) then
-    match Hashtbl.find_opt slot from_key with
-    | None -> ()
-    | Some cell ->
-        t.tick <- t.tick + 1;
-        if
-          (not (Hashtbl.mem slot to_key))
-          && Hashtbl.length slot >= t.capacity
-        then evict_lru slot;
-        Hashtbl.replace slot to_key { v = cell.v; tick = t.tick }
+    Option.iter
+      (fun cell -> put t slot to_key cell.v)
+      (Hashtbl.find_opt slot from_key)
 
 let preserve (t : t) ~(kinds : kind list)
     ~(from_ : Ast.kernel * Ast.launch) ~(to_ : Ast.kernel * Ast.launch) :

@@ -82,7 +82,10 @@ val kernel_key : Gpcc_ast.Ast.kernel -> string
 val accesses :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
   Coalesce_check.access list
-(** The affine access table ([Affine] slot). *)
+(** The affine access table ([Affine] slot). A concrete verification
+    ({!verify}, and a proved launch's lints in {!verify_sym}) enters the
+    table read off its own walk, so a pass asking for the table of a
+    state just validated is served without a walk. *)
 
 val coalesced : t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel -> bool
 (** Whether every global access is coalesced ([Coalesce] slot). *)

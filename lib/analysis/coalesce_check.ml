@@ -1,4 +1,5 @@
-(** Memory-coalescing analysis (paper Section 3.2).
+(** Memory-coalescing analysis (paper Section 3.2): a view over the
+    global accesses of a {!Walk} record.
 
     For every global-memory access the checker computes the addresses issued
     by the 16 consecutive threads of a half warp and decides whether they
@@ -110,146 +111,42 @@ let flat_of_access (ctx : Affine.ctx) (layouts : Layout.table) arr indices :
         | f -> Some f
         | exception Invalid_argument _ -> None)
 
-(** Collect every global-memory access of a kernel with its verdict.
-    The walk tracks enclosing loops and affine-valued [int] locals. *)
-let analyze_kernel ?(launch : Ast.launch option) (k : Ast.kernel) : access list
-    =
-  let launch =
-    match launch with
-    | Some l -> l
-    | None -> { grid_x = 1; grid_y = 1; block_x = 16; block_y = 1 }
-  in
-  let ctx0 = Affine.ctx_of_launch ~sizes:k.k_sizes launch in
-  let layouts = Layout.of_kernel k in
-  let global_arrays =
-    List.filter_map
-      (fun (p : Ast.param) ->
-        match p.p_ty with
-        | Array { space = Global; _ } -> Some p.p_name
-        | _ -> None)
-      k.k_params
-  in
-  let is_global a = List.mem a global_arrays in
-  let out = ref [] in
-  let divergent_cond (c : Ast.expr) =
-    List.exists
-      (fun b -> Rewrite.expr_uses_builtin b c)
-      [ Ast.Idx; Ast.Idy; Ast.Tidx; Ast.Tidy ]
-  in
-  let emit ctx ~enclosing ~safe ~safe_loops arr indices is_store vec_width =
-    if is_global arr then begin
-      let flat =
-        match flat_of_access ctx layouts arr indices with
-        | Some f when vec_width > 1 ->
-            (* vector element offset: lane stride is in vector elements *)
-            Some f
-        | f -> f
-      in
-      out :=
-        {
-          arr;
-          indices;
-          is_store;
-          vec_width;
-          flat;
-          enclosing;
-          verdict = verdict_of_flat flat;
-          ctx;
-          divergent = not safe;
-          safe_loops;
-        }
-        :: !out
-    end
-  in
-  let rec on_expr ctx ~enclosing ~safe ~safe_loops (e : Ast.expr) =
-    let go = on_expr ctx ~enclosing ~safe ~safe_loops in
-    (match e with
-    | Index (a, es) -> emit ctx ~enclosing ~safe ~safe_loops a es false 1
-    | Vload { v_arr; v_width; v_index } ->
-        emit ctx ~enclosing ~safe ~safe_loops v_arr [ v_index ] false v_width
-    | _ -> ());
-    match e with
-    | Int_lit _ | Float_lit _ | Var _ | Builtin _ -> ()
-    | Unop (_, a) | Field (a, _) -> go a
-    | Binop (_, a, b) ->
-        go a;
-        go b
-    | Index (_, es) | Call (_, es) -> List.iter go es
-    | Vload v -> go v.v_index
-    | Select (c, a, b) ->
-        go c;
-        go a;
-        go b
-  in
-  let assigned_int_vars (b : Ast.block) =
-    let acc = ref [] in
-    ignore
-      (Rewrite.map_stmts
-         (function
-           | Assign (Lvar v, _) as s ->
-               acc := v :: !acc;
-               [ s ]
-           | s -> [ s ])
-         b);
-    !acc
-  in
-  let rec on_block ctx ~enclosing ~safe ~safe_loops (b : Ast.block) =
-    ignore
-      (List.fold_left
-         (fun ctx s -> on_stmt ctx ~enclosing ~safe ~safe_loops s)
-         ctx b)
-  and on_stmt ctx ~enclosing ~safe ~safe_loops (s : Ast.stmt) : Affine.ctx =
-    let go_e = on_expr ctx ~enclosing ~safe ~safe_loops in
-    match s with
-    | Comment _ | Sync | Global_sync -> ctx
-    | Decl { d_name; d_ty = Scalar Int; d_init = Some e } ->
-        go_e e;
-        Affine.enter_let ctx d_name e
-    | Decl { d_init; _ } ->
-        Option.iter go_e d_init;
-        ctx
-    | Assign (lv, e) ->
-        (match lv with
-        | Lvar _ -> ()
-        | Lindex (a, es) ->
-            emit ctx ~enclosing ~safe ~safe_loops a es true 1;
-            List.iter go_e es
-        | Lfield (Lindex (a, es), _) ->
-            emit ctx ~enclosing ~safe ~safe_loops a es true 1;
-            List.iter go_e es
-        | Lvec vl ->
-            emit ctx ~enclosing ~safe ~safe_loops vl.v_arr [ vl.v_index ]
-              true vl.v_width;
-            go_e vl.v_index
-        | Lfield _ -> ());
-        go_e e;
-        (match lv with
-        | Lvar v -> Affine.enter_let ctx v e
-        | _ -> ctx)
-    | If (c, t, f) ->
-        go_e c;
-        let safe' = safe && not (divergent_cond c) in
-        on_block ctx ~enclosing ~safe:safe' ~safe_loops t;
-        on_block ctx ~enclosing ~safe:safe' ~safe_loops f;
-        Affine.forget ctx (assigned_int_vars t @ assigned_int_vars f)
-    | For l ->
-        go_e l.l_init;
-        go_e l.l_limit;
-        go_e l.l_step;
-        let safe_loops' = if safe then l.l_var :: safe_loops else safe_loops in
-        let dirty = assigned_int_vars l.l_body in
-        let ctx_clean = Affine.forget ctx dirty in
-        (match Affine.enter_loop ctx_clean l with
-        | Some ctx' ->
-            on_block ctx' ~enclosing:(l.l_var :: enclosing) ~safe
-              ~safe_loops:safe_loops' l.l_body
-        | None ->
-            on_block ctx_clean ~enclosing:(l.l_var :: enclosing) ~safe
-              ~safe_loops:safe_loops' l.l_body);
-        Affine.forget ctx_clean [ l.l_var ]
-  in
-  on_block ctx0 ~enclosing:[] ~safe:true ~safe_loops:[] k.k_body;
-  List.rev !out
+(** The global accesses of a walk record, outside wrap passes. *)
+let of_walk (layouts : Layout.table) (w : Walk.t) : access list =
+  List.filter_map
+    (fun (a : Walk.access) ->
+      let frames = a.a_env.frames in
+      if
+        a.a_space <> `Global
+        || List.exists (fun (f : Walk.frame) -> f.fr_offset <> 0) frames
+      then None
+      else
+        let indices = Walk.indices a.a_kind in
+        let ctx = Option.get a.a_ctx in
+        let flat = flat_of_access ctx layouts a.a_arr indices in
+        Some
+          {
+            arr = a.a_arr;
+            indices;
+            is_store = a.a_store;
+            vec_width = (match a.a_kind with `Sc _ -> 1 | `Vec (w, _) -> w);
+            flat;
+            enclosing = List.map (fun (f : Walk.frame) -> f.fr_var) frames;
+            verdict = verdict_of_flat flat;
+            ctx;
+            divergent = Walk.guarded a.a_guards;
+            safe_loops =
+              List.filter_map
+                (fun (f : Walk.frame) ->
+                  if Lazy.force f.fr_guarded then None else Some f.fr_var)
+                frames;
+          })
+    w.accesses
+
+let analyze_kernel
+    ?(launch = { Ast.grid_x = 1; grid_y = 1; block_x = 16; block_y = 1 })
+    (k : Ast.kernel) : access list =
+  of_walk (Layout.of_kernel k) (Walk.run ~launch k)
 
 let all_coalesced accesses =
   List.for_all

@@ -51,8 +51,13 @@ val classify_index : Affine.ctx -> Gpcc_ast.Ast.expr -> index_kind
 (** Coalescing decision for a flattened affine element offset. *)
 val verdict_of_flat : Affine.t option -> verdict
 
-(** Collect every global-memory access of a kernel with its verdict.
-    Defaults to the pipeline's half-warp launch when none is given. *)
+(** The global accesses of a walk record, in walk order, with their
+    verdicts: each site once (the wrap passes are left out), [divergent]
+    when a thread-dependent guard ({!Walk.guarded}) encloses it. *)
+val of_walk : Layout.table -> Walk.t -> access list
+
+(** [of_walk] over the kernel's walk at [launch]. Defaults to the
+    pipeline's half-warp launch when none is given. *)
 val analyze_kernel :
   ?launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel -> access list
 

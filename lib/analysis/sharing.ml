@@ -62,9 +62,8 @@ let g2s_arrays (k : Ast.kernel) : string list =
   List.sort_uniq String.compare !acc
 
 (** Summarize sharing for every global array that is loaded. *)
-let analyze ?(launch : Ast.launch option) (k : Ast.kernel) :
+let of_accesses (k : Ast.kernel) (accesses : Coalesce_check.access list) :
     array_sharing list =
-  let accesses = Coalesce_check.analyze_kernel ?launch k in
   let g2s = g2s_arrays k in
   let loads = List.filter (fun a -> not a.Coalesce_check.is_store) accesses in
   let arrays =
@@ -95,6 +94,10 @@ let analyze ?(launch : Ast.launch option) (k : Ast.kernel) :
         loads = List.length mine;
       })
     arrays
+
+let analyze ?(launch : Ast.launch option) (k : Ast.kernel) :
+    array_sharing list =
+  of_accesses k (Coalesce_check.analyze_kernel ?launch k)
 
 (** Directions in which a merge would pay off, with the role that drives
     the paper's choice between thread-block merge and thread merge. *)

@@ -26,6 +26,12 @@ val show_array_sharing : array_sharing -> string
 (** Global arrays loaded directly into a shared array. *)
 val g2s_arrays : Gpcc_ast.Ast.kernel -> string list
 
+(** The summary over a kernel's access table
+    ({!Coalesce_check.analyze_kernel}). *)
+val of_accesses :
+  Gpcc_ast.Ast.kernel -> Coalesce_check.access list -> array_sharing list
+
+(** [of_accesses] over the kernel's table at [launch]. *)
 val analyze :
   ?launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel -> array_sharing list
 

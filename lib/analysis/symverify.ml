@@ -27,6 +27,11 @@
     [bx*by >= 65]); the design-space exploration prunes those without
     compiling them.
 
+    The analysis lowers the {!Walk} record of the kernel, the same one
+    {!Verify} stages per launch: its loop frames in creation order, so
+    fresh variables number in walk order, then each access's indices and
+    guards on first use.
+
     The soundness contract is directional: whenever {!decide} returns
     [`Clean] for a launch, {!Verify.check} reports no error-severity
     diagnostic at that launch. The reverse direction goes through the
@@ -67,8 +72,6 @@ type factor =
 
 and mono = factor list
 and lpoly = (mono * int) list
-
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
 let lp_const (n : int) : lpoly = if n = 0 then [] else [ ([], n) ]
 let lp_zero : lpoly = []
@@ -228,7 +231,7 @@ module Constraint = struct
   let ineq (p : lpoly) (k : int) : ineq =
     let c0 = lp_const_part p in
     let lhs = lp_sub p (lp_const c0) in
-    let g = List.fold_left (fun g (_, c) -> gcd g c) 0 lhs in
+    let g = List.fold_left (fun g (_, c) -> Affine.gcd g c) 0 lhs in
     let g = if g = 0 then 1 else g in
     {
       i_poly = List.map (fun (m, c) -> (m, c / g)) lhs;
@@ -377,7 +380,11 @@ type lrange = {
 let lr_const n = { rlo = lp_const n; rhi = lp_const n; rst = 0 }
 
 let lr_add a b =
-  { rlo = lp_add a.rlo b.rlo; rhi = lp_add a.rhi b.rhi; rst = gcd a.rst b.rst }
+  {
+    rlo = lp_add a.rlo b.rlo;
+    rhi = lp_add a.rhi b.rhi;
+    rst = Affine.gcd a.rst b.rst;
+  }
 
 let lr_neg a = { rlo = lp_scale (-1) a.rhi; rhi = lp_scale (-1) a.rlo; rst = a.rst }
 let lr_sub a b = lr_add a (lr_neg b)
@@ -417,7 +424,7 @@ let lr_mod (a : lrange) (c : int) : lrange =
         (* constant bounds: mirror Verify.si_mod exactly *)
         if lo >= 0 && hi <= c - 1 then a
         else
-          let g = max 1 (gcd a.rst c) in
+          let g = max 1 (Affine.gcd a.rst c) in
           let lo' = ((lo mod g) + g) mod g in
           {
             rlo = lp_const lo';
@@ -562,78 +569,25 @@ type sval =
   | Rng of lrange option
   | Opq
 
-module Smap = Map.Make (String)
-
-(** A scalar binding recorded by the walk, mirroring {!Verify.binding}:
-    the defining expression lowers under the bindings and loop frames
-    live at the definition, once, on first use ([sl_val]), and so does
-    its thread dependence ([sl_tdep]); [SBloop d] is the variable of the
-    enclosing loop at depth [d] (outermost 0), bound at loop entry so
-    lexical order decides between it and any other binding of the
-    name. *)
-type sbind =
-  | SBexpr of slet
-  | SBloop of int
-  | SBopaque
-
-and slet = {
-  sl_val : sval Lazy.t;
-  sl_tdep : bool Lazy.t;
-  sl_reads : int Lazy.t;  (** the definition's identity ({!Reads}) *)
-}
-
-(** One enclosing loop frame. [fr_value] is the loop variable's value
-    for this pass (init + step * counter, plus one step on the
+(** A loop frame of the walk, lowered: [fr_value] is the loop variable's
+    value for this pass (init + step * counter, plus one step on the
     wrap-around pass); the counter variable's recorded range bounds the
     variable across all iterations (mirroring {!Verify.renv_of_acc}:
     values stay within [init.lo .. limit.hi - 1]). *)
 type sframe = {
-  fr_frozen : bool;
-  fr_tdep : bool;  (** any loop bound is thread-dependent *)
   fr_value : sval;
   fr_clamp : clamp option;
       (** [value <= hi(limit) - 1], when the body assigns neither the
           loop variable nor any variable of the limit *)
-  fr_reads : int Lazy.t;  (** the header's identity ({!Reads}) *)
 }
 
 (** [cl_form <= cl_poly] ([`Hi]) or [cl_form >= cl_poly] ([`Lo]) for
     every access it is collected for. *)
 and clamp = { cl_form : sform; cl_kind : [ `Hi | `Lo ]; cl_poly : lpoly }
 
-type sguard = {
-  sg_cond : Ast.expr;
-  sg_binds : sbind Smap.t;
-  sg_frames : sframe list;
-  sg_reads : int Lazy.t;  (** the condition's identity ({!Reads}) *)
-}
-
 type sacc = {
-  x_arr : string;
-  x_space : [ `Shared | `Global ];
-  x_kind : [ `Sc of Ast.expr list | `Vec of int * Ast.expr ];
-  x_store : bool;
-  x_interval : int;
-  x_frames : sframe list;  (** innermost first *)
-  x_guards : sguard list;
+  x : Walk.access;
   x_vals : sval list Lazy.t;  (** the index expressions, lowered once *)
-  x_reads : int list Lazy.t;
-      (** identities of the index's names, then of its guards *)
-  x_path : string;
-}
-
-type senv = {
-  s_binds : sbind Smap.t;
-  s_frames : sframe list;  (** innermost first *)
-  s_guards : sguard list;
-  s_div_hard : bool;
-      (** under control flow thread-dependent with certainty at every
-          launch (no empirical uniform-trip escape applies) *)
-  s_div_soft : bool;
-      (** under a frozen thread-dependent loop whose divergence verdict
-          is launch-dependent ({!Verify.uniform_trip_count}) *)
-  s_path : string list;  (** reversed segments *)
-  s_frozen_depth : int;
 }
 
 (** A violation that certainly reproduces under its constraint: the
@@ -647,17 +601,15 @@ type violation = {
 }
 
 type sstate = {
-  st_kernel : string;
   st_sizes : (string * int) list;
-  mutable st_interval : int;
-  mutable st_accs : sacc list;
   mutable st_violations : violation list;
   mutable st_unknown : string option;  (** first reason the proof gave up *)
   mutable st_next_id : int;
   st_ranges : (int, lrange) Hashtbl.t;  (** loop counter and digit ids *)
   st_quots : (sform * int, svar) Hashtbl.t;  (** [(e, c)] to its digit *)
   st_quot_defs : (int, sform * int) Hashtbl.t;  (** digit id to [(e, c)] *)
-  st_reads : Reads.t;
+  st_frames : sframe array;  (** by {!Walk.frame.fr_id} *)
+  st_lets : (int, sval) Hashtbl.t;  (** each let's value, by [l_id] *)
 }
 
 let give_up st reason =
@@ -667,9 +619,6 @@ let fresh_var st : int =
   let id = st.st_next_id in
   st.st_next_id <- id + 1;
   id
-
-(* the loop frame at depth [d] (outermost 0) of an innermost-first list *)
-let frame_at frames d = List.nth frames (List.length frames - 1 - d)
 
 (* ------------------------------------------------------------------ *)
 (* Lowering expressions to symbolic values                              *)
@@ -764,12 +713,12 @@ let as_aff st (v : sval) : sform option =
           Option.map (fun q -> sf_sub f (sf_scale c q)) (digit_quot st f c))
   | Rng _ | Opq -> None
 
-(** Lower an integer expression under a binding map and loop frames.
+(** Lower an integer expression under the walk's bindings and loop
+    frames at one program point.
     Mirrors the operator semantics of {!Verify.stage} (mathematical
     mod, truncating div, min/max calls, short-circuit booleans) so
     every value the concrete evaluator can compute is covered. *)
-let rec lower st ~(binds : sbind Smap.t) ~(frames : sframe list)
-    (e : Ast.expr) : sval =
+let rec lower st (env : Walk.env) (e : Ast.expr) : sval =
   match e with
   | Int_lit n -> Aff (sf_int n)
   | Float_lit _ -> Opq
@@ -786,16 +735,30 @@ let rec lower st ~(binds : sbind Smap.t) ~(frames : sframe list)
       | Idx -> Aff (sf_add (sf_var ~coeff:(lp_dim Bx) Sbidx) (sf_var Stidx))
       | Idy -> Aff (sf_add (sf_var ~coeff:(lp_dim By) Sbidy) (sf_var Stidy)))
   | Var v -> (
-      match Smap.find_opt v binds with
-      | Some (SBexpr l) -> Lazy.force l.sl_val
-      | Some (SBloop d) -> (frame_at frames d).fr_value
-      | Some SBopaque -> Opq
+      match Walk.find env v with
+      | Some (Let l) -> (
+          (* each let once, on first use *)
+          match Hashtbl.find_opt st.st_lets l.l_id with
+          | Some v -> v
+          | None ->
+              let v = lower st l.l_env l.l_expr in
+              Hashtbl.replace st.st_lets l.l_id v;
+              v)
+      | Some (Loop d) ->
+          st.st_frames.((Walk.frame_at env.frames d).fr_id).fr_value
+      | Some Unknown -> Opq
+      | Some Carried ->
+          (* a value the program computed on an earlier trip but the walk
+             does not know: unbounded, not [Opq], so an access through it
+             makes the verdict unknown instead of being skipped as one the
+             concrete checks cannot see *)
+          Rng None
       | None -> (
           match List.assoc_opt v st.st_sizes with
           | Some n -> Aff (sf_int n)
           | None -> Opq))
   | Unop (Neg, a) -> (
-      match lower st ~binds ~frames a with
+      match lower st env a with
       | Opq -> Opq
       | v -> (
           match as_aff st v with
@@ -805,9 +768,9 @@ let rec lower st ~(binds : sbind Smap.t) ~(frames : sframe list)
               | Some r -> Rng (Some (lr_neg r))
               | None -> Rng None)))
   | Unop (Not, a) -> (
-      match lower st ~binds ~frames a with Opq -> Opq | _ -> Rng bit_range)
+      match lower st env a with Opq -> Opq | _ -> Rng bit_range)
   | Binop (((Add | Sub) as op), a, b) -> (
-      match (lower st ~binds ~frames a, lower st ~binds ~frames b) with
+      match (lower st env a, lower st env b) with
       | Opq, _ | _, Opq -> Opq
       | va, vb -> (
           let sum, rsum =
@@ -820,7 +783,7 @@ let rec lower st ~(binds : sbind Smap.t) ~(frames : sframe list)
               | Some ra, Some rb -> Rng (Some (rsum ra rb))
               | _ -> Rng None)))
   | Binop (Mul, a, b) -> (
-      let va = lower st ~binds ~frames a and vb = lower st ~binds ~frames b in
+      let va = lower st env a and vb = lower st env b in
       match (va, vb) with
       | Opq, _ | _, Opq -> Opq
       | _ -> (
@@ -843,7 +806,7 @@ let rec lower st ~(binds : sbind Smap.t) ~(frames : sframe list)
                   | None, None -> Rng None)
               | _ -> Rng None)))
   | Binop (Div, a, b) -> (
-      match (lower st ~binds ~frames a, lower st ~binds ~frames b) with
+      match (lower st env a, lower st env b) with
       | Opq, _ | _, Opq -> Opq
       | va, vb -> (
           match const_of vb with
@@ -856,7 +819,7 @@ let rec lower st ~(binds : sbind Smap.t) ~(frames : sframe list)
                   | None -> Rng None))
           | _ -> Rng None))
   | Binop (Mod, a, b) -> (
-      match (lower st ~binds ~frames a, lower st ~binds ~frames b) with
+      match (lower st env a, lower st env b) with
       | Opq, _ | _, Opq -> Opq
       | va, vb -> (
           match const_of vb with
@@ -872,7 +835,7 @@ let rec lower st ~(binds : sbind Smap.t) ~(frames : sframe list)
                            { rlo = lp_zero; rhi = lp_const (c - 1); rst = 1 })))
           | _ -> Rng None))
   | Binop ((Lt | Le | Gt | Ge | Eq | Ne), a, b) -> (
-      match (lower st ~binds ~frames a, lower st ~binds ~frames b) with
+      match (lower st env a, lower st env b) with
       | Opq, _ | _, Opq -> Opq
       | _ -> Rng bit_range)
   | Binop ((And | Or), _, _) ->
@@ -880,19 +843,19 @@ let rec lower st ~(binds : sbind Smap.t) ~(frames : sframe list)
          one side is opaque, so never propagate Opq *)
       Rng bit_range
   | Call ("min", [ a; b ]) -> (
-      match (lower st ~binds ~frames a, lower st ~binds ~frames b) with
+      match (lower st env a, lower st env b) with
       | Opq, _ | _, Opq -> Opq
       | va, vb -> min_range st va vb)
   | Call ("max", [ a; b ]) -> (
-      match (lower st ~binds ~frames a, lower st ~binds ~frames b) with
+      match (lower st env a, lower st env b) with
       | Opq, _ | _, Opq -> Opq
       | va, vb -> max_range st va vb)
   | Select (_, a, b) -> (
       (* condition first, then exactly one branch: an opaque branch may
          never be reached, so stay merely unknown rather than Opq *)
       match
-        ( range_of st (lower st ~binds ~frames a),
-          range_of st (lower st ~binds ~frames b) )
+        ( range_of st (lower st env a),
+          range_of st (lower st env b) )
       with
       | Some ra, Some rb -> Rng (lr_hull ra rb)
       | _ -> Rng None)
@@ -934,180 +897,34 @@ and max_range st va vb =
   | _ -> Rng None
 
 (* ------------------------------------------------------------------ *)
-(* The symbolic walk (mirrors the structure of {!Verify}'s walk)        *)
+(* Loop frames of the walk, lowered in creation order                  *)
 (* ------------------------------------------------------------------ *)
 
-let truncate_str n s = if String.length s <= n then s else String.sub s 0 n ^ "…"
-let path_of env = String.concat "/" (List.rev env.s_path)
-
-(** Syntactic thread dependence, mirroring {!Verify.thread_dep}:
-    opaque bindings count, loop variables count when the loop's bounds
-    do (recorded per frame at loop entry). *)
-let rec sthread_dep (binds : sbind Smap.t) (frames : sframe list)
-    (e : Ast.expr) : bool =
-  match e with
-  | Builtin (Idx | Idy | Tidx | Tidy) -> true
-  | Builtin _ | Int_lit _ | Float_lit _ -> false
-  | Var v -> (
-      match Smap.find_opt v binds with
-      | Some (SBexpr l) -> Lazy.force l.sl_tdep
-      | Some (SBloop d) -> (frame_at frames d).fr_tdep
-      | Some SBopaque -> true
-      | None -> false)
-  | Index _ | Vload _ -> true
-  | Unop (_, a) | Field (a, _) -> sthread_dep binds frames a
-  | Binop (_, a, b) -> sthread_dep binds frames a || sthread_dep binds frames b
-  | Call (_, args) -> List.exists (sthread_dep binds frames) args
-  | Select (a, b, c) ->
-      sthread_dep binds frames a || sthread_dep binds frames b
-      || sthread_dep binds frames c
-
-let rec block_has_sync b = List.exists stmt_has_sync b
-
-and stmt_has_sync = function
-  | Ast.Sync | Global_sync -> true
-  | If (_, t, f) -> block_has_sync t || block_has_sync f
-  | For l -> block_has_sync l.l_body
-  | Decl _ | Assign _ | Comment _ -> false
-
-let rec assigned_vars b = List.concat_map assigned_vars_stmt b
-
-and assigned_vars_stmt = function
-  | Ast.Decl d -> [ d.d_name ]
-  | Assign (Lvar v, _) | Assign (Lfield (Lvar v, _), _) -> [ v ]
-  | Assign ((Lindex _ | Lvec _ | Lfield _), _) -> []
-  | If (_, t, f) -> assigned_vars t @ assigned_vars f
-  | For l -> l.l_var :: assigned_vars l.l_body
-  | Sync | Global_sync | Comment _ -> []
-
-let forget_svars env vars =
-  {
-    env with
-    s_binds =
-      List.fold_left (fun m v -> Smap.add v SBopaque m) env.s_binds vars;
-  }
-
-(* Inside a loop, a name the body assigns holds, on later trips, a value
-   the program computed but the walk does not know: an unbounded,
-   thread-dependent [Rng], not [Opq], so an access through it makes the
-   verdict unknown instead of being skipped as one the concrete checks
-   cannot see. *)
-let carried =
-  SBexpr
-    {
-      sl_val = Lazy.from_val (Rng None);
-      sl_tdep = Lazy.from_val true;
-      sl_reads = Lazy.from_val Reads.carried;
-    }
-
-(* the identities of the names [e] reads under [binds] *)
-let name_reads binds frames (e : Ast.expr) : int list =
-  Reads.names
-    (fun v ->
-      match Smap.find_opt v binds with
-      | Some (SBexpr l) -> Lazy.force l.sl_reads
-      | Some (SBloop d) -> Lazy.force (frame_at frames d).fr_reads
-      | Some SBopaque -> Reads.unknown
-      | None -> Reads.unbound)
-    e
-
-let carry_svars env vars =
-  {
-    env with
-    s_binds = List.fold_left (fun m v -> Smap.add v carried m) env.s_binds vars;
-  }
-
-(* [name = e] under [env]: lowered and judged for thread dependence
-   once, when first read *)
-let bind_expr st env name (e : Ast.expr) =
-  let binds = env.s_binds and frames = env.s_frames in
-  let l =
-    {
-      sl_val = lazy (lower st ~binds ~frames e);
-      sl_tdep = lazy (sthread_dep binds frames e);
-      sl_reads = lazy (Reads.define st.st_reads e (name_reads binds frames e));
-    }
-  in
-  { env with s_binds = Smap.add name (SBexpr l) env.s_binds }
-
-let violate st ~v_when ~rule ~path message =
-  st.st_violations <-
-    { v_when; v_rule = rule; v_path = path; v_message = message }
-    :: st.st_violations
-
-let srecord_access st env spaces arr kind ~store =
-  match List.assoc_opt arr spaces with
-  | None -> ()
-  | Some space ->
-      st.st_accs <-
-        {
-          x_arr = arr;
-          x_space = space;
-          x_kind = kind;
-          x_store = store;
-          x_interval = st.st_interval;
-          x_frames = env.s_frames;
-          x_guards = env.s_guards;
-          x_vals =
-            (let binds = env.s_binds and frames = env.s_frames in
-             lazy
-               (List.map (lower st ~binds ~frames)
-                  (match kind with `Sc idxs -> idxs | `Vec (_, ie) -> [ ie ])));
-          x_reads =
-            (let binds = env.s_binds
-             and frames = env.s_frames
-             and guards = env.s_guards in
-             lazy
-               (List.concat_map (name_reads binds frames)
-                  (match kind with `Sc idxs -> idxs | `Vec (_, ie) -> [ ie ])
-               @ List.map (fun g -> Lazy.force g.sg_reads) guards));
-          x_path = path_of env;
-        }
-        :: st.st_accs
-
-let rec scollect_expr st env spaces (e : Ast.expr) : unit =
-  match e with
-  | Index (arr, idxs) ->
-      srecord_access st env spaces arr (`Sc idxs) ~store:false;
-      List.iter (scollect_expr st env spaces) idxs
-  | Vload { v_arr; v_width; v_index } ->
-      srecord_access st env spaces v_arr (`Vec (v_width, v_index)) ~store:false;
-      scollect_expr st env spaces v_index
-  | Unop (_, a) | Field (a, _) -> scollect_expr st env spaces a
-  | Binop (_, a, b) ->
-      scollect_expr st env spaces a;
-      scollect_expr st env spaces b
-  | Call (_, args) -> List.iter (scollect_expr st env spaces) args
-  | Select (a, b, c) ->
-      scollect_expr st env spaces a;
-      scollect_expr st env spaces b;
-      scollect_expr st env spaces c
-  | Int_lit _ | Float_lit _ | Var _ | Builtin _ -> ()
-
-(** Build the loop frame for one symbolic pass. The loop variable is
+(** Lower one loop frame of the walk. The loop variable is
     [init + step * counter] when init lowers to an affine form and the
     step to a positive constant; the counter variable is block-shared
     for frozen loops and iteration-private otherwise. Its recorded
     range over-approximates the trip count (sound for proving: the
-    concrete walk never runs an iteration outside it). With [~clamp]
-    (the body assigns neither the loop variable nor a variable of the
-    limit) the frame also records the loop condition as a clamp: every
-    iteration starts with [value <= hi(limit) - 1]. *)
-let make_frame st ~entry env (lp : Ast.loop) ~frozen ~tdep ~clamp ~counter_id
-    ~offset : sframe =
-  let binds = env.s_binds and frames = env.s_frames in
-  let vi = lower st ~binds:entry.s_binds ~frames lp.l_init in
-  let vs = lower st ~binds ~frames lp.l_step in
-  let vl = lower st ~binds ~frames lp.l_limit in
-  let svar = if frozen then Sfrozen counter_id else Sfree counter_id in
-  let fr_reads =
-    lazy
-      (Reads.define st.st_reads
-         (Call ("for", [ lp.l_init; lp.l_limit; lp.l_step ]))
-         (name_reads entry.s_binds frames lp.l_init
-         @ name_reads binds frames lp.l_limit
-         @ name_reads binds frames lp.l_step))
+    concrete walk never runs an iteration outside it). When the body
+    assigns neither the loop variable nor a variable of the limit, the
+    frame also records the loop condition as a clamp: every iteration
+    starts with [value <= hi(limit) - 1]. Frames are lowered in the
+    walk's creation order, so fresh ids number in walk order: a loop's
+    counter is allocated at its first pass and reused by its wrap
+    pass. *)
+let lower_frame st counters (fr : Walk.frame) : sframe =
+  let counter_id =
+    if fr.fr_offset = 0 then begin
+      let id = fresh_var st in
+      Hashtbl.replace counters fr.fr_loop id;
+      id
+    end
+    else Hashtbl.find counters fr.fr_loop
   in
+  let vi = lower st fr.fr_entry fr.fr_init in
+  let vs = lower st fr.fr_trip fr.fr_step in
+  let vl = lower st fr.fr_trip fr.fr_limit in
+  let svar = if fr.fr_frozen then Sfrozen counter_id else Sfree counter_id in
   match (vi, const_of vs) with
   | Aff fi, Some c when c > 0 ->
       (match (range_of st vi, range_of st vl) with
@@ -1119,7 +936,13 @@ let make_frame st ~entry env (lp : Ast.loop) ~frozen ~tdep ~clamp ~counter_id
       | _ -> ());
       let value =
         sf_add fi
-          (sf_add (sf_var ~coeff:(lp_const c) svar) (sf_int (offset * c)))
+          (sf_add (sf_var ~coeff:(lp_const c) svar) (sf_int (fr.fr_offset * c)))
+      in
+      let clamp =
+        not
+          (List.exists
+             (fun v -> v = fr.fr_var || Rewrite.expr_uses_var v fr.fr_limit)
+             fr.fr_assigned)
       in
       let fr_clamp =
         match range_of st vl with
@@ -1132,13 +955,7 @@ let make_frame st ~entry env (lp : Ast.loop) ~frozen ~tdep ~clamp ~counter_id
               }
         | _ -> None
       in
-      {
-        fr_frozen = frozen;
-        fr_tdep = tdep;
-        fr_value = Aff value;
-        fr_clamp;
-        fr_reads;
-      }
+      { fr_value = Aff value; fr_clamp }
   | _ ->
       let range =
         match (range_of st vi, range_of st vl) with
@@ -1147,138 +964,12 @@ let make_frame st ~entry env (lp : Ast.loop) ~frozen ~tdep ~clamp ~counter_id
         | _ -> None
       in
       Option.iter (Hashtbl.replace st.st_ranges counter_id) range;
-      {
-        fr_frozen = frozen;
-        fr_tdep = tdep;
-        fr_value = Aff (sf_var svar);
-        fr_clamp = None;
-        fr_reads;
-      }
+      { fr_value = Aff (sf_var svar); fr_clamp = None }
 
-let rec swalk_block st spaces env (b : Ast.block) : senv =
-  List.fold_left (fun e s -> swalk_stmt st spaces e s) env b
-
-and swalk_stmt st spaces env (s : Ast.stmt) : senv =
-  match s with
-  | Comment _ -> env
-  | Decl { d_name; d_ty = Scalar _; d_init } -> (
-      match d_init with
-      | Some e ->
-          scollect_expr st env spaces e;
-          bind_expr st env d_name e
-      | None -> forget_svars env [ d_name ])
-  | Decl _ -> env
-  | Assign (lv, e) -> (
-      scollect_expr st env spaces e;
-      match lv with
-      | Lvar v -> bind_expr st env v e
-      | Lfield (Lvar v, _) -> forget_svars env [ v ]
-      | Lindex (arr, idxs) ->
-          srecord_access st env spaces arr (`Sc idxs) ~store:true;
-          List.iter (scollect_expr st env spaces) idxs;
-          env
-      | Lvec { v_arr; v_width; v_index } ->
-          srecord_access st env spaces v_arr
-            (`Vec (v_width, v_index))
-            ~store:true;
-          scollect_expr st env spaces v_index;
-          env
-      | Lfield (Lindex (arr, idxs), _) ->
-          srecord_access st env spaces arr (`Sc idxs) ~store:true;
-          List.iter (scollect_expr st env spaces) idxs;
-          env
-      | Lfield _ -> env)
-  | Sync ->
-      if env.s_div_hard then
-        violate st ~v_when:Constraint.tt ~rule:Verify.rule_barrier_divergence
-          ~path:(path_of { env with s_path = "__syncthreads()" :: env.s_path })
-          "__syncthreads() under thread-dependent control flow: threads \
-           that skip the barrier deadlock or desynchronize the block"
-      else if env.s_div_soft then
-        give_up st
-          "barrier under a lane-dependent loop whose uniform-trip escape \
-           is launch-dependent";
-      if env.s_guards = [] then st.st_interval <- st.st_interval + 1;
-      env
-  | Global_sync ->
-      if env.s_frames <> [] || env.s_guards <> [] then
-        violate st ~v_when:Constraint.tt ~rule:Verify.rule_barrier_divergence
-          ~path:(path_of { env with s_path = "__global_sync()" :: env.s_path })
-          "__global_sync() must appear at kernel top level";
-      if env.s_guards = [] then st.st_interval <- st.st_interval + 1;
-      env
-  | If (cond, t, f) ->
-      scollect_expr st env spaces cond;
-      let d = sthread_dep env.s_binds env.s_frames cond in
-      let seg =
-        Printf.sprintf "if(%s)" (truncate_str 28 (Pp.expr_to_string cond))
-      in
-      let branch cond' =
-        {
-          env with
-          s_guards =
-            {
-              sg_cond = cond';
-              sg_binds = env.s_binds;
-              sg_frames = env.s_frames;
-              sg_reads =
-                (let binds = env.s_binds and frames = env.s_frames in
-                 lazy
-                   (Reads.define st.st_reads cond'
-                      (name_reads binds frames cond')));
-            }
-            :: env.s_guards;
-          s_div_hard = env.s_div_hard || d;
-          s_path = seg :: env.s_path;
-        }
-      in
-      ignore (swalk_block st spaces (branch cond) t);
-      ignore (swalk_block st spaces (branch (Unop (Not, cond))) f);
-      forget_svars env (assigned_vars t @ assigned_vars f)
-  | For ({ l_var; l_init; l_limit; l_step; l_body } as lp) ->
-      (* the init runs once, with the entry bindings; the limit, the
-         step and the body run again on later trips, which read the
-         names the body assigns at values the walk does not know *)
-      let assigned = assigned_vars l_body in
-      let trip = carry_svars env assigned in
-      scollect_expr st env spaces l_init;
-      scollect_expr st trip spaces l_limit;
-      scollect_expr st trip spaces l_step;
-      let frozen = block_has_sync l_body in
-      let tdep =
-        sthread_dep env.s_binds env.s_frames l_init
-        || sthread_dep trip.s_binds env.s_frames l_limit
-        || sthread_dep trip.s_binds env.s_frames l_step
-      in
-      let counter_id = fresh_var st in
-      let depth = List.length env.s_frames in
-      let clamp =
-        not
-          (List.exists
-             (fun v -> v = l_var || Rewrite.expr_uses_var v l_limit)
-             assigned)
-      in
-      let benv offset =
-        let fr =
-          make_frame st ~entry:env trip lp ~frozen ~tdep ~clamp ~counter_id
-            ~offset
-        in
-        {
-          env with
-          s_binds = Smap.add l_var (SBloop depth) trip.s_binds;
-          s_frames = fr :: env.s_frames;
-          s_div_hard = env.s_div_hard || (tdep && not frozen);
-          s_div_soft = env.s_div_soft || (tdep && frozen);
-          s_path = Printf.sprintf "for(%s)" l_var :: env.s_path;
-          s_frozen_depth = (env.s_frozen_depth + if frozen then 1 else 0);
-        }
-      in
-      if frozen && env.s_frozen_depth < 2 then begin
-        ignore (swalk_block st spaces (benv 0) l_body);
-        ignore (swalk_block st spaces (benv 1) l_body)
-      end
-      else ignore (swalk_block st spaces (benv 0) l_body);
-      forget_svars env (l_var :: assigned)
+let violate st ~v_when ~rule ~path message =
+  st.st_violations <-
+    { v_when; v_rule = rule; v_path = path; v_message = message }
+    :: st.st_violations
 
 (* ------------------------------------------------------------------ *)
 (* Race proving: two-symbolic-thread disequality                        *)
@@ -1304,7 +995,7 @@ type off =
   | Ofail of string
 
 let offset_form st (lay : Layout.t) (acc : sacc) : off =
-  match acc.x_kind with
+  match acc.x.a_kind with
   | `Sc idxs ->
       let strides = Layout.strides lay in
       if List.length idxs <> List.length strides then Oskip
@@ -1408,8 +1099,8 @@ let pair_delta (fa : sform) (fb : sform) : (delta, string) Stdlib.result =
     consequences of the guards' truth. *)
 let guard_clamps st (acc : sacc) : clamp list =
   List.concat_map
-    (fun g ->
-      let lower_g = lower st ~binds:g.sg_binds ~frames:g.sg_frames in
+    (fun (g : Walk.guard) ->
+      let lower_g = lower st g.g_env in
       let mk a b strict kind =
         match (lower_g a, lower_g b) with
         | Aff fa, Aff fb when fb.sterms = [] -> (
@@ -1430,8 +1121,8 @@ let guard_clamps st (acc : sacc) : clamp list =
         | Binop (And, a, b) -> if pos then of_cond pos a @ of_cond pos b else []
         | _ -> []
       in
-      of_cond true g.sg_cond)
-    acc.x_guards
+      of_cond true g.g_cond)
+    acc.x.a_guards
 
 (* Guard caps for race proving: an inequality guard affine in a single
    thread coordinate with a constant bound caps that coordinate for
@@ -1507,7 +1198,7 @@ let rec prove_delta ~caps ~pinned_tx ~pinned_ty (d : delta) :
     | `Ok c1, `Ok c2 -> `Ok (c1 @ c2)
     | (`Fail _ as f), _ | _, (`Fail _ as f) -> f
   in
-  let g = List.fold_left gcd 0 d.d_zs in
+  let g = List.fold_left Affine.gcd 0 d.d_zs in
   if g = 1 then `Fail "unit loop stride swallows every offset"
   else if g > 1 then begin
     (* R1: every loop contribution is a multiple of [g], so the delta is
@@ -1642,7 +1333,7 @@ let rec prove_delta ~caps ~pinned_tx ~pinned_ty (d : delta) :
               match lp_is_const dk with
               | None -> `Fail "non-constant offset across 2-d thread strides"
               | Some k ->
-                  if k mod gcd dx dy <> 0 then `Ok []
+                  if k mod Affine.gcd dx dy <> 0 then `Ok []
                   else
                     (* dominance: one stride swamps the other axis *)
                     let dom ~dim_small small big =
@@ -1681,12 +1372,12 @@ let rec prove_delta ~caps ~pinned_tx ~pinned_ty (d : delta) :
     the concrete race check passes unevaluable guards leniently. *)
 let pinning_conds st (acc : sacc) : (Ast.expr * [ `Tx | `Ty ]) list =
   List.filter_map
-    (fun g ->
-      match g.sg_cond with
+    (fun (g : Walk.guard) ->
+      match g.g_cond with
       | Ast.Binop (Eq, l, r) -> (
           match
-            ( lower st ~binds:g.sg_binds ~frames:g.sg_frames l,
-              lower st ~binds:g.sg_binds ~frames:g.sg_frames r )
+            ( lower st g.g_env l,
+              lower st g.g_env r )
           with
           | Aff fl, Aff fr -> (
               let f = sf_sub fl fr in
@@ -1696,12 +1387,12 @@ let pinning_conds st (acc : sacc) : (Ast.expr * [ `Tx | `Ty ]) list =
                 | None -> lp_provably_nonzero c
               in
               match List.filter (fun (v, _) -> not (svar_shared v)) f.sterms with
-              | [ (Stidx, c) ] when nz c -> Some (g.sg_cond, `Tx)
-              | [ (Stidy, c) ] when nz c -> Some (g.sg_cond, `Ty)
+              | [ (Stidx, c) ] when nz c -> Some (g.g_cond, `Tx)
+              | [ (Stidy, c) ] when nz c -> Some (g.g_cond, `Ty)
               | _ -> None)
           | _ -> None)
       | _ -> None)
-    acc.x_guards
+    acc.x.a_guards
 
 let thread_coord = function Stidx | Stidy -> true | _ -> false
 let private_quot = function Squot (_, false) -> true | _ -> false
@@ -1830,10 +1521,10 @@ let rest_delta st (ra : sform) (rb : sform) :
                     else Some (m + ((abs ka + abs kb) * max (abs lo) (abs hi)))
                 | _ -> None
               in
-              (gcd (gcd g ka) kb, mag)
+              (Affine.gcd (Affine.gcd g ka) kb, mag)
           | _ ->
               let d = lp_sub ca cb in
-              if d = [] then (g, mag) else (gcd g (const d), None))
+              if d = [] then (g, mag) else (Affine.gcd g (const d), None))
         (0, Some 0) vars
     in
     match lp_is_const (lp_sub ra.sc rb.sc) with
@@ -1870,7 +1561,7 @@ let digit_collisions ~c ~alpha ~aq ~g ~mag ~dk :
     | None ->
         (* unbounded loop terms: only the congruence modulo gcd(aq, g)
            can refute a remainder difference *)
-        let h = gcd aq g in
+        let h = Affine.gcd aq g in
         if exists_dr (fun dr -> ((alpha * dr) + dk) mod h = 0) (-w) then
           Error "unbounded loop delta across digits"
         else Ok []
@@ -1988,17 +1679,17 @@ let aff_prover st (sa : staged) (sb : staged) (fa : sform) (fb : sform) :
           | `Collide ->
               (* every pair of distinct threads lands on one element *)
               if
-                (a.x_store || b.x_store)
-                && a.x_guards = [] && b.x_guards = []
-                && a.x_frames = [] && b.x_frames = []
+                (a.x.a_store || b.x.a_store)
+                && a.x.a_guards = [] && b.x.a_guards = []
+                && a.x.a_env.frames = [] && b.x.a_env.frames = []
               then
                 violate st
                   ~v_when:(Constraint.mono_ge mono_threads 2)
-                  ~rule:(race_rule a.x_space) ~path:a.x_path
+                  ~rule:(race_rule a.x.a_space) ~path:a.x.a_path
                   (Printf.sprintf
                      "every pair of distinct threads touches the same element \
                       of %s in one barrier interval"
-                     a.x_arr);
+                     a.x.a_arr);
               `Ok (Constraint.mono_le mono_threads 1)))
 
 (** The race proof of two staged accesses, as a function of the
@@ -2025,18 +1716,18 @@ let pair_prover st (sa : staged) (sb : staged) :
       then fun _ -> begin
         (* [lane mod ca]: injective over the block iff bx*by <= ca *)
         if
-          (a.x_store || b.x_store)
+          (a.x.a_store || b.x.a_store)
           && ca + 1 <= 512
-          && a.x_guards = [] && b.x_guards = []
-          && a.x_frames = [] && b.x_frames = []
+          && a.x.a_guards = [] && b.x.a_guards = []
+          && a.x.a_env.frames = [] && b.x.a_env.frames = []
         then
           violate st
             ~v_when:(Constraint.mono_ge mono_threads (ca + 1))
-            ~rule:(race_rule a.x_space) ~path:a.x_path
+            ~rule:(race_rule a.x.a_space) ~path:a.x.a_path
             (Printf.sprintf
                "lanes %d apart collide on %s through the mod-%d store \
                 whenever bx*by >= %d"
-               ca a.x_arr ca (ca + 1));
+               ca a.x.a_arr ca (ca + 1));
         `Ok (Constraint.mono_le mono_threads ca)
       end
       else digits da db
@@ -2097,18 +1788,12 @@ let template st (sa : staged) =
 (* Bounds proving                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let acc_key (a : sacc) =
-  match a.x_kind with
-  | `Sc idxs -> Pp.expr_to_string (Ast.Index (a.x_arr, idxs))
-  | `Vec (w, ie) ->
-      Pp.expr_to_string (Vload { v_arr = a.x_arr; v_width = w; v_index = ie })
-
 (* each index dimension of an access: its expression and lowered
    value, the extent it must stay below, and the scale and offset of the
    elements touched *)
 let bound_dims (lay : Layout.t) (acc : sacc) =
   let vs = Lazy.force acc.x_vals in
-  match acc.x_kind with
+  match acc.x.a_kind with
   | `Sc idxs ->
       if List.length idxs <> List.length lay.Layout.pitches then []
       else
@@ -2124,7 +1809,7 @@ let bound_dims (lay : Layout.t) (acc : sacc) =
 let rem_range st (e : sform) (c : int) : lrange =
   match range_of st (Aff e) with
   | Some { rlo; rst; _ } when lp_is_const rlo <> None ->
-      let lo = Option.get (lp_is_const rlo) and g = gcd rst c in
+      let lo = Option.get (lp_is_const rlo) and g = Affine.gcd rst c in
       let lo = ((lo mod g) + g) mod g in
       {
         rlo = lp_const lo;
@@ -2172,14 +1857,16 @@ let remainder_ranges ?refine st (f : sform) : lrange list =
     them. *)
 let prove_bounds st layouts (acc : sacc) : (Constraint.t, string) Stdlib.result
     =
-  match Layout.find layouts acc.x_arr with
+  match Layout.find layouts acc.x.a_arr with
   | None -> Ok []
   | Some lay -> (
       let dims = bound_dims lay acc in
       let clamps =
         lazy
           (guard_clamps st acc
-          @ List.filter_map (fun fr -> fr.fr_clamp) acc.x_frames)
+          @ List.filter_map
+              (fun (fr : Walk.frame) -> st.st_frames.(fr.fr_id).fr_clamp)
+              acc.x.a_env.frames)
       in
       (* a clamp whose lowered form is affine in a single symbolic
          variable with constant coefficient refines that variable's
@@ -2282,7 +1969,7 @@ let prove_bounds st layouts (acc : sacc) : (Constraint.t, string) Stdlib.result
             if not (List.exists lp_nonneg los) then
               Error
                 (Printf.sprintf "cannot prove %s >= 0 in %s"
-                   (Pp.expr_to_string e) acc.x_arr)
+                   (Pp.expr_to_string e) acc.x.a_arr)
             else
               let his =
                 List.map
@@ -2292,7 +1979,7 @@ let prove_bounds st layouts (acc : sacc) : (Constraint.t, string) Stdlib.result
               if his = [] then
                 Error
                   (Printf.sprintf "cannot prove %s < %d in %s"
-                     (Pp.expr_to_string e) bound acc.x_arr)
+                     (Pp.expr_to_string e) bound acc.x.a_arr)
               else if
                 List.exists
                   (fun h -> lp_nonneg (lp_sub (lp_const (bound - 1)) h))
@@ -2300,7 +1987,7 @@ let prove_bounds st layouts (acc : sacc) : (Constraint.t, string) Stdlib.result
               then Ok []
               else
                 Ok
-                  (Constraint.any ~label:(acc_key acc)
+                  (Constraint.any ~label:(Walk.show acc.x)
                      (List.map (fun h -> Constraint.ineq h (bound - 1)) his))
       in
       List.fold_left
@@ -2318,7 +2005,7 @@ let group_at buckets key (a : sacc) ~(fresh : unit -> 'g) : 'g =
   match
     List.find_opt
       (fun ((b : sacc), _) ->
-        b.x_guards == a.x_guards && b.x_frames == a.x_frames)
+        b.x.a_guards == a.x.a_guards && b.x.a_env.frames == a.x.a_env.frames)
       groups
   with
   | Some (_, g) -> g
@@ -2334,7 +2021,7 @@ let group_at buckets key (a : sacc) ~(fresh : unit -> 'g) : 'g =
     member's upper bounds imply everyone's. [None]: the access is
     checked on its own. *)
 let bounds_template st layouts (acc : sacc) =
-  match Layout.find layouts acc.x_arr with
+  match Layout.find layouts acc.x.a_arr with
   | None -> None
   | Some lay ->
       let rec go = function
@@ -2347,9 +2034,9 @@ let bounds_template st layouts (acc : sacc) =
                 | None -> None)
             | _ -> None)
       in
-      let kind = match acc.x_kind with `Sc _ -> 0 | `Vec (w, _) -> w in
+      let kind = match acc.x.a_kind with `Sc _ -> 0 | `Vec (w, _) -> w in
       Option.map
-        (fun (ts, ks) -> ((acc.x_arr, kind, ts), ks))
+        (fun (ts, ks) -> ((acc.x.a_arr, kind, ts), ks))
         (go (bound_dims lay acc))
 
 (** Which of [accs] the bounds phase must check: per group of
@@ -2401,25 +2088,6 @@ type result = {
   violations : violation list;
 }
 
-let spaces_of (k : Ast.kernel) : (string * [ `Shared | `Global ]) list =
-  let from_params =
-    List.filter_map
-      (fun (p : Ast.param) ->
-        match p.p_ty with
-        | Ast.Array { space = Global; _ } -> Some (p.p_name, `Global)
-        | Array { space = Shared; _ } -> Some (p.p_name, `Shared)
-        | _ -> None)
-      k.k_params
-  in
-  let from_decls =
-    Rewrite.declared_vars k.k_body
-    |> List.filter_map (fun (name, ty) ->
-           match ty with
-           | Ast.Array { space = Shared; _ } -> Some (name, `Shared)
-           | _ -> None)
-  in
-  from_params @ from_decls
-
 (** Call [f k1 k2] once per distinct difference [k1 - k2] of the
     constants of two groups' members ([(constants, index)] arrays);
     within one group ([~same]) once per unordered pair, since a race
@@ -2440,36 +2108,50 @@ let each_difference ~same (c1 : ((int * int) * int) array)
     c1
 
 let check_exn (k : Ast.kernel) : result =
+  let walk = Walk.run k in
   let st =
     {
-      st_kernel = k.k_name;
       st_sizes = k.k_sizes;
-      st_interval = 0;
-      st_accs = [];
       st_violations = [];
       st_unknown = None;
       st_next_id = 0;
       st_ranges = Hashtbl.create 64;
       st_quots = Hashtbl.create 64;
       st_quot_defs = Hashtbl.create 64;
-      st_reads = Reads.create ();
+      st_frames =
+        Array.make
+          (List.length walk.frames)
+          { fr_value = Opq; fr_clamp = None };
+      st_lets = Hashtbl.create 64;
     }
   in
+  let counters = Hashtbl.create 8 in
+  List.iter
+    (fun (fr : Walk.frame) ->
+      st.st_frames.(fr.fr_id) <- lower_frame st counters fr)
+    walk.frames;
+  List.iter
+    (fun (b : Walk.barrier) ->
+      if match b.b_kind with `Sync -> b.b_guarded | `Global_sync -> not b.b_top
+      then
+        violate st ~v_when:Constraint.tt ~rule:Verify.rule_barrier_divergence
+          ~path:b.b_path
+          (Verify.barrier_message b.b_kind)
+      else if b.b_loops <> [] then
+        give_up st
+          "barrier under a lane-dependent loop whose uniform-trip escape is \
+           launch-dependent")
+    walk.barriers;
   let layouts = Layout.of_kernel k in
-  let spaces = spaces_of k in
-  let env0 =
-    {
-      s_binds = Smap.empty;
-      s_frames = [];
-      s_guards = [];
-      s_div_hard = false;
-      s_div_soft = false;
-      s_path = [];
-      s_frozen_depth = 0;
-    }
+  let accs =
+    List.map
+      (fun (x : Walk.access) ->
+        {
+          x;
+          x_vals = lazy (List.map (lower st x.a_env) (Walk.indices x.a_kind));
+        })
+      walk.accesses
   in
-  ignore (swalk_block st spaces env0 k.k_body);
-  let accs = List.rev st.st_accs in
   let region = ref Constraint.tt in
   let require c = region := List.rev_append c !region in
   let unknown () = st.st_unknown <> None in
@@ -2482,8 +2164,8 @@ let check_exn (k : Ast.kernel) : result =
   let distinct =
     List.filter
       (fun a ->
-        Reads.first st.st_reads ~path:a.x_path ~arr:a.x_arr ~store:a.x_store
-          a.x_kind a.x_reads)
+        Reads.first walk.reads ~path:a.x.a_path ~arr:a.x.a_arr
+          ~store:a.x.a_store a.x.a_kind a.x.a_reads)
       accs
     |> Array.of_list
   in
@@ -2500,23 +2182,24 @@ let check_exn (k : Ast.kernel) : result =
     let intervals = Hashtbl.create 8 in
     List.iter
       (fun a ->
-        Hashtbl.replace intervals a.x_interval
-          (a :: (try Hashtbl.find intervals a.x_interval with Not_found -> [])))
+        let i = a.x.a_interval in
+        Hashtbl.replace intervals i
+          (a :: (try Hashtbl.find intervals i with Not_found -> [])))
       accs;
     Hashtbl.iter
       (fun _ group ->
         let by_arr = Hashtbl.create 8 in
         List.iter
           (fun a ->
-            Hashtbl.replace by_arr a.x_arr
-              (a :: (try Hashtbl.find by_arr a.x_arr with Not_found -> [])))
+            Hashtbl.replace by_arr a.x.a_arr
+              (a :: (try Hashtbl.find by_arr a.x.a_arr with Not_found -> [])))
           (List.rev group);
         Hashtbl.iter
           (fun arr accs_arr ->
             let accs_arr = List.rev accs_arr in
             if
               (not (unknown ()))
-              && List.exists (fun a -> a.x_store) accs_arr
+              && List.exists (fun a -> a.x.a_store) accs_arr
             then
               match Layout.find layouts arr with
               | None -> ()
@@ -2529,7 +2212,7 @@ let check_exn (k : Ast.kernel) : result =
                      group keeps one access per distinct constant *)
                   let buckets = Hashtbl.create 16 and groups = ref [] in
                   let new_group (a : sacc) () =
-                    let g = (a.x_store, ref []) in
+                    let g = (a.x.a_store, ref []) in
                     groups := g :: !groups;
                     g
                   in
@@ -2540,7 +2223,7 @@ let check_exn (k : Ast.kernel) : result =
                         match template st sa with
                         | None -> (new_group a (), (0, 0))
                         | Some (tpl, consts) ->
-                            ( group_at buckets (a.x_store, a.x_path, tpl) a
+                            ( group_at buckets (a.x.a_store, a.x.a_path, tpl) a
                                 ~fresh:(new_group a),
                               consts )
                       in
@@ -2574,8 +2257,9 @@ let check_exn (k : Ast.kernel) : result =
                                 | `Fail m ->
                                     give_up st
                                       (Printf.sprintf "%s: %s (%s)" arr m
-                                         (if sa.sx.x_path = "" then "top level"
-                                          else sa.sx.x_path))))
+                                         (match sa.sx.x.a_path with
+                                         | "" -> "top level"
+                                         | p -> p))))
                         end
                       done)
                     gs)

@@ -2,10 +2,10 @@
 
     The implementation has four moving parts:
 
-    1. a {e walk} over the kernel body that numbers barrier intervals,
-       snapshots every memory access with its guards, enclosing loops,
-       scalar bindings and {!Affine} context, and reports barrier
-       divergence on the way;
+    1. the {!Walk} record of the kernel: barrier intervals, every memory
+       access with its guards, enclosing loops, scalar bindings and
+       {!Affine} context, and the barrier sites, whose divergence is
+       reported first;
     2. a {e staged concrete evaluator}: each access's index, guard and
        loop-bound expressions are resolved once per launch (binding
        chains, sizes, launch dimensions) into closures over one thread's
@@ -92,36 +92,7 @@ let json_of_diagnostics ds =
     actually-reachable iterate. *)
 type si = { lo : int; hi : int; st : int }
 
-(** A scalar binding at some program point. [Bexpr] keeps the defining
-    expression (evaluated in the environment suffix {e after} the
-    binding, so rebindings and self-references resolve lexically) and
-    the affine context of its definition point, which lowers it: a
-    later reassignment must not change what it meant.
-    [Bloop d] is the variable of the enclosing loop at depth [d]
-    (outermost 0), bound at loop entry: an assignment in the body
-    shadows it, and it shadows the [Bunknown] an earlier loop over the
-    same name left behind. *)
-type binding =
-  | Bexpr of blet
-  | Bloop of int
-  | Bunknown
-
-and blet = {
-  b_expr : Ast.expr;
-  b_ctx : Affine.ctx;
-  b_reads : int Lazy.t;  (** the definition's identity ({!Reads}) *)
-  mutable b_range : si option option;
-      (** the definition's range, once an access that adds no loop or
-          guard bounds asked for it: one walk serves one launch, and
-          nothing else varies *)
-}
-
 exception Unknown
-
-let rec assoc_split name = function
-  | [] -> None
-  | (n, b) :: rest ->
-      if String.equal n name then Some (b, rest) else assoc_split name rest
 
 (** The run-time inputs of staged code: one thread's block and lane
     coordinates, and the values of its enclosing loop variables by
@@ -218,11 +189,11 @@ let map_code (f : int -> int) = function
 
 let truth = map_code (fun x -> if x <> 0 then 1 else 0)
 
-(** Stage [e] under [binds] for [launch]. [depth] is the number of loop
+(** Stage [e] under [env]'s bindings for [launch]. [depth] is the number of loop
     slots the code may read: the variable of a loop at depth [depth] or
     deeper is unknown. *)
-let rec stage (launch : Ast.launch) sizes ~depth binds (e : Ast.expr) : code =
-  let stage' = stage launch sizes ~depth binds in
+let rec stage (launch : Ast.launch) sizes ~depth env (e : Ast.expr) : code =
+  let stage' = stage launch sizes ~depth env in
   match e with
   | Int_lit n -> Const n
   | Float_lit _ -> Never
@@ -240,14 +211,14 @@ let rec stage (launch : Ast.launch) sizes ~depth binds (e : Ast.expr) : code =
       | Idx -> Dyn (fun l -> (l.l_bidx * bx) + l.l_tidx)
       | Idy -> Dyn (fun l -> (l.l_bidy * by) + l.l_tidy))
   | Var v -> (
-      match assoc_split v binds with
-      | Some (Bexpr b, rest) -> stage launch sizes ~depth rest b.b_expr
-      | Some (Bloop d, _) when d < depth ->
+      match Walk.find env v with
+      | Some (Let l) -> stage launch sizes ~depth l.l_env l.l_expr
+      | Some (Loop d) when d < depth ->
           Dyn
             (fun l ->
               let x = l.l_slots.(d) in
               if x = unset then raise_notrace Unknown else x)
-      | Some ((Bloop _ | Bunknown), _) -> Never
+      | Some (Loop _ | Unknown | Carried) -> Never
       | None -> (
           match List.assoc_opt v sizes with Some n -> Const n | None -> Never))
   | Unop (Neg, a) -> map_code (fun x -> -x) (stage' a)
@@ -307,7 +278,6 @@ let rec stage (launch : Ast.launch) sizes ~depth binds (e : Ast.expr) : code =
 
 (* --- strided intervals: value range plus congruence stride --- *)
 
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 let si_const n = { lo = n; hi = n; st = 0 }
 
 let si_norm s =
@@ -315,7 +285,7 @@ let si_norm s =
   else { s with hi = s.lo + ((s.hi - s.lo) / s.st * s.st) }
 
 let si_add a b =
-  si_norm { lo = a.lo + b.lo; hi = a.hi + b.hi; st = gcd a.st b.st }
+  si_norm { lo = a.lo + b.lo; hi = a.hi + b.hi; st = Affine.gcd a.st b.st }
 
 let si_neg a = si_norm { lo = -a.hi; hi = -a.lo; st = a.st }
 let si_sub a b = si_add a (si_neg b)
@@ -340,22 +310,22 @@ let si_mul a b =
 (* for two-alternative combinations (hull / min / max) the stride must
    also divide the offset between the two residue classes *)
 let si_hull a b =
-  let st = gcd (gcd a.st b.st) (a.lo - b.lo) in
+  let st = Affine.gcd (Affine.gcd a.st b.st) (a.lo - b.lo) in
   si_norm { lo = min a.lo b.lo; hi = max a.hi b.hi; st }
 
 let si_min a b =
-  let st = gcd (gcd a.st b.st) (a.lo - b.lo) in
+  let st = Affine.gcd (Affine.gcd a.st b.st) (a.lo - b.lo) in
   si_norm { lo = min a.lo b.lo; hi = min a.hi b.hi; st }
 
 let si_max a b =
-  let st = gcd (gcd a.st b.st) (a.lo - b.lo) in
+  let st = Affine.gcd (Affine.gcd a.st b.st) (a.lo - b.lo) in
   si_norm { lo = max a.lo b.lo; hi = max a.hi b.hi; st }
 
 (** [a mod c] under mathematical mod, for a constant [c > 0]. *)
 let si_mod a c =
   if a.lo >= 0 && a.hi < c then a
   else
-    let g = max 1 (gcd a.st c) in
+    let g = max 1 (Affine.gcd a.st c) in
     let lo = ((a.lo mod g) + g) mod g in
     si_norm { lo; hi = lo + ((c - 1 - lo) / g * g); st = g }
 
@@ -377,38 +347,13 @@ let si_clamp b ~lo ~hi =
     in
     if hi' < lo' then None else Some (si_norm { lo = lo'; hi = hi'; st = b.st })
 
-(* --- access records collected by the walk --- *)
-
-type frame = {
-  fr_var : string;
-  fr_init : Ast.expr;
-  fr_limit : Ast.expr;
-  fr_step : Ast.expr;
-  fr_frozen : bool;  (** the loop body contains a barrier *)
-  fr_offset : int;  (** 0, or 1 for the wrap-around symbolic pass *)
-  fr_binds : (string * binding) list;
-      (** scalar env at loop entry, where the init runs once *)
-  fr_ctx : Affine.ctx;  (** the affine context at loop entry *)
-  fr_trip_binds : (string * binding) list;
-      (** [fr_binds] with the names the body assigns forgotten: every
-          trip evaluates the limit and step again, and after the first
-          one those names hold values the walk does not know *)
-  fr_trip_ctx : Affine.ctx;  (** [fr_ctx], forgotten likewise *)
-  fr_reads : int Lazy.t;  (** the header's identity ({!Reads}) *)
-}
-
-type guard = {
-  g_cond : Ast.expr;  (** must evaluate true for the access to run *)
-  g_binds : (string * binding) list;
-  g_ctx : Affine.ctx;  (** the affine context the condition is lowered in *)
-  g_reads : int Lazy.t;  (** the condition's identity ({!Reads}) *)
-}
+(* --- accesses staged for one launch --- *)
 
 (** An access's expressions staged for the launch: the bounds of its
     loop frames (frame [d] reads slots [0 .. d-1]), its guards and its
     index expressions (one per dimension, or the vector index). *)
 type frame_code = {
-  f_frame : frame;
+  f_frame : Walk.frame;
   f_init : code;
   f_limit : code;
   f_step : code;
@@ -421,48 +366,38 @@ type acc_code = {
 }
 
 type acc = {
-  a_arr : string;
-  a_space : [ `Shared | `Global ];
-  a_kind : [ `Sc of Ast.expr list | `Vec of int * Ast.expr ];
-  a_store : bool;
-  a_interval : int;
-  a_frames : frame list;  (** outermost first; frozen frames form a prefix *)
-  a_guards : guard list;
-  a_binds : (string * binding) list;
-  a_ctx : Affine.ctx;
-  a_path : string;
-  a_reads : int list Lazy.t;
-      (** identities of the index's names, then of its guards *)
+  w : Walk.access;
+  a_frames : Walk.frame list;
+      (** outermost first; frozen frames form a prefix *)
   a_code : acc_code Lazy.t;  (** staged once, on first enumeration *)
 }
 
-let stage_access launch sizes ~frames ~guards ~binds kind : acc_code =
+let stage_access launch sizes (w : Walk.access) ~frames : acc_code =
   let depth = List.length frames in
   {
     c_frames =
       Array.of_list
         (List.mapi
-           (fun d fr ->
-             let c = stage launch sizes ~depth:d fr.fr_trip_binds in
+           (fun d (fr : Walk.frame) ->
+             let c = stage launch sizes ~depth:d fr.fr_trip in
              {
                f_frame = fr;
-               f_init = stage launch sizes ~depth:d fr.fr_binds fr.fr_init;
+               f_init =
+                 stage launch sizes ~depth:d fr.fr_entry fr.fr_init;
                f_limit = c fr.fr_limit;
                f_step = c fr.fr_step;
              })
            frames);
     c_guards =
-      List.map (fun g -> stage launch sizes ~depth g.g_binds g.g_cond) guards;
+      List.map
+        (fun (g : Walk.guard) ->
+          stage launch sizes ~depth g.g_env g.g_cond)
+        w.a_guards;
     c_idxs =
-      List.map (stage launch sizes ~depth binds)
-        (match kind with `Sc idxs -> idxs | `Vec (_, ie) -> [ ie ]);
+      List.map
+        (stage launch sizes ~depth w.a_env)
+        (Walk.indices w.a_kind);
   }
-
-let acc_expr a =
-  match a.a_kind with
-  | `Sc idxs -> Pp.expr_to_string (Index (a.a_arr, idxs))
-  | `Vec (w, ie) ->
-      Pp.expr_to_string (Vload { v_arr = a.a_arr; v_width = w; v_index = ie })
 
 let sample_axis n cap =
   if n <= cap then List.init n Fun.id
@@ -476,15 +411,14 @@ let sample_axis n cap =
     empirical beyond the cap — in keeping with the verifier's
     lint-grade charter — while rejection (returning [false]) merely
     defers to the conservative divergence flag. *)
-let uniform_trip_count (launch : Ast.launch) sizes ~init_binds binds
-    (lp : Ast.loop) : bool =
+let uniform_trip_count (launch : Ast.launch) sizes (fr : Walk.frame) : bool =
   let lanes = launch.block_x * launch.block_y in
   lanes <= 512
   &&
-  let c = stage launch sizes ~depth:0 binds in
-  let init = stage launch sizes ~depth:0 init_binds lp.l_init
-  and limit = c lp.l_limit
-  and step = c lp.l_step in
+  let c = stage launch sizes ~depth:0 fr.fr_trip in
+  let init = stage launch sizes ~depth:0 fr.fr_entry fr.fr_init
+  and limit = c fr.fr_limit
+  and step = c fr.fr_step in
   let l = lane_env launch ~depth:0 in
   (* trip count of the current lane, -1 when it cannot be evaluated *)
   let trip lane =
@@ -511,323 +445,43 @@ let uniform_trip_count (launch : Ast.launch) sizes ~init_binds binds
     true
   with Exit -> false
 
-(* --- the walk: intervals, accesses, barrier divergence --- *)
+(* --- barrier divergence --- *)
 
-type wenv = {
-  w_binds : (string * binding) list;
-  w_frames : frame list;  (** innermost first *)
-  w_guards : guard list;
-  w_ctx : Affine.ctx;
-  w_div : bool;  (** under thread-dependent control flow *)
-  w_path : string list;  (** reversed segments *)
-  w_frozen_depth : int;
-}
-
-type wstate = {
-  ws_kernel : string;
-  ws_launch : Ast.launch;
-  ws_sizes : (string * int) list;
-  mutable ws_interval : int;
-  mutable ws_accs : acc list;
-  mutable ws_diags : diagnostic list;
-  ws_reads : Reads.t;
-}
-
-let truncate_str n s = if String.length s <= n then s else String.sub s 0 n ^ "…"
-let path_of env = String.concat "/" (List.rev env.w_path)
-
-(* the loop frame at depth [d] (outermost 0) of an innermost-first list *)
-let frame_at frames d = List.nth frames (List.length frames - 1 - d)
-
-(** Does the expression's value depend on the thread position?
-    Conservative: array loads count (data-dependent), loop variables
-    count when any of the loop's bounds do. *)
-let rec thread_dep (binds : (string * binding) list) (frames : frame list)
-    (e : Ast.expr) : bool =
-  match e with
-  | Builtin (Idx | Idy | Tidx | Tidy) -> true
-  | Builtin _ | Int_lit _ | Float_lit _ -> false
-  | Var v -> (
-      match assoc_split v binds with
-      | Some (Bexpr b, rest) -> thread_dep rest frames b.b_expr
-      | Some (Bunknown, _) -> true
-      | Some (Bloop d, _) ->
-          let f = frame_at frames d in
-          thread_dep f.fr_binds frames f.fr_init
-          || thread_dep f.fr_trip_binds frames f.fr_limit
-          || thread_dep f.fr_trip_binds frames f.fr_step
-      | None -> false)
-  | Index _ | Vload _ -> true
-  | Unop (_, a) | Field (a, _) -> thread_dep binds frames a
-  | Binop (_, a, b) -> thread_dep binds frames a || thread_dep binds frames b
-  | Call (_, args) -> List.exists (thread_dep binds frames) args
-  | Select (a, b, c) ->
-      thread_dep binds frames a || thread_dep binds frames b
-      || thread_dep binds frames c
-
-let rec block_has_sync b = List.exists stmt_has_sync b
-
-and stmt_has_sync = function
-  | Ast.Sync | Global_sync -> true
-  | If (_, t, f) -> block_has_sync t || block_has_sync f
-  | For l -> block_has_sync l.l_body
-  | Decl _ | Assign _ | Comment _ -> false
-
-(** Scalar names (re)assigned or declared anywhere in a block — after a
-    branch or loop their walk-time binding is no longer reliable. *)
-let rec assigned_vars b = List.concat_map assigned_vars_stmt b
-
-and assigned_vars_stmt = function
-  | Ast.Decl d -> [ d.d_name ]
-  | Assign (Lvar v, _) | Assign (Lfield (Lvar v, _), _) -> [ v ]
-  | Assign ((Lindex _ | Lvec _ | Lfield _), _) -> []
-  | If (_, t, f) -> assigned_vars t @ assigned_vars f
-  | For l -> l.l_var :: assigned_vars l.l_body
-  | Sync | Global_sync | Comment _ -> []
-
-let forget_vars env vars =
-  {
-    env with
-    w_binds = List.map (fun v -> (v, Bunknown)) vars @ env.w_binds;
-    w_ctx = Affine.forget env.w_ctx vars;
-  }
-
-(* the identities of the names [e] reads under [binds] *)
-let name_reads frames binds (e : Ast.expr) : int list =
-  Reads.names
-    (fun v ->
-      match assoc_split v binds with
-      | Some (Bexpr b, _) -> Lazy.force b.b_reads
-      | Some (Bloop d, _) -> Lazy.force (frame_at frames d).fr_reads
-      | Some (Bunknown, _) -> Reads.unknown
-      | None -> Reads.unbound)
-    e
-
-let bind st env name (e : Ast.expr) =
-  let b_reads =
-    let frames = env.w_frames and binds = env.w_binds in
-    lazy (Reads.define st.ws_reads e (name_reads frames binds e))
-  in
-  {
-    env with
-    w_binds =
-      (name, Bexpr { b_expr = e; b_ctx = env.w_ctx; b_reads; b_range = None })
-      :: env.w_binds;
-    w_ctx = Affine.enter_let env.w_ctx name e;
-  }
+type state = { kernel : string; mutable diags : diagnostic list }
 
 let diag st ?(severity = Error) ~rule ~path message =
-  st.ws_diags <-
-    { severity; rule; kernel = st.ws_kernel; path; message } :: st.ws_diags
+  st.diags <- { severity; rule; kernel = st.kernel; path; message } :: st.diags
 
-let record_access st env spaces arr kind ~store =
-  match List.assoc_opt arr spaces with
-  | None -> ()
-  | Some space ->
-      let frames = List.rev env.w_frames
-      and guards = env.w_guards
-      and binds = env.w_binds in
-      st.ws_accs <-
-        {
-          a_arr = arr;
-          a_space = space;
-          a_kind = kind;
-          a_store = store;
-          a_interval = st.ws_interval;
-          a_frames = frames;
-          a_guards = guards;
-          a_binds = binds;
-          a_ctx = env.w_ctx;
-          a_path = path_of env;
-          a_reads =
-            lazy
-              (List.concat_map
-                 (name_reads env.w_frames binds)
-                 (match kind with `Sc idxs -> idxs | `Vec (_, ie) -> [ ie ])
-              @ List.map (fun g -> Lazy.force g.g_reads) guards);
-          a_code =
-            lazy
-              (stage_access st.ws_launch st.ws_sizes ~frames ~guards ~binds
-                 kind);
-        }
-        :: st.ws_accs
+let barrier_message = function
+  | `Sync ->
+      "__syncthreads() under thread-dependent control flow: threads that \
+       skip the barrier deadlock or desynchronize the block"
+  | `Global_sync -> "__global_sync() must appear at kernel top level"
 
-let rec collect_expr st env spaces (e : Ast.expr) : unit =
-  match e with
-  | Index (arr, idxs) ->
-      record_access st env spaces arr (`Sc idxs) ~store:false;
-      List.iter (collect_expr st env spaces) idxs
-  | Vload { v_arr; v_width; v_index } ->
-      record_access st env spaces v_arr (`Vec (v_width, v_index)) ~store:false;
-      collect_expr st env spaces v_index
-  | Unop (_, a) | Field (a, _) -> collect_expr st env spaces a
-  | Binop (_, a, b) ->
-      collect_expr st env spaces a;
-      collect_expr st env spaces b
-  | Call (_, args) -> List.iter (collect_expr st env spaces) args
-  | Select (a, b, c) ->
-      collect_expr st env spaces a;
-      collect_expr st env spaces b;
-      collect_expr st env spaces c
-  | Int_lit _ | Float_lit _ | Var _ | Builtin _ -> ()
-
-let rec walk_block st spaces env (b : Ast.block) : wenv =
-  List.fold_left (fun e s -> walk_stmt st spaces e s) env b
-
-and walk_stmt st spaces env (s : Ast.stmt) : wenv =
-  match s with
-  | Comment _ -> env
-  | Decl { d_name; d_ty = Scalar _; d_init } -> (
-      match d_init with
-      | Some e ->
-          collect_expr st env spaces e;
-          bind st env d_name e
-      | None ->
-          {
-            env with
-            w_binds = (d_name, Bunknown) :: env.w_binds;
-            w_ctx = Affine.forget env.w_ctx [ d_name ];
-          })
-  | Decl _ -> env (* shared arrays: layout table covers them *)
-  | Assign (lv, e) -> (
-      collect_expr st env spaces e;
-      match lv with
-      | Lvar v -> bind st env v e
-      | Lfield (Lvar v, _) -> forget_vars env [ v ]
-      | Lindex (arr, idxs) ->
-          record_access st env spaces arr (`Sc idxs) ~store:true;
-          List.iter (collect_expr st env spaces) idxs;
-          env
-      | Lvec { v_arr; v_width; v_index } ->
-          record_access st env spaces v_arr
-            (`Vec (v_width, v_index))
-            ~store:true;
-          collect_expr st env spaces v_index;
-          env
-      | Lfield (Lindex (arr, idxs), _) ->
-          record_access st env spaces arr (`Sc idxs) ~store:true;
-          List.iter (collect_expr st env spaces) idxs;
-          env
-      | Lfield _ -> env)
-  | Sync ->
-      if env.w_div then
-        diag st ~rule:rule_barrier_divergence
-          ~path:(path_of { env with w_path = "__syncthreads()" :: env.w_path })
-          "__syncthreads() under thread-dependent control flow: threads \
-           that skip the barrier deadlock or desynchronize the block";
-      (* a guarded barrier may not execute: splitting the interval there
-         would hide races between the code around it, so only an
-         unconditional barrier starts a new interval *)
-      if env.w_guards = [] then st.ws_interval <- st.ws_interval + 1;
-      env
-  | Global_sync ->
-      if env.w_frames <> [] || env.w_guards <> [] then
-        diag st ~rule:rule_barrier_divergence
-          ~path:(path_of { env with w_path = "__global_sync()" :: env.w_path })
-          "__global_sync() must appear at kernel top level";
-      if env.w_guards = [] then st.ws_interval <- st.ws_interval + 1;
-      env
-  | If (cond, t, f) ->
-      collect_expr st env spaces cond;
-      let d = thread_dep env.w_binds env.w_frames cond in
-      let seg =
-        Printf.sprintf "if(%s)" (truncate_str 28 (Pp.expr_to_string cond))
-      in
-      let branch cond' =
-        let g_reads =
-          let frames = env.w_frames and binds = env.w_binds in
-          lazy (Reads.define st.ws_reads cond' (name_reads frames binds cond'))
-        in
-        {
-          env with
-          w_guards =
-            {
-              g_cond = cond';
-              g_binds = env.w_binds;
-              g_ctx = env.w_ctx;
-              g_reads;
-            }
-            :: env.w_guards;
-          w_div = env.w_div || d;
-          w_path = seg :: env.w_path;
-        }
-      in
-      ignore (walk_block st spaces (branch cond) t);
-      ignore (walk_block st spaces (branch (Unop (Not, cond))) f);
-      forget_vars env (assigned_vars t @ assigned_vars f)
-  | For ({ l_var; l_init; l_limit; l_step; l_body } as lp) ->
-      (* the init runs once, with the entry bindings; the limit, the
-         step and the body run again on later trips, which read the
-         names the body assigns at values the walk does not know *)
-      let trip = forget_vars env (assigned_vars l_body) in
-      collect_expr st env spaces l_init;
-      collect_expr st trip spaces l_limit;
-      collect_expr st trip spaces l_step;
-      let frozen = block_has_sync l_body in
-      let tdep =
-        thread_dep env.w_binds env.w_frames l_init
-        || thread_dep trip.w_binds env.w_frames l_limit
-        || thread_dep trip.w_binds env.w_frames l_step
-      in
-      (* lane-dependent bounds with a provably block-uniform trip count
-         (the grid-strided idiom) execute any contained barrier in
-         lockstep: not divergence *)
-      let tdep =
-        tdep
-        && not
-             (frozen
-             && uniform_trip_count st.ws_launch st.ws_sizes
-                  ~init_binds:env.w_binds trip.w_binds lp)
-      in
-      let fr_reads =
-        lazy
-          (Reads.define st.ws_reads
-             (Call ("for", [ l_init; l_limit; l_step ]))
-             (name_reads env.w_frames env.w_binds l_init
-             @ name_reads env.w_frames trip.w_binds l_limit
-             @ name_reads env.w_frames trip.w_binds l_step))
-      in
-      let fr offset =
-        {
-          fr_var = l_var;
-          fr_init = l_init;
-          fr_limit = l_limit;
-          fr_step = l_step;
-          fr_frozen = frozen;
-          fr_offset = offset;
-          fr_binds = env.w_binds;
-          fr_ctx = env.w_ctx;
-          fr_trip_binds = trip.w_binds;
-          fr_trip_ctx = trip.w_ctx;
-          fr_reads;
-        }
-      in
-      let ctx' =
-        match Affine.enter_loop trip.w_ctx lp with
-        | Some c -> c
-        | None -> trip.w_ctx
-      in
-      let depth = List.length env.w_frames in
-      let benv offset =
-        {
-          env with
-          w_binds = (l_var, Bloop depth) :: trip.w_binds;
-          w_frames = fr offset :: env.w_frames;
-          w_ctx = ctx';
-          w_div = env.w_div || tdep;
-          w_path = Printf.sprintf "for(%s)" l_var :: env.w_path;
-          w_frozen_depth = (env.w_frozen_depth + if frozen then 1 else 0);
-        }
-      in
-      if frozen && env.w_frozen_depth < 2 then begin
-        (* two symbolic passes: iteration k, then k+1 — accesses of the
-           second pass land in the interval opened by the last barrier of
-           the first, which is exactly the wrap-around interval *)
-        ignore (walk_block st spaces (benv 0) l_body);
-        ignore (walk_block st spaces (benv 1) l_body)
-      end
-      else ignore (walk_block st spaces (benv 0) l_body);
-      forget_vars env (l_var :: assigned_vars l_body)
+(** A [__syncthreads()] diverges under a thread-dependent guard, or in a
+    thread-dependent loop whose trip count is not block-uniform at this
+    launch; a [__global_sync()] anywhere but at top level. *)
+let check_barriers st launch sizes (bars : Walk.barrier list) : unit =
+  let memo = Hashtbl.create 8 in
+  (* once per loop: a wrap pass shares its loop's verdict *)
+  let uniform (fr : Walk.frame) =
+    match Hashtbl.find_opt memo fr.fr_loop with
+    | Some u -> u
+    | None ->
+        let u = uniform_trip_count launch sizes fr in
+        Hashtbl.replace memo fr.fr_loop u;
+        u
+  in
+  List.iter
+    (fun (b : Walk.barrier) ->
+      if
+        match b.b_kind with
+        | `Sync -> b.b_guarded || not (List.for_all uniform b.b_loops)
+        | `Global_sync -> not b.b_top
+      then
+        diag st ~rule:rule_barrier_divergence ~path:b.b_path
+          (barrier_message b.b_kind))
+    bars
 
 (* --- enumeration: windows of loop-iteration values per thread --- *)
 
@@ -915,7 +569,7 @@ let enum_access l ~lane ~lenient ~w ~frozen (acc : acc) (f : unit -> unit) :
     its vector index ([`Vec]), staged against the array's layout. *)
 let offset_code (lay : Layout.t) (acc : acc) : code =
   let c = Lazy.force acc.a_code in
-  match acc.a_kind with
+  match acc.w.a_kind with
   | `Sc _ ->
       let strides = Layout.strides lay in
       if List.length c.c_idxs <> List.length strides then Never
@@ -928,7 +582,7 @@ let offset_code (lay : Layout.t) (acc : acc) : code =
 (** Apply [f] to each element offset one instance touches, given the
     value of its {!offset_code}. *)
 let iter_offsets (acc : acc) v f =
-  match acc.a_kind with
+  match acc.w.a_kind with
   | `Sc _ -> f v
   | `Vec (w, _) ->
       for q = 0 to w - 1 do
@@ -950,8 +604,10 @@ let frozen_assignments l (group : acc list) :
     List.fold_left
       (fun seen a ->
         List.fold_left
-          (fun seen (d, fr) ->
-            let known (_, _, f) = String.equal f.fr_var fr.fr_var in
+          (fun seen (d, (fr : Walk.frame)) ->
+            let known (_, _, (f : Walk.frame)) =
+              String.equal f.fr_var fr.fr_var
+            in
             if fr.fr_frozen && fr.fr_offset = 0 && not (List.exists known seen)
             then seen @ [ (a, d, fr) ]
             else seen)
@@ -961,13 +617,13 @@ let frozen_assignments l (group : acc list) :
   in
   set_lane l 0;
   List.fold_left
-    (fun asns (a, d, fr) ->
+    (fun asns (a, d, (fr : Walk.frame)) ->
       let c = Lazy.force a.a_code in
       List.concat_map
         (fun asn ->
           (* the enclosing loops' slots, from this assignment *)
           List.iteri
-            (fun j (outer : frame) ->
+            (fun j (outer : Walk.frame) ->
               if j < d then
                 l.l_slots.(j) <-
                   (match List.assoc_opt outer.fr_var asn with
@@ -999,8 +655,8 @@ let check_races st (launch : Ast.launch) layouts ~max_lanes ~dedup_pairs
     let by_arr = Hashtbl.create 8 in
     List.iter
       (fun a ->
-        Hashtbl.replace by_arr a.a_arr
-          (a :: (try Hashtbl.find by_arr a.a_arr with Not_found -> [])))
+        Hashtbl.replace by_arr a.w.a_arr
+          (a :: (try Hashtbl.find by_arr a.w.a_arr with Not_found -> [])))
       group;
     let blocks =
       List.sort_uniq compare
@@ -1010,11 +666,11 @@ let check_races st (launch : Ast.launch) layouts ~max_lanes ~dedup_pairs
     Hashtbl.iter
       (fun arr accs ->
         let accs = List.rev accs in
-        if List.exists (fun a -> a.a_store) accs then
+        if List.exists (fun a -> a.w.a_store) accs then
           match Layout.find layouts arr with
           | None -> ()
           | Some lay -> (
-              let space = (List.hd accs).a_space in
+              let space = (List.hd accs).w.a_space in
               let report lane1 st1 p1 lane2 st2 p2 ~bidx ~bidy off =
                 let key = (arr, min p1 p2, max p1 p2) in
                 if not (Hashtbl.mem dedup_pairs key) then begin
@@ -1066,27 +722,33 @@ let check_races st (launch : Ast.launch) layouts ~max_lanes ~dedup_pairs
                           (* a store meeting both a foreign write and a
                              foreign read reports the read *)
                           (match
-                             ( (if acc.a_store then foreign reads else None),
+                             ( (if acc.w.a_store then foreign reads else None),
                                foreign writes )
                            with
                           | Some (l2, p2), _ ->
                               raise
                                 (Conflict
-                                   (lane, true, acc.a_path, l2, false, p2, off))
+                                   ( lane,
+                                     true,
+                                     acc.w.a_path,
+                                     l2,
+                                     false,
+                                     p2,
+                                     off ))
                           | None, Some (l2, p2) ->
                               raise
                                 (Conflict
                                    ( lane,
-                                     acc.a_store,
-                                     acc.a_path,
+                                     acc.w.a_store,
+                                     acc.w.a_path,
                                      l2,
                                      true,
                                      p2,
                                      off ))
                           | None, None -> ());
                           Offsets.replace
-                            (if acc.a_store then writes else reads)
-                            off (lane, acc.a_path)
+                            (if acc.w.a_store then writes else reads)
+                            off (lane, acc.w.a_path)
                         in
                         match
                           List.iter
@@ -1117,12 +779,16 @@ let check_races st (launch : Ast.launch) layouts ~max_lanes ~dedup_pairs
 type renv = {
   r_launch : Ast.launch;
   r_sizes : (string * int) list;
-  r_binds : (string * binding) list;
+  r_env : Walk.env;
   r_iters : (int * si) list;  (** loop depth -> range of its variable *)
   r_trips : (string * si) list;  (** loop var -> range of [Affine.Iter] *)
   r_ctx : Affine.ctx;
   r_over : (Affine.var * (int option * int option)) list;
       (** guard-derived bounds per affine variable *)
+  r_lets : (int, si option) Hashtbl.t;
+      (** each let's own range, once an access that adds no loop or guard
+          bounds asked for it: one walk serves one launch, and nothing
+          else varies *)
 }
 
 let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
@@ -1195,24 +861,26 @@ and structural_range (env : renv) (e : Ast.expr) : si option =
       | Gdimx -> Some (si_const l.grid_x)
       | Gdimy -> Some (si_const l.grid_y))
   | Var v -> (
-      match assoc_split v env.r_binds with
-      | Some (Bloop d, _) -> List.assoc_opt d env.r_iters
-      | Some (Bexpr b, rest) -> (
+      match Walk.find env.r_env v with
+      | Some (Loop d) -> List.assoc_opt d env.r_iters
+      | Some (Let l) -> (
           let range () =
-            range_expr { env with r_binds = rest; r_ctx = b.b_ctx } b.b_expr
+            range_expr
+              { env with r_env = l.l_env; r_ctx = Option.get l.l_ctx }
+              l.l_expr
           in
           (* without loop or guard bounds of the access, the range is the
              binding's own *)
           if env.r_iters <> [] || env.r_trips <> [] || env.r_over <> [] then
             range ()
           else
-            match b.b_range with
+            match Hashtbl.find_opt env.r_lets l.l_id with
             | Some r -> r
             | None ->
                 let r = range () in
-                b.b_range <- Some r;
+                Hashtbl.replace env.r_lets l.l_id r;
                 r)
-      | Some (Bunknown, _) -> None
+      | Some (Unknown | Carried) -> None
       | None -> Option.map si_const (List.assoc_opt v env.r_sizes))
   | Unop (Neg, a) -> Option.map si_neg (range_expr env a)
   | Unop (Not, _) -> Some { lo = 0; hi = 1; st = 1 }
@@ -1304,32 +972,35 @@ let rec refine_guard (env : renv) ctx (cond : Ast.expr) : renv =
 (** Build the range environment of one access: loop-variable ranges
     outer-to-inner, then guard refinement (two rounds, so a bound on one
     side of a comparison can tighten the other). *)
-let renv_of_acc launch sizes (acc : acc) : renv =
+let renv_of_acc launch sizes r_lets (acc : acc) : renv =
   let base =
     {
       r_launch = launch;
       r_sizes = sizes;
-      r_binds = acc.a_binds;
+      r_env = acc.w.a_env;
       r_iters = [];
       r_trips = [];
-      r_ctx = acc.a_ctx;
+      r_ctx = Option.get acc.w.a_ctx;
       r_over = [];
+      r_lets;
     }
   in
   let env, _ =
     List.fold_left
-      (fun (env, d) fr ->
+      (fun (env, d) (fr : Walk.frame) ->
         (* each bound in the frame's own bindings, not the access's: a
            name the body reassigns before the access does not move the
            loop's range *)
-        let at r_binds r_ctx = { env with r_binds; r_ctx } in
-        let init = range_expr (at fr.fr_binds fr.fr_ctx) fr.fr_init
-        and trip = at fr.fr_trip_binds fr.fr_trip_ctx in
+        let at (e : Walk.env) ctx =
+          { env with r_env = e; r_ctx = Option.get ctx }
+        in
+        let init = range_expr (at fr.fr_entry fr.fr_entry_ctx) fr.fr_init
+        and trip = at fr.fr_trip fr.fr_trip_ctx in
         let limit = range_expr trip fr.fr_limit
         and step = range_expr trip fr.fr_step in
         match (init, limit, step) with
         | Some i, Some lim, Some st when st.lo = st.hi && st.lo > 0 ->
-            let stv = max 1 (gcd i.st st.lo) in
+            let stv = max 1 (Affine.gcd i.st st.lo) in
             let hi_raw = lim.hi - 1 in
             let value =
               si_norm { lo = i.lo; hi = max i.lo hi_raw; st = stv }
@@ -1347,7 +1018,9 @@ let renv_of_acc launch sizes (acc : acc) : renv =
       (base, 0) acc.a_frames
   in
   let refine env =
-    List.fold_left (fun e g -> refine_guard e g.g_ctx g.g_cond) env acc.a_guards
+    List.fold_left
+      (fun e (g : Walk.guard) -> refine_guard e (Option.get g.g_ctx) g.g_cond)
+      env acc.w.a_guards
   in
   refine (refine env)
 
@@ -1381,14 +1054,14 @@ let find_oob_witness (launch : Ast.launch) lay (acc : acc) :
       |> List.filter (fun l -> l >= 0 && l < n)
   in
   let bounds =
-    match acc.a_kind with
+    match acc.w.a_kind with
     | `Sc _ -> lay.Layout.pitches
     | `Vec _ -> [ Layout.size_elems lay ]
   in
   (* the last element each dimension's index touches *)
   let idxs =
     let c = Lazy.force acc.a_code in
-    match acc.a_kind with
+    match acc.w.a_kind with
     | `Sc _ -> c.c_idxs
     | `Vec (w, _) ->
         [
@@ -1421,15 +1094,16 @@ let find_oob_witness (launch : Ast.launch) lay (acc : acc) :
     None
   with Witness w -> Some w
 
-let check_bounds st (launch : Ast.launch) sizes layouts (acc : acc) : unit =
-  match Layout.find layouts acc.a_arr with
+let check_bounds st (launch : Ast.launch) sizes layouts r_lets (acc : acc) :
+    unit =
+  match Layout.find layouts acc.w.a_arr with
   | None -> ()
   | Some lay ->
       (* the frozen wrap pass duplicates each access; bounds are
          iteration-uniform, so every frame enumerates freely *)
-      let env = renv_of_acc launch sizes acc in
+      let env = renv_of_acc launch sizes r_lets acc in
       let dims =
-        match acc.a_kind with
+        match acc.w.a_kind with
         | `Sc idxs ->
             if List.length idxs <> List.length lay.Layout.pitches then []
             else List.combine idxs lay.Layout.pitches
@@ -1454,21 +1128,21 @@ let check_bounds st (launch : Ast.launch) sizes layouts (acc : acc) : unit =
       in
       if unproven <> [] then begin
         let rule_err =
-          if acc.a_space = `Shared then rule_oob_shared else rule_oob_global
+          if acc.w.a_space = `Shared then rule_oob_shared else rule_oob_global
         in
         match find_oob_witness launch lay acc with
         | Some (_, v, bound, lane, (bx, by)) ->
-            diag st ~rule:rule_err ~path:acc.a_path
+            diag st ~rule:rule_err ~path:acc.w.a_path
               (Printf.sprintf
                  "%s indexes element %d of %s (extent %d) for thread %d of \
                   block (%d,%d)"
-                 (acc_expr acc) v acc.a_arr bound lane bx by)
+                 (Walk.show acc.w) v acc.w.a_arr bound lane bx by)
         | None ->
             let e, bound, r = List.hd unproven in
-            diag st ~severity:Warning ~rule:rule_oob_unproven ~path:acc.a_path
+            diag st ~severity:Warning ~rule:rule_oob_unproven ~path:acc.w.a_path
               (Printf.sprintf
                  "cannot prove %s in bounds: index %s has %s, extent %d"
-                 (acc_expr acc)
+                 (Walk.show acc.w)
                  (Pp.expr_to_string e)
                  (match r with
                  | Some s -> Printf.sprintf "range [%d, %d]" s.lo s.hi
@@ -1479,8 +1153,8 @@ let check_bounds st (launch : Ast.launch) sizes layouts (acc : acc) : unit =
 (* --- bank conflicts on the first half-warp --- *)
 
 let check_bank st (launch : Ast.launch) layouts (acc : acc) : unit =
-  if acc.a_space = `Shared then
-    match Layout.find layouts acc.a_arr with
+  if acc.w.a_space = `Shared then
+    match Layout.find layouts acc.w.a_arr with
     | None -> ()
     | Some lay ->
         let n = launch.block_x * launch.block_y in
@@ -1491,7 +1165,7 @@ let check_bank st (launch : Ast.launch) layouts (acc : acc) : unit =
              address is its first evaluable instance's first element *)
           let off = offset_code lay acc in
           let first v =
-            match acc.a_kind with `Sc _ -> v | `Vec (w, _) -> v * w
+            match acc.w.a_kind with `Sc _ -> v | `Vec (w, _) -> v * w
           in
           let addrs = ref [] in
           let l = lane_env launch ~depth:(List.length acc.a_frames) in
@@ -1521,16 +1195,17 @@ let check_bank st (launch : Ast.launch) layouts (acc : acc) : unit =
             Hashtbl.fold (fun _ offs m -> max m (List.length offs)) banks 1
           in
           if degree > 1 then
-            diag st ~severity:Warning ~rule:rule_bank_conflict ~path:acc.a_path
+            diag st ~severity:Warning ~rule:rule_bank_conflict
+              ~path:acc.w.a_path
               (Printf.sprintf
                  "%s serializes the first half-warp %d-way across shared \
                   banks (pad the minor dimension, e.g. [16][17])"
-                 (acc_expr acc) degree)
+                 (Walk.show acc.w) degree)
         end
 
 (* --- coalescing lint via Coalesce_check --- *)
 
-let check_coalescing st launch (k : Ast.kernel) : unit =
+let check_coalescing st (accesses : Coalesce_check.access list) : unit =
   List.iter
     (fun (a : Coalesce_check.access) ->
       match a.verdict with
@@ -1547,63 +1222,33 @@ let check_coalescing st launch (k : Ast.kernel) : unit =
                (Pp.expr_to_string (Index (a.arr, a.indices)))
                why)
       | Coalesced | Unknown -> ())
-    (Coalesce_check.analyze_kernel ~launch k)
+    accesses
 
 (* --- driver --- *)
 
-let spaces_of (k : Ast.kernel) : (string * [ `Shared | `Global ]) list =
-  let from_params =
-    List.filter_map
-      (fun (p : Ast.param) ->
-        match p.p_ty with
-        | Array { space = Global; _ } -> Some (p.p_name, `Global)
-        | Array { space = Shared; _ } -> Some (p.p_name, `Shared)
-        | _ -> None)
-      k.k_params
-  in
-  let from_decls =
-    Rewrite.declared_vars k.k_body
-    |> List.filter_map (fun (name, ty) ->
-           match ty with
-           | Ast.Array { space = Shared; _ } -> Some (name, `Shared)
-           | _ -> None)
-  in
-  from_params @ from_decls
-
-let check ?(max_lanes = 512) ~(launch : Ast.launch) (k : Ast.kernel) :
-    diagnostic list =
+let check_with_accesses ?(max_lanes = 512) ~(launch : Ast.launch)
+    (k : Ast.kernel) : diagnostic list * Coalesce_check.access list =
   let sizes = k.k_sizes in
   let layouts = Layout.of_kernel k in
-  let spaces = spaces_of k in
-  let st =
-    {
-      ws_kernel = k.k_name;
-      ws_launch = launch;
-      ws_sizes = sizes;
-      ws_interval = 0;
-      ws_accs = [];
-      ws_diags = [];
-      ws_reads = Reads.create ();
-    }
+  let walk = Walk.run ~launch k in
+  let st = { kernel = k.k_name; diags = [] } in
+  check_barriers st launch sizes walk.barriers;
+  let accs =
+    List.map
+      (fun (w : Walk.access) ->
+        let frames = List.rev w.a_env.frames in
+        {
+          w;
+          a_frames = frames;
+          a_code = lazy (stage_access launch sizes w ~frames);
+        })
+      walk.accesses
   in
-  let env0 =
-    {
-      w_binds = [];
-      w_frames = [];
-      w_guards = [];
-      w_ctx = Affine.ctx_of_launch ~sizes launch;
-      w_div = false;
-      w_path = [];
-      w_frozen_depth = 0;
-    }
-  in
-  ignore (walk_block st spaces env0 k.k_body);
-  let accs = List.rev st.ws_accs in
   (let n = launch.block_x * launch.block_y in
    if
      n > max_lanes
      && List.exists
-          (fun a -> a.a_store && Layout.find layouts a.a_arr <> None)
+          (fun a -> a.w.a_store && Layout.find layouts a.w.a_arr <> None)
           accs
    then
      diag st ~severity:Warning ~rule:rule_verify_incomplete ~path:""
@@ -1616,28 +1261,30 @@ let check ?(max_lanes = 512) ~(launch : Ast.launch) (k : Ast.kernel) :
   let intervals = Hashtbl.create 8 in
   List.iter
     (fun a ->
-      Hashtbl.replace intervals a.a_interval
-        (a :: (try Hashtbl.find intervals a.a_interval with Not_found -> [])))
+      Hashtbl.replace intervals a.w.a_interval
+        (a :: (try Hashtbl.find intervals a.w.a_interval with Not_found -> [])))
     accs;
   Hashtbl.fold (fun i g acc -> (i, List.rev g) :: acc) intervals []
-  |> List.sort compare
+  |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
   |> List.iter (fun (_, group) ->
          check_races st launch layouts ~max_lanes ~dedup_pairs group);
   (* bounds and bank conflicts, once per distinct access, binding and
      guard ({!Reads}: the frozen wrap pass records duplicates) *)
+  let lets = Hashtbl.create 16 in
   List.iter
     (fun a ->
       if
-        Reads.first st.ws_reads ~path:a.a_path ~arr:a.a_arr ~store:a.a_store
-          a.a_kind a.a_reads
+        Reads.first walk.reads ~path:a.w.a_path ~arr:a.w.a_arr
+          ~store:a.w.a_store a.w.a_kind a.w.a_reads
       then begin
-        check_bounds st launch sizes layouts a;
+        check_bounds st launch sizes layouts lets a;
         check_bank st launch layouts a
       end)
     accs;
-  check_coalescing st launch k;
+  let table = Coalesce_check.of_walk layouts walk in
+  check_coalescing st table;
   (* dedup, errors first, walk order otherwise *)
-  let out = List.rev st.ws_diags in
+  let out = List.rev st.diags in
   let seen = Hashtbl.create 32 in
   let out =
     List.filter
@@ -1650,9 +1297,12 @@ let check ?(max_lanes = 512) ~(launch : Ast.launch) (k : Ast.kernel) :
         end)
       out
   in
-  List.stable_sort
-    (fun a b ->
-      compare
-        (match a.severity with Error -> 0 | Warning -> 1)
-        (match b.severity with Error -> 0 | Warning -> 1))
-    out
+  ( List.stable_sort
+      (fun a b ->
+        compare
+          (match a.severity with Error -> 0 | Warning -> 1)
+          (match b.severity with Error -> 0 | Warning -> 1))
+      out,
+    table )
+
+let check ?max_lanes ~launch k = fst (check_with_accesses ?max_lanes ~launch k)

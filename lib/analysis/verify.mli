@@ -62,11 +62,22 @@ val rule_noncoalesced : string
     is therefore incomplete. *)
 val rule_verify_incomplete : string
 
+(** The [barrier-divergence] message for a barrier of this kind. *)
+val barrier_message : [ `Sync | `Global_sync ] -> string
+
 (** Verify a kernel at a launch configuration. [max_lanes] caps the
     per-block thread enumeration (default 512). Diagnostics are
     deduplicated and sorted errors-first. *)
 val check :
   ?max_lanes:int -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel -> diagnostic list
+
+(** {!check}, with the kernel's access table at the launch
+    ({!Coalesce_check.analyze_kernel}'s value), read off the same walk. *)
+val check_with_accesses :
+  ?max_lanes:int ->
+  launch:Gpcc_ast.Ast.launch ->
+  Gpcc_ast.Ast.kernel ->
+  diagnostic list * Coalesce_check.access list
 
 val errors : diagnostic list -> diagnostic list
 val warnings : diagnostic list -> diagnostic list

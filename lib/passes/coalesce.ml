@@ -555,7 +555,7 @@ let stage_exchange (a : Coalesce_check.access) (body : Ast.block)
 (* --------------------------------------------------------------------- *)
 
 let apply (k : Ast.kernel) (launch : Ast.launch) : Pass_util.outcome =
-  let accesses = Coalesce_check.analyze_kernel ~launch k in
+  let accesses = Analysis_cache.(accesses (domain ()) ~launch k) in
   let planned = List.map (fun a -> (a, plan_access a)) accesses in
   let actionable =
     List.filter

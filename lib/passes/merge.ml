@@ -143,7 +143,7 @@ let block_merge_x (k : Ast.kernel) (launch : Ast.launch) (n : int) :
       k launch
   else begin
     let shared = Pass_util.shared_arrays k.k_body in
-    let table = Coalesce_check.analyze_kernel ~launch k in
+    let table = Analysis_cache.(accesses (domain ()) ~launch k) in
     let old_bx = launch.block_x in
     let extra = old_bx * (n - 1) in
     let blockers = ref [] in

@@ -32,7 +32,7 @@ let detect (cfg : Gpcc_sim.Config.t) (k : Ast.kernel) (launch : Ast.launch) :
     detection list =
   if launch.grid_x < 2 then []
   else
-    Coalesce_check.analyze_kernel ~launch k
+    Analysis_cache.(accesses (domain ()) ~launch k)
     |> List.filter_map (fun (a : Coalesce_check.access) ->
            match a.flat with
            | None -> None

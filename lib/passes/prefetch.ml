@@ -30,22 +30,6 @@ let is_global_load (globals : string list) = function
   | Vload { v_arr; _ } when List.mem v_arr globals -> true
   | _ -> false
 
-(** Variables assigned anywhere in a block (rotated-index locals etc.). *)
-let assigned_vars (b : Ast.block) : string list =
-  let acc = ref [] in
-  ignore
-    (Rewrite.map_stmts
-       (function
-         | Assign (Lvar v, _) as s ->
-             acc := v :: !acc;
-             [ s ]
-         | Decl d as s ->
-             acc := d.d_name :: !acc;
-             [ s ]
-         | s -> [ s ])
-       b);
-  !acc
-
 let find_sites (globals : string list) (shared : string list)
     (body : Ast.block) : site list =
   List.concat
@@ -88,7 +72,7 @@ let prefetch_loop (globals : string list) (shared : string list)
   let sites = find_sites globals shared l.l_body in
   (* the load must move with the loop variable, and must not depend on
      any value computed inside the body (e.g. a rotated index) *)
-  let inner = assigned_vars l.l_body in
+  let inner = Gpcc_analysis.Walk.assigned_vars l.l_body in
   let sites =
     List.filter
       (fun s ->

@@ -154,22 +154,31 @@ let test_index_classification () =
   Alcotest.(check bool) "unresolved" true
     (Coalesce_check.classify_index ctx (expr "idx * idy") = Coalesce_check.Unresolved)
 
+(* a guard reads the thread directly, or through a local *)
 let test_divergence_tracking () =
-  let src =
-    {|#pragma gpcc dim w 64
+  List.iter
+    (fun (decl, guard) ->
+      let src =
+        Printf.sprintf
+          {|#pragma gpcc dim w 64
 #pragma gpcc output c
 __kernel void f(float a[64][64], float c[64][64], int w) {
   float s = 0;
-  if (idx == 0) {
+  %s
+  if (%s) {
     for (int j = 0; j < w; j++)
       s += a[idy][j];
   }
   c[idy][idx] = s;
 }|}
-  in
-  let a = access_of src 0 in
-  Alcotest.(check bool) "divergent" true a.Coalesce_check.divergent;
-  Alcotest.(check (list string)) "no safe loops" [] a.Coalesce_check.safe_loops
+          decl guard
+      in
+      let a = access_of src 0 in
+      Alcotest.(check bool) (guard ^ ": divergent") true
+        a.Coalesce_check.divergent;
+      Alcotest.(check (list string))
+        (guard ^ ": no safe loops") [] a.Coalesce_check.safe_loops)
+    [ ("", "idx == 0"); ("int t = idx;", "t == 0") ]
 
 let test_safe_loops () =
   let src =

@@ -68,6 +68,61 @@ __kernel void f(float a[64], float o[32], int n) {
   Alcotest.(check bool) "fired" true o.fired;
   assert_contains "one vector load" (kernel_text o.kernel) "((float2*)a)[i]"
 
+(* a pair's register holds the elements at the first use: a load formed
+   after its index is reassigned is not its partner, and is not
+   substituted from it; nor is a pair formed whose halves a store
+   separates *)
+let test_vectorize_reassigned_index () =
+  let src body =
+    Printf.sprintf
+      {|#pragma gpcc output c
+__kernel void f(float a[512], float c[128]) {
+  %s
+}|}
+      body
+  in
+  let after =
+    src
+      "int t = idx; float x = a[2 * t]; t = t + 1; float y = a[2 * t + 1]; \
+       c[idx] = x + y;"
+  and between =
+    src
+      "int t = idx; float x = a[2 * t]; float y = a[2 * t + 1]; t = t + 1; \
+       float z = a[2 * t]; c[idx] = x + y + z;"
+  and first_use =
+    (* [a[2 * t - 1]] pairs with [a[2 * t]] only after the reassignment,
+       but its text is read before it, at another element *)
+    src
+      "int t = idx + 1; float x = a[2 * t] + a[2 * t - 1]; t = t + 1; float \
+       y = a[2 * t - 1]; c[idx] = x + y;"
+  and stored =
+    src
+      "int t = idx; float x = a[2 * t]; a[2 * t] = 0.0; float y = a[2 * t + \
+       1]; c[idx] = x + y;"
+  in
+  List.iter
+    (fun src ->
+      ignore
+        (preserved ~inputs:[ ("a", gen ~seed:4 512) ] ~out:"c" src
+           [ Vectorize.apply ]))
+    [ after; between; first_use; stored ];
+  let apply src =
+    let k = parse_kernel src in
+    Vectorize.apply k (Option.get (Pass_util.initial_launch k))
+  in
+  List.iter
+    (fun (what, src) ->
+      Alcotest.(check bool) what false (apply src).fired)
+    [
+      ("no pair across the reassignment", after);
+      ("no pair read before the reassignment", first_use);
+      ("no pair across the store", stored);
+    ];
+  let txt = kernel_text (apply between).kernel in
+  assert_contains "x paired" txt "float x = vec0.x;";
+  assert_contains "y paired" txt "float y = vec0.y;";
+  assert_contains "z loads on its own" txt "float z = a[2 * t];"
+
 let test_vectorize_requires_even_base () =
   let src =
     {|#pragma gpcc output o
@@ -166,23 +221,32 @@ __kernel void f(float a[80], float o[64]) {
   Alcotest.(check bool) "explained" true
     (List.exists (contains ~needle:"no reuse") o.notes)
 
+(* a guard reads the thread directly, or through a local *)
 let test_coalesce_skips_divergent () =
-  let src =
-    {|#pragma gpcc dim w 64
+  List.iter
+    (fun (decl, guard) ->
+      let src =
+        Printf.sprintf
+          {|#pragma gpcc dim w 64
 #pragma gpcc output o
 __kernel void f(float a[64][64], float o[64], int w) {
   float s = 0;
-  if (idx == 0) {
+  %s
+  if (%s) {
     for (int j = 0; j < w; j++)
       s += a[0][j];
   }
   o[idx] = s;
 }|}
-  in
-  let k = parse_kernel src in
-  let o = Coalesce.apply k (Option.get (Pass_util.initial_launch k)) in
-  Alcotest.(check bool) "no staging under divergent guard" true
-    (Pass_util.shared_arrays o.kernel.k_body = [])
+          decl guard
+      in
+      let k = parse_kernel src in
+      let o = Coalesce.apply k (Option.get (Pass_util.initial_launch k)) in
+      Alcotest.(check bool)
+        (guard ^ ": no staging under divergent guard")
+        true
+        (Pass_util.shared_arrays o.kernel.k_body = []))
+    [ ("", "idx == 0"); ("int t = idx;", "t == 0") ]
 
 let test_coalesce_strided_destage () =
   let w = Gpcc_workloads.Registry.find_exn "rd-complex" in
@@ -401,6 +465,7 @@ let suite =
       t "vectorize: across statements" test_vectorize_across_statements;
       t "vectorize: odd base rejected" test_vectorize_requires_even_base;
       t "vectorize: distinct arrays" test_vectorize_distinct_arrays;
+      t "vectorize: reassigned index" test_vectorize_reassigned_index;
       t "coalesce: loop staging (Fig 3a)" test_coalesce_loop_stage;
       t "coalesce: row-loop staging (Fig 3b)" test_coalesce_rowloop_stage;
       t "coalesce: exchange store (tp)" test_coalesce_exchange_store;

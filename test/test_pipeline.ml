@@ -535,6 +535,28 @@ let test_pipeline_surgery () =
     (assert_contains "describe" descr)
     [ "merge"; "3.5"; "invalidates" ]
 
+(* the verifier's walk fills the [Affine] slot: on every state a
+   compile validates, the table it reads off that walk must be the
+   access table, and its diagnostics those of [Verify.check] *)
+let test_verifier_table_is_access_table () =
+  List.iter
+    (fun (w : Workload.t) ->
+      let naive = Workload.parse w w.test_size in
+      let r = Pipeline.run ~pipeline:(Pipeline.default ~cfg:cfg280 ()) naive in
+      List.iter
+        (fun (s : Pipeline.step) ->
+          let k = s.kernel_after and launch = s.launch_after in
+          let ds, table =
+            Gpcc_analysis.Verify.check_with_accesses ~max_lanes:1 ~launch k
+          in
+          if
+            table <> Gpcc_analysis.Coalesce_check.analyze_kernel ~launch k
+            || ds <> Gpcc_analysis.Verify.check ~max_lanes:1 ~launch k
+          then Alcotest.failf "%s, step %S: verifier table differs" w.name
+              s.step_name)
+        r.steps)
+    Registry.all
+
 let suite =
   ( "pipeline",
     [
@@ -562,4 +584,6 @@ let suite =
         test_remarks_structure;
       Alcotest.test_case "pipeline surgery: disable / with_passes / describe"
         `Quick test_pipeline_surgery;
+      Alcotest.test_case "analysis cache: verifier table is the access table"
+        `Quick test_verifier_table_is_access_table;
     ] )

@@ -338,6 +338,25 @@ let test_rebound_names () =
         (launch_grid launch))
     rebound_cases
 
+(* A block reduction missing either barrier races, so neither mutant is
+   proved clean at any launch of the sampled grid; the concrete tier
+   agrees wherever a launch is decided, clean shapes included. *)
+let test_block_reductions () =
+  List.iter
+    (fun (name, src, errors) ->
+      let k = parse_kernel src in
+      let launch = Option.get (Gpcc_passes.Pass_util.initial_launch k) in
+      let res = SV.check k in
+      List.iter
+        (fun l ->
+          (match SV.decide res l with
+          | `Clean when errors <> [] ->
+              Alcotest.failf "%s: symbolic proved a racy reduction clean" name
+          | `Clean | `Errors _ | `Unknown _ -> ());
+          check_agreement name k res l)
+        (launch_grid launch))
+    reduce_cases
+
 (* --- property test: randomized affine kernels, seeded --- *)
 
 let test_random_affine_agreement () =
@@ -668,6 +687,8 @@ let suite =
         test_loop_reuse;
       Alcotest.test_case "rebound names stay unproved" `Quick
         test_rebound_names;
+      Alcotest.test_case "racy block reductions stay unproved" `Quick
+        test_block_reductions;
       Alcotest.test_case "negative kernels keep rule ids" `Quick
         test_negative_kernels;
       Alcotest.test_case "digit maps for / and % by constants" `Quick

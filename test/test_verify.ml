@@ -212,6 +212,20 @@ let test_loop_reuse () =
         (List.map (fun (d : V.diagnostic) -> d.rule) (V.errors ds)))
     loop_reuse_cases
 
+(* barrier-paired block reductions: the clean shapes lint without an
+   error, and each dropped barrier is a shared race at its own place *)
+let test_block_reductions () =
+  List.iter
+    (fun (name, src, expected) ->
+      let k = parse_kernel src in
+      let launch = Option.get (Gpcc_passes.Pass_util.initial_launch k) in
+      Alcotest.(check (list (pair string string)))
+        name expected
+        (List.map
+           (fun (d : V.diagnostic) -> (d.rule, d.path))
+           (V.errors (V.check ~launch k))))
+    reduce_cases
+
 (* --- positives: sound patterns must stay clean --- *)
 
 let staged_src =
@@ -443,6 +457,8 @@ let suite =
       Alcotest.test_case "negative: rebound names" `Quick test_rebound_names;
       Alcotest.test_case "negative: loop-carried locals" `Quick
         test_loop_carried_locals;
+      Alcotest.test_case "barrier-paired block reductions" `Quick
+        test_block_reductions;
       Alcotest.test_case "staged pattern clean" `Quick test_staged_clean;
       Alcotest.test_case "uniform guarded sync ok" `Quick
         test_uniform_guarded_sync_ok;

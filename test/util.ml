@@ -195,3 +195,48 @@ __kernel void long_guards(float x[64], float out[64]) {
 }|},
       "x[tidx + 60] indexes element 64 of x" );
   ]
+
+(** Block-reduction kernels in the shape of exaregex's
+    [block_reduce_aligned] and [block_reduce_limit] (SNIPPETS.md):
+    guarded reads of [storage\[tidx - i\]] between paired barriers in a
+    loop, with the error diagnostics (rule, path) the concrete verifier
+    reports at the pipeline's starting launch, (4,1)x(16,1). Dropping the
+    middle barrier races the store with the reads of its own trip,
+    dropping the trailing one races it with the next trip's reads. The
+    step is constant: a doubling step ([i += i]) reads the loop variable,
+    so the race check cannot bound the loop and misses both mutants. *)
+let reduce_cases : (string * string * (string * string) list) list =
+  let src name guard ~mid ~trail =
+    let sync b = if b then "__syncthreads();" else "" in
+    Printf.sprintf
+      {|#pragma gpcc dim n 16
+#pragma gpcc output out
+__kernel void %s(float x[64], float out[64], int n) {
+  __shared__ float storage[16];
+  storage[tidx] = x[idx];
+  __syncthreads();
+  float r = storage[tidx];
+  for (int i = 1; i < 16; i += 4) {
+    if (%s) {
+      r = r + storage[tidx - i];
+    }
+    %s
+    storage[tidx] = r;
+    %s
+  }
+  out[idx] = r;
+}|}
+      name guard (sync mid) (sync trail)
+  in
+  List.concat_map
+    (fun (name, guard) ->
+      [
+        (name, src name guard ~mid:true ~trail:true, []);
+        ( name ^ "_mid",
+          src (name ^ "_mid") guard ~mid:false ~trail:true,
+          [ ("race-shared", "for(i)") ] );
+        ( name ^ "_trail",
+          src (name ^ "_trail") guard ~mid:true ~trail:false,
+          [ ("race-shared", Printf.sprintf "for(i)/if(%s)" guard) ] );
+      ])
+    [ ("reduce_limit", "tidx < n && tidx >= i"); ("reduce_aligned", "tidx >= i") ]
