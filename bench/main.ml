@@ -643,6 +643,13 @@ let ablations () =
 (* Simulator-backend microbenchmark: vector vs reference               *)
 (* ------------------------------------------------------------------ *)
 
+(* [GPCC_BENCH_REPS]: a fixed number of timed repetitions, when set *)
+let fixed_reps () =
+  match Sys.getenv_opt "GPCC_BENCH_REPS" with
+  | Some s -> (
+      match int_of_string_opt s with Some r when r >= 1 -> Some r | _ -> None)
+  | None -> None
+
 (** Blocks simulated per second, per workload, for the warp-vectorized
     plane backend vs the tree-walking reference interpreter. Naive
     kernels at [test_size] (plus the fixed SDK-transpose and CUBLAS
@@ -656,12 +663,7 @@ let ablations () =
 let interp () =
   section "Interpreter backends: blocks/s, vector vs reference (naive, serial)";
   let module L = Gpcc_sim.Launch in
-  let fixed_reps =
-    match Sys.getenv_opt "GPCC_BENCH_REPS" with
-    | Some s -> (
-        match int_of_string_opt s with Some r when r >= 1 -> Some r | _ -> None)
-    | None -> None
-  in
+  let fixed_reps = fixed_reps () in
   Printf.printf "  %-16s %8s | %11s %11s %9s\n" "workload" "blocks" "vector"
     "reference" "vec/ref";
   let bench label (k : Gpcc_ast.Ast.kernel) (launch : Gpcc_ast.Ast.launch)
@@ -737,6 +739,146 @@ let interp () =
         (Cublas_sim.kernel c n)
         (c.c_launch n) (w.inputs n))
     Cublas_sim.all
+
+(* ------------------------------------------------------------------ *)
+(* Verifier lints: one plan per kernel text vs a one-lane check each    *)
+(* ------------------------------------------------------------------ *)
+
+(** The concrete verifier's lints at the launches the symbolic tier
+    proves clean, per kernel: the staged path (each kernel text walked
+    and planned once, {!Gpcc_analysis.Verify.plan}, then linted at each
+    of its launches, {!Gpcc_analysis.Verify.lint}) against a one-lane
+    {!Gpcc_analysis.Verify.check} per launch, which walks the text every
+    time. The targets are the states the GTX 280 Section-4 grid compiles
+    validate, at their launches, that {!Gpcc_analysis.Symverify} decides
+    clean. Each side's diagnostics are digested (the one-lane check's
+    without its [verify-incomplete] warning), so a row whose digests
+    differ is a lint the staged path got wrong.
+
+    [GPCC_BENCH_REPS=N] times exactly [N] repetitions of each side, as
+    in [interp]: fixed work, so the ratio of one run is comparable. *)
+let lint () =
+  section "Verifier lints: staged plans vs one-lane checks (GTX 280 grid)";
+  let module V = Gpcc_analysis.Verify in
+  let module SV = Gpcc_analysis.Symverify in
+  let fixed_reps = fixed_reps () in
+  Printf.printf "  %-12s %5s %8s | %10s %10s %8s\n" "workload" "texts"
+    "launches" "staged ms" "1-lane ms" "1-lane/st";
+  let ratios =
+    List.map
+      (fun (w : Workload.t) ->
+        let n = if fast then w.test_size else w.bench_size in
+        let naive = Workload.parse w n in
+        (* distinct texts in first-seen order, each with its proved
+           launches *)
+        let texts = ref [] in
+        let add (k : Gpcc_ast.Ast.kernel) (l : Gpcc_ast.Ast.launch) =
+          let key = Gpcc_analysis.Analysis_cache.kernel_key k in
+          let ls =
+            match List.assoc_opt key !texts with
+            | Some (_, ls) -> ls
+            | None ->
+                let entry = (k, ref []) in
+                texts := !texts @ [ (key, entry) ];
+                snd entry
+          in
+          if
+            Gpcc_ast.Ast.threads_per_block l <= 512
+            && (not (List.exists (Gpcc_ast.Ast.equal_launch l) !ls))
+            && SV.decide
+                 (Gpcc_analysis.Analysis_cache.symbolic_result
+                    (Gpcc_analysis.Analysis_cache.domain ())
+                    k)
+                 l
+               = `Clean
+          then ls := !ls @ [ l ]
+        in
+        List.iter
+          (fun target ->
+            List.iter
+              (fun degree ->
+                let pipeline =
+                  Gpcc_core.Pipeline.default ~cfg:gtx280
+                    ~target_block_threads:target ~merge_degree:degree ()
+                in
+                match Gpcc_core.Pipeline.run ~pipeline naive with
+                | r ->
+                    add naive
+                      (Option.get (Gpcc_passes.Pass_util.initial_launch naive));
+                    List.iter
+                      (fun (s : Gpcc_core.Pipeline.step) ->
+                        if s.fired then add s.kernel_after s.launch_after)
+                      r.steps
+                | exception e when Gpcc_core.Pipeline.verifier_rejected e -> ())
+              Gpcc_core.Explore.default_merge_degrees)
+          Gpcc_core.Explore.default_block_targets;
+        let texts =
+          List.filter_map
+            (fun (_, (k, ls)) -> if !ls = [] then None else Some (k, !ls))
+            !texts
+        in
+        let launches =
+          List.fold_left (fun a (_, ls) -> a + List.length ls) 0 texts
+        in
+        let digest (ds : V.diagnostic list list) =
+          Digest.to_hex
+            (Digest.string
+               (String.concat "\n" (List.map V.json_of_diagnostics ds)))
+        in
+        let staged () =
+          List.concat_map
+            (fun (k, ls) ->
+              let p = V.plan k in
+              List.map (fun launch -> fst (V.lint p ~launch)) ls)
+            texts
+        and one_lane () =
+          List.concat_map
+            (fun (k, ls) ->
+              List.map
+                (fun launch ->
+                  List.filter
+                    (fun (d : V.diagnostic) ->
+                      d.rule <> V.rule_verify_incomplete)
+                    (V.check ~max_lanes:1 ~launch k))
+                ls)
+            texts
+        in
+        let staged_digest = digest (staged ())
+        and one_lane_digest = digest (one_lane ()) in
+        (* the two sides alternate, so that both see the same machine *)
+        let reps = Option.value fixed_reps ~default:(if fast then 5 else 10) in
+        let time f =
+          let t0 = Unix.gettimeofday () in
+          ignore (f ());
+          Unix.gettimeofday () -. t0
+        in
+        let st = ref 0.0 and ol = ref 0.0 in
+        for _ = 1 to reps do
+          st := !st +. time staged;
+          ol := !ol +. time one_lane
+        done;
+        let st = !st /. float_of_int reps and ol = !ol /. float_of_int reps in
+        let ratio = ol /. Float.max 1e-9 st in
+        Record.add
+          [
+            ("workload", Json_out.Str w.name);
+            ("size", Json_out.Int n);
+            ("texts", Json_out.Int (List.length texts));
+            ("launches", Json_out.Int launches);
+            ("staged_s", Json_out.Float st);
+            ("one_lane_s", Json_out.Float ol);
+            ("one_lane_over_staged", Json_out.Float ratio);
+            ("staged_digest", Json_out.Str staged_digest);
+            ("one_lane_digest", Json_out.Str one_lane_digest);
+          ];
+        Printf.printf "  %-12s %5d %8d | %10.2f %10.2f %7.2fx%s\n%!" w.name
+          (List.length texts) launches (st *. 1e3) (ol *. 1e3) ratio
+          (if staged_digest = one_lane_digest then "" else "  DIGESTS DIFFER");
+        ratio)
+      (Registry.all @ Registry.extras)
+  in
+  note "geomean one-lane/staged %.2fx over %d kernels" (geomean ratios)
+    (List.length ratios)
 
 (* ------------------------------------------------------------------ *)
 (* Beyond the paper's evaluation: the AMD target it sketches in 3.1     *)
@@ -946,7 +1088,7 @@ let sections =
     ("table1", table1); ("fig10", fig10); ("fig11", fig11); ("fig12", fig12);
     ("fig13", fig13); ("fig14", fig14); ("fig15", fig15); ("fig16", fig16);
     ("fig17_fft", fig17_fft); ("ablations", ablations); ("explore", explore);
-    ("interp", interp); ("amd_vectors", amd_vectors);
+    ("interp", interp); ("lint", lint); ("amd_vectors", amd_vectors);
   ]
 
 (** Write BENCH_<section>.json: rows recorded by the section, the wall

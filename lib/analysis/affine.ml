@@ -241,7 +241,8 @@ let enter_loop (ctx : ctx) (l : Ast.loop) : ctx option =
 (** Drop any let binding of the names: their values are no longer known
     (reassigned in a branch or loop body, or to a non-affine value). *)
 let forget (ctx : ctx) names : ctx =
-  { ctx with lets = List.fold_left (fun m v -> Smap.remove v m) ctx.lets names }
+  let lets = List.fold_left (fun m v -> Smap.remove v m) ctx.lets names in
+  if lets == ctx.lets then ctx else { ctx with lets }
 
 (** Record an affine-valued local [int] binding ([int t = idx * 2;]);
     a non-affine value forgets the name. *)

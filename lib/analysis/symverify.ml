@@ -2107,8 +2107,8 @@ let each_difference ~same (c1 : ((int * int) * int) array)
         c2)
     c1
 
-let check_exn (k : Ast.kernel) : result =
-  let walk = Walk.run k in
+let check_exn ?walk (k : Ast.kernel) : result =
+  let walk = match walk with Some w -> w | None -> Walk.run k in
   let st =
     {
       st_sizes = k.k_sizes;
@@ -2162,12 +2162,11 @@ let check_exn (k : Ast.kernel) : result =
      phase when the verdict is already doomed to Unknown (the concrete
      fallback re-checks everything anyway) *)
   let distinct =
-    List.filter
-      (fun a ->
-        Reads.first walk.reads ~path:a.x.a_path ~arr:a.x.a_arr
-          ~store:a.x.a_store a.x.a_kind a.x.a_reads)
-      accs
-    |> Array.of_list
+    let first = Array.make (List.length walk.accesses) false in
+    List.iter
+      (fun (x : Walk.access) -> first.(x.a_id) <- true)
+      (Lazy.force walk.distinct);
+    List.filter (fun a -> first.(a.x.a_id)) accs |> Array.of_list
   in
   let check = bounds_to_check st layouts distinct in
   Array.iteri
@@ -2276,8 +2275,8 @@ let check_exn (k : Ast.kernel) : result =
   in
   { res_kernel = k.k_name; verdict; violations = List.rev st.st_violations }
 
-let check (k : Ast.kernel) : result =
-  try check_exn k
+let check ?walk (k : Ast.kernel) : result =
+  try check_exn ?walk k
   with e ->
     {
       res_kernel = k.k_name;

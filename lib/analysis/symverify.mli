@@ -60,9 +60,10 @@ type result = {
   violations : violation list;
 }
 
-(** Analyse a kernel once, for all launches. Never raises: internal
-    failures collapse to [Unknown]. *)
-val check : Gpcc_ast.Ast.kernel -> result
+(** Analyse a kernel once, for all launches, from its {!Walk} ([walk],
+    when the caller has made it; it must be the kernel's). Never
+    raises: internal failures collapse to [Unknown]. *)
+val check : ?walk:Walk.t -> Gpcc_ast.Ast.kernel -> result
 
 (** Decide a concrete launch against a parametric result. [`Errors]
     carries error-severity diagnostics for violations that provably

@@ -540,8 +540,21 @@ __kernel void record_lints(float x[2048], float out[1024]) {
     (Cache.record_lints c k = [ (launch, ds) ]);
   Alcotest.(check bool) "and the proof" true
     (Cache.symbolic_result c k = SV.check k);
-  ignore (Cache.verify_sym c ~launch:later k);
-  Alcotest.(check int) "a later launch is linted" 1 (Cache.lint_runs c);
+  let third = { launch with Ast.grid_x = launch.grid_x / 4 } in
+  List.iter
+    (fun l ->
+      let served = Cache.verify_sym c ~launch:l k in
+      Alcotest.(check bool)
+        "a later launch is linted as a one-lane check" true
+        (served
+        = List.filter
+            (fun (d : V.diagnostic) -> d.rule <> V.rule_verify_incomplete)
+            (V.check ~max_lanes:1 ~launch:l k)))
+    [ later; third ];
+  Alcotest.(check (pair int int))
+    "later launches are linted from one walk" (1, 2)
+    (let w = Cache.work c in
+     (w.walks, w.derivations));
   Alcotest.(check bool)
     "in memory only" true
     (Cache.record_lints (Cache.create ()) k = [ (launch, ds) ])
@@ -573,7 +586,10 @@ __kernel void old_record(float x[1024], float out[1024]) {
   let ds = Cache.verify_sym c ~launch k in
   Alcotest.(check bool) "proof recomputed" true
     (Cache.symbolic_result c k = SV.check k);
-  Alcotest.(check int) "its lints computed" 1 (Cache.lint_runs c);
+  Alcotest.(check (pair int int))
+    "proved and linted from one walk" (1, 1)
+    (let w = Cache.work c in
+     (w.walks, w.derivations));
   Alcotest.(check bool)
     "a current record written beside it" true
     (List.length (pverdict_entries k) = 2

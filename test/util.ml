@@ -203,10 +203,10 @@ __kernel void long_guards(float x[64], float out[64]) {
     reports at the pipeline's starting launch, (4,1)x(16,1). Dropping the
     middle barrier races the store with the reads of its own trip,
     dropping the trailing one races it with the next trip's reads. The
-    step is constant: a doubling step ([i += i]) reads the loop variable,
-    so the race check cannot bound the loop and misses both mutants. *)
+    step is constant, or doubles ([i += i], exaregex's own shape): a step
+    that reads the loop variable is evaluated trip by trip. *)
 let reduce_cases : (string * string * (string * string) list) list =
-  let src name guard ~mid ~trail =
+  let src name guard step ~mid ~trail =
     let sync b = if b then "__syncthreads();" else "" in
     Printf.sprintf
       {|#pragma gpcc dim n 16
@@ -216,7 +216,7 @@ __kernel void %s(float x[64], float out[64], int n) {
   storage[tidx] = x[idx];
   __syncthreads();
   float r = storage[tidx];
-  for (int i = 1; i < 16; i += 4) {
+  for (int i = 1; i < 16; i += %s) {
     if (%s) {
       r = r + storage[tidx - i];
     }
@@ -226,17 +226,21 @@ __kernel void %s(float x[64], float out[64], int n) {
   }
   out[idx] = r;
 }|}
-      name guard (sync mid) (sync trail)
+      name step guard (sync mid) (sync trail)
   in
   List.concat_map
-    (fun (name, guard) ->
+    (fun (name, guard, step) ->
       [
-        (name, src name guard ~mid:true ~trail:true, []);
+        (name, src name guard step ~mid:true ~trail:true, []);
         ( name ^ "_mid",
-          src (name ^ "_mid") guard ~mid:false ~trail:true,
+          src (name ^ "_mid") guard step ~mid:false ~trail:true,
           [ ("race-shared", "for(i)") ] );
         ( name ^ "_trail",
-          src (name ^ "_trail") guard ~mid:true ~trail:false,
+          src (name ^ "_trail") guard step ~mid:true ~trail:false,
           [ ("race-shared", Printf.sprintf "for(i)/if(%s)" guard) ] );
       ])
-    [ ("reduce_limit", "tidx < n && tidx >= i"); ("reduce_aligned", "tidx >= i") ]
+    [
+      ("reduce_limit", "tidx < n && tidx >= i", "4");
+      ("reduce_aligned", "tidx >= i", "4");
+      ("reduce_doubling", "tidx >= i", "i");
+    ]
