@@ -932,7 +932,8 @@ let amd_vectors () =
 (* ------------------------------------------------------------------ *)
 
 (* throwaway score-cache directories for the cold/warm timings
-   (recursive: the artifact store shards entries into subdirectories) *)
+   (recursive: a store may still hold the earlier layout's shard
+   directories) *)
 let rec remove_cache_dir dir =
   (match Sys.readdir dir with
   | exception Sys_error _ -> ()

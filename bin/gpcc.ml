@@ -658,16 +658,17 @@ let cache_cmds =
                 k.ks_kind k.ks_entries k.ks_bytes
             in
             Printf.printf
-              {|{"schema":"gpcc-cache-v1","root":"%s","entries":%d,"bytes":%d,"tmp_files":%d,"kinds":[%s]}|}
+              {|{"schema":"gpcc-cache-v1","root":"%s","entries":%d,"bytes":%d,"tmp_files":%d,"packs":%d,"kinds":[%s]}|}
               (Gpcc_analysis.Verify.json_escape (Store.root s))
-              d.ds_entries d.ds_bytes d.ds_tmp_files
+              d.ds_entries d.ds_bytes d.ds_tmp_files d.ds_packs
               (String.concat "," (List.map kind_json d.ds_kinds));
             print_newline ()
           end
           else begin
             Printf.printf "root: %s\n" (Store.root s);
-            Printf.printf "entries: %d (%d bytes), %d stale tmp file(s)\n"
-              d.ds_entries d.ds_bytes d.ds_tmp_files;
+            Printf.printf
+              "entries: %d (%d bytes) in %d pack(s), %d stale tmp file(s)\n"
+              d.ds_entries d.ds_bytes d.ds_packs d.ds_tmp_files;
             List.iter
               (fun (k : Store.kind_stats) ->
                 Printf.printf "  %-10s %6d entries  %10d bytes\n" k.ks_kind
@@ -709,7 +710,7 @@ let cache_cmds =
         & opt (some int) None
         & info [ "max-mb" ] ~docv:"MB"
             ~doc:
-              "Evict least-recently-used entries until the store fits in MB \
+              "Evict least-recently-used packs until the store fits in MB \
                megabytes (default: \\$(b,GPCC_CACHE_MAX_MB), else no size \
                limit).")
     in
@@ -718,13 +719,14 @@ let cache_cmds =
         value
         & opt (some float) None
         & info [ "max-age-s" ] ~docv:"SECONDS"
-            ~doc:"Evict entries not touched for SECONDS (default: no limit).")
+            ~doc:"Evict packs not touched for SECONDS (default: no limit).")
     in
     Cmd.v
       (Cmd.info "gc"
          ~doc:
-           "Sweep stale temp files and evict by age/size (LRU); always safe \
-            under concurrent readers and writers")
+           "Remove the earlier sharded layout, evict packs by age/size (LRU) \
+            and rewrite damaged packs; always safe under concurrent readers \
+            and writers")
       Term.(const run $ dir_arg $ json_arg $ max_mb $ max_age)
   in
   let clear_cmd =

@@ -139,7 +139,9 @@ let ctx_of_launch ?(sizes = []) (l : Ast.launch) =
     lets = Smap.empty;
   }
 
-let rec of_expr (ctx : ctx) (e : Ast.expr) : t option =
+(* one node's form, from its children's forms as [child] gives them *)
+let of_node (ctx : ctx) (child : Ast.expr -> t option) (e : Ast.expr) :
+    t option =
   let ( let* ) = Option.bind in
   match e with
   | Int_lit n -> Some (const n)
@@ -167,26 +169,26 @@ let rec of_expr (ctx : ctx) (e : Ast.expr) : t option =
               | Some form -> Some form
               | None -> Some (of_var (Param v)))))
   | Unop (Neg, a) ->
-      let* fa = of_expr ctx a in
+      let* fa = child a in
       Some (scale (-1) fa)
   | Unop (Not, _) -> None
   | Binop (Add, a, b) ->
-      let* fa = of_expr ctx a in
-      let* fb = of_expr ctx b in
+      let* fa = child a in
+      let* fb = child b in
       Some (add fa fb)
   | Binop (Sub, a, b) ->
-      let* fa = of_expr ctx a in
-      let* fb = of_expr ctx b in
+      let* fa = child a in
+      let* fb = child b in
       Some (sub fa fb)
   | Binop (Mul, a, b) -> (
-      let* fa = of_expr ctx a in
-      let* fb = of_expr ctx b in
+      let* fa = child a in
+      let* fb = child b in
       if is_const fa then Some (scale fa.const fb)
       else if is_const fb then Some (scale fb.const fa)
       else None)
   | Binop (Div, a, b) -> (
-      let* fa = of_expr ctx a in
-      let* fb = of_expr ctx b in
+      let* fa = child a in
+      let* fb = child b in
       if is_const fb then
         match div_exact fa fb.const with
         | Some f -> Some f
@@ -197,8 +199,8 @@ let rec of_expr (ctx : ctx) (e : Ast.expr) : t option =
             | _ -> None)
       else None)
   | Binop (Mod, a, b) -> (
-      let* fa = of_expr ctx a in
-      let* fb = of_expr ctx b in
+      let* fa = child a in
+      let* fb = child b in
       if is_const fb then
         match mod_const fa fb.const with
         | Some c -> Some (const c)
@@ -210,6 +212,10 @@ let rec of_expr (ctx : ctx) (e : Ast.expr) : t option =
       else None)
   | Binop ((Lt | Le | Gt | Ge | Eq | Ne | And | Or), _, _) -> None
   | Index _ | Vload _ | Field _ | Call _ | Select _ -> None
+
+let of_expr (ctx : ctx) (e : Ast.expr) : t option =
+  let rec go e = of_node ctx go e in
+  go e
 
 (** Evaluate an [int] expression to a compile-time constant under the
     context's size bindings (no thread-position or loop variables). *)

@@ -90,6 +90,13 @@ val ctx_of_launch : ?sizes:(string * int) list -> Gpcc_ast.Ast.launch -> ctx
     affine (products of variables, comparisons, loads, ...). *)
 val of_expr : ctx -> Gpcc_ast.Ast.expr -> t option
 
+(** One step of {!of_expr}: the form of an expression from its
+    children's forms, as [child] gives them ([of_expr ctx e] is the
+    fixpoint [of_node ctx (of_expr ctx) e]). A caller that visits every
+    node can pass memoized forms and lower each node once. *)
+val of_node :
+  ctx -> (Gpcc_ast.Ast.expr -> t option) -> Gpcc_ast.Ast.expr -> t option
+
 (** Evaluate an [int] expression to a compile-time constant under the
     context's bindings. *)
 val eval_const : ctx -> Gpcc_ast.Ast.expr -> int option

@@ -857,6 +857,14 @@ let check_races st (launch : Ast.launch) layouts ~max_lanes ~dedup_pairs
 
 (* --- bounds checking: strided intervals + affine guard refinement --- *)
 
+(* affine forms by physical (context, node) *)
+module Forms = Hashtbl.Make (struct
+  type t = Affine.ctx * Ast.expr
+
+  let equal (c, e) (c', e') = c == c' && e == e'
+  let hash (_, e) = Hashtbl.hash e
+end)
+
 type renv = {
   r_launch : Ast.launch;
   r_sizes : (string * int) list;
@@ -870,6 +878,8 @@ type renv = {
   r_lets : (int, si option) Hashtbl.t;
       (** each let's own range, once an access that adds no loop or guard
           bounds asked for it: nothing else varies at one launch *)
+  r_forms : Affine.t option Forms.t;
+      (** the affine forms this environment's narrowings lowered *)
 }
 
 let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
@@ -906,8 +916,24 @@ let si_of_affine (env : renv) (f : Affine.t) : si option =
     (Some (si_const f.const))
     f.terms
 
+(* The affine form of [e] in [env]'s context, each node lowered once:
+   narrowing asks for the form of every node its structural recursion
+   visits, and [Affine.of_expr] at each would lower every subtree again
+   at each of its ancestors. *)
+let form (env : renv) (e : Ast.expr) : Affine.t option =
+  let rec go e =
+    let k = (env.r_ctx, e) in
+    match Forms.find_opt env.r_forms k with
+    | Some f -> f
+    | None ->
+        let f = Affine.of_node env.r_ctx go e in
+        Forms.add env.r_forms k f;
+        f
+  in
+  go e
+
 let affine_range (env : renv) (e : Ast.expr) : si option =
-  Option.bind (Affine.of_expr env.r_ctx e) (si_of_affine env)
+  Option.bind (form env e) (si_of_affine env)
 
 let rec range_expr (env : renv) (e : Ast.expr) : si option =
   narrow_range env (affine_range env e) e
@@ -1088,6 +1114,7 @@ let renv_at (at : at) (e : Walk.env) ctx (r_iters, r_trips) : renv =
     r_ctx = Walk.ctx at.cs ctx;
     r_over = [];
     r_lets = at.let_ranges;
+    r_forms = Forms.create 16;
   }
 
 let acc_of (at : at) (w : Walk.access) : acc =

@@ -11,62 +11,88 @@
 
     {2 Layout}
 
-    Entries live under a root directory, sharded by digest to keep any
-    single directory small (a flat directory degrades on many
-    filesystems past a few tens of thousands of entries):
+    Each process appends every record it stores to one pack file of its
+    own, created at its first write:
 
     {v
-    <root>/ab/cdef0123456789abcdef0123456789.<kind>
+    <root>/<pid>-<random>.pack
     <root>/.lock
     v}
 
-    The 32-hex-digit name is the MD5 of (format version, kind name,
-    codec version, key); the first two digits name the shard. The file
-    itself stores a header line, the full key (guarding against digest
-    collisions) and the codec-encoded payload, with byte lengths in the
-    header so truncation is detected before any payload is decoded.
+    A record is a header line (format version, kind name, codec
+    version, key and payload byte lengths), the full key and the
+    codec-encoded payload; a pack is its records back to back. The
+    lengths make a torn record detectable before any payload is decoded,
+    and lead a reader from one record to the next. Each process keeps an
+    index from a hash of (kind name, codec version, key) to
+    (pack, offset, length), shared by its handles on the root: it covers
+    this process's records as soon as {!store} returns, and it lists the
+    root again on a miss only when the root directory changed (a pack
+    was created or removed). A hit reads the record at its offset and
+    checks it whole, full key included.
+
+    The layout this replaced kept one file per entry in 256 digest
+    shards, written through a temp file and a rename. On a filesystem
+    that has seen stores created and deleted, each new inode cost a
+    fraction of a millisecond of system time, hundreds of them per
+    compile sweep or search; a flat directory with one file per entry
+    saves the shard directories but still creates an inode per
+    artifact. A pack creates one file per process.
 
     {2 Concurrency}
 
-    Entry writes go through a temp file (named with the writer's pid
-    plus a random suffix, so a crashed writer can never collide with a
-    later one) and an atomic [rename]; readers therefore always see a
-    complete entry or none. On top of that, writers hold a {e shared}
-    advisory lock on [<root>/.lock] (via [lockf]) while renaming, and
-    the garbage collector holds the {e exclusive} lock while sweeping —
-    so eviction can never race a rename into losing a fresh entry.
+    A record goes into the pack with one unbuffered [write] (a record
+    over 64 KiB takes several) while the writer holds a {e shared}
+    advisory lock on [<root>/.lock] (via [lockf]); the garbage collector
+    and [clear] hold the {e exclusive} lock, so they never see half a
+    record of a live writer, and a writer whose pack they unlinked sees
+    it ([fstat]) and starts a new pack. A forked child starts its own
+    pack too, never writing through the descriptor it inherited.
     Because POSIX record locks are per-process, the same protocol is
     mirrored in-process with a readers-writer monitor shared by every
     handle on the same root. Lock waits are counted in
     {!global_lock_contention}.
 
+    Readers take no lock. A record another live process appends to a
+    pack this process already indexed may be missed until the root
+    changes, which costs one recompute, like a lost race: artifacts are
+    content-addressed, so two processes that compute one key store
+    equivalent records, and a reader takes the first that checks out.
+
     {2 Eviction}
 
-    [gc] reclaims three things: temp files older than a threshold
-    (crashed writers), entries older than a maximum age, and — when the
-    store exceeds a size budget — the least-recently-used entries until
-    it fits. Recency is the entry file's mtime: a read hit touches the
-    file, so the mtime is the LRU clock. An entry whose mtime is at or
-    after the start of the GC pass is never evicted by that pass.
+    Recency and eviction work on whole packs. A pack's mtime is its LRU
+    clock: a write appends to it, and a hit touches it once per handle.
+    [gc] removes the sharded layout's entry files (the store no longer
+    reads them) and their temp files older than a threshold, evicts
+    packs older than a maximum age and — when the store exceeds a size
+    budget — the least-recently-used packs until it fits, and rewrites
+    a kept pack that holds a damaged or torn stretch with its complete
+    records. A pack whose mtime is at or after the start of the GC pass
+    is never evicted by that pass. [clear ~kind] rewrites each pack
+    holding records of the kind with its other records (a new pack,
+    complete before the old one is unlinked).
 
     {2 Versioning}
 
-    The store format version and each kind's codec version participate
-    in the digest, so a format or codec change orphans old entries
-    rather than misreading them; orphans age out through the size/age
-    GC (or [clear]). A file whose header doesn't parse, whose kind or
-    version don't match its name, or whose lengths disagree with its
-    size is corrupt (killed writer, full disk): it is deleted and
-    reported as a miss, so the artifact is simply recomputed. A file
-    storing a {e different} key (an MD5 collision) is kept and reported
-    as a miss. *)
+    A record carries the store format version and its kind's codec
+    version, and a lookup takes only a record of both current versions,
+    so a format or codec change orphans old records rather than
+    misreading them; orphans age out with their packs through the
+    size/age GC (or fall to [clear]). A record whose header doesn't
+    parse, whose lengths run past the end of its pack or into the next
+    record, or whose payload the codec rejects is a miss (killed writer,
+    full disk), and the artifact is simply recomputed and appended; a
+    reader skips such a stretch up to the next header. A well-formed
+    record of another kind, version or key under the hash looked up is
+    kept and passed over. *)
 
 type t
 
 (** {1 Kinds: typed codecs} *)
 
-(** A kind is a typed namespace of artifacts: a file extension, a codec
-    version and an encode/decode pair. *)
+(** A kind is a typed namespace of artifacts: a name, a codec version
+    and an encode/decode pair. *)
 type 'a kind
 
 val make_kind :
@@ -75,10 +101,10 @@ val make_kind :
   encode:('a -> string) ->
   decode:(string -> 'a option) ->
   'a kind
-(** [name] is the file extension (e.g. ["score"]) and must be non-empty,
-    made of letters, digits, ['-'] and ['_']. [decode] returns [None] on
-    any payload it cannot parse (the entry is then treated as corrupt:
-    deleted and reported as a miss). *)
+(** [name] names the kind in each record's header (e.g. ["score"]) and
+    must be non-empty, made of letters, digits, ['-'] and ['_'].
+    [decode] returns [None] on any payload it cannot parse (the record
+    is then treated as corrupt: skipped and reported as a miss). *)
 
 val kind_name : _ kind -> string
 
@@ -107,20 +133,22 @@ val root : t -> string
 (** {1 Reading and writing} *)
 
 val find : t -> 'a kind -> key:string -> 'a option
-(** Look an artifact up by its full key. A hit touches the entry's
-    mtime (the LRU clock) and counts in {!hits}/{!global_hits}; a miss,
-    a digest collision or a corrupt entry (deleted) counts as a miss. *)
+(** Look an artifact up by its full key. A hit touches its pack's mtime
+    (the LRU clock) once per handle and counts in
+    {!hits}/{!global_hits}; a miss or a corrupt record counts as a
+    miss. *)
 
 val store : t -> 'a kind -> key:string -> 'a -> unit
-(** Persist an artifact (atomic tmp+rename under the shared lock).
-    Losing a rename race to a concurrent writer is silently accepted:
-    artifacts are content-addressed, so the racing value is
+(** Persist an artifact: append it to this process's pack under the
+    shared lock. A record another process stored under the same key
+    stays beside it: artifacts are content-addressed, so the two are
     equivalent. *)
 
 (** {1 Inspection} *)
 
 val entries : ?kind:string -> t -> int
-(** Entry files on disk, optionally restricted to one kind. *)
+(** Distinct records on disk (one per kind, codec version and key,
+    however many packs hold it), optionally restricted to one kind. *)
 
 type kind_stats = {
   ks_kind : string;
@@ -129,9 +157,10 @@ type kind_stats = {
 }
 
 type disk_stats = {
-  ds_entries : int;
-  ds_bytes : int;
-  ds_tmp_files : int;
+  ds_entries : int;  (** distinct records, as {!entries} *)
+  ds_bytes : int;  (** their bytes, headers and keys included *)
+  ds_tmp_files : int;  (** temp files left by the earlier layout *)
+  ds_packs : int;
   ds_kinds : kind_stats list;  (** sorted by kind name *)
 }
 
@@ -140,9 +169,9 @@ val disk_stats : t -> disk_stats
 (** {1 Eviction} *)
 
 type gc_stats = {
-  gc_live : int;  (** entries kept *)
-  gc_live_bytes : int;
-  gc_evicted : int;  (** entries removed by the age or size policy *)
+  gc_live : int;  (** distinct records kept *)
+  gc_live_bytes : int;  (** bytes of the packs kept *)
+  gc_evicted : int;  (** records in the packs the age or size policy removed *)
   gc_evicted_bytes : int;
   gc_swept_tmps : int;  (** stale temp files removed *)
 }
@@ -154,22 +183,25 @@ val gc :
   ?now:float ->
   t ->
   gc_stats
-(** Collect garbage under the exclusive lock. Temp files older than
-    [tmp_ttl_s] (default one hour) are always swept. Entries older than
-    [max_age_s] (default: no age limit) are evicted; then, if the live
-    set still exceeds [max_bytes] (default: [$GPCC_CACHE_MAX_MB], else
-    no size limit), least-recently-used entries are evicted until it
-    fits. Entries touched at or after the start of the pass ([now],
-    default the current time — explicit only for tests) are never
-    evicted. *)
+(** Collect garbage under the exclusive lock. The sharded layout's
+    entry files are removed, and its temp files older than [tmp_ttl_s]
+    (default one hour). Packs older than [max_age_s] (default: no age
+    limit) are evicted; then, if the packs still exceed [max_bytes]
+    (default: [$GPCC_CACHE_MAX_MB], else no size limit),
+    least-recently-used packs are evicted until they fit. Packs touched
+    or written at or after the start of the pass ([now], default the
+    current time — explicit only for tests) are never evicted; any other
+    kept pack with a damaged or torn stretch is rewritten with its
+    complete records. *)
 
 val default_max_bytes : unit -> int option
 (** [$GPCC_CACHE_MAX_MB] parsed to bytes, when set and positive. *)
 
 val clear : ?kind:string -> t -> unit
-(** Delete every entry (of one kind, or of all kinds plus stray temp
-    and legacy files when [kind] is omitted). Holds the exclusive
-    lock. *)
+(** Delete every record of one kind, or every file but the lock when
+    [kind] is omitted (the earlier layout's too). A pack holding records
+    of the kind is replaced by a new pack holding its other records.
+    Holds the exclusive lock. *)
 
 (** {1 Counters}
 
@@ -182,8 +214,8 @@ val global_hits : unit -> int
 val global_misses : unit -> int
 
 val global_evictions : unit -> int
-(** Entries evicted by [gc] (age or size policy; tmp sweeps and
-    [clear] are not counted). *)
+(** Records in the packs [gc] evicted (age or size policy; tmp sweeps,
+    rewrites and [clear] are not counted). *)
 
 val global_lock_contention : unit -> int
 (** Times a lock acquisition (in-process or on-disk) had to wait. *)

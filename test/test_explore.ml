@@ -356,62 +356,60 @@ let test_funnel_shares_full_cache () =
 let test_cache_corrupt_entry () =
   let dir = fresh_cache_dir () in
   let c = Gpcc_core.Explore_cache.open_dir ~dir () in
-  Gpcc_core.Explore_cache.store c "k1" 42.0;
-  (* the store shards entries into two-hex-digit subdirectories; find
-     the single entry file wherever it landed *)
-  let entry_files () =
-    Sys.readdir dir |> Array.to_list
-    |> List.concat_map (fun n ->
-           let sub = Filename.concat dir n in
-           if Sys.is_directory sub then
-             Sys.readdir sub |> Array.to_list |> List.map (Filename.concat sub)
-           else [])
+  let module C = Gpcc_core.Explore_cache in
+  C.store c "k1" 42.0;
+  (* the store appends records to one pack per process: find the newest
+     record under k1 wherever it landed *)
+  let newest () =
+    match List.rev (Util.store_records ~root:dir ~kind:"score" "k1") with
+    | r :: _ -> r
+    | [] -> Alcotest.fail "no score record"
   in
-  let file =
-    match entry_files () with
-    | [ f ] -> f
-    | fs ->
-        Alcotest.failf "expected exactly one entry file, got %d"
-          (List.length fs)
-  in
-  let overwrite content =
-    let oc = open_out_bin file in
-    output_string oc content;
-    close_out oc
+  (* a record of the same length in the newest one's place, so a warm
+     index still points at it *)
+  let in_place ~key payload =
+    let r = newest () in
+    Util.overwrite_record r (Util.envelope { r with sr_key = key } payload)
   in
   let check_dropped what =
     (* a fresh handle, so the in-memory memo cannot mask the disk *)
-    let c2 = Gpcc_core.Explore_cache.open_dir ~dir () in
     Alcotest.(check (option (float 0.)))
       (what ^ " reads as a miss") None
-      (Gpcc_core.Explore_cache.find c2 "k1");
-    Alcotest.(check bool)
-      (what ^ " is deleted on read") false (Sys.file_exists file)
+      (C.find (C.open_dir ~dir ()) "k1")
   in
   (* truncated: the writer died mid-header *)
-  overwrite "gpcc-store-v1 score";
-  check_dropped "truncated entry";
-  Gpcc_core.Explore_cache.store c "k1" 42.0;
+  Util.overwrite_record (newest ()) "gpcc-store-v1 score";
+  check_dropped "truncated record";
+  C.store c "k1" 42.0;
   (* envelope intact but the payload is not a float *)
-  overwrite "gpcc-store-v1 score 1 2 11\nk1not-a-float";
+  in_place ~key:"k1" "notfloat";
   check_dropped "garbage score";
-  (* after deletion the slot is reusable *)
-  Gpcc_core.Explore_cache.store c "k1" 7.5;
-  let c3 = Gpcc_core.Explore_cache.open_dir ~dir () in
+  (* a newer record is read past both damaged ones *)
+  C.store c "k1" 7.5;
   Alcotest.(check (option (float 1e-12)))
     "re-stored after corruption" (Some 7.5)
-    (Gpcc_core.Explore_cache.find c3 "k1");
-  (* a well-formed entry storing a different key (digest collision
-     guard) is a miss but NOT deleted *)
-  let oc = open_out_bin file in
-  output_string oc "gpcc-store-v1 score 1 14 6\nsome-other-key0x1p+1";
-  close_out oc;
-  let c4 = Gpcc_core.Explore_cache.open_dir ~dir () in
-  Alcotest.(check (option (float 0.)))
-    "foreign key is a miss" None
-    (Gpcc_core.Explore_cache.find c4 "k1");
+    (C.find (C.open_dir ~dir ()) "k1");
+  (* gc deletes the torn stretch: the pack is rewritten with its
+     complete records, and the value still reads back *)
+  List.iter
+    (fun p ->
+      let t = Unix.gettimeofday () -. 60. in
+      Unix.utimes p t t)
+    (Util.pack_files dir);
+  ignore (C.gc c);
   Alcotest.(check bool)
-    "foreign entry is preserved" true (Sys.file_exists file)
+    "gc deletes the torn record" true
+    (List.for_all Util.pack_is_records (Util.pack_files dir));
+  Alcotest.(check (option (float 1e-12)))
+    "the value survives the rewrite" (Some 7.5)
+    (C.find (C.open_dir ~dir ()) "k1");
+  (* a well-formed record storing a different key in k1's place (the
+     full-key check behind the hash index) is a miss but NOT deleted *)
+  in_place ~key:"kX" "0x1.ep+2";
+  check_dropped "foreign key";
+  Alcotest.(check int)
+    "foreign record is preserved" 1
+    (List.length (Util.store_records ~root:dir ~kind:"score" "kX"))
 
 let suite =
   ( "explore",

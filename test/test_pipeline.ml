@@ -425,35 +425,6 @@ let test_warm_records_serve_lints () =
     "some texts are linted at two launches" true
     (List.length (distinct_texts linted) < List.length linted)
 
-(* The default store's entries of kind [ext] whose key contains
-   [needle] (an entry holds its full key). *)
-let store_entries ~(ext : string) (needle : string) : string list =
-  let root = Gpcc_util.Store.default_root () in
-  let read_file p =
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let contains hay =
-    let n = String.length needle and h = String.length hay in
-    let rec scan i =
-      i + n <= h && (String.equal (String.sub hay i n) needle || scan (i + 1))
-    in
-    scan 0
-  in
-  (if Sys.file_exists root then Sys.readdir root else [||])
-  |> Array.to_list
-  |> List.concat_map (fun shard ->
-         let d = Filename.concat root shard in
-         if Sys.is_directory d then
-           Sys.readdir d |> Array.to_list
-           (* [check_suffix ".verdict"] would also match ".pverdict" *)
-           |> List.filter (fun f -> Filename.extension f = ext)
-           |> List.map (Filename.concat d)
-         else [])
-  |> List.filter (fun p -> contains (read_file p))
-
 (* --- an explored naive text's record carries its lints --- *)
 
 (* Explore asks for the naive text's proof before compiling anything. It
@@ -471,8 +442,8 @@ let test_explore_naive_record_lints () =
   let naive = Workload.parse w w.test_size in
   let launch = Option.get (Gpcc_passes.Pass_util.initial_launch naive) in
   (* cold for this text: drop its stored record *)
-  List.iter Sys.remove
-    (store_entries ~ext:".pverdict" (Gpcc_ast.Pp.kernel_to_string naive));
+  List.iter drop_record
+    (store_records ~kind:"pverdict" (Gpcc_ast.Pp.kernel_to_string naive));
   let fresh_domain f =
     Domain.join
       (Domain.spawn (fun () ->
@@ -578,47 +549,45 @@ let test_verify_disk_corruption () =
   let k = Workload.parse w w.test_size in
   let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
   let fresh = Gpcc_analysis.Verify.check ~launch k in
-  (* verdicts now live in the sharded artifact store; locate this
-     kernel's entry by its stored key (the full kernel text) rather
-     than re-deriving the digest scheme *)
+  (* locate this kernel's record by its stored key (the full kernel
+     text) rather than re-deriving the digest scheme *)
   let full = Gpcc_ast.Pp.kernel_to_string ~launch k in
-  let entries () = store_entries ~ext:".verdict" full in
+  let records () = store_records ~kind:"verdict" full in
   (* a store used before a codec-version bump still holds this key's
-     orphaned older entries: drop them all so the baseline writes the
-     one live entry *)
-  List.iter Sys.remove (entries ());
+     orphaned older records: drop them all so the baseline writes the
+     one live record *)
+  List.iter drop_record (records ());
   let d1 = Cache.verify (Cache.create ()) ~launch k in
   Alcotest.(check bool) "baseline verdict" true (d1 = fresh);
-  let path =
-    match entries () with
-    | [ p ] -> p
-    | ps ->
-        Alcotest.failf "expected exactly one verdict entry for kernel, got %d"
-          (List.length ps)
-  in
-  Alcotest.(check bool) "verdict file exists" true (Sys.file_exists path);
-  let overwrite content =
-    let oc = open_out_bin path in
-    output_string oc content;
-    close_out oc
+  let record () =
+    match records () with
+    | [ r ] -> r
+    | rs ->
+        Alcotest.failf "expected exactly one verdict record for kernel, got %d"
+          (List.length rs)
   in
   let recovered what =
-    (* a fresh instance must treat the damaged file as a miss, recompute
-       the verdict, and leave a readable file behind *)
+    (* a fresh instance must treat the damaged record as a miss,
+       recompute the verdict, and leave a readable record behind *)
     let d = Cache.verify (Cache.create ()) ~launch k in
     Alcotest.(check bool) (what ^ ": verdict recomputed") true (d = fresh);
     let d2 = Cache.verify (Cache.create ()) ~launch k in
-    Alcotest.(check bool) (what ^ ": rewritten file round-trips") true
+    Alcotest.(check bool) (what ^ ": rewritten record round-trips") true
       (d2 = fresh)
   in
-  overwrite "";
-  recovered "empty file";
-  overwrite "gpcc-verify-v2\n";
-  recovered "truncated after header";
-  overwrite "gpcc-verify-v1\nstale-format-payload";
-  recovered "old format version";
-  overwrite "gpcc-verify-v2\nthis is not marshalled data";
-  recovered "garbage payload"
+  List.iter
+    (fun (what, content) ->
+      let r = record () in
+      overwrite_record r (content r);
+      recovered what)
+    [
+      ("empty file", fun _ -> "");
+      ("truncated after header", fun _ -> "gpcc-verify-v2\n");
+      ("old format version", fun _ -> "gpcc-verify-v1\nstale-format-payload");
+      ("garbage payload", fun _ -> "gpcc-verify-v2\nthis is not marshalled data");
+      ( "well-formed record, undecodable payload",
+        fun r -> envelope r "this is not marshalled data" );
+    ]
 
 (* --- remarks: structure and JSON emission --- *)
 

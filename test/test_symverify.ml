@@ -454,27 +454,10 @@ let test_pverdict_disk_round_trip () =
     "first instance matches Symverify.check" true (r1 = fresh);
   Alcotest.(check bool) "disk round trip is lossless" true (r2 = fresh)
 
-(* pverdicts live in the sharded artifact store, keyed by the full
-   kernel text: find a kernel's entries, of every codec version, by
-   their stored key *)
+(* a kernel's pverdict records, of every codec version, located by
+   their stored key (the full kernel text) *)
 let pverdict_entries (k : Ast.kernel) =
-  let root = Gpcc_util.Store.default_root () in
-  let full = Pp.kernel_to_string k in
-  let read_file p =
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Sys.readdir root |> Array.to_list
-  |> List.concat_map (fun shard ->
-         let d = Filename.concat root shard in
-         if Sys.is_directory d then
-           Sys.readdir d |> Array.to_list
-           |> List.filter (fun f -> Filename.extension f = ".pverdict")
-           |> List.map (Filename.concat d)
-         else [])
-  |> List.filter (fun p -> contains ~needle:full (read_file p))
+  store_records ~kind:"pverdict" (Pp.kernel_to_string k)
 
 let test_pverdict_disk_corruption () =
   let w = Registry.find_exn "vv" in
@@ -482,36 +465,33 @@ let test_pverdict_disk_corruption () =
   let fresh = SV.check k in
   let entries () = pverdict_entries k in
   (* a store used before a codec-version bump still holds this key's
-     orphaned older entries: drop them all so the baseline writes the
-     one live entry *)
-  List.iter Sys.remove (entries ());
+     orphaned older records: drop them all so the baseline writes the
+     one live record *)
+  List.iter drop_record (entries ());
   let r1 = Cache.symbolic_result (Cache.create ()) k in
   Alcotest.(check bool) "baseline verdict" true (r1 = fresh);
-  let path =
+  let record () =
     match entries () with
-    | [ p ] -> p
-    | ps ->
-        Alcotest.failf "expected exactly one pverdict entry, got %d"
-          (List.length ps)
-  in
-  Alcotest.(check bool) "pverdict file exists" true (Sys.file_exists path);
-  let overwrite content =
-    let oc = open_out_bin path in
-    output_string oc content;
-    close_out oc
+    | [ r ] -> r
+    | rs ->
+        Alcotest.failf "expected exactly one pverdict record, got %d"
+          (List.length rs)
   in
   List.iter
     (fun (what, content) ->
-      overwrite content;
+      let r = record () in
+      overwrite_record r (content r);
       let r = Cache.symbolic_result (Cache.create ()) k in
       Alcotest.(check bool) (what ^ ": verdict recomputed") true (r = fresh);
       let r2 = Cache.symbolic_result (Cache.create ()) k in
       Alcotest.(check bool)
-        (what ^ ": rewritten file round-trips") true (r2 = fresh))
+        (what ^ ": rewritten record round-trips") true (r2 = fresh))
     [
-      ("empty file", "");
-      ("wrong header", "not-a-verdict\ngarbage");
-      ("truncated payload", "gpcc-symverify-v1\n\000\000");
+      ("empty file", fun _ -> "");
+      ("wrong header", fun _ -> "not-a-verdict\ngarbage");
+      ("truncated payload", fun _ -> "gpcc-symverify-v1\n\000\000");
+      ( "well-formed record, undecodable payload",
+        fun r -> envelope r "not-a-verdict" );
     ]
 
 (* A text's verification record is written once, when its proof is
@@ -528,7 +508,7 @@ __kernel void record_lints(float x[2048], float out[1024]) {
   in
   let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
   let later = { launch with Ast.grid_x = launch.grid_x / 2 } in
-  List.iter Sys.remove (pverdict_entries k);
+  List.iter drop_record (pverdict_entries k);
   let ds = Cache.verify_sym (Cache.create ()) ~launch k in
   Alcotest.(check bool)
     "proved clean" true
@@ -571,7 +551,7 @@ __kernel void old_record(float x[1024], float out[1024]) {
 }|}
   in
   let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
-  List.iter Sys.remove (pverdict_entries k);
+  List.iter drop_record (pverdict_entries k);
   let v4 : SV.result Gpcc_util.Store.kind =
     Gpcc_util.Store.make_kind ~name:"pverdict" ~version:"4"
       ~encode:(fun r -> Marshal.to_string r [])

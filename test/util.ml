@@ -89,6 +89,127 @@ let assert_contains msg hay needle =
   if not (contains ~needle hay) then
     Alcotest.failf "%s: expected to find %S in:\n%s" msg needle hay
 
+(** {1 Artifact-store records on disk}
+
+    The store appends records to [<root>/*.pack] files. These helpers
+    locate and damage records the way a test needs, reading the
+    envelope without the store's code: a header line
+    ["gpcc-store-v1 <kind> <version> <key bytes> <payload bytes>"], the
+    key, the payload, records back to back. *)
+
+type store_record = {
+  sr_pack : string;  (** the pack's path *)
+  sr_off : int;
+  sr_len : int;
+  sr_kind : string;
+  sr_version : string;
+  sr_key : string;
+}
+
+let read_file p =
+  let ic = open_in_bin p in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let pack_files root =
+  (if Sys.file_exists root then Sys.readdir root else [||])
+  |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".pack")
+  |> List.sort compare
+  |> List.map (Filename.concat root)
+
+(** The complete records of a pack, in order, as the store reads them:
+    a damaged stretch is skipped up to the next header. *)
+let pack_records (pack : string) : store_record list =
+  let data = read_file pack in
+  let n = String.length data and marker = "gpcc-store-v1 " in
+  let at pos =
+    match String.index_from_opt data pos '\n' with
+    | None -> None
+    | Some nl -> (
+        match String.split_on_char ' ' (String.sub data pos (nl - pos)) with
+        | [ "gpcc-store-v1"; kind; version; klen; plen ] -> (
+            match (int_of_string_opt klen, int_of_string_opt plen) with
+            | Some k, Some p when k >= 0 && p >= 0 && nl + 1 + k + p <= n ->
+                Some
+                  {
+                    sr_pack = pack;
+                    sr_off = pos;
+                    sr_len = nl + 1 + k + p - pos;
+                    sr_kind = kind;
+                    sr_version = version;
+                    sr_key = String.sub data (nl + 1) k;
+                  }
+            | _ -> None)
+        | _ -> None)
+  in
+  let m = String.length marker in
+  let rec next i =
+    if i + m > n then None
+    else if String.sub data i m = marker then Some i
+    else next (i + 1)
+  in
+  (* a record is taken when a header, or the start of one, follows it *)
+  let followed e =
+    let k = min m (n - e) in
+    String.sub data e k = String.sub marker 0 k
+  in
+  let rec go pos acc =
+    if pos >= n then List.rev acc
+    else
+      match at pos with
+      | Some r when followed (pos + r.sr_len) -> go (pos + r.sr_len) (r :: acc)
+      | _ -> (
+          match next (pos + 1) with Some q -> go q acc | None -> List.rev acc)
+  in
+  go 0 []
+
+(** Every complete record of [kind] whose key contains [needle], in the
+    store at [root] (default: the default store). *)
+let store_records ?root ~kind needle : store_record list =
+  let root =
+    match root with Some r -> r | None -> Gpcc_util.Store.default_root ()
+  in
+  pack_files root
+  |> List.concat_map pack_records
+  |> List.filter (fun r -> r.sr_kind = kind && contains ~needle r.sr_key)
+
+(** Whether a pack's bytes are exactly its complete records. *)
+let pack_is_records pack =
+  List.fold_left (fun a r -> a + r.sr_len) 0 (pack_records pack)
+  = String.length (read_file pack)
+
+let write_at path off content ~truncate =
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      ignore (Unix.lseek fd off Unix.SEEK_SET);
+      ignore (Unix.write_substring fd content 0 (String.length content));
+      if truncate then Unix.ftruncate fd (off + String.length content))
+
+(** Relabel a record's kind in place (its first letter becomes ['_']),
+    so no reader of the kind takes it; the records around it stay as
+    they were. *)
+let drop_record (r : store_record) =
+  write_at r.sr_pack
+    (r.sr_off + String.length "gpcc-store-v1 ")
+    "_" ~truncate:false
+
+(** Replace the last record of its pack with [content], as a writer
+    that died or a damaged disk would leave it. *)
+let overwrite_record (r : store_record) content =
+  if r.sr_off + r.sr_len <> String.length (read_file r.sr_pack) then
+    Alcotest.failf "record at %d of %s is not its pack's last" r.sr_off
+      r.sr_pack;
+  write_at r.sr_pack r.sr_off content ~truncate:true
+
+(** A well-formed record in [r]'s place whose payload is [payload]. *)
+let envelope (r : store_record) payload =
+  Printf.sprintf "gpcc-store-v1 %s %s %d %d\n%s%s" r.sr_kind r.sr_version
+    (String.length r.sr_key) (String.length payload) r.sr_key payload
+
 (** Kernels whose second loop reuses (or renames) the first loop's
     variable, with the exact error rule ids both verifiers must report:
     a loop variable is bound at loop entry, so a reused name sees the
