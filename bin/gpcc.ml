@@ -566,6 +566,7 @@ let bench_cmd =
             let n = Option.value size ~default:w.bench_size in
             let k = Gpcc_workloads.Workload.parse w n in
             let nl = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
+            let fallbacks0 = Gpcc_sim.Vector.fallback_reasons () in
             let tn = Gpcc_workloads.Workload.measure cfg w n k nl in
             let r =
               Gpcc_core.Pipeline.run
@@ -583,7 +584,20 @@ let bench_cmd =
             Printf.printf "  naive:     %s (%s-bound)\n" (metric tn) tn.bound;
             Printf.printf "  optimized: %s (%s-bound)  speedup %.1fx\n"
               (metric topt) topt.bound
-              (tn.time_ms /. Float.max 1e-9 topt.time_ms))
+              (tn.time_ms /. Float.max 1e-9 topt.time_ms);
+            (* a run the vector backend refused ran on the reference
+               interpreter: same results, slower; say why *)
+            List.iter
+              (fun (reason, runs) ->
+                let runs0 =
+                  Option.value ~default:0 (List.assoc_opt reason fallbacks0)
+                in
+                if runs > runs0 then
+                  Printf.eprintf
+                    "note: %d run(s) fell back to the reference interpreter: \
+                     %s\n"
+                    (runs - runs0) reason)
+              (Gpcc_sim.Vector.fallback_reasons ()))
   in
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")

@@ -4,12 +4,14 @@
     the same intermediate kernels: the affine access table ({!Coalesce_check}),
     the coalescing verdict, the data-sharing summary ({!Sharing}), the
     register/shared-memory estimate ({!Regcount}) and the verifier's
-    diagnostics ({!Verify}). The design-space exploration makes this
-    quadratic — dozens of configurations whose pipelines revisit
-    identical intermediate kernels. This cache memoizes all five,
-    keyed by a digest of the printed kernel (plus the launch for
-    launch-dependent analyses), so any change to the kernel text
-    invalidates implicitly.
+    diagnostics ({!Verify}). The design-space exploration multiplies
+    this: a kernel's 30 configurations revisit identical intermediate
+    kernels. The pipeline computes each of its steps once per input
+    state and hands the same physical kernel out again, but every
+    configuration still validates, measures and decides on the states
+    it reaches. This cache memoizes all five, keyed by a digest of the
+    printed kernel (plus the launch for launch-dependent analyses), so
+    any change to the kernel text invalidates implicitly.
 
     Verification is symbolic first: one record per kernel text holds
     the launch-parametric proof ({!Symverify}) and, for each launch it
@@ -71,20 +73,17 @@ type proof = {
   mutable lints : (Ast.launch * Verify.diagnostic list) list;
 }
 
-type 'a cell = { v : 'a; mutable tick : int }
-
-type 'a slot = (string, 'a cell) Hashtbl.t
+module Lru = Gpcc_util.Lru
 
 type t = {
-  affine : Coalesce_check.access list slot;
-  sharing : Sharing.array_sharing list slot;
-  coalesce : bool slot;
-  regcount : (int * int) slot;  (** (registers/thread, shared bytes/block) *)
-  verify : Verify.diagnostic list slot;
-  symbolic : proof slot;  (** verification records, kernel-keyed *)
-  plans : Verify.plan slot;  (** one walk per kernel text, memory only *)
+  affine : Coalesce_check.access list Lru.t;
+  sharing : Sharing.array_sharing list Lru.t;
+  coalesce : bool Lru.t;
+  regcount : (int * int) Lru.t;  (** (registers/thread, shared bytes/block) *)
+  verify : Verify.diagnostic list Lru.t;
+  symbolic : proof Lru.t;  (** verification records, kernel-keyed *)
+  plans : Verify.plan Lru.t;  (** one walk per kernel text, memory only *)
   capacity : int;  (** max entries per slot before LRU eviction *)
-  mutable tick : int;
   mutable hits : int;
   mutable misses : int;
   mutable walks : int;
@@ -93,17 +92,24 @@ type t = {
 
 let default_capacity = 512
 
+(* A plan holds its text's walk, the largest (merged fft states)
+   megabytes, so keeping every plan alive grows the heap of a long
+   search. A text's launches come close together (one compile, or one
+   kernel's grid), so the plans of the most recently used texts serve
+   them: 32 hold a kernel's whole Section-4 grid (fft's has 17 texts). *)
+let plan_capacity = 32
+
 let create ?(capacity = default_capacity) () =
+  let capacity = max 1 capacity in
   {
-    affine = Hashtbl.create 64;
-    sharing = Hashtbl.create 64;
-    coalesce = Hashtbl.create 64;
-    regcount = Hashtbl.create 64;
-    verify = Hashtbl.create 64;
-    symbolic = Hashtbl.create 64;
-    plans = Hashtbl.create 64;
-    capacity = max 1 capacity;
-    tick = 0;
+    affine = Lru.create capacity;
+    sharing = Lru.create capacity;
+    coalesce = Lru.create capacity;
+    regcount = Lru.create capacity;
+    verify = Lru.create capacity;
+    symbolic = Lru.create capacity;
+    plans = Lru.create (min capacity plan_capacity);
+    capacity;
     hits = 0;
     misses = 0;
     walks = 0;
@@ -119,10 +125,9 @@ type work = { walks : int; derivations : int }
 let work (t : t) = { walks = t.walks; derivations = t.derivations }
 
 let length t =
-  Hashtbl.length t.affine + Hashtbl.length t.sharing
-  + Hashtbl.length t.coalesce + Hashtbl.length t.regcount
-  + Hashtbl.length t.verify + Hashtbl.length t.symbolic
-  + Hashtbl.length t.plans
+  Lru.length t.affine + Lru.length t.sharing + Lru.length t.coalesce
+  + Lru.length t.regcount + Lru.length t.verify + Lru.length t.symbolic
+  + Lru.length t.plans
 
 (* hit/miss totals across every domain's instance, for bench reporting *)
 let global_hit_count = Atomic.make 0
@@ -168,6 +173,7 @@ let timed (f : unit -> 'a) : 'a =
 type digests = {
   mutable bare : string option;
   mutable at : (Ast.launch * string) list;  (** per launch keyed *)
+  mutable typed : bool;  (** passed {!Typecheck.check} in this domain *)
 }
 
 type ring_entry = {
@@ -208,20 +214,27 @@ let ring_find (s : states) (k : Ast.kernel) : ring_entry option =
   in
   go 0
 
+(* the weak entry of a live state, made when [k] has none *)
+let live_entry (s : states) (k : Ast.kernel) : digests =
+  match Live.find_opt s.live k with
+  | Some d -> d
+  | None ->
+      let d = { bare = None; at = []; typed = false } in
+      Live.replace s.live k d;
+      d
+
 (* the ring entry of [k], printing [k] when no entry holds it *)
 let entry (s : states) (k : Ast.kernel) : ring_entry =
   match ring_find s k with
   | Some e -> e
   | None ->
-      let r_digests =
-        match Live.find_opt s.live k with
-        | Some d -> d
-        | None ->
-            let d = { bare = None; at = [] } in
-            Live.replace s.live k d;
-            d
+      let e =
+        {
+          r_kernel = k;
+          r_text = Pp.kernel_to_string k;
+          r_digests = live_entry s k;
+        }
       in
-      let e = { r_kernel = k; r_text = Pp.kernel_to_string k; r_digests } in
       s.ring.(s.next) <- Some e;
       s.next <- (s.next + 1) mod ring_size;
       e
@@ -230,16 +243,13 @@ let printed ?launch (k : Ast.kernel) : string =
   let text = (entry (Domain.DLS.get states_instance) k).r_text in
   match launch with None -> text | Some l -> Pp.with_launch k text l
 
+(* the digests of [k], without printing it *)
+let digests (s : states) (k : Ast.kernel) : digests =
+  match ring_find s k with Some e -> e.r_digests | None -> live_entry s k
+
 let digest ?launch (k : Ast.kernel) : string =
   let s = Domain.DLS.get states_instance in
-  let d =
-    match ring_find s k with
-    | Some e -> e.r_digests
-    | None -> (
-        match Live.find_opt s.live k with
-        | Some d -> d
-        | None -> (entry s k).r_digests)
-  in
+  let d = digests s k in
   match launch with
   | None -> (
       match d.bare with
@@ -262,37 +272,20 @@ let key (k : Ast.kernel) (l : Ast.launch) : string = digest ~launch:l k
 (** Launch-independent key (register/shared-memory estimation). *)
 let kernel_key (k : Ast.kernel) : string = digest k
 
-(* Drop the least-recently-used entry of a slot (linear scan: slots are
-   small and eviction only happens at capacity). *)
-let evict_lru (slot : 'a slot) =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key (cell : _ cell) ->
-      match !victim with
-      | Some (_, t) when t <= cell.tick -> ()
-      | _ -> victim := Some (key, cell.tick))
-    slot;
-  match !victim with Some (key, _) -> Hashtbl.remove slot key | None -> ()
+(* The pipeline type-checks its input and its result, and across a
+   kernel's grid both are mostly states this domain already checked:
+   the same parsed kernel, and results the pipeline's step table hands
+   out again. The flag lives with the state's digests. *)
+let typecheck (k : Ast.kernel) : unit =
+  let d = digests (Domain.DLS.get states_instance) k in
+  if not d.typed then begin
+    Typecheck.check k;
+    d.typed <- true
+  end
 
-(* Enter a value without a lookup (no hit/miss accounting). *)
-let put ?capacity (t : t) (slot : 'a slot) (key : string) (v : 'a) : unit =
-  let capacity = Option.value capacity ~default:t.capacity in
-  t.tick <- t.tick + 1;
-  if (not (Hashtbl.mem slot key)) && Hashtbl.length slot >= capacity then
-    evict_lru slot;
-  Hashtbl.replace slot key { v; tick = t.tick }
-
-(* The value of [key], now the slot's most recently used. *)
-let touch (t : t) (slot : 'a slot) (key : string) : 'a option =
-  t.tick <- t.tick + 1;
-  match Hashtbl.find_opt slot key with
-  | Some cell ->
-      cell.tick <- t.tick;
-      Some cell.v
-  | None -> None
-
-let find (t : t) (slot : 'a slot) (key : string) (compute : unit -> 'a) : 'a =
-  match touch t slot key with
+let find (t : t) (slot : 'a Lru.t) (key : string) (compute : unit -> 'a) : 'a
+    =
+  match Lru.find slot key with
   | Some v ->
       t.hits <- t.hits + 1;
       Atomic.incr global_hit_count;
@@ -301,26 +294,19 @@ let find (t : t) (slot : 'a slot) (key : string) (compute : unit -> 'a) : 'a =
       t.misses <- t.misses + 1;
       Atomic.incr global_miss_count;
       let v = compute () in
-      put t slot key v;
+      Lru.add slot key v;
       v
-
-(* A plan holds its text's walk, the largest (merged fft states)
-   megabytes, so keeping every plan alive grows the heap of a long
-   search. A text's launches come close together (one compile, or one
-   kernel's grid), so the plans of the most recently used texts serve
-   them: 32 hold a kernel's whole Section-4 grid (fft's has 17 texts). *)
-let plan_capacity = 32
 
 (* The plan of a kernel text: its one walk in this instance. Not a
    lookup the hit/miss counters see: every analysis that walks reads it. *)
 let plan (t : t) (k : Ast.kernel) : Verify.plan =
   let key = kernel_key k in
-  match touch t t.plans key with
+  match Lru.find t.plans key with
   | Some p -> p
   | None ->
       t.walks <- t.walks + 1;
       let p = Verify.plan k in
-      put ~capacity:(min t.capacity plan_capacity) t t.plans key p;
+      Lru.add t.plans key p;
       p
 
 (* the plan, for deriving one launch's contexts from its walk *)
@@ -409,7 +395,7 @@ let store_handle : Store.t Gpcc_util.Once.t =
 let with_table (t : t) ~(launch : Ast.launch) (k : Ast.kernel) check :
     Verify.diagnostic list =
   let ds, table = check (derived t k) ~launch in
-  put t t.affine (key k launch) table;
+  Lru.add t.affine (key k launch) table;
   ds
 
 let checked (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
@@ -513,12 +499,9 @@ let verify_sym (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
 
 (* Copy one slot's cached value from the old key to the new key (no
    hit/miss accounting: this is bookkeeping, not a lookup). *)
-let carry (t : t) (slot : 'a slot) ~(from_key : string) ~(to_key : string) :
-    unit =
+let carry (slot : 'a Lru.t) ~(from_key : string) ~(to_key : string) : unit =
   if not (String.equal from_key to_key) then
-    Option.iter
-      (fun cell -> put t slot to_key cell.v)
-      (Hashtbl.find_opt slot from_key)
+    Option.iter (Lru.add slot to_key) (Lru.peek slot from_key)
 
 let preserve (t : t) ~(kinds : kind list)
     ~(from_ : Ast.kernel * Ast.launch) ~(to_ : Ast.kernel * Ast.launch) :
@@ -529,19 +512,19 @@ let preserve (t : t) ~(kinds : kind list)
     (fun kind ->
       match kind with
       | Affine ->
-          carry t t.affine ~from_key:(Lazy.force from_kl)
+          carry t.affine ~from_key:(Lazy.force from_kl)
             ~to_key:(Lazy.force to_kl)
       | Sharing ->
-          carry t t.sharing ~from_key:(Lazy.force from_kl)
+          carry t.sharing ~from_key:(Lazy.force from_kl)
             ~to_key:(Lazy.force to_kl)
       | Coalesce ->
-          carry t t.coalesce ~from_key:(Lazy.force from_kl)
+          carry t.coalesce ~from_key:(Lazy.force from_kl)
             ~to_key:(Lazy.force to_kl)
       | Regcount ->
-          carry t t.regcount ~from_key:(kernel_key k0)
+          carry t.regcount ~from_key:(kernel_key k0)
             ~to_key:(kernel_key k1)
       | Verify ->
-          carry t t.verify ~from_key:(Lazy.force from_kl)
+          carry t.verify ~from_key:(Lazy.force from_kl)
             ~to_key:(Lazy.force to_kl))
     kinds
 

@@ -90,6 +90,11 @@ val kernel_key : Gpcc_ast.Ast.kernel -> string
 (** Launch-independent key ({!regcount}, {!symbolic_result}), memoized
     like {!key}. *)
 
+val typecheck : Gpcc_ast.Ast.kernel -> unit
+(** {!Gpcc_ast.Typecheck.check}, once per state: a physical kernel that
+    passed it in this domain is not checked again. The flag is kept
+    with the state's digests, as long as the kernel lives. *)
+
 val accesses :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
   Coalesce_check.access list

@@ -83,7 +83,17 @@ val run : ?pipeline:t -> Ast.kernel -> result
 (** Run the pipeline on a parsed naive kernel. Raises {!Compile_error}
     when the thread domain cannot be derived, when translation
     validation rejects a pass result, or when the optimized kernel fails
-    the final type check. *)
+    the final type check.
+
+    Each domain keeps the outcomes of the sub-steps it computed, the
+    most recently used 128 of them, keyed by pass, step label, the whole
+    machine description and the input state's
+    {!Gpcc_analysis.Analysis_cache.key}. A step found there is not
+    transformed again: its outcome (the same physical kernel) is
+    validated, recorded and measured as a computed one is, so a result
+    does not depend on which steps were served. The input and the final
+    kernel are type-checked once per physical state per domain
+    ({!Gpcc_analysis.Analysis_cache.typecheck}). *)
 
 val stage_labels : string list
 
@@ -108,6 +118,12 @@ val remarks_json : result -> string
 
 val pass_timings : unit -> (string * (int * float)) list
 (** Cumulative (runs, total wall-clock ms) per pass across every domain
-    since start or the last {!reset_pass_timings}. *)
+    since start or the last {!reset_pass_timings}. A run is a transform
+    the driver executed; a step served from the step table (see {!run})
+    is counted by {!served_steps} instead. *)
 
 val reset_pass_timings : unit -> unit
+
+val served_steps : unit -> int
+(** Sub-steps served from the step table instead of executed, across
+    every domain since start. *)

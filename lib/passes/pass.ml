@@ -38,7 +38,10 @@ type decision =
 (** Provided by the pipeline driver to [transform]: [emit label k l f]
     runs [f k l] as one recorded sub-step — timed, translation-validated
     when it fires, cache bookkeeping applied — and returns its outcome.
-    Multi-step passes (merge) call it once per sub-transform. *)
+    Multi-step passes (merge) call it once per sub-transform. The driver
+    serves a kept outcome to a later step of the same pass, label and
+    machine on the same input state, so [label] names every parameter
+    [f] reads besides [k], [l] and the machine. *)
 type emit =
   string ->
   Ast.kernel ->

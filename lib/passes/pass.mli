@@ -21,7 +21,13 @@ type decision =
 
 (** Provided by the pipeline driver: [emit label k l f] runs [f k l] as
     one recorded sub-step (timed, translation-validated when it fires,
-    analysis-cache bookkeeping applied) and returns its outcome. *)
+    analysis-cache bookkeeping applied) and returns its outcome.
+
+    The driver keeps the outcome and serves it again, without calling
+    [f], to a later step of the same pass, label and machine on the same
+    input state ([k] and [l] as printed). So [label] must name every
+    parameter [f] reads besides [k], [l] and the machine, as in
+    ["thread-block merge X x16"] and ["thread merge X x8 (1-D)"]. *)
 type emit =
   string ->
   Gpcc_ast.Ast.kernel ->

@@ -303,7 +303,8 @@ let run ?(mode = Full) ?(streams = 12) ?backend ?jobs ?block_budget
   in
   let jobs = if check then Some 1 else jobs in
   (* fallback chain: vector -> reference; a kernel shape the vector
-     backend rejects is counted in {!Vector.fallback_count} *)
+     backend rejects is counted, with its reason, in
+     {!Vector.fallback_reasons} *)
   let vprep =
     match backend with
     | Reference -> None
@@ -311,11 +312,11 @@ let run ?(mode = Full) ?(streams = 12) ?backend ?jobs ?block_budget
         match Vector.compile k launch with
         | Ok code -> (
             try Some (Vector.prepare code mem)
-            with Vector.Unsupported _ ->
-              Vector.note_fallback ();
+            with Vector.Unsupported reason ->
+              Vector.note_fallback reason;
               None)
-        | Error _ ->
-            Vector.note_fallback ();
+        | Error reason ->
+            Vector.note_fallback reason;
             None)
   in
   let phases_arr = Array.of_list phases in

@@ -4475,6 +4475,22 @@ let run_phase (p : prepared) (rt : vrt) (i : int) : unit =
 
 (* --- fallback accounting (for tests and the bench harness) --- *)
 
-let fallbacks = Atomic.make 0
-let note_fallback () = Atomic.incr fallbacks
-let fallback_count () = Atomic.get fallbacks
+(* why a run fell back to the reference interpreter, and how often,
+   across every domain *)
+let fallbacks : (string, int) Hashtbl.t = Hashtbl.create 8
+let fallbacks_mutex = Mutex.create ()
+
+let note_fallback (reason : string) =
+  Mutex.protect fallbacks_mutex (fun () ->
+      Hashtbl.replace fallbacks reason
+        (1 + Option.value ~default:0 (Hashtbl.find_opt fallbacks reason)))
+
+(** How many runs fell back to the reference interpreter for each
+    reason (the message this backend refused the kernel with), sorted
+    by reason. *)
+let fallback_reasons () : (string * int) list =
+  Mutex.protect fallbacks_mutex (fun () ->
+      List.sort compare (List.of_seq (Hashtbl.to_seq fallbacks)))
+
+let fallback_count () =
+  List.fold_left (fun n (_, c) -> n + c) 0 (fallback_reasons ())

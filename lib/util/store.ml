@@ -687,6 +687,20 @@ let rewrite (t : t) (name : string) (data : string) (keep : record list)
 (* Eviction                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* whether the process a pack is named after is still running; a pid
+   this process may not signal belongs to a running process too *)
+let writer_runs (name : string) : bool =
+  match String.index_opt name '-' with
+  | None -> false
+  | Some i -> (
+      match int_of_string_opt (String.sub name 0 i) with
+      | None -> false
+      | Some pid -> (
+          match Unix.kill pid 0 with
+          | () -> true
+          | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+          | exception Unix.Unix_error _ -> true))
+
 type gc_stats = {
   gc_live : int;
   gc_live_bytes : int;
@@ -772,16 +786,32 @@ let gc ?max_bytes ?max_age_s ?(tmp_ttl_s = default_tmp_ttl_s) ?now (t : t) :
           | exception Sys_error _ -> ())
         (aged @ sized);
       (* 4. a kept pack with a damaged or torn stretch (a killed writer,
-         a full disk) is rewritten with its complete records *)
+         a full disk) is rewritten with its complete records. Once every
+         process a pack is named after has exited, a record that several
+         kept packs hold (two processes computed one key) stays only in
+         the most recently touched of them, and a pack holding it twice
+         keeps its first copy. While a writer runs, it may append more
+         copies yet, and the packs keep the layout their writers gave
+         them. *)
+      let dedupe =
+        not (List.exists (fun (name, _, _) -> writer_runs name) packs)
+      and seen = Hashtbl.create 256 in
+      let first r =
+        let d = (r.r_kind, r.r_version, r.r_key) in
+        (not (Hashtbl.mem seen d)) && (Hashtbl.add seen d (); true)
+      in
       List.iter
         (fun (name, _, mtime) ->
           match pack_records t.t_root name with
-          | Some (records, data)
-            when List.fold_left (fun a r -> a + r.r_len) 0 records
-                 < String.length data ->
-              rewrite t name data records ~mtime
-          | _ -> ())
-        kept;
+          | Some (records, data) ->
+              let keep =
+                if dedupe then List.filter first records else records
+              in
+              if List.fold_left (fun a r -> a + r.r_len) 0 keep
+                 < String.length data
+              then rewrite t name data keep ~mtime
+          | None -> ())
+        (List.rev kept);
       forget sh;
       let live = list_packs t.t_root in
       {

@@ -68,10 +68,12 @@
     packs older than a maximum age and — when the store exceeds a size
     budget — the least-recently-used packs until it fits, and rewrites
     a kept pack that holds a damaged or torn stretch with its complete
-    records. A pack whose mtime is at or after the start of the GC pass
-    is never evicted by that pass. [clear ~kind] rewrites each pack
-    holding records of the kind with its other records (a new pack,
-    complete before the old one is unlinked).
+    records. Once every process a pack is named after has exited, it
+    also keeps one copy of each record: the copy in the most recently
+    touched pack. A pack whose mtime is at or after the start of the GC
+    pass is never evicted or rewritten by that pass. [clear ~kind]
+    rewrites each pack holding records of the kind with its other
+    records (a new pack, complete before the old one is unlinked).
 
     {2 Versioning}
 
@@ -190,9 +192,13 @@ val gc :
     (default: [$GPCC_CACHE_MAX_MB], else no size limit),
     least-recently-used packs are evicted until they fit. Packs touched
     or written at or after the start of the pass ([now], default the
-    current time — explicit only for tests) are never evicted; any other
+    current time — explicit only for tests) are left alone. Any other
     kept pack with a damaged or torn stretch is rewritten with its
-    complete records. *)
+    complete records; and when no process a pack is named after still
+    runs, a record that several of these packs hold (or one pack twice)
+    is kept only in the most recently touched of them, the others
+    rewritten without it (a pack left empty is removed), so
+    [gc_live_bytes] is then the distinct records' bytes. *)
 
 val default_max_bytes : unit -> int option
 (** [$GPCC_CACHE_MAX_MB] parsed to bytes, when set and positive. *)

@@ -64,6 +64,32 @@ let sweep () : run list =
         gpus)
     (Registry.all @ Registry.extras)
 
+(* Everything a compile reports, durations excluded: for every step its
+   name, pass, fired flag, reason, notes, before/after metrics, JSON
+   diagnostics and the kernel and launch it left behind, then the final
+   kernel and launch text; or the exception text. *)
+let transcript (outcome : (Pipeline.result, exn) result) : string =
+  let text k l = Gpcc_ast.Pp.kernel_to_string ~launch:l k in
+  match outcome with
+  | Error e -> "rejected: " ^ Printexc.to_string e ^ "\n"
+  | Ok res ->
+      let buf = Buffer.create 4096 in
+      List.iter
+        (fun (s : Pipeline.step) ->
+          let m = s.remark in
+          Printf.bprintf buf
+            "step %s\npass %s\nfired %b\nreason %s\nnotes %s\nbefore %s\n\
+             after %s\ndiagnostics %s\n%s\n"
+            s.step_name s.pass s.fired m.Gpcc_core.Remark.reason
+            (String.concat "\n      " m.notes)
+            (Gpcc_core.Remark.json_of_metrics m.before_m)
+            (Gpcc_core.Remark.json_of_metrics m.after_m)
+            (Gpcc_analysis.Verify.json_of_diagnostics s.diagnostics)
+            (text s.kernel_after s.launch_after))
+        res.steps;
+      Printf.bprintf buf "final\n%s" (text res.kernel res.launch);
+      Buffer.contents buf
+
 (* one sweep per test process, shared by every pin that needs it *)
 let runs : run list Lazy.t = lazy (sweep ())
 let md5 s = Digest.to_hex (Digest.string s)

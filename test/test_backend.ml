@@ -950,14 +950,20 @@ let test_unsupported_falls_back () =
     { Gpcc_ast.Ast.grid_x = 1; grid_y = 1; block_x = 64; block_y = 1 }
   in
   let mem = Gpcc_sim.Devmem.of_kernel k in
-  let fb0 = Gpcc_sim.Vector.fallback_count () in
+  let reason = "unsupported scalar parameter type for s" in
+  let runs () =
+    Option.value ~default:0
+      (List.assoc_opt reason (Gpcc_sim.Vector.fallback_reasons ()))
+  in
+  let fb0 = Gpcc_sim.Vector.fallback_count () and runs0 = runs () in
   (match L.run ~backend:L.Vector ~jobs:1 cfg280 k launch mem with
   | _ -> Alcotest.fail "expected a runtime error"
   | exception Gpcc_sim.Interp.Runtime_error m ->
       assert_contains "reference error surfaces" m
         "unsupported scalar parameter type");
   Alcotest.(check bool) "fallback recorded" true
-    (Gpcc_sim.Vector.fallback_count () > fb0)
+    (Gpcc_sim.Vector.fallback_count () > fb0);
+  Alcotest.(check int) "with its reason" (runs0 + 1) (runs ())
 
 let suite =
   let q n f = Alcotest.test_case n `Quick f in

@@ -425,6 +425,147 @@ let test_warm_records_serve_lints () =
     "some texts are linted at two launches" true
     (List.length (distinct_texts linted) < List.length linted)
 
+(* --- the step table: a served step equals a computed one --- *)
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+let grid =
+  List.concat_map
+    (fun target ->
+      List.map (fun degree -> (target, degree))
+        Gpcc_core.Explore.default_merge_degrees)
+    Gpcc_core.Explore.default_block_targets
+
+let sweep_kernels () =
+  List.map
+    (fun (w : Workload.t) ->
+      (w.name, Workload.parse w (List.assoc w.name Golden_sweep.sizes)))
+    (Registry.all @ Registry.extras)
+
+let outcome ?(specs = Fun.id) ~cfg (target, degree) naive =
+  let p =
+    Pipeline.default ~cfg ~target_block_threads:target ~merge_degree:degree ()
+  in
+  match Pipeline.run ~pipeline:{ p with specs = specs p.specs } naive with
+  | r -> Ok r
+  | exception e -> Error e
+
+let runs pass =
+  fst
+    (Option.value ~default:(0, 0.0)
+       (List.assoc_opt pass (Pipeline.pass_timings ())))
+
+let computed () =
+  List.fold_left (fun n (_, (runs, _)) -> n + runs) 0 (Pipeline.pass_timings ())
+
+(* [configs] compiled in order in one domain: each one [check] selects
+   reports what it reports compiled alone in a fresh domain (a fresh
+   step table and analysis cache). *)
+let check_served_equal_fresh what ~check configs =
+  let served =
+    in_fresh_domain (fun () ->
+        List.map
+          (fun ((_, cfg, point, naive) as c) ->
+            (c, Golden_sweep.transcript (outcome ~cfg point naive)))
+          configs)
+  in
+  List.iter
+    (fun (((name, (cfg : Gpcc_sim.Config.t), (target, degree), naive) as c),
+          transcript) ->
+      if
+        check c
+        && not
+             (String.equal transcript
+                (in_fresh_domain (fun () ->
+                     Golden_sweep.transcript
+                       (outcome ~cfg (target, degree) naive))))
+      then
+        Alcotest.failf "%s: %s on %s at (%d, %d) differs from a fresh compile"
+          what name cfg.name target degree)
+    served
+
+(* The registry x grid on two machines the golden pins do not cover:
+   the HD 5870, whose wide vectorization takes its width from the input
+   launch, and a GTX 280 that differs from the stock one only in its
+   partition count, compiled right after the stock one, so a table keyed
+   by the machine's name would serve it the stock partition-camping
+   steps. *)
+let test_served_steps_equal_fresh () =
+  let modified = { cfg280 with num_partitions = 4 } in
+  check_served_equal_fresh "registry x grid"
+    ~check:(fun (_, cfg, _, _) -> cfg != cfg280)
+    (List.concat_map
+       (fun (name, naive) ->
+         List.concat_map
+           (fun cfg -> List.map (fun point -> (name, cfg, point, naive)) grid)
+           [ cfg280; modified; Gpcc_sim.Config.hd5870 ])
+       (sweep_kernels ()))
+
+(* A second compile whose steps diverge from the first one's part way:
+   mm's thread merge along Y at a second degree, and tmv's block merge
+   at a second target. *)
+let test_second_compile_equals_fresh () =
+  let kernels = sweep_kernels () in
+  List.iter
+    (fun (name, first, second) ->
+      let naive = List.assoc name kernels in
+      check_served_equal_fresh "second compile"
+        ~check:(fun (_, _, point, _) -> point = second)
+        [ (name, cfg280, first, naive); (name, cfg280, second, naive) ])
+    [ ("mm", (256, 16), (256, 32)); ("tmv", (16, 16), (512, 16)) ]
+
+(* A cold sweep of each kernel's grid computes [vectorize] once and
+   every distinct step (pass, label and input state) once; sweeping the
+   grid again in the same domain computes nothing and serves every
+   step. The emitted steps are seen through passes that wrap the
+   registry's, under the same names. *)
+let test_each_step_computed_once () =
+  in_fresh_domain (fun () ->
+      List.iter
+        (fun (name, naive) ->
+          let emitted = Hashtbl.create 128 and calls = ref 0 in
+          let watch (spec : Pipeline.spec) =
+            let p = spec.sp_pass in
+            let transform ctx emit k l =
+              p.transform ctx
+                (fun label k0 l0 f ->
+                  incr calls;
+                  Hashtbl.replace emitted (p.name, label, Cache.key k0 l0) ();
+                  emit label k0 l0 f)
+                k l
+            in
+            { spec with sp_pass = { p with transform } }
+          in
+          let sweep () =
+            let computed0 = computed ()
+            and served0 = Pipeline.served_steps ()
+            and vectorize0 = runs "vectorize" in
+            calls := 0;
+            List.iter
+              (fun point ->
+                ignore
+                  (outcome ~specs:(List.map watch) ~cfg:cfg280 point naive))
+              grid;
+            ( computed () - computed0,
+              Pipeline.served_steps () - served0,
+              runs "vectorize" - vectorize0 )
+          in
+          let cold, cold_served, cold_vectorize = sweep () in
+          let distinct = Hashtbl.length emitted in
+          Alcotest.(check int) (name ^ ": vectorize computed once") 1
+            cold_vectorize;
+          Alcotest.(check int)
+            (name ^ ": each distinct step computed once") distinct cold;
+          Alcotest.(check int)
+            (name ^ ": the others served") (!calls - distinct) cold_served;
+          let warm, warm_served, _ = sweep () in
+          Alcotest.(check int) (name ^ ": a second sweep computes none") 0 warm;
+          Alcotest.(check int) (name ^ ": and serves every step") !calls
+            warm_served;
+          Alcotest.(check int)
+            (name ^ ": on the same states") distinct (Hashtbl.length emitted))
+        (sweep_kernels ()))
+
 (* --- an explored naive text's record carries its lints --- *)
 
 (* Explore asks for the naive text's proof before compiling anything. It
@@ -825,6 +966,12 @@ let suite =
         test_warm_records_serve_lints;
       Alcotest.test_case "explored naive records carry their lints" `Quick
         test_explore_naive_record_lints;
+      Alcotest.test_case "step table: served steps equal fresh compiles"
+        `Slow test_served_steps_equal_fresh;
+      Alcotest.test_case "step table: a second compile equals a fresh one"
+        `Quick test_second_compile_equals_fresh;
+      Alcotest.test_case "step table: each distinct step computed once"
+        `Quick test_each_step_computed_once;
       Alcotest.test_case "verifier verdicts: disk round trip" `Quick
         test_verify_disk_round_trip;
       Alcotest.test_case "verifier verdicts: corrupt files recovered" `Quick

@@ -432,6 +432,50 @@ let test_gc_never_evicts_fresh_write () =
   let g = Store.gc ~max_bytes:0 ~now:pass_start s in
   Alcotest.(check int) "an older pack is evicted" 1 g.gc_evicted
 
+(* --- gc keeps one copy of each record --- *)
+
+(* Two processes that store the same keys leave a copy of each record
+   in each pack, and the first also stores one key twice. Once both have
+   exited, gc keeps one copy: the newer pack is left as it is, the older
+   one keeps only its one record of its own, so the kept packs are the
+   distinct records byte for byte, and every key still reads. *)
+let test_gc_one_copy () =
+  let root = fresh_root () in
+  let keys = List.init 8 (Printf.sprintf "dup-%d") in
+  let puts = List.concat_map (fun k -> [ "put"; k; "v-" ^ k ]) keys in
+  store_ops root (("put" :: "first" :: "f" :: puts) @ [ "put"; "first"; "f" ]);
+  let older = List.hd (Util.pack_files root) in
+  store_ops root (puts @ [ "put"; "second"; "s" ]);
+  let newer = List.find (fun p -> p <> older) (Util.pack_files root) in
+  backdate older 120.;
+  backdate newer 60.;
+  let s = Store.open_root ~root () in
+  let distinct = (Store.disk_stats s).ds_bytes in
+  let g = Store.gc s in
+  Alcotest.(check int) "every record kept" 10 g.gc_live;
+  Alcotest.(check int) "live bytes are the distinct records" distinct
+    g.gc_live_bytes;
+  Alcotest.(check int) "as disk_stats counts them" distinct
+    (Store.disk_stats s).ds_bytes;
+  Alcotest.(check (list (list string)))
+    "the newer pack as written, the older one with its own record"
+    [ keys @ [ "second" ]; [ "first" ] ]
+    (List.sort compare
+       (List.map
+          (fun p ->
+            List.map
+              (fun (r : Util.store_record) -> r.sr_key)
+              (Util.pack_records p))
+          (Util.pack_files root)));
+  Alcotest.(check bool) "the newer pack untouched" true (Sys.file_exists newer);
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option string))
+        k (Some v)
+        (Store.find s text_kind ~key:k))
+    (("first", "f") :: ("second", "s")
+    :: List.map (fun k -> (k, "v-" ^ k)) keys)
+
 (* --- multi-process stress --- *)
 
 (* Deterministic final state: every child writes the same value for the
@@ -804,6 +848,8 @@ let suite =
       Alcotest.test_case "LRU + age eviction" `Quick test_lru_eviction;
       Alcotest.test_case "gc never evicts a same-pass write" `Quick
         test_gc_never_evicts_fresh_write;
+      Alcotest.test_case "gc keeps one copy of each record" `Quick
+        test_gc_one_copy;
       Alcotest.test_case "multi-process stress (fork)" `Slow
         test_multiprocess_stress;
       Alcotest.test_case "multi-domain stress" `Slow test_domain_stress;
