@@ -12,21 +12,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escape = Gpcc_analysis.Verify.json_escape
 
 let rec write (buf : Buffer.t) (indent : int) (v : t) : unit =
   let pad n = String.make (2 * n) ' ' in

@@ -30,7 +30,7 @@ let gtx8800 = Gpcc_sim.Config.gtx8800
 (* worker-pool size: --jobs=N > GPCC_JOBS > the machine's domain count
    (Pool.default_jobs). [jobs_requested] keeps what was asked for so the
    JSON can record request and effective value separately. *)
-let jobs = ref (Gpcc_core.Pool.default_jobs ())
+let jobs = ref (Gpcc_util.Pool.default_jobs ())
 let jobs_requested = ref None
 
 let section title =

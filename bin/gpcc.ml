@@ -47,7 +47,7 @@ let file_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Gpcc_core.Pool.default_jobs ())
+    & opt int (Gpcc_util.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the design-space sweep (defaults to \
@@ -160,7 +160,7 @@ let compile_cmd =
       & info [ "print-pipeline" ]
           ~doc:
             "Print the resolved pass pipeline (names, paper sections, \
-             analysis uses/invalidations) and exit without compiling.")
+             summaries) and exit without compiling.")
   in
   let remarks_json =
     Arg.(

@@ -27,13 +27,6 @@ type var =
   | Div_of of var * int  (** [v / c], same purpose *)
 [@@deriving show { with_path = false }, eq, ord]
 
-(** Does the variable carry the half-warp lane (directly or through a
-    mod/div of it)? *)
-let rec lane_derived = function
-  | Tidx -> true
-  | Mod_of (v, _) | Div_of (v, _) -> lane_derived v
-  | Tidy | Bidx | Bidy | Iter _ | Param _ -> false
-
 type t = {
   const : int;
   terms : (var * int) list;  (** sorted by [compare_var], coefficients <> 0 *)

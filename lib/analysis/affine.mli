@@ -20,10 +20,6 @@ val equal_var : var -> var -> bool
 val compare_var : var -> var -> int
 val show_var : var -> string
 
-(** Does the variable carry the half-warp lane (directly or through a
-    mod/div of it)? *)
-val lane_derived : var -> bool
-
 type t = {
   const : int;
   terms : (var * int) list;  (** sorted by [compare_var], coefficients <> 0 *)

@@ -2,16 +2,17 @@
 
     Every layer of the compiler keeps re-deriving the same facts about
     the same intermediate kernels: the affine access table ({!Coalesce_check}),
-    the coalescing verdict, the data-sharing summary ({!Sharing}), the
-    register/shared-memory estimate ({!Regcount}) and the verifier's
-    diagnostics ({!Verify}). The design-space exploration multiplies
-    this: a kernel's 30 configurations revisit identical intermediate
-    kernels. The pipeline computes each of its steps once per input
-    state and hands the same physical kernel out again, but every
-    configuration still validates, measures and decides on the states
-    it reaches. This cache memoizes all five, keyed by a digest of the
-    printed kernel (plus the launch for launch-dependent analyses), so
-    any change to the kernel text invalidates implicitly.
+    the data-sharing summary ({!Sharing}), the register/shared-memory
+    estimate ({!Regcount}) and the verifier's diagnostics ({!Verify}).
+    The design-space exploration multiplies this: a kernel's 30
+    configurations revisit identical intermediate kernels. The pipeline
+    computes each of its steps once per input state and hands the same
+    physical kernel out again, but every configuration still validates,
+    measures and decides on the states it reaches. This cache memoizes
+    all four, keyed by a digest of the printed kernel (plus the launch
+    for launch-dependent analyses): an analysis belongs to a printed
+    state, so any change to the kernel text invalidates implicitly and
+    nothing has to be carried across a transform.
 
     Verification is symbolic first: one record per kernel text holds
     the launch-parametric proof ({!Symverify}) and, for each launch it
@@ -29,13 +30,6 @@
     it, and the access table of any launch is read off it, so no launch
     costs a walk. {!work} counts the walks and the derivations.
 
-    Passes additionally *declare* which analyses a fired transform
-    invalidates (see {!Gpcc_passes.Pass}); for the analyses a pass
-    preserves, {!preserve} carries the cached result forward from the
-    pre-transform kernel to the post-transform kernel without
-    recomputation. The soundness of each declaration is property-tested
-    (the preserved value must equal a fresh recomputation).
-
     Eviction is bounded and per-entry: when a slot reaches capacity the
     least-recently-used entry is dropped, so hot entries survive a long
     exploration — unlike a blunt [Hashtbl.reset] that wipes the whole
@@ -46,24 +40,6 @@
     globally across domains via atomics. *)
 
 open Gpcc_ast
-
-(** The analyses the cache knows about — the invalidation vocabulary
-    passes declare against. *)
-type kind =
-  | Affine  (** the affine access table: {!Coalesce_check.analyze_kernel} *)
-  | Sharing  (** inter-block data sharing: {!Sharing.analyze} *)
-  | Coalesce  (** the all-accesses-coalesced verdict *)
-  | Regcount  (** registers/thread and shared bytes/block: {!Regcount} *)
-  | Verify  (** static verifier diagnostics: {!Verify.check} *)
-
-let all_kinds = [ Affine; Sharing; Coalesce; Regcount; Verify ]
-
-let kind_name = function
-  | Affine -> "affine"
-  | Sharing -> "sharing"
-  | Coalesce -> "coalesce"
-  | Regcount -> "regcount"
-  | Verify -> "verify"
 
 (* One verification record per kernel text: the launch-parametric
    proof, and the concrete verifier's lints at each launch it proves
@@ -78,19 +54,16 @@ module Lru = Gpcc_util.Lru
 type t = {
   affine : Coalesce_check.access list Lru.t;
   sharing : Sharing.array_sharing list Lru.t;
-  coalesce : bool Lru.t;
   regcount : (int * int) Lru.t;  (** (registers/thread, shared bytes/block) *)
   verify : Verify.diagnostic list Lru.t;
   symbolic : proof Lru.t;  (** verification records, kernel-keyed *)
   plans : Verify.plan Lru.t;  (** one walk per kernel text, memory only *)
-  capacity : int;  (** max entries per slot before LRU eviction *)
-  mutable hits : int;
-  mutable misses : int;
   mutable walks : int;
   mutable derivations : int;
 }
 
-let default_capacity = 512
+(* entries per analysis slot before LRU eviction *)
+let capacity = 512
 
 (* A plan holds its text's walk, the largest (merged fft states)
    megabytes, so keeping every plan alive grows the heap of a long
@@ -99,35 +72,21 @@ let default_capacity = 512
    them: 32 hold a kernel's whole Section-4 grid (fft's has 17 texts). *)
 let plan_capacity = 32
 
-let create ?(capacity = default_capacity) () =
-  let capacity = max 1 capacity in
+let create () =
   {
     affine = Lru.create capacity;
     sharing = Lru.create capacity;
-    coalesce = Lru.create capacity;
     regcount = Lru.create capacity;
     verify = Lru.create capacity;
     symbolic = Lru.create capacity;
-    plans = Lru.create (min capacity plan_capacity);
-    capacity;
-    hits = 0;
-    misses = 0;
+    plans = Lru.create plan_capacity;
     walks = 0;
     derivations = 0;
   }
 
-let capacity t = t.capacity
-let hits t = t.hits
-let misses t = t.misses
-
 type work = { walks : int; derivations : int }
 
 let work (t : t) = { walks = t.walks; derivations = t.derivations }
-
-let length t =
-  Lru.length t.affine + Lru.length t.sharing + Lru.length t.coalesce
-  + Lru.length t.regcount + Lru.length t.verify + Lru.length t.symbolic
-  + Lru.length t.plans
 
 (* hit/miss totals across every domain's instance, for bench reporting *)
 let global_hit_count = Atomic.make 0
@@ -158,8 +117,8 @@ let timed (f : unit -> 'a) : 'a =
 
 (* --- printed states ------------------------------------------------ *)
 (* One compile asks for the key of the same state many times: the pass
-   applicability tests, the before/after metrics, both verifier tiers and
-   [preserve] each start from a kernel the pipeline already holds, and
+   applicability tests, the before/after metrics and both verifier tiers
+   each start from a kernel the pipeline already holds, and
    merged kernels print to tens of kilobytes. A state is therefore printed
    once: a small per-domain ring keyed by the kernel's physical identity
    keeps its text, and the text at a launch is that text with the launch
@@ -283,15 +242,12 @@ let typecheck (k : Ast.kernel) : unit =
     d.typed <- true
   end
 
-let find (t : t) (slot : 'a Lru.t) (key : string) (compute : unit -> 'a) : 'a
-    =
+let find (slot : 'a Lru.t) (key : string) (compute : unit -> 'a) : 'a =
   match Lru.find slot key with
   | Some v ->
-      t.hits <- t.hits + 1;
       Atomic.incr global_hit_count;
       v
   | None ->
-      t.misses <- t.misses + 1;
       Atomic.incr global_miss_count;
       let v = compute () in
       Lru.add slot key v;
@@ -316,19 +272,15 @@ let derived (t : t) (k : Ast.kernel) : Verify.plan =
 
 let accesses (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     Coalesce_check.access list =
-  find t t.affine (key k launch) (fun () -> Verify.table (derived t k) ~launch)
-
-let coalesced (t : t) ~(launch : Ast.launch) (k : Ast.kernel) : bool =
-  find t t.coalesce (key k launch) (fun () ->
-      Coalesce_check.all_coalesced (accesses t ~launch k))
+  find t.affine (key k launch) (fun () -> Verify.table (derived t k) ~launch)
 
 let sharing (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     Sharing.array_sharing list =
-  find t t.sharing (key k launch) (fun () ->
+  find t.sharing (key k launch) (fun () ->
       Sharing.of_accesses k (accesses t ~launch k))
 
 let regcount (t : t) (k : Ast.kernel) : int * int =
-  find t t.regcount (kernel_key k) (fun () ->
+  find t.regcount (kernel_key k) (fun () ->
       (Regcount.estimate k, Regcount.shared_bytes k))
 
 (* --- persistent verifier-verdict store ------------------------------ *)
@@ -389,7 +341,7 @@ let store_handle : Store.t Gpcc_util.Once.t =
   Gpcc_util.Once.make (fun () -> Store.open_root ())
 
 (* A verification reads the text's plan in the launch's contexts, as
-   the access table does: the table it derives fills the [Affine] slot,
+   the access table does: the table it derives fills the [affine] slot,
    so a pass that asks for the table of a state just validated finds
    it. *)
 let with_table (t : t) ~(launch : Ast.launch) (k : Ast.kernel) check :
@@ -405,7 +357,7 @@ let checked (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
 let verify (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
     Verify.diagnostic list =
   timed @@ fun () ->
-  find t t.verify (key k launch) (fun () ->
+  find t.verify (key k launch) (fun () ->
       let store = Gpcc_util.Once.get store_handle
       and text = printed ~launch k in
       match Store.find store verdict_kind ~key:text with
@@ -436,7 +388,7 @@ let lint (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
    one read; lints of later launches stay in memory, where another
    write would cost a cold sweep more than it saves a warm one. *)
 let proof ?launch (t : t) (k : Ast.kernel) : proof =
-  find t t.symbolic (kernel_key k) (fun () ->
+  find t.symbolic (kernel_key k) (fun () ->
       let store = Gpcc_util.Once.get store_handle and text = printed k in
       match Store.find store pverdict_kind ~key:text with
       | Some p -> p
@@ -496,37 +448,6 @@ let verify_sym (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
            diagnostics byte-identical to a non-symbolic run *)
         Atomic.incr concrete_fallback_count;
         verify t ~launch k
-
-(* Copy one slot's cached value from the old key to the new key (no
-   hit/miss accounting: this is bookkeeping, not a lookup). *)
-let carry (slot : 'a Lru.t) ~(from_key : string) ~(to_key : string) : unit =
-  if not (String.equal from_key to_key) then
-    Option.iter (Lru.add slot to_key) (Lru.peek slot from_key)
-
-let preserve (t : t) ~(kinds : kind list)
-    ~(from_ : Ast.kernel * Ast.launch) ~(to_ : Ast.kernel * Ast.launch) :
-    unit =
-  let k0, l0 = from_ and k1, l1 = to_ in
-  let from_kl = lazy (key k0 l0) and to_kl = lazy (key k1 l1) in
-  List.iter
-    (fun kind ->
-      match kind with
-      | Affine ->
-          carry t.affine ~from_key:(Lazy.force from_kl)
-            ~to_key:(Lazy.force to_kl)
-      | Sharing ->
-          carry t.sharing ~from_key:(Lazy.force from_kl)
-            ~to_key:(Lazy.force to_kl)
-      | Coalesce ->
-          carry t.coalesce ~from_key:(Lazy.force from_kl)
-            ~to_key:(Lazy.force to_kl)
-      | Regcount ->
-          carry t.regcount ~from_key:(kernel_key k0)
-            ~to_key:(kernel_key k1)
-      | Verify ->
-          carry t.verify ~from_key:(Lazy.force from_kl)
-            ~to_key:(Lazy.force to_kl))
-    kinds
 
 (* One instance per worker domain: the exploration pool fans compiles
    out across domains, and a shared table would need a lock on the hot

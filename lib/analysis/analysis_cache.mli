@@ -1,13 +1,12 @@
 (** Memoized kernel analyses with bounded LRU eviction.
 
-    Memoizes the five analyses the compiler keeps re-deriving — the
-    affine access table, the coalescing verdict, inter-block data
-    sharing, register/shared-memory estimation, and the static
-    verifier — keyed by a digest of the printed kernel (plus the launch
-    configuration for launch-dependent analyses). Changing the kernel
-    text changes the key, so results can never go stale; passes that
-    declare an analysis {e preserved} carry its result forward to the
-    transformed kernel with {!preserve}.
+    Memoizes the four analyses the compiler keeps re-deriving — the
+    affine access table, inter-block data sharing, register/shared-memory
+    estimation, and the static verifier — keyed by a digest of the
+    printed kernel (plus the launch configuration for launch-dependent
+    analyses). An analysis belongs to a printed state: changing the
+    kernel text changes the key, so results can never go stale, and a
+    pass or the driver gets every analysis by that lookup.
 
     Verification keeps one record per kernel text: the launch-parametric
     proof plus the concrete lints of each launch it proved clean
@@ -19,34 +18,14 @@
     and the access table, each launch from contexts derived from that
     walk.
 
-    When a slot reaches capacity the least-recently-used entry is
-    evicted, so hot entries survive long design-space explorations. *)
-
-(** The analyses the cache memoizes — the vocabulary passes use to
-    declare invalidations. *)
-type kind =
-  | Affine  (** the affine access table: {!Coalesce_check.analyze_kernel} *)
-  | Sharing  (** inter-block data sharing: {!Sharing.analyze} *)
-  | Coalesce  (** the all-accesses-coalesced verdict *)
-  | Regcount  (** registers/thread and shared bytes/block: {!Regcount} *)
-  | Verify  (** static verifier diagnostics: {!Verify.check} *)
-
-val all_kinds : kind list
-val kind_name : kind -> string
+    When a slot reaches its 512 entries the least-recently-used entry
+    is evicted, so hot entries survive long design-space explorations. *)
 
 type t
 
-val default_capacity : int
-(** 512 entries per analysis slot. *)
-
-val create : ?capacity:int -> unit -> t
-val capacity : t -> int
-
-val length : t -> int
-(** Total entries currently cached, across every slot. *)
-
-val hits : t -> int
-val misses : t -> int
+val create : unit -> t
+(** An empty instance, for a test that needs one of its own; the
+    compiler uses {!domain}. *)
 
 type work = {
   walks : int;  (** kernel texts walked: one plan each *)
@@ -59,7 +38,7 @@ val work : t -> work
 (** What this instance walked and derived since it was created. *)
 
 val global_hits : unit -> int
-(** Hits aggregated across every instance of every domain. *)
+(** Lookups served from a slot, across every instance of every domain. *)
 
 val global_misses : unit -> int
 
@@ -98,27 +77,23 @@ val typecheck : Gpcc_ast.Ast.kernel -> unit
 val accesses :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
   Coalesce_check.access list
-(** The affine access table ([Affine] slot), from the text's plan in
-    the launch's contexts. A verification ({!verify}, and a proved
-    launch's lints in {!verify_sym}) enters the table it derives, so a
-    pass asking for the table of a state just validated is served from
-    the slot. *)
-
-val coalesced : t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel -> bool
-(** Whether every global access is coalesced ([Coalesce] slot). *)
+(** The affine access table, from the text's plan in the launch's
+    contexts. A verification ({!verify}, and a proved launch's lints in
+    {!verify_sym}) enters the table it derives, so a pass asking for
+    the table of a state just validated is served from the slot. *)
 
 val sharing :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
   Sharing.array_sharing list
-(** The data-sharing summary ([Sharing] slot). *)
+(** The data-sharing summary. *)
 
 val regcount : t -> Gpcc_ast.Ast.kernel -> int * int
-(** (registers/thread, shared bytes/block) ([Regcount] slot). *)
+(** (registers/thread, shared bytes/block). *)
 
 val verify :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
   Verify.diagnostic list
-(** Verifier diagnostics ([Verify] slot). *)
+(** Verifier diagnostics. *)
 
 val symbolic_result :
   ?launch:Gpcc_ast.Ast.launch -> t -> Gpcc_ast.Ast.kernel -> Symverify.result
@@ -152,17 +127,6 @@ val verify_sym :
     at is linted before the record's one store write, so a warm process
     reads proof and lints together. The symbolic tier is sound but
     incomplete, so the fallback keeps precision intact. *)
-
-val preserve :
-  t ->
-  kinds:kind list ->
-  from_:Gpcc_ast.Ast.kernel * Gpcc_ast.Ast.launch ->
-  to_:Gpcc_ast.Ast.kernel * Gpcc_ast.Ast.launch ->
-  unit
-(** Carry the listed analyses' cached results (when present) from the
-    pre-transform kernel to the post-transform kernel. Called by the
-    pipeline for the analyses a fired pass does {e not} declare
-    invalidated. *)
 
 val domain : unit -> t
 (** The current worker domain's instance (one per domain: exploration

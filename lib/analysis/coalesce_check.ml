@@ -151,16 +151,6 @@ let analyze_kernel
   let w = Walk.run k in
   of_walk (Layout.of_kernel k) (Walk.contexts w launch) w
 
-let all_coalesced accesses =
-  List.for_all
-    (fun a -> match a.verdict with Coalesced -> true | _ -> false)
-    accesses
-
-let noncoalesced accesses =
-  List.filter
-    (fun a -> match a.verdict with Noncoalesced _ -> true | _ -> false)
-    accesses
-
 let to_string (a : access) =
   Printf.sprintf "%s%s %s (%s): %s" a.arr
     (String.concat ""

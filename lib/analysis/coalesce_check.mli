@@ -62,6 +62,4 @@ val of_walk : Layout.table -> Walk.contexts -> Walk.t -> access list
 val analyze_kernel :
   ?launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel -> access list
 
-val all_coalesced : access list -> bool
-val noncoalesced : access list -> access list
 val to_string : access -> string

@@ -98,15 +98,3 @@ let of_accesses (k : Ast.kernel) (accesses : Coalesce_check.access list) :
 let analyze ?(launch : Ast.launch option) (k : Ast.kernel) :
     array_sharing list =
   of_accesses k (Coalesce_check.analyze_kernel ?launch k)
-
-(** Directions in which a merge would pay off, with the role that drives
-    the paper's choice between thread-block merge and thread merge. *)
-let merge_opportunities (sharing : array_sharing list) :
-    (direction * role * string) list =
-  List.concat_map
-    (fun s ->
-      let dirs = [] in
-      let dirs = if s.share_x then (Along_x, s.role, s.arr) :: dirs else dirs in
-      let dirs = if s.share_y then (Along_y, s.role, s.arr) :: dirs else dirs in
-      dirs)
-    sharing

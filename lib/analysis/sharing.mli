@@ -34,6 +34,3 @@ val of_accesses :
 (** [of_accesses] over the kernel's table at [launch]. *)
 val analyze :
   ?launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel -> array_sharing list
-
-val merge_opportunities :
-  array_sharing list -> (direction * role * string) list

@@ -129,7 +129,8 @@ val to_string : diagnostic -> string
 (** One diagnostic as a JSON object (keys [severity], [rule], [kernel],
     [path], [message]). *)
 val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)
+(** Escape a string for embedding in a JSON string literal: the one
+    escaper of every JSON document gpcc and the bench harness write. *)
 
 val json_of_diagnostic : diagnostic -> string
 

@@ -28,6 +28,7 @@
 
 open Gpcc_ast
 module Cost_model = Gpcc_analysis.Cost_model
+module Pool = Gpcc_util.Pool
 
 type provenance =
   [ `Measured  (** fully measured (possibly served from the cache) *)
@@ -461,11 +462,3 @@ let best_measured (cands : candidate list) : candidate option =
   match best (List.filter (fun c -> c.provenance = `Measured) cands) with
   | Some b when b.score > Float.neg_infinity -> Some b
   | _ -> best cands
-
-(** One-call empirical search, as the paper's compiler does before
-    emitting the final version. *)
-let pick ?cfg ?block_targets ?merge_degrees ?jobs ?cache ?cache_prefix naive
-    ~measure : candidate option =
-  best
-    (search ?cfg ?block_targets ?merge_degrees ?jobs ?cache ?cache_prefix
-       naive ~measure)

@@ -4,8 +4,8 @@
     on the GPU in the paper.
 
     The sweep is embarrassingly parallel, so candidates are fanned out
-    across a {!Pool} of worker domains, and measured scores can be
-    persisted in an {!Explore_cache} so repeated searches skip
+    across a {!Gpcc_util.Pool} of worker domains, and measured scores can
+    be persisted in an {!Explore_cache} so repeated searches skip
     already-measured points. The outcome is deterministic: for a fixed
     candidate grid the chosen best is byte-identical whatever [jobs] is
     and whether scores came from the cache or fresh measurement.
@@ -89,11 +89,12 @@ type funnel = {
 }
 
 (** Compile every configuration (in parallel on [jobs] domains, default
-    {!Pool.default_jobs}) and score it with [measure]. Candidates whose
-    kernels coincide are measured once and share the score. A candidate
-    that raises is isolated, never aborting the sweep: compile failures
-    are dropped from the candidate list, measure failures score
-    [Float.neg_infinity]; both are reported in the [failure] list.
+    {!Gpcc_util.Pool.default_jobs}) and score it with [measure].
+    Candidates whose kernels coincide are measured once and share the
+    score. A candidate that raises is isolated, never aborting the
+    sweep: compile failures are dropped from the candidate list, measure
+    failures score [Float.neg_infinity]; both are reported in the
+    [failure] list.
 
     When [cache] is given, measured scores are looked up / persisted
     under [cache_prefix] plus a budget tag plus a digest of the compiled
@@ -180,15 +181,3 @@ val best_measured : candidate list -> candidate option
     different scales and must not outrank an actual measurement. Falls
     back to {!best} over everything when no candidate was successfully
     measured. *)
-
-(** [search] followed by [best]. *)
-val pick :
-  ?cfg:Gpcc_sim.Config.t ->
-  ?block_targets:int list ->
-  ?merge_degrees:int list ->
-  ?jobs:int ->
-  ?cache:Explore_cache.t ->
-  ?cache_prefix:string ->
-  Gpcc_ast.Ast.kernel ->
-  measure:(Gpcc_ast.Ast.kernel -> Gpcc_ast.Ast.launch -> float) ->
-  candidate option

@@ -18,8 +18,6 @@ type t = {
   mutable miss_count : int;
 }
 
-let default_dir () = Store.default_root ()
-
 let open_dir ?dir () : t =
   {
     store = Store.open_root ?root:dir ();

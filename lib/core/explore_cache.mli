@@ -18,13 +18,10 @@
 
 type t
 
-val default_dir : unit -> string
-(** {!Gpcc_util.Store.default_root}: [$GPCC_CACHE_DIR] if set, else
-    [_gpcc_cache] under the nearest enclosing project root. *)
-
 val open_dir : ?dir:string -> unit -> t
 (** Open (creating if needed) the cache rooted at [dir] (default
-    {!default_dir}). *)
+    {!Gpcc_util.Store.default_root}: [$GPCC_CACHE_DIR] if set, else
+    [_gpcc_cache] under the nearest enclosing project root). *)
 
 val dir : t -> string
 

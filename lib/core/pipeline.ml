@@ -16,9 +16,9 @@
     bench harness — consumes the same value instead of re-plumbing
     boolean options. The driver is generic over the pass records: it
     times each sub-step, runs translation validation after every fired
-    transform, records a structured {!Remark.t} per step, and carries
-    the analyses a pass declares preserved forward in the per-domain
-    {!Gpcc_analysis.Analysis_cache}.
+    transform and records a structured {!Remark.t} per step. Passes and
+    driver read every analysis of a state from the per-domain
+    {!Gpcc_analysis.Analysis_cache} by the digest of its printed text.
 
     Note on ordering: the paper runs prefetching before partition-camping
     elimination; we run camping elimination first because the 1-D
@@ -115,14 +115,7 @@ let describe (t : t) : string =
       Buffer.add_string buf
         (Printf.sprintf "  [%c] %-18s §%-8s %s\n"
            (if s.sp_enabled then 'x' else ' ')
-           p.Pass.name p.Pass.section p.Pass.summary);
-      let kinds ks = String.concat "," (List.map Cache.kind_name ks) in
-      if p.Pass.uses <> [] || p.Pass.invalidates <> [] then
-        Buffer.add_string buf
-          (Printf.sprintf "      uses: %-28s invalidates: %s\n"
-             (if p.Pass.uses = [] then "-" else kinds p.Pass.uses)
-             (if p.Pass.invalidates = [] then "-"
-              else kinds p.Pass.invalidates)))
+           p.Pass.name p.Pass.section p.Pass.summary))
     t.specs;
   Buffer.contents buf
 
@@ -263,7 +256,6 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
       Pass.cfg = pipeline.cfg;
       target_block_threads = pipeline.target_block_threads;
       merge_degree = pipeline.merge_degree;
-      cache;
     }
   in
   let table = Domain.DLS.get steps_instance
@@ -327,9 +319,6 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
               validate ~verify:pipeline.verify cache label o.kernel o.launch
             else []
           in
-          if o.fired then
-            Cache.preserve cache ~kinds:(Pass.preserved p) ~from_:(k0, l0)
-              ~to_:(o.kernel, o.launch);
           let after_m =
             if o.fired then Remark.metrics cache o.kernel o.launch
             else before_m
@@ -451,6 +440,6 @@ let report (r : result) : string =
 let remarks_json (r : result) : string =
   Printf.sprintf
     {|{"schema":"gpcc-remarks-v1","kernel":"%s","launch":{"grid":[%d,%d],"block":[%d,%d]},"remarks":%s}|}
-    (Remark.escape r.kernel.k_name) r.launch.grid_x r.launch.grid_y
-    r.launch.block_x r.launch.block_y
+    (Gpcc_analysis.Verify.json_escape r.kernel.k_name)
+    r.launch.grid_x r.launch.grid_y r.launch.block_x r.launch.block_y
     (Remark.json_of_list (remarks r))

@@ -43,8 +43,7 @@ val with_passes : string list -> t -> t
 
 val describe : t -> string
 (** Human-readable pipeline listing ([gpcc compile --print-pipeline]):
-    per pass, enablement, paper section, summary and declared analysis
-    uses/invalidations. *)
+    per pass, enablement, paper section and summary. *)
 
 (** One recorded sub-step of a compilation. *)
 type step = {

@@ -43,24 +43,10 @@ let metrics (cache : Cache.t) (k : Ast.kernel) (launch : Ast.launch) : metrics
     block = (launch.Ast.block_x, launch.Ast.block_y);
   }
 
-(* --- JSON emission (self-contained: the core library carries no JSON
-   dependency) --- *)
+(* --- JSON emission (hand-rolled around the verifier's escaper: the core
+   library carries no JSON dependency) --- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escape = Gpcc_analysis.Verify.json_escape
 
 let json_of_metrics (m : metrics) : string =
   Printf.sprintf

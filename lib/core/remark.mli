@@ -32,9 +32,6 @@ val metrics :
 (** Measure a pipeline point (register/shared estimates served from the
     analysis cache). *)
 
-val escape : string -> string
-(** JSON string escaping (shared with {!Pipeline.remarks_json}). *)
-
 val json_of_metrics : metrics -> string
 val json_of : t -> string
 val json_of_list : t list -> string

@@ -2,31 +2,27 @@
 
     Each pass of the paper's Figure 1 pipeline is a {!t} record: a
     stable name, the paper section it implements, an [applies] predicate
-    (which may consult cached analyses and explains a refusal), the
-    [transform] itself, and the pass's declared analysis dependencies
-    ([uses]) and invalidations ([invalidates]). The pipeline driver in
-    {!Gpcc_core.Pipeline} is generic over this record: it owns timing,
-    translation validation, remark recording and analysis-cache
-    bookkeeping, while the pass owns the decision logic — including the
-    Section 3.5.3 merge-selection heuristics, which previously lived
+    (which may consult cached analyses and explains a refusal) and the
+    [transform] itself. The pipeline driver in {!Gpcc_core.Pipeline} is
+    generic over this record: it owns timing, translation validation and
+    remark recording, while the pass owns the decision logic — including
+    the Section 3.5.3 merge-selection heuristics, which previously lived
     inline in the compiler driver.
 
-    [invalidates] lists the analyses a {e fired} transform may change;
-    everything else is carried forward in the {!Gpcc_analysis.Analysis_cache}
-    to the transformed kernel without recomputation. Declarations are
-    property-tested: a preserved analysis recomputed on the transformed
-    kernel must equal the carried value. *)
+    A pass reads the analyses it needs from the domain's
+    {!Gpcc_analysis.Analysis_cache}, keyed by the digest of the state's
+    printed text, so a transformed kernel never sees an analysis of its
+    input and a pass declares nothing about what it changes. *)
 
 open Gpcc_ast
 module Cache = Gpcc_analysis.Analysis_cache
 
-(** Per-compilation context a pass sees: the target machine, the two
-    Section-4 knobs, and the analysis cache. *)
+(** Per-compilation context a pass sees: the target machine and the two
+    Section-4 knobs. *)
 type ctx = {
   cfg : Gpcc_sim.Config.t;
   target_block_threads : int;  (** 128 / 256 / 512 (Section 4.1) *)
   merge_degree : int;  (** threads merged into one: 4 / 8 / 16 / 32 *)
-  cache : Cache.t;
 }
 
 (** Outcome of [applies]: run the transform, or skip it with a reason
@@ -36,8 +32,8 @@ type decision =
   | Declined of string
 
 (** Provided by the pipeline driver to [transform]: [emit label k l f]
-    runs [f k l] as one recorded sub-step — timed, translation-validated
-    when it fires, cache bookkeeping applied — and returns its outcome.
+    runs [f k l] as one recorded sub-step — timed and
+    translation-validated when it fires — and returns its outcome.
     Multi-step passes (merge) call it once per sub-transform. The driver
     serves a kept outcome to a later step of the same pass, label and
     machine on the same input state, so [label] names every parameter
@@ -54,16 +50,9 @@ type t = {
   label : string;  (** default human step label, e.g. ["vectorization"] *)
   section : string;  (** paper section implemented *)
   summary : string;  (** one line for [--print-pipeline] *)
-  uses : Cache.kind list;  (** analyses consulted (served from the cache) *)
-  invalidates : Cache.kind list;
-      (** analyses a fired transform may change; the rest are carried
-          forward to the transformed kernel *)
   applies : ctx -> Ast.kernel -> Ast.launch -> decision;
   transform : ctx -> emit -> Ast.kernel -> Ast.launch -> Ast.kernel * Ast.launch;
 }
-
-let preserved (p : t) : Cache.kind list =
-  List.filter (fun k -> not (List.mem k p.invalidates)) Cache.all_kinds
 
 let always _ _ _ = Applies
 
@@ -84,8 +73,6 @@ let vectorize_wide : t =
     summary =
       "absorb neighboring work items into float2/float4 accesses \
        (AMD-style aggressive vectorization)";
-    uses = [];
-    invalidates = Cache.all_kinds;
     applies =
       (fun ctx _ _ ->
         if ctx.cfg.Gpcc_sim.Config.prefer_wide_vectors then Applies
@@ -103,8 +90,6 @@ let vectorize : t =
     label = "vectorization";
     section = "3.1";
     summary = "pair adjacent loads into float2 accesses";
-    uses = [];
-    invalidates = Cache.all_kinds;
     applies = always;
     transform = (fun _ctx emit k l -> single "vectorization" Vectorize.apply emit k l);
   }
@@ -119,8 +104,6 @@ let coalesce : t =
     summary =
       "stage non-coalesced global accesses through shared memory \
        (loop/row/apron staging, idx/idy exchange)";
-    uses = [ Cache.Affine; Cache.Coalesce ];
-    invalidates = Cache.all_kinds;
     applies = always;
     transform =
       (fun _ctx emit k l -> single "memory coalescing" Coalesce.apply emit k l);
@@ -135,8 +118,8 @@ let coalesce : t =
    blocks that end up with too few threads are grown by thread-block
    merge even without sharing. *)
 
-let sharing_facts ctx (k : Ast.kernel) (launch : Ast.launch) =
-  let sharing = Cache.sharing ctx.cache ~launch k in
+let sharing_facts (k : Ast.kernel) (launch : Ast.launch) =
+  let sharing = Cache.(sharing (domain ()) ~launch k) in
   let share_y_g2r =
     List.exists
       (fun s ->
@@ -164,11 +147,9 @@ let merge : t =
     summary =
       "grow blocks by thread-block merge and aggregate work items by \
        thread merge, selected per the Section 3.5.3 sharing rules";
-    uses = [ Cache.Sharing ];
-    invalidates = Cache.all_kinds;
     applies =
       (fun ctx k launch ->
-        let _, share_y_g2r, share_y_g2s = sharing_facts ctx k launch in
+        let _, share_y_g2r, share_y_g2s = sharing_facts k launch in
         let bm =
           ctx.target_block_threads
           / max 1 (launch.Ast.block_x * launch.Ast.block_y)
@@ -185,7 +166,7 @@ let merge : t =
     transform =
       (fun ctx emit k launch ->
         let share_x_any, share_y_g2r, share_y_g2s =
-          sharing_facts ctx k launch
+          sharing_facts k launch
         in
         let k = ref k and launch = ref launch in
         (* 1. thread-block merge along X: grow the block toward the target
@@ -269,13 +250,6 @@ let licm : t =
     summary =
       "hoist loop-invariant thread-position arithmetic replicated by the \
        merges";
-    uses = [];
-    (* Hoisting only rebinds integer address arithmetic to names the
-       affine machinery resolves, so the data-sharing summary and the
-       coalescing verdict survive; the access table (whose contexts
-       record the new bindings), register pressure and the verifier's
-       view do not. Property-tested in test_pipeline. *)
-    invalidates = [ Cache.Affine; Cache.Regcount; Cache.Verify ];
     applies = always;
     transform =
       (fun _ctx emit k l -> single "invariant hoisting" Licm.apply emit k l);
@@ -291,8 +265,6 @@ let partition_camp : t =
     summary =
       "rotate 1-D sweeps / diagonally reorder 2-D grids whose block \
        stride camps on one memory partition";
-    uses = [ Cache.Affine ];
-    invalidates = Cache.all_kinds;
     applies = always;
     transform =
       (fun ctx emit k l ->
@@ -311,8 +283,6 @@ let prefetch : t =
     summary =
       "double-buffer global-to-shared loads through a register unless \
        the extra registers cost occupancy";
-    uses = [ Cache.Regcount ];
-    invalidates = Cache.all_kinds;
     applies = always;
     transform =
       (fun ctx emit k l ->

@@ -191,12 +191,6 @@ let memo_misses () = sum_states retired_misses (fun s -> s.misses)
 let plane_memo_hits () = sum_states retired_phits (fun s -> s.phits)
 let plane_memo_misses () = sum_states retired_pmisses (fun s -> s.pmisses)
 
-(** Credit [n] hits taken by a caller-side cache layered over this memo
-    (the vector backend's per-site stride cache). *)
-let bump_hits n =
-  let st = Domain.DLS.get memo_state in
-  st.hits <- st.hits + n
-
 (** Same, for caller-side caches layered over the plane memo (the
     vector backend's per-site digest cache and closed-form replays). *)
 let bump_plane_hits n =

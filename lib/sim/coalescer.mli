@@ -88,9 +88,6 @@ val plane_memo_hits : unit -> int
 
 val plane_memo_misses : unit -> int
 
-val bump_hits : int -> unit
-(** Credit hits taken by a caller-side cache layered over the memo. *)
-
 val bump_plane_hits : int -> unit
 (** Credit hits taken by a caller-side cache layered over the plane
     memo (per-site digest caches, closed-form loop replays). *)

@@ -131,7 +131,3 @@ let by_name = function
   | _ -> None
 
 let half_warp (t : t) = t.warp_size / 2
-
-(** Peak single-precision GFLOPS counting a multiply-add as two ops. *)
-let peak_gflops (t : t) =
-  float_of_int (t.num_sms * t.sps_per_sm) *. t.core_clock_ghz *. 2.

@@ -50,6 +50,3 @@ val hd5870 : t
 
 val by_name : string -> t option
 val half_warp : t -> int
-
-(** Peak single-precision GFLOPS (multiply-add = 2 ops). *)
-val peak_gflops : t -> float

@@ -43,7 +43,6 @@ let create () =
   }
 
 let global_bytes t = t.gld_bytes +. t.gst_bytes
-let global_tx t = t.gld_tx +. t.gst_tx
 
 let scale k t =
   {

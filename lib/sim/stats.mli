@@ -21,7 +21,6 @@ type t = {
 
 val create : unit -> t
 val global_bytes : t -> float
-val global_tx : t -> float
 val scale : float -> t -> t
 val add : t -> t -> unit
 

@@ -4222,44 +4222,28 @@ let compile_uncached (k : Ast.kernel) (launch : Ast.launch) : code =
 
 (* --- memoization: one plan per (kernel, launch) pair --- *)
 
-let memo : (string, (code, string) result) Hashtbl.t = Hashtbl.create 32
+(* the 128 most recently used plans, shared by every domain *)
+let memo : (code, string) result Gpcc_util.Lru.t = Gpcc_util.Lru.create 128
 let memo_mutex = Mutex.create ()
-let memo_max = 128
-
-(* The digest key walks and pretty-prints the whole kernel — measurable
-   per-run overhead for small grids, where one [Launch.run] is tens of
-   microseconds. One identity-keyed entry in front of it serves the
-   common run-same-kernel-again case without hashing anything. *)
-let last : (Ast.kernel * Ast.launch * (code, string) result) option ref =
-  ref None
 
 (** Compile a kernel for a launch, memoized by the analysis-cache digest
-    of both (plus a physical-identity fast path for the last pair).
-    Returns [Error reason] when the kernel uses a shape this backend
-    does not support (the caller falls back). *)
+    of both. Returns [Error reason] when the kernel uses a shape this
+    backend does not support (the caller falls back). *)
 let compile (k : Ast.kernel) (launch : Ast.launch) : (code, string) result =
   Mutex.lock memo_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock memo_mutex)
     (fun () ->
-      match !last with
-      | Some (k', launch', r) when k' == k && launch' = launch -> r
-      | _ ->
-          let key = "vec:" ^ Analysis_cache.key k launch in
+      let key = Analysis_cache.key k launch in
+      match Gpcc_util.Lru.find memo key with
+      | Some r -> r
+      | None ->
           let r =
-            match Hashtbl.find_opt memo key with
-            | Some r -> r
-            | None ->
-                let r =
-                  try Ok (compile_uncached k launch) with
-                  | Unsupported msg -> Error msg
-                  | e -> Error (Printexc.to_string e)
-                in
-                if Hashtbl.length memo >= memo_max then Hashtbl.reset memo;
-                Hashtbl.add memo key r;
-                r
+            try Ok (compile_uncached k launch) with
+            | Unsupported msg -> Error msg
+            | e -> Error (Printexc.to_string e)
           in
-          last := Some (k, launch, r);
+          Gpcc_util.Lru.add memo key r;
           r)
 
 (* --- per-run preparation and per-block state --- *)

@@ -12,8 +12,6 @@ let create capacity =
   let capacity = max 1 capacity in
   { tbl = Hashtbl.create (min capacity 64); capacity; tick = 0 }
 
-let length t = Hashtbl.length t.tbl
-
 let next t =
   t.tick <- t.tick + 1;
   t.tick
@@ -24,8 +22,6 @@ let find t key =
       cell.tick <- next t;
       Some cell.v
   | None -> None
-
-let peek t key = Option.map (fun cell -> cell.v) (Hashtbl.find_opt t.tbl key)
 
 (* a linear scan: tables are small and eviction only happens at
    capacity *)

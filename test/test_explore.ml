@@ -2,7 +2,8 @@
     jobs-invariance of the Section-4 search, per-candidate failure
     isolation, and the persistent exploration cache. *)
 
-let fresh_cache_dir () = Filename.temp_dir "gpcc_test_cache" ""
+(* a fresh cache directory, removed when the test ends *)
+let with_cache_dir f = Util.with_temp_root "gpcc_test_cache" f
 
 (* score equality must treat -inf = -inf as equal (a failed measurement
    is a legitimate, shareable score) *)
@@ -15,8 +16,8 @@ let test_pool_map_order () =
   let xs = List.init 100 Fun.id in
   List.iter
     (fun jobs ->
-      let got = Gpcc_core.Pool.with_pool ~jobs (fun p ->
-          Gpcc_core.Pool.map p (fun x -> x * x) xs)
+      let got = Gpcc_util.Pool.with_pool ~jobs (fun p ->
+          Gpcc_util.Pool.map p (fun x -> x * x) xs)
       in
       Alcotest.(check (list int))
         (Printf.sprintf "squares in order (jobs=%d)" jobs)
@@ -29,7 +30,7 @@ let test_pool_failure_isolation () =
   let f x = if x mod 2 = 0 then failwith (string_of_int x) else x * 10 in
   List.iter
     (fun jobs ->
-      let results = Gpcc_core.Pool.run ~jobs f xs in
+      let results = Gpcc_util.Pool.run ~jobs f xs in
       let show = function
         | Ok y -> Printf.sprintf "ok:%d" y
         | Error e -> "err:" ^ Printexc.to_string e
@@ -41,7 +42,7 @@ let test_pool_failure_isolation () =
         (List.map show results);
       (* map re-raises the earliest failing element *)
       match
-        Gpcc_core.Pool.with_pool ~jobs (fun p -> Gpcc_core.Pool.map p f xs)
+        Gpcc_util.Pool.with_pool ~jobs (fun p -> Gpcc_util.Pool.map p f xs)
       with
       | _ -> Alcotest.fail "map should re-raise"
       | exception Failure m ->
@@ -51,18 +52,18 @@ let test_pool_failure_isolation () =
     [ 1; 4 ]
 
 let test_pool_reuse_and_shutdown () =
-  let p = Gpcc_core.Pool.create ~jobs:3 () in
-  Alcotest.(check int) "workers" 3 (Gpcc_core.Pool.size p);
-  let a = Gpcc_core.Pool.map p succ [ 1; 2; 3 ] in
-  let b = Gpcc_core.Pool.map p succ [ 4; 5 ] in
+  let p = Gpcc_util.Pool.create ~jobs:3 () in
+  Alcotest.(check int) "workers" 3 (Gpcc_util.Pool.size p);
+  let a = Gpcc_util.Pool.map p succ [ 1; 2; 3 ] in
+  let b = Gpcc_util.Pool.map p succ [ 4; 5 ] in
   Alcotest.(check (list int)) "first batch" [ 2; 3; 4 ] a;
   Alcotest.(check (list int)) "second batch" [ 5; 6 ] b;
-  Gpcc_core.Pool.shutdown p;
-  Gpcc_core.Pool.shutdown p;
+  Gpcc_util.Pool.shutdown p;
+  Gpcc_util.Pool.shutdown p;
   (* after shutdown the pool degrades to sequential, it does not hang *)
   Alcotest.(check (list int))
     "post-shutdown map" [ 7 ]
-    (Gpcc_core.Pool.map p succ [ 6 ])
+    (Gpcc_util.Pool.map p succ [ 6 ])
 
 (* --- jobs-invariance of the search --- *)
 
@@ -157,7 +158,7 @@ let test_raising_candidate_isolated () =
 (* --- the persistent cache --- *)
 
 let test_cache_roundtrip () =
-  let dir = fresh_cache_dir () in
+  with_cache_dir @@ fun dir ->
   let c = Gpcc_core.Explore_cache.open_dir ~dir () in
   Alcotest.(check (option (float 0.))) "empty" None
     (Gpcc_core.Explore_cache.find c "k1");
@@ -184,7 +185,7 @@ let test_cache_roundtrip () =
     (Gpcc_core.Explore_cache.find c2 "k1")
 
 let test_cached_search_identical () =
-  let dir = fresh_cache_dir () in
+  with_cache_dir @@ fun dir ->
   let cold = Gpcc_core.Explore_cache.open_dir ~dir () in
   let cands_cold, _ =
     search_best ~jobs:1 ~cache:cold ~cache_prefix:"t/mm/64" "mm" 64
@@ -288,7 +289,7 @@ let test_funnel_provenance () =
   | None -> Alcotest.fail "no winner"
 
 let test_funnel_warm_cache () =
-  let dir = fresh_cache_dir () in
+  with_cache_dir @@ fun dir ->
   let run () =
     (* a fresh handle each time: warm must hit the disk, not a
        previous handle's in-memory memo *)
@@ -319,7 +320,7 @@ let test_funnel_warm_cache () =
 let test_funnel_partial_runs_count_executions () =
   let w = Gpcc_workloads.Registry.find_exn "rd" in
   let n = w.test_size in
-  let dir = fresh_cache_dir () in
+  with_cache_dir @@ fun dir ->
   let run () =
     let cache = Gpcc_core.Explore_cache.open_dir ~dir () in
     funnel_search ~jobs:1 ~cache ~cache_prefix:"t/rd" "rd" n
@@ -334,7 +335,7 @@ let test_funnel_partial_runs_count_executions () =
 (* a funnel and an exhaustive sweep share full-measurement entries: the
    funnel's finals must be served from the exhaustive run's cache *)
 let test_funnel_shares_full_cache () =
-  let dir = fresh_cache_dir () in
+  with_cache_dir @@ fun dir ->
   let cache = Gpcc_core.Explore_cache.open_dir ~dir () in
   let _ = search_best ~jobs:1 ~cache ~cache_prefix:"t/mm/64" "mm" 64 in
   let full_entries = Gpcc_core.Explore_cache.entries cache in
@@ -354,7 +355,7 @@ let test_funnel_shares_full_cache () =
 (* --- cache corruption hardening --- *)
 
 let test_cache_corrupt_entry () =
-  let dir = fresh_cache_dir () in
+  with_cache_dir @@ fun dir ->
   let c = Gpcc_core.Explore_cache.open_dir ~dir () in
   let module C = Gpcc_core.Explore_cache in
   C.store c "k1" 42.0;

@@ -5,7 +5,8 @@
 
 module Store = Gpcc_util.Store
 
-let fresh_root () = Filename.temp_dir "gpcc_test_store" ""
+(* a fresh root, removed when the test ends *)
+let with_root f = Util.with_temp_root "gpcc_test_store" f
 
 (* a fixed-width codec so eviction byte-accounting is predictable *)
 let text_kind =
@@ -112,7 +113,7 @@ let store_ops root ops =
 (* --- round trip, pack layout, typed kinds --- *)
 
 let test_roundtrip_and_layout () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let s = Store.open_root ~root () in
   Alcotest.(check (option string)) "empty" None
     (Store.find s text_kind ~key:"k1");
@@ -197,7 +198,7 @@ let test_roundtrip_and_layout () =
 (* --- corruption is skipped and reclaimed; collisions are kept --- *)
 
 let test_corruption_and_versioning () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let s = Store.open_root ~root () in
   Store.store s float_kind ~key:"f" 1.5;
   Store.store s text_kind ~key:"k2" "neighbour";
@@ -285,7 +286,7 @@ let test_root_resolution () =
       Unix.putenv "GPCC_CACHE_DIR" (Option.value saved ~default:""))
     (fun () ->
       Unix.putenv "GPCC_CACHE_DIR" "";
-      let top = Filename.temp_dir "gpcc_test_root" "" in
+      Util.with_temp_root "gpcc_test_root" @@ fun top ->
       let nested = Filename.concat (Filename.concat top "a") "b" in
       let rec mkdir_p p =
         if not (Sys.file_exists p) then begin
@@ -326,7 +327,7 @@ let test_root_resolution () =
 (* --- the earlier sharded layout and its temp files are swept --- *)
 
 let test_tmp_sweep () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let s = Store.open_root ~root () in
   Store.store s text_kind ~key:"live" "v";
   let make dir name age =
@@ -364,7 +365,7 @@ let test_tmp_sweep () =
 (* --- LRU eviction of packs under a byte budget --- *)
 
 let test_lru_eviction () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   (* three packs of identical size, one record each, with distinct ages *)
   let payload = String.make 100 'x' in
   List.iter (fun k -> store_ops root [ "put"; k; payload ]) [ "e1"; "e2"; "e3" ];
@@ -415,7 +416,7 @@ let test_lru_eviction () =
 (* --- eviction never removes a pack written during the GC pass --- *)
 
 let test_gc_never_evicts_fresh_write () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let s = Store.open_root ~root () in
   Store.store s text_kind ~key:"fresh" "just written";
   (* simulate a pass that started before the write by backdating [now]:
@@ -440,7 +441,7 @@ let test_gc_never_evicts_fresh_write () =
    one keeps only its one record of its own, so the kept packs are the
    distinct records byte for byte, and every key still reads. *)
 let test_gc_one_copy () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let keys = List.init 8 (Printf.sprintf "dup-%d") in
   let puts = List.concat_map (fun k -> [ "put"; k; "v-" ^ k ]) keys in
   store_ops root (("put" :: "first" :: "f" :: puts) @ [ "put"; "first"; "f" ]);
@@ -523,7 +524,7 @@ let stress_child root seed : unit =
 let child_env_var = "GPCC_STORE_STRESS_CHILD"
 
 let test_multiprocess_stress () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let children =
     List.init 4 (fun seed ->
         let env =
@@ -563,7 +564,7 @@ let test_multiprocess_stress () =
     (Array.length (Sys.readdir root));
   (* each child's pack holds the records a serial run writes, byte for
      byte, in the child's order *)
-  let serial_root = fresh_root () in
+  with_root @@ fun serial_root ->
   let serial = Store.open_root ~root:serial_root () in
   for i = 0 to stress_keys - 1 do
     Store.store serial text_kind ~key:(stress_key i) (stress_value i)
@@ -596,7 +597,7 @@ let test_multiprocess_stress () =
    a later writer's records (the torn key among them) read back, and gc
    rewrites the torn pack with its complete records. *)
 let test_killed_writer () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let pid = spawn_store_ops root [ "torn-writer" ] in
   let pack_size () =
     match Util.pack_files root with
@@ -651,7 +652,7 @@ let test_killed_writer () =
 (* --- a forked child writes its own pack --- *)
 
 let test_forked_writer () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   store_ops root
     [ "put"; "parent-1"; "p1"; "fork-put"; "child-1"; "c1"; "put"; "parent-2"; "p2" ];
   let keys pack =
@@ -670,7 +671,7 @@ let test_forked_writer () =
 (* --- a live handle whose pack was unlinked --- *)
 
 let test_unlinked_pack () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let s = Store.open_root ~root () in
   Store.store s text_kind ~key:"before" "b";
   (* another process clears the store, unlinking this process's pack *)
@@ -773,7 +774,7 @@ __kernel void once_race(float a[1024], float b[1024]) {
   Unix._exit (if List.for_all (fun r -> r = serial) raced then 0 else 8)
 
 let test_once_library_values () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let env =
     Array.append (Unix.environment ())
       [| "GPCC_CACHE_DIR=" ^ root; "GPCC_JOBS=2" |]
@@ -816,7 +817,7 @@ let maybe_run_child () =
 (* --- in-process concurrency: domains hammering one root --- *)
 
 let test_domain_stress () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let worker d () =
     let s = Store.open_root ~root () in
     for i = 0 to 63 do

@@ -89,6 +89,29 @@ let assert_contains msg hay needle =
   if not (contains ~needle hay) then
     Alcotest.failf "%s: expected to find %S in:\n%s" msg needle hay
 
+(** {1 Temporary roots} *)
+
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter
+        (fun f -> remove_tree (Filename.concat path f))
+        (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(** [with_temp_root prefix f] runs [f] on a fresh empty directory in the
+    temp directory, named after [prefix], and removes the directory with
+    everything in it when [f] returns or raises. Only the process that
+    made it removes it: a child forked inside [f] leaves through
+    [Unix._exit] and does not take its parent's root with it. *)
+let with_temp_root prefix f =
+  let root = Filename.temp_dir prefix "" and owner = Unix.getpid () in
+  Fun.protect
+    ~finally:(fun () -> if Unix.getpid () = owner then remove_tree root)
+    (fun () -> f root)
+
 (** {1 Artifact-store records on disk}
 
     The store appends records to [<root>/*.pack] files. These helpers
