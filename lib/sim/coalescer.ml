@@ -94,6 +94,128 @@ let shared_request ~(banks : int) (word_addrs : int list) : int =
     Array.fold_left max 1 counts
   end
 
+(* --- allocation-free formation ---
+
+   The same two rules on arrays, for the simulator's hot paths: a half
+   warp is a slice of parallel lane and address arrays, and its
+   transactions land in a reusable scratch record instead of a list.
+   Emission order is first touch, as in {!global_request}. *)
+
+type scratch = {
+  seg_s : int array;
+  seg_lo : int array;
+  seg_hi : int array;
+  txs : int array;
+  mutable ntx : int;
+  mutable bytes : int;
+}
+
+let scratch () =
+  {
+    seg_s = Array.make 16 0;
+    seg_lo = Array.make 16 0;
+    seg_hi = Array.make 16 0;
+    txs = Array.make 32 0;
+    ntx = 0;
+    bytes = 0;
+  }
+
+(* the lanes of a half warp that starts at thread 0 *)
+let lanes16 = Array.init 16 Fun.id
+
+let[@inline] emit sc a b =
+  let q = sc.ntx in
+  sc.txs.(2 * q) <- a;
+  sc.txs.((2 * q) + 1) <- b;
+  sc.ntx <- q + 1;
+  sc.bytes <- sc.bytes + b
+
+let form (rules : Config.coalesce_rules) ~(min_tx : int) ~(elt_bytes : int)
+    (sc : scratch) (addrs : int array) ~(lanes : int array) ~(off : int)
+    ~(cnt : int) : unit =
+  sc.ntx <- 0;
+  sc.bytes <- 0;
+  let seg_bytes = 16 * elt_bytes in
+  match rules with
+  | Config.Strict_g80 ->
+      let base = addrs.(off) - (lanes.(off) mod 16 * elt_bytes) in
+      let ok = ref (base mod seg_bytes = 0) in
+      let t = ref off in
+      while !ok && !t < off + cnt do
+        if addrs.(!t) <> base + (lanes.(!t) mod 16 * elt_bytes) then
+          ok := false;
+        incr t
+      done;
+      if !ok then emit sc base seg_bytes
+      else
+        for t = off to off + cnt - 1 do
+          emit sc (addrs.(t) / min_tx * min_tx) min_tx
+        done
+  | Config.Relaxed_gt200 ->
+      let seg = if seg_bytes > 32 then seg_bytes else 32 in
+      let seg_s = sc.seg_s and seg_lo = sc.seg_lo and seg_hi = sc.seg_hi in
+      let nsegs = ref 0 in
+      for t = off to off + cnt - 1 do
+        let a = addrs.(t) in
+        let s = a / seg * seg in
+        let q = ref 0 in
+        while !q < !nsegs && seg_s.(!q) <> s do
+          incr q
+        done;
+        if !q < !nsegs then begin
+          if a < seg_lo.(!q) then seg_lo.(!q) <- a;
+          if a + elt_bytes > seg_hi.(!q) then seg_hi.(!q) <- a + elt_bytes
+        end
+        else begin
+          seg_s.(!nsegs) <- s;
+          seg_lo.(!nsegs) <- a;
+          seg_hi.(!nsegs) <- a + elt_bytes;
+          incr nsegs
+        end
+      done;
+      for q = 0 to !nsegs - 1 do
+        (* shrink to the smallest aligned power-of-two >= 32B *)
+        let lo = seg_lo.(q) and hi' = seg_hi.(q) - 1 in
+        let size = ref seg in
+        let continue = ref true in
+        while !continue do
+          let half = !size / 2 in
+          if half >= 32 && lo / half = hi' / half then size := half
+          else continue := false
+        done;
+        emit sc (lo / !size * !size) !size
+      done
+
+let bank_cost ~(banks : int) (counts : int array) (words : int array)
+    ~(off : int) ~(cnt : int) : int =
+  Array.fill counts 0 banks 0;
+  for t = off to off + cnt - 1 do
+    let w = words.(t) in
+    (* same-address lanes broadcast for free *)
+    let dup = ref false in
+    for t' = off to t - 1 do
+      if words.(t') = w then dup := true
+    done;
+    if not !dup then begin
+      let b = ((w mod banks) + banks) mod banks in
+      counts.(b) <- counts.(b) + 1
+    end
+  done;
+  Array.fold_left max 1 counts
+
+let half_warps (m : int array) (f : int -> int -> unit) : unit =
+  let n = Array.length m in
+  let i = ref 0 in
+  while !i < n do
+    let hw = m.(!i) / 16 in
+    let j = ref (!i + 1) in
+    while !j < n && m.(!j) / 16 = hw do
+      incr j
+    done;
+    f !i (!j - !i);
+    i := !j
+  done
+
 (* --- memoized transaction counts ---
 
    Timing only needs (transactions, bytes) per half-warp request, and
@@ -124,6 +246,32 @@ type plane_digest = {
   pd_bytes : int;  (** total bytes across the plane *)
 }
 
+let digest_of_plane (rules : Config.coalesce_rules) ~(min_tx : int)
+    ~(elt_bytes : int) (sc : scratch) (addrs : int array)
+    ~(lanes : int array) ~(a0 : int) : plane_digest =
+  (* a half warp forms at most one transaction per lane *)
+  let n = Array.length lanes in
+  let hw = Array.make (2 * n) 0 and lay = Array.make (2 * n) 0 in
+  let nhw = ref 0 and ntx = ref 0 and bytes = ref 0 in
+  half_warps lanes (fun off cnt ->
+      form rules ~min_tx ~elt_bytes sc addrs ~lanes ~off ~cnt;
+      hw.(2 * !nhw) <- sc.ntx;
+      hw.((2 * !nhw) + 1) <- sc.bytes;
+      incr nhw;
+      for q = 0 to sc.ntx - 1 do
+        lay.(2 * !ntx) <- sc.txs.(2 * q) - a0;
+        lay.((2 * !ntx) + 1) <- sc.txs.((2 * q) + 1);
+        incr ntx
+      done;
+      bytes := !bytes + sc.bytes);
+  {
+    pd_nhw = !nhw;
+    pd_hw = Array.sub hw 0 (2 * !nhw);
+    pd_layout = Array.sub lay 0 (2 * !ntx);
+    pd_ntx = !ntx;
+    pd_bytes = !bytes;
+  }
+
 (* Per-domain memo state. Both tables use a two-generation scheme: a
    lookup probes the live generation then the previous one (promoting
    survivors), and filling the live generation retires the previous one
@@ -138,6 +286,7 @@ type mstate = {
   mutable ptbl_old : (int array, plane_digest) Hashtbl.t;
   mutable phits : int;
   mutable pmisses : int;
+  sc : scratch;  (** formation scratch for memo misses *)
 }
 
 let memo_mutex = Mutex.create ()
@@ -165,6 +314,7 @@ let memo_state : mstate Domain.DLS.key =
           ptbl_old = Hashtbl.create 16;
           phits = 0;
           pmisses = 0;
+          sc = scratch ();
         }
       in
       Mutex.lock memo_mutex;
@@ -231,8 +381,7 @@ let memo_granularity ~min_tx ~elt_bytes =
   if s mod min_tx = 0 then s else s * min_tx
 
 let request_cost (rules : Config.coalesce_rules) ~(min_tx : int)
-    ~(elt_bytes : int) ~(lane0 : int) ~(cnt : int) (addrs : int array) :
-    int * int =
+    ~(elt_bytes : int) ~(cnt : int) (addrs : int array) : int * int =
   let st = Domain.DLS.get memo_state in
   let g = memo_granularity ~min_tx ~elt_bytes in
   let amin = ref addrs.(0) in
@@ -240,14 +389,13 @@ let request_cost (rules : Config.coalesce_rules) ~(min_tx : int)
     if addrs.(t) < !amin then amin := addrs.(t)
   done;
   let base = !amin / g * g in
-  let key = Array.make (5 + cnt) 0 in
+  let key = Array.make (4 + cnt) 0 in
   key.(0) <- (match rules with Config.Strict_g80 -> 0 | Config.Relaxed_gt200 -> 1);
   key.(1) <- min_tx;
   key.(2) <- elt_bytes;
-  key.(3) <- lane0;
-  key.(4) <- cnt;
+  key.(3) <- cnt;
   for t = 0 to cnt - 1 do
-    key.(5 + t) <- addrs.(t) - base
+    key.(4 + t) <- addrs.(t) - base
   done;
   two_gen_find st
     ~live:(fun s -> s.tbl)
@@ -261,11 +409,9 @@ let request_cost (rules : Config.coalesce_rules) ~(min_tx : int)
     ~miss:(fun s -> s.misses <- s.misses + 1)
     key
     (fun () ->
-      let pairs = List.init cnt (fun t -> (lane0 + t, addrs.(t) - base)) in
-      let txs = global_request rules ~min_tx ~elt_bytes pairs in
-      let ntx = List.length txs in
-      let bytes = List.fold_left (fun a t -> a + t.tx_bytes) 0 txs in
-      (ntx, bytes))
+      (* the cost is shift-invariant, so the live addresses serve *)
+      form rules ~min_tx ~elt_bytes st.sc addrs ~lanes:lanes16 ~off:0 ~cnt;
+      (st.sc.ntx, st.sc.bytes))
 
 (* --- plane-granularity cost digests ---
 
@@ -324,31 +470,9 @@ let plane_cost (rules : Config.coalesce_rules) ~(min_tx : int)
       done;
       let lift = if !amin < 0 then (g - 1 - !amin) / g * g else 0 in
       let a0 = rel0 + lift in
-      let hw = Array.make (2 * nhw) 0 in
-      let lay = ref [] in
-      let tot_tx = ref 0 and tot_bytes = ref 0 in
-      for q = 0 to nhw - 1 do
-        let cnt = min 16 (n - (16 * q)) in
-        let b = a0 + (q * dd) in
-        let pairs = List.init cnt (fun t -> (t, b + (t * d))) in
-        let txs = global_request rules ~min_tx ~elt_bytes pairs in
-        let ntx = List.length txs in
-        let bytes = List.fold_left (fun a t -> a + t.tx_bytes) 0 txs in
-        hw.(2 * q) <- ntx;
-        hw.((2 * q) + 1) <- bytes;
-        tot_tx := !tot_tx + ntx;
-        tot_bytes := !tot_bytes + bytes;
-        List.iter
-          (fun t -> lay := t.tx_bytes :: (t.tx_addr - a0) :: !lay)
-          txs
-      done;
-      {
-        pd_nhw = nhw;
-        pd_hw = hw;
-        pd_layout = Array.of_list (List.rev !lay);
-        pd_ntx = !tot_tx;
-        pd_bytes = !tot_bytes;
-      })
+      let addrs = Array.init n (fun l -> a0 + (l / 16 * dd) + (l mod 16 * d)) in
+      digest_of_plane rules ~min_tx ~elt_bytes st.sc addrs
+        ~lanes:(Array.init n Fun.id) ~a0)
 
 (** Sentinel digest for unfilled per-site caches. *)
 let empty_digest =

@@ -5,13 +5,15 @@ type tx = {
   tx_bytes : int;
 }
 
-(** Transactions for one half-warp global request. [addrs] are the byte
-    addresses of the active lanes as [(lane, addr)] with lane in 0..15;
-    [elt_bytes] is the per-lane access width. The strict G80 rule needs
-    thread [k] at word [k] of an aligned segment (else every active lane
-    pays a [min_tx]-byte transaction); the relaxed GT200 rule issues one
-    transaction per distinct aligned segment, shrunk to the smallest
-    covering power of two >= 32 B. *)
+(** Transactions for one half-warp global request, as a list: the
+    reference statement of the rules, which the tests compare {!form}
+    against. [addrs] are the byte addresses of the active lanes as
+    [(lane, addr)] with lane in 0..15; [elt_bytes] is the per-lane
+    access width. The strict G80 rule needs thread [k] at word [k] of
+    an aligned segment (else every active lane pays a [min_tx]-byte
+    transaction); the relaxed GT200 rule issues one transaction per
+    distinct aligned segment, in first-touch order, shrunk to the
+    smallest covering power of two >= 32 B. *)
 val global_request :
   Config.coalesce_rules ->
   min_tx:int ->
@@ -20,22 +22,61 @@ val global_request :
   tx list
 
 (** Serialized cost (in conflict-free request units) of one half-warp
-    shared-memory request; same-address lanes broadcast for free. *)
+    shared-memory request over the lanes' 4-byte word indices;
+    same-address lanes broadcast for free. The reference statement that
+    the tests compare {!bank_cost} against. *)
 val shared_request : banks:int -> int list -> int
 
+(** Formation scratch: the transactions of the last {!form}. *)
+type scratch = private {
+  seg_s : int array;  (** 16 slots: segment starts, first-touch order *)
+  seg_lo : int array;  (** 16 slots: lowest byte touched per segment *)
+  seg_hi : int array;  (** 16 slots: end of the highest access per segment *)
+  txs : int array;  (** 32 slots: [addr; bytes] per transaction *)
+  mutable ntx : int;  (** transactions formed *)
+  mutable bytes : int;  (** their byte total *)
+}
+
+val scratch : unit -> scratch
+
+(** {!global_request} without allocating: forms the transactions of one
+    half warp into [sc], in the same order. Its active lanes are
+    [lanes.(off .. off+cnt-1)] (ascending, one half warp, [cnt] >= 1),
+    each at position [lane mod 16] of the half warp, with byte addresses
+    [addrs.(off .. off+cnt-1)]. *)
+val form :
+  Config.coalesce_rules ->
+  min_tx:int ->
+  elt_bytes:int ->
+  scratch ->
+  int array ->
+  lanes:int array ->
+  off:int ->
+  cnt:int ->
+  unit
+
+(** {!shared_request} without allocating: the cost of the half warp
+    whose word indices are [words.(off .. off+cnt-1)] ([cnt] >= 1).
+    [counts] is scratch of exactly [banks] slots. *)
+val bank_cost :
+  banks:int -> int array -> int array -> off:int -> cnt:int -> int
+
+(** [half_warps m f] calls [f off cnt] for each half warp of the
+    ascending lane mask [m], in order: [m.(off .. off+cnt-1)] are the
+    active lanes of one half warp. *)
+val half_warps : int array -> (int -> int -> unit) -> unit
+
 (** Memoized (transactions, bytes) of one half-warp request whose
-    active lanes are the contiguous run [lane0 .. lane0+cnt-1] (lane0 in
-    0..15) with byte addresses [addrs.(0..cnt-1)]. The result is keyed
-    by the access pattern digest — addresses modulo the coarsest
-    alignment the rules inspect — so identical patterns across blocks
-    cost one table lookup. Transaction {e addresses} are not
-    shift-invariant: callers recording the partition stream must use
-    {!global_request} directly. *)
+    active lanes are threads [0 .. cnt-1] of their half warp, with byte
+    addresses [addrs.(0..cnt-1)]. The result is keyed by the access
+    pattern digest — addresses modulo the coarsest alignment the rules
+    inspect — so identical patterns across blocks cost one table lookup.
+    Transaction {e addresses} are not shift-invariant: callers recording
+    the partition stream must use {!form}. *)
 val request_cost :
   Config.coalesce_rules ->
   min_tx:int ->
   elt_bytes:int ->
-  lane0:int ->
   cnt:int ->
   int array ->
   int * int
@@ -68,6 +109,19 @@ val plane_cost :
   rel0:int ->
   d:int ->
   dd:int ->
+  plane_digest
+
+(** The digest of a full plane: [lanes] are the plane's [n] lanes
+    [0 .. n-1], [addrs.(l)] is lane [l]'s byte address, and layout
+    offsets are relative to [a0]. Forms each half warp with {!form}. *)
+val digest_of_plane :
+  Config.coalesce_rules ->
+  min_tx:int ->
+  elt_bytes:int ->
+  scratch ->
+  int array ->
+  lanes:int array ->
+  a0:int ->
   plane_digest
 
 val empty_digest : plane_digest

@@ -124,6 +124,11 @@ let hd5870 =
     prefer_wide_vectors = true;
   }
 
+let width_eff (t : t) ~(elt_bytes : int) =
+  if elt_bytes >= 16 then t.bw_efficiency_16b
+  else if elt_bytes >= 8 then t.bw_efficiency_8b
+  else 1.0
+
 let by_name = function
   | "GTX8800" | "gtx8800" | "8800" -> Some gtx8800
   | "GTX280" | "gtx280" | "280" -> Some gtx280

@@ -48,5 +48,9 @@ val gtx280 : t
     float/float2/float4); compute modeled coarsely. *)
 val hd5870 : t
 
+val width_eff : t -> elt_bytes:int -> float
+(** The sustained-bandwidth ratio of an [elt_bytes]-wide access: its
+    bytes are charged to [Stats.cost_bytes] divided by this. *)
+
 val by_name : string -> t option
 val half_warp : t -> int

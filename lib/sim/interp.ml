@@ -151,261 +151,46 @@ let as_bool = function
   | VI a -> Array.map (fun i -> i <> 0) a
   | VF _ | VF2 _ | VF4 _ -> err "expected a boolean value"
 
-(* --- memory accounting --- *)
+(* --- memory accounting ---
 
-(** Group active lanes into half warps and run [f] on each group, in
-    increasing half-warp order with lanes ascending within a group.
-    Masks are built in ascending lane order everywhere, so the groups
-    are contiguous runs of the mask — one linear scan, no hashing; a
-    (never expected) unsorted mask falls back to hash-grouping. *)
-let iter_half_warps (mask : int array) (f : int list -> unit) =
-  let n = Array.length mask in
-  if n = 0 then ()
-  else begin
-    let ascending = ref true in
-    for i = 1 to n - 1 do
-      if mask.(i - 1) >= mask.(i) then ascending := false
+   Every mask is ascending: the full mask, or an order-preserving
+   filter of the mask a statement was given. So a mask's half warps are
+   contiguous runs of it, and {!Coalescer.half_warps} finds them in one
+   scan. *)
+
+(** Account one half-warp global request, whose active lanes are
+    [lanes.(off .. off+cnt-1)] at byte addresses [addrs.(off ..)]: form
+    its transactions in [sc], append each one's partition to the stream
+    when the block records one, and add the request to the statistics.
+    The vector backend calls it for the groups it does not batch. *)
+let account_group (c : bctx) (sc : Coalescer.scratch) ~(is_store : bool)
+    ~(elt_bytes : int) (addrs : int array) ~(lanes : int array) ~(off : int)
+    ~(cnt : int) : unit =
+  let cfg = c.cfg in
+  Coalescer.form cfg.Config.coalesce_rules
+    ~min_tx:cfg.Config.min_transaction_bytes ~elt_bytes sc addrs ~lanes ~off
+    ~cnt;
+  if c.record_tx then
+    for q = 0 to sc.Coalescer.ntx - 1 do
+      record_part c sc.Coalescer.txs.(2 * q)
     done;
-    if !ascending then begin
-      let i = ref 0 in
-      while !i < n do
-        let hw = mask.(!i) / 16 in
-        let j = ref (!i + 1) in
-        while !j < n && mask.(!j) / 16 = hw do
-          incr j
-        done;
-        let lanes = ref [] in
-        for t = !j - 1 downto !i do
-          lanes := mask.(t) :: !lanes
-        done;
-        f !lanes;
-        i := !j
-      done
-    end
-    else begin
-      let tbl = Hashtbl.create 8 in
-      Array.iter
-        (fun lane ->
-          let hw = lane / 16 in
-          Hashtbl.replace tbl hw
-            (lane :: (try Hashtbl.find tbl hw with Not_found -> [])))
-        mask;
-      (* deterministic order *)
-      Hashtbl.fold (fun hw lanes acc -> (hw, lanes) :: acc) tbl []
-      |> List.sort compare
-      |> List.iter (fun (_, lanes) -> f (List.rev lanes))
-    end
-  end
-
-(** List-based accounting via {!Coalescer} — the reference semantics,
-    used by the slow path and kept as executable documentation. *)
-let account_global_slow (c : bctx) ~(is_store : bool) ~(elt_bytes : int)
-    (mask : int array) (byte_addr : int -> int) =
-  iter_half_warps mask (fun lanes ->
-      let addrs =
-        List.map (fun lane -> (lane mod 16, byte_addr lane)) lanes
-      in
-      let txs =
-        Coalescer.global_request c.cfg.Config.coalesce_rules
-          ~min_tx:c.cfg.Config.min_transaction_bytes ~elt_bytes addrs
-      in
-      let ntx = float_of_int (List.length txs) in
-      let bytes =
-        float_of_int (List.fold_left (fun a t -> a + t.Coalescer.tx_bytes) 0 txs)
-      in
-      let width_eff =
-        if elt_bytes >= 16 then c.cfg.Config.bw_efficiency_16b
-        else if elt_bytes >= 8 then c.cfg.Config.bw_efficiency_8b
-        else 1.0
-      in
-      c.stats.cost_bytes <- c.stats.cost_bytes +. (bytes /. width_eff);
-      if c.record_tx then
-        List.iter (fun t -> record_part c t.Coalescer.tx_addr) txs;
-      if is_store then begin
-        c.stats.gst_tx <- c.stats.gst_tx +. ntx;
-        c.stats.gst_bytes <- c.stats.gst_bytes +. bytes;
-        c.stats.gst_requests <- c.stats.gst_requests +. 1.
-      end
-      else begin
-        c.stats.gld_tx <- c.stats.gld_tx +. ntx;
-        c.stats.gld_bytes <- c.stats.gld_bytes +. bytes;
-        c.stats.gld_requests <- c.stats.gld_requests +. 1.
-      end)
-
-(* Memory accounting runs once per access per half warp — it dominates
-   simulation time on bandwidth-bound kernels. The fast path below walks
-   the (always ascending) mask in contiguous half-warp runs and forms
-   transactions in fixed 16-slot scratch arrays: same math, same
-   first-touch emission order, no per-access allocation. *)
+  Stats.add_global c.stats ~is_store ~weff:(Config.width_eff cfg ~elt_bytes)
+    sc.Coalescer.ntx sc.Coalescer.bytes
 
 let account_global (c : bctx) ~(is_store : bool) ~(elt_bytes : int)
     (mask : int array) (byte_addr : int -> int) =
-  let n = Array.length mask in
-  if n = 0 then ()
-  else begin
-    let ascending = ref true in
-    for i = 1 to n - 1 do
-      if mask.(i - 1) >= mask.(i) then ascending := false
-    done;
-    if not !ascending then
-      account_global_slow c ~is_store ~elt_bytes mask byte_addr
-    else begin
-      let cfg = c.cfg in
-      let seg_bytes = 16 * elt_bytes in
-      let width_eff =
-        if elt_bytes >= 16 then cfg.Config.bw_efficiency_16b
-        else if elt_bytes >= 8 then cfg.Config.bw_efficiency_8b
-        else 1.0
-      in
-      (* scratch: lane addresses of one half warp, and its segments in
-         first-touch order *)
-      let addrs = Array.make 16 0 in
-      let seg_s = Array.make 16 0 in
-      let seg_lo = Array.make 16 0 in
-      let seg_hi = Array.make 16 0 in
-      let i = ref 0 in
-      while !i < n do
-        let hw = mask.(!i) / 16 in
-        let j = ref (!i + 1) in
-        while !j < n && mask.(!j) / 16 = hw do
-          incr j
-        done;
-        let cnt = !j - !i in
-        for t = 0 to cnt - 1 do
-          addrs.(t) <- byte_addr mask.(!i + t)
-        done;
-        let emit tx_addr tx_bytes =
-          if c.record_tx then record_part c tx_addr;
-          tx_bytes
-        in
-        let ntx = ref 0 and bytes = ref 0 in
-        (match cfg.Config.coalesce_rules with
-        | Config.Strict_g80 ->
-            let lane0 = mask.(!i) mod 16 in
-            let base = addrs.(0) - (lane0 * elt_bytes) in
-            let ok = ref (base mod seg_bytes = 0) in
-            if !ok then
-              for t = 0 to cnt - 1 do
-                if addrs.(t) <> base + (mask.(!i + t) mod 16 * elt_bytes)
-                then ok := false
-              done;
-            if !ok then begin
-              ntx := 1;
-              bytes := emit base seg_bytes
-            end
-            else begin
-              let min_tx = cfg.Config.min_transaction_bytes in
-              ntx := cnt;
-              for t = 0 to cnt - 1 do
-                bytes := !bytes + emit (addrs.(t) / min_tx * min_tx) min_tx
-              done
-            end
-        | Config.Relaxed_gt200 ->
-            let seg = if seg_bytes > 32 then seg_bytes else 32 in
-            let nsegs = ref 0 in
-            for t = 0 to cnt - 1 do
-              let a = addrs.(t) in
-              let s = a / seg * seg in
-              let q = ref 0 in
-              while !q < !nsegs && seg_s.(!q) <> s do
-                incr q
-              done;
-              if !q < !nsegs then begin
-                if a < seg_lo.(!q) then seg_lo.(!q) <- a;
-                if a + elt_bytes > seg_hi.(!q) then
-                  seg_hi.(!q) <- a + elt_bytes
-              end
-              else begin
-                seg_s.(!nsegs) <- s;
-                seg_lo.(!nsegs) <- a;
-                seg_hi.(!nsegs) <- a + elt_bytes;
-                incr nsegs
-              end
-            done;
-            ntx := !nsegs;
-            for q = 0 to !nsegs - 1 do
-              (* shrink to the smallest aligned power-of-two >= 32B *)
-              let lo = seg_lo.(q) and hi' = seg_hi.(q) - 1 in
-              let size = ref seg in
-              let continue = ref true in
-              while !continue do
-                let half = !size / 2 in
-                if half >= 32 && lo / half = hi' / half then size := half
-                else continue := false
-              done;
-              bytes := !bytes + emit (lo / !size * !size) !size
-            done);
-        let ntx = float_of_int !ntx and bytes = float_of_int !bytes in
-        c.stats.cost_bytes <- c.stats.cost_bytes +. (bytes /. width_eff);
-        if is_store then begin
-          c.stats.gst_tx <- c.stats.gst_tx +. ntx;
-          c.stats.gst_bytes <- c.stats.gst_bytes +. bytes;
-          c.stats.gst_requests <- c.stats.gst_requests +. 1.
-        end
-        else begin
-          c.stats.gld_tx <- c.stats.gld_tx +. ntx;
-          c.stats.gld_bytes <- c.stats.gld_bytes +. bytes;
-          c.stats.gld_requests <- c.stats.gld_requests +. 1.
-        end;
-        i := !j
-      done
-    end
-  end
-
-let account_shared_slow (c : bctx) (mask : int array) (word_addr : int -> int)
-    =
-  iter_half_warps mask (fun lanes ->
-      let cost =
-        Coalescer.shared_request ~banks:c.cfg.Config.shared_banks
-          (List.map word_addr lanes)
-      in
-      c.stats.shared_ops <- c.stats.shared_ops +. 1.;
-      if cost > 1 then
-        c.stats.bank_extra <- c.stats.bank_extra +. float_of_int (cost - 1))
+  let addrs = Array.map byte_addr mask in
+  let sc = Coalescer.scratch () in
+  Coalescer.half_warps mask (fun off cnt ->
+      account_group c sc ~is_store ~elt_bytes addrs ~lanes:mask ~off ~cnt)
 
 let account_shared (c : bctx) (mask : int array) (word_addr : int -> int) =
-  let n = Array.length mask in
-  if n = 0 then ()
-  else begin
-    let ascending = ref true in
-    for i = 1 to n - 1 do
-      if mask.(i - 1) >= mask.(i) then ascending := false
-    done;
-    if not !ascending then account_shared_slow c mask word_addr
-    else begin
-      let banks = c.cfg.Config.shared_banks in
-      let words = Array.make 16 0 in
-      let counts = Array.make banks 0 in
-      let i = ref 0 in
-      while !i < n do
-        let hw = mask.(!i) / 16 in
-        let j = ref (!i + 1) in
-        while !j < n && mask.(!j) / 16 = hw do
-          incr j
-        done;
-        let cnt = !j - !i in
-        Array.fill counts 0 banks 0;
-        for t = 0 to cnt - 1 do
-          let w = word_addr mask.(!i + t) in
-          words.(t) <- w;
-          (* same-address lanes broadcast for free *)
-          let dup = ref false in
-          for t' = 0 to t - 1 do
-            if words.(t') = w then dup := true
-          done;
-          if not !dup then begin
-            let b = ((w mod banks) + banks) mod banks in
-            counts.(b) <- counts.(b) + 1
-          end
-        done;
-        let cost = Array.fold_left max 1 counts in
-        c.stats.shared_ops <- c.stats.shared_ops +. 1.;
-        if cost > 1 then
-          c.stats.bank_extra <- c.stats.bank_extra +. float_of_int (cost - 1);
-        i := !j
-      done
-    end
-  end
+  let words = Array.map word_addr mask in
+  let banks = c.cfg.Config.shared_banks in
+  let counts = Array.make banks 0 in
+  Coalescer.half_warps mask (fun off cnt ->
+      Stats.add_shared c.stats
+        (Coalescer.bank_cost ~banks counts words ~off ~cnt))
 
 (* --- expression evaluation --- *)
 

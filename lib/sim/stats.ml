@@ -44,6 +44,26 @@ let create () =
 
 let global_bytes t = t.gld_bytes +. t.gst_bytes
 
+(* one half-warp request each; the backends' batched replays of many
+   requests add the same fields in bulk *)
+let add_global t ~is_store ~weff ntx bytes =
+  let ntx = float_of_int ntx and bytes = float_of_int bytes in
+  t.cost_bytes <- t.cost_bytes +. (bytes /. weff);
+  if is_store then begin
+    t.gst_tx <- t.gst_tx +. ntx;
+    t.gst_bytes <- t.gst_bytes +. bytes;
+    t.gst_requests <- t.gst_requests +. 1.
+  end
+  else begin
+    t.gld_tx <- t.gld_tx +. ntx;
+    t.gld_bytes <- t.gld_bytes +. bytes;
+    t.gld_requests <- t.gld_requests +. 1.
+  end
+
+let add_shared t cost =
+  t.shared_ops <- t.shared_ops +. 1.;
+  if cost > 1 then t.bank_extra <- t.bank_extra +. float_of_int (cost - 1)
+
 let scale k t =
   {
     warp_insts = t.warp_insts *. k;

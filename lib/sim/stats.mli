@@ -21,6 +21,14 @@ type t = {
 
 val create : unit -> t
 val global_bytes : t -> float
+
+val add_global : t -> is_store:bool -> weff:float -> int -> int -> unit
+(** [add_global t ~is_store ~weff ntx bytes] adds one half-warp global
+    request of [ntx] transactions and [bytes] bytes, charging
+    [bytes /. weff] to [cost_bytes]. *)
+
+val add_shared : t -> int -> unit
+(** Adds one half-warp shared request of the given serialized cost. *)
 val scale : float -> t -> t
 val add : t -> t -> unit
 

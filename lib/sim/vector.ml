@@ -33,12 +33,14 @@
     matched inside the loop, so on a compiler without flambda the float
     operands stay unboxed (see the float-operator note).
 
-    Memory accounting is the same half-warp math as
-    {!Interp.account_global}, but full-mask accesses are digested a
-    whole {e plane} at a time: one dense pass classifies the access as
-    segmented-strided and resolves it against {!Coalescer.plane_cost} —
-    a per-domain plane-granularity memo — fronted by a per-site
-    one-entry digest cache. An index that is lane-affine
+    Memory accounting applies the reference's half-warp rules,
+    {!Coalescer.form} and {!Coalescer.bank_cost}: a partial mask goes
+    group by group through the reference's own {!Interp.account_group},
+    and full-mask accesses are digested a whole {e plane} at a time:
+    one dense pass classifies the access as segmented-strided and
+    resolves it against {!Coalescer.plane_cost} — a per-domain
+    plane-granularity memo — fronted by a per-site one-entry digest
+    cache. An index that is lane-affine
     ([ax * tidx + ay * tidy + u] with compile-time coefficients and a
     block-uniform [u]) is planned once as a pattern plane that is the
     same in every block plus a scalar (see the index-plan note). Such a
@@ -111,11 +113,7 @@ type vrt = {
   site_sh_extra : int array;
       (** per shared site: total bank-conflict extra across the plane *)
   sh_counts : int array;  (** per-bank scratch, [cfg.shared_banks] slots *)
-  tx_buf : int array;
-      (** [addr; bytes] pairs of the last {!record_group}, 32 slots *)
-  seg_s : int array;  (** 16-slot segment-formation scratch *)
-  seg_lo : int array;
-  seg_hi : int array;
+  scratch : Coalescer.scratch;  (** transaction-formation scratch *)
   mutable lo_ibuf : int array;
       (** lane-outer trip buffer: per trip, a row of site offsets and
           statement flags (see the lane-outer note); grown on demand *)
@@ -148,12 +146,14 @@ let[@inline] iset (a : int array) (i : int) (v : int) : unit =
 
 (* --- memory accounting ---
 
-   Same per-half-warp math and emission order as the reference, but
-   batched a plane at a time on the full block mask: the half warps are
-   exactly the contiguous 16-lane groups with lane0 = 0, and one dense
-   pass classifies the plane as segmented-strided — uniform byte stride
-   [d] within each group, uniform delta [dd] between group bases, the
-   shape of every flat and 2-D affine access. Such a plane resolves
+   The reference's per-half-warp rules and emission order — every
+   transaction here is formed by {!Coalescer.form}, directly or inside
+   the memos — but batched a plane at a time on the full block mask:
+   the half warps are exactly the contiguous 16-lane groups with
+   lane0 = 0, and one dense pass classifies the plane as
+   segmented-strided — uniform byte stride [d] within each group,
+   uniform delta [dd] between group bases, the shape of every flat and
+   2-D affine access. Such a plane resolves
    against {!Coalescer.plane_cost} (a per-domain memo of whole-plane
    digests), fronted by a per-site one-entry cache, and the digest is
    replayed with batched statistic adds instead of per-group work.
@@ -172,28 +172,9 @@ let[@inline] iset (a : int array) (i : int) (v : int) : unit =
    base the digest is a function of the base residue alone, so the
    site's residue table serves it; a residue seen for the first time is
    fetched from the plane memo (segmented shapes) or digested group by
-   group (irregular ones) and filed there. Partial masks fall back to
-   the per-group math. *)
-
-let width_eff (cfg : Config.t) ~(elt_bytes : int) =
-  if elt_bytes >= 16 then cfg.Config.bw_efficiency_16b
-  else if elt_bytes >= 8 then cfg.Config.bw_efficiency_8b
-  else 1.0
-
-let apply_hw (c : Interp.bctx) ~(is_store : bool) ~(weff : float) ntx bytes =
-  let s = c.Interp.stats in
-  let ntx = float_of_int ntx and bytes = float_of_int bytes in
-  s.Stats.cost_bytes <- s.Stats.cost_bytes +. (bytes /. weff);
-  if is_store then begin
-    s.Stats.gst_tx <- s.Stats.gst_tx +. ntx;
-    s.Stats.gst_bytes <- s.Stats.gst_bytes +. bytes;
-    s.Stats.gst_requests <- s.Stats.gst_requests +. 1.
-  end
-  else begin
-    s.Stats.gld_tx <- s.Stats.gld_tx +. ntx;
-    s.Stats.gld_bytes <- s.Stats.gld_bytes +. bytes;
-    s.Stats.gld_requests <- s.Stats.gld_requests +. 1.
-  end
+   group (irregular ones) and filed there. Partial masks, and recording
+   runs of the shapes no digest serves, go group by group through
+   {!Interp.account_group}. *)
 
 (** Granularity below which the coalescing rules inspect addresses; see
     the memo note in {!Coalescer}. *)
@@ -230,150 +211,18 @@ let apply_hw_n (c : Interp.bctx) ~(is_store : bool) ~(weff : float)
     end
     else
       for _ = 1 to reps do
-        apply_hw c ~is_store ~weff ntx bytes
+        Stats.add_global s ~is_store ~weff ntx bytes
       done
   end
 
-(** Form and record the transactions of one gathered half warp, written
-    into [rt.tx_buf] as [addr; bytes] pairs (recording needs the
-    absolute addresses, so the shift-invariant
-    {!Coalescer.request_cost} memo cannot serve it). Same math and
-    first-touch emission order as {!Interp.account_global}'s fast path;
-    lane 0 of the group is always thread 0 of its half warp here
-    because full-mask groups start at multiples of 16. *)
-let record_group (rt : vrt) ~(elt_bytes : int) (addrs : int array) (cnt : int)
-    : int * int =
-  let c = rt.c in
-  let cfg = c.Interp.cfg in
-  let buf = rt.tx_buf in
-  let ntx = ref 0 and bytes = ref 0 in
-  let emit a b =
-    buf.(2 * !ntx) <- a;
-    buf.((2 * !ntx) + 1) <- b;
-    incr ntx;
-    bytes := !bytes + b;
-    Interp.record_part c a
-  in
-  let seg_bytes = 16 * elt_bytes in
-  (match cfg.Config.coalesce_rules with
-  | Config.Strict_g80 ->
-      let base = addrs.(0) in
-      let ok = ref (base mod seg_bytes = 0) in
-      if !ok then
-        for t = 0 to cnt - 1 do
-          if addrs.(t) <> base + (t * elt_bytes) then ok := false
-        done;
-      if !ok then emit base seg_bytes
-      else begin
-        let min_tx = cfg.Config.min_transaction_bytes in
-        for t = 0 to cnt - 1 do
-          emit (addrs.(t) / min_tx * min_tx) min_tx
-        done
-      end
-  | Config.Relaxed_gt200 ->
-      let seg = if seg_bytes > 32 then seg_bytes else 32 in
-      let seg_s = rt.seg_s and seg_lo = rt.seg_lo and seg_hi = rt.seg_hi in
-      let nsegs = ref 0 in
-      for t = 0 to cnt - 1 do
-        let a = addrs.(t) in
-        let s = a / seg * seg in
-        let q = ref 0 in
-        while !q < !nsegs && seg_s.(!q) <> s do
-          incr q
-        done;
-        if !q < !nsegs then begin
-          if a < seg_lo.(!q) then seg_lo.(!q) <- a;
-          if a + elt_bytes > seg_hi.(!q) then seg_hi.(!q) <- a + elt_bytes
-        end
-        else begin
-          seg_s.(!nsegs) <- s;
-          seg_lo.(!nsegs) <- a;
-          seg_hi.(!nsegs) <- a + elt_bytes;
-          incr nsegs
-        end
-      done;
-      for q = 0 to !nsegs - 1 do
-        (* shrink to the smallest aligned power-of-two >= 32B *)
-        let lo = seg_lo.(q) and hi' = seg_hi.(q) - 1 in
-        let size = ref seg in
-        let continue = ref true in
-        while !continue do
-          let half = !size / 2 in
-          if half >= 32 && lo / half = hi' / half then size := half
-          else continue := false
-        done;
-        emit (lo / !size * !size) !size
-      done);
-  (!ntx, !bytes)
-
-(** Account one half-warp group of a partial mask whose lane addresses
-    are already gathered in [rt.hw_addrs.(0..cnt-1)]: the same
-    per-group math as {!Interp.account_global}'s fast path (vector
-    masks are ascending by construction), on block scratch instead of
-    per-call arrays. [m.(i..i+cnt-1)] are the group's lane ids. *)
-let masked_group (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
-    ~(weff : float) (m : int array) ~(i : int) ~(cnt : int) : unit =
-  let c = rt.c in
-  let cfg = c.Interp.cfg in
-  let addrs = rt.hw_addrs in
-  let record = c.Interp.record_tx in
-  let ntx = ref 0 and bytes = ref 0 in
-  let emit a b =
-    incr ntx;
-    bytes := !bytes + b;
-    if record then Interp.record_part c a
-  in
-  let seg_bytes = 16 * elt_bytes in
-  (match cfg.Config.coalesce_rules with
-  | Config.Strict_g80 ->
-      let lane0 = m.(i) mod 16 in
-      let base = addrs.(0) - (lane0 * elt_bytes) in
-      let ok = ref (base mod seg_bytes = 0) in
-      if !ok then
-        for t = 0 to cnt - 1 do
-          if addrs.(t) <> base + (m.(i + t) mod 16 * elt_bytes) then ok := false
-        done;
-      if !ok then emit base seg_bytes
-      else begin
-        let min_tx = cfg.Config.min_transaction_bytes in
-        for t = 0 to cnt - 1 do
-          emit (addrs.(t) / min_tx * min_tx) min_tx
-        done
-      end
-  | Config.Relaxed_gt200 ->
-      let seg = if seg_bytes > 32 then seg_bytes else 32 in
-      let seg_s = rt.seg_s and seg_lo = rt.seg_lo and seg_hi = rt.seg_hi in
-      let nsegs = ref 0 in
-      for t = 0 to cnt - 1 do
-        let a = addrs.(t) in
-        let s = a / seg * seg in
-        let q = ref 0 in
-        while !q < !nsegs && seg_s.(!q) <> s do
-          incr q
-        done;
-        if !q < !nsegs then begin
-          if a < seg_lo.(!q) then seg_lo.(!q) <- a;
-          if a + elt_bytes > seg_hi.(!q) then seg_hi.(!q) <- a + elt_bytes
-        end
-        else begin
-          seg_s.(!nsegs) <- s;
-          seg_lo.(!nsegs) <- a;
-          seg_hi.(!nsegs) <- a + elt_bytes;
-          incr nsegs
-        end
-      done;
-      for q = 0 to !nsegs - 1 do
-        let lo = seg_lo.(q) and hi' = seg_hi.(q) - 1 in
-        let size = ref seg in
-        let continue = ref true in
-        while !continue do
-          let half = !size / 2 in
-          if half >= 32 && lo / half = hi' / half then size := half
-          else continue := false
-        done;
-        emit (lo / !size * !size) !size
-      done);
-  apply_hw c ~is_store ~weff !ntx !bytes
+(** Account every half warp of the mask [m] through the reference's
+    own {!Interp.account_group}, with lane [m.(i)]'s byte address in
+    [rt.pl_addrs.(i)]. *)
+let account_groups (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
+    (m : int array) : unit =
+  Coalescer.half_warps m (fun off cnt ->
+      Interp.account_group rt.c rt.scratch ~is_store ~elt_bytes rt.pl_addrs
+        ~lanes:m ~off ~cnt)
 
 (** Replay a plane digest against the live lane-0 address [a0]: record
     the transaction layout when the partition stream is on, then apply
@@ -417,46 +266,6 @@ let replay_digest (c : Interp.bctx) ~(is_store : bool) ~(weff : float)
     s.Stats.gld_requests <- s.Stats.gld_requests +. reqs
   end
 
-(** Digest the gathered addresses in [rt.pl_addrs] group by group, for
-    planes that are not segmented-strided but belong to a stable site:
-    the list-based formation cost is paid once per congruence class and
-    then replayed. Layout offsets are relative to [a0]. *)
-let digest_of_groups (rt : vrt) ~(elt_bytes : int) ~(a0 : int) :
-    Coalescer.plane_digest =
-  let cfg = rt.c.Interp.cfg in
-  let rules = cfg.Config.coalesce_rules in
-  let min_tx = cfg.Config.min_transaction_bytes in
-  let pl = rt.pl_addrs in
-  let n = rt.n in
-  let nhw = (n + 15) / 16 in
-  let hw = Array.make (2 * nhw) 0 in
-  let lay = ref [] in
-  let tot_tx = ref 0 and tot_bytes = ref 0 in
-  for q = 0 to nhw - 1 do
-    let cnt = min 16 (n - (16 * q)) in
-    let pairs = List.init cnt (fun t -> (t, pl.((16 * q) + t))) in
-    let txs = Coalescer.global_request rules ~min_tx ~elt_bytes pairs in
-    let ntx = List.length txs in
-    let bytes =
-      List.fold_left (fun a t -> a + t.Coalescer.tx_bytes) 0 txs
-    in
-    hw.(2 * q) <- ntx;
-    hw.((2 * q) + 1) <- bytes;
-    tot_tx := !tot_tx + ntx;
-    tot_bytes := !tot_bytes + bytes;
-    List.iter
-      (fun t ->
-        lay := t.Coalescer.tx_bytes :: (t.Coalescer.tx_addr - a0) :: !lay)
-      txs
-  done;
-  {
-    Coalescer.pd_nhw = nhw;
-    pd_hw = hw;
-    pd_layout = Array.of_list (List.rev !lay);
-    pd_ntx = !tot_tx;
-    pd_bytes = !tot_bytes;
-  }
-
 (** [a mod g] in [0, g). *)
 let[@inline] residue (a : int) (g : int) : int =
   let r = a mod g in
@@ -482,30 +291,17 @@ let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
   let c = rt.c in
   let ip = rt.ip in
   if Array.length m <> rt.n then begin
-    let nm = Array.length m in
-    let cfg = c.Interp.cfg in
-    let weff = width_eff cfg ~elt_bytes in
-    let addrs = rt.hw_addrs in
-    let i = ref 0 in
-    while !i < nm do
-      let hw = m.(!i) / 16 in
-      let j = ref (!i + 1) in
-      while !j < nm && m.(!j) / 16 = hw do
-        incr j
-      done;
-      let cnt = !j - !i in
-      for t = 0 to cnt - 1 do
-        addrs.(t) <- base + (iget ip (po + m.(!i + t)) * scale)
-      done;
-      masked_group rt ~is_store ~elt_bytes ~weff m ~i:!i ~cnt;
-      i := !j
-    done
+    let pl = rt.pl_addrs in
+    for i = 0 to Array.length m - 1 do
+      iset pl i (base + (iget ip (po + m.(i)) * scale))
+    done;
+    account_groups rt ~is_store ~elt_bytes m
   end
   else begin
     let cfg = c.Interp.cfg in
     let rules = cfg.Config.coalesce_rules in
     let min_tx = cfg.Config.min_transaction_bytes in
-    let weff = width_eff cfg ~elt_bytes in
+    let weff = Config.width_eff cfg ~elt_bytes in
     let g = memo_granularity ~min_tx ~elt_bytes in
     let n = rt.n in
     let fast =
@@ -610,7 +406,10 @@ let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
         (* irregular but block-stable shape (e.g. a pattern plane whose
            rows wrap inside a half warp): digest the actual groups
            once per residue *)
-        let dig = digest_of_groups rt ~elt_bytes ~a0 in
+        let dig =
+          Coalescer.digest_of_plane rules ~min_tx ~elt_bytes rt.scratch pl
+            ~lanes:m ~a0
+        in
         let rel0 = residue a0 g in
         (site_table rt.site_tab site g Coalescer.empty_digest).(rel0) <- dig;
         rt.site_rel0.(site) <- rel0;
@@ -620,21 +419,18 @@ let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
         rt.site_a0.(site) <- a0;
         replay_digest c ~is_store ~weff ~a0 dig
       end
+      else if c.Interp.record_tx then account_groups rt ~is_store ~elt_bytes m
       else begin
-        (* irregular, unstable plane: per-group accounting *)
+        (* irregular, unstable plane: per-group memoized costs *)
         let addrs = rt.hw_addrs in
-        let record = c.Interp.record_tx in
         let i = ref 0 in
         while !i < n do
           let cnt = if n - !i < 16 then n - !i else 16 in
           Array.blit pl !i addrs 0 cnt;
           let ntx, bytes =
-            if record then record_group rt ~elt_bytes addrs cnt
-            else
-              Coalescer.request_cost rules ~min_tx ~elt_bytes ~lane0:0 ~cnt
-                addrs
+            Coalescer.request_cost rules ~min_tx ~elt_bytes ~cnt addrs
           in
-          apply_hw c ~is_store ~weff ntx bytes;
+          Stats.add_global c.Interp.stats ~is_store ~weff ntx bytes;
           i := !i + 16
         done
       end
@@ -647,41 +443,30 @@ let account_const (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
     (m : int array) ~(addr : int) ~(site : int) : unit =
   let c = rt.c in
   if Array.length m <> rt.n then begin
-    let nm = Array.length m in
-    let cfg = c.Interp.cfg in
-    let weff = width_eff cfg ~elt_bytes in
-    let i = ref 0 in
-    while !i < nm do
-      let hw = m.(!i) / 16 in
-      let j = ref (!i + 1) in
-      while !j < nm && m.(!j) / 16 = hw do
-        incr j
-      done;
-      let cnt = !j - !i in
-      Array.fill rt.hw_addrs 0 cnt addr;
-      masked_group rt ~is_store ~elt_bytes ~weff m ~i:!i ~cnt;
-      i := !j
-    done
+    Array.fill rt.pl_addrs 0 (Array.length m) addr;
+    account_groups rt ~is_store ~elt_bytes m
   end
   else begin
     let cfg = c.Interp.cfg in
     let rules = cfg.Config.coalesce_rules in
     let min_tx = cfg.Config.min_transaction_bytes in
-    let weff = width_eff cfg ~elt_bytes in
+    let weff = Config.width_eff cfg ~elt_bytes in
+    let s = c.Interp.stats in
     let record = c.Interp.record_tx in
+    let sc = rt.scratch in
     let n = rt.n in
     Array.fill rt.hw_addrs 0 16 addr;
     let nfull = n / 16 and tail = n mod 16 in
-    (* every full group forms the same transactions: compute once *)
+    (* every full group forms the same transactions: form them once *)
     if nfull > 0 then
       if record then begin
-        let ntx, bytes = record_group rt ~elt_bytes rt.hw_addrs 16 in
-        apply_hw c ~is_store ~weff ntx bytes;
+        Interp.account_group c sc ~is_store ~elt_bytes rt.hw_addrs ~lanes:m
+          ~off:0 ~cnt:16;
         for _ = 2 to nfull do
-          for q = 0 to ntx - 1 do
-            Interp.record_part c rt.tx_buf.(2 * q)
+          for q = 0 to sc.Coalescer.ntx - 1 do
+            Interp.record_part c sc.Coalescer.txs.(2 * q)
           done;
-          apply_hw c ~is_store ~weff ntx bytes
+          Stats.add_global s ~is_store ~weff sc.Coalescer.ntx sc.Coalescer.bytes
         done
       end
       else begin
@@ -691,7 +476,7 @@ let account_const (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
         let tab = site_table rt.site_ctab site (2 * g) (-1) in
         if tab.(2 * r) < 0 then begin
           let ntx, bytes =
-            Coalescer.request_cost rules ~min_tx ~elt_bytes ~lane0:0 ~cnt:16
+            Coalescer.request_cost rules ~min_tx ~elt_bytes ~cnt:16
               rt.hw_addrs
           in
           tab.(2 * r) <- ntx;
@@ -701,16 +486,17 @@ let account_const (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
         apply_hw_n c ~is_store ~weff ~reps:nfull tab.(2 * r) tab.((2 * r) + 1)
       end;
     if tail > 0 then
-      if record then begin
-        let ntx, bytes = record_group rt ~elt_bytes rt.hw_addrs tail in
-        apply_hw c ~is_store ~weff ntx bytes
-      end
+      if record then
+        (* the tail's lanes hold the half-warp positions of lanes
+           [0 .. tail-1] *)
+        Interp.account_group c sc ~is_store ~elt_bytes rt.hw_addrs ~lanes:m
+          ~off:0 ~cnt:tail
       else begin
         let ntx, bytes =
-          Coalescer.request_cost rules ~min_tx ~elt_bytes ~lane0:0 ~cnt:tail
+          Coalescer.request_cost rules ~min_tx ~elt_bytes ~cnt:tail
             rt.hw_addrs
         in
-        apply_hw c ~is_store ~weff ntx bytes
+        Stats.add_global s ~is_store ~weff ntx bytes
       end
   end
 
@@ -721,31 +507,6 @@ let account_const (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
    full group costs the same and the whole plane's totals are keyed by
    that stride alone — and a stable site's cached totals hold on every
    call, since its plane only ever shifts uniformly. *)
-
-let[@inline] shared_group_cost (rt : vrt) (cnt : int) : int =
-  let banks = rt.c.Interp.cfg.Config.shared_banks in
-  let words = rt.hw_addrs in
-  let counts = rt.sh_counts in
-  Array.fill counts 0 banks 0;
-  for t = 0 to cnt - 1 do
-    let w = iget words t in
-    (* same-address lanes broadcast for free *)
-    let dup = ref false in
-    for t' = 0 to t - 1 do
-      if iget words t' = w then dup := true
-    done;
-    if not !dup then begin
-      let b = ((w mod banks) + banks) mod banks in
-      counts.(b) <- counts.(b) + 1
-    end
-  done;
-  Array.fold_left max 1 counts
-
-let[@inline] apply_shared (c : Interp.bctx) (cost : int) : unit =
-  let s = c.Interp.stats in
-  s.Stats.shared_ops <- s.Stats.shared_ops +. 1.;
-  if cost > 1 then
-    s.Stats.bank_extra <- s.Stats.bank_extra +. float_of_int (cost - 1)
 
 (** Batched stats for [groups] half-warp shared requests totalling
     [extra] serialization conflicts. Both counters only ever receive
@@ -765,23 +526,16 @@ let account_shared_plane (rt : vrt) ~(stable : bool) (m : int array)
     ~(po : int) ~(scale : int) ~(u : int) ~(site : int) : unit =
   let c = rt.c in
   let ip = rt.ip in
+  let banks = c.Interp.cfg.Config.shared_banks in
+  let pl = rt.pl_addrs in
   if Array.length m <> rt.n then begin
-    let nm = Array.length m in
-    let words = rt.hw_addrs in
-    let i = ref 0 in
-    while !i < nm do
-      let hw = m.(!i) / 16 in
-      let j = ref (!i + 1) in
-      while !j < nm && m.(!j) / 16 = hw do
-        incr j
-      done;
-      let cnt = !j - !i in
-      for t = 0 to cnt - 1 do
-        iset words t ((iget ip (po + m.(!i + t)) * scale) + u)
-      done;
-      apply_shared c (shared_group_cost rt cnt);
-      i := !j
-    done
+    for i = 0 to Array.length m - 1 do
+      iset pl i ((iget ip (po + m.(i)) * scale) + u)
+    done;
+    let s = c.Interp.stats in
+    Coalescer.half_warps m (fun off cnt ->
+        Stats.add_shared s
+          (Coalescer.bank_cost ~banks rt.sh_counts pl ~off ~cnt))
   end
   else begin
     let n = rt.n in
@@ -791,7 +545,6 @@ let account_shared_plane (rt : vrt) ~(stable : bool) (m : int array)
       rt.cf_credits <- rt.cf_credits + 1
     end
     else begin
-      let pl = rt.pl_addrs in
       let w0 = (iget ip po * scale) + u in
       iset pl 0 w0;
       let d = ref 0 in
@@ -809,19 +562,18 @@ let account_shared_plane (rt : vrt) ~(stable : bool) (m : int array)
           if rt.site_sh_d.(site) = !d then rt.site_sh_extra.(site)
           else begin
             let nfull = n / 16 and tail = n land 15 in
-            let words = rt.hw_addrs in
             let full_extra =
-              if nfull > 0 then begin
-                Array.blit pl 0 words 0 16;
-                nfull * (shared_group_cost rt 16 - 1)
-              end
+              if nfull > 0 then
+                nfull
+                * (Coalescer.bank_cost ~banks rt.sh_counts pl ~off:0 ~cnt:16
+                  - 1)
               else 0
             in
             let tail_extra =
-              if tail > 0 then begin
-                Array.blit pl (16 * nfull) words 0 tail;
-                shared_group_cost rt tail - 1
-              end
+              if tail > 0 then
+                Coalescer.bank_cost ~banks rt.sh_counts pl ~off:(16 * nfull)
+                  ~cnt:tail
+                - 1
               else 0
             in
             let extra = full_extra + tail_extra in
@@ -831,13 +583,14 @@ let account_shared_plane (rt : vrt) ~(stable : bool) (m : int array)
           end
         else begin
           (* irregular word plane: per-group costs from the gather *)
-          let words = rt.hw_addrs in
           let extra = ref 0 in
           let i = ref 0 in
           while !i < n do
             let cnt = if n - !i < 16 then n - !i else 16 in
-            Array.blit pl !i words 0 cnt;
-            extra := !extra + (shared_group_cost rt cnt - 1);
+            extra :=
+              !extra
+              + Coalescer.bank_cost ~banks rt.sh_counts pl ~off:!i ~cnt
+              - 1;
             i := !i + 16
           done;
           if stable then begin
@@ -853,25 +606,12 @@ let account_shared_plane (rt : vrt) ~(stable : bool) (m : int array)
 
 (** Account one shared access where every active lane reads one word
     (block-uniform index): each half warp is a free broadcast. *)
-let account_shared_const (rt : vrt) (m : int array) ~(addr : int) : unit =
-  ignore addr;
-  let c = rt.c in
+let account_shared_const (rt : vrt) (m : int array) : unit =
   if Array.length m <> rt.n then begin
-    (* every group is a one-word broadcast: cost 1, like the full-mask
-       case, but grouped by the mask's half-warp ids *)
-    let nm = Array.length m in
-    let i = ref 0 in
-    while !i < nm do
-      let hw = m.(!i) / 16 in
-      let j = ref (!i + 1) in
-      while !j < nm && m.(!j) / 16 = hw do
-        incr j
-      done;
-      apply_shared c 1;
-      i := !j
-    done
+    let s = rt.c.Interp.stats in
+    Coalescer.half_warps m (fun _ _ -> Stats.add_shared s 1)
   end
-  else apply_shared_n c ~groups:((rt.n + 15) / 16) ~extra:0
+  else apply_shared_n rt.c ~groups:((rt.n + 15) / 16) ~extra:0
 
 (* --- compiled expressions ---
 
@@ -1616,7 +1356,7 @@ let uniform_sload (sslot : int) (name : string) (len : int)
   if o < 0 || o >= len then
     Interp.err "out-of-bounds shared load %s[%d] (size %d)" name o len;
   let v = fget data o in
-  account_shared_const rt m ~addr:o;
+  account_shared_const rt m;
   v
 
 (* --- expression compilation --- *)
@@ -4052,7 +3792,7 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
                     let v = if soff >= 0 then fget fp (soff + l) else sv in
                     fset data o v)
                   m;
-                account_shared_const rt m ~addr:o
+                account_shared_const rt m
           | Ilanes xp ->
               let po = xp.xp_po and sc = xp.xp_scale in
               let stable = xp.xp_stable in
@@ -4345,13 +4085,10 @@ let fresh_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
       site_sh_d = Array.make (max 1 code.co_nsites) min_int;
       site_sh_extra = Array.make (max 1 code.co_nsites) 0;
       sh_counts = Array.make (max 1 cfg.Config.shared_banks) 0;
-      tx_buf = Array.make 32 0;
+      scratch = Coalescer.scratch ();
       lo_ibuf = [||];
       lo_fbuf = Devmem.falloc 1;
       lo_bnd = [||];
-      seg_s = Array.make 16 0;
-      seg_lo = Array.make 16 0;
-      seg_hi = Array.make 16 0;
       site_hits = 0;
       cf_credits = 0;
     }

@@ -3,7 +3,8 @@
     arrays, every {!Gpcc_sim.Stats} field, and the derived
     {!Gpcc_sim.Timing} estimate — on every registry workload, naive and
     optimized, in Full and Sampled modes, on the CUBLAS and SDK
-    comparators, and on a seeded corpus of random fuzz kernels; parallel
+    comparators (on the GTX 280 and the 8800 GTX), and on a seeded
+    corpus of random fuzz kernels; parallel
     grid execution must reproduce serial execution exactly. *)
 
 open Util
@@ -30,14 +31,15 @@ let global_arrays (k : Gpcc_ast.Ast.kernel) =
       | _ -> None)
     k.k_params
 
-(** Run [k] on fresh memory and return the simulator result plus the
-    final contents of every global array. *)
-let exec ~backend ?jobs ~mode (w : W.t) n (k : Gpcc_ast.Ast.kernel) launch =
+(** Run [k] on fresh memory on machine [cfg] and return the simulator
+    result plus the final contents of every global array. *)
+let exec ?(cfg = cfg280) ~backend ?jobs ~mode (w : W.t) n
+    (k : Gpcc_ast.Ast.kernel) launch =
   let mem = Gpcc_sim.Devmem.of_kernel k in
   List.iter
     (fun (name, d) -> Gpcc_sim.Devmem.write mem name d)
     (w.W.inputs n);
-  let r = L.run ~mode ~backend ?jobs cfg280 k launch mem in
+  let r = L.run ~mode ~backend ?jobs cfg k launch mem in
   (r, List.map (fun a -> (a, Gpcc_sim.Devmem.read mem a)) (global_arrays k))
 
 (** Bitwise comparison ([compare] treats nan = nan, unlike [=]). *)
@@ -69,11 +71,11 @@ let bit_identical label ((ra : L.result), oa) ((rb : L.result), ob) =
   Alcotest.(check int) (label ^ " sampled_blocks") ra.L.sampled_blocks
     rb.L.sampled_blocks
 
-(** Naive and pipeline-optimized variants of one workload. *)
-let kernels_of (w : W.t) n =
+(** Naive and pipeline-optimized (for [cfg]) variants of one workload. *)
+let kernels_of ?cfg (w : W.t) n =
   let k = W.parse w n in
   let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
-  let r = compile k in
+  let r = compile ?cfg k in
   [ (w.W.name ^ "/naive", k, launch); (w.W.name ^ "/opt", r.kernel, r.launch) ]
 
 (** The comparators of Figures 13 and 15: the six CUBLAS kernels at the
@@ -96,14 +98,16 @@ let comparators () =
   let kn, ln = Gpcc_workloads.Sdk_transpose.new_ n in
   [ ("sdk_prev", tp, n, kp, lp); ("sdk_new", tp, n, kn, ln) ]
 
-let test_vector_matches_reference () =
+(** On each machine, so that both coalescing rule sets (strict G80,
+    relaxed GT200) are compared between the backends. *)
+let test_vector_matches_reference cfg () =
   let versions =
     List.concat_map
       (fun (w : W.t) ->
         let n = w.W.test_size in
         List.map
           (fun (label, k, launch) -> (label, w, n, k, launch))
-          (kernels_of w n))
+          (kernels_of ~cfg w n))
       Gpcc_workloads.Registry.all
     @ comparators ()
   in
@@ -112,15 +116,18 @@ let test_vector_matches_reference () =
       List.iter
         (fun (mname, mode) ->
           let fb0 = Gpcc_sim.Vector.fallback_count () in
-          let rr = exec ~backend:L.Reference ~jobs:1 ~mode w n k launch in
-          let rv = exec ~backend:L.Vector ~jobs:1 ~mode w n k launch in
+          let rr = exec ~cfg ~backend:L.Reference ~jobs:1 ~mode w n k launch in
+          let rv = exec ~cfg ~backend:L.Vector ~jobs:1 ~mode w n k launch in
           Alcotest.(check int)
             (label ^ "/" ^ mname ^ " vector without fallback")
             fb0
             (Gpcc_sim.Vector.fallback_count ());
           bit_identical (label ^ "/" ^ mname ^ " vector") rr rv)
         [ ("full", L.Full); ("sampled", L.Sampled 4) ])
-    versions
+    (List.map
+       (fun (label, w, n, k, launch) ->
+         (label ^ "@" ^ cfg.Gpcc_sim.Config.name, w, n, k, launch))
+       versions)
 
 (** Seeded random-kernel corpus: the vector backend must agree with the
     reference bit-for-bit on generated kernels too (reduction loops,
@@ -970,7 +977,10 @@ let suite =
   let s n f = Alcotest.test_case n `Slow f in
   ( "backend",
     [
-      s "vector == reference (bit-identical)" test_vector_matches_reference;
+      s "vector == reference (bit-identical)"
+        (test_vector_matches_reference cfg280);
+      s "vector == reference on the 8800"
+        (test_vector_matches_reference cfg8800);
       s "vector == reference on fuzz corpus" test_vector_fuzz_corpus;
       q "plane accounting: strided/offset/loop" test_vector_plane_accounting;
       q "vector == reference on affine/edges"

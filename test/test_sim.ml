@@ -1,7 +1,8 @@
 (** Simulator tests: device memory, the coalescer's strict and relaxed
-    rules, shared-memory bank conflicts, the SIMT interpreter's semantics
-    (divergence, loops, shared memory, vectors, grid barriers), occupancy,
-    and the timing model's monotonicity. *)
+    rules, shared-memory bank conflicts, the array rules both backends
+    run (checked against the list ones), the SIMT interpreter's semantics
+    (divergence, loops, shared memory, vectors, grid barriers),
+    occupancy, and the timing model's monotonicity. *)
 
 open Gpcc_ast
 open Gpcc_sim
@@ -134,6 +135,127 @@ let test_banks_conflicts () =
 let test_banks_broadcast () =
   Alcotest.(check int) "same word broadcasts" 1
     (Coalescer.shared_request ~banks:16 (List.init 16 (fun _ -> 5)))
+
+(* --- array rules against the list rules ---
+
+   Both simulator backends run [Coalescer.form] and
+   [Coalescer.bank_cost]; the list functions are the readable statement
+   of the rules. A case is one half warp as a mask slice presents it:
+   an ascending lane subset with gaps, after [off > 0] junk slots and
+   before one more. Segment-aligned bases are common, because random
+   ones almost never coalesce and so hide a wrong lane position. *)
+
+let gen_slice (gen_val : int -> int QCheck.Gen.t) =
+  let open QCheck.Gen in
+  let* bits =
+    frequency
+      [
+        (1, return 0xFFFF);
+        (1, map (fun k -> (1 lsl k) - 1) (int_range 1 16));
+        (4, int_range 1 0xFFFF);
+      ]
+  in
+  let pos =
+    Array.of_list
+      (List.filter (fun t -> bits land (1 lsl t) <> 0) (List.init 16 Fun.id))
+  in
+  let* hw = int_range 0 7 in
+  let* off = int_range 1 4 in
+  let* vals = flatten_a (Array.map gen_val pos) in
+  let cnt = Array.length pos in
+  let lanes = Array.make (off + cnt + 1) (-1) in
+  let data = Array.make (off + cnt + 1) 3 in
+  Array.iteri
+    (fun t p ->
+      lanes.(off + t) <- (16 * hw) + p;
+      data.(off + t) <- vals.(t))
+    pos;
+  return (off, cnt, lanes, data)
+
+let print_slice (off, cnt, lanes, data) =
+  let ints a = String.concat ";" (List.map string_of_int (Array.to_list a)) in
+  Printf.sprintf "off=%d cnt=%d lanes=[%s] vals=[%s]" off cnt
+    (ints (Array.sub lanes off cnt))
+    (ints (Array.sub data off cnt))
+
+let gen_request =
+  let open QCheck.Gen in
+  let* rules = oneofl [ Config.Strict_g80; Config.Relaxed_gt200 ] in
+  let* elt_bytes = oneofl [ 4; 8; 16 ] in
+  let* min_tx = oneofl [ 32; 64 ] in
+  let* base =
+    frequency
+      [
+        (3, map2 (fun k r -> (256 * k) + r) (int_range 1 64)
+              (oneofl [ 0; elt_bytes; 32 ]));
+        (1, map (fun w -> 4 * w) (int_range 64 4096));
+      ]
+  in
+  let* shape = int_range 0 5 in
+  let* stride = oneofl [ 0; 4; elt_bytes; 2 * elt_bytes; -elt_bytes ] in
+  let* moved = int_range 0 15 in
+  let* delta = oneofl [ elt_bytes; -elt_bytes; 4; 64; 128 ] in
+  let addr t =
+    match shape with
+    | 0 | 1 (* thread k at word k: the coalesced pattern, twice as likely *)
+      ->
+        return (base + (t * elt_bytes))
+    | 2 -> return (base + (t * stride))
+    | 3 -> return (base + ((15 - t) * elt_bytes))
+    | 4 ->
+        return (base + (t * elt_bytes) + if t = moved then delta else 0)
+    | _ -> map (fun w -> base + (4 * w)) (int_range 0 128)
+  in
+  let+ slice = gen_slice addr in
+  (rules, elt_bytes, min_tx, slice)
+
+let arb_request =
+  QCheck.make gen_request ~print:(fun (rules, elt_bytes, min_tx, slice) ->
+      Printf.sprintf "%s elt=%d min_tx=%d %s"
+        (match rules with
+        | Config.Strict_g80 -> "G80"
+        | Config.Relaxed_gt200 -> "GT200")
+        elt_bytes min_tx (print_slice slice))
+
+(* one scratch for every case: [form] must reset it *)
+let form_scratch = Coalescer.scratch ()
+
+let law_form_is_global_request =
+  QCheck.Test.make ~count:3000 ~name:"form == global_request" arb_request
+    (fun (rules, elt_bytes, min_tx, (off, cnt, lanes, addrs)) ->
+      let sc = form_scratch in
+      Coalescer.form rules ~min_tx ~elt_bytes sc addrs ~lanes ~off ~cnt;
+      let txs =
+        Coalescer.global_request rules ~min_tx ~elt_bytes
+          (List.init cnt (fun t -> (lanes.(off + t) mod 16, addrs.(off + t))))
+      in
+      List.init sc.Coalescer.ntx (fun q ->
+          (sc.Coalescer.txs.(2 * q), sc.Coalescer.txs.((2 * q) + 1)))
+      = List.map (fun t -> (t.Coalescer.tx_addr, t.Coalescer.tx_bytes)) txs
+      && sc.Coalescer.bytes
+         = List.fold_left (fun a t -> a + t.Coalescer.tx_bytes) 0 txs)
+
+let gen_bank_request =
+  let open QCheck.Gen in
+  let* banks = oneofl [ 16; 32 ] in
+  let* base = int_range (-64) 4096 in
+  let* shape = int_range 0 2 in
+  let* stride = oneofl [ 0; 1; 2; 16; 17; 32; -1 ] in
+  let word t =
+    if shape < 2 then return (base + (t * stride))
+    else map (fun w -> base + w) (int_range 0 64)
+  in
+  let+ slice = gen_slice word in
+  (banks, slice)
+
+let law_bank_cost_is_shared_request =
+  QCheck.Test.make ~count:3000 ~name:"bank_cost == shared_request"
+    (QCheck.make gen_bank_request ~print:(fun (banks, slice) ->
+         Printf.sprintf "banks=%d %s" banks (print_slice slice)))
+    (fun (banks, (off, cnt, _, words)) ->
+      Coalescer.bank_cost ~banks (Array.make banks 7) words ~off ~cnt
+      = Coalescer.shared_request ~banks
+          (Array.to_list (Array.sub words off cnt)))
 
 (* --- interpreter semantics --- *)
 
@@ -532,4 +654,6 @@ let suite =
       t "timing: camping penalty" test_timing_camping_penalty;
       t "partition efficiency" test_partition_efficiency_calc;
       t "block budget keeps the stream set" test_full_budget_keeps_stream_set;
+      QCheck_alcotest.to_alcotest law_form_is_global_request;
+      QCheck_alcotest.to_alcotest law_bank_cost_is_shared_request;
     ] )
