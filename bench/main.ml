@@ -659,7 +659,8 @@ let fixed_reps () =
 
     [GPCC_BENCH_REPS=N] switches from the wall-clock budget to exactly
     [N] timed repetitions per backend — fixed work, so the two columns
-    of one run are comparable as a ratio in CI. *)
+    of one run are comparable as a ratio in CI. Either way the sides
+    alternate in five batches and report their median batch rate. *)
 let interp () =
   section "Interpreter backends: blocks/s, vector vs reference (naive, serial)";
   let module L = Gpcc_sim.Launch in
@@ -681,16 +682,24 @@ let interp () =
     (* warm both backends (and the plan cache) before timing *)
     run L.Vector;
     run L.Reference;
-    let blocks_per_s backend =
+    (* the two sides run in alternating batches, and each reports its
+       median batch rate: a stall of the host slows one batch, not the
+       row. With [GPCC_BENCH_REPS] the batches split exactly that many
+       runs per side. *)
+    let batches =
+      match fixed_reps with Some r -> min 5 r | None -> 5
+    in
+    let batch backend k =
       match fixed_reps with
       | Some r ->
+          let reps = (r * (k + 1) / batches) - (r * k / batches) in
           let t0 = Unix.gettimeofday () in
-          for _ = 1 to r do
+          for _ = 1 to reps do
             run backend
           done;
-          float_of_int (r * nblocks) /. (Unix.gettimeofday () -. t0)
+          float_of_int (reps * nblocks) /. (Unix.gettimeofday () -. t0)
       | None ->
-          let budget = if fast then 0.2 else 0.5 in
+          let budget = (if fast then 0.2 else 0.5) /. float_of_int batches in
           let reps = ref 0 in
           let t0 = Unix.gettimeofday () in
           while Unix.gettimeofday () -. t0 < budget || !reps = 0 do
@@ -699,8 +708,25 @@ let interp () =
           done;
           float_of_int (!reps * nblocks) /. (Unix.gettimeofday () -. t0)
     in
-    let bv = blocks_per_s L.Vector in
-    let br = blocks_per_s L.Reference in
+    let rv = Array.make batches 0.0 and rr = Array.make batches 0.0 in
+    for k = 0 to batches - 1 do
+      if k mod 2 = 0 then begin
+        rv.(k) <- batch L.Vector k;
+        rr.(k) <- batch L.Reference k
+      end
+      else begin
+        rr.(k) <- batch L.Reference k;
+        rv.(k) <- batch L.Vector k
+      end
+    done;
+    let median a =
+      let a = Array.copy a in
+      Array.sort compare a;
+      let n = Array.length a in
+      if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+    in
+    let bv = median rv in
+    let br = median rr in
     let vec_over_ref = bv /. Float.max 1e-9 br in
     Record.add
       [

@@ -2088,22 +2088,55 @@ type result = {
   violations : violation list;
 }
 
+module Int_tbl = Hashtbl.Make (Int)
+
 (** Call [f k1 k2] once per distinct difference [k1 - k2] of the
     constants of two groups' members ([(constants, index)] arrays);
     within one group ([~same]) once per unordered pair, since a race
     between two accesses is one between them in either order. *)
 let each_difference ~same (c1 : ((int * int) * int) array)
     (c2 : ((int * int) * int) array) (f : int * int -> int * int -> unit) =
-  let seen = Hashtbl.create 64 in
+  let range get c =
+    Array.fold_left
+      (fun (lo, hi) (k, _) -> (min lo (get k), max hi (get k)))
+      (0, 0) c
+  in
+  let lo1a, hi1a = range fst c1 and lo2a, hi2a = range fst c2 in
+  let lo1b, hi1b = range snd c1 and lo2b, hi2b = range snd c2 in
+  let fits lo hi = lo > -(1 lsl 28) && hi < 1 lsl 28 in
+  let mark =
+    if fits lo1a hi1a && fits lo2a hi2a && fits lo1b hi1b && fits lo2b hi2b
+    then begin
+      (* the differences lie in a box whose sides are below 2^30: each
+         one's offset in it is its key *)
+      let a0 = lo1a - hi2a and b0 = lo1b - hi2b in
+      let wb = hi1b - lo2b - b0 + 1 in
+      let seen = Int_tbl.create 64 in
+      fun da db ->
+        let key = ((da - a0) * wb) + (db - b0) in
+        (not (Int_tbl.mem seen key))
+        && begin
+             Int_tbl.replace seen key ();
+             true
+           end
+    end
+    else begin
+      let seen = Hashtbl.create 64 in
+      fun da db ->
+        (not (Hashtbl.mem seen (da, db)))
+        && begin
+             Hashtbl.replace seen (da, db) ();
+             true
+           end
+    end
+  in
+  (* first-occurrence order, so constraints and give-up messages come
+     out as the pairs are met *)
   Array.iteri
     (fun i (((a, b) as k1), _) ->
       Array.iteri
         (fun j (((c, d) as k2), _) ->
-          let diff = (a - c, b - d) in
-          if ((not same) || i <= j) && not (Hashtbl.mem seen diff) then begin
-            Hashtbl.replace seen diff ();
-            f k1 k2
-          end)
+          if ((not same) || i <= j) && mark (a - c) (b - d) then f k1 k2)
         c2)
     c1
 

@@ -134,5 +134,3 @@ let by_name = function
   | "GTX280" | "gtx280" | "280" -> Some gtx280
   | "HD5870" | "hd5870" | "5870" -> Some hd5870
   | _ -> None
-
-let half_warp (t : t) = t.warp_size / 2

@@ -19,6 +19,10 @@ type t = {
   max_blocks_per_sm : int;
   max_threads_per_block : int;
   warp_size : int;
+      (** threads per warp, for occupancy and issue rate; every model
+          forms its global and shared requests per 16-lane half warp
+          ([Coalescer.form], [Coalescer.bank_cost]), the HD 5870's
+          64-wide warps included *)
   shared_banks : int;
   num_partitions : int;
   partition_bytes : int;
@@ -53,4 +57,3 @@ val width_eff : t -> elt_bytes:int -> float
     bytes are charged to [Stats.cost_bytes] divided by this. *)
 
 val by_name : string -> t option
-val half_warp : t -> int

@@ -282,9 +282,12 @@ let run ?(mode = Full) ?(streams = 12) ?backend ?jobs ?block_budget
   let stream_ids =
     (* [streams <= 1] requests a deliberate single-stream probe (see
        {!run_block}); camping is an inter-block effect, so any real
-       estimate needs at least two streams *)
-    let s = if streams <= 1 then 1 else max 2 (min streams wave) in
-    List.init s (fun i -> i * wave / s) |> List.sort_uniq compare
+       estimate needs at least two streams, and a single stream would
+       only be recorded for {!partition_efficiency} to discard *)
+    if streams <= 1 then []
+    else
+      let s = max 2 (min streams wave) in
+      List.init s (fun i -> i * wave / s) |> List.sort_uniq compare
   in
   let mode = if List.length phases > 1 then Full else mode in
   let budget =
@@ -530,8 +533,9 @@ let run ?(mode = Full) ?(streams = 12) ?backend ?jobs ?block_budget
 
 (** Probe run for the exploration funnel's analytic pre-ranking: a
     single representative block (linear id 0), serially, through every
-    phase. With one block there is a single transaction stream, so
-    [partition_eff] is always 1.0 — inter-block partition camping is
+    phase. With one block there is no second transaction stream to
+    camp against, so the probe records none and [partition_eff] is
+    always 1.0 — inter-block partition camping is
     invisible to a probe, which is exactly what
     {!Gpcc_analysis.Cost_model.memory_optimism} corrects for. *)
 let run_block ?backend (cfg : Config.t) (k : Ast.kernel)

@@ -80,6 +80,7 @@ let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 type vrt = {
   c : Interp.bctx;  (** stats, config, launch, tids, partition stream *)
   n : int;  (** threads per block (= [c.n], cached for the loops) *)
+  full : int array;  (** the full mask, lanes [0 .. n-1] *)
   fp : Devmem.fmem;  (** float planes, [nf] rows of [n] lanes *)
   ip : int array;  (** int planes; bool planes hold 0/1 *)
   shareds : Devmem.fmem array;  (** shared arrays, one per name *)
@@ -87,6 +88,9 @@ type vrt = {
   uregs : int array;
       (** uniform int registers (uniform loop variables and locals) *)
   hw_addrs : int array;  (** 16-slot scratch for half-warp addresses *)
+  cst : int array;
+      (** 4-slot scratch: a block-uniform access's costs (see
+          {!const_cost}) *)
   pl_addrs : int array;  (** [n]-slot scratch for whole-plane addresses *)
   site_a0 : int array;
       (** per global site: lane-0 byte address the cached digest was
@@ -121,6 +125,10 @@ type vrt = {
   mutable lo_bnd : int array;
       (** per lane-affine site of the running lane-outer loop: least and
           greatest pattern value over the active mask *)
+  mutable lo_win : int array;
+      (** per window guard of the running lane-outer loop: its uniform
+          part at the first trip, then its pattern plane's least and
+          greatest value over the loop's mask *)
   mutable site_hits : int;  (** digest-cache hits, flushed per phase *)
   mutable cf_credits : int;
       (** closed-form loop replays, flushed per phase *)
@@ -224,6 +232,15 @@ let account_groups (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
       Interp.account_group rt.c rt.scratch ~is_store ~elt_bytes rt.pl_addrs
         ~lanes:m ~off ~cnt)
 
+(** Record a plane digest's transactions against the live lane-0
+    address [a0]. *)
+let record_digest (c : Interp.bctx) ~(a0 : int) (dig : Coalescer.plane_digest)
+    : unit =
+  let lay = dig.Coalescer.pd_layout in
+  for q = 0 to dig.Coalescer.pd_ntx - 1 do
+    Interp.record_part c (a0 + lay.(2 * q))
+  done
+
 (** Replay a plane digest against the live lane-0 address [a0]: record
     the transaction layout when the partition stream is on, then apply
     the whole plane's statistics. The byte-cost accumulator batches
@@ -232,15 +249,7 @@ let account_groups (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
     counters always batch. *)
 let replay_digest (c : Interp.bctx) ~(is_store : bool) ~(weff : float)
     ~(a0 : int) (dig : Coalescer.plane_digest) : unit =
-  if c.Interp.record_tx then begin
-    let lay = dig.Coalescer.pd_layout in
-    let nn = Array.length lay in
-    let q = ref 0 in
-    while !q < nn do
-      Interp.record_part c (a0 + lay.(!q));
-      q := !q + 2
-    done
-  end;
+  if c.Interp.record_tx then record_digest c ~a0 dig;
   let s = c.Interp.stats in
   (if weff = 1.0 && Float.is_integer s.Stats.cost_bytes then
      s.Stats.cost_bytes <-
@@ -282,160 +291,315 @@ let site_table (tabs : 'a array array) (site : int) (len : int) (empty : 'a) :
     tab
   end
 
+(** Whether the ascending mask [m] holds whole half warps of an [n]-lane
+    block only: each of its groups has every lane the block has there. *)
+let whole_groups (m : int array) (n : int) : bool =
+  let k = Array.length m in
+  let rec go off =
+    off >= k
+    ||
+    let l = m.(off) in
+    let cnt = min 16 (n - l) in
+    l land 15 = 0
+    && off + cnt <= k
+    && m.(off + cnt - 1) = l + cnt - 1
+    && go (off + cnt)
+  in
+  go 0
+
+(** Replay the half warps that the mask [m] holds whole (see
+    {!whole_groups}) from the digest of the full plane: a half warp's
+    transactions depend on its own lanes only, so each one is the
+    plane's group, recorded and added in the reference's order. *)
+let replay_groups (c : Interp.bctx) ~(is_store : bool) ~(weff : float)
+    ~(a0 : int) (dig : Coalescer.plane_digest) (m : int array) : unit =
+  let hw = dig.Coalescer.pd_hw and lay = dig.Coalescer.pd_layout in
+  let k = Array.length m in
+  (* [li]: the first layout slot of group [q] *)
+  let off = ref 0 and q = ref 0 and li = ref 0 in
+  while !off < k do
+    let g = m.(!off) / 16 in
+    while !q < g do
+      li := !li + hw.(2 * !q);
+      incr q
+    done;
+    let ntx = hw.(2 * g) in
+    if c.Interp.record_tx then
+      for t = !li to !li + ntx - 1 do
+        Interp.record_part c (a0 + lay.(2 * t))
+      done;
+    Stats.add_global c.Interp.stats ~is_store ~weff ntx hw.((2 * g) + 1);
+    off := !off + min 16 (c.Interp.n - (16 * g))
+  done
+
+(** The digest of the full plane of a global site whose lane byte
+    address is [base + ip.(po + l) * scale]. [stable] marks sites whose
+    plane is a pattern plane (see the accounting note above): a congruent
+    base replays the site's cached digest (a closed-form credit), another
+    base finds its residue's digest in the site's table, and only a
+    residue seen for the first time walks the plane's lanes. Returns
+    {!Coalescer.empty_digest} for an irregular unstable plane, whose
+    addresses are then in [rt.pl_addrs]. *)
+let plane_digest (rt : vrt) ~(elt_bytes : int) ~(stable : bool) ~(po : int)
+    ~(base : int) ~(scale : int) ~(site : int) : Coalescer.plane_digest =
+  let cfg = rt.c.Interp.cfg in
+  let rules = cfg.Config.coalesce_rules in
+  let min_tx = cfg.Config.min_transaction_bytes in
+  let g = memo_granularity ~min_tx ~elt_bytes in
+  let n = rt.n in
+  let ip = rt.ip in
+  let a0 = base + (iget ip po * scale) in
+  let cached =
+    if not stable then Coalescer.empty_digest
+    else if rt.site_a0.(site) <> min_int && (a0 - rt.site_a0.(site)) mod g = 0
+    then begin
+      (* closed-form credit: same digest at a congruent base *)
+      rt.site_a0.(site) <- a0;
+      rt.cf_credits <- rt.cf_credits + 1;
+      rt.site_dig.(site)
+    end
+    else begin
+      (* the plane only ever shifts uniformly, so its digest is a
+         function of the base residue: look it up in the site's residue
+         table, or fetch a segmented shape's digest from the plane memo,
+         without walking any lane *)
+      let rel0 = residue a0 g in
+      let tab = rt.site_tab.(site) in
+      let dig =
+        if Array.length tab > 0 && tab.(rel0) != Coalescer.empty_digest
+        then begin
+          rt.site_hits <- rt.site_hits + 1;
+          tab.(rel0)
+        end
+        else if rt.site_d.(site) <> min_int && rt.site_d.(site) <> max_int
+        then begin
+          let dig =
+            Coalescer.plane_cost rules ~min_tx ~elt_bytes ~n ~rel0
+              ~d:rt.site_d.(site) ~dd:rt.site_dd.(site)
+          in
+          (site_table rt.site_tab site g Coalescer.empty_digest).(rel0) <- dig;
+          dig
+        end
+        else Coalescer.empty_digest
+      in
+      if dig != Coalescer.empty_digest then begin
+        rt.site_rel0.(site) <- rel0;
+        rt.site_a0.(site) <- a0;
+        rt.site_dig.(site) <- dig
+      end;
+      dig
+    end
+  in
+  if cached != Coalescer.empty_digest then cached
+  else begin
+    (* one dense pass gathers the plane's addresses and checks the
+       segmented-strided shape: stride [d] within half-warp groups,
+       delta [dd] between consecutive group bases *)
+    let pl = rt.pl_addrs in
+    iset pl 0 a0;
+    let d = ref 0 and dd = ref 0 in
+    let seg_ok = ref true in
+    for l = 1 to n - 1 do
+      let a = base + (iget ip (po + l) * scale) in
+      iset pl l a;
+      if l land 15 <> 0 then begin
+        let dl = a - iget pl (l - 1) in
+        if l = 1 then d := dl else if dl <> !d then seg_ok := false
+      end
+      else begin
+        let db = a - iget pl (l - 16) in
+        if l = 16 then dd := db else if db <> !dd then seg_ok := false
+      end
+    done;
+    if !seg_ok then begin
+      let rel0 = residue a0 g in
+      let dig =
+        if
+          rt.site_d.(site) = !d
+          && rt.site_dd.(site) = !dd
+          && rt.site_rel0.(site) = rel0
+        then begin
+          rt.site_hits <- rt.site_hits + 1;
+          rt.site_dig.(site)
+        end
+        else begin
+          let dig =
+            Coalescer.plane_cost rules ~min_tx ~elt_bytes ~n ~rel0 ~d:!d ~dd:!dd
+          in
+          rt.site_rel0.(site) <- rel0;
+          rt.site_d.(site) <- !d;
+          rt.site_dd.(site) <- !dd;
+          rt.site_dig.(site) <- dig;
+          dig
+        end
+      in
+      if stable then
+        (site_table rt.site_tab site g Coalescer.empty_digest).(rel0) <- dig;
+      rt.site_a0.(site) <- a0;
+      dig
+    end
+    else if stable then begin
+      (* irregular but block-stable shape (e.g. a pattern plane whose
+         rows wrap inside a half warp): digest the actual groups once
+         per residue *)
+      let dig =
+        Coalescer.digest_of_plane rules ~min_tx ~elt_bytes rt.scratch pl
+          ~lanes:rt.full ~a0
+      in
+      let rel0 = residue a0 g in
+      (site_table rt.site_tab site g Coalescer.empty_digest).(rel0) <- dig;
+      rt.site_rel0.(site) <- rel0;
+      rt.site_d.(site) <- max_int;
+      rt.site_dd.(site) <- 0;
+      rt.site_dig.(site) <- dig;
+      rt.site_a0.(site) <- a0;
+      dig
+    end
+    else Coalescer.empty_digest
+  end
+
 (** Account one global access whose lane byte address is
-    [base + ip.(po + l) * scale]. [stable] marks sites whose plane is a
-    pattern plane (see the accounting note above). *)
+    [base + ip.(po + l) * scale]. A stable site's full mask replays its
+    plane digest (see {!plane_digest}), and so do the half warps of a
+    partial mask that holds them whole; other partial masks go group by
+    group through {!Interp.account_group}. *)
 let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
     ~(stable : bool) (m : int array) ~(po : int) ~(base : int)
     ~(scale : int) ~(site : int) : unit =
   let c = rt.c in
   let ip = rt.ip in
+  let weff = Config.width_eff c.Interp.cfg ~elt_bytes in
   if Array.length m <> rt.n then begin
-    let pl = rt.pl_addrs in
-    for i = 0 to Array.length m - 1 do
-      iset pl i (base + (iget ip (po + m.(i)) * scale))
-    done;
-    account_groups rt ~is_store ~elt_bytes m
-  end
-  else begin
-    let cfg = c.Interp.cfg in
-    let rules = cfg.Config.coalesce_rules in
-    let min_tx = cfg.Config.min_transaction_bytes in
-    let weff = Config.width_eff cfg ~elt_bytes in
-    let g = memo_granularity ~min_tx ~elt_bytes in
-    let n = rt.n in
-    let fast =
-      stable
-      && begin
-           let a0 = base + (iget ip po * scale) in
-           if
-             rt.site_a0.(site) <> min_int
-             && (a0 - rt.site_a0.(site)) mod g = 0
-           then begin
-             (* closed-form credit: same digest at a congruent base *)
-             rt.site_a0.(site) <- a0;
-             replay_digest c ~is_store ~weff ~a0 rt.site_dig.(site);
-             rt.cf_credits <- rt.cf_credits + 1;
-             true
-           end
-           else begin
-             (* the plane only ever shifts uniformly, so its digest is a
-                function of the base residue: look it up in the site's
-                residue table, or fetch a segmented shape's digest from
-                the plane memo, without walking any lane *)
-             let rel0 = residue a0 g in
-             let tab = rt.site_tab.(site) in
-             let dig =
-               if Array.length tab > 0 && tab.(rel0) != Coalescer.empty_digest
-               then begin
-                 rt.site_hits <- rt.site_hits + 1;
-                 tab.(rel0)
-               end
-               else if
-                 rt.site_d.(site) <> min_int && rt.site_d.(site) <> max_int
-               then begin
-                 let dig =
-                   Coalescer.plane_cost rules ~min_tx ~elt_bytes ~n ~rel0
-                     ~d:rt.site_d.(site) ~dd:rt.site_dd.(site)
-                 in
-                 (site_table rt.site_tab site g Coalescer.empty_digest).(rel0) <- dig;
-                 dig
-               end
-               else Coalescer.empty_digest
-             in
-             dig != Coalescer.empty_digest
-             && begin
-                  rt.site_rel0.(site) <- rel0;
-                  rt.site_a0.(site) <- a0;
-                  rt.site_dig.(site) <- dig;
-                  replay_digest c ~is_store ~weff ~a0 dig;
-                  true
-                end
-           end
-         end
-    in
-    if not fast then begin
-      (* one dense pass gathers the plane's addresses and checks the
-         segmented-strided shape: stride [d] within half-warp groups,
-         delta [dd] between consecutive group bases *)
+    if stable && whole_groups m rt.n then
+      replay_groups c ~is_store ~weff
+        ~a0:(base + (iget ip po * scale))
+        (plane_digest rt ~elt_bytes ~stable ~po ~base ~scale ~site)
+        m
+    else begin
       let pl = rt.pl_addrs in
-      let a0 = base + (iget ip po * scale) in
-      iset pl 0 a0;
-      let d = ref 0 and dd = ref 0 in
-      let seg_ok = ref true in
-      for l = 1 to n - 1 do
-        let a = base + (iget ip (po + l) * scale) in
-        iset pl l a;
-        if l land 15 <> 0 then begin
-          let dl = a - iget pl (l - 1) in
-          if l = 1 then d := dl else if dl <> !d then seg_ok := false
-        end
-        else begin
-          let db = a - iget pl (l - 16) in
-          if l = 16 then dd := db else if db <> !dd then seg_ok := false
-        end
+      for i = 0 to Array.length m - 1 do
+        iset pl i (base + (iget ip (po + m.(i)) * scale))
       done;
-      if !seg_ok then begin
-        let rel0 = residue a0 g in
-        let dig =
-          if
-            rt.site_d.(site) = !d
-            && rt.site_dd.(site) = !dd
-            && rt.site_rel0.(site) = rel0
-          then begin
-            rt.site_hits <- rt.site_hits + 1;
-            rt.site_dig.(site)
-          end
-          else begin
-            let dig =
-              Coalescer.plane_cost rules ~min_tx ~elt_bytes ~n ~rel0 ~d:!d
-                ~dd:!dd
-            in
-            rt.site_rel0.(site) <- rel0;
-            rt.site_d.(site) <- !d;
-            rt.site_dd.(site) <- !dd;
-            rt.site_dig.(site) <- dig;
-            dig
-          end
-        in
-        if stable then (site_table rt.site_tab site g Coalescer.empty_digest).(rel0) <- dig;
-        rt.site_a0.(site) <- a0;
-        replay_digest c ~is_store ~weff ~a0 dig
-      end
-      else if stable then begin
-        (* irregular but block-stable shape (e.g. a pattern plane whose
-           rows wrap inside a half warp): digest the actual groups
-           once per residue *)
-        let dig =
-          Coalescer.digest_of_plane rules ~min_tx ~elt_bytes rt.scratch pl
-            ~lanes:m ~a0
-        in
-        let rel0 = residue a0 g in
-        (site_table rt.site_tab site g Coalescer.empty_digest).(rel0) <- dig;
-        rt.site_rel0.(site) <- rel0;
-        rt.site_d.(site) <- max_int;
-        rt.site_dd.(site) <- 0;
-        rt.site_dig.(site) <- dig;
-        rt.site_a0.(site) <- a0;
-        replay_digest c ~is_store ~weff ~a0 dig
-      end
-      else if c.Interp.record_tx then account_groups rt ~is_store ~elt_bytes m
-      else begin
-        (* irregular, unstable plane: per-group memoized costs *)
-        let addrs = rt.hw_addrs in
-        let i = ref 0 in
-        while !i < n do
-          let cnt = if n - !i < 16 then n - !i else 16 in
-          Array.blit pl !i addrs 0 cnt;
-          let ntx, bytes =
-            Coalescer.request_cost rules ~min_tx ~elt_bytes ~cnt addrs
-          in
-          Stats.add_global c.Interp.stats ~is_store ~weff ntx bytes;
-          i := !i + 16
-        done
-      end
+      account_groups rt ~is_store ~elt_bytes m
     end
   end
+  else begin
+    let dig = plane_digest rt ~elt_bytes ~stable ~po ~base ~scale ~site in
+    if dig != Coalescer.empty_digest then
+      replay_digest c ~is_store ~weff ~a0:(base + (iget ip po * scale)) dig
+    else if c.Interp.record_tx then account_groups rt ~is_store ~elt_bytes m
+    else begin
+      (* irregular, unstable plane: per-group memoized costs *)
+      let cfg = c.Interp.cfg in
+      let rules = cfg.Config.coalesce_rules in
+      let min_tx = cfg.Config.min_transaction_bytes in
+      let n = rt.n in
+      let pl = rt.pl_addrs and addrs = rt.hw_addrs in
+      let i = ref 0 in
+      while !i < n do
+        let cnt = if n - !i < 16 then n - !i else 16 in
+        Array.blit pl !i addrs 0 cnt;
+        let ntx, bytes =
+          Coalescer.request_cost rules ~min_tx ~elt_bytes ~cnt addrs
+        in
+        Stats.add_global c.Interp.stats ~is_store ~weff ntx bytes;
+        i := !i + 16
+      done
+    end
+  end
+
+(** The residue-table slot of a block-uniform global site's full
+    half-warp cost at [addr]: its transactions and bytes are
+    [rt.site_ctab.(site).(i)] and [.(i + 1)]. A full group's cost
+    depends only on the address residue. *)
+let const_slot (rt : vrt) ~(elt_bytes : int) ~(addr : int) ~(site : int) : int
+    =
+  let cfg = rt.c.Interp.cfg in
+  let min_tx = cfg.Config.min_transaction_bytes in
+  let g = memo_granularity ~min_tx ~elt_bytes in
+  let r = residue addr g in
+  let tab = site_table rt.site_ctab site (2 * g) (-1) in
+  if tab.(2 * r) < 0 then begin
+    Array.fill rt.hw_addrs 0 16 addr;
+    let ntx, bytes =
+      Coalescer.request_cost cfg.Config.coalesce_rules ~min_tx ~elt_bytes
+        ~cnt:16 rt.hw_addrs
+    in
+    tab.(2 * r) <- ntx;
+    tab.((2 * r) + 1) <- bytes
+  end
+  else rt.site_hits <- rt.site_hits + 1;
+  2 * r
+
+(** Form the transactions of a half warp whose first [cnt] lanes of the
+    full mask [m] all touch [addr] into [rt.scratch], and record them
+    [reps] times when the block records: every such group forms the
+    same ones. *)
+let const_form (rt : vrt) ~(elt_bytes : int) (m : int array) ~(addr : int)
+    ~(cnt : int) ~(reps : int) : unit =
+  let c = rt.c in
+  let cfg = c.Interp.cfg in
+  let sc = rt.scratch in
+  Array.fill rt.hw_addrs 0 16 addr;
+  Coalescer.form cfg.Config.coalesce_rules
+    ~min_tx:cfg.Config.min_transaction_bytes ~elt_bytes sc rt.hw_addrs
+    ~lanes:m ~off:0 ~cnt;
+  if c.Interp.record_tx then
+    for _ = 1 to reps do
+      for q = 0 to sc.Coalescer.ntx - 1 do
+        Interp.record_part c sc.Coalescer.txs.(2 * q)
+      done
+    done
+
+(** The cost of a block-uniform global access at [addr] over the full
+    mask [m]: each full half warp's transactions and bytes in
+    [rt.cst.(0)] and [.(1)], the tail group's in [.(2)] and [.(3)]
+    (zeros where there is none). A recording block forms the groups and
+    records their transactions, full groups first; another finds the
+    full groups' cost in the site's residue table. *)
+let const_cost (rt : vrt) ~(elt_bytes : int) (m : int array) ~(addr : int)
+    ~(site : int) : unit =
+  let c = rt.c in
+  let sc = rt.scratch in
+  let r = rt.cst in
+  let n = rt.n in
+  let nfull = n / 16 and tail = n mod 16 in
+  r.(0) <- 0;
+  r.(1) <- 0;
+  r.(2) <- 0;
+  r.(3) <- 0;
+  (* every full group forms the same transactions: form them once *)
+  if nfull > 0 then
+    if c.Interp.record_tx then begin
+      const_form rt ~elt_bytes m ~addr ~cnt:16 ~reps:nfull;
+      r.(0) <- sc.Coalescer.ntx;
+      r.(1) <- sc.Coalescer.bytes
+    end
+    else begin
+      let i = const_slot rt ~elt_bytes ~addr ~site in
+      let tab = rt.site_ctab.(site) in
+      r.(0) <- tab.(i);
+      r.(1) <- tab.(i + 1)
+    end;
+  if tail > 0 then
+    (* the tail's lanes hold the half-warp positions of lanes
+       [0 .. tail-1] *)
+    if c.Interp.record_tx then begin
+      const_form rt ~elt_bytes m ~addr ~cnt:tail ~reps:1;
+      r.(2) <- sc.Coalescer.ntx;
+      r.(3) <- sc.Coalescer.bytes
+    end
+    else begin
+      let cfg = c.Interp.cfg in
+      Array.fill rt.hw_addrs 0 16 addr;
+      let ntx, bytes =
+        Coalescer.request_cost cfg.Config.coalesce_rules
+          ~min_tx:cfg.Config.min_transaction_bytes ~elt_bytes ~cnt:tail
+          rt.hw_addrs
+      in
+      r.(2) <- ntx;
+      r.(3) <- bytes
+    end
 
 (** Account one global access where every active lane touches [addr]
     (block-uniform index). *)
@@ -447,57 +611,12 @@ let account_const (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
     account_groups rt ~is_store ~elt_bytes m
   end
   else begin
-    let cfg = c.Interp.cfg in
-    let rules = cfg.Config.coalesce_rules in
-    let min_tx = cfg.Config.min_transaction_bytes in
-    let weff = Config.width_eff cfg ~elt_bytes in
-    let s = c.Interp.stats in
-    let record = c.Interp.record_tx in
-    let sc = rt.scratch in
-    let n = rt.n in
-    Array.fill rt.hw_addrs 0 16 addr;
-    let nfull = n / 16 and tail = n mod 16 in
-    (* every full group forms the same transactions: form them once *)
-    if nfull > 0 then
-      if record then begin
-        Interp.account_group c sc ~is_store ~elt_bytes rt.hw_addrs ~lanes:m
-          ~off:0 ~cnt:16;
-        for _ = 2 to nfull do
-          for q = 0 to sc.Coalescer.ntx - 1 do
-            Interp.record_part c sc.Coalescer.txs.(2 * q)
-          done;
-          Stats.add_global s ~is_store ~weff sc.Coalescer.ntx sc.Coalescer.bytes
-        done
-      end
-      else begin
-        (* a full group's cost depends only on the address residue *)
-        let g = memo_granularity ~min_tx ~elt_bytes in
-        let r = residue addr g in
-        let tab = site_table rt.site_ctab site (2 * g) (-1) in
-        if tab.(2 * r) < 0 then begin
-          let ntx, bytes =
-            Coalescer.request_cost rules ~min_tx ~elt_bytes ~cnt:16
-              rt.hw_addrs
-          in
-          tab.(2 * r) <- ntx;
-          tab.((2 * r) + 1) <- bytes
-        end
-        else rt.site_hits <- rt.site_hits + 1;
-        apply_hw_n c ~is_store ~weff ~reps:nfull tab.(2 * r) tab.((2 * r) + 1)
-      end;
-    if tail > 0 then
-      if record then
-        (* the tail's lanes hold the half-warp positions of lanes
-           [0 .. tail-1] *)
-        Interp.account_group c sc ~is_store ~elt_bytes rt.hw_addrs ~lanes:m
-          ~off:0 ~cnt:tail
-      else begin
-        let ntx, bytes =
-          Coalescer.request_cost rules ~min_tx ~elt_bytes ~cnt:tail
-            rt.hw_addrs
-        in
-        Stats.add_global s ~is_store ~weff ntx bytes
-      end
+    let weff = Config.width_eff c.Interp.cfg ~elt_bytes in
+    const_cost rt ~elt_bytes m ~addr ~site;
+    let r = rt.cst in
+    apply_hw_n c ~is_store ~weff ~reps:(rt.n / 16) r.(0) r.(1);
+    if rt.n mod 16 > 0 then
+      Stats.add_global c.Interp.stats ~is_store ~weff r.(2) r.(3)
   end
 
 (* Shared-memory serialization cost of a strided half warp is invariant
@@ -1196,21 +1315,32 @@ let rec lin_of st env (e : Ast.expr) : lin option =
       | _ -> None)
   | _ -> None
 
-(** The scalar part of a lane-affine index: its warp instructions, then
-    its value in the current block and loop iteration. *)
-let lin_run (a : lin) : vrt -> int array -> int =
-  let ops = a.ops and k = a.k and kbx = a.kbx and kby = a.kby in
+(** The value of the scalar part of [a] in the current block and loop
+    iteration, without its instructions. *)
+let lin_fn (a : lin) : vrt -> int =
+  let k = a.k and kbx = a.kbx and kby = a.kby in
   let rr = Array.of_list (List.map fst a.regs) in
   let rc = Array.of_list (List.map snd a.regs) in
-  fun rt _ ->
-    for _ = 1 to ops do
-      inst rt
-    done;
+  fun rt ->
     let u = ref (k + (kbx * rt.c.Interp.bidx) + (kby * rt.c.Interp.bidy)) in
     for i = 0 to Array.length rr - 1 do
       u := !u + (iget rc i * iget rt.uregs (iget rr i))
     done;
     !u
+
+(** The scalar part of a lane-affine index: its warp instructions, then
+    its value in the current block and loop iteration. *)
+let lin_run (a : lin) : vrt -> int array -> int =
+  let ops = a.ops and f = lin_fn a in
+  fun rt _ ->
+    for _ = 1 to ops do
+      inst rt
+    done;
+    f rt
+
+(** The coefficient of uniform register [r] in [a]. *)
+let lin_coef (a : lin) (r : int) : int =
+  List.fold_left (fun s (r', c) -> if r' = r then s + c else s) 0 a.regs
 
 (** The permanent int plane holding [ax * tidx + ay * tidy], shared by
     every site with these coefficients; filled when a block state is
@@ -2430,10 +2560,10 @@ let fresh_planes st (b : binding) : vrt -> unit =
    float registers runs in two passes instead of trip by trip. The trip
    pass runs the loop control and, for each trip in source order, every
    statistic, transaction record, bounds check and uniform closure of
-   the body without touching a lane; it saves the trip's lane-affine
-   site offsets, uniform values and statement outcomes in a row of the
-   block state's trip buffer. The values pass then replays the rows for
-   each active lane in one tight loop per statement.
+   the body without touching a lane; it saves the trip's site offsets,
+   uniform values and statement outcomes in a row of the block state's
+   trip buffer. The values pass then replays the rows for each active
+   lane in one tight loop per statement.
 
    Bit-identity: memory is read-only inside such a loop (no store, no
    barrier), so a lane's leaf at trip [t] reads the value the gather
@@ -2445,7 +2575,35 @@ let fresh_planes st (b : binding) : vrt -> unit =
    trip pass raises exactly where the trip-by-trip plan would: uniform
    closures run in place, and a site's exact bounds test (its pattern
    plane's least and greatest value over the mask) falls back to the
-   gather's own lane scan and message. *)
+   gather's own lane scan and message.
+
+   Window guards. A guard [a < b] (or [<=], [>], [>=]) whose sides are
+   both lane-affine, one of them per lane, holds on lane [l] exactly
+   when [P(l) + u > 0], where [P] is a pattern plane and [u] a uniform
+   part that moves with the loop variable by a fixed amount per trip
+   (the loop's step is a positive constant). So each lane's trips where
+   it holds form one window, a prefix or a suffix of the loop, and the
+   else branch's are the rest. The trip pass evaluates the guard per
+   trip like the reference (its instructions, a divergent branch when
+   it splits the mask, the branches' accounting over their own lanes);
+   the values pass runs each lane over its own window only, so a lane
+   outside it is never read. A guard that is not monotone in the loop
+   variable ([(tidx + i) % 2 == 0]) or that reads a float keeps the
+   trip-by-trip plan.
+
+   One accounting pass. A guard-free body whose leaves are all sites
+   with linear offsets, literals and block-uniform linear ints, under a
+   limit that does not move and a positive constant step, has
+   statistics that depend on each trip's offsets alone: an offset is
+   affine in the trip.
+   Such a loop computes its trip count up front, checks each site's
+   bounds at the first and last trip (a failure runs the trip pass
+   instead, so that errors keep their place), fills the trip buffer in
+   one tight loop per column and adds its statistics once: integer
+   counts and, when that is exact (see {!apply_hw_n}), byte costs; a
+   recording block still appends each global transaction in trip order.
+   Every site-trip finds its digest through the same caches as the trip
+   pass, so the closed-form and residue-table counters do not move. *)
 
 exception Not_lane_outer
 
@@ -2473,17 +2631,85 @@ let lo_one_col = 2
     {!comp_acc} fuses, with the operand order of each. *)
 type lop = Ladd_left | Lsub_left | Ladd_right
 
+(** A window guard: it holds on lane [l] at a trip when
+    [ip.(lw_po + l) + lw_u rt > 0], and [lw_u] grows by [lw_cs] per
+    trip. *)
+type lwin = {
+  lw_id : int;  (** its slots in [rt.lo_win] *)
+  lw_u : vrt -> int;
+  lw_po : int;
+  lw_min : int;  (** least pattern value over the full block *)
+  lw_max : int;
+  lw_cs : int;
+  lw_insts : int;  (** the [if]'s, its comparison's and its operands' *)
+}
+
 type lstmt = {
   ls_acc : int;  (** accumulator plane offset *)
   ls_op : lop;
   ls_x : lleaf;
   ls_y : lleaf option;  (** the second factor of a product *)
   ls_flag : int;  (** int column holding 1 on trips that ran it *)
+  ls_wins : (lwin * bool) array;
+      (** enclosing window guards, each with the branch it sits in *)
 }
 
-(** Trip-pass work of one body piece, given the trip's int and float
-    row offsets. *)
-type titem = vrt -> int array -> int -> int -> unit
+(** A memory leaf: a lane-affine site (pattern plane [ks_po]) or a
+    block-uniform one ([ks_po = -1]); each trip saves its element offset
+    in column [ks_col]. *)
+type lsite = {
+  ks_global : bool;
+  ks_slot : int;  (** global or shared slot *)
+  ks_po : int;
+  ks_j : int;  (** bounds slot of a lane-affine site *)
+  ks_col : int;
+  ks_sid : int;  (** accounting site *)
+  ks_len : int;  (** a shared array's length *)
+  ks_name : string;
+  ks_run : vrt -> int array -> int;
+      (** the index's instructions, then the offset *)
+  ks_lin : lin option;  (** the offset's form when every dimension is linear *)
+}
+
+(** A uniform value the trip pass saves in a float column each trip;
+    [kv_pure] when it is a literal or a block-uniform linear int. *)
+type lpure = Plin of lin | Pconst of float
+
+type lval = {
+  kv_slot : int;
+  kv_run : vrt -> int array -> float;
+  kv_pure : lpure option;
+}
+
+type lwork = Wnone | Wsite of lsite | Wval of lval
+
+(** The body as the trip pass runs it. *)
+type lnode =
+  | Lstmt of {
+      li_insts : int;  (** its own instructions, not its leaves' *)
+      li_flops : int;  (** flop counts per active lane *)
+      li_works : lwork array;  (** its leaves' trip work, in order *)
+      li_flag : int;  (** flag column to set, or [-1] *)
+    }
+  | Lif of (vrt -> int array -> bool) * lnode array * lnode array
+      (** a uniform guard: the closure runs the [if]'s instructions *)
+  | Lwin of lwin * lnode array * lnode array
+
+(** The one accounting pass of a qualifying loop (see the note). *)
+type lone = {
+  lo_reg : int;  (** the loop variable's register *)
+  lo_step : int;
+  lo_lim : vrt -> int;
+  lo_test : int;  (** instructions of each condition test *)
+  lo_trip : int;  (** instructions of each trip, its increment included *)
+  lo_flops : int;  (** flop counts per trip and active lane *)
+  lo_sites : lsite array;  (** in evaluation order *)
+  lo_us : (vrt -> int) array;  (** each site's offset *)
+  lo_dus : int array;  (** and its change per trip *)
+  lo_vals : (int * lpure) array;  (** float columns *)
+  lo_vus : (vrt -> int) array;  (** each linear value *)
+  lo_dvs : int array;
+}
 
 type lplan = {
   lp_ki : int;  (** int columns per trip *)
@@ -2492,9 +2718,11 @@ type lplan = {
   lp_site_min : int array;  (** full-mask least pattern value *)
   lp_site_max : int array;
   lp_flags : int array;  (** guarded statements' flag columns *)
-  lp_items : titem array;
+  lp_nodes : lnode array;
   lp_stmts : lstmt array;
   lp_indep : bool;  (** no two statements share an accumulator or read one *)
+  lp_wins : lwin array;
+  lp_one : lone option;
 }
 
 let lo_arr (rt : vrt) (src : lsrc) : Devmem.fmem =
@@ -2527,43 +2755,371 @@ let lo_reserve (rt : vrt) ~(ki : int) ~(kf : int) (t : int) : unit =
     rt.lo_fbuf <- b
   end
 
-(** Each site's least and greatest pattern value over the mask: plan
-    constants on the full mask. *)
-let lo_bounds (p : lplan) (rt : vrt) (m : int array) : unit =
+(** The least and greatest value of the pattern plane at [po] over the
+    mask [m]. *)
+let mask_range (rt : vrt) (po : int) (m : int array) : int * int =
+  let lo = ref max_int and hi = ref min_int in
+  Array.iter
+    (fun l ->
+      let v = iget rt.ip (po + l) in
+      if v < !lo then lo := v;
+      if v > !hi then hi := v)
+    m;
+  (!lo, !hi)
+
+(** Each site's least and greatest pattern value over the mask, and each
+    window guard's uniform part at the first trip and pattern range:
+    plan constants on the full mask. *)
+let lo_start (p : lplan) (rt : vrt) (m : int array) : unit =
+  let full = Array.length m = rt.n in
   let ns = Array.length p.lp_site_po in
   if Array.length rt.lo_bnd < 2 * ns then rt.lo_bnd <- Array.make (2 * ns) 0;
   let bnd = rt.lo_bnd in
   for j = 0 to ns - 1 do
-    if Array.length m = rt.n then begin
-      bnd.(2 * j) <- p.lp_site_min.(j);
-      bnd.((2 * j) + 1) <- p.lp_site_max.(j)
-    end
-    else begin
-      let po = p.lp_site_po.(j) in
-      let lo = ref 0 and hi = ref 0 in
-      Array.iteri
-        (fun i l ->
-          let v = iget rt.ip (po + l) in
-          if i = 0 || v < !lo then lo := v;
-          if i = 0 || v > !hi then hi := v)
-        m;
-      bnd.(2 * j) <- !lo;
-      bnd.((2 * j) + 1) <- !hi
-    end
+    let lo, hi =
+      if full then (p.lp_site_min.(j), p.lp_site_max.(j))
+      else mask_range rt p.lp_site_po.(j) m
+    in
+    bnd.(2 * j) <- lo;
+    bnd.((2 * j) + 1) <- hi
+  done;
+  let nw = Array.length p.lp_wins in
+  if Array.length rt.lo_win < 3 * nw then rt.lo_win <- Array.make (3 * nw) 0;
+  Array.iter
+    (fun w ->
+      let j = 3 * w.lw_id in
+      let lo, hi =
+        if full then (w.lw_min, w.lw_max) else mask_range rt w.lw_po m
+      in
+      rt.lo_win.(j) <- w.lw_u rt;
+      rt.lo_win.(j + 1) <- lo;
+      rt.lo_win.(j + 2) <- hi)
+    p.lp_wins
+
+(** The exact bounds test of site [j] at offset [u]; on failure, the
+    gather's own lane scan and message for the first bad lane. *)
+let lo_check (rt : vrt) (m : int array) ~(j : int) ~(po : int) ~(u : int)
+    ~(len : int) ~(shared : bool) (name : string) : unit =
+  let bnd = rt.lo_bnd in
+  if u + bnd.(2 * j) < 0 || u + bnd.((2 * j) + 1) >= len then
+    Array.iter
+      (fun l ->
+        let o = iget rt.ip (po + l) + u in
+        if o < 0 || o >= len then
+          if shared then
+            Interp.err "out-of-bounds shared load %s[%d] (size %d)" name o len
+          else Interp.err "out-of-bounds load %s[%d] (size %d)" name o len)
+      m
+
+(** One trip of a site in the trip pass: its instruction and index, its
+    bounds test and accounting over the mask, and its offset column. *)
+let lo_site_trip (rt : vrt) (m : int array) (irow : int) (s : lsite) : unit =
+  inst rt;
+  let u = s.ks_run rt m in
+  (if s.ks_global then begin
+     let g = rt.globals.(s.ks_slot) in
+     let len = Bigarray.Array1.dim g.Devmem.data in
+     if s.ks_po >= 0 then begin
+       lo_check rt m ~j:s.ks_j ~po:s.ks_po ~u ~len ~shared:false s.ks_name;
+       account_plane rt ~is_store:false ~elt_bytes:4 ~stable:true m
+         ~po:s.ks_po
+         ~base:(g.Devmem.base + (4 * u))
+         ~scale:4 ~site:s.ks_sid
+     end
+     else begin
+       if u < 0 || u >= len then
+         Interp.err "out-of-bounds load %s[%d] (size %d)" s.ks_name u len;
+       account_const rt ~is_store:false ~elt_bytes:4 m
+         ~addr:(g.Devmem.base + (u * 4))
+         ~site:s.ks_sid
+     end
+   end
+   else if s.ks_po >= 0 then begin
+     lo_check rt m ~j:s.ks_j ~po:s.ks_po ~u ~len:s.ks_len ~shared:true
+       s.ks_name;
+     account_shared_plane rt ~stable:true m ~po:s.ks_po ~scale:1 ~u
+       ~site:s.ks_sid
+   end
+   else begin
+     if u < 0 || u >= s.ks_len then
+       Interp.err "out-of-bounds shared load %s[%d] (size %d)" s.ks_name u
+         s.ks_len;
+     account_shared_const rt m
+   end);
+  iset rt.lo_ibuf (irow + s.ks_col) u
+
+(** Run one trip's nodes over the mask [m]. *)
+let rec lo_nodes (rt : vrt) (m : int array) (irow : int) (frow : int)
+    (ns : lnode array) : unit =
+  for q = 0 to Array.length ns - 1 do
+    match ns.(q) with
+    | Lstmt s ->
+        for _ = 1 to s.li_insts do
+          inst rt
+        done;
+        Array.iter
+          (function
+            | Wnone -> ()
+            | Wsite k -> lo_site_trip rt m irow k
+            | Wval v -> fset rt.lo_fbuf (frow + v.kv_slot) (v.kv_run rt m))
+          s.li_works;
+        if s.li_flops > 0 then flops rt (s.li_flops * Array.length m);
+        if s.li_flag >= 0 then iset rt.lo_ibuf (irow + s.li_flag) 1
+    | Lif (cond, t, f) ->
+        if cond rt m then lo_nodes rt m irow frow t
+        else lo_nodes rt m irow frow f
+    | Lwin (w, t, f) -> (
+        for _ = 1 to w.lw_insts do
+          inst rt
+        done;
+        let u = w.lw_u rt in
+        let j = 3 * w.lw_id in
+        if rt.lo_win.(j + 1) + u > 0 then lo_nodes rt m irow frow t
+        else if rt.lo_win.(j + 2) + u <= 0 then lo_nodes rt m irow frow f
+        else
+          let ip = rt.ip and po = w.lw_po in
+          let nm = Array.length m in
+          let nt = ref 0 in
+          Array.iter (fun l -> if iget ip (po + l) + u > 0 then incr nt) m;
+          let nt = !nt in
+          (* a unanimous outcome hands the incoming mask on *)
+          if nt = nm then lo_nodes rt m irow frow t
+          else if nt = 0 then lo_nodes rt m irow frow f
+          else begin
+            let tm = Array.make nt 0 and fm = Array.make (nm - nt) 0 in
+            let ti = ref 0 and fi = ref 0 in
+            Array.iter
+              (fun l ->
+                if iget ip (po + l) + u > 0 then begin
+                  tm.(!ti) <- l;
+                  incr ti
+                end
+                else begin
+                  fm.(!fi) <- l;
+                  incr fi
+                end)
+              m;
+            let s = rt.c.Interp.stats in
+            s.Stats.divergent_branches <- s.Stats.divergent_branches +. 1.;
+            lo_nodes rt tm irow frow t;
+            lo_nodes rt fm irow frow f
+          end)
   done
 
-(* The values pass's inner loops: one lane and one statement over every
-   trip, the accumulator held in a local. Trip [t]'s row starts at
-   [t * ki]; a trip whose flag column reads 0 did not run the
+(** The trip pass: the uniform loop control of {!comp_stmt}, each trip's
+    row filled by its nodes. Returns the trip count. *)
+let lo_trips (p : lplan) (rt : vrt) (m : int array) ~(r : int)
+    ~(flim : vrt -> int array -> int) ~(fstep : vrt -> int array -> int) : int
+    =
+  let ki = p.lp_ki and kf = p.lp_kf in
+  let flags = p.lp_flags in
+  let nt = ref 0 in
+  let go = ref true in
+  while !go do
+    let lim = flim rt m in
+    go := rt.uregs.(r) < lim;
+    inst rt;
+    if !go then begin
+      let t = !nt in
+      lo_reserve rt ~ki ~kf t;
+      let irow = t * ki and frow = t * kf in
+      let ib = rt.lo_ibuf in
+      iset ib (irow + lo_zero_col) 0;
+      iset ib (irow + lo_frow_col) frow;
+      iset ib (irow + lo_one_col) 1;
+      for q = 0 to Array.length flags - 1 do
+        iset ib (irow + flags.(q)) 0
+      done;
+      lo_nodes rt m irow frow p.lp_nodes;
+      nt := t + 1;
+      rt.uregs.(r) <- rt.uregs.(r) + fstep rt m;
+      inst rt
+    end
+  done;
+  !nt
+
+(** One trip of a global site in the accounting pass over the full mask
+    [m]: its digest through the site's caches, its transactions recorded
+    when the block records, its transactions, bytes and requests added
+    to [acc]. *)
+let lo_one_global (rt : vrt) (m : int array) (acc : int array) (s : lsite)
+    (u : int) : unit =
+  let base = rt.globals.(s.ks_slot).Devmem.base + (4 * u) in
+  if s.ks_po >= 0 then begin
+    let dig =
+      plane_digest rt ~elt_bytes:4 ~stable:true ~po:s.ks_po ~base ~scale:4
+        ~site:s.ks_sid
+    in
+    if rt.c.Interp.record_tx then
+      record_digest rt.c ~a0:(base + (iget rt.ip s.ks_po * 4)) dig;
+    acc.(0) <- acc.(0) + dig.Coalescer.pd_ntx;
+    acc.(1) <- acc.(1) + dig.Coalescer.pd_bytes;
+    acc.(2) <- acc.(2) + dig.Coalescer.pd_nhw
+  end
+  else begin
+    const_cost rt ~elt_bytes:4 m ~addr:base ~site:s.ks_sid;
+    let r = rt.cst and nfull = rt.n / 16 in
+    acc.(0) <- acc.(0) + (nfull * r.(0)) + r.(2);
+    acc.(1) <- acc.(1) + (nfull * r.(1)) + r.(3);
+    acc.(2) <- acc.(2) + ((rt.n + 15) / 16)
+  end
+
+(** The one accounting pass (see the note): the trip count, the buffer
+    and the loop's statistics. Returns the trip count, or [-1] before
+    touching anything when the loop must run its trip pass: a partial
+    mask, a byte cost that a batched add would round, or a site out of
+    bounds at its first or last trip. *)
+let lo_one (o : lone) (p : lplan) (rt : vrt) (m : int array) : int =
+  let c = rt.c in
+  let s = c.Interp.stats in
+  let n = rt.n in
+  let step = o.lo_step in
+  let i0 = rt.uregs.(o.lo_reg) in
+  let lim = o.lo_lim rt in
+  let nt = if lim > i0 then (lim - i0 + step - 1) / step else 0 in
+  let sites = o.lo_sites in
+  let ns = Array.length sites in
+  let u0 = Array.init ns (fun k -> o.lo_us.(k) rt) in
+  let in_bounds k =
+    let st = sites.(k) in
+    let ul = u0.(k) + (o.lo_dus.(k) * (nt - 1)) in
+    let lo = min u0.(k) ul and hi = max u0.(k) ul in
+    let len =
+      if st.ks_global then
+        Bigarray.Array1.dim rt.globals.(st.ks_slot).Devmem.data
+      else st.ks_len
+    in
+    if st.ks_j >= 0 then
+      lo + rt.lo_bnd.(2 * st.ks_j) >= 0
+      && hi + rt.lo_bnd.((2 * st.ks_j) + 1) < len
+    else lo >= 0 && hi < len
+  in
+  let rec all_in k = k >= ns || (in_bounds k && all_in (k + 1)) in
+  if
+    Array.length m <> n
+    || (not (Float.is_integer s.Stats.cost_bytes))
+    || Config.width_eff c.Interp.cfg ~elt_bytes:4 <> 1.0
+    || (nt > 0 && not (all_in 0))
+  then -1
+  else begin
+    let ki = p.lp_ki and kf = p.lp_kf in
+    if nt > 0 then lo_reserve rt ~ki ~kf (nt - 1);
+    let ib = rt.lo_ibuf and fb = rt.lo_fbuf in
+    for t = 0 to nt - 1 do
+      let irow = t * ki in
+      iset ib (irow + lo_zero_col) 0;
+      iset ib (irow + lo_frow_col) (t * kf);
+      iset ib (irow + lo_one_col) 1
+    done;
+    for k = 0 to ns - 1 do
+      let col = sites.(k).ks_col and u = u0.(k) and d = o.lo_dus.(k) in
+      for t = 0 to nt - 1 do
+        iset ib ((t * ki) + col) (u + (d * t))
+      done
+    done;
+    Array.iteri
+      (fun k (slot, v) ->
+        match v with
+        | Plin _ ->
+            let u = o.lo_vus.(k) rt and d = o.lo_dvs.(k) in
+            for t = 0 to nt - 1 do
+              fset fb ((t * kf) + slot) (float_of_int (u + (d * t)))
+            done
+        | Pconst f ->
+            for t = 0 to nt - 1 do
+              fset fb ((t * kf) + slot) f
+            done)
+      o.lo_vals;
+    (* the counts the trip pass would add one by one: integers, so one
+       add each is exact *)
+    let insts = ((nt + 1) * o.lo_test) + (nt * o.lo_trip) in
+    s.Stats.warp_insts <-
+      s.Stats.warp_insts +. (float_of_int insts *. c.Interp.warps);
+    if o.lo_flops > 0 then
+      s.Stats.flops <- s.Stats.flops +. float_of_int (nt * o.lo_flops * n);
+    let acc = [| 0; 0; 0 |] in
+    let global k = sites.(k).ks_global in
+    if c.Interp.record_tx then
+      (* the stream takes each trip's transactions in source order *)
+      for t = 0 to nt - 1 do
+        for k = 0 to ns - 1 do
+          if global k then
+            lo_one_global rt m acc sites.(k) (u0.(k) + (o.lo_dus.(k) * t))
+        done
+      done
+    else
+      for k = 0 to ns - 1 do
+        if global k then
+          for t = 0 to nt - 1 do
+            lo_one_global rt m acc sites.(k) (u0.(k) + (o.lo_dus.(k) * t))
+          done
+      done;
+    let nhw = (n + 15) / 16 in
+    for k = 0 to ns - 1 do
+      let st = sites.(k) in
+      if (not st.ks_global) && nt > 0 then
+        if st.ks_po < 0 then apply_shared_n c ~groups:(nhw * nt) ~extra:0
+        else begin
+          (* a stable plane's bank cost is computed once, then credited *)
+          let sid = st.ks_sid in
+          let first =
+            if rt.site_sh_d.(sid) = min_int then begin
+              account_shared_plane rt ~stable:true m ~po:st.ks_po ~scale:1
+                ~u:u0.(k) ~site:sid;
+              1
+            end
+            else 0
+          in
+          let rest = nt - first in
+          apply_shared_n c ~groups:(nhw * rest)
+            ~extra:(rt.site_sh_extra.(sid) * rest);
+          rt.cf_credits <- rt.cf_credits + rest
+        end
+    done;
+    (* byte costs in one add: the width efficiency is 1 and the
+       accumulator integral, so every partial sum is exact *)
+    s.Stats.gld_tx <- s.Stats.gld_tx +. float_of_int acc.(0);
+    s.Stats.gld_bytes <- s.Stats.gld_bytes +. float_of_int acc.(1);
+    s.Stats.cost_bytes <- s.Stats.cost_bytes +. float_of_int acc.(1);
+    s.Stats.gld_requests <- s.Stats.gld_requests +. float_of_int acc.(2);
+    rt.uregs.(o.lo_reg) <- i0 + (step * nt);
+    nt
+  end
+
+(** Lane [l]'s window under statement [s]'s window guards: the trips
+    [lo, hi) of a loop of [nt] trips where every guard takes the
+    statement's branch. *)
+let lo_window (rt : vrt) (s : lstmt) (l : int) (nt : int) : int * int =
+  let lo = ref 0 and hi = ref nt in
+  Array.iter
+    (fun ((w : lwin), holds) ->
+      (* the guard's value at trip [t] is [y + cs * t]; it holds on a
+         prefix when it falls, on a suffix when it grows *)
+      let y = iget rt.ip (w.lw_po + l) + rt.lo_win.(3 * w.lw_id) in
+      let cs = w.lw_cs in
+      let a, b =
+        if cs = 0 then if y > 0 then (0, nt) else (0, 0)
+        else if cs > 0 then ((if y > 0 then 0 else min nt ((-y / cs) + 1)), nt)
+        else (0, if y <= 0 then 0 else min nt (((y - 1) / -cs) + 1))
+      in
+      let a, b = if holds then (a, b) else if a = 0 then (b, nt) else (0, a) in
+      if a > !lo then lo := a;
+      if b < !hi then hi := b)
+    s.ls_wins;
+  (!lo, !hi)
+
+(* The values pass's inner loops: one lane and one statement over the
+   trips [t0, t1), the accumulator held in a local. Trip [t]'s row
+   starts at [t * ki]; a trip whose flag column reads 0 did not run the
    statement. *)
 
 let lo_prod (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
-    (ki : int) (nt : int) (flag : int) (xa : Devmem.fmem) (xb : int)
-    (xc : int) (ya : Devmem.fmem) (yb : int) (yc : int) : unit =
+    (ki : int) (t0 : int) (t1 : int) (flag : int) (xa : Devmem.fmem)
+    (xb : int) (xc : int) (ya : Devmem.fmem) (yb : int) (yc : int) : unit =
   let acc = ref (fget fp a) in
   (match op with
   | Ladd_left ->
-      for t = 0 to nt - 1 do
+      for t = t0 to t1 - 1 do
         let row = t * ki in
         if iget ib (row + flag) <> 0 then
           acc :=
@@ -2572,7 +3128,7 @@ let lo_prod (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
                *. fget ya (yb + iget ib (row + yc))
       done
   | Lsub_left ->
-      for t = 0 to nt - 1 do
+      for t = t0 to t1 - 1 do
         let row = t * ki in
         if iget ib (row + flag) <> 0 then
           acc :=
@@ -2581,7 +3137,7 @@ let lo_prod (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
                *. fget ya (yb + iget ib (row + yc))
       done
   | Ladd_right ->
-      for t = 0 to nt - 1 do
+      for t = t0 to t1 - 1 do
         let row = t * ki in
         if iget ib (row + flag) <> 0 then
           acc :=
@@ -2596,14 +3152,14 @@ let lo_prod (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
     each trip's row reads, so an add's latency no longer bounds the
     loop. *)
 let lo_prod4 (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
-    (ki : int) (nt : int) (flag : int) (xa : Devmem.fmem) (xc : int)
-    (x0 : int) (x1 : int) (x2 : int) (x3 : int) (ya : Devmem.fmem) (yc : int)
-    (y0 : int) (y1 : int) (y2 : int) (y3 : int) : unit =
+    (ki : int) (t0 : int) (t1 : int) (flag : int) (xa : Devmem.fmem)
+    (xc : int) (x0 : int) (x1 : int) (x2 : int) (x3 : int) (ya : Devmem.fmem)
+    (yc : int) (y0 : int) (y1 : int) (y2 : int) (y3 : int) : unit =
   let a0 = ref (fget fp a) and a1 = ref (fget fp (a + 1)) in
   let a2 = ref (fget fp (a + 2)) and a3 = ref (fget fp (a + 3)) in
   (match op with
   | Ladd_left ->
-      for t = 0 to nt - 1 do
+      for t = t0 to t1 - 1 do
         let row = t * ki in
         if iget ib (row + flag) <> 0 then begin
           let xo = iget ib (row + xc) and yo = iget ib (row + yc) in
@@ -2614,7 +3170,7 @@ let lo_prod4 (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
         end
       done
   | Lsub_left ->
-      for t = 0 to nt - 1 do
+      for t = t0 to t1 - 1 do
         let row = t * ki in
         if iget ib (row + flag) <> 0 then begin
           let xo = iget ib (row + xc) and yo = iget ib (row + yc) in
@@ -2625,7 +3181,7 @@ let lo_prod4 (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
         end
       done
   | Ladd_right ->
-      for t = 0 to nt - 1 do
+      for t = t0 to t1 - 1 do
         let row = t * ki in
         if iget ib (row + flag) <> 0 then begin
           let xo = iget ib (row + xc) and yo = iget ib (row + yc) in
@@ -2641,24 +3197,24 @@ let lo_prod4 (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
   fset fp (a + 3) !a3
 
 let lo_leaf (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
-    (ki : int) (nt : int) (flag : int) (xa : Devmem.fmem) (xb : int)
-    (xc : int) : unit =
+    (ki : int) (t0 : int) (t1 : int) (flag : int) (xa : Devmem.fmem)
+    (xb : int) (xc : int) : unit =
   let acc = ref (fget fp a) in
   (match op with
   | Ladd_left ->
-      for t = 0 to nt - 1 do
+      for t = t0 to t1 - 1 do
         let row = t * ki in
         if iget ib (row + flag) <> 0 then
           acc := !acc +. fget xa (xb + iget ib (row + xc))
       done
   | Lsub_left ->
-      for t = 0 to nt - 1 do
+      for t = t0 to t1 - 1 do
         let row = t * ki in
         if iget ib (row + flag) <> 0 then
           acc := !acc -. fget xa (xb + iget ib (row + xc))
       done
   | Ladd_right ->
-      for t = 0 to nt - 1 do
+      for t = t0 to t1 - 1 do
         let row = t * ki in
         if iget ib (row + flag) <> 0 then begin
           (* bound first: a load in first position would be folded into
@@ -2671,10 +3227,10 @@ let lo_leaf (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
       done);
   fset fp a !acc
 
-(** Replay [nt] trips for every active lane. Independent statements run
-    one at a time, each lane in one tight loop; dependent ones run trip
-    by trip so that a statement sees the accumulators as trip-by-trip
-    execution left them. *)
+(** Replay [nt] trips for every active lane, each over its own window.
+    Independent statements run one at a time, each lane in one tight
+    loop; dependent ones run trip by trip so that a statement sees the
+    accumulators as trip-by-trip execution left them. *)
 let lo_values (p : lplan) (rt : vrt) (m : int array) (nt : int) : unit =
   let ib = rt.lo_ibuf and ki = p.lp_ki and fp = rt.fp and ip = rt.ip in
   let full = Array.length m = rt.n in
@@ -2684,10 +3240,13 @@ let lo_values (p : lplan) (rt : vrt) (m : int array) (nt : int) : unit =
       (fun s ->
         let x = s.ls_x in
         let xa = lo_arr rt x.lf_src in
+        let windowed = Array.length s.ls_wins > 0 in
+        let range l = if windowed then lo_window rt s l nt else (0, nt) in
         match s.ls_y with
         | None ->
             let lane l =
-              lo_leaf s.ls_op fp (s.ls_acc + l) ib ki nt s.ls_flag xa
+              let t0, t1 = range l in
+              lo_leaf s.ls_op fp (s.ls_acc + l) ib ki t0 t1 s.ls_flag xa
                 (lo_base ip x l) x.lf_col
             in
             if full then
@@ -2698,22 +3257,34 @@ let lo_values (p : lplan) (rt : vrt) (m : int array) (nt : int) : unit =
         | Some y ->
             let ya = lo_arr rt y.lf_src in
             let lane l =
-              lo_prod s.ls_op fp (s.ls_acc + l) ib ki nt s.ls_flag xa
+              let t0, t1 = range l in
+              lo_prod s.ls_op fp (s.ls_acc + l) ib ki t0 t1 s.ls_flag xa
                 (lo_base ip x l) x.lf_col ya (lo_base ip y l) y.lf_col
             in
             if full then begin
               let quads = rt.n / 4 in
               for q = 0 to quads - 1 do
                 let l = 4 * q in
-                lo_prod4 s.ls_op fp (s.ls_acc + l) ib ki nt s.ls_flag xa
-                  x.lf_col (lo_base ip x l)
-                  (lo_base ip x (l + 1))
-                  (lo_base ip x (l + 2))
-                  (lo_base ip x (l + 3))
-                  ya y.lf_col (lo_base ip y l)
-                  (lo_base ip y (l + 1))
-                  (lo_base ip y (l + 2))
-                  (lo_base ip y (l + 3))
+                let t0, t1 = range l in
+                if
+                  windowed
+                  && (range (l + 1) <> (t0, t1)
+                     || range (l + 2) <> (t0, t1)
+                     || range (l + 3) <> (t0, t1))
+                then
+                  for l = l to l + 3 do
+                    lane l
+                  done
+                else
+                  lo_prod4 s.ls_op fp (s.ls_acc + l) ib ki t0 t1 s.ls_flag xa
+                    x.lf_col (lo_base ip x l)
+                    (lo_base ip x (l + 1))
+                    (lo_base ip x (l + 2))
+                    (lo_base ip x (l + 3))
+                    ya y.lf_col (lo_base ip y l)
+                    (lo_base ip y (l + 1))
+                    (lo_base ip y (l + 2))
+                    (lo_base ip y (l + 3))
               done;
               for l = 4 * quads to rt.n - 1 do
                 lane l
@@ -2721,14 +3292,24 @@ let lo_values (p : lplan) (rt : vrt) (m : int array) (nt : int) : unit =
             end
             else Array.iter lane m)
       stmts
-  else
+  else begin
+    let ns = Array.length stmts in
+    let wlo = Array.make ns 0 and whi = Array.make ns nt in
     Array.iter
       (fun l ->
+        for q = 0 to ns - 1 do
+          if Array.length stmts.(q).ls_wins > 0 then begin
+            let a, b = lo_window rt stmts.(q) l nt in
+            wlo.(q) <- a;
+            whi.(q) <- b
+          end
+        done;
         for t = 0 to nt - 1 do
           let row = t * ki in
-          for q = 0 to Array.length stmts - 1 do
+          for q = 0 to ns - 1 do
             let s = stmts.(q) in
-            if iget ib (row + s.ls_flag) <> 0 then begin
+            if t >= wlo.(q) && t < whi.(q) && iget ib (row + s.ls_flag) <> 0
+            then begin
               let x = s.ls_x in
               let xv =
                 fget (lo_arr rt x.lf_src) (lo_base ip x l + iget ib (row + x.lf_col))
@@ -2752,44 +3333,26 @@ let lo_values (p : lplan) (rt : vrt) (m : int array) (nt : int) : unit =
           done
         done)
       m
+  end
 
-(** Run a planned loop: the uniform loop control of {!comp_stmt}, the
-    trip pass, then the values pass. *)
+(** Run a planned loop: the uniform loop control of {!comp_stmt} and the
+    one accounting pass or the trip pass, then the values pass. *)
 let lo_run (p : lplan) ~(r : int) ~(finit : vrt -> int array -> int)
     ~(flim : vrt -> int array -> int) ~(fstep : vrt -> int array -> int) :
     vstmt =
-  let ki = p.lp_ki and kf = p.lp_kf in
-  let items = p.lp_items and flags = p.lp_flags in
-  fun rt m ->
-    inst rt;
-    rt.uregs.(r) <- finit rt m;
-    lo_bounds p rt m;
-    let nt = ref 0 in
-    let go = ref true in
-    while !go do
-      let lim = flim rt m in
-      go := rt.uregs.(r) < lim;
-      inst rt;
-      if !go then begin
-        let t = !nt in
-        lo_reserve rt ~ki ~kf t;
-        let irow = t * ki and frow = t * kf in
-        let ib = rt.lo_ibuf in
-        iset ib (irow + lo_zero_col) 0;
-        iset ib (irow + lo_frow_col) frow;
-        iset ib (irow + lo_one_col) 1;
-        for q = 0 to Array.length flags - 1 do
-          iset ib (irow + flags.(q)) 0
-        done;
-        for q = 0 to Array.length items - 1 do
-          items.(q) rt m irow frow
-        done;
-        nt := t + 1;
-        rt.uregs.(r) <- rt.uregs.(r) + fstep rt m;
-        inst rt
-      end
-    done;
-    lo_values p rt m !nt
+ fun rt m ->
+  inst rt;
+  rt.uregs.(r) <- finit rt m;
+  lo_start p rt m;
+  let nt =
+    match p.lp_one with
+    | Some o -> (
+        match lo_one o p rt m with
+        | -1 -> lo_trips p rt m ~r ~flim ~fstep
+        | nt -> nt)
+    | None -> lo_trips p rt m ~r ~flim ~fstep
+  in
+  lo_values p rt m nt
 
 (* --- lane-outer planning --- *)
 
@@ -2800,53 +3363,42 @@ type lpst = {
   mutable p_sites : (int * int * int) list;  (** po, min, max; newest first *)
   mutable p_flags : int list;
   mutable p_stmts : lstmt list;  (** newest first *)
+  mutable p_wins : lwin list;  (** newest first *)
   mutable p_reads_acc : bool;
   p_accs : Sset.t;  (** names the body assigns *)
+  p_reg : int;  (** the loop variable's register *)
+  p_step : int option;  (** the loop's step, when a positive constant *)
 }
 
-(** A leaf as classified at plan time: a uniform value still on the
-    scalar channel (float or int, as {!comp_e} typed it), or a value
-    source with its trip work. *)
+(** A leaf as classified at plan time: a uniform value on the scalar
+    channel (float or int, as {!comp_e} typed it), a literal or linear
+    int, or a value source with its trip work. *)
 type lclass =
   | Cuf of (vrt -> int array -> float)
   | Cui of (vrt -> int array -> int)
-  | Cleaf of lleaf * titem option
+  | Cpure of lpure
+  | Cleaf of lleaf * lwork
 
 let lo_col (ps : lpst) : int =
   let c = ps.p_ki in
   ps.p_ki <- c + 1;
   c
 
-(** Register a lane-affine site: its offset column and bounds slot. *)
-let lo_site st (ps : lpst) (po : int) : int * int =
-  let ax, ay =
-    fst (List.find (fun (_, p) -> p * st.cn = po) st.patterns)
-  in
+(** The least and greatest value of [ax * tidx + ay * tidy] over the
+    block. *)
+let pattern_range st ~(ax : int) ~(ay : int) : int * int =
   let l = st.claunch in
   let lo a d = if a < 0 then a * (d - 1) else 0 in
   let hi a d = if a > 0 then a * (d - 1) else 0 in
-  let j = List.length ps.p_sites in
-  ps.p_sites <-
-    ( po,
-      lo ax l.block_x + lo ay l.block_y,
-      hi ax l.block_x + hi ay l.block_y )
-    :: ps.p_sites;
-  (j, lo_col ps)
+  (lo ax l.block_x + lo ay l.block_y, hi ax l.block_x + hi ay l.block_y)
 
-(** The exact bounds test of site [j] at offset [u]; on failure, the
-    gather's own lane scan and message for the first bad lane. *)
-let lo_check (rt : vrt) (m : int array) ~(j : int) ~(po : int) ~(u : int)
-    ~(len : int) ~(shared : bool) (name : string) : unit =
-  let bnd = rt.lo_bnd in
-  if u + bnd.(2 * j) < 0 || u + bnd.((2 * j) + 1) >= len then
-    Array.iter
-      (fun l ->
-        let o = iget rt.ip (po + l) + u in
-        if o < 0 || o >= len then
-          if shared then
-            Interp.err "out-of-bounds shared load %s[%d] (size %d)" name o len
-          else Interp.err "out-of-bounds load %s[%d] (size %d)" name o len)
-      m
+(** Register a lane-affine site's bounds slot. *)
+let lo_bounds_slot st (ps : lpst) (po : int) : int =
+  let ax, ay = fst (List.find (fun (_, p) -> p * st.cn = po) st.patterns) in
+  let lo, hi = pattern_range st ~ax ~ay in
+  let j = List.length ps.p_sites in
+  ps.p_sites <- (po, lo, hi) :: ps.p_sites;
+  j
 
 let lo_uniform st env (e : Ast.expr) : lclass =
   match comp_e st env e with
@@ -2858,138 +3410,174 @@ let lo_uniform st env (e : Ast.expr) : lclass =
       Cui f
   | _ -> raise Not_lane_outer
 
-(** Classify a leaf: a stable lane-affine load, a float local (a
-    temporary resolves to its own leaf), or a block-uniform value. *)
+(** The folded linear form of an index whose every dimension is linear,
+    as {!comp_index} folds it. *)
+let index_lin st env (strides : int array) (idxs : Ast.expr list) : lin option
+    =
+  let rec go d acc = function
+    | [] -> Some acc
+    | idx :: rest -> (
+        match lin_of st env idx with
+        | Some a -> go (d + 1) (lin_axpy ~ops:0 acc strides.(d) a) rest
+        | None -> None)
+  in
+  go 0 lin0 idxs
+
+(** A load as a leaf: a stable lane-affine site or a block-uniform one. *)
+let lo_load st env (ps : lpst) ~(global : bool) ~(slot : int) ~(len : int)
+    (name : string) (strides : int array) (idxs : Ast.expr list) : lclass =
+  let pure = index_lin st env strides idxs in
+  let po, run =
+    match comp_index st env strides idxs with
+    | Iuniform off, owns ->
+        release st owns;
+        (-1, off)
+    | Ilanes { xp_po; xp_run; xp_stable = true; _ }, owns ->
+        release st owns;
+        (xp_po, xp_run)
+    | Ilanes _, _ -> raise Not_lane_outer
+  in
+  let j = if po >= 0 then lo_bounds_slot st ps po else -1 in
+  let col = lo_col ps in
+  let site =
+    {
+      ks_global = global;
+      ks_slot = slot;
+      ks_po = po;
+      ks_j = j;
+      ks_col = col;
+      ks_sid = fresh_site st;
+      ks_len = len;
+      ks_name = name;
+      ks_run = run;
+      ks_lin = pure;
+    }
+  in
+  Cleaf
+    ( {
+        lf_src = (if global then Lglobal slot else Lshared slot);
+        lf_po = po;
+        lf_k = 0;
+        lf_lane = false;
+        lf_col = col;
+      },
+      Wsite site )
+
+(** Classify a leaf: a load, a float local (a temporary resolves to its
+    own leaf), a literal or block-uniform linear int, or another
+    block-uniform value. *)
 let lo_class st env (ps : lpst) (temps : lleaf Smap.t) (e : Ast.expr) :
     lclass =
   match e with
-  | Var v when Smap.mem v temps -> Cleaf (Smap.find v temps, None)
-  | Var v -> (
-      match Smap.find_opt v env with
-      | Some (Bfloat p) ->
-          if Sset.mem v ps.p_accs then ps.p_reads_acc <- true;
-          Cleaf
-            ( {
-                lf_src = Lplane;
-                lf_po = -1;
-                lf_k = p * st.cn;
-                lf_lane = true;
-                lf_col = lo_zero_col;
-              },
-              None )
-      | _ -> lo_uniform st env e)
+  | Var v when Smap.mem v temps -> Cleaf (Smap.find v temps, Wnone)
+  | Var v
+    when (match Smap.find_opt v env with Some (Bfloat _) -> true | _ -> false)
+    ->
+      if Sset.mem v ps.p_accs then ps.p_reads_acc <- true;
+      let p = match Smap.find v env with Bfloat p -> p | _ -> assert false in
+      Cleaf
+        ( {
+            lf_src = Lplane;
+            lf_po = -1;
+            lf_k = p * st.cn;
+            lf_lane = true;
+            lf_col = lo_zero_col;
+          },
+          Wnone )
+  | Float_lit f -> Cpure (Pconst f)
   | Index (arr, idxs) -> (
-      let site src po col work =
-        Cleaf
-          ( { lf_src = src; lf_po = po; lf_k = 0; lf_lane = false; lf_col = col },
-            Some work )
-      in
       match Smap.find_opt arr env with
       | Some (Bglobal (gslot, strides, name))
-        when List.length idxs = Array.length strides -> (
-          match comp_index st env strides idxs with
-          | Iuniform off, owns ->
-              release st owns;
-              Cuf (uniform_gload st gslot name off)
-          | Ilanes { xp_po = po; xp_run = run; xp_stable = true; _ }, owns ->
-              release st owns;
-              let sid = fresh_site st in
-              let j, col = lo_site st ps po in
-              site (Lglobal gslot) po col (fun rt m irow _ ->
-                  inst rt;
-                  let g = rt.globals.(gslot) in
-                  let len = Bigarray.Array1.dim g.Devmem.data in
-                  let u = run rt m in
-                  lo_check rt m ~j ~po ~u ~len ~shared:false name;
-                  account_plane rt ~is_store:false ~elt_bytes:4 ~stable:true m
-                    ~po ~base:(g.Devmem.base + (4 * u)) ~scale:4 ~site:sid;
-                  iset rt.lo_ibuf (irow + col) u)
-          | Ilanes _, _ -> raise Not_lane_outer)
+        when List.length idxs = Array.length strides ->
+          lo_load st env ps ~global:true ~slot:gslot ~len:0 name strides idxs
       | Some (Bshared (sslot, strides, len))
-        when List.length idxs = Array.length strides -> (
-          match comp_index st env strides idxs with
-          | Iuniform off, owns ->
-              release st owns;
-              Cuf (uniform_sload sslot arr len off)
-          | Ilanes { xp_po = po; xp_run = run; xp_stable = true; _ }, owns ->
-              release st owns;
-              let sid = fresh_site st in
-              let j, col = lo_site st ps po in
-              site (Lshared sslot) po col (fun rt m irow _ ->
-                  inst rt;
-                  let u = run rt m in
-                  lo_check rt m ~j ~po ~u ~len ~shared:true arr;
-                  account_shared_plane rt ~stable:true m ~po ~scale:1 ~u
-                    ~site:sid;
-                  iset rt.lo_ibuf (irow + col) u)
-          | Ilanes _, _ -> raise Not_lane_outer)
+        when List.length idxs = Array.length strides ->
+          lo_load st env ps ~global:false ~slot:sslot ~len arr strides idxs
       | _ -> raise Not_lane_outer)
-  | _ -> lo_uniform st env e
+  | _ -> (
+      (* a thread term varies by lane: {!lo_uniform} rejects it *)
+      match lin_of st env e with
+      | Some a when not a.thr -> Cpure (Plin a)
+      | _ -> lo_uniform st env e)
 
-let lo_nowork : titem = fun _ _ _ _ -> ()
+(** A uniform class as an int closure, when it is an int. *)
+let class_int : lclass -> (vrt -> int array -> int) option = function
+  | Cui f -> Some f
+  | Cpure (Plin a) -> Some (lin_run a)
+  | Cuf _ | Cpure (Pconst _) | Cleaf _ -> None
+
+(** A uniform class as a float closure. *)
+let class_float : lclass -> vrt -> int array -> float = function
+  | Cuf f -> f
+  | Cpure (Pconst x) -> fun _ _ -> x
+  | (Cui _ | Cpure (Plin _)) as c ->
+      let f = Option.get (class_int c) in
+      fun rt m -> float_of_int (f rt m)
+  | Cleaf _ -> assert false
 
 (** A classified leaf as a float value source; a uniform one gets a
-    float column that its closure fills each trip. *)
-let lo_float_leaf (ps : lpst) (c : lclass) : lleaf * titem =
-  let buffered (f : vrt -> int array -> float) =
-    let slot = ps.p_kf in
-    ps.p_kf <- slot + 1;
-    ( {
-        lf_src = Lbuf;
-        lf_po = -1;
-        lf_k = slot;
-        lf_lane = false;
-        lf_col = lo_frow_col;
-      },
-      fun rt m _ frow -> fset rt.lo_fbuf (frow + slot) (f rt m) )
-  in
+    float column that the trip pass fills each trip. *)
+let lo_float_leaf (ps : lpst) (c : lclass) : lleaf * lwork =
   match c with
-  | Cleaf (lf, w) -> (lf, Option.value w ~default:lo_nowork)
-  | Cuf f -> buffered f
-  | Cui f -> buffered (fun rt m -> float_of_int (f rt m))
+  | Cleaf (lf, w) -> (lf, w)
+  | Cuf _ | Cui _ | Cpure _ ->
+      let slot = ps.p_kf in
+      ps.p_kf <- slot + 1;
+      ( {
+          lf_src = Lbuf;
+          lf_po = -1;
+          lf_k = slot;
+          lf_lane = false;
+          lf_col = lo_frow_col;
+        },
+        Wval
+          {
+            kv_slot = slot;
+            kv_run = class_float c;
+            kv_pure = (match c with Cpure p -> Some p | _ -> None);
+          } )
 
 (** Plan one accumulation [v = v +/- rest] or [v = rest + v] under the
     statistics of {!comp_acc}: a product of two leaves that are not
     both uniform is fused (three instructions, both leaves, two flop
     counts); anything else is one leaf (two instructions, the leaf, one
     flop count), a uniform product being that leaf. *)
-let lo_acc st env (ps : lpst) temps ~(guarded : bool) (pv : int) (op : lop)
-    (rest : Ast.expr) : titem =
+let lo_acc st env (ps : lpst) temps ~(guarded : bool)
+    ~(wins : (lwin * bool) array) (pv : int) (op : lop) (rest : Ast.expr) :
+    lnode =
   let flag =
     if guarded then begin
       let c = lo_col ps in
       ps.p_flags <- c :: ps.p_flags;
       c
     end
-    else lo_one_col
+    else -1
   in
-  let add x y =
+  let add ~insts ~flops x y works =
     ps.p_stmts <-
-      { ls_acc = pv * st.cn; ls_op = op; ls_x = x; ls_y = y; ls_flag = flag }
-      :: ps.p_stmts
+      {
+        ls_acc = pv * st.cn;
+        ls_op = op;
+        ls_x = x;
+        ls_y = y;
+        ls_flag = (if guarded then flag else lo_one_col);
+        ls_wins = wins;
+      }
+      :: ps.p_stmts;
+    Lstmt
+      { li_insts = insts; li_flops = flops; li_works = works; li_flag = flag }
   in
-  let mark rt irow = if guarded then iset rt.lo_ibuf (irow + flag) 1 in
   let single c =
     let x, wx = lo_float_leaf ps c in
-    add x None;
-    fun rt m irow frow ->
-      inst rt;
-      inst rt;
-      wx rt m irow frow;
-      flops rt (Array.length m);
-      mark rt irow
+    add ~insts:2 ~flops:1 x None [| wx |]
   in
-  let fl = function
-    | Cui f -> fun rt m -> float_of_int (f rt m)
-    | Cuf f -> f
-    | Cleaf _ -> assert false
-  in
+  let uniform = function Cleaf _ -> false | _ -> true in
   match rest with
-  | Ast.Binop (Ast.Mul, e1, e2) -> (
+  | Ast.Binop (Ast.Mul, e1, e2) when lin_of st env rest = None -> (
       let c1 = lo_class st env ps temps e1 in
       let c2 = lo_class st env ps temps e2 in
-      match (c1, c2) with
-      | Cui a, Cui b ->
+      match (class_int c1, class_int c2) with
+      | Some a, Some b ->
           single
             (Cui
                (fun rt m ->
@@ -2997,8 +3585,8 @@ let lo_acc st env (ps : lpst) temps ~(guarded : bool) (pv : int) (op : lop)
                  let x = a rt m in
                  let y = b rt m in
                  x * y))
-      | (Cuf _ | Cui _), (Cuf _ | Cui _) ->
-          let a = fl c1 and b = fl c2 in
+      | _ when uniform c1 && uniform c2 ->
+          let a = class_float c1 and b = class_float c2 in
           single
             (Cuf
                (fun rt m ->
@@ -3010,23 +3598,52 @@ let lo_acc st env (ps : lpst) temps ~(guarded : bool) (pv : int) (op : lop)
       | _ ->
           let x, wx = lo_float_leaf ps c1 in
           let y, wy = lo_float_leaf ps c2 in
-          add x (Some y);
-          fun rt m irow frow ->
-            inst rt;
-            inst rt;
-            inst rt;
-            wx rt m irow frow;
-            wy rt m irow frow;
-            let k = Array.length m in
-            flops rt k;
-            flops rt k;
-            mark rt irow)
+          add ~insts:3 ~flops:2 x (Some y) [| wx; wy |])
   | _ -> single (lo_class st env ps temps rest)
 
+(** A guard that holds on one window of trips per lane (see the note),
+    registered, or [None]. *)
+let lo_window_guard st env (ps : lpst) (cond : Ast.expr) : lwin option =
+  match cond with
+  | Ast.Binop (((Lt | Le | Gt | Ge) as op), a, b) -> (
+      match (lin_of st env a, lin_of st env b) with
+      | Some la, Some lb when la.thr || lb.thr -> (
+          (* [a < b] is [b - a > 0] and [a <= b] is [b - a + 1 > 0] *)
+          let d =
+            match op with
+            | Lt -> lin_axpy ~ops:0 lb (-1) la
+            | Le -> lin_axpy ~ops:0 { lb with k = lb.k + 1 } (-1) la
+            | Gt -> lin_axpy ~ops:0 la (-1) lb
+            | _ -> lin_axpy ~ops:0 { la with k = la.k + 1 } (-1) lb
+          in
+          let c = lin_coef d ps.p_reg in
+          match (c, ps.p_step) with
+          | 0, _ | _, Some _ ->
+              let cs = match ps.p_step with Some s -> c * s | None -> 0 in
+              let po = pattern_plane st ~ax:d.ax ~ay:d.ay * st.cn in
+              let lo, hi = pattern_range st ~ax:d.ax ~ay:d.ay in
+              let w =
+                {
+                  lw_id = List.length ps.p_wins;
+                  lw_u = lin_fn d;
+                  lw_po = po;
+                  lw_min = lo;
+                  lw_max = hi;
+                  lw_cs = cs;
+                  lw_insts = 2 + la.ops + lb.ops;
+                }
+              in
+              ps.p_wins <- w :: ps.p_wins;
+              Some w
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
+
 (** Plan a loop body's statements in order; [temps] maps the float
-    temporaries in scope to their leaves. *)
-let rec lo_block st env (ps : lpst) temps ~(guarded : bool) (b : Ast.block) :
-    titem list =
+    temporaries in scope to their leaves, [wins] the enclosing window
+    guards. *)
+let rec lo_block st env (ps : lpst) temps ~(guarded : bool)
+    ~(wins : (lwin * bool) array) (b : Ast.block) : lnode array =
   let _, rev =
     List.fold_left
       (fun (temps, acc) (s : Ast.stmt) ->
@@ -3038,11 +3655,15 @@ let rec lo_block st env (ps : lpst) temps ~(guarded : bool) (b : Ast.block) :
             | Var v when Sset.mem v ps.p_accs -> raise Not_lane_outer
             | _ -> ());
             let lf, w = lo_float_leaf ps (lo_class st env ps temps e) in
-            let item rt m irow frow =
-              inst rt;
-              w rt m irow frow
-            in
-            (Smap.add d_name lf temps, item :: acc)
+            ( Smap.add d_name lf temps,
+              Lstmt
+                {
+                  li_insts = 1;
+                  li_flops = 0;
+                  li_works = [| w |];
+                  li_flag = -1;
+                }
+              :: acc )
         | Assign (Lvar v, e) -> (
             let shape =
               match e with
@@ -3053,30 +3674,91 @@ let rec lo_block st env (ps : lpst) temps ~(guarded : bool) (b : Ast.block) :
             in
             match (Smap.find_opt v env, shape) with
             | Some (Bfloat pv), Some (op, rest) when not (Smap.mem v temps) ->
-                (temps, lo_acc st env ps temps ~guarded pv op rest :: acc)
+                (temps, lo_acc st env ps temps ~guarded ~wins pv op rest :: acc)
             | _ -> raise Not_lane_outer)
         | If (cond, t, f) -> (
-            let cc = comp_e st env cond in
-            match fst cc with
-            | UB _ | UI _ ->
-                let fc, ownc = bopnd cc in
-                release st ownc;
-                let fc = bu fc in
-                let ti = Array.of_list (lo_block st env ps temps ~guarded:true t) in
-                let fi = Array.of_list (lo_block st env ps temps ~guarded:true f) in
-                let item rt m irow frow =
-                  inst rt;
-                  let br = if fc rt m then ti else fi in
-                  for q = 0 to Array.length br - 1 do
-                    br.(q) rt m irow frow
-                  done
+            match lo_window_guard st env ps cond with
+            | Some w ->
+                let branch holds blk =
+                  lo_block st env ps temps ~guarded
+                    ~wins:(Array.append wins [| (w, holds) |])
+                    blk
                 in
-                (temps, item :: acc)
-            | _ -> raise Not_lane_outer)
+                let ti = branch true t in
+                let fi = branch false f in
+                (temps, Lwin (w, ti, fi) :: acc)
+            | None -> (
+                let cc = comp_e st env cond in
+                match fst cc with
+                | UB _ | UI _ ->
+                    let fc, ownc = bopnd cc in
+                    release st ownc;
+                    let fc = bu fc in
+                    let ti = lo_block st env ps temps ~guarded:true ~wins t in
+                    let fi = lo_block st env ps temps ~guarded:true ~wins f in
+                    let cond rt m =
+                      inst rt;
+                      fc rt m
+                    in
+                    (temps, Lif (cond, ti, fi) :: acc)
+                | _ -> raise Not_lane_outer))
         | _ -> raise Not_lane_outer)
       (temps, []) b
   in
-  List.rev rev
+  Array.of_list (List.rev rev)
+
+(** The one accounting pass of a body, when it qualifies (see the
+    note): no guard, and every leaf a linear site, a literal or a linear
+    int, under a limit that does not move and a positive constant step
+    with instructions [step_ops]. *)
+let lo_one_plan ~(r : int) ~(step : int option) ~(step_ops : int)
+    ~(limit : lin option) (nodes : lnode array) : lone option =
+  match (step, limit) with
+  | Some s, Some lim when lin_coef lim r = 0 -> (
+      let sites = ref [] and vals = ref [] in
+      let insts = ref 0 and flops = ref 0 in
+      let work = function
+        | Wnone -> true
+        | Wsite ({ ks_lin = Some a; _ } as k) ->
+            sites := (k, a) :: !sites;
+            insts := !insts + 1 + a.ops;
+            true
+        | Wval { kv_slot; kv_pure = Some v; _ } ->
+            vals := (kv_slot, v) :: !vals;
+            (match v with Plin a -> insts := !insts + a.ops | Pconst _ -> ());
+            true
+        | Wsite _ | Wval _ -> false
+      in
+      let node = function
+        | Lstmt s ->
+            insts := !insts + s.li_insts;
+            flops := !flops + s.li_flops;
+            Array.for_all work s.li_works
+        | Lif _ | Lwin _ -> false
+      in
+      match Array.for_all node nodes with
+      | false -> None
+      | true ->
+          let sites = Array.of_list (List.rev !sites) in
+          let vals = Array.of_list (List.rev !vals) in
+          let pure_lin = function Plin a -> a | Pconst _ -> lin0 in
+          Some
+            {
+              lo_reg = r;
+              lo_step = s;
+              lo_lim = lin_fn lim;
+              lo_test = 1 + lim.ops;
+              lo_trip = !insts + 1 + step_ops;
+              lo_flops = !flops;
+              lo_sites = Array.map fst sites;
+              lo_us = Array.map (fun (_, a) -> lin_fn a) sites;
+              lo_dus = Array.map (fun (_, a) -> lin_coef a r * s) sites;
+              lo_vals = vals;
+              lo_vus = Array.map (fun (_, v) -> lin_fn (pure_lin v)) vals;
+              lo_dvs =
+                Array.map (fun (_, v) -> lin_coef (pure_lin v) r * s) vals;
+            })
+  | _ -> None
 
 let rec has_loop (b : Ast.block) : bool =
   List.exists
@@ -3086,9 +3768,11 @@ let rec has_loop (b : Ast.block) : bool =
       | _ -> false)
     b
 
-(** Plan [body] of a uniform loop to run lane-outer, or [None] (with
-    the plan state untouched) when it does not qualify. *)
-let lo_plan st env (body : Ast.block) : lplan option =
+(** Plan [body] of a uniform loop over register [r] to run lane-outer,
+    or [None] (with the plan state untouched) when it does not qualify.
+    [step] and [limit] are the loop's step and limit when linear. *)
+let lo_plan st env ~(r : int) ~(step : lin option) ~(limit : lin option)
+    (body : Ast.block) : lplan option =
   if has_loop body then None
   else begin
     let saved = { st with nf = st.nf } in
@@ -3106,6 +3790,11 @@ let lo_plan st env (body : Ast.block) : lplan option =
       st.varying_guards <- saved.varying_guards;
       st.lane_outer <- saved.lane_outer
     in
+    let step_k =
+      match step with
+      | Some a when lin_const a && a.k > 0 -> Some a.k
+      | _ -> None
+    in
     let ps =
       {
         p_ki = lo_one_col + 1;
@@ -3113,12 +3802,15 @@ let lo_plan st env (body : Ast.block) : lplan option =
         p_sites = [];
         p_flags = [];
         p_stmts = [];
+        p_wins = [];
         p_reads_acc = false;
         p_accs = assigned_names body;
+        p_reg = r;
+        p_step = step_k;
       }
     in
-    match lo_block st env ps Smap.empty ~guarded:false body with
-    | items when ps.p_stmts <> [] ->
+    match lo_block st env ps Smap.empty ~guarded:false ~wins:[||] body with
+    | nodes when ps.p_stmts <> [] ->
         let stmts = Array.of_list (List.rev ps.p_stmts) in
         let accs = List.map (fun s -> s.ls_acc) ps.p_stmts in
         let shared_acc =
@@ -3126,6 +3818,7 @@ let lo_plan st env (body : Ast.block) : lplan option =
         in
         let sites = Array.of_list (List.rev ps.p_sites) in
         st.lane_outer <- st.lane_outer + 1;
+        let step_ops = match step with Some a -> a.ops | None -> 0 in
         Some
           {
             lp_ki = ps.p_ki;
@@ -3134,9 +3827,11 @@ let lo_plan st env (body : Ast.block) : lplan option =
             lp_site_min = Array.map (fun (_, lo, _) -> lo) sites;
             lp_site_max = Array.map (fun (_, _, hi) -> hi) sites;
             lp_flags = Array.of_list ps.p_flags;
-            lp_items = Array.of_list items;
+            lp_nodes = nodes;
             lp_stmts = stmts;
             lp_indep = not (ps.p_reads_acc || shared_acc);
+            lp_wins = Array.of_list (List.rev ps.p_wins);
+            lp_one = lo_one_plan ~r ~step:step_k ~step_ops ~limit nodes;
           }
     | _ ->
         restore ();
@@ -3286,7 +3981,12 @@ let rec comp_stmt st env (s : Ast.stmt) : binding Smap.t * vstmt option =
               release st ownl;
               release st owns;
               let finit = iu finit and flim = iu flim and fstep = iu fstep in
-              (match lo_plan st env_u l_body with
+              (match
+                 lo_plan st env_u ~r
+                   ~step:(lin_of st env_u l_step)
+                   ~limit:(lin_of st env_u l_limit)
+                   l_body
+               with
               | Some p -> Some (lo_run p ~r ~finit ~flim ~fstep)
               | None ->
                   let body = comp_block st env_u l_body in
@@ -4068,12 +4768,14 @@ let fresh_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
     {
       c;
       n;
+      full = code.co_full_mask;
       fp = Devmem.falloc (max 1 (code.co_nf * n));
       ip = Array.make (max 1 (code.co_ni * n)) 0;
       shareds = Array.map Devmem.falloc code.co_shared_lens;
       globals = p.p_globals;
       uregs = Array.make (max 1 code.co_nuregs) 0;
       hw_addrs = Array.make 16 0;
+      cst = Array.make 4 0;
       pl_addrs = Array.make n 0;
       site_a0 = Array.make (max 1 code.co_nsites) min_int;
       site_rel0 = Array.make (max 1 code.co_nsites) 0;
@@ -4089,6 +4791,7 @@ let fresh_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
       lo_ibuf = [||];
       lo_fbuf = Devmem.falloc 1;
       lo_bnd = [||];
+      lo_win = [||];
       site_hits = 0;
       cf_credits = 0;
     }

@@ -268,18 +268,19 @@ __kernel void r(float a[64][64], float c[32][32], int w) {
     Alcotest.failf "shared inner loop: %d closed-form credits, want >= 31"
       credits
 
-(** Run [src] Full on the reference and vector backends and require the
-    same bits: outputs (where [compare] equates nans and signed zeros,
-    so the raw bits are compared too), every statistic and the timing;
-    a reference runtime error must be the vector backend's error too. *)
-let run_src label src (grid_x, grid_y) (block_x, block_y) inputs =
+(** Run [k] Full on machine [cfg] on the reference and vector backends
+    and require the same bits: outputs (where [compare] equates nans and
+    signed zeros, so the raw bits are compared too), every statistic and
+    the timing; a reference runtime error must be the vector backend's
+    error too. *)
+let run_kernel ?(cfg = cfg280) label k (grid_x, grid_y) (block_x, block_y)
+    inputs =
   let bits a = Array.map Int64.bits_of_float a in
-  let k = parse_kernel src in
   let launch = { Gpcc_ast.Ast.grid_x; grid_y; block_x; block_y } in
   let exec ~backend =
     let mem = Gpcc_sim.Devmem.of_kernel k in
     List.iter (fun (n, d) -> Gpcc_sim.Devmem.write mem n d) inputs;
-    match L.run ~mode:L.Full ~backend ~jobs:1 cfg280 k launch mem with
+    match L.run ~mode:L.Full ~backend ~jobs:1 cfg k launch mem with
     | r ->
         let read a = (a, Gpcc_sim.Devmem.read mem a) in
         let arrays = List.map read (global_arrays k) in
@@ -303,6 +304,10 @@ let run_src label src (grid_x, grid_y) (block_x, block_y) inputs =
   | Error a, Error b -> Alcotest.(check string) (label ^ " error") a b
   | Error m, Ok _ -> Alcotest.failf "%s: only the reference failed: %s" label m
   | Ok _, Error m -> Alcotest.failf "%s: only vector failed: %s" label m
+
+(** {!run_kernel} on a kernel's source text. *)
+let run_src ?cfg label src grid block inputs =
+  run_kernel ?cfg label (parse_kernel src) grid block inputs
 
 let ramp n = Array.init n (fun i -> float_of_int ((i * 37) mod 101) -. 50.)
 
@@ -542,7 +547,7 @@ let lane_outer label k launch =
 (** Register-only inner loops run in a trip pass and a lane-outer values
     pass; outputs, statistics and runtime errors must stay those of the
     reference. [src] must plan [want] such loops at [block]. *)
-let lane_outer_src ~want label src grid block inputs =
+let lane_outer_src ?cfg ~want label src grid block inputs =
   let bx, by = block and gx, gy = grid in
   let launch =
     { Gpcc_ast.Ast.grid_x = gx; grid_y = gy; block_x = bx; block_y = by }
@@ -551,7 +556,7 @@ let lane_outer_src ~want label src grid block inputs =
     (label ^ ": lane-outer loops")
     want
     (lane_outer label (parse_kernel src) launch);
-  run_src label src grid block inputs
+  run_src ?cfg label src grid block inputs
 
 (** Every leaf kind (global and shared lane-affine sites, uniform loads,
     an [int] uniform, a loop-invariant local, temporaries) in every
@@ -783,11 +788,21 @@ __kernel void st(float l[64][64], float b[64][64], float x[64][64], int w) {
 }|}
     (2, 1) (32, 1)
     [ ("a", a) ];
-  lane_outer_src ~want:0 "lane-varying guard in the body"
+  lane_outer_src ~want:1 "lane-varying guard in the body"
     {|__kernel void ng(float a[64][64], float o[64]) {
   float acc = 0;
   for (int i = 0; i < 8; i++) {
     if (tidx < i * 4) acc += a[i][idx];
+  }
+  o[idx] = acc;
+}|}
+    (2, 1) (32, 1)
+    [ ("a", a) ];
+  lane_outer_src ~want:0 "guard not monotone in the loop variable"
+    {|__kernel void nm(float a[64][64], float o[64]) {
+  float acc = 0;
+  for (int i = 0; i < 8; i++) {
+    if ((tidx + i) % 2 == 0) acc += a[i][idx];
   }
   o[idx] = acc;
 }|}
@@ -806,6 +821,37 @@ __kernel void st(float l[64][64], float b[64][64], float x[64][64], int w) {
 }|}
     (2, 1) (32, 1)
     [ ("a", a) ];
+  (* a thread builtin as a leaf varies by lane, so its loop keeps the
+     trip-by-trip plan; along a block dimension of 1 it is uniform *)
+  let builtin_leaf stmt =
+    Printf.sprintf
+      {|__kernel void tb(float a[64][64], float o[64][64]) {
+  float acc = 0;
+  for (int i = 0; i < 8; i++) {
+    %s
+  }
+  o[idy][idx] = acc;
+}|}
+      stmt
+  in
+  List.iter
+    (fun cfg ->
+      let name = cfg.Gpcc_sim.Config.name in
+      List.iter
+        (fun (want, block, stmt) ->
+          let bx, by = block in
+          lane_outer_src ~cfg ~want
+            (Printf.sprintf "leaf %S at (%d,%d)@%s" stmt bx by name)
+            (builtin_leaf stmt) (2, 2) block [ ("a", a) ])
+        [
+          (0, (16, 4), "acc += a[i][idx] * tidx;");
+          (0, (16, 4), "acc += idx;");
+          (0, (16, 4), "float t = tidy; acc += t * a[i][idx];");
+          (0, (16, 4), "acc += a[i][idx] * (tidy + i);");
+          (1, (1, 16), "acc += a[i][idx] * tidx;");
+          (1, (16, 1), "float t = tidy + i; acc += t * a[i][idx];");
+        ])
+    [ cfg280; cfg8800 ];
   (* the recorded configurations of perfbench's winners *)
   let at name n target degree =
     let w = Gpcc_workloads.Registry.find_exn name in
@@ -833,9 +879,269 @@ __kernel void st(float l[64][64], float b[64][64], float x[64][64], int w) {
   both (at "tmv" 128 16 1);
   both (at "mv" 128 16 1);
   both (at "rd" 131072 128 1);
-  both ~naive:0 (at "strsm" 128 32 32);
+  both (at "strsm" 128 32 32);
   pin 1 (cublas "mm" 128);
-  pin 0 (cublas "strsm" 128)
+  pin 1 (cublas "strsm" 128)
+
+(** Window guards (see the lane-outer note in {!Gpcc_sim.Vector}): a
+    guard comparing the loop variable with a lane-affine term holds on
+    one window of trips per lane. The strsm shapes, every comparison
+    and branch, windows that open mid-loop, blocks where no lane's or
+    every lane's window is open, a partial loop mask, a lane count that
+    is not a multiple of 16, out-of-bounds leaves inside and only
+    outside the windows, and edge values, on both machines. *)
+let test_vector_lane_windows cfg () =
+  let name = cfg.Gpcc_sim.Config.name in
+  let win ?(want = 1) label src grid block inputs =
+    lane_outer_src ~cfg ~want (label ^ "@" ^ name) src grid block inputs
+  in
+  let a = ramp 4096 in
+  let strsm =
+    {|#pragma gpcc dim w 64
+__kernel void sn(float l[64][64], float b[64][64], float x[64][64], int w) {
+  float sum = 0;
+  for (int i = 0; i < w; i++) {
+    if (i < idy) {
+      sum += l[idy][i] * b[i][idx];
+    }
+  }
+  x[idy][idx] = b[idy][idx] + sum;
+}|}
+  in
+  win "i < idy" strsm (4, 4) (16, 16)
+    [ ("l", a); ("b", Array.map (fun v -> v /. 3.) a) ];
+  let edges =
+    [| Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0; 1.0; -2.5;
+       3.0e38 |]
+  in
+  win "i < idy, edge values" strsm (4, 4) (16, 16)
+    [
+      ("l", Array.init 4096 (fun i -> edges.((i * 5 + (i / 64)) mod 8)));
+      ("b", Array.init 4096 (fun i -> edges.((i * 3) mod 8)));
+    ];
+  win "m + kk < idy under an outer loop with barriers"
+    {|#pragma gpcc dim w 64
+__kernel void cs(float l[64][64], float b[64][64], float x[64][64], int w) {
+  float sum = 0;
+  __shared__ float bs[16][17];
+  for (int m = 0; m < w; m += 16) {
+    bs[tidy][tidx] = b[m + tidy][idx];
+    __syncthreads();
+    for (int kk = 0; kk < 16; kk++) {
+      if (m + kk < idy) {
+        sum += l[idy][m + kk] * bs[kk][tidx];
+      }
+    }
+    __syncthreads();
+  }
+  x[idy][idx] = b[idy][idx] + sum;
+}|}
+    (4, 4) (16, 16)
+    [ ("l", a); ("b", Array.map (fun v -> v /. 7.) a) ];
+  (* every comparison, else branches, nested windows, a window under a
+     uniform guard and one over it; [tidx < 4 * i] opens mid-loop *)
+  let forms =
+    {|__kernel void wf(float a[64][64], float s0[64], float o[8][64]) {
+  float c0 = 0; float c1 = 0; float c2 = 0; float c3 = 0; float c4 = 0;
+  float c5 = 0; float c6 = 0;
+  for (int i = 0; i < 16; i++) {
+    if (tidx < 4 * i) c0 += a[i][idx];
+    if (tidx <= i + 3) { c1 += a[i][idx] * a[idy][i]; } else { c2 -= a[i + 1][idx]; }
+    if (i > tidx - 5) c3 = a[i][idx] + c3;
+    if (2 * i >= tidx + tidy) {
+      if (i < 12) c4 += a[i][idx] * s0[i];
+      if (tidy + 8 > i) c5 += 1.5;
+    }
+    if (i > 3) {
+      if (tidx >= i * 2) { c6 += s0[i + 1]; }
+    }
+  }
+  o[0][idx] = c0; o[1][idx] = c1; o[2][idx] = c2; o[3][idx] = c3;
+  o[4][idx] = c4; o[5][idx] = c5; o[6][idx] = c6;
+}|}
+  in
+  List.iter
+    (fun (bx, by) ->
+      win
+        (Printf.sprintf "every comparison (%d,%d)" bx by)
+        forms (2, 1) (bx, by)
+        [ ("a", a); ("s0", ramp 64) ])
+    [ (32, 1); (16, 2); (20, 3) ];
+  (* windows open on every lane for the whole loop, on none, and under a
+     partial loop mask *)
+  win ~want:3 "all, none and partial masks"
+    {|__kernel void wa(float a[64][64], float o[64]) {
+  float acc = 0; float acc2 = 0; float acc3 = 0;
+  for (int i = 0; i < 8; i++) {
+    if (tidx < 100 + i) acc += a[i][idx];
+  }
+  for (int i = 0; i < 8; i++) {
+    if (tidx > 40 + i) { acc2 += a[i][idx]; } else { acc2 -= 0.5; }
+  }
+  if (tidx % 3 == 1) {
+    for (int i = 0; i < 12; i++) {
+      if (tidx < i * 2) acc3 += a[i][idx + 1];
+    }
+  }
+  o[idx] = acc + acc2 + acc3;
+}|}
+    (2, 1) (32, 1)
+    [ ("a", a) ];
+  (* a leaf out of bounds inside some lanes' windows fails like the
+     reference; one out of bounds only outside them is never read *)
+  win "out of bounds inside a window"
+    {|__kernel void wo(float a[64], float o[64]) {
+  float acc = 0;
+  for (int i = 0; i < 16; i++) {
+    if (tidx < i) acc += a[tidx * 4 + 40 - i];
+  }
+  o[idx] = acc;
+}|}
+    (1, 1) (32, 1)
+    [ ("a", ramp 64) ];
+  win "out of bounds only outside the windows"
+    {|__kernel void wi(float a[64], float o[64]) {
+  float acc = 0;
+  for (int i = 0; i < 16; i++) {
+    if (tidx < i) acc += a[tidx * 3 + 16 - i];
+  }
+  o[idx] = acc;
+}|}
+    (1, 1) (32, 1)
+    [ ("a", ramp 64) ]
+
+(** The one accounting pass (see the lane-outer note in
+    {!Gpcc_sim.Vector}): sites whose base moves by a step that does not
+    divide the memo granularity, zero-trip loops, a byte cost that a
+    batched add would round (a float2 load at a width efficiency below
+    1 on the GTX 280), and multi-block grids whose stream blocks record
+    their transactions, on both machines. Bounds that fail at a middle
+    trip are the error cases of "vector == reference on lane-outer
+    loops". *)
+let test_vector_one_pass cfg () =
+  let name = cfg.Gpcc_sim.Config.name in
+  let one ?(want = 1) label src grid block inputs =
+    lane_outer_src ~cfg ~want (label ^ "@" ^ name) src grid block inputs
+  in
+  let odd_steps =
+    {|#pragma gpcc dim w 12
+__kernel void ob(float a[64][64], float a1[1024], float b[256], float o[8][64], int w) {
+  float c0 = 0; float c1 = 0; float c2 = 0;
+  for (int i = 0; i < w; i++) {
+    c0 += a1[idx + 3 * i] * b[5 * i + 1];
+    c1 -= a1[idx * 2 + 7 * i + 5];
+  }
+  for (int j = 1; j < 40; j += 3) {
+    c2 = a[j][idx] * b[j * 2 + 3] + c2;
+  }
+  o[0][idx] = c0; o[1][idx] = c1; o[2][idx] = c2;
+}|}
+  in
+  (* 60 lanes: a partial last half warp *)
+  List.iter
+    (fun (bx, by) ->
+      one ~want:2
+        (Printf.sprintf "odd base steps (%d,%d)" bx by)
+        odd_steps (4, 2) (bx, by)
+        [ ("a", ramp 4096); ("a1", ramp 1024); ("b", ramp 256) ])
+    [ (32, 2); (20, 3) ];
+  one ~want:2 "zero-trip loops"
+    {|#pragma gpcc dim w 8
+__kernel void zt(float a[64][64], float o[64], int w) {
+  float acc = 1;
+  for (int i = 0; i < 0; i++) acc += a[i][idx];
+  for (int i = w; i < 4; i++) acc -= a[i][idx] * 2.0;
+  o[idx] = acc;
+}|}
+    (2, 1) (32, 1)
+    [ ("a", ramp 4096) ];
+  (* the parser has no vector loads: [p]'s initializer becomes one *)
+  let k =
+    parse_kernel
+      {|__kernel void fw(float a[64][64], float v[256], float o[64]) {
+  float2 p = make_float2(v[idx], v[idx]);
+  float acc = p.x + p.y;
+  for (int i = 0; i < 16; i++) acc += a[i][idx] * a[idx][i];
+  o[idx] = acc;
+}|}
+  in
+  let vload =
+    Gpcc_ast.Ast.Vload
+      { v_arr = "v"; v_width = 2; v_index = Gpcc_ast.Ast.Builtin Idx }
+  in
+  let k =
+    {
+      k with
+      k_body =
+        List.map
+          (function
+            | Gpcc_ast.Ast.Decl ({ d_name = "p"; _ } as d) ->
+                Gpcc_ast.Ast.Decl { d with d_init = Some vload }
+            | s -> s)
+          k.k_body;
+    }
+  in
+  let label = "float2 load before the loop@" ^ name in
+  let launch =
+    { Gpcc_ast.Ast.grid_x = 2; grid_y = 1; block_x = 32; block_y = 1 }
+  in
+  Alcotest.(check int)
+    (label ^ ": lane-outer loops")
+    1
+    (lane_outer label k launch);
+  run_kernel ~cfg label k (2, 1) (32, 1) [ ("a", ramp 4096); ("v", ramp 256) ]
+
+(** A single-stream probe ({!L.run_block}) records no transaction
+    stream: its statistics equal those of block 0 recording one beside
+    a second stream block, and its timing is that statistics' estimate
+    without camping, on both backends across the registry. *)
+let test_run_block_records_nothing () =
+  List.iter
+    (fun (w : W.t) ->
+      let n = w.W.test_size in
+      List.iter
+        (fun (label, k, launch) ->
+          List.iter
+            (fun backend ->
+              let mem () =
+                let mem = Gpcc_sim.Devmem.of_kernel k in
+                List.iter
+                  (fun (name, d) -> Gpcc_sim.Devmem.write mem name d)
+                  (w.W.inputs n);
+                mem
+              in
+              let probe = L.run_block ~backend cfg280 k launch (mem ()) in
+              let recorded =
+                L.run ~mode:L.Full ~streams:2 ~backend ~jobs:1
+                  ~block_budget:1 cfg280 k launch (mem ())
+              in
+              let label = label ^ "/" ^ L.backend_name backend in
+              List.iter2
+                (fun (f, x) (_, y) ->
+                  if compare x y <> 0 then
+                    Alcotest.failf "%s: stats field %s: %.17g <> %.17g" label f
+                      x y)
+                (stats_fields probe.L.per_block)
+                (stats_fields recorded.L.per_block);
+              Alcotest.(check (float 0.)) (label ^ " partition_eff") 1.0
+                probe.L.partition_eff;
+              let want =
+                Gpcc_sim.Timing.estimate cfg280 ~per_block:recorded.L.per_block
+                  ~launch
+                  ~regs_per_thread:(Gpcc_analysis.Regcount.estimate k)
+                  ~shared_per_block:(Gpcc_analysis.Regcount.shared_bytes k)
+                  ~partition_eff:1.0
+                  ~mlp:recorded.L.per_block.S.loads_in_flight
+              in
+              List.iter2
+                (fun (f, x) (_, y) ->
+                  if compare x y <> 0 then
+                    Alcotest.failf "%s: timing field %s: %.17g <> %.17g" label
+                      f x y)
+                (timing_fields probe.L.timing) (timing_fields want))
+            [ L.Vector; L.Reference ])
+        (kernels_of w n))
+    Gpcc_workloads.Registry.all
 
 (** Wide-vectorized kernels (float2/float4 accesses, the AMD target's
     shape) exercise the vector backend's multi-component planes, which
@@ -989,7 +1295,15 @@ let suite =
       q "vector == reference on uniform guards" test_vector_uniform_guards;
       q "vector strsm-opt: one lane-varying guard" test_vector_strsm_guards;
       q "vector == reference on lane-outer loops" test_vector_lane_outer;
+      q "vector == reference on window guards"
+        (test_vector_lane_windows cfg280);
+      q "vector == reference on window guards (8800)"
+        (test_vector_lane_windows cfg8800);
+      q "vector == reference on one-pass loops" (test_vector_one_pass cfg280);
+      q "vector == reference on one-pass loops (8800)"
+        (test_vector_one_pass cfg8800);
       q "GPCC_CHECK wins over vector selection" test_vector_check_run;
+      s "run_block records no stream" test_run_block_records_nothing;
       s "parallel Full == serial Full" (test_parallel_matches_serial L.Full);
       s "parallel Sampled == serial Sampled"
         (test_parallel_matches_serial (L.Sampled 4));
