@@ -27,8 +27,11 @@
     [U*] channel fused into the lane loops instead of filling planes:
     literals, [#pragma gpcc dim]-bound int parameters, block-level
     builtins, loop variables with uniform bounds, the thread builtins
-    along a block dimension of 1, and [int] locals whose uniform
-    initializer is their only write. No lane loop over float planes
+    along a block dimension of 1, and [int] locals whose initializer is
+    their only write and is uniform or has thread terms that cancel. A
+    loop counter that starts at a thread index and steps by a constant
+    is a uniform register plus a pattern plane (see the lane-affine
+    counter note). No lane loop over float planes
     calls a function value: float operators are plan-time variants
     matched inside the loop, so on a compiler without flambda the float
     operands stay unboxed (see the float-operator note).
@@ -51,11 +54,11 @@
     either case. A block-uniform site keeps its half-warp cost per
     residue the same way.
 
-    An innermost uniform loop whose body only reads memory and updates
-    float registers runs {e lane-outer}: a trip pass does every trip's
-    accounting and bounds checks without touching a lane, and a values
-    pass then runs each lane through all the trips (see the lane-outer
-    note).
+    An innermost loop over a uniform or lane-affine counter whose body
+    only reads memory and updates float registers runs {e lane-outer}:
+    a trip pass does every trip's accounting and bounds checks without
+    touching a lane, and a values pass then runs each lane through its
+    trips (see the lane-outer note).
 
     Bit-identity with the reference interpreter is preserved by
     identical float operations on identical values in identical order
@@ -129,6 +132,9 @@ type vrt = {
       (** per window guard of the running lane-outer loop: its uniform
           part at the first trip, then its pattern plane's least and
           greatest value over the loop's mask *)
+  mutable lo_y0 : int;
+      (** the running lane-outer loop's limit less its lane-affine
+          counter's uniform part, at the first test *)
   mutable site_hits : int;  (** digest-cache hits, flushed per phase *)
   mutable cf_credits : int;
       (** closed-form loop replays, flushed per phase *)
@@ -791,7 +797,12 @@ type binding =
   | Bf4 of int * int * int * int
   | Bureg of int
       (** uniform int register: a uniform loop variable, or an [int]
-          local whose uniform initializer is its only write *)
+          local whose initializer is its only write and is uniform or
+          lane-affine with zero thread coefficients *)
+  | Baff of int * int * int
+      (** lane-affine loop variable [ax * tidx + ay * tidy + u]: the
+          coefficients and the uniform register holding [u] (see the
+          lane-affine counter note) *)
   | Bloop_v of int  (** varying loop variable: int plane *)
   | Bshared of int * int array * int  (** slot, strides, padded length *)
   | Bglobal of int * int array * string  (** slot, expected strides, name *)
@@ -814,6 +825,7 @@ type cstate = {
           [(1, 0)] and [(0, 1)] *)
   mutable varying_guards : int;  (** [if]s whose condition is a plane *)
   mutable lane_outer : int;  (** loops planned to run lane-outer *)
+  mutable affine_loops : int;  (** loops whose counter is lane-affine *)
   cn : int;  (** threads per block *)
   claunch : Ast.launch;
   assigned : Sset.t;
@@ -1216,8 +1228,9 @@ let bu = function BU f -> f | BP _ -> assert false
 
    An index dimension built only from the thread builtins, integer
    literals, [#pragma gpcc dim] constants, uniform registers (uniform
-   loop variables and once-assigned [int] locals) and block-uniform
-   builtins with [+], [-], unary [-] and multiplication by
+   loop variables and once-assigned [int] locals), lane-affine loop
+   counters and block-uniform builtins with [+], [-], unary [-] and
+   multiplication by
    a compile-time constant is {e lane-affine}: at plan time it lowers to
    [ax * tidx + ay * tidy + u] with compile-time coefficients and a
    block-uniform remainder [u] — the index shape the paper's Section 3.2
@@ -1247,8 +1260,12 @@ type lin = {
   regs : (int * int) list;  (** uniform loop registers, coefficients *)
   ops : int;  (** operator nodes: one warp instruction each *)
   thr : bool;
-      (** mentions a thread builtin, so the value is per lane even when
-          the coefficients cancel *)
+      (** mentions a thread builtin or a lane-affine counter. Where the
+          coefficients cancel ([idx - tidx]) the value is the same on
+          every lane, yet a site still reads its (zero) pattern plane and
+          a leaf or a guard side still counts as per lane; only a
+          once-assigned [int] local with such an initializer becomes a
+          uniform register *)
 }
 
 let lin0 =
@@ -1297,6 +1314,8 @@ let rec lin_of st env (e : Ast.expr) : lin option =
       match Smap.find_opt v env with
       | Some (Bconst k) -> Some { lin0 with k }
       | Some (Bureg r) -> Some { lin0 with regs = [ (r, 1) ] }
+      | Some (Baff (ax, ay, r)) ->
+          Some { lin0 with ax; ay; regs = [ (r, 1) ]; thr = true }
       | _ -> None)
   | Unop (Neg, a) -> Option.map (lin_axpy ~ops:1 lin0 (-1)) (lin_of st env a)
   | Binop (((Add | Sub) as op), a, b) -> (
@@ -1341,6 +1360,20 @@ let lin_run (a : lin) : vrt -> int array -> int =
 (** The coefficient of uniform register [r] in [a]. *)
 let lin_coef (a : lin) (r : int) : int =
   List.fold_left (fun s (r', c) -> if r' = r then s + c else s) 0 a.regs
+
+(** [e], compiled as [ce], as a block-uniform int: a uniform value, or a
+    lane-affine one whose thread coefficients cancel ([idx - tidx]), which
+    has the same value on every lane; with the planes [ce] holds. *)
+let uniform_int st env (e : Ast.expr) (ce : ve) :
+    ((vrt -> int array -> int) * plane list) option =
+  match ce with
+  | (UI _ | UB _), _ ->
+      let f, own = iopnd ce in
+      Some (iu f, own)
+  | _, own -> (
+      match lin_of st env e with
+      | Some a when a.ax = 0 && a.ay = 0 -> Some (lin_run a, own)
+      | _ -> None)
 
 (** The permanent int plane holding [ax * tidx + ay * tidy], shared by
     every site with these coefficients; filled when a block state is
@@ -1501,6 +1534,21 @@ let rec comp_e (st : cstate) (env : binding Smap.t) (e : Ast.expr) : ve =
       | None -> unsupported "unbound variable %s" v
       | Some (Bconst k) -> (UI (fun _ _ -> k), [])
       | Some (Bureg r) -> (UI (fun rt _ -> rt.uregs.(r)), [])
+      | Some (Baff (ax, ay, r)) ->
+          (* the counter's value on each active lane, in a scratch plane *)
+          let po = pattern_plane st ~ax ~ay * st.cn in
+          let d = alloc_i st in
+          let doff = d * st.cn in
+          let fill rt m =
+            let u = rt.uregs.(r) and ip = rt.ip in
+            if Array.length m = rt.n then
+              for l = 0 to rt.n - 1 do
+                iset ip (doff + l) (iget ip (po + l) + u)
+              done
+            else
+              Array.iter (fun l -> iset ip (doff + l) (iget ip (po + l) + u)) m
+          in
+          (XI (d, fill), [ PI d ])
       | Some (Bloop_v p) -> (XI (p, nofill), [])
       | Some (Bint p) -> (XI (p, nofill), [])
       | Some (Bfloat p) -> (XF (p, nofill), [])
@@ -2556,14 +2604,15 @@ let fresh_planes st (b : binding) : vrt -> unit =
 
 (* --- lane-outer register-only loops ---
 
-   An innermost uniform loop whose body only reads memory and updates
-   float registers runs in two passes instead of trip by trip. The trip
-   pass runs the loop control and, for each trip in source order, every
+   An innermost loop over a uniform or lane-affine counter whose body
+   only reads memory and updates float registers runs in two passes
+   instead of trip by trip. The trip pass runs the loop control and,
+   for each trip in source order over the lanes that run it, every
    statistic, transaction record, bounds check and uniform closure of
    the body without touching a lane; it saves the trip's site offsets,
    uniform values and statement outcomes in a row of the block state's
    trip buffer. The values pass then replays the rows for each active
-   lane in one tight loop per statement.
+   lane, over its own trips, in one tight loop per statement.
 
    Bit-identity: memory is read-only inside such a loop (no store, no
    barrier), so a lane's leaf at trip [t] reads the value the gather
@@ -2711,6 +2760,38 @@ type lone = {
   lo_dvs : int array;
 }
 
+(* --- lane-affine loop counters ---
+
+   A loop counter that no assignment writes, whose init is
+   lane-affine, [P(l) + u0] with [P] a pattern plane, whose step is a
+   positive constant and whose limit is block-uniform is planned as the
+   uniform register [u] plus [P]: lane [l] holds [P(l) + u] on every
+   trip it runs. The grid-stride loop [for (i = idx; i < len; i += nt)]
+   and the coalescing pass's staging loops
+   [for (t = tidx; t < 48; t += 32)] have this shape. An index that
+   reads the counter is then a stable lane-affine site, and a trip keeps
+   its incoming mask while every lane is still below the limit.
+
+   Each test compares [P(l) + u] with the limit on the lanes still
+   running, as the reference does (the limit's instructions over those
+   lanes, then the test's); the least and greatest [P] over the loop's
+   mask decide a trip without a lane scan unless the limit falls inside
+   that range, and only a trip that some lane has left builds a mask.
+   As the step is positive, lane [l] runs trips [0, n_l), where [n_l]
+   counts the [k] with [P(l) + u0 + k * step < limit]: a lane-outer
+   loop's values pass runs each lane over its own [n_l] trips,
+   intersected with its window guards, so a lane past its last trip is
+   never read. A uniform counter is the case [P = 0] (an init whose
+   thread coefficients cancel is one too), so one loop control serves
+   both ({!uniform_loop}, {!lo_trips}). *)
+
+type lctr = {
+  lc_po : int;  (** [P]'s pattern plane offset *)
+  lc_min : int;  (** least [P] over the full block *)
+  lc_max : int;
+  lc_step : int;
+}
+
 type lplan = {
   lp_ki : int;  (** int columns per trip *)
   lp_kf : int;  (** float columns per trip *)
@@ -2723,6 +2804,7 @@ type lplan = {
   lp_indep : bool;  (** no two statements share an accumulator or read one *)
   lp_wins : lwin array;
   lp_one : lone option;
+  lp_ctr : lctr option;  (** a lane-affine counter *)
 }
 
 let lo_arr (rt : vrt) (src : lsrc) : Devmem.fmem =
@@ -2766,6 +2848,46 @@ let mask_range (rt : vrt) (po : int) (m : int array) : int * int =
       if v > !hi then hi := v)
     m;
   (!lo, !hi)
+
+(** The number of trips [k >= 0] with [k * step < y], for a positive
+    [step]. *)
+let[@inline] ctr_trips (step : int) (y : int) : int =
+  if y <= 0 then 0 else ((y - 1) / step) + 1
+
+(** The lanes of [active] that run the next trip: those whose counter
+    [P(l) + u] is below the limit, that is [P(l) < y] with [y] the limit
+    less [u]; [lo] and [hi] bound [P] over the loop's mask, and [active]
+    itself comes back when every lane runs. A uniform counter is [P = 0]
+    ([lo = hi = 0]), so all its lanes run or none. *)
+let ctr_still (ctr : lctr option) (rt : vrt) ~(lo : int) ~(hi : int)
+    ~(y : int) (active : int array) : int array =
+  if hi < y then active
+  else if lo >= y then [||]
+  else begin
+    let ip = rt.ip and po = (Option.get ctr).lc_po in
+    let k = ref 0 in
+    Array.iter (fun l -> if iget ip (po + l) < y then incr k) active;
+    if !k = Array.length active then active
+    else begin
+      let still = Array.make !k 0 and i = ref 0 in
+      Array.iter
+        (fun l ->
+          if iget ip (po + l) < y then begin
+            still.(!i) <- l;
+            incr i
+          end)
+        active;
+      still
+    end
+  end
+
+(** [P]'s least and greatest value over the loop's mask [m], [(0, 0)]
+    for a uniform counter. *)
+let ctr_range (ctr : lctr option) (rt : vrt) (m : int array) : int * int =
+  match ctr with
+  | None -> (0, 0)
+  | Some c when Array.length m = rt.n -> (c.lc_min, c.lc_max)
+  | Some c -> mask_range rt c.lc_po m
 
 (** Each site's least and greatest pattern value over the mask, and each
     window guard's uniform part at the first trip and pattern range:
@@ -2906,18 +3028,25 @@ let rec lo_nodes (rt : vrt) (m : int array) (irow : int) (frow : int)
           end)
   done
 
-(** The trip pass: the uniform loop control of {!comp_stmt}, each trip's
-    row filled by its nodes. Returns the trip count. *)
+(** The trip pass: the loop control of {!uniform_loop}, each trip's row
+    filled by its nodes over the lanes that run it. Returns the trip
+    count (the greatest [n_l] of a lane-affine counter). *)
 let lo_trips (p : lplan) (rt : vrt) (m : int array) ~(r : int)
     ~(flim : vrt -> int array -> int) ~(fstep : vrt -> int array -> int) : int
     =
   let ki = p.lp_ki and kf = p.lp_kf in
   let flags = p.lp_flags in
+  let ctr = p.lp_ctr in
+  let lo, hi = ctr_range ctr rt m in
   let nt = ref 0 in
+  let active = ref m in
   let go = ref true in
   while !go do
-    let lim = flim rt m in
-    go := rt.uregs.(r) < lim;
+    let lim = flim rt !active in
+    let y = lim - rt.uregs.(r) in
+    if !nt = 0 then rt.lo_y0 <- y;
+    let still = ctr_still ctr rt ~lo ~hi ~y !active in
+    go := Array.length still > 0;
     inst rt;
     if !go then begin
       let t = !nt in
@@ -2930,10 +3059,11 @@ let lo_trips (p : lplan) (rt : vrt) (m : int array) ~(r : int)
       for q = 0 to Array.length flags - 1 do
         iset ib (irow + flags.(q)) 0
       done;
-      lo_nodes rt m irow frow p.lp_nodes;
+      lo_nodes rt still irow frow p.lp_nodes;
       nt := t + 1;
-      rt.uregs.(r) <- rt.uregs.(r) + fstep rt m;
-      inst rt
+      rt.uregs.(r) <- rt.uregs.(r) + fstep rt still;
+      inst rt;
+      active := still
     end
   done;
   !nt
@@ -2966,8 +3096,9 @@ let lo_one_global (rt : vrt) (m : int array) (acc : int array) (s : lsite)
 
 (** The one accounting pass (see the note): the trip count, the buffer
     and the loop's statistics. Returns the trip count, or [-1] before
-    touching anything when the loop must run its trip pass: a partial
-    mask, a byte cost that a batched add would round, or a site out of
+    touching any statistic when the loop must run its trip pass: a
+    partial mask, lanes of a lane-affine counter that run different trip
+    counts, a byte cost that a batched add would round, or a site out of
     bounds at its first or last trip. *)
 let lo_one (o : lone) (p : lplan) (rt : vrt) (m : int array) : int =
   let c = rt.c in
@@ -2975,8 +3106,10 @@ let lo_one (o : lone) (p : lplan) (rt : vrt) (m : int array) : int =
   let n = rt.n in
   let step = o.lo_step in
   let i0 = rt.uregs.(o.lo_reg) in
-  let lim = o.lo_lim rt in
-  let nt = if lim > i0 then (lim - i0 + step - 1) / step else 0 in
+  let y = o.lo_lim rt - i0 in
+  rt.lo_y0 <- y;
+  let lo, hi = ctr_range p.lp_ctr rt m in
+  let nt = ctr_trips step (y - lo) in
   let sites = o.lo_sites in
   let ns = Array.length sites in
   let u0 = Array.init ns (fun k -> o.lo_us.(k) rt) in
@@ -2997,6 +3130,7 @@ let lo_one (o : lone) (p : lplan) (rt : vrt) (m : int array) : int =
   let rec all_in k = k >= ns || (in_bounds k && all_in (k + 1)) in
   if
     Array.length m <> n
+    || ctr_trips step (y - hi) <> nt
     || (not (Float.is_integer s.Stats.cost_bytes))
     || Config.width_eff c.Interp.cfg ~elt_bytes:4 <> 1.0
     || (nt > 0 && not (all_in 0))
@@ -3227,21 +3361,32 @@ let lo_leaf (op : lop) (fp : Devmem.fmem) (a : int) (ib : int array)
       done);
   fset fp a !acc
 
-(** Replay [nt] trips for every active lane, each over its own window.
-    Independent statements run one at a time, each lane in one tight
-    loop; dependent ones run trip by trip so that a statement sees the
-    accumulators as trip-by-trip execution left them. *)
+(** Replay the trips for every active lane, each over its own window:
+    [nt] trips, or a lane-affine counter's [n_l]. Independent statements
+    run one at a time, each lane in one tight loop; dependent ones run
+    trip by trip so that a statement sees the accumulators as
+    trip-by-trip execution left them. *)
 let lo_values (p : lplan) (rt : vrt) (m : int array) (nt : int) : unit =
   let ib = rt.lo_ibuf and ki = p.lp_ki and fp = rt.fp and ip = rt.ip in
   let full = Array.length m = rt.n in
   let stmts = p.lp_stmts in
+  let trips =
+    match p.lp_ctr with
+    | None -> fun _ -> nt
+    | Some c ->
+        let y0 = rt.lo_y0 and po = c.lc_po and step = c.lc_step in
+        fun l -> ctr_trips step (y0 - iget ip (po + l))
+  in
   if p.lp_indep then
     Array.iter
       (fun s ->
         let x = s.ls_x in
         let xa = lo_arr rt x.lf_src in
         let windowed = Array.length s.ls_wins > 0 in
-        let range l = if windowed then lo_window rt s l nt else (0, nt) in
+        let ragged = windowed || p.lp_ctr <> None in
+        let range l =
+          if windowed then lo_window rt s l (trips l) else (0, trips l)
+        in
         match s.ls_y with
         | None ->
             let lane l =
@@ -3267,7 +3412,7 @@ let lo_values (p : lplan) (rt : vrt) (m : int array) (nt : int) : unit =
                 let l = 4 * q in
                 let t0, t1 = range l in
                 if
-                  windowed
+                  ragged
                   && (range (l + 1) <> (t0, t1)
                      || range (l + 2) <> (t0, t1)
                      || range (l + 3) <> (t0, t1))
@@ -3297,14 +3442,17 @@ let lo_values (p : lplan) (rt : vrt) (m : int array) (nt : int) : unit =
     let wlo = Array.make ns 0 and whi = Array.make ns nt in
     Array.iter
       (fun l ->
+        let nl = trips l in
         for q = 0 to ns - 1 do
-          if Array.length stmts.(q).ls_wins > 0 then begin
-            let a, b = lo_window rt stmts.(q) l nt in
-            wlo.(q) <- a;
-            whi.(q) <- b
-          end
+          let a, b =
+            if Array.length stmts.(q).ls_wins > 0 then
+              lo_window rt stmts.(q) l nl
+            else (0, nl)
+          in
+          wlo.(q) <- a;
+          whi.(q) <- b
         done;
-        for t = 0 to nt - 1 do
+        for t = 0 to nl - 1 do
           let row = t * ki in
           for q = 0 to ns - 1 do
             let s = stmts.(q) in
@@ -3353,6 +3501,30 @@ let lo_run (p : lplan) ~(r : int) ~(finit : vrt -> int array -> int)
     | None -> lo_trips p rt m ~r ~flim ~fstep
   in
   lo_values p rt m nt
+
+(** A loop run trip by trip over register [r], each trip over the lanes
+    still below the limit: all of them while [u < lim] for a uniform
+    counter, those of a lane-affine one ([ctr]) that have not left (see
+    the lane-affine counter note). *)
+let uniform_loop ~(r : int) ~(ctr : lctr option)
+    ~(finit : vrt -> int array -> int) ~(flim : vrt -> int array -> int)
+    ~(fstep : vrt -> int array -> int) (body : vstmt) : vstmt =
+ fun rt m ->
+  inst rt;
+  rt.uregs.(r) <- finit rt m;
+  let lo, hi = ctr_range ctr rt m in
+  let rec loop active =
+    let lim = flim rt active in
+    let still = ctr_still ctr rt ~lo ~hi ~y:(lim - rt.uregs.(r)) active in
+    inst rt;
+    if Array.length still > 0 then begin
+      body rt still;
+      rt.uregs.(r) <- rt.uregs.(r) + fstep rt still;
+      inst rt;
+      loop still
+    end
+  in
+  loop m
 
 (* --- lane-outer planning --- *)
 
@@ -3768,11 +3940,12 @@ let rec has_loop (b : Ast.block) : bool =
       | _ -> false)
     b
 
-(** Plan [body] of a uniform loop over register [r] to run lane-outer,
-    or [None] (with the plan state untouched) when it does not qualify.
-    [step] and [limit] are the loop's step and limit when linear. *)
-let lo_plan st env ~(r : int) ~(step : lin option) ~(limit : lin option)
-    (body : Ast.block) : lplan option =
+(** Plan [body] of a uniform loop over register [r] (with the pattern
+    plane of a lane-affine counter, [ctr]) to run lane-outer, or [None]
+    (with the plan state untouched) when it does not qualify. [step] and
+    [limit] are the loop's step and limit when linear. *)
+let lo_plan st env ~(r : int) ~(ctr : lctr option) ~(step : lin option)
+    ~(limit : lin option) (body : Ast.block) : lplan option =
   if has_loop body then None
   else begin
     let saved = { st with nf = st.nf } in
@@ -3788,7 +3961,8 @@ let lo_plan st env ~(r : int) ~(step : lin option) ~(limit : lin option)
       st.id_planes <- saved.id_planes;
       st.patterns <- saved.patterns;
       st.varying_guards <- saved.varying_guards;
-      st.lane_outer <- saved.lane_outer
+      st.lane_outer <- saved.lane_outer;
+      st.affine_loops <- saved.affine_loops
     in
     let step_k =
       match step with
@@ -3832,6 +4006,7 @@ let lo_plan st env ~(r : int) ~(step : lin option) ~(limit : lin option)
             lp_indep = not (ps.p_reads_acc || shared_acc);
             lp_wins = Array.of_list (List.rev ps.p_wins);
             lp_one = lo_one_plan ~r ~step:step_k ~step_ops ~limit nodes;
+            lp_ctr = ctr;
           }
     | _ ->
         restore ();
@@ -3867,22 +4042,25 @@ let rec comp_stmt st env (s : Ast.stmt) : binding Smap.t * vstmt option =
       in
       let zero = fresh_planes st b in
       let ce = Option.map (comp_e st env) d_init in
-      (match (b, ce) with
-      | Bint p, Some (((UI _ | UB _), _) as ce)
-        when not (Sset.mem d_name st.assigned) ->
+      let uniform =
+        match (ce, d_init) with
+        | Some ce, Some e -> uniform_int st env e ce
+        | _ -> None
+      in
+      (match (b, ce, uniform) with
+      | Bint p, _, Some (f, own) when not (Sset.mem d_name st.assigned) ->
           (* every lane that can read it holds the initializer's value:
              a uniform register, like a uniform loop variable *)
           release st [ PI p ];
-          let f, own = iopnd ce in
           release st own;
-          let f = iu f and r = fresh_ureg st in
+          let r = fresh_ureg st in
           ( Smap.add d_name (Bureg r) env,
             Some
               (fun rt m ->
                 inst rt;
                 rt.uregs.(r) <- f rt m) )
-      | _, None -> (Smap.add d_name b env, Some (fun rt _ -> zero rt))
-      | _, Some ce ->
+      | _, None, _ -> (Smap.add d_name b env, Some (fun rt _ -> zero rt))
+      | _, Some ce, _ ->
           let store = store_plane st b ce in
           ( Smap.add d_name b env,
             Some
@@ -3961,53 +4139,63 @@ let rec comp_stmt st env (s : Ast.stmt) : binding Smap.t * vstmt option =
       | UF _ | XF _ | XF2 _ | XF4 _ -> unsupported "expected a boolean value")
   | For { l_var; l_init; l_limit; l_step; l_body } -> (
       let init_ce = comp_e st env l_init in
-      let init_uniform =
-        match fst init_ce with UI _ | UB _ -> true | _ -> false
-      in
-      let uniform_candidate =
-        init_uniform && not (Sset.mem l_var st.assigned)
+      (* a counter that no assignment writes is a uniform register [u],
+         plus the pattern plane [P] when its init is lane-affine and its
+         step a positive constant (see the lane-affine counter note) *)
+      let counter =
+        if Sset.mem l_var st.assigned then None
+        else
+          match uniform_int st env l_init init_ce with
+          | Some (f, _) -> Some (f, None)
+          | None -> (
+              match (lin_of st env l_init, lin_of st env l_step) with
+              | Some a, Some s when lin_const s && s.k > 0 ->
+                  Some (lin_run a, Some (a.ax, a.ay, s.k))
+              | _ -> None)
       in
       let uniform_compiled =
-        if not uniform_candidate then None
-        else begin
-          let r = fresh_ureg st in
-          let env_u = Smap.add l_var (Bureg r) env in
-          match (comp_e st env_u l_limit, comp_e st env_u l_step) with
-          | (((UI _ | UB _), _) as lim_ce), (((UI _ | UB _), _) as step_ce) ->
-              let finit, owni = iopnd init_ce in
-              let flim, ownl = iopnd lim_ce in
-              let fstep, owns = iopnd step_ce in
-              release st owni;
-              release st ownl;
-              release st owns;
-              let finit = iu finit and flim = iu flim and fstep = iu fstep in
-              (match
-                 lo_plan st env_u ~r
-                   ~step:(lin_of st env_u l_step)
-                   ~limit:(lin_of st env_u l_limit)
-                   l_body
-               with
-              | Some p -> Some (lo_run p ~r ~finit ~flim ~fstep)
-              | None ->
-                  let body = comp_block st env_u l_body in
-                  Some
-                    (fun rt m ->
-                      inst rt;
-                      rt.uregs.(r) <- finit rt m;
-                      let rec loop () =
-                        let lim = flim rt m in
-                        let go = rt.uregs.(r) < lim in
-                        inst rt;
-                        if go then begin
-                          body rt m;
-                          rt.uregs.(r) <- rt.uregs.(r) + fstep rt m;
-                          inst rt;
-                          loop ()
-                        end
-                      in
-                      loop ()))
-          | _ -> None
-        end
+        match counter with
+        | None -> None
+        | Some (finit, pat) -> (
+            let r = fresh_ureg st in
+            let bind =
+              match pat with
+              | None -> Bureg r
+              | Some (ax, ay, _) -> Baff (ax, ay, r)
+            in
+            let env_u = Smap.add l_var bind env in
+            match (comp_e st env_u l_limit, comp_e st env_u l_step) with
+            | (((UI _ | UB _), _) as lim_ce), (((UI _ | UB _), _) as step_ce) ->
+                let flim, ownl = iopnd lim_ce in
+                let fstep, owns = iopnd step_ce in
+                release st (snd init_ce);
+                release st ownl;
+                release st owns;
+                let flim = iu flim and fstep = iu fstep in
+                let ctr =
+                  Option.map
+                    (fun (ax, ay, step) ->
+                      st.affine_loops <- st.affine_loops + 1;
+                      let lo, hi = pattern_range st ~ax ~ay in
+                      {
+                        lc_po = pattern_plane st ~ax ~ay * st.cn;
+                        lc_min = lo;
+                        lc_max = hi;
+                        lc_step = step;
+                      })
+                    pat
+                in
+                (match
+                   lo_plan st env_u ~r ~ctr
+                     ~step:(lin_of st env_u l_step)
+                     ~limit:(lin_of st env_u l_limit)
+                     l_body
+                 with
+                | Some p -> Some (lo_run p ~r ~finit ~flim ~fstep)
+                | None ->
+                    let body = comp_block st env_u l_body in
+                    Some (uniform_loop ~r ~ctr ~finit ~flim ~fstep body))
+            | _ -> None)
       in
       match uniform_compiled with
       | Some stm -> (env, Some stm)
@@ -4306,15 +4494,18 @@ and comp_acc st env (v : string) (pv : int) (e : Ast.expr) : vstmt =
                       (fun l ->
                         fset fp (doff + l) (fapply fop (fget fp (doff + l)) av))
                       m
-                else if k = n then
-                  for l = 0 to n - 1 do
-                    fset fp (doff + l) (fapply fop av (fget fp (doff + l)))
-                  done
                 else
-                  Array.iter
-                    (fun l ->
-                      fset fp (doff + l) (fapply fop av (fget fp (doff + l))))
-                    m))
+                  (* [av + v], the only right-hand shape, written out so
+                     that both operands are plain loads, as in the
+                     reference, and [av] is the add's destination, whose
+                     nan payload x86 keeps. Through [fapply], or in a
+                     closure over [fp], the accumulator's load is bound
+                     first and the boxed [av] becomes the memory operand
+                     instead. *)
+                  for i = 0 to k - 1 do
+                    let l = if k = n then i else iget m i in
+                    fset fp (doff + l) (av +. fget fp (doff + l))
+                  done))
 
 and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
   match lv with
@@ -4337,7 +4528,8 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
           fun rt m ->
             inst rt;
             store rt m
-      | Some (Bureg _) -> unsupported "assignment to uniform register %s" v
+      | Some (Bureg _ | Baff _) ->
+          unsupported "assignment to uniform register %s" v
       | Some _ | None -> unsupported "assignment to non-scalar %s" v)
   | Lfield (Lvar v, fcomp) -> (
       match (comp_e st env e, Smap.find_opt v env, fcomp) with
@@ -4571,6 +4763,9 @@ type code = {
   co_lane_outer : int;
       (** register-only inner loops that run in a trip pass and a
           values pass (see the lane-outer note) *)
+  co_affine_loops : int;
+      (** loops whose counter is lane-affine (see the lane-affine
+          counter note) *)
   co_pool : vrt list ref;
       (** retired block states, reused across runs to skip plane
           allocation (see {!retire}); guarded by [co_pool_mu] *)
@@ -4595,6 +4790,7 @@ let compile_uncached (k : Ast.kernel) (launch : Ast.launch) : code =
       claunch = launch;
       varying_guards = 0;
       lane_outer = 0;
+      affine_loops = 0;
       assigned = assigned_names k.k_body;
     }
   in
@@ -4656,6 +4852,7 @@ let compile_uncached (k : Ast.kernel) (launch : Ast.launch) : code =
     co_launch = launch;
     co_varying_guards = st.varying_guards;
     co_lane_outer = st.lane_outer;
+    co_affine_loops = st.affine_loops;
     co_pool = ref [];
     co_pool_mu = Mutex.create ();
   }
@@ -4792,6 +4989,7 @@ let fresh_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
       lo_fbuf = Devmem.falloc 1;
       lo_bnd = [||];
       lo_win = [||];
+      lo_y0 = 0;
       site_hits = 0;
       cf_credits = 0;
     }

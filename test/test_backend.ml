@@ -268,19 +268,21 @@ __kernel void r(float a[64][64], float c[32][32], int w) {
     Alcotest.failf "shared inner loop: %d closed-form credits, want >= 31"
       credits
 
-(** Run [k] Full on machine [cfg] on the reference and vector backends
-    and require the same bits: outputs (where [compare] equates nans and
-    signed zeros, so the raw bits are compared too), every statistic and
-    the timing; a reference runtime error must be the vector backend's
-    error too. *)
-let run_kernel ?(cfg = cfg280) label k (grid_x, grid_y) (block_x, block_y)
-    inputs =
+(** Run [k] on machine [cfg] (Full unless [mode] says otherwise) on the
+    reference and vector backends and require the same bits: outputs
+    (where [compare] equates nans and signed zeros, so the raw bits are
+    compared too), every statistic and the timing; a reference runtime
+    error must be the vector backend's error too. *)
+let run_kernel ?(cfg = cfg280) ?(mode = L.Full) ?streams ?block_budget label k
+    (grid_x, grid_y) (block_x, block_y) inputs =
   let bits a = Array.map Int64.bits_of_float a in
   let launch = { Gpcc_ast.Ast.grid_x; grid_y; block_x; block_y } in
   let exec ~backend =
     let mem = Gpcc_sim.Devmem.of_kernel k in
     List.iter (fun (n, d) -> Gpcc_sim.Devmem.write mem n d) inputs;
-    match L.run ~mode:L.Full ~backend ~jobs:1 cfg k launch mem with
+    match
+      L.run ~mode ?streams ?block_budget ~backend ~jobs:1 cfg k launch mem
+    with
     | r ->
         let read a = (a, Gpcc_sim.Devmem.read mem a) in
         let arrays = List.map read (global_arrays k) in
@@ -306,8 +308,9 @@ let run_kernel ?(cfg = cfg280) label k (grid_x, grid_y) (block_x, block_y)
   | Ok _, Error m -> Alcotest.failf "%s: only vector failed: %s" label m
 
 (** {!run_kernel} on a kernel's source text. *)
-let run_src ?cfg label src grid block inputs =
-  run_kernel ?cfg label (parse_kernel src) grid block inputs
+let run_src ?cfg ?mode ?streams ?block_budget label src grid block inputs =
+  run_kernel ?cfg ?mode ?streams ?block_budget label (parse_kernel src) grid
+    block inputs
 
 let ramp n = Array.init n (fun i -> float_of_int ((i * 37) mod 101) -. 50.)
 
@@ -543,6 +546,10 @@ let test_vector_strsm_guards () =
 (** The plan's count of loops that run lane-outer. *)
 let lane_outer label k launch =
   (plan label k launch).Gpcc_sim.Vector.co_lane_outer
+
+(** The plan's count of loops whose counter is lane-affine. *)
+let affine_loops label k launch =
+  (plan label k launch).Gpcc_sim.Vector.co_affine_loops
 
 (** Register-only inner loops run in a trip pass and a lane-outer values
     pass; outputs, statistics and runtime errors must stay those of the
@@ -878,10 +885,25 @@ __kernel void st(float l[64][64], float b[64][64], float x[64][64], int w) {
   both (at "mm" 128 32 16);
   both (at "tmv" 128 16 1);
   both (at "mv" 128 16 1);
-  both (at "rd" 131072 128 1);
+  (* rd's grid-stride loop runs lane-outer over a lane-affine counter *)
+  both ~naive:2 ~opt:2 (at "rd" 131072 128 1);
   both (at "strsm" 128 32 32);
   pin 1 (cublas "mm" 128);
-  pin 1 (cublas "strsm" 128)
+  pin 1 (cublas "strsm" 128);
+  pin 3 (cublas "rd" 131072);
+  (* the loops whose counter is lane-affine: the grid-stride loops of
+     the rd family and the staging loops of the coalescing pass *)
+  let affine want (label, k, launch) =
+    Alcotest.(check int) (label ^ ": lane-affine loops") want
+      (affine_loops label k launch)
+  in
+  let rd_naive, rd_opt = at "rd" 131072 128 1 in
+  let rdc_naive, rdc_opt = at "rd-complex" 131072 64 1 in
+  List.iter (affine 1)
+    [ rd_naive; rd_opt; rdc_naive; rdc_opt; cublas "rd" 131072 ];
+  affine 1 (snd (at "conv" 128 32 16));
+  affine 3 (snd (at "demosaic" 128 32 1));
+  affine 3 (snd (at "imregionmax" 128 128 1))
 
 (** Window guards (see the lane-outer note in {!Gpcc_sim.Vector}): a
     guard comparing the loop variable with a lane-affine term holds on
@@ -1090,6 +1112,290 @@ __kernel void zt(float a[64][64], float o[64], int w) {
     1
     (lane_outer label k launch);
   run_kernel ~cfg label k (2, 1) (32, 1) [ ("a", ramp 4096); ("v", ramp 256) ]
+
+(** Lane-affine loop counters (see the lane-affine counter note in
+    {!Gpcc_sim.Vector}): grid-stride loops whose lanes run different
+    trip counts or none, staging loops with a partial last trip (whole
+    half warps and not), the counter read as a value, in a guard and
+    inside a nested uniform loop, a lane-affine loop nested in another,
+    a limit that loads, negative and 2-D coefficients, partial
+    incoming masks and 60-lane blocks, out-of-bounds reads in some
+    lanes' last trip, and the near-misses that keep the plane counter,
+    each in Full, Sampled and block-budget runs on machine [cfg]. Then
+    the zero-coefficient [int] local rule and its near-misses. *)
+let test_vector_affine_counters cfg () =
+  let name = cfg.Gpcc_sim.Config.name in
+  let a = ramp 4096 in
+  let aff ~affine ~outer label src grid block inputs =
+    let label = label ^ "@" ^ name in
+    let bx, by = block and gx, gy = grid in
+    let k = parse_kernel src in
+    let launch =
+      { Gpcc_ast.Ast.grid_x = gx; grid_y = gy; block_x = bx; block_y = by }
+    in
+    Alcotest.(check int) (label ^ ": lane-affine loops") affine
+      (affine_loops label k launch);
+    Alcotest.(check int) (label ^ ": lane-outer loops") outer
+      (lane_outer label k launch);
+    run_kernel ~cfg label k grid block inputs;
+    run_kernel ~cfg ~mode:(L.Sampled 4) (label ^ "/sampled") k grid block
+      inputs;
+    run_kernel ~cfg ~streams:2 ~block_budget:1 (label ^ "/budget") k grid
+      block inputs
+  in
+  (* rd's grid-stride partial sums over a multi-phase grid: [len] not a
+     multiple of [nt], [len < nt] (some lanes, then a whole block, run
+     no trip), an even split (the one accounting pass) and 60-lane
+     blocks *)
+  let grid_stride len nt =
+    Printf.sprintf
+      {|#pragma gpcc dim len %d
+#pragma gpcc dim nt %d
+__kernel void gs(float a[4096], float partial[%d], float out[16], int len, int nt) {
+  float sum = 0;
+  for (int i = idx; i < len; i += nt) {
+    sum += a[i];
+  }
+  partial[idx] = sum;
+  __global_sync();
+  if (idx == 0) {
+    float total = 0;
+    for (int j = 0; j < nt; j++) {
+      total += partial[j];
+    }
+    out[0] = total;
+  }
+}|}
+      len nt nt
+  in
+  List.iter
+    (fun (len, (gx, bx)) ->
+      aff ~affine:1 ~outer:2
+        (Printf.sprintf "grid stride len %d over %d x %d" len gx bx)
+        (grid_stride len (gx * bx))
+        (gx, 1) (bx, 1) [ ("a", a) ])
+    [
+      (200, (2, 32));
+      (40, (2, 32));
+      (24, (2, 32));
+      (256, (2, 32));
+      (130, (2, 60));
+    ];
+  (* staging loops: 48 over 32 lanes and 144 over 128 leave a whole half
+     warp for the last trip, 40 over 32 a partial one; one loop indexes
+     through [idx - tidx + t], the other through a local [inv_0] *)
+  let staging len bx =
+    Printf.sprintf
+      {|__kernel void stg(float img[4][320], float o[4][320]) {
+  __shared__ float ap[%d];
+  __shared__ float aq[%d];
+  int inv_0 = idx - tidx;
+  for (int t = tidx; t < %d; t += %d) {
+    ap[t] = img[idy][idx - tidx + t];
+  }
+  for (int t = tidx; t < %d; t += %d) {
+    aq[t] = img[idy][inv_0 + t] * 2.0;
+  }
+  __syncthreads();
+  o[idy][idx] = ap[tidx] + aq[tidx + %d];
+}|}
+      len len len bx len bx (len - bx)
+  in
+  List.iter
+    (fun (len, bx) ->
+      aff ~affine:2 ~outer:0
+        (Printf.sprintf "staging %d over %d" len bx)
+        (staging len bx) (2, 4) (bx, 1)
+        [ ("img", ramp 1280) ])
+    [ (48, 32); (144, 128); (40, 32); (64, 32) ];
+  (* the counter as a value, in a guard (a window of the lane-outer
+     loop) and inside a nested uniform loop, which runs lane-outer over
+     each trip's lanes *)
+  aff ~affine:2 ~outer:2 "counter as a value, in a guard, nested"
+    {|__kernel void cv(float a[256], float o[4][64], float o2[128]) {
+  float s = 0; float g = 0; float w = 0; float h = 0;
+  for (int t = tidx; t < 100; t += 32) {
+    s += t;
+    o2[t] = t;
+    if (t < 50) { g += a[t]; } else { g -= a[t + 1]; }
+    for (int j = 0; j < 3; j++) w += a[t + j];
+  }
+  for (int t = tidx; t < 100; t += 32) {
+    if (t < 70) h += a[t] * a[t + 2];
+  }
+  o[0][idx] = s; o[1][idx] = g; o[2][idx] = w; o[3][idx] = h;
+}|}
+    (2, 1) (32, 1) [ ("a", ramp 256) ];
+  (* a lane-affine loop inside another, starting at its counter, and one
+     whose limit loads (evaluated over each trip's lanes) while its body
+     stores and synchronizes *)
+  aff ~affine:3 ~outer:1 "nested, and a limit that loads"
+    {|__kernel void nl(float a[256], float o[2][64]) {
+  float acc = 0;
+  __shared__ float sh[128];
+  for (int t = tidx; t < 70; t += 32) {
+    for (int j = t; j < 90; j += 16) acc += a[j + 1];
+  }
+  for (int t = tidx; t < (a[0] > 0.0 ? 100 : 40); t += 32) {
+    sh[t] = a[t] + acc;
+    __syncthreads();
+  }
+  o[0][idx] = acc + sh[tidx];
+}|}
+    (2, 1) (32, 1) [ ("a", ramp 256) ];
+  (* a negative coefficient and a 2-D pattern *)
+  aff ~affine:2 ~outer:2 "31 - tidx and tidy * 16 + tidx"
+    {|__kernel void cf(float a[256], float o[8][64]) {
+  float acc = 0; float acc2 = 0;
+  for (int t = 31 - tidx; t < 80; t += 32) acc += a[t];
+  for (int t = tidy * 16 + tidx; t < 200; t += 64) acc2 += a[t + 1];
+  o[tidy][tidx] = acc; o[tidy + 4][tidx] = acc2;
+}|}
+    (1, 1) (16, 4) [ ("a", ramp 256) ];
+  (* under a partial incoming mask, in 32- and 60-lane blocks *)
+  List.iter
+    (fun bx ->
+      aff ~affine:2 ~outer:1
+        (Printf.sprintf "under tidx < 20 (%d lanes)" bx)
+        {|__kernel void pm(float a[256], float o[2][64]) {
+  float acc = 0; float acc2 = 0;
+  if (tidx < 20) {
+    for (int t = tidx; t < 50; t += 16) acc += a[t];
+    for (int t = tidx; t < 50; t += 16) { acc2 += a[t]; o[1][t] = acc2; }
+  }
+  o[0][idx] = acc + acc2;
+}|}
+        (1, 1) (bx, 1) [ ("a", ramp 256) ])
+    [ 32; 60 ];
+  (* a read out of bounds only in some lanes' last trip raises at the
+     reference's trip and lane; one that only lanes past the limit would
+     make is never read; lane-outer and trip by trip *)
+  List.iter
+    (fun (outer, store) ->
+      List.iter
+        (fun off ->
+          let body = Printf.sprintf "acc += a[t + %d];%s" off store in
+          aff ~affine:1 ~outer body
+            (Printf.sprintf
+               {|__kernel void ob(float a[64], float o[64]) {
+  float acc = 0;
+  for (int t = tidx; t < 40; t += 32) { %s }
+  o[idx] = acc;
+}|}
+               body)
+            (1, 1) (32, 1) [ ("a", ramp 64) ])
+        [ 30; 24 ])
+    [ (1, ""); (0, " o[t] = acc;") ];
+  (* near-misses keep the plane counter: a counter the body assigns, a
+     negative, zero or runtime step, a limit that reads a lane or a name
+     the body assigns, an init that is not affine *)
+  List.iter
+    (fun (label, loop) ->
+      aff ~affine:0 ~outer:0 label
+        (Printf.sprintf
+           {|__kernel void nm(float a[256], float o[64]) {
+  float acc = 0;
+  int w = bidx + 32;
+  int n = 40;
+  %s
+  o[idx] = acc;
+}|}
+           loop)
+        (2, 1) (32, 1) [ ("a", ramp 256) ])
+    [
+      ( "assigned counter",
+        "for (int t = tidx; t < 64; t += 32) { acc += a[t]; t = t + 0; }" );
+      ( "negative step",
+        "for (int t = tidx + 64; t < 64; t += -1) acc += a[t];" );
+      ("zero step", "for (int t = tidx + 64; t < 64; t += 0) acc += a[t];");
+      ("runtime step", "for (int t = tidx; t < 64; t += w) acc += a[t];");
+      ( "limit reads a lane",
+        "for (int t = tidx; t < tidx + 40; t += 32) acc += a[t];" );
+      ( "limit the body assigns",
+        "for (int t = tidx; t < n; t += 32) { acc += a[t]; n = n - 1; }" );
+      ("init idx % 8", "for (int t = idx % 8; t < 64; t += 32) acc += a[t];");
+    ];
+  (* an [int] local whose initializer's thread coefficients cancel is a
+     uniform register; one that keeps a coefficient or is reassigned
+     stays a plane *)
+  List.iter
+    (fun (label, decl, want) ->
+      let src =
+        Printf.sprintf
+          {|__kernel void zl(float img[4][320], float o[4][320]) {
+  %s
+  o[idy][idx] = img[idy][z + tidx];
+}|}
+          decl
+      in
+      let launch =
+        { Gpcc_ast.Ast.grid_x = 2; grid_y = 4; block_x = 32; block_y = 1 }
+      in
+      Alcotest.(check int)
+        (label ^ "@" ^ name ^ ": uniform registers")
+        want
+        (plan label (parse_kernel src) launch).Gpcc_sim.Vector.co_nuregs;
+      run_src ~cfg (label ^ "@" ^ name) src (2, 4) (32, 1)
+        [ ("img", ramp 1280) ])
+    [
+      ("int z = idx - tidx", "int z = idx - tidx;", 1);
+      ("int z = idx - tidx + tidx", "int z = idx - tidx + tidx;", 0);
+      ("reassigned local", "int z = idx - tidx; z = z + 0;", 0);
+    ]
+
+(** Accumulations that run trip by trip (a barrier keeps them off the
+    lane-outer plan) over nans and infinities: when both operands of an
+    add are nans, the sum keeps the first operand's payload, as in the
+    reference. Every fused and plain shape, the accumulator on either
+    side, with plane and uniform operands, on the full block and under a
+    partial mask. *)
+let test_vector_acc_payloads cfg () =
+  let name = cfg.Gpcc_sim.Config.name in
+  let edges =
+    [| Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0; 1.0; -2.5;
+       3.0e38 |]
+  in
+  run_src ~cfg ("accumulation nan payloads@" ^ name)
+    {|__kernel void np(float e[64], float a[16][64], float o[16][64]) {
+  float c0 = e[tidx]; float c1 = e[tidx + 1]; float c2 = e[tidx + 2];
+  float c3 = e[tidx + 3]; float c4 = e[tidx + 4]; float c5 = e[tidx + 5];
+  float c6 = e[tidx + 6]; float c7 = e[tidx + 7]; float c8 = e[tidx + 8];
+  float c9 = e[tidx + 9]; float c10 = e[tidx + 10]; float c11 = e[tidx + 11];
+  float c12 = e[tidx + 12];
+  for (int i = 0; i < 16; i++) {
+    c0 = e[3] * e[i % 8] + c0;
+    c1 += c1 * a[i][tidx];
+    c2 = a[i][tidx] * e[tidx] + c2;
+    c3 -= a[i][tidx] * c3;
+    c4 += a[i][tidx] * e[1];
+    c5 = a[i][tidx] * e[2] + c5;
+    c6 += e[i % 8] * a[i][tidx];
+    c7 = e[4] * a[i][tidx] + c7;
+    c8 += a[i][tidx];
+    c9 = a[i][tidx] + c9;
+    c10 -= a[i][tidx];
+    c11 += e[i % 8] * e[1];
+    c12 = e[i % 8] + c12;
+    __syncthreads();
+  }
+  float c13 = e[tidx + 13]; float c14 = e[tidx + 14];
+  if (tidx < 20) {
+    for (int i = 0; i < 16; i++) {
+      c13 = e[3] * e[i % 8] + c13;
+      c14 = a[i][tidx] + c14;
+      o[15][idx] = c13;
+    }
+  }
+  o[0][idx] = c0; o[1][idx] = c1; o[2][idx] = c2; o[3][idx] = c3;
+  o[4][idx] = c4; o[5][idx] = c5; o[6][idx] = c6; o[7][idx] = c7;
+  o[8][idx] = c8; o[9][idx] = c9; o[10][idx] = c10; o[11][idx] = c11;
+  o[12][idx] = c12; o[13][idx] = c13; o[14][idx] = c14;
+}|}
+    (2, 1) (32, 1)
+    [
+      ("e", Array.init 64 (fun i -> edges.(i mod 8)));
+      ("a", Array.init 1024 (fun i -> edges.((i * 5 + (i / 64)) mod 8)));
+    ]
 
 (** A single-stream probe ({!L.run_block}) records no transaction
     stream: its statistics equal those of block 0 recording one beside
@@ -1302,6 +1608,14 @@ let suite =
       q "vector == reference on one-pass loops" (test_vector_one_pass cfg280);
       q "vector == reference on one-pass loops (8800)"
         (test_vector_one_pass cfg8800);
+      q "vector == reference on lane-affine counters"
+        (test_vector_affine_counters cfg280);
+      q "vector == reference on lane-affine counters (8800)"
+        (test_vector_affine_counters cfg8800);
+      q "vector == reference on accumulation nan payloads"
+        (test_vector_acc_payloads cfg280);
+      q "vector == reference on accumulation nan payloads (8800)"
+        (test_vector_acc_payloads cfg8800);
       q "GPCC_CHECK wins over vector selection" test_vector_check_run;
       s "run_block records no stream" test_run_block_records_nothing;
       s "parallel Full == serial Full" (test_parallel_matches_serial L.Full);
