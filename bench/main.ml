@@ -1122,7 +1122,7 @@ let sections =
     clock, the worker-pool size and the exploration-cache traffic (hit
     and miss deltas over this section). *)
 let emit_json ~name ~wall_s ~sim_s ~hits ~misses ~analysis_hits
-    ~analysis_misses ~coalescer_hits ~coalescer_misses ~plane_hits
+    ~analysis_misses ~plane_hits
     ~plane_misses ~closed_form ~store_hits ~store_misses ~store_evictions
     ~verify_wall_s ~sym_proofs ~concrete_fallbacks ~rows =
   let cache_fields =
@@ -1140,13 +1140,10 @@ let emit_json ~name ~wall_s ~sim_s ~hits ~misses ~analysis_hits
     @ [
         ("analysis_hits", Json_out.Int analysis_hits);
         ("analysis_misses", Json_out.Int analysis_misses);
-        (* the simulator's transaction-formation memo (patterns digested
-           per half-warp request), aggregated across worker domains *)
-        ("coalescer_memo_hits", Json_out.Int coalescer_hits);
-        ("coalescer_memo_misses", Json_out.Int coalescer_misses);
-        (* plane-granularity accounting: whole access planes resolved
-           against the plane-digest memo, and loop iterations credited
-           in closed form without touching the memo at all *)
+        (* plane-granularity accounting, aggregated across worker
+           domains: whole access planes resolved against the
+           plane-digest memo, and loop iterations credited in closed
+           form without touching the memo at all *)
         ("coalescer_plane_hits", Json_out.Int plane_hits);
         ("coalescer_plane_misses", Json_out.Int plane_misses);
         ("closed_form_credits", Json_out.Int closed_form);
@@ -1260,10 +1257,6 @@ let () =
               ~analysis_hits:(Gpcc_analysis.Analysis_cache.global_hits () - ahits0)
               ~analysis_misses:
                 (Gpcc_analysis.Analysis_cache.global_misses () - amisses0)
-              ~coalescer_hits:
-                Gpcc_sim.Launch.(pc1.pc_memo_hits - pc0.pc_memo_hits)
-              ~coalescer_misses:
-                Gpcc_sim.Launch.(pc1.pc_memo_misses - pc0.pc_memo_misses)
               ~plane_hits:
                 Gpcc_sim.Launch.(pc1.pc_plane_hits - pc0.pc_plane_hits)
               ~plane_misses:

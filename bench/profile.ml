@@ -32,8 +32,6 @@ let () =
     reps;
   let pc = Gpcc_sim.Launch.perf_counters () in
   Printf.printf
-    "  request memo %d hits / %d misses, plane memo %d hits / %d misses, \
-     closed-form credits %d\n"
-    pc.Gpcc_sim.Launch.pc_memo_hits pc.Gpcc_sim.Launch.pc_memo_misses
+    "  plane memo %d hits / %d misses, closed-form credits %d\n"
     pc.Gpcc_sim.Launch.pc_plane_hits pc.Gpcc_sim.Launch.pc_plane_misses
     pc.Gpcc_sim.Launch.pc_closed_form

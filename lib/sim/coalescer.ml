@@ -120,9 +120,6 @@ let scratch () =
     bytes = 0;
   }
 
-(* the lanes of a half warp that starts at thread 0 *)
-let lanes16 = Array.init 16 Fun.id
-
 let[@inline] emit sc a b =
   let q = sc.ntx in
   sc.txs.(2 * q) <- a;
@@ -188,20 +185,26 @@ let form (rules : Config.coalesce_rules) ~(min_tx : int) ~(elt_bytes : int)
 
 let bank_cost ~(banks : int) (counts : int array) (words : int array)
     ~(off : int) ~(cnt : int) : int =
-  Array.fill counts 0 banks 0;
-  for t = off to off + cnt - 1 do
-    let w = words.(t) in
-    (* same-address lanes broadcast for free *)
-    let dup = ref false in
-    for t' = off to t - 1 do
-      if words.(t') = w then dup := true
+  if cnt = 1 then 1
+  else begin
+    Array.fill counts 0 banks 0;
+    let worst = ref 1 in
+    for t = off to off + cnt - 1 do
+      let w = words.(t) in
+      (* same-address lanes broadcast for free *)
+      let dup = ref false in
+      for t' = off to t - 1 do
+        if words.(t') = w then dup := true
+      done;
+      if not !dup then begin
+        let b = ((w mod banks) + banks) mod banks in
+        let k = counts.(b) + 1 in
+        counts.(b) <- k;
+        if k > !worst then worst := k
+      end
     done;
-    if not !dup then begin
-      let b = ((w mod banks) + banks) mod banks in
-      counts.(b) <- counts.(b) + 1
-    end
-  done;
-  Array.fold_left max 1 counts
+    !worst
+  end
 
 let half_warps (m : int array) (f : int -> int -> unit) : unit =
   let n = Array.length m in
@@ -216,21 +219,30 @@ let half_warps (m : int array) (f : int -> int -> unit) : unit =
     i := !j
   done
 
-(* --- memoized transaction counts ---
+(* --- memoized plane digests ---
 
    Timing only needs (transactions, bytes) per half-warp request, and
    those are invariant under shifting every lane address by a multiple
    of the coarsest alignment the rules inspect: the G80 base-alignment
    check works modulo [16*elt_bytes], the GT200 segment split and
    power-of-two shrink work modulo the segment size (whose halves all
-   divide it), and the uncoalesced fallback rounds to [min_tx]. So a
-   request digest of (rules, widths, lanes, addresses mod granularity)
-   keys a cache that turns the per-block recomputation of identical
-   access patterns into one table lookup. Absolute transaction
-   addresses are NOT shift-invariant, but their offsets relative to the
-   first lane's address ARE, so the plane digests below carry a
-   relative layout that recording callers replay against the live base
-   address. *)
+   divide it), and the uncoalesced fallback rounds to [min_tx].
+   Absolute transaction addresses are NOT shift-invariant, but their
+   offsets relative to the first lane's address ARE, so the plane
+   digests below carry a relative layout that recording callers replay
+   against the live base address.
+
+   A full-mask access plane whose lane addresses are segmented-strided —
+   a uniform byte stride [d] between consecutive lanes of a half-warp
+   group and a uniform delta [dd] between consecutive group base
+   addresses — is fully characterized, up to a shift by a multiple of
+   the memo granularity, by (rules, min_tx, elt_bytes, n, a0 mod g, d,
+   dd). That shape subsumes flat strides (dd = 16*d), the dominant 2-D
+   patterns (a[idy][k] has d = 0, dd = row pitch; b[k][idx] has
+   d = elt, dd = 0) and block-uniform accesses (d = dd = 0). The digest
+   computed once per pattern carries both per-group totals and the full
+   transaction layout, so even partition-recording runs replay it
+   without re-forming transactions. *)
 
 (** Cost digest for one full access plane (every half-warp of a block's
     lanes at one memory site). [pd_hw] holds (ntx, bytes) per half-warp
@@ -272,16 +284,12 @@ let digest_of_plane (rules : Config.coalesce_rules) ~(min_tx : int)
     pd_bytes = !bytes;
   }
 
-(* Per-domain memo state. Both tables use a two-generation scheme: a
-   lookup probes the live generation then the previous one (promoting
+(* Per-domain memo state. The digest table uses a two-generation scheme:
+   a lookup probes the live generation then the previous one (promoting
    survivors), and filling the live generation retires the previous one
    wholesale instead of wiping everything — steady-state workloads keep
    their hot entries across the flip instead of cold-restarting. *)
 type mstate = {
-  mutable tbl : (int array, int * int) Hashtbl.t;
-  mutable tbl_old : (int array, int * int) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
   mutable ptbl : (int array, plane_digest) Hashtbl.t;
   mutable ptbl_old : (int array, plane_digest) Hashtbl.t;
   mutable phits : int;
@@ -297,8 +305,6 @@ let memo_mutex = Mutex.create ()
    retired_* aggregates so the live list stays bounded by the number of
    running domains rather than growing across pool recreations. *)
 let memo_states : mstate list ref = ref []
-let retired_hits = ref 0
-let retired_misses = ref 0
 let retired_phits = ref 0
 let retired_pmisses = ref 0
 
@@ -306,10 +312,6 @@ let memo_state : mstate Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let s =
         {
-          tbl = Hashtbl.create 256;
-          tbl_old = Hashtbl.create 16;
-          hits = 0;
-          misses = 0;
           ptbl = Hashtbl.create 64;
           ptbl_old = Hashtbl.create 16;
           phits = 0;
@@ -322,8 +324,6 @@ let memo_state : mstate Domain.DLS.key =
       Mutex.unlock memo_mutex;
       Domain.at_exit (fun () ->
           Mutex.lock memo_mutex;
-          retired_hits := !retired_hits + s.hits;
-          retired_misses := !retired_misses + s.misses;
           retired_phits := !retired_phits + s.phits;
           retired_pmisses := !retired_pmisses + s.pmisses;
           memo_states := List.filter (fun s' -> s' != s) !memo_states;
@@ -336,8 +336,6 @@ let sum_states retired f =
   Mutex.unlock memo_mutex;
   v
 
-let memo_hits () = sum_states retired_hits (fun s -> s.hits)
-let memo_misses () = sum_states retired_misses (fun s -> s.misses)
 let plane_memo_hits () = sum_states retired_phits (fun s -> s.phits)
 let plane_memo_misses () = sum_states retired_pmisses (fun s -> s.pmisses)
 
@@ -347,85 +345,25 @@ let bump_plane_hits n =
   let st = Domain.DLS.get memo_state in
   st.phits <- st.phits + n
 
-(* patterns per launch are few (tens); the caps only guard degenerate
-   address soups from e.g. fuzzed kernels. Each table holds up to
-   [gen_max] entries per generation, so the steady-state footprint is
-   bounded by 2*gen_max while hot entries survive generation flips. *)
-let gen_max = 4096
+(* patterns per launch are few (tens); the cap only guards degenerate
+   address soups from e.g. fuzzed kernels. The table holds up to
+   [plane_gen_max] entries per generation, so the steady-state footprint
+   is bounded by 2*plane_gen_max while hot entries survive generation
+   flips. *)
 let plane_gen_max = 4096
-
-(* generic two-generation lookup/insert over the pair of tables held by
-   [get]/[set] accessors; [compute] runs only on a double miss *)
-let two_gen_find st ~live ~old ~flip ~hit ~miss key compute =
-  match Hashtbl.find_opt (live st) key with
-  | Some r ->
-      hit st;
-      r
-  | None -> (
-      match Hashtbl.find_opt (old st) key with
-      | Some r ->
-          (* survivor: promote into the live generation *)
-          hit st;
-          flip st;
-          Hashtbl.add (live st) key r;
-          r
-      | None ->
-          miss st;
-          let r = compute () in
-          flip st;
-          Hashtbl.add (live st) key r;
-          r)
 
 let memo_granularity ~min_tx ~elt_bytes =
   let s = max 32 (16 * elt_bytes) in
   if s mod min_tx = 0 then s else s * min_tx
 
-let request_cost (rules : Config.coalesce_rules) ~(min_tx : int)
-    ~(elt_bytes : int) ~(cnt : int) (addrs : int array) : int * int =
-  let st = Domain.DLS.get memo_state in
-  let g = memo_granularity ~min_tx ~elt_bytes in
-  let amin = ref addrs.(0) in
-  for t = 1 to cnt - 1 do
-    if addrs.(t) < !amin then amin := addrs.(t)
-  done;
-  let base = !amin / g * g in
-  let key = Array.make (4 + cnt) 0 in
-  key.(0) <- (match rules with Config.Strict_g80 -> 0 | Config.Relaxed_gt200 -> 1);
-  key.(1) <- min_tx;
-  key.(2) <- elt_bytes;
-  key.(3) <- cnt;
-  for t = 0 to cnt - 1 do
-    key.(4 + t) <- addrs.(t) - base
-  done;
-  two_gen_find st
-    ~live:(fun s -> s.tbl)
-    ~old:(fun s -> s.tbl_old)
-    ~flip:(fun s ->
-      if Hashtbl.length s.tbl >= gen_max then begin
-        s.tbl_old <- s.tbl;
-        s.tbl <- Hashtbl.create 256
-      end)
-    ~hit:(fun s -> s.hits <- s.hits + 1)
-    ~miss:(fun s -> s.misses <- s.misses + 1)
-    key
-    (fun () ->
-      (* the cost is shift-invariant, so the live addresses serve *)
-      form rules ~min_tx ~elt_bytes st.sc addrs ~lanes:lanes16 ~off:0 ~cnt;
-      (st.sc.ntx, st.sc.bytes))
-
-(* --- plane-granularity cost digests ---
-
-   A full-mask access plane whose lane addresses are segmented-strided —
-   a uniform byte stride [d] between consecutive lanes of a half-warp
-   group and a uniform delta [dd] between consecutive group base
-   addresses — is fully characterized, up to a shift by a multiple of
-   the memo granularity, by (rules, min_tx, elt_bytes, n, a0 mod g, d,
-   dd). That shape subsumes flat strides (dd = 16*d) and the dominant
-   2-D patterns (a[idy][k] has d = 0, dd = row pitch; b[k][idx] has
-   d = elt, dd = 0). The digest computed once per pattern carries both
-   per-group totals and the full transaction layout relative to the
-   first lane's address, so even partition-recording runs replay it
-   without re-forming transactions. *)
+(* file [dig] in the live generation, retiring the previous one when the
+   live one is full *)
+let memo_add st key dig =
+  if Hashtbl.length st.ptbl >= plane_gen_max then begin
+    st.ptbl_old <- st.ptbl;
+    st.ptbl <- Hashtbl.create 64
+  end;
+  Hashtbl.add st.ptbl key dig
 
 let plane_cost (rules : Config.coalesce_rules) ~(min_tx : int)
     ~(elt_bytes : int) ~(n : int) ~(rel0 : int) ~(d : int) ~(dd : int) :
@@ -442,37 +380,45 @@ let plane_cost (rules : Config.coalesce_rules) ~(min_tx : int)
       dd;
     |]
   in
-  two_gen_find st
-    ~live:(fun s -> s.ptbl)
-    ~old:(fun s -> s.ptbl_old)
-    ~flip:(fun s ->
-      if Hashtbl.length s.ptbl >= plane_gen_max then begin
-        s.ptbl_old <- s.ptbl;
-        s.ptbl <- Hashtbl.create 64
-      end)
-    ~hit:(fun s -> s.phits <- s.phits + 1)
-    ~miss:(fun s -> s.pmisses <- s.pmisses + 1)
-    key
-    (fun () ->
-      let g = memo_granularity ~min_tx ~elt_bytes in
-      let nhw = (n + 15) / 16 in
-      (* synthesize lane addresses from the pattern; negative strides can
-         drive synthetic addresses below zero where integer division no
-         longer floors, so lift everything by a multiple of g first (cost
-         and relative layout are invariant under that shift) *)
-      let amin = ref rel0 in
-      for q = 0 to nhw - 1 do
-        let cnt = min 16 (n - (16 * q)) in
-        let b = rel0 + (q * dd) in
-        let last = b + ((cnt - 1) * d) in
-        if b < !amin then amin := b;
-        if last < !amin then amin := last
-      done;
-      let lift = if !amin < 0 then (g - 1 - !amin) / g * g else 0 in
-      let a0 = rel0 + lift in
-      let addrs = Array.init n (fun l -> a0 + (l / 16 * dd) + (l mod 16 * d)) in
-      digest_of_plane rules ~min_tx ~elt_bytes st.sc addrs
-        ~lanes:(Array.init n Fun.id) ~a0)
+  match Hashtbl.find_opt st.ptbl key with
+  | Some dig ->
+      st.phits <- st.phits + 1;
+      dig
+  | None -> (
+      match Hashtbl.find_opt st.ptbl_old key with
+      | Some dig ->
+          (* survivor: promote into the live generation *)
+          st.phits <- st.phits + 1;
+          memo_add st key dig;
+          dig
+      | None ->
+          st.pmisses <- st.pmisses + 1;
+          let g = memo_granularity ~min_tx ~elt_bytes in
+          let nhw = (n + 15) / 16 in
+          (* synthesize lane addresses from the pattern; negative strides
+             can drive synthetic addresses below zero where integer
+             division no longer floors, so lift everything by a multiple
+             of g first (cost and relative layout are invariant under
+             that shift) *)
+          let amin = ref rel0 in
+          for q = 0 to nhw - 1 do
+            let cnt = min 16 (n - (16 * q)) in
+            let b = rel0 + (q * dd) in
+            let last = b + ((cnt - 1) * d) in
+            if b < !amin then amin := b;
+            if last < !amin then amin := last
+          done;
+          let lift = if !amin < 0 then (g - 1 - !amin) / g * g else 0 in
+          let a0 = rel0 + lift in
+          let addrs =
+            Array.init n (fun l -> a0 + (l / 16 * dd) + (l mod 16 * d))
+          in
+          let dig =
+            digest_of_plane rules ~min_tx ~elt_bytes st.sc addrs
+              ~lanes:(Array.init n Fun.id) ~a0
+          in
+          memo_add st key dig;
+          dig)
 
 (** Sentinel digest for unfilled per-site caches. *)
 let empty_digest =

@@ -66,21 +66,6 @@ val bank_cost :
     active lanes of one half warp. *)
 val half_warps : int array -> (int -> int -> unit) -> unit
 
-(** Memoized (transactions, bytes) of one half-warp request whose
-    active lanes are threads [0 .. cnt-1] of their half warp, with byte
-    addresses [addrs.(0..cnt-1)]. The result is keyed by the access
-    pattern digest — addresses modulo the coarsest alignment the rules
-    inspect — so identical patterns across blocks cost one table lookup.
-    Transaction {e addresses} are not shift-invariant: callers recording
-    the partition stream must use {!form}. *)
-val request_cost :
-  Config.coalesce_rules ->
-  min_tx:int ->
-  elt_bytes:int ->
-  cnt:int ->
-  int array ->
-  int * int
-
 (** Cost digest for one full access plane (every half-warp group of a
     block's active lanes at one memory site). Per-group totals live in
     [pd_hw] ((ntx, bytes) pairs, groups ascending); [pd_layout] holds
@@ -98,9 +83,12 @@ type plane_digest = {
 (** Memoized digest of a segmented-strided access plane of [n] lanes:
     half-warp group [q] covers lanes [16q .. 16q+cnt-1] whose byte
     addresses are [a0 + q*dd + t*d]; [rel0] is [a0] reduced modulo the
-    memo granularity (in [0, g)). Both cost totals and the relative
-    transaction layout are shift-invariant, so one digest serves every
-    base address congruent to [rel0]. *)
+    memo granularity (in [0, g)). A block-uniform access is the plane
+    with [d = dd = 0]. Both cost totals and the relative transaction
+    layout are shift-invariant, so one digest serves every base address
+    congruent to [rel0]. The per-domain memo is the simulator's only
+    one: its table keeps two generations, so that retiring a full one
+    keeps the hot entries. *)
 val plane_cost :
   Config.coalesce_rules ->
   min_tx:int ->
@@ -131,14 +119,9 @@ val memo_granularity : min_tx:int -> elt_bytes:int -> int
 (** The coarsest alignment the rules inspect: request cost and relative
     layout are invariant under address shifts by multiples of this. *)
 
-val memo_hits : unit -> int
-(** Pattern-cache hits across every worker domain, including domains
-    that have since exited (bench reporting). *)
-
-val memo_misses : unit -> int
-
 val plane_memo_hits : unit -> int
-(** Plane-digest cache hits across every worker domain. *)
+(** Plane-digest cache hits across every worker domain, including
+    domains that have since exited (bench reporting). *)
 
 val plane_memo_misses : unit -> int
 

@@ -427,8 +427,15 @@ and eval_vload (c : bctx) (mask : int array) arr width idx : vals =
       in
       account_global c ~is_store:false ~elt_bytes:(4 * width) mask (fun l ->
           g.Devmem.base + (iv.(l) * width * 4));
-      if width = 2 then VF2 (comp 0, comp 1)
-      else VF4 (comp 0, comp 1, comp 2, comp 3)
+      (* components in order, so that an out-of-bounds load reports its
+         first bad element (constructor arguments evaluate right to left) *)
+      let c0 = comp 0 in
+      let c1 = comp 1 in
+      if width = 2 then VF2 (c0, c1)
+      else
+        let c2 = comp 2 in
+        let c3 = comp 3 in
+        VF4 (c0, c1, c2, c3)
   | _ -> err "vector load from non-global array %s" arr
 
 and eval_call (c : bctx) (mask : int array) f args : vals =

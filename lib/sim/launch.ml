@@ -224,12 +224,13 @@ type perf_counters = {
 }
 
 (** One snapshot of every accounting-cache counter: the {!Coalescer}
-    request and plane memos (summed across worker domains, including
-    exited ones) and the vector backend's closed-form loop replays. *)
+    plane memo (summed across worker domains, including exited ones) and
+    the vector backend's closed-form loop replays. The request-memo
+    fields read 0 (see the interface). *)
 let perf_counters () =
   {
-    pc_memo_hits = Coalescer.memo_hits ();
-    pc_memo_misses = Coalescer.memo_misses ();
+    pc_memo_hits = 0;
+    pc_memo_misses = 0;
     pc_plane_hits = Coalescer.plane_memo_hits ();
     pc_plane_misses = Coalescer.plane_memo_misses ();
     pc_closed_form = Vector.closed_form_credits ();

@@ -42,13 +42,17 @@ val backend_of_env : unit -> backend
 val sim_seconds : unit -> float
 
 (** Cumulative accounting-cache counters across every backend run and
-    worker domain since program start: the half-warp request memo, the
-    plane-digest memo (both in {!Coalescer}), and the vector backend's
-    closed-form uniform-loop replays. Read before/after a run to
-    attribute deltas (bench JSON, perf tooling, tests). *)
+    worker domain since program start: the plane-digest memo (in
+    {!Coalescer}) and the vector backend's closed-form uniform-loop
+    replays. Read before/after a run to attribute deltas (bench JSON,
+    perf tooling, tests). *)
 type perf_counters = {
   pc_memo_hits : int;
-  pc_memo_misses : int;
+      (** always 0: the half-warp request memo is gone, since every
+          access, block-uniform ones included, is accounted through the
+          plane memo. Kept for the benchmark's [sim.memo_hits], which a
+          later benchmark change drops together with [sim.memo_misses] *)
+  pc_memo_misses : int;  (** always 0, as [pc_memo_hits] *)
   pc_plane_hits : int;
   pc_plane_misses : int;
   pc_closed_form : int;

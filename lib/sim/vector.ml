@@ -37,9 +37,10 @@
     operands stay unboxed (see the float-operator note).
 
     Memory accounting applies the reference's half-warp rules,
-    {!Coalescer.form} and {!Coalescer.bank_cost}: a partial mask goes
-    group by group through the reference's own {!Interp.account_group},
-    and full-mask accesses are digested a whole {e plane} at a time:
+    {!Coalescer.form} and {!Coalescer.bank_cost}: a mask that splits a
+    half warp goes group by group through the reference's own
+    {!Interp.account_group}, and other accesses are digested a whole
+    {e plane} at a time:
     one dense pass classifies the access as segmented-strided and
     resolves it against {!Coalescer.plane_cost} — a per-domain
     plane-granularity memo — fronted by a per-site one-entry digest
@@ -51,8 +52,9 @@
     replays the cached digest at a congruent base — the closed-form
     loop credit — finds it in the site's residue table (indexed by the
     base modulo the memo granularity) otherwise, and walks no lane in
-    either case. A block-uniform site keeps its half-warp cost per
-    residue the same way.
+    either case. A block-uniform index is the case [ax = ay = 0]: its
+    value is computed once on the scalar channel, and its access is a
+    stable site on the zero pattern plane, accounted by the same rules.
 
     An innermost loop over a uniform or lane-affine counter whose body
     only reads memory and updates float registers runs {e lane-outer}:
@@ -90,10 +92,6 @@ type vrt = {
   globals : Devmem.arr array;  (** resolved global parameters *)
   uregs : int array;
       (** uniform int registers (uniform loop variables and locals) *)
-  hw_addrs : int array;  (** 16-slot scratch for half-warp addresses *)
-  cst : int array;
-      (** 4-slot scratch: a block-uniform access's costs (see
-          {!const_cost}) *)
   pl_addrs : int array;  (** [n]-slot scratch for whole-plane addresses *)
   site_a0 : int array;
       (** per global site: lane-0 byte address the cached digest was
@@ -110,10 +108,6 @@ type vrt = {
       (** per stable global site: its plane digests by base residue
           [a0 mod g] ([[||]] until first used, {!Coalescer.empty_digest}
           = residue not seen yet) *)
-  site_ctab : int array array;
-      (** per block-uniform global site: full half-warp group
-          [(transactions, bytes)] by address residue, [2g] slots
-          ([[||]] until first used, [-1] = residue not seen yet) *)
   site_sh_d : int array;
       (** per shared site: word stride of the cached plane totals
           ([min_int] = invalid, [max_int] = irregular stable shape) *)
@@ -126,8 +120,8 @@ type vrt = {
           statement flags (see the lane-outer note); grown on demand *)
   mutable lo_fbuf : Devmem.fmem;  (** per trip, the uniform leaves' values *)
   mutable lo_bnd : int array;
-      (** per lane-affine site of the running lane-outer loop: least and
-          greatest pattern value over the active mask *)
+      (** per site of the running lane-outer loop: least and greatest
+          pattern value over the active mask *)
   mutable lo_win : int array;
       (** per window guard of the running lane-outer loop: its uniform
           part at the first trip, then its pattern plane's least and
@@ -162,7 +156,7 @@ let[@inline] iset (a : int array) (i : int) (v : int) : unit =
 
    The reference's per-half-warp rules and emission order — every
    transaction here is formed by {!Coalescer.form}, directly or inside
-   the memos — but batched a plane at a time on the full block mask:
+   the plane memo — but batched a plane at a time on the full block mask:
    the half warps are exactly the contiguous 16-lane groups with
    lane0 = 0, and one dense pass classifies the plane as
    segmented-strided — uniform byte stride [d] within each group,
@@ -186,8 +180,10 @@ let[@inline] iset (a : int array) (i : int) (v : int) : unit =
    base the digest is a function of the base residue alone, so the
    site's residue table serves it; a residue seen for the first time is
    fetched from the plane memo (segmented shapes) or digested group by
-   group (irregular ones) and filed there. Partial masks, and recording
-   runs of the shapes no digest serves, go group by group through
+   group (irregular ones) and filed there. A block-uniform access is the
+   stable site on the zero pattern plane ([d = dd = 0]), so it takes the
+   same path. Partial masks that do not hold whole half warps, and the
+   irregular unstable planes no digest serves, go group by group through
    {!Interp.account_group}. *)
 
 (** Granularity below which the coalescing rules inspect addresses; see
@@ -199,35 +195,6 @@ let memo_granularity = Coalescer.memo_granularity
 let closed_form = Atomic.make 0
 
 let closed_form_credits () = Atomic.get closed_form
-
-(** Apply [reps] identical half-warp requests. The reference adds each
-    group's byte cost in sequence; when the width-efficiency divisor is
-    1 and the accumulator is still an exact integer, every partial sum
-    is an exact integer too, so one batched add per field is bitwise
-    identical. Otherwise fall back to the sequential loop. *)
-let apply_hw_n (c : Interp.bctx) ~(is_store : bool) ~(weff : float)
-    ~(reps : int) ntx bytes =
-  if reps > 0 then begin
-    let s = c.Interp.stats in
-    if weff = 1.0 && Float.is_integer s.Stats.cost_bytes then begin
-      let freps = float_of_int reps in
-      s.Stats.cost_bytes <- s.Stats.cost_bytes +. float_of_int (reps * bytes);
-      if is_store then begin
-        s.Stats.gst_tx <- s.Stats.gst_tx +. float_of_int (reps * ntx);
-        s.Stats.gst_bytes <- s.Stats.gst_bytes +. float_of_int (reps * bytes);
-        s.Stats.gst_requests <- s.Stats.gst_requests +. freps
-      end
-      else begin
-        s.Stats.gld_tx <- s.Stats.gld_tx +. float_of_int (reps * ntx);
-        s.Stats.gld_bytes <- s.Stats.gld_bytes +. float_of_int (reps * bytes);
-        s.Stats.gld_requests <- s.Stats.gld_requests +. freps
-      end
-    end
-    else
-      for _ = 1 to reps do
-        Stats.add_global s ~is_store ~weff ntx bytes
-      done
-  end
 
 (** Account every half warp of the mask [m] through the reference's
     own {!Interp.account_group}, with lane [m.(i)]'s byte address in
@@ -249,10 +216,12 @@ let record_digest (c : Interp.bctx) ~(a0 : int) (dig : Coalescer.plane_digest)
 
 (** Replay a plane digest against the live lane-0 address [a0]: record
     the transaction layout when the partition stream is on, then apply
-    the whole plane's statistics. The byte-cost accumulator batches
-    into one add exactly when that is bitwise identical to the
-    reference's per-group sequence (see {!apply_hw_n}); the integer
-    counters always batch. *)
+    the whole plane's statistics. The reference adds each group's byte
+    cost in sequence; when the width-efficiency divisor is 1 and the
+    accumulator is still an exact integer, every partial sum is an
+    exact integer too, so one batched add is bitwise identical, and
+    otherwise the groups are added one by one. The integer counters
+    always batch. *)
 let replay_digest (c : Interp.bctx) ~(is_store : bool) ~(weff : float)
     ~(a0 : int) (dig : Coalescer.plane_digest) : unit =
   if c.Interp.record_tx then record_digest c ~a0 dig;
@@ -301,17 +270,14 @@ let site_table (tabs : 'a array array) (site : int) (len : int) (empty : 'a) :
     block only: each of its groups has every lane the block has there. *)
 let whole_groups (m : int array) (n : int) : bool =
   let k = Array.length m in
-  let rec go off =
-    off >= k
-    ||
-    let l = m.(off) in
-    let cnt = min 16 (n - l) in
-    l land 15 = 0
-    && off + cnt <= k
-    && m.(off + cnt - 1) = l + cnt - 1
-    && go (off + cnt)
-  in
-  go 0
+  let off = ref 0 and ok = ref true in
+  while !ok && !off < k do
+    let l = m.(!off) in
+    let cnt = if n - l < 16 then n - l else 16 in
+    ok := l land 15 = 0 && !off + cnt <= k && m.(!off + cnt - 1) = l + cnt - 1;
+    off := !off + cnt
+  done;
+  !ok
 
 (** Replay the half warps that the mask [m] holds whole (see
     {!whole_groups}) from the digest of the full plane: a half warp's
@@ -467,8 +433,9 @@ let plane_digest (rt : vrt) ~(elt_bytes : int) ~(stable : bool) ~(po : int)
 (** Account one global access whose lane byte address is
     [base + ip.(po + l) * scale]. A stable site's full mask replays its
     plane digest (see {!plane_digest}), and so do the half warps of a
-    partial mask that holds them whole; other partial masks go group by
-    group through {!Interp.account_group}. *)
+    partial mask that holds them whole; other partial masks, and the
+    full mask of an irregular unstable plane, go group by group through
+    {!Interp.account_group}. *)
 let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
     ~(stable : bool) (m : int array) ~(po : int) ~(base : int)
     ~(scale : int) ~(site : int) : unit =
@@ -493,136 +460,7 @@ let account_plane (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
     let dig = plane_digest rt ~elt_bytes ~stable ~po ~base ~scale ~site in
     if dig != Coalescer.empty_digest then
       replay_digest c ~is_store ~weff ~a0:(base + (iget ip po * scale)) dig
-    else if c.Interp.record_tx then account_groups rt ~is_store ~elt_bytes m
-    else begin
-      (* irregular, unstable plane: per-group memoized costs *)
-      let cfg = c.Interp.cfg in
-      let rules = cfg.Config.coalesce_rules in
-      let min_tx = cfg.Config.min_transaction_bytes in
-      let n = rt.n in
-      let pl = rt.pl_addrs and addrs = rt.hw_addrs in
-      let i = ref 0 in
-      while !i < n do
-        let cnt = if n - !i < 16 then n - !i else 16 in
-        Array.blit pl !i addrs 0 cnt;
-        let ntx, bytes =
-          Coalescer.request_cost rules ~min_tx ~elt_bytes ~cnt addrs
-        in
-        Stats.add_global c.Interp.stats ~is_store ~weff ntx bytes;
-        i := !i + 16
-      done
-    end
-  end
-
-(** The residue-table slot of a block-uniform global site's full
-    half-warp cost at [addr]: its transactions and bytes are
-    [rt.site_ctab.(site).(i)] and [.(i + 1)]. A full group's cost
-    depends only on the address residue. *)
-let const_slot (rt : vrt) ~(elt_bytes : int) ~(addr : int) ~(site : int) : int
-    =
-  let cfg = rt.c.Interp.cfg in
-  let min_tx = cfg.Config.min_transaction_bytes in
-  let g = memo_granularity ~min_tx ~elt_bytes in
-  let r = residue addr g in
-  let tab = site_table rt.site_ctab site (2 * g) (-1) in
-  if tab.(2 * r) < 0 then begin
-    Array.fill rt.hw_addrs 0 16 addr;
-    let ntx, bytes =
-      Coalescer.request_cost cfg.Config.coalesce_rules ~min_tx ~elt_bytes
-        ~cnt:16 rt.hw_addrs
-    in
-    tab.(2 * r) <- ntx;
-    tab.((2 * r) + 1) <- bytes
-  end
-  else rt.site_hits <- rt.site_hits + 1;
-  2 * r
-
-(** Form the transactions of a half warp whose first [cnt] lanes of the
-    full mask [m] all touch [addr] into [rt.scratch], and record them
-    [reps] times when the block records: every such group forms the
-    same ones. *)
-let const_form (rt : vrt) ~(elt_bytes : int) (m : int array) ~(addr : int)
-    ~(cnt : int) ~(reps : int) : unit =
-  let c = rt.c in
-  let cfg = c.Interp.cfg in
-  let sc = rt.scratch in
-  Array.fill rt.hw_addrs 0 16 addr;
-  Coalescer.form cfg.Config.coalesce_rules
-    ~min_tx:cfg.Config.min_transaction_bytes ~elt_bytes sc rt.hw_addrs
-    ~lanes:m ~off:0 ~cnt;
-  if c.Interp.record_tx then
-    for _ = 1 to reps do
-      for q = 0 to sc.Coalescer.ntx - 1 do
-        Interp.record_part c sc.Coalescer.txs.(2 * q)
-      done
-    done
-
-(** The cost of a block-uniform global access at [addr] over the full
-    mask [m]: each full half warp's transactions and bytes in
-    [rt.cst.(0)] and [.(1)], the tail group's in [.(2)] and [.(3)]
-    (zeros where there is none). A recording block forms the groups and
-    records their transactions, full groups first; another finds the
-    full groups' cost in the site's residue table. *)
-let const_cost (rt : vrt) ~(elt_bytes : int) (m : int array) ~(addr : int)
-    ~(site : int) : unit =
-  let c = rt.c in
-  let sc = rt.scratch in
-  let r = rt.cst in
-  let n = rt.n in
-  let nfull = n / 16 and tail = n mod 16 in
-  r.(0) <- 0;
-  r.(1) <- 0;
-  r.(2) <- 0;
-  r.(3) <- 0;
-  (* every full group forms the same transactions: form them once *)
-  if nfull > 0 then
-    if c.Interp.record_tx then begin
-      const_form rt ~elt_bytes m ~addr ~cnt:16 ~reps:nfull;
-      r.(0) <- sc.Coalescer.ntx;
-      r.(1) <- sc.Coalescer.bytes
-    end
-    else begin
-      let i = const_slot rt ~elt_bytes ~addr ~site in
-      let tab = rt.site_ctab.(site) in
-      r.(0) <- tab.(i);
-      r.(1) <- tab.(i + 1)
-    end;
-  if tail > 0 then
-    (* the tail's lanes hold the half-warp positions of lanes
-       [0 .. tail-1] *)
-    if c.Interp.record_tx then begin
-      const_form rt ~elt_bytes m ~addr ~cnt:tail ~reps:1;
-      r.(2) <- sc.Coalescer.ntx;
-      r.(3) <- sc.Coalescer.bytes
-    end
-    else begin
-      let cfg = c.Interp.cfg in
-      Array.fill rt.hw_addrs 0 16 addr;
-      let ntx, bytes =
-        Coalescer.request_cost cfg.Config.coalesce_rules
-          ~min_tx:cfg.Config.min_transaction_bytes ~elt_bytes ~cnt:tail
-          rt.hw_addrs
-      in
-      r.(2) <- ntx;
-      r.(3) <- bytes
-    end
-
-(** Account one global access where every active lane touches [addr]
-    (block-uniform index). *)
-let account_const (rt : vrt) ~(is_store : bool) ~(elt_bytes : int)
-    (m : int array) ~(addr : int) ~(site : int) : unit =
-  let c = rt.c in
-  if Array.length m <> rt.n then begin
-    Array.fill rt.pl_addrs 0 (Array.length m) addr;
-    account_groups rt ~is_store ~elt_bytes m
-  end
-  else begin
-    let weff = Config.width_eff c.Interp.cfg ~elt_bytes in
-    const_cost rt ~elt_bytes m ~addr ~site;
-    let r = rt.cst in
-    apply_hw_n c ~is_store ~weff ~reps:(rt.n / 16) r.(0) r.(1);
-    if rt.n mod 16 > 0 then
-      Stats.add_global c.Interp.stats ~is_store ~weff r.(2) r.(3)
+    else account_groups rt ~is_store ~elt_bytes m
   end
 
 (* Shared-memory serialization cost of a strided half warp is invariant
@@ -653,7 +491,9 @@ let account_shared_plane (rt : vrt) ~(stable : bool) (m : int array)
   let ip = rt.ip in
   let banks = c.Interp.cfg.Config.shared_banks in
   let pl = rt.pl_addrs in
-  if Array.length m <> rt.n then begin
+  (* a one-lane request is one word: it never conflicts *)
+  if Array.length m = 1 then Stats.add_shared c.Interp.stats 1
+  else if Array.length m <> rt.n then begin
     for i = 0 to Array.length m - 1 do
       iset pl i ((iget ip (po + m.(i)) * scale) + u)
     done;
@@ -728,15 +568,6 @@ let account_shared_plane (rt : vrt) ~(stable : bool) (m : int array)
       apply_shared_n c ~groups:nhw ~extra
     end
   end
-
-(** Account one shared access where every active lane reads one word
-    (block-uniform index): each half warp is a free broadcast. *)
-let account_shared_const (rt : vrt) (m : int array) : unit =
-  if Array.length m <> rt.n then begin
-    let s = rt.c.Interp.stats in
-    Coalescer.half_warps m (fun _ _ -> Stats.add_shared s 1)
-  end
-  else apply_shared_n rt.c ~groups:((rt.n + 15) / 16) ~extra:0
 
 (* --- compiled expressions ---
 
@@ -1388,6 +1219,10 @@ let pattern_plane st ~(ax : int) ~(ay : int) : int =
       st.patterns <- ((ax, ay), p) :: st.patterns;
       p
 
+(** The offset of the zero pattern plane: a block-uniform access is the
+    stable site on it whose every lane has the same address. *)
+let zero_plane st : int = pattern_plane st ~ax:0 ~ay:0 * st.cn
+
 type ostep =
   | OU of (vrt -> int array -> int) * int  (** uniform dimension, stride *)
   | OV of int * fill * int  (** opaque plane offset, fill, stride *)
@@ -1492,10 +1327,10 @@ let mk_index st (a : lin) (steps : ostep list) : index * plane list =
         [ PI offs ] )
 
 (** A block-uniform global load: one element, read by every active
-    lane. Allocates the access's site for the residue table. *)
+    lane, accounted as a stable site on the zero plane. *)
 let uniform_gload st (gslot : int) (name : string)
     (off : vrt -> int array -> int) : vrt -> int array -> float =
-  let site = fresh_site st in
+  let site = fresh_site st and po = zero_plane st in
   fun rt m ->
     inst rt;
     let g = rt.globals.(gslot) in
@@ -1505,22 +1340,25 @@ let uniform_gload st (gslot : int) (name : string)
     if o < 0 || o >= len then
       Interp.err "out-of-bounds load %s[%d] (size %d)" name o len;
     let v = fget data o in
-    let addr = g.Devmem.base + (o * 4) in
-    account_const rt ~is_store:false ~elt_bytes:4 m ~addr ~site;
+    account_plane rt ~is_store:false ~elt_bytes:4 ~stable:true m ~po
+      ~base:(g.Devmem.base + (o * 4))
+      ~scale:4 ~site;
     v
 
-(** A block-uniform shared load: a free broadcast per half warp. *)
-let uniform_sload (sslot : int) (name : string) (len : int)
+(** A block-uniform shared load: one word, a free broadcast per half
+    warp, accounted as a stable site on the zero plane. *)
+let uniform_sload st (sslot : int) (name : string) (len : int)
     (off : vrt -> int array -> int) : vrt -> int array -> float =
- fun rt m ->
-  inst rt;
-  let data = rt.shareds.(sslot) in
-  let o = off rt m in
-  if o < 0 || o >= len then
-    Interp.err "out-of-bounds shared load %s[%d] (size %d)" name o len;
-  let v = fget data o in
-  account_shared_const rt m;
-  v
+  let site = fresh_site st and po = zero_plane st in
+  fun rt m ->
+    inst rt;
+    let data = rt.shareds.(sslot) in
+    let o = off rt m in
+    if o < 0 || o >= len then
+      Interp.err "out-of-bounds shared load %s[%d] (size %d)" name o len;
+    let v = fget data o in
+    account_shared_plane rt ~stable:true m ~po ~scale:1 ~u:o ~site;
+    v
 
 (* --- expression compilation --- *)
 
@@ -2012,7 +1850,7 @@ and comp_load st env arr idxs : ve =
       match comp_index st env strides idxs with
       | Iuniform off, owns ->
           release st owns;
-          (UF (uniform_sload sslot name len off), [])
+          (UF (uniform_sload st sslot name len off), [])
       | Ilanes xp, owns ->
           let d = alloc_f st in
           release st owns;
@@ -2072,7 +1910,7 @@ and comp_vload st env arr width idx : ve =
       let fill =
         match ix with
         | Iuniform off ->
-            let site = fresh_site st in
+            let site = fresh_site st and po = zero_plane st in
             fun rt m ->
               inst rt;
               let g = rt.globals.(gslot) in
@@ -2093,9 +1931,10 @@ and comp_vload st env arr width idx : ve =
                   done
                 else Array.iter (fun l -> fset fp (doff + l) v) m
               done;
-              account_const rt ~is_store:false ~elt_bytes:(4 * width) m
-                ~addr:(g.Devmem.base + (i0 * 4))
-                ~site
+              account_plane rt ~is_store:false ~elt_bytes:(4 * width)
+                ~stable:true m ~po
+                ~base:(g.Devmem.base + (i0 * 4))
+                ~scale:(4 * width) ~site
         | Ilanes xp ->
             let po = xp.xp_po and sc = xp.xp_scale and stable = xp.xp_stable in
             let run = xp.xp_run in
@@ -2649,7 +2488,7 @@ let fresh_planes st (b : binding) : vrt -> unit =
    bounds at the first and last trip (a failure runs the trip pass
    instead, so that errors keep their place), fills the trip buffer in
    one tight loop per column and adds its statistics once: integer
-   counts and, when that is exact (see {!apply_hw_n}), byte costs; a
+   counts and, when that is exact (see {!replay_digest}), byte costs; a
    recording block still appends each global transaction in trip order.
    Every site-trip finds its digest through the same caches as the trip
    pass, so the closed-form and residue-table counters do not move. *)
@@ -2664,7 +2503,9 @@ type lsrc = Lglobal of int | Lshared of int | Lbuf | Lplane
 
 type lleaf = {
   lf_src : lsrc;
-  lf_po : int;  (** pattern plane offset, or [-1] *)
+  lf_po : int;
+      (** pattern plane offset, or [-1]: a block-uniform load's leaf
+          reads no plane (its site's zero plane adds nothing) *)
   lf_k : int;
   lf_lane : bool;
   lf_col : int;
@@ -2703,14 +2544,14 @@ type lstmt = {
       (** enclosing window guards, each with the branch it sits in *)
 }
 
-(** A memory leaf: a lane-affine site (pattern plane [ks_po]) or a
-    block-uniform one ([ks_po = -1]); each trip saves its element offset
+(** A memory leaf: a stable site on the pattern plane [ks_po] (the zero
+    plane for a block-uniform one); each trip saves its element offset
     in column [ks_col]. *)
 type lsite = {
   ks_global : bool;
   ks_slot : int;  (** global or shared slot *)
   ks_po : int;
-  ks_j : int;  (** bounds slot of a lane-affine site *)
+  ks_j : int;  (** bounds slot *)
   ks_col : int;
   ks_sid : int;  (** accounting site *)
   ks_len : int;  (** a shared array's length *)
@@ -2795,7 +2636,7 @@ type lctr = {
 type lplan = {
   lp_ki : int;  (** int columns per trip *)
   lp_kf : int;  (** float columns per trip *)
-  lp_site_po : int array;  (** per lane-affine site: pattern plane offset *)
+  lp_site_po : int array;  (** per site: pattern plane offset *)
   lp_site_min : int array;  (** full-mask least pattern value *)
   lp_site_max : int array;
   lp_flags : int array;  (** guarded statements' flag columns *)
@@ -2941,32 +2782,16 @@ let lo_site_trip (rt : vrt) (m : int array) (irow : int) (s : lsite) : unit =
   (if s.ks_global then begin
      let g = rt.globals.(s.ks_slot) in
      let len = Bigarray.Array1.dim g.Devmem.data in
-     if s.ks_po >= 0 then begin
-       lo_check rt m ~j:s.ks_j ~po:s.ks_po ~u ~len ~shared:false s.ks_name;
-       account_plane rt ~is_store:false ~elt_bytes:4 ~stable:true m
-         ~po:s.ks_po
-         ~base:(g.Devmem.base + (4 * u))
-         ~scale:4 ~site:s.ks_sid
-     end
-     else begin
-       if u < 0 || u >= len then
-         Interp.err "out-of-bounds load %s[%d] (size %d)" s.ks_name u len;
-       account_const rt ~is_store:false ~elt_bytes:4 m
-         ~addr:(g.Devmem.base + (u * 4))
-         ~site:s.ks_sid
-     end
+     lo_check rt m ~j:s.ks_j ~po:s.ks_po ~u ~len ~shared:false s.ks_name;
+     account_plane rt ~is_store:false ~elt_bytes:4 ~stable:true m ~po:s.ks_po
+       ~base:(g.Devmem.base + (4 * u))
+       ~scale:4 ~site:s.ks_sid
    end
-   else if s.ks_po >= 0 then begin
+   else begin
      lo_check rt m ~j:s.ks_j ~po:s.ks_po ~u ~len:s.ks_len ~shared:true
        s.ks_name;
      account_shared_plane rt ~stable:true m ~po:s.ks_po ~scale:1 ~u
        ~site:s.ks_sid
-   end
-   else begin
-     if u < 0 || u >= s.ks_len then
-       Interp.err "out-of-bounds shared load %s[%d] (size %d)" s.ks_name u
-         s.ks_len;
-     account_shared_const rt m
    end);
   iset rt.lo_ibuf (irow + s.ks_col) u
 
@@ -3068,31 +2893,21 @@ let lo_trips (p : lplan) (rt : vrt) (m : int array) ~(r : int)
   done;
   !nt
 
-(** One trip of a global site in the accounting pass over the full mask
-    [m]: its digest through the site's caches, its transactions recorded
-    when the block records, its transactions, bytes and requests added
-    to [acc]. *)
-let lo_one_global (rt : vrt) (m : int array) (acc : int array) (s : lsite)
-    (u : int) : unit =
+(** One trip of a global site in the accounting pass over the full
+    mask: its digest through the site's caches, its transactions
+    recorded when the block records, its transactions, bytes and
+    requests added to [acc]. *)
+let lo_one_global (rt : vrt) (acc : int array) (s : lsite) (u : int) : unit =
   let base = rt.globals.(s.ks_slot).Devmem.base + (4 * u) in
-  if s.ks_po >= 0 then begin
-    let dig =
-      plane_digest rt ~elt_bytes:4 ~stable:true ~po:s.ks_po ~base ~scale:4
-        ~site:s.ks_sid
-    in
-    if rt.c.Interp.record_tx then
-      record_digest rt.c ~a0:(base + (iget rt.ip s.ks_po * 4)) dig;
-    acc.(0) <- acc.(0) + dig.Coalescer.pd_ntx;
-    acc.(1) <- acc.(1) + dig.Coalescer.pd_bytes;
-    acc.(2) <- acc.(2) + dig.Coalescer.pd_nhw
-  end
-  else begin
-    const_cost rt ~elt_bytes:4 m ~addr:base ~site:s.ks_sid;
-    let r = rt.cst and nfull = rt.n / 16 in
-    acc.(0) <- acc.(0) + (nfull * r.(0)) + r.(2);
-    acc.(1) <- acc.(1) + (nfull * r.(1)) + r.(3);
-    acc.(2) <- acc.(2) + ((rt.n + 15) / 16)
-  end
+  let dig =
+    plane_digest rt ~elt_bytes:4 ~stable:true ~po:s.ks_po ~base ~scale:4
+      ~site:s.ks_sid
+  in
+  if rt.c.Interp.record_tx then
+    record_digest rt.c ~a0:(base + (iget rt.ip s.ks_po * 4)) dig;
+  acc.(0) <- acc.(0) + dig.Coalescer.pd_ntx;
+  acc.(1) <- acc.(1) + dig.Coalescer.pd_bytes;
+  acc.(2) <- acc.(2) + dig.Coalescer.pd_nhw
 
 (** The one accounting pass (see the note): the trip count, the buffer
     and the loop's statistics. Returns the trip count, or [-1] before
@@ -3122,10 +2937,8 @@ let lo_one (o : lone) (p : lplan) (rt : vrt) (m : int array) : int =
         Bigarray.Array1.dim rt.globals.(st.ks_slot).Devmem.data
       else st.ks_len
     in
-    if st.ks_j >= 0 then
-      lo + rt.lo_bnd.(2 * st.ks_j) >= 0
-      && hi + rt.lo_bnd.((2 * st.ks_j) + 1) < len
-    else lo >= 0 && hi < len
+    lo + rt.lo_bnd.(2 * st.ks_j) >= 0
+    && hi + rt.lo_bnd.((2 * st.ks_j) + 1) < len
   in
   let rec all_in k = k >= ns || (in_bounds k && all_in (k + 1)) in
   if
@@ -3178,37 +2991,35 @@ let lo_one (o : lone) (p : lplan) (rt : vrt) (m : int array) : int =
       for t = 0 to nt - 1 do
         for k = 0 to ns - 1 do
           if global k then
-            lo_one_global rt m acc sites.(k) (u0.(k) + (o.lo_dus.(k) * t))
+            lo_one_global rt acc sites.(k) (u0.(k) + (o.lo_dus.(k) * t))
         done
       done
     else
       for k = 0 to ns - 1 do
         if global k then
           for t = 0 to nt - 1 do
-            lo_one_global rt m acc sites.(k) (u0.(k) + (o.lo_dus.(k) * t))
+            lo_one_global rt acc sites.(k) (u0.(k) + (o.lo_dus.(k) * t))
           done
       done;
     let nhw = (n + 15) / 16 in
     for k = 0 to ns - 1 do
       let st = sites.(k) in
-      if (not st.ks_global) && nt > 0 then
-        if st.ks_po < 0 then apply_shared_n c ~groups:(nhw * nt) ~extra:0
-        else begin
-          (* a stable plane's bank cost is computed once, then credited *)
-          let sid = st.ks_sid in
-          let first =
-            if rt.site_sh_d.(sid) = min_int then begin
-              account_shared_plane rt ~stable:true m ~po:st.ks_po ~scale:1
-                ~u:u0.(k) ~site:sid;
-              1
-            end
-            else 0
-          in
-          let rest = nt - first in
-          apply_shared_n c ~groups:(nhw * rest)
-            ~extra:(rt.site_sh_extra.(sid) * rest);
-          rt.cf_credits <- rt.cf_credits + rest
-        end
+      if (not st.ks_global) && nt > 0 then begin
+        (* a stable plane's bank cost is computed once, then credited *)
+        let sid = st.ks_sid in
+        let first =
+          if rt.site_sh_d.(sid) = min_int then begin
+            account_shared_plane rt ~stable:true m ~po:st.ks_po ~scale:1
+              ~u:u0.(k) ~site:sid;
+            1
+          end
+          else 0
+        in
+        let rest = nt - first in
+        apply_shared_n c ~groups:(nhw * rest)
+          ~extra:(rt.site_sh_extra.(sid) * rest);
+        rt.cf_credits <- rt.cf_credits + rest
+      end
     done;
     (* byte costs in one add: the width efficiency is 1 and the
        accumulator integral, so every partial sum is exact *)
@@ -3564,7 +3375,7 @@ let pattern_range st ~(ax : int) ~(ay : int) : int * int =
   let hi a d = if a > 0 then a * (d - 1) else 0 in
   (lo ax l.block_x + lo ay l.block_y, hi ax l.block_x + hi ay l.block_y)
 
-(** Register a lane-affine site's bounds slot. *)
+(** Register a site's bounds slot. *)
 let lo_bounds_slot st (ps : lpst) (po : int) : int =
   let ax, ay = fst (List.find (fun (_, p) -> p * st.cn = po) st.patterns) in
   let lo, hi = pattern_range st ~ax ~ay in
@@ -3595,21 +3406,22 @@ let index_lin st env (strides : int array) (idxs : Ast.expr list) : lin option
   in
   go 0 lin0 idxs
 
-(** A load as a leaf: a stable lane-affine site or a block-uniform one. *)
+(** A load as a leaf: a stable lane-affine site or a block-uniform one,
+    whose site is on the zero plane and whose leaf reads no plane. *)
 let lo_load st env (ps : lpst) ~(global : bool) ~(slot : int) ~(len : int)
     (name : string) (strides : int array) (idxs : Ast.expr list) : lclass =
   let pure = index_lin st env strides idxs in
-  let po, run =
+  let po, lf_po, run =
     match comp_index st env strides idxs with
     | Iuniform off, owns ->
         release st owns;
-        (-1, off)
+        (zero_plane st, -1, off)
     | Ilanes { xp_po; xp_run; xp_stable = true; _ }, owns ->
         release st owns;
-        (xp_po, xp_run)
+        (xp_po, xp_po, xp_run)
     | Ilanes _, _ -> raise Not_lane_outer
   in
-  let j = if po >= 0 then lo_bounds_slot st ps po else -1 in
+  let j = lo_bounds_slot st ps po in
   let col = lo_col ps in
   let site =
     {
@@ -3628,7 +3440,7 @@ let lo_load st env (ps : lpst) ~(global : bool) ~(slot : int) ~(len : int)
   Cleaf
     ( {
         lf_src = (if global then Lglobal slot else Lshared slot);
-        lf_po = po;
+        lf_po;
         lf_k = 0;
         lf_lane = false;
         lf_col = col;
@@ -4566,7 +4378,7 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
           in
           match ix with
           | Iuniform off ->
-              let site = fresh_site st in
+              let site = fresh_site st and po = zero_plane st in
               fun rt m ->
                 inst rt;
                 let i0 = off rt m in
@@ -4576,9 +4388,10 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
                 let len = Bigarray.Array1.dim data in
                 let fp = rt.fp in
                 Array.iter (fun l -> store_lane data len fp l (i0 * v_width)) m;
-                account_const rt ~is_store:true ~elt_bytes:(4 * v_width) m
-                  ~addr:(g.Devmem.base + (i0 * v_width * 4))
-                  ~site
+                account_plane rt ~is_store:true ~elt_bytes:(4 * v_width)
+                  ~stable:true m ~po
+                  ~base:(g.Devmem.base + (i0 * v_width * 4))
+                  ~scale:(4 * v_width) ~site
           | Ilanes xp ->
               let po = xp.xp_po and sc = xp.xp_scale in
               let stable = xp.xp_stable in
@@ -4614,7 +4427,7 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
           release st owns_src;
           match ix with
           | Iuniform off ->
-              let site = fresh_site st in
+              let site = fresh_site st and po = zero_plane st in
               fun rt m ->
                 inst rt;
                 let sv = feval src rt m in
@@ -4630,8 +4443,9 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
                     let v = if soff >= 0 then fget fp (soff + l) else sv in
                     fset data o v)
                   m;
-                let addr = g.Devmem.base + (o * 4) in
-                account_const rt ~is_store:true ~elt_bytes:4 m ~addr ~site
+                account_plane rt ~is_store:true ~elt_bytes:4 ~stable:true m ~po
+                  ~base:(g.Devmem.base + (o * 4))
+                  ~scale:4 ~site
           | Ilanes xp ->
               let po = xp.xp_po and sc = xp.xp_scale in
               let stable = xp.xp_stable in
@@ -4670,6 +4484,7 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
           release st owns_src;
           match ix with
           | Iuniform off ->
+              let site = fresh_site st and po = zero_plane st in
               fun rt m ->
                 inst rt;
                 let sv = feval src rt m in
@@ -4684,7 +4499,7 @@ and comp_assign st env (lv : Ast.lvalue) (e : Ast.expr) : vstmt =
                     let v = if soff >= 0 then fget fp (soff + l) else sv in
                     fset data o v)
                   m;
-                account_shared_const rt m
+                account_shared_plane rt ~stable:true m ~po ~scale:1 ~u:o ~site
           | Ilanes xp ->
               let po = xp.xp_po and sc = xp.xp_scale in
               let stable = xp.xp_stable in
@@ -4971,8 +4786,6 @@ let fresh_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
       shareds = Array.map Devmem.falloc code.co_shared_lens;
       globals = p.p_globals;
       uregs = Array.make (max 1 code.co_nuregs) 0;
-      hw_addrs = Array.make 16 0;
-      cst = Array.make 4 0;
       pl_addrs = Array.make n 0;
       site_a0 = Array.make (max 1 code.co_nsites) min_int;
       site_rel0 = Array.make (max 1 code.co_nsites) 0;
@@ -4980,7 +4793,6 @@ let fresh_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
       site_dd = Array.make (max 1 code.co_nsites) 0;
       site_dig = Array.make (max 1 code.co_nsites) Coalescer.empty_digest;
       site_tab = Array.make (max 1 code.co_nsites) [||];
-      site_ctab = Array.make (max 1 code.co_nsites) [||];
       site_sh_d = Array.make (max 1 code.co_nsites) min_int;
       site_sh_extra = Array.make (max 1 code.co_nsites) 0;
       sh_counts = Array.make (max 1 cfg.Config.shared_banks) 0;
@@ -5073,7 +4885,6 @@ let make_block (p : prepared) (cfg : Config.t) (stats : Stats.t)
         Array.fill old.site_a0 0 (Array.length old.site_a0) min_int;
         Array.fill old.site_d 0 (Array.length old.site_d) min_int;
         Array.fill old.site_tab 0 (Array.length old.site_tab) [||];
-        Array.fill old.site_ctab 0 (Array.length old.site_ctab) [||];
         Array.fill old.site_sh_d 0 (Array.length old.site_sh_d) min_int
       end;
       remake_block p cfg stats ~record_tx ~bidx ~bidy old

@@ -1397,6 +1397,235 @@ let test_vector_acc_payloads cfg () =
       ("a", Array.init 1024 (fun i -> edges.((i * 5 + (i / 64)) mod 8)));
     ]
 
+(** [src] parsed with its vector accesses written as calls, which the
+    parser has no syntax for: [vld2(a, i)] ([vld4]) is the float2
+    (float4) load of vector element [i] of [a], and [a[i] = vst2(e)]
+    ([vst4]) the vector store of [e]. *)
+let parse_vec src =
+  let module A = Gpcc_ast.Ast in
+  let width f = if f = "vld2" || f = "vst2" then 2 else 4 in
+  let k = Gpcc_ast.Parser.kernel_of_string src in
+  let body =
+    Gpcc_ast.Rewrite.map_block_exprs
+      (function
+        | A.Call ((("vld2" | "vld4") as f), [ Var a; i ]) ->
+            Some (A.Vload { v_arr = a; v_width = width f; v_index = i })
+        | _ -> None)
+      k.k_body
+  in
+  let body =
+    Gpcc_ast.Rewrite.map_stmts
+      (function
+        | A.Assign (Lindex (a, [ i ]), Call ((("vst2" | "vst4") as f), [ e ]))
+          ->
+            [ A.Assign (Lvec { v_arr = a; v_width = width f; v_index = i }, e) ]
+        | s -> [ s ])
+      body
+  in
+  let k = { k with k_body = body } in
+  Gpcc_ast.Typecheck.check k;
+  k
+
+(** Block-uniform accesses (every lane at one address), each accounted
+    as a stable site on the zero pattern plane: global scalar, float2
+    and float4 loads and stores, shared loads and stores, and the leaves
+    of lane-outer loops in the one accounting pass and the trip pass;
+    under the full mask, masks of whole half warps (a tail group among
+    them) and other partial masks, in 24-, 32-, 60- and 64-lane blocks;
+    each in Full, Sampled 4 with three streams, and a block budget of 1
+    with 2 streams, on machine [cfg]. Then out-of-bounds uniform indices
+    of every kind (the reference's message and place), and the
+    closed-form credits of uniform loads in a loop. *)
+let test_vector_block_uniform cfg () =
+  let name = cfg.Gpcc_sim.Config.name in
+  (* [fails]: whether the kernel must raise a runtime error *)
+  let runs ?(fails = false) label k grid block inputs =
+    let label = label ^ "@" ^ name in
+    let inputs =
+      List.filter (fun (a, _) -> List.mem a (global_arrays k)) inputs
+    in
+    let (grid_x, grid_y), (block_x, block_y) = (grid, block) in
+    let mem = Gpcc_sim.Devmem.of_kernel k in
+    List.iter (fun (n, d) -> Gpcc_sim.Devmem.write mem n d) inputs;
+    let launch = { Gpcc_ast.Ast.grid_x; grid_y; block_x; block_y } in
+    Alcotest.(check bool)
+      (label ^ ": the reference raises")
+      fails
+      (match L.run ~backend:L.Reference ~jobs:1 cfg k launch mem with
+      | _ -> false
+      | exception Gpcc_sim.Interp.Runtime_error _ -> true);
+    run_kernel ~cfg label k grid block inputs;
+    run_kernel ~cfg ~mode:(L.Sampled 4) ~streams:3 (label ^ "/sampled") k grid
+      block inputs;
+    run_kernel ~cfg ~streams:2 ~block_budget:1 (label ^ "/budget") k grid block
+      inputs
+  in
+  let inputs = [ ("a", ramp 64); ("v", ramp 256); ("b", ramp 1024) ] in
+  let guards =
+    [
+      "bidx >= 0";
+      "tidx < 16";
+      "tidx >= 16";
+      "tidx == 0";
+      "tidx < 5";
+      "tidx > 20";
+    ]
+  in
+  (* statement-level sites, and a trip-by-trip loop over them *)
+  let statements guard =
+    Printf.sprintf
+      {|__kernel void st(float a[64], float v[256], float o[2][384], float o2[256], float g[16]) {
+  __shared__ float s[64];
+  s[tidx] = a[tidx];
+  __syncthreads();
+  if (%s) {
+    float x = a[bidx + 3] + s[5];
+    s[bidx + 7] = x;
+    float2 p = vld2(v, bidx + 1);
+    float4 q = vld4(v, 2 * bidx + 5);
+    g[bidx * 2] = x + p.x;
+    o2[bidx + 9] = vst2(p);
+    o2[bidx + 30] = vst4(q);
+    o[0][idx] = x + s[bidx + 7] + p.y + q.w;
+    float t = 0;
+    for (int i = 0; i < 6; i++) {
+      float2 r = vld2(v, 3 * i + bidx);
+      t += a[i * 8] + s[i + 1] + r.y;
+      o2[i + 40] = vst2(r);
+      g[i + 1] = t;
+      s[i + 20] = t;
+      __syncthreads();
+    }
+    o[1][idx] = t + s[22];
+  }
+}|}
+      guard
+  in
+  (* lane-outer leaves: the first loop takes the one accounting pass on
+     the full mask and the trip pass under a partial one; the second is
+     guarded by a uniform condition, so it always takes the trip pass *)
+  let leaves guard =
+    Printf.sprintf
+      {|#pragma gpcc dim w 8
+__kernel void lu(float a[64], float b[16][64], float o[3][384], int w) {
+  __shared__ float s[64];
+  s[tidx] = a[tidx];
+  __syncthreads();
+  float acc = 0; float acc2 = 0; float acc3 = 0;
+  if (%s) {
+    for (int i = 0; i < w; i++) {
+      acc += a[i * 3 + bidx] * b[i][tidx];
+      acc2 += s[i + 2];
+    }
+    for (int i = 1; i < 12; i += 2) {
+      if (i < w) {
+        acc3 += a[i] * b[i][tidx];
+        acc3 -= s[i + bidx];
+      }
+    }
+  }
+  o[0][idx] = acc; o[1][idx] = acc2; o[2][idx] = acc3;
+}|}
+      guard
+  in
+  List.iter
+    (fun bx ->
+      List.iter
+        (fun guard ->
+          let at = Printf.sprintf " under %s (%d lanes)" guard bx in
+          runs ("statement sites" ^ at)
+            (parse_vec (statements guard))
+            (6, 1) (bx, 1) inputs;
+          let k = parse_kernel (leaves guard) in
+          let launch =
+            { Gpcc_ast.Ast.grid_x = 6; grid_y = 1; block_x = bx; block_y = 1 }
+          in
+          Alcotest.(check int)
+            ("lane-outer leaves" ^ at ^ ": lane-outer loops")
+            2 (lane_outer "leaves" k launch);
+          runs ("lane-outer leaves" ^ at) k (6, 1) (bx, 1) inputs)
+        guards)
+    [ 24; 32; 60; 64 ];
+  (* an out-of-bounds uniform index raises the reference's message, in
+     the reference's block and trip *)
+  List.iter
+    (fun (label, body) ->
+      let src =
+        Printf.sprintf
+          {|#pragma gpcc dim w 8
+__kernel void ob(float a[64], float v[256], float b[16][64], float o[4][64], float o2[256], float g[16], int w) {
+  __shared__ float s[64];
+  s[tidx] = a[tidx];
+  __syncthreads();
+  float acc = 0;
+  float2 p = make_float2(1.0, 2.0);
+  float4 q = make_float4(1.0, 2.0, 3.0, 4.0);
+  %s
+  o[0][idx] = acc + p.x + q.y;
+}|}
+          body
+      in
+      List.iter
+        (fun bx ->
+          runs ~fails:true
+            (Printf.sprintf "%s (%d lanes)" label bx)
+            (parse_vec src) (4, 1) (bx, 1) inputs)
+        [ 24; 32 ])
+    [
+      ("load out of bounds", "acc = a[bidx + 62];");
+      ("store out of bounds", "g[bidx + 14] = 1.0;");
+      ("float2 load out of bounds", "p = vld2(v, bidx + 126);");
+      ("float4 load out of bounds", "q = vld4(v, bidx + 62);");
+      ("float2 store out of bounds", "o2[bidx + 126] = vst2(p);");
+      ("float4 store out of bounds", "o2[bidx + 62] = vst4(q);");
+      ("shared load out of bounds", "acc = s[bidx + 62];");
+      ("shared store out of bounds", "s[bidx + 63] = 1.0;");
+      ( "guarded load out of bounds",
+        "if (tidx == 3) { acc = a[bidx * 20 + 30]; }" );
+      ( "lane-outer load out of bounds",
+        "for (int i = 0; i < w; i++) acc += a[i * 9 + bidx] * b[i][tidx];" );
+      ( "lane-outer shared load out of bounds",
+        "for (int i = 0; i < w; i++) acc += s[i * 9 + bidx] * b[i][tidx];" );
+      ( "lane-outer load out of bounds under tidx < 5",
+        "if (tidx < 5) { for (int i = 0; i < w; i++) acc += a[i * 9 + bidx]; }"
+      );
+      ( "guarded lane-outer load out of bounds",
+        "for (int i = 0; i < w; i++) { if (i > 0) acc += a[i * 9 + bidx]; }" );
+    ];
+  (* uniform loads in a loop run trip by trip (a barrier keeps it off
+     the lane-outer plan): each trip moves the global base by 64 bytes,
+     a multiple of the memo granularity, and the shared word by one, so
+     every trip but each site's first is a closed-form credit *)
+  let k =
+    parse_kernel
+      {|__kernel void ul(float a[256], float o[128]) {
+  __shared__ float s[16];
+  if (tidx < 16) s[tidx] = a[tidx];
+  __syncthreads();
+  float t = 0;
+  for (int i = 0; i < 8; i++) {
+    t += a[i * 16] + s[i];
+    __syncthreads();
+  }
+  o[idx] = t;
+}|}
+  in
+  let launch =
+    { Gpcc_ast.Ast.grid_x = 2; grid_y = 1; block_x = 64; block_y = 1 }
+  in
+  let pc0 = L.perf_counters () in
+  let mem = Gpcc_sim.Devmem.of_kernel k in
+  Gpcc_sim.Devmem.write mem "a" (ramp 256);
+  ignore (L.run ~backend:L.Vector ~jobs:1 cfg k launch mem);
+  let pc1 = L.perf_counters () in
+  let credits = L.(pc1.pc_closed_form - pc0.pc_closed_form) in
+  if credits < 30 then
+    Alcotest.failf
+      "uniform loads in a loop@%s: %d closed-form credits, want >= 30" name
+      credits;
+  run_kernel ~cfg ("uniform loads in a loop@" ^ name) k (2, 1) (64, 1)
+    [ ("a", ramp 256) ]
+
 (** A single-stream probe ({!L.run_block}) records no transaction
     stream: its statistics equal those of block 0 recording one beside
     a second stream block, and its timing is that statistics' estimate
@@ -1616,6 +1845,10 @@ let suite =
         (test_vector_acc_payloads cfg280);
       q "vector == reference on accumulation nan payloads (8800)"
         (test_vector_acc_payloads cfg8800);
+      q "vector == reference on block-uniform accesses"
+        (test_vector_block_uniform cfg280);
+      q "vector == reference on block-uniform accesses (8800)"
+        (test_vector_block_uniform cfg8800);
       q "GPCC_CHECK wins over vector selection" test_vector_check_run;
       s "run_block records no stream" test_run_block_records_nothing;
       s "parallel Full == serial Full" (test_parallel_matches_serial L.Full);
